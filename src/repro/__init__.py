@@ -24,16 +24,11 @@ from repro.api import (
     select_application_mapping,
     strided_workload,
 )
-from repro.errors import ServiceOverloadError, TenantQuarantinedError
 from repro.faults import FaultPlan, FaultSpec
 from repro.hbm import PlanCache, default_plan_cache
 from repro.service import (
-    JobHandle,
-    LaneSupervisor,
     MappingService,
     ServiceCampaignResult,
-    ServiceFrontend,
-    ServiceHealth,
     SharedArtifacts,
     TenantContext,
     TenantRegistry,
@@ -71,8 +66,6 @@ __all__ = [
     "ExperimentRunner",
     "FaultPlan",
     "FaultSpec",
-    "JobHandle",
-    "LaneSupervisor",
     "Machine",
     "MappingSelection",
     "MappingService",
@@ -84,12 +77,8 @@ __all__ = [
     "MachineResult",
     "RetryPolicy",
     "ServiceCampaignResult",
-    "ServiceFrontend",
-    "ServiceHealth",
-    "ServiceOverloadError",
     "Session",
     "SharedArtifacts",
-    "TenantQuarantinedError",
     "SpeedupTable",
     "SuiteResult",
     "SystemConfig",

@@ -19,7 +19,7 @@ without writing any code:
   recompute instead, written to ``BENCH_online.json``; with
   ``--evaluate``, the end-to-end evaluate stage under the chunked
   vector backend vs the event-loop reference, written to
-  ``BENCH_evaluate.json`` (``--workers`` shards across channels);
+  ``BENCH_evaluate.json``;
 * ``verify-cache`` — checksum + decode every stage-cache entry,
   quarantining corrupt ones (``--gc`` sweeps tmp debris, and
   ``--purge-quarantine`` empties the quarantine);
@@ -245,7 +245,6 @@ def cmd_bench(args) -> int:
             seed=args.seed,
             repeats=args.repeats,
             backend=args.backend or "vector",
-            workers=args.workers,
         )
         path = write_report(report, args.out or EVALUATE_REPORT_PATH)
         summary = report["summary_speedup_geomean"]
@@ -254,9 +253,7 @@ def cmd_bench(args) -> int:
         else:
             print(
                 f"evaluate bench: {accesses} accesses, "
-                f"backend {report['backend']}"
-                + (f" x{args.workers} shards" if args.workers else "")
-                + f" -> {path}"
+                f"backend {report['backend']} -> {path}"
             )
             for scenario, cell in report["cells"].items():
                 ev = cell["evaluate"]
@@ -525,102 +522,12 @@ def cmd_ras(args) -> int:
     return 0
 
 
-def _cmd_serve_soak(args) -> int:
-    """Continuous soak: N tenant lanes under sustained load.
-
-    Submits round-robin traffic at every lane for ``--duration``
-    seconds (sheds and probation rejections are expected and
-    journaled), optionally with an injected ``service.*`` fault, then
-    drains and gates on the health journal: exit 0 when the
-    conservation law held, 1 on violations, 3 on interrupt — the same
-    contract as ``ras``/``adapt``.
-    """
-    import json
-    import time as clock
-
-    from repro.errors import ServiceOverloadError, TenantQuarantinedError
-    from repro.faults import FaultPlan
-    from repro.service import ServiceFrontend, TenantSpec
-    from repro.workloads.synthetic import StridedCopyWorkload
-
-    faults = None
-    if args.fault:
-        faults = FaultPlan.single(
-            args.fault, times=max(3, args.load), match="*"
-        )
-    frontend = ServiceFrontend(
-        queue_depth=args.queue_depth,
-        faults=faults,
-        max_strikes=3,
-        quarantine_s=0.1,
-        supervise_interval_s=0.005,
-    )
-    interrupted = False
-    drain_problem = None
-    try:
-        try:
-            for index in range(args.load):
-                frontend.admit(
-                    TenantSpec(
-                        name=f"soak{index:03d}",
-                        system="bs_dm",
-                        quota=2,
-                        seed=args.seed + index,
-                        backend=args.backend or "fast",
-                    )
-                )
-            workload = StridedCopyWorkload(
-                stride_lines=4, accesses_per_thread=512
-            )
-            deadline = clock.monotonic() + args.duration
-            index = 0
-            while clock.monotonic() < deadline:
-                name = f"soak{index % args.load:03d}"
-                try:
-                    frontend.submit(name, workload, eval_seed=index)
-                except (ServiceOverloadError, TenantQuarantinedError):
-                    pass  # journaled by the front-end; keep the pressure on
-                index += 1
-                clock.sleep(0.001)
-            try:
-                frontend.drain(timeout=max(60.0, args.duration * 4))
-            except Exception as error:  # noqa: BLE001 — gate below
-                drain_problem = str(error)
-        except KeyboardInterrupt:
-            interrupted = True
-        health = frontend.health
-        payload = health.to_dict()
-        if drain_problem:
-            payload["violations"] = payload["violations"] + [drain_problem]
-    finally:
-        frontend.close()
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(health.summary())
-        if args.out:
-            print(f"health journal written to {args.out}")
-    if interrupted:
-        print("soak interrupted", file=sys.stderr)
-        return 3
-    if payload["violations"]:
-        for problem in payload["violations"]:
-            print(f"error: service health violated: {problem}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def cmd_serve(args) -> int:
-    """Serve: soak mode (``--load``) or the isolation selftest."""
+    """Run the multi-tenant isolation selftest."""
     import json
 
     from repro.service import run_service_campaign
 
-    if args.load is not None:
-        return _cmd_serve_soak(args)
     try:
         result = run_service_campaign(
             seed=args.seed,
@@ -647,6 +554,11 @@ def cmd_serve(args) -> int:
                 f"{namespace.get('base', 0) + namespace.get('capacity', 0)}) "
                 f"runs {len(fingerprint.get('runs', []))}"
             )
+        print(
+            f"  fault leg: aggressor {result.faulty_tenant} "
+            + ("demoted to event" if result.aggressor_demoted
+               else "NOT demoted")
+        )
         if args.out:
             print(f"report written to {args.out}")
     if not result.isolated:
@@ -761,12 +673,6 @@ def main(argv: list[str] | None = None) -> int:
         "--backend",
         default=None,
         help="candidate memory backend for --evaluate (default vector)",
-    )
-    bench.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="channel shards for the --evaluate candidate (0 = in-process)",
     )
     bench.add_argument(
         "--accesses",
@@ -905,8 +811,8 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument(
         "--selftest",
         action="store_true",
-        help="run the isolation selftest campaign (the only mode; "
-        "accepted for forward compatibility)",
+        help="run the isolation selftest campaign (the default and "
+        "only mode)",
     )
     serve_scope = serve.add_mutually_exclusive_group()
     serve_scope.add_argument(
@@ -928,37 +834,7 @@ def main(argv: list[str] | None = None) -> int:
         "--backend",
         default=None,
         help="memory fidelity tier every tenant runs on "
-        "(fast | vector | event | tiered; default vector for the "
-        "selftest, fast for --load soak)",
-    )
-    serve.add_argument(
-        "--load",
-        type=int,
-        default=None,
-        metavar="N",
-        help="soak mode: admit N tenant lanes and submit round-robin "
-        "traffic for --duration seconds (health journal gates the "
-        "exit code)",
-    )
-    serve.add_argument(
-        "--duration",
-        type=float,
-        default=2.0,
-        metavar="S",
-        help="soak duration in seconds (with --load; default 2)",
-    )
-    serve.add_argument(
-        "--queue-depth",
-        type=int,
-        default=8,
-        help="per-lane bounded queue depth in soak mode (default 8)",
-    )
-    serve.add_argument(
-        "--fault",
-        default=None,
-        metavar="SITE",
-        help="inject a service.* fault during the soak "
-        "(e.g. service.lane.crash)",
+        "(fast | vector | event | tiered; default vector)",
     )
     serve.add_argument(
         "--out", default=None, help="write the isolation report as JSON here"

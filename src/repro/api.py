@@ -15,15 +15,11 @@ For anything beyond these helpers, use the subsystem packages directly
 (``repro.core``, ``repro.hbm``, ``repro.mem``, ``repro.cpu``,
 ``repro.profiling``, ``repro.ml``, ``repro.workloads``,
 ``repro.system``).
-
-The pre-Session helpers (``build_machine``, ``compare_systems``,
-``full_evaluation``) remain as deprecated shims.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from pathlib import Path
 
 from repro.core import (
@@ -47,14 +43,9 @@ from repro.ras import (
     RASReport,
 )
 from repro.ras import run_campaign as run_ras_campaign
-from repro.errors import ServiceOverloadError, TenantQuarantinedError
 from repro.service import (
-    JobHandle,
-    LaneSupervisor,
     MappingService,
     ServiceCampaignResult,
-    ServiceFrontend,
-    ServiceHealth,
     SharedArtifacts,
     TenantContext,
     TenantRegistry,
@@ -66,7 +57,6 @@ from repro.system import (
     Machine,
     MachineResult,
     RetryPolicy,
-    SpeedupTable,
     SuiteResult,
     SystemConfig,
     run_suite,
@@ -89,19 +79,13 @@ __all__ = [
     "DeviceFaultPlan",
     "DeviceFaultSpec",
     "FaultPlan",
-    "JobHandle",
-    "LaneSupervisor",
     "MappingSelection",
     "MappingService",
     "RASReport",
     "RetryPolicy",
     "ServiceCampaignResult",
-    "ServiceFrontend",
-    "ServiceHealth",
-    "ServiceOverloadError",
     "Session",
     "SharedArtifacts",
-    "TenantQuarantinedError",
     "TenantContext",
     "TenantRegistry",
     "TenantSpec",
@@ -113,10 +97,6 @@ __all__ = [
     "evaluation_workloads",
     "strided_workload",
     "mixed_stride_workload",
-    # deprecated shims
-    "build_machine",
-    "compare_systems",
-    "full_evaluation",
 ]
 
 QUICK_DL_CONFIG = AutoencoderConfig(pretrain_steps=40, joint_steps=20)
@@ -459,7 +439,7 @@ class Session:
 
         Admits ``tenants`` tenant contexts over shared immutable
         artifacts, runs each solo and then all concurrently (plus a
-        fault-injection leg and, with ``controllers=True``, concurrent
+        forced-divergence leg and, with ``controllers=True``, concurrent
         per-tenant adaptive/RAS campaigns), and checks every tenant's
         fingerprint is bit-identical across legs.  Returns a
         :class:`~repro.service.campaign.ServiceCampaignResult`; its
@@ -489,49 +469,3 @@ def mixed_stride_workload(
 ) -> Workload:
     """The four-pattern mix of Fig. 4 / Fig. 11."""
     return MixedStrideWorkload(strides=strides, **kwargs)
-
-
-# ---------------------------------------------------------------------------
-# Deprecated shims (pre-Session surface)
-# ---------------------------------------------------------------------------
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"repro.api.{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def build_machine(system: str = "sdm_bsm", **machine_kwargs) -> Machine:
-    """Deprecated: build a Machine directly or use :class:`Session`."""
-    _deprecated("build_machine", "repro.Machine / Session.run")
-    return Machine(system_by_key(system), **machine_kwargs)
-
-
-def compare_systems(
-    workload: Workload,
-    *,
-    system_keys: tuple[str, ...] = ("bs_dm", "bs_hm", "sdm_bsm", "sdm_bsm_ml4"),
-    **machine_kwargs,
-) -> dict[str, MachineResult]:
-    """Deprecated: use :meth:`Session.compare`.
-
-    Results are keyed by the *requested* system key (historically they
-    were keyed by the system label, which silently overwrote entries
-    when two configurations shared a label).
-    """
-    _deprecated("compare_systems", "Session.compare")
-    session = Session(cache_dir=None, workers=0, **machine_kwargs)
-    return session.compare(workload, system_keys)
-
-
-def full_evaluation(*, quick: bool = True, **machine_kwargs) -> SpeedupTable:
-    """Deprecated: use :meth:`Session.full_evaluation`.
-
-    Returns the bare :class:`SpeedupTable` (the Session variant also
-    carries stage metrics and error capture).
-    """
-    _deprecated("full_evaluation", "Session.full_evaluation")
-    session = Session(cache_dir=None, workers=0, **machine_kwargs)
-    return session.full_evaluation(quick=quick).raise_errors().table

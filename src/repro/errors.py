@@ -8,23 +8,6 @@ chunk-mapping table, the OS memory allocators, and the simulators.
 
 from __future__ import annotations
 
-import warnings
-
-_DEPRECATION_WARNED: set[str] = set()
-
-
-def warn_deprecated_once(key: str, message: str, stacklevel: int = 3) -> None:
-    """Emit a :class:`DeprecationWarning` once per process per ``key``.
-
-    The deprecation shims (``Machine(memory_model=...)``, the engines'
-    ``backend_hints()``) warn through this so a sweep over thousands of
-    cells does not repeat the same warning thousands of times.
-    """
-    if key in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(key)
-    warnings.warn(message, DeprecationWarning, stacklevel=stacklevel)
-
 
 class ReproError(Exception):
     """Base class for all library errors."""
@@ -111,20 +94,6 @@ class RetryExhaustedError(ReproError):
     """A transient failure persisted through every allowed attempt."""
 
 
-class BackendExecutionError(SimulationError):
-    """A memory backend's guarded execution could not be completed.
-
-    Raised when every recovery path for a sharded run — per-shard
-    retries, re-dispatch, shard-granular serial fallback — has been
-    exhausted.  The attached :class:`~repro.hbm.stats.BackendHealth`
-    (``health``) records every degradation attempted on the way down.
-    """
-
-    def __init__(self, message: str, health=None):
-        super().__init__(message)
-        self.health = health
-
-
 class BackendDivergenceError(SimulationError):
     """The runtime divergence guard found a cross-tier mismatch.
 
@@ -139,52 +108,6 @@ class BackendDivergenceError(SimulationError):
     def __init__(self, message: str, report: dict | None = None):
         super().__init__(message)
         self.report = dict(report or {})
-
-
-class ServiceError(ReproError):
-    """The multi-tenant serving layer could not accept or finish work."""
-
-
-class ServiceOverloadError(ServiceError):
-    """Admission control shed a job instead of queueing it.
-
-    Raised by the continuous front-end when a tenant's lane queue (or
-    the service-wide pending bound) is full.  Shedding is structured,
-    never silent: the shed is journaled in the
-    :class:`~repro.service.health.ServiceHealth` before this is raised,
-    and ``retry_after_s`` tells the client when resubmitting is likely
-    to succeed (an estimate from the lane's observed service rate).
-    """
-
-    def __init__(
-        self,
-        message: str,
-        tenant: str | None = None,
-        retry_after_s: float = 0.0,
-    ):
-        super().__init__(message)
-        self.tenant = tenant
-        self.retry_after_s = float(retry_after_s)
-
-
-class TenantQuarantinedError(ServiceError):
-    """A job was submitted to a tenant the supervisor has quarantined.
-
-    The tenant's lane accumulated too many strikes (crashes, exhausted
-    retries) and is serving a probation window before its lane is
-    restarted from a rebuilt context.  ``until_s`` is the remaining
-    probation time when known.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        tenant: str | None = None,
-        until_s: float | None = None,
-    ):
-        super().__init__(message)
-        self.tenant = tenant
-        self.until_s = until_s
 
 
 class RASError(ReproError):

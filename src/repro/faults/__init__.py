@@ -1,6 +1,6 @@
 """Deterministic fault injection for resilience testing.
 
-Four site families share the namespace of :mod:`repro.faults.sites`:
+Three site families share the namespace of :mod:`repro.faults.sites`:
 
 * the experiment engine's failure paths — corrupt cache entries,
   crashing workers, stalled cells, broken process pools — exercised
@@ -8,14 +8,9 @@ Four site families share the namespace of :mod:`repro.faults.sites`:
 * modeled-hardware failures — stuck rows, dead banks, lost channels,
   CMT bit flips, AMU misprogramming — exercised through the
   ``device.*`` family and :class:`repro.ras.DeviceFaultPlan`;
-* guarded backend execution — shard crashes/stalls, corrupted shard
-  stats, forced cross-tier divergence — exercised through the
-  ``backend.*`` family, fired by the same :class:`FaultPlan` inside
-  the shard supervisor and the divergence guard;
-* the continuous service front-end — lane crashes, lane stalls, job
-  crashes — exercised through the ``service.*`` family, fired by the
-  same :class:`FaultPlan` inside the tenant lanes and their
-  supervisor.
+* guarded backend execution — forced cross-tier divergence —
+  exercised through the ``backend.*`` family, fired by the same
+  :class:`FaultPlan` inside the divergence guard.
 """
 
 from repro.faults.plan import ENV_VAR, FAULT_KINDS, FaultPlan, FaultSpec
@@ -24,7 +19,6 @@ from repro.faults.sites import (
     DEVICE_SITES,
     ENGINE_SITES,
     KNOWN_SITES,
-    SERVICE_SITES,
     matches_known_site,
 )
 
@@ -37,6 +31,5 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "KNOWN_SITES",
-    "SERVICE_SITES",
     "matches_known_site",
 ]

@@ -36,7 +36,6 @@ from repro.errors import ConfigError, WorkerCrashError
 from repro.faults.sites import (
     BACKEND_SITES,
     ENGINE_SITES,
-    SERVICE_SITES,
     matches_known_site,
 )
 
@@ -83,7 +82,6 @@ class FaultSpec:
         if not (
             matches_known_site(self.site, family="engine")
             or matches_known_site(self.site, family="backend")
-            or matches_known_site(self.site, family="service")
         ):
             hint = (
                 "; device.* sites are injected through "
@@ -92,9 +90,9 @@ class FaultSpec:
                 else ""
             )
             raise ConfigError(
-                f"fault site pattern {self.site!r} matches no engine, "
-                f"backend or service fault site (known: "
-                f"{', '.join(ENGINE_SITES + BACKEND_SITES + SERVICE_SITES)})"
+                f"fault site pattern {self.site!r} matches no engine "
+                f"or backend fault site (known: "
+                f"{', '.join(ENGINE_SITES + BACKEND_SITES)})"
                 f"{hint}"
             )
         if self.times < 1:

@@ -1,7 +1,7 @@
 """Named fault-injection sites.
 
 A *fault site* is a stable string naming one place where fault machinery
-may act.  Sites come in two *families* with different injectors:
+may act.  Sites come in three *families* with different injectors:
 
 **Engine sites** — checked by the experiment engine, injected through a
 :class:`~repro.faults.plan.FaultPlan`:
@@ -42,54 +42,13 @@ points:
 backends, injected through the same :class:`~repro.faults.plan.
 FaultPlan` as engine sites (they share its deterministic firing
 machinery).  Unlike engine sites, where the spec's *kind* chooses the
-effect, a backend site *names* its effect; the spec's ``seconds``
-parameterises the stall and the other kinds are advisory:
-
-``backend.shard.crash``
-    The shard supervisor's worker raises mid-shard (a crashed shard);
-    the token is ``shard<index>``.  Recovery: retry with backoff,
-    then shard-granular serial fallback.
-
-``backend.shard.stall``
-    The worker sleeps ``seconds`` before evaluating its shard,
-    driving it past the supervisor's per-shard timeout.  Recovery:
-    the stalled pool is abandoned and the shard re-runs in-process.
-
-``backend.shard.stats``
-    The shard returns a *corrupted* partial ``RunStats`` (counters
-    garbled).  Recovery: the supervisor's merge-time validation
-    rejects it and re-runs the shard in-process.
+effect, a backend site *names* its effect:
 
 ``backend.divergence``
     The divergence guard's sampled primary-tier result is perturbed,
     forcing a cross-tier mismatch; the token is ``chunk<index>``.
     Recovery: the run demotes primary → reference with a structured
     report.
-
-**Service sites** — failures inside the continuous multi-tenant
-front-end's tenant lanes, injected through the same
-:class:`~repro.faults.plan.FaultPlan` as engine and backend sites.
-Like the ``backend.*`` family, a service site *names* its effect;
-tokens are the tenant name (lane-level sites) or
-``<tenant>:<job id>`` (job-level sites):
-
-``service.lane.crash``
-    The tenant's lane thread dies after dequeuing a job (the job is
-    requeued first, so no work is lost silently).  Recovery: the lane
-    supervisor records a strike and restarts the lane; ``K``
-    consecutive strikes quarantine the tenant.
-
-``service.lane.stall``
-    The lane sleeps ``seconds`` mid-job, driving the job past its
-    deadline.  Recovery: the supervisor abandons the wedged lane
-    thread (its late result is discarded by generation check), marks
-    the job timed out, and starts a replacement lane.
-
-``service.job.crash``
-    One job's execution raises before the pipeline runs.  Recovery:
-    the lane's retry-with-backoff (reusing the experiment engine's
-    :class:`~repro.system.runner.RetryPolicy`) re-runs the job;
-    injected faults never fire on retries, so the job converges.
 
 Site patterns in a :class:`FaultSpec` are ``fnmatch`` globs, so
 ``store.load.*`` or ``device.hbm.*`` cover a family.  Each injector
@@ -104,9 +63,6 @@ from fnmatch import fnmatch
 
 __all__ = [
     "BACKEND_DIVERGENCE",
-    "BACKEND_SHARD_CRASH",
-    "BACKEND_SHARD_STALL",
-    "BACKEND_SHARD_STATS",
     "BACKEND_SITES",
     "DEVICE_AMU_MISPROGRAM",
     "DEVICE_CMT_FLIP",
@@ -116,10 +72,6 @@ __all__ = [
     "DEVICE_SITES",
     "ENGINE_SITES",
     "KNOWN_SITES",
-    "SERVICE_JOB_CRASH",
-    "SERVICE_LANE_CRASH",
-    "SERVICE_LANE_STALL",
-    "SERVICE_SITES",
     "STORE_LOAD_PROFILE",
     "STORE_LOAD_RESULT",
     "STORE_LOAD_SELECTION",
@@ -146,14 +98,7 @@ DEVICE_HBM_CHANNEL = "device.hbm.channel"
 DEVICE_CMT_FLIP = "device.cmt.flip"
 DEVICE_AMU_MISPROGRAM = "device.amu.misprogram"
 
-BACKEND_SHARD_CRASH = "backend.shard.crash"
-BACKEND_SHARD_STALL = "backend.shard.stall"
-BACKEND_SHARD_STATS = "backend.shard.stats"
 BACKEND_DIVERGENCE = "backend.divergence"
-
-SERVICE_LANE_CRASH = "service.lane.crash"
-SERVICE_LANE_STALL = "service.lane.stall"
-SERVICE_JOB_CRASH = "service.job.crash"
 
 #: Sites the experiment engine's FaultPlan can act on.
 ENGINE_SITES = (
@@ -177,32 +122,17 @@ DEVICE_SITES = (
 )
 
 #: Guarded-execution sites inside the memory backends, checked by the
-#: shard supervisor and the cross-tier divergence guard.  They fire
-#: through the engine :class:`~repro.faults.plan.FaultPlan`.
-BACKEND_SITES = (
-    BACKEND_SHARD_CRASH,
-    BACKEND_SHARD_STALL,
-    BACKEND_SHARD_STATS,
-    BACKEND_DIVERGENCE,
-)
+#: cross-tier divergence guard.  They fire through the engine
+#: :class:`~repro.faults.plan.FaultPlan`.
+BACKEND_SITES = (BACKEND_DIVERGENCE,)
 
-#: Tenant-lane sites inside the continuous service front-end, checked
-#: by the lane loop and the lane supervisor.  They fire through the
-#: engine :class:`~repro.faults.plan.FaultPlan`.
-SERVICE_SITES = (
-    SERVICE_LANE_CRASH,
-    SERVICE_LANE_STALL,
-    SERVICE_JOB_CRASH,
-)
-
-KNOWN_SITES = ENGINE_SITES + DEVICE_SITES + BACKEND_SITES + SERVICE_SITES
+KNOWN_SITES = ENGINE_SITES + DEVICE_SITES + BACKEND_SITES
 
 _FAMILIES = {
     None: KNOWN_SITES,
     "engine": ENGINE_SITES,
     "device": DEVICE_SITES,
     "backend": BACKEND_SITES,
-    "service": SERVICE_SITES,
 }
 
 

@@ -2,8 +2,8 @@
 
 The fast tiers (``"vector"``, ``"fast"``) are *calibrated* to the
 event-driven reference, not proven equivalent — a regression in a lane
-kernel, a corrupted shard merge, or a miscompiled numpy could silently
-skew every result they produce.  :class:`GuardedBackend` wraps a
+kernel or a miscompiled numpy could silently skew every result they
+produce.  :class:`GuardedBackend` wraps a
 primary backend and, on every run, replays a deterministic sample of
 the decoded chunks through a freshly-built reference backend, comparing
 the two tiers chunk-by-chunk:
@@ -92,9 +92,9 @@ class GuardedBackend:
     Satisfies the :class:`~repro.hbm.backend.MemoryBackend` protocol;
     the machine wraps its chosen backend in one of these when
     ``Machine(guard=True)``.  ``primary_factory`` and
-    ``reference_factory`` build fresh single-process instances of each
-    tier for the chunk replays, so the guard's verdict is independent
-    of the wrapped instance's sharding or accumulated state.
+    ``reference_factory`` build fresh instances of each tier for the
+    chunk replays, so the guard's verdict is independent of the wrapped
+    instance's accumulated state.
     """
 
     def __init__(
@@ -158,7 +158,7 @@ class GuardedBackend:
         The decoded stream is materialised chunk-by-chunk (the guard
         must be able to replay individual chunks), sampled
         deterministically, and each sampled chunk is evaluated by a
-        fresh single-process primary and a fresh reference.  Divergence
+        fresh primary and a fresh reference.  Divergence
         demotes or raises per ``mode``; the comparison report is always
         attached to ``last_health.guard``.
         """
@@ -187,9 +187,7 @@ class GuardedBackend:
             return stats
 
         primary_stats = self._run_primary(chunks, forced_miss)
-        health = getattr(self.primary, "last_health", None)
-        if health is None:
-            health = BackendHealth(backend=self.primary_name)
+        health = BackendHealth(backend=self.primary_name)
 
         report = self._check(chunks, forced_miss)
         health.guard = report

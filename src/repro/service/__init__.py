@@ -1,31 +1,15 @@
 """Multi-tenant service core: shared immutable artifacts, tenant
-contexts, the tenant registry (admission control with priorities,
-borrowing and preemption), the batching front-end, the continuous
-supervised front-end, and the isolation selftest campaign."""
+contexts, the tenant registry (first-fit mapping-budget carving), the
+batching front-end, and the isolation selftest campaign."""
 
 from repro.service.campaign import ServiceCampaignResult, run_service_campaign
-from repro.service.frontend import (
-    DEFAULT_DEADLINE_S,
-    DEFAULT_QUEUE_DEPTH,
-    JobHandle,
-    ServiceFrontend,
-)
-from repro.service.health import ServiceHealth
-from repro.service.registry import PRIORITIES, TenantRegistry, TenantSpec
+from repro.service.registry import TenantRegistry, TenantSpec
 from repro.service.service import MappingService, ServiceReport, TenantResult
-from repro.service.supervisor import LaneSupervisor
 from repro.service.tenant import SharedArtifacts, TenantContext
 
 __all__ = [
-    "DEFAULT_DEADLINE_S",
-    "DEFAULT_QUEUE_DEPTH",
-    "JobHandle",
-    "LaneSupervisor",
     "MappingService",
-    "PRIORITIES",
     "ServiceCampaignResult",
-    "ServiceFrontend",
-    "ServiceHealth",
     "ServiceReport",
     "SharedArtifacts",
     "TenantContext",

@@ -10,61 +10,32 @@ builds the tenant's :class:`~repro.service.tenant.TenantContext` over
 the deployment's shared artifacts, and ``evict`` returns the slice for
 reuse.
 
-Beyond first-fit, admission is an *admission controller*:
-
-* **Priority classes** — every :class:`TenantSpec` carries a priority
-  (``"guaranteed"`` > ``"standard"`` > ``"best-effort"``) that decides
-  who gives way under pressure.
-* **Quota borrowing with reclaim** — a spec with ``min_quota < quota``
-  holds its slots above ``min_quota`` on loan: they are granted while
-  the table has room and *reclaimed* (the namespace shrinks back to the
-  floor, the tail returns to the free pool, the context is rebuilt)
-  when a later admission cannot fit.  Reclaim visits lower-priority
-  borrowers first.
-* **Preemption** — when reclaim is not enough, an above-best-effort
-  admission may evict ``best-effort`` tenants (newest first); the
-  optional ``preempt_hook`` lets the serving front-end tear down the
-  victim's lane and account its queued jobs before the slice is freed.
-
-Every action is recorded in the attached
-:class:`~repro.service.health.ServiceHealth` journal, so degraded
-admissions are visible, never silent.  When nothing helps, admission
-fails with :class:`~repro.errors.CMTError` — the same error quota
-exhaustion raises at intern time — so overcommit stays impossible by
-construction.
+When the budget cannot fit a request, admission fails with
+:class:`~repro.errors.CMTError` — the same error quota exhaustion
+raises at intern time — so overcommit stays impossible by construction.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.core.cmt import MappingNamespace
 from repro.errors import CMTError, ConfigError
-from repro.service.health import ServiceHealth
 from repro.service.tenant import SharedArtifacts, TenantContext
 from repro.system.config import SystemConfig, system_by_key
 
-__all__ = ["PRIORITIES", "TenantRegistry", "TenantSpec"]
+__all__ = ["TenantRegistry", "TenantSpec"]
 
 #: Default mapping-slot quota for a tenant that doesn't ask for one:
 #: enough for the paper's 4-cluster configurations.
 DEFAULT_QUOTA = 4
-
-#: Admission priority classes, weakest first.  ``best-effort`` tenants
-#: may be preempted; ``guaranteed`` tenants never lend borrowed slots.
-PRIORITIES = ("best-effort", "standard", "guaranteed")
 
 
 @dataclass(frozen=True)
 class TenantSpec:
     """What a tenant asks for at admission time.
 
-    ``quota`` is the desired mapping-slot count; ``min_quota`` (when
-    given) is the guaranteed floor — the slots in between are borrowed
-    and may be reclaimed under pressure.  ``priority`` picks the
-    admission class (see :data:`PRIORITIES`).
+    ``quota`` is the mapping-slot count carved for the tenant.
     """
 
     name: str
@@ -81,24 +52,12 @@ class TenantSpec:
     guard_sample: float | None = None
     guard_mode: str = "demote"
     backend_faults: object | None = None
-    priority: str = "standard"
-    min_quota: int | None = None
 
     def resolved_system(self) -> SystemConfig:
         """The system configuration, looked up when given as a key."""
         if isinstance(self.system, SystemConfig):
             return self.system
         return system_by_key(self.system)
-
-    @property
-    def floor(self) -> int:
-        """The guaranteed slot count (``quota`` when not borrowing)."""
-        return self.quota if self.min_quota is None else self.min_quota
-
-    @property
-    def rank(self) -> int:
-        """Numeric priority (higher outranks lower)."""
-        return PRIORITIES.index(self.priority)
 
 
 @dataclass
@@ -120,7 +79,6 @@ class TenantRegistry:
         self,
         shared: SharedArtifacts | None = None,
         max_mappings: int = 256,
-        health: ServiceHealth | None = None,
     ):
         if max_mappings < 2:
             raise ConfigError(
@@ -129,14 +87,7 @@ class TenantRegistry:
             )
         self.shared = shared or SharedArtifacts.create()
         self.max_mappings = max_mappings
-        #: Degradation journal admissions record into; the serving
-        #: front-end shares its own instance with the registry.
-        self.health = health if health is not None else ServiceHealth()
-        #: Called with the victim's name just before a preemption evicts
-        #: it, so a front-end can stop the lane and account its jobs.
-        self.preempt_hook: Callable[[str], None] | None = None
         self._tenants: dict[str, TenantContext] = {}
-        self._specs: dict[str, TenantSpec] = {}
         self._free: list[_FreeRange] = []  # sorted by base, coalesced
         self._next_base = 1  # slot 0: the shared boot identity
 
@@ -188,73 +139,6 @@ class TenantRegistry:
         self._next_base += quota
         return namespace
 
-    def _try_carve(self, tenant: str, quota: int) -> MappingNamespace | None:
-        try:
-            return self._carve(tenant, quota)
-        except CMTError:
-            return None
-
-    # -- admission pressure valves -------------------------------------------
-    def _borrowers(self, below_rank: int) -> list[str]:
-        """Tenants lending reclaimable slots, weakest and newest first."""
-        candidates = [
-            name
-            for name, spec in self._specs.items()
-            if spec.rank < below_rank
-            and self._tenants[name].namespace is not None
-            and self._tenants[name].namespace.capacity > spec.floor
-        ]
-        return sorted(
-            candidates,
-            key=lambda name: (
-                self._specs[name].rank,
-                -list(self._specs).index(name),
-            ),
-        )
-
-    def _reclaim_from(self, name: str, for_tenant: str) -> int:
-        """Shrink one borrower to its floor; returns slots reclaimed.
-
-        The borrower's namespace is replaced by a same-base, floor-sized
-        one and its context rebuilt around it; the tail returns to the
-        free pool.  In-flight work holding the old context finishes
-        under the old namespace — the new one takes effect at the
-        tenant's next job.
-        """
-        spec = self._specs[name]
-        namespace = self._tenants[name].namespace
-        reclaimed = namespace.capacity - spec.floor
-        if reclaimed <= 0:
-            return 0
-        shrunk = MappingNamespace(name, namespace.base, spec.floor)
-        self._tenants[name] = self._build_context(spec, shrunk)
-        self._release(namespace.base + spec.floor, reclaimed)
-        self.health.record(
-            "quota-reclaimed",
-            name,
-            f"lent {reclaimed} slot(s) to {for_tenant!r}",
-            slots=reclaimed,
-            remaining=spec.floor,
-        )
-        return reclaimed
-
-    def _preemptable(self) -> list[str]:
-        """Best-effort tenants, newest first."""
-        return [
-            name
-            for name in reversed(list(self._specs))
-            if self._specs[name].priority == "best-effort"
-        ]
-
-    def _preempt(self, name: str, for_tenant: str) -> None:
-        """Evict a best-effort tenant to make room for a higher class."""
-        if self.preempt_hook is not None:
-            self.preempt_hook(name)
-        self.evict(name)
-        self.health.record(
-            "tenant-preempted", name, f"preempted for {for_tenant!r}"
-        )
-
     # -- admission -----------------------------------------------------------
     def _build_context(
         self, spec: TenantSpec, namespace: MappingNamespace | None
@@ -277,81 +161,15 @@ class TenantRegistry:
             namespace=namespace,
         )
 
-    def _admit_namespace(self, spec: TenantSpec) -> MappingNamespace:
-        """Find a slice for ``spec``, escalating through the valves."""
-        namespace = self._try_carve(spec.name, spec.quota)
-        if namespace is not None:
-            return namespace
-        # Valve 1: reclaim borrowed slots from weaker borrowers.
-        for victim in self._borrowers(below_rank=spec.rank + 1):
-            if victim == spec.name:
-                continue
-            self._reclaim_from(victim, spec.name)
-            namespace = self._try_carve(spec.name, spec.quota)
-            if namespace is not None:
-                return namespace
-        # Valve 2: trim the request toward its own floor.
-        for quota in range(spec.quota - 1, spec.floor - 1, -1):
-            namespace = self._try_carve(spec.name, quota)
-            if namespace is not None:
-                self.health.record(
-                    "admission-trimmed",
-                    spec.name,
-                    f"granted {quota} of {spec.quota} requested slot(s)",
-                    granted=quota,
-                    requested=spec.quota,
-                )
-                return namespace
-        # Valve 3: preempt best-effort tenants for a higher class.
-        if spec.rank > 0:
-            for victim in self._preemptable():
-                self._preempt(victim, spec.name)
-                namespace = self._try_carve(spec.name, spec.quota)
-                if namespace is None:
-                    for quota in range(spec.quota - 1, spec.floor - 1, -1):
-                        namespace = self._try_carve(spec.name, quota)
-                        if namespace is not None:
-                            break
-                if namespace is not None:
-                    if namespace.capacity < spec.quota:
-                        self.health.record(
-                            "admission-trimmed",
-                            spec.name,
-                            f"granted {namespace.capacity} of "
-                            f"{spec.quota} requested slot(s)",
-                            granted=namespace.capacity,
-                            requested=spec.quota,
-                        )
-                    return namespace
-        raise CMTError(
-            f"mapping budget exhausted: tenant {spec.name!r} needs "
-            f"{spec.floor}..{spec.quota} slots but only "
-            f"{self.remaining_slots} remain "
-            f"(of {self.max_mappings}, slot 0 reserved) and no borrowed "
-            "or preemptable slots cover the request"
-        )
-
     def admit(self, spec: TenantSpec) -> TenantContext:
         """Admit a tenant: carve its namespace, build its context."""
         if spec.name in self._tenants:
             raise ConfigError(f"tenant {spec.name!r} is already admitted")
         if spec.quota < 1:
             raise ConfigError(f"tenant {spec.name!r} quota must be >= 1")
-        if spec.min_quota is not None and not (
-            1 <= spec.min_quota <= spec.quota
-        ):
-            raise ConfigError(
-                f"tenant {spec.name!r} min_quota must be in [1, quota]"
-            )
-        if spec.priority not in PRIORITIES:
-            raise ConfigError(
-                f"unknown priority {spec.priority!r}; "
-                f"expected one of {PRIORITIES}"
-            )
-        namespace = self._admit_namespace(spec)
+        namespace = self._carve(spec.name, spec.quota)
         context = self._build_context(spec, namespace)
         self._tenants[spec.name] = context
-        self._specs[spec.name] = spec
         return context
 
     def evict(self, name: str) -> None:
@@ -359,44 +177,9 @@ class TenantRegistry:
         context = self._tenants.pop(name, None)
         if context is None:
             raise ConfigError(f"tenant {name!r} is not admitted")
-        self._specs.pop(name, None)
         namespace = context.namespace
         if namespace is not None:
             self._release(namespace.base, namespace.capacity)
-
-    def rebuild(self, name: str) -> TenantContext:
-        """Rebuild a tenant's context in place (supervised lane restart).
-
-        The namespace is kept — the budget partition does not move — so
-        the rebuilt context is the "last good" one: same spec, same
-        slice, fresh mutable state.
-        """
-        spec = self._specs.get(name)
-        if spec is None:
-            raise ConfigError(f"tenant {name!r} is not admitted")
-        context = self._build_context(spec, self._tenants[name].namespace)
-        self._tenants[name] = context
-        return context
-
-    def amend(self, tenant: str, **changes) -> TenantContext:
-        """Replace parts of a tenant's spec and rebuild its context.
-
-        The namespace is kept; only the spec fields named in
-        ``changes`` move (the graceful-degradation path amends
-        ``backend_options`` to demote a sharded backend to serial —
-        execution knobs never change results, so the amended tenant
-        stays bit-identical to its solo run).
-        """
-        spec = self._specs.get(tenant)
-        if spec is None:
-            raise ConfigError(f"tenant {tenant!r} is not admitted")
-        amended = dataclasses.replace(spec, **changes)
-        if amended.name != tenant:
-            raise ConfigError("amend cannot rename a tenant")
-        context = self._build_context(amended, self._tenants[tenant].namespace)
-        self._specs[tenant] = amended
-        self._tenants[tenant] = context
-        return context
 
     # -- lookups -------------------------------------------------------------
     def get(self, name: str) -> TenantContext:
@@ -405,13 +188,6 @@ class TenantRegistry:
         if context is None:
             raise ConfigError(f"tenant {name!r} is not admitted")
         return context
-
-    def spec(self, name: str) -> TenantSpec:
-        """The spec the tenant was admitted with."""
-        spec = self._specs.get(name)
-        if spec is None:
-            raise ConfigError(f"tenant {name!r} is not admitted")
-        return spec
 
     def __contains__(self, name: str) -> bool:
         return name in self._tenants
@@ -478,8 +254,5 @@ class TenantRegistry:
                 name: context.namespace.to_dict()
                 for name, context in self._tenants.items()
                 if context.namespace is not None
-            },
-            "priorities": {
-                name: spec.priority for name, spec in self._specs.items()
             },
         }

@@ -6,8 +6,8 @@
 namespaces over shared immutable artifacts), submit workload jobs, and
 ``drain()`` schedules every tenant's lane concurrently.  Within a lane
 jobs run in submission order and each job streams its decoded trace
-chunk-by-chunk into that tenant's own backend instance (the sharded
-vector tier by default) — per-tenant streams stay ordered, which is
+chunk-by-chunk into that tenant's own backend instance (the vector
+tier by default) — per-tenant streams stay ordered, which is
 what makes every tenant's result bit-identical to a solo run no matter
 how lanes interleave.
 
@@ -28,7 +28,6 @@ from functools import reduce
 from repro.core.cmt import MappingNamespace
 from repro.errors import ConfigError
 from repro.hbm.stats import BackendHealth, RunStats
-from repro.service.health import ServiceHealth
 from repro.service.registry import TenantRegistry, TenantSpec
 from repro.service.tenant import SharedArtifacts, TenantContext
 from repro.workloads.base import Workload
@@ -108,7 +107,6 @@ class ServiceReport:
     tenants: dict[str, TenantResult]
     plan_cache: dict
     budget: dict
-    health: ServiceHealth | None = None
 
     @property
     def aggregate_stats(self) -> RunStats | None:
@@ -152,9 +150,6 @@ class ServiceReport:
             "aggregate_health": None if health is None else health.to_dict(),
             "plan_cache": self.plan_cache,
             "budget": self.budget,
-            "service_health": None
-            if self.health is None
-            else self.health.to_dict(),
         }
 
 
@@ -163,7 +158,7 @@ class MappingService:
 
     ``max_workers`` bounds how many tenant lanes run at once (default:
     one thread per tenant with queued work).  Tenants default to the
-    sharded vector backend the deployment's shared artifacts name.
+    vector backend the deployment's shared artifacts name.
     """
 
     def __init__(
@@ -174,10 +169,7 @@ class MappingService:
     ):
         if shared is None:
             shared = SharedArtifacts.create(backend="vector")
-        self.health = ServiceHealth()
-        self.registry = TenantRegistry(
-            shared, max_mappings=max_mappings, health=self.health
-        )
+        self.registry = TenantRegistry(shared, max_mappings=max_mappings)
         self.shared = self.registry.shared
         if max_workers is not None and max_workers < 1:
             raise ConfigError("max_workers must be >= 1")
@@ -190,22 +182,13 @@ class MappingService:
         return self.registry.admit(spec)
 
     def evict(self, name: str) -> int:
-        """Evict a tenant, dropping its queued jobs — *accounted*, not
-        silent: each dropped job is journaled in :attr:`health` and the
-        count is returned."""
+        """Evict a tenant, dropping its queued jobs; returns how many
+        were dropped."""
         self.registry.evict(name)
-        kept, dropped = [], []
-        for job in self._queue:
-            (dropped if job.tenant == name else kept).append(job)
+        kept = [job for job in self._queue if job.tenant != name]
+        dropped = len(self._queue) - len(kept)
         self._queue = kept
-        for job in dropped:
-            self.health.record(
-                "job-dropped",
-                name,
-                "tenant evicted with jobs queued",
-                workload=job.workload.name,
-            )
-        return len(dropped)
+        return dropped
 
     # -- the batching front-end ----------------------------------------------
     def submit(
@@ -218,7 +201,6 @@ class MappingService:
         """Queue one workload run for an admitted tenant."""
         if tenant not in self.registry:
             raise ConfigError(f"tenant {tenant!r} is not admitted")
-        self.health.note_submitted()
         self._queue.append(
             _Job(
                 tenant=tenant,
@@ -254,7 +236,6 @@ class MappingService:
                     eval_seed=job.eval_seed,
                 )
             )
-            self.health.note_completed()
         return result
 
     def drain(self) -> ServiceReport:
@@ -293,5 +274,4 @@ class MappingService:
             tenants=results,
             plan_cache=self.shared.plan_cache.stats(),
             budget=self.registry.report(),
-            health=self.health,
         )

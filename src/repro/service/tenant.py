@@ -132,18 +132,13 @@ class TenantContext:
     """One tenant's mutable half of the machine.
 
     Owns the tenant's system configuration, engine model, seeds,
-    optional mapping-budget namespace and backend execution knobs, and
+    optional mapping-budget namespace and backend options, and
     runs the paper's profile -> select -> evaluate pipeline against the
     :class:`SharedArtifacts` it was admitted with.  Every kernel,
     SDAM controller and backend it builds is private to the tenant;
     the only cross-tenant objects it touches are the immutable shared
     artifacts.
     """
-
-    #: VectorModel execution knobs that must not leak into the guard's
-    #: single-process replay instances (they change *how* a result is
-    #: computed, never *what* it is).
-    _EXECUTION_OPTIONS = ("workers", "shard_timeout", "retry", "faults")
 
     # Major-variable coverage for clustered selection.  The paper's 80%
     # rule identifies majors in real applications with thousands of
@@ -217,26 +212,14 @@ class TenantContext:
 
     # -- building blocks -----------------------------------------------------
     def _memory(self) -> MemoryBackend:
-        options = dict(self.backend_options)
-        if (
-            self.backend == "vector"
-            and self.backend_faults is not None
-            and "faults" not in options
-        ):
-            options["faults"] = self.backend_faults
         backend = create_backend(
             self.backend,
             self.hbm,
             max_inflight=self.engine.max_inflight,
-            **options,
+            **self.backend_options,
         )
         if not self.guard or self.backend == "event":
             return backend
-        replay_options = {
-            key: value
-            for key, value in self.backend_options.items()
-            if key not in self._EXECUTION_OPTIONS
-        }
         max_inflight = self.engine.max_inflight
         if self.backend == "tiered":
             # Guard a tiered primary against a tiered reference that
@@ -249,7 +232,7 @@ class TenantContext:
                 "tiered",
                 self.hbm,
                 max_inflight=max_inflight,
-                **{**replay_options, "delegate": "event"},
+                **{**self.backend_options, "delegate": "event"},
             )
         else:
             reference_name = "event"
@@ -262,7 +245,7 @@ class TenantContext:
                 self.backend,
                 self.hbm,
                 max_inflight=max_inflight,
-                **replay_options,
+                **self.backend_options,
             ),
             reference_factory=reference_factory,
             primary_name=self.backend,

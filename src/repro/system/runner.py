@@ -109,17 +109,6 @@ class RetryPolicy:
         """Whether a failure of this class at this attempt is retried."""
         return attempt < self.max_attempts and error_type in self.retry_on
 
-    def should_retry_exception(
-        self, error: BaseException, attempt: int
-    ) -> bool:
-        """Classify a live exception object instead of its class name.
-
-        The sweep engine ships error *strings* across process
-        boundaries; in-process callers (the service front-end's tenant
-        lanes) hold the exception itself — both classify identically.
-        """
-        return self.should_retry(type(error).__name__, attempt)
-
 
 @dataclass
 class StageMetrics:

@@ -90,26 +90,7 @@ class MachineParams:
 
     @classmethod
     def from_kwargs(cls, system: SystemConfig, **machine_kwargs) -> "MachineParams":
-        """Build params from ``Machine(...)`` keyword arguments.
-
-        Accepts the deprecated ``memory_model`` spelling (the
-        :class:`~repro.system.machine.Machine` shim warns on it).
-        """
-        if "memory_model" in machine_kwargs:
-            from repro.errors import ConfigError, warn_deprecated_once
-
-            warn_deprecated_once(
-                "machine.memory_model",
-                "memory_model= is deprecated; use backend=",
-            )
-            legacy = machine_kwargs.pop("memory_model")
-            chosen = machine_kwargs.get("backend")
-            if chosen is not None and chosen != legacy:
-                raise ConfigError(
-                    "pass either backend= or the deprecated memory_model=, "
-                    "not conflicting values of both"
-                )
-            machine_kwargs["backend"] = legacy
+        """Build params from ``Machine(...)`` keyword arguments."""
         return cls(system=system, **machine_kwargs)
 
     def with_system(self, system: SystemConfig) -> "MachineParams":

@@ -1,9 +1,10 @@
-"""Tests for RunStats derived metrics."""
+"""Tests for RunStats derived metrics and the BackendHealth record."""
 
 import numpy as np
 import pytest
 
-from repro.hbm.stats import RunStats
+from repro.hbm.stats import BackendHealth, RunStats
+from repro.system.machine import MachineResult
 
 
 def make_stats(**overrides) -> RunStats:
@@ -58,3 +59,60 @@ class TestDerivedMetrics:
     def test_summary_is_readable(self):
         text = make_stats().summary()
         assert "GB/s" in text and "CLP" in text
+
+
+class TestBackendHealth:
+    #: A guarded, demoted vector run's health as reports and stage-cache
+    #: entries stored it before the shard counters were dropped.
+    LEGACY = {
+        "backend": "vector",
+        "workers": 2,
+        "shards": 2,
+        "shard_retries": 1,
+        "shard_timeouts": 0,
+        "stats_rejected": 0,
+        "serial_shards": 0,
+        "pool_degraded": False,
+        "demoted_to": "event",
+        "degradations": [
+            {"event": "shard-retry", "reason": "injected", "shard": 0},
+            {"event": "tier-demoted", "reason": "diverged", "to": "event"},
+        ],
+        "guard": {"diverged": True, "demoted": True},
+        "ok": False,
+        "sharded": True,
+    }
+
+    def test_loads_legacy_format(self):
+        health = BackendHealth.from_dict(self.LEGACY)
+        assert health.to_dict() == {
+            "backend": "vector",
+            "demoted_to": "event",
+            "degradations": self.LEGACY["degradations"],
+            "guard": {"diverged": True, "demoted": True},
+            "ok": False,
+        }
+
+    def test_round_trip(self):
+        health = BackendHealth(backend="tiered")
+        health.record("tier-demoted", "diverged", to="tiered:event")
+        again = BackendHealth.from_dict(health.to_dict())
+        assert again == health
+        assert again.demoted_to == "tiered:event"
+        assert not again.ok
+        assert BackendHealth().ok
+
+    def test_machine_result_loads_legacy_health(self):
+        from repro.system import Machine, system_by_key
+        from repro.workloads.synthetic import StridedCopyWorkload
+
+        result = Machine(system_by_key("bs_dm"), backend="vector").run(
+            StridedCopyWorkload(stride_lines=4, accesses_per_thread=256)
+        )
+        # Unguarded runs carry no health record, like the other tiers.
+        assert result.backend_health is None
+        data = result.to_dict()
+        data["backend_health"] = self.LEGACY
+        loaded = MachineResult.from_dict(data)
+        assert loaded.backend_health.demoted_to == "event"
+        assert loaded.fingerprint() == result.fingerprint()

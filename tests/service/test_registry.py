@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CMTError, ConfigError
-from repro.service.registry import PRIORITIES, TenantRegistry, TenantSpec
+from repro.service.registry import TenantRegistry, TenantSpec
 from repro.service.tenant import SharedArtifacts
 from repro.system.config import SystemConfig, system_by_key
 
@@ -116,7 +116,6 @@ class TestEviction:
             "base": 1,
             "capacity": 4,
         }
-        assert report["priorities"] == {"a": "standard"}
 
     def test_free_list_coalesces_adjacent_slices(self):
         reg = registry()
@@ -141,119 +140,12 @@ class TestEviction:
         assert reg.check_invariants() == []
 
 
-class TestAdmissionController:
-    def test_unknown_priority_rejected(self):
-        with pytest.raises(ConfigError, match="priority"):
-            registry().admit(TenantSpec("a", priority="platinum"))
-
-    def test_min_quota_validated(self):
-        with pytest.raises(ConfigError, match="min_quota"):
-            registry().admit(TenantSpec("a", quota=4, min_quota=5))
-        with pytest.raises(ConfigError, match="min_quota"):
-            registry().admit(TenantSpec("a", quota=4, min_quota=0))
-
-    def test_borrowed_slots_reclaimed_under_pressure(self):
-        reg = registry(max_mappings=12)  # 11 carvable
-        a = reg.admit(
-            TenantSpec(
-                "a", quota=8, min_quota=2, priority="best-effort"
-            )
-        )
-        assert a.namespace.capacity == 8
-        b = reg.admit(TenantSpec("b", quota=5))
-        # The borrower shrank to its floor; the new tenant landed in
-        # the reclaimed range.
-        assert reg.get("a").namespace.capacity == 2
-        assert reg.get("a").namespace.base == 1
-        assert b.namespace.capacity == 5
-        assert b.namespace.base == 3
-        events = [e["event"] for e in reg.health.events]
-        assert "quota-reclaimed" in events
-        assert reg.check_invariants() == []
-
-    def test_reclaim_visits_weakest_borrower_first(self):
-        reg = registry(max_mappings=16)  # 15 carvable
-        reg.admit(TenantSpec("strong", quota=6, min_quota=2,
-                             priority="standard"))
-        reg.admit(TenantSpec("weak", quota=6, min_quota=2,
-                             priority="best-effort"))
-        reg.admit(TenantSpec("new", quota=6, priority="standard"))
-        # Only the best-effort borrower should have been shrunk.
-        assert reg.get("weak").namespace.capacity == 2
-        assert reg.get("strong").namespace.capacity == 6
-        reclaimed = [
-            e for e in reg.health.events if e["event"] == "quota-reclaimed"
-        ]
-        assert [e["tenant"] for e in reclaimed] == ["weak"]
-
-    def test_request_trimmed_toward_its_floor(self):
-        reg = registry(max_mappings=8)  # 7 carvable
-        reg.admit(TenantSpec("a", quota=4))
-        b = reg.admit(TenantSpec("b", quota=5, min_quota=2))
-        assert b.namespace.capacity == 3
-        trims = [
-            e for e in reg.health.events if e["event"] == "admission-trimmed"
-        ]
-        assert trims and trims[0]["tenant"] == "b"
-        assert trims[0]["granted"] == 3 and trims[0]["requested"] == 5
-
-    def test_best_effort_preempted_for_higher_class(self):
-        reg = registry(max_mappings=8)
-        victims = []
-        reg.preempt_hook = victims.append
-        reg.admit(TenantSpec("cheap", quota=4, priority="best-effort"))
-        b = reg.admit(TenantSpec("vip", quota=6, priority="standard"))
-        assert "cheap" not in reg
-        assert victims == ["cheap"]
-        assert b.namespace.capacity == 6
-        events = [e["event"] for e in reg.health.events]
-        assert "tenant-preempted" in events
-
-    def test_best_effort_cannot_preempt(self):
-        reg = registry(max_mappings=8)
-        reg.admit(TenantSpec("a", quota=4, priority="best-effort"))
-        with pytest.raises(CMTError, match="budget exhausted"):
-            reg.admit(TenantSpec("b", quota=6, priority="best-effort"))
-        assert "a" in reg  # the incumbent survived
-
-    def test_guaranteed_tenants_never_lend(self):
-        reg = registry(max_mappings=8)
-        reg.admit(
-            TenantSpec("vip", quota=6, min_quota=2, priority="guaranteed")
-        )
-        with pytest.raises(CMTError, match="budget exhausted"):
-            reg.admit(TenantSpec("b", quota=4, priority="standard"))
-        assert reg.get("vip").namespace.capacity == 6
-
-    def test_rebuild_keeps_namespace_fresh_context(self):
-        reg = registry()
-        old = reg.admit(TenantSpec("a", quota=4))
-        new = reg.rebuild("a")
-        assert new is not old
-        assert new.namespace == old.namespace
-        assert reg.get("a") is new
-
-    def test_amend_swaps_spec_fields_in_place(self):
-        reg = registry()
-        reg.admit(
-            TenantSpec("a", quota=4, backend_options={"workers": 2})
-        )
-        context = reg.amend("a", backend_options={"workers": 0})
-        assert context.backend_options == {"workers": 0}
-        assert reg.spec("a").backend_options == {"workers": 0}
-        assert context.namespace == reg.get("a").namespace
-        with pytest.raises(ConfigError, match="rename"):
-            reg.amend("a", name="b")
-
-
-#: A churn program: (action, tenant index, quota, min-quota, priority).
+#: A churn program: (action, tenant index, quota).
 _churn_ops = st.lists(
     st.tuples(
         st.sampled_from(["admit", "evict"]),
         st.integers(min_value=0, max_value=399),
         st.integers(min_value=1, max_value=6),
-        st.integers(min_value=1, max_value=4),
-        st.sampled_from(PRIORITIES),
     ),
     min_size=1,
     max_size=250,
@@ -268,18 +160,11 @@ class TestChurnProperties:
     def test_budget_laws_hold_under_churn(self, ops):
         reg = registry()
         occupied: set[str] = set()
-        for action, index, quota, min_quota, priority in ops:
+        for action, index, quota in ops:
             name = f"t{index}"
             if action == "admit" and name not in occupied:
                 try:
-                    reg.admit(
-                        TenantSpec(
-                            name,
-                            quota=quota,
-                            min_quota=min(min_quota, quota),
-                            priority=priority,
-                        )
-                    )
+                    reg.admit(TenantSpec(name, quota=quota))
                 except CMTError:
                     assert name not in reg  # failure reserved nothing
                     continue
@@ -289,9 +174,6 @@ class TestChurnProperties:
                 occupied.discard(name)
             else:
                 continue
-            # Preemption may evict best-effort tenants behind our back;
-            # resync the mirror before checking the laws.
-            occupied = {n for n in occupied if n in reg}
             assert reg.check_invariants() == []
             carved = sum(
                 context.namespace.capacity for context in reg.contexts()
@@ -307,7 +189,7 @@ class TestChurnProperties:
         base no live namespace covers (first-fit over the coalesced
         free list, then the bump frontier)."""
         reg = registry()
-        for action, index, quota, min_quota, priority in ops:
+        for action, index, quota in ops:
             name = f"t{index}"
             try:
                 if action == "admit" and name not in reg:

@@ -1,10 +1,7 @@
-"""Tests for the convenience API surface (Session + deprecated shims)."""
-
-import pytest
+"""Tests for the convenience API surface (Session and re-exports)."""
 
 import repro
 from repro import api
-from repro.errors import ConfigError
 from repro.system import MachineResult, SuiteResult, system_by_key
 
 
@@ -91,15 +88,6 @@ class TestOnlineExports:
 
 
 class TestBuilders:
-    def test_build_machine_default_warns(self):
-        with pytest.warns(DeprecationWarning):
-            machine = api.build_machine()
-        assert machine.system.key == "sdm_bsm"
-
-    def test_build_machine_unknown(self):
-        with pytest.warns(DeprecationWarning), pytest.raises(ConfigError):
-            api.build_machine("warp_drive")
-
     def test_strided_workload(self):
         workload = api.strided_workload(stride_lines=8)
         assert workload.stride_lines == 8
@@ -109,20 +97,10 @@ class TestBuilders:
         assert workload.threads == 2
 
 
-class TestCompareSystems:
-    def test_quick_comparison_keyed_by_requested_key(self):
-        with pytest.warns(DeprecationWarning):
-            results = api.compare_systems(
-                tiny_workload(), system_keys=("bs_dm", "sdm_bsm_ml4")
-            )
-        assert set(results) == {"bs_dm", "sdm_bsm_ml4"}
-        assert results["sdm_bsm_ml4"].time_ns < results["bs_dm"].time_ns
-
-
 class TestFullEvaluation:
     def test_quick_sweep_produces_table(self):
-        with pytest.warns(DeprecationWarning):
-            table = api.full_evaluation(quick=True)
+        session = api.Session(cache_dir=None, workers=0)
+        table = session.full_evaluation(quick=True).raise_errors().table
         assert len(table.workloads()) == 4
         assert "BS+DM" in table.systems()
         for system in table.systems():
