@@ -5,16 +5,32 @@ write-back) stream that actually reaches the memory controller — the
 stream the paper profiles and optimises.  The BOOM prototype has 64 KB
 L1 caches; accelerators have small or no caches, which is why they are
 more sensitive to CLP (Section 7.4).
+
+The filter is decided offline, for a whole trace at once, rather than
+simulated one access at a time.  Within a set, an access hits iff fewer
+than ``ways`` distinct lines were touched since its line's previous
+access (its LRU stack distance; Mattson et al., 1970).  LRU evicts lines
+in the order of their last use, so once the set is full its j-th miss
+evicts the line of its j-th *residency end* (an access whose line is not
+touched again before it misses).  Both rules are exact: the external
+stream is the one a per-access LRU produces.  DESIGN.md §8 gives the
+derivation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.cpu.trace import AccessTrace
+from repro.cpu.trace import AccessTrace, concat_traces, radix_argsort
 from repro.errors import ConfigError
 
 __all__ = ["SetAssociativeCache", "CacheStats"]
+
+SLAB_ACCESSES = 1 << 16
+"""Accesses per scan slab (whole sets; a larger set is a slab alone)."""
+
+WALK_STEPS = 128
+"""Single steps of the backward walk before skipping runs in jumps."""
 
 
 class CacheStats:
@@ -55,77 +71,210 @@ class SetAssociativeCache:
         self.ways = ways
         self.num_sets = size_bytes // (line_bytes * ways)
         self.line_bits = line_bytes.bit_length() - 1
-        # sets[set_index] = {tag: [lru_stamp, dirty]}
-        self._sets: list[dict[int, list]] = [{} for _ in range(self.num_sets)]
-        self._clock = 0
         self.stats = CacheStats()
-
-    def reset(self) -> None:
-        """Clear all cached lines and counters."""
-        self._sets = [{} for _ in range(self.num_sets)]
-        self._clock = 0
-        self.stats = CacheStats()
-
-    def access(self, address: int, is_write: bool = False) -> tuple[bool, int | None]:
-        """One access; returns ``(hit, writeback_address_or_None)``."""
-        line = address >> self.line_bits
-        set_index = line % self.num_sets
-        tag = line // self.num_sets
-        ways = self._sets[set_index]
-        self._clock += 1
-        self.stats.accesses += 1
-        entry = ways.get(tag)
-        if entry is not None:
-            entry[0] = self._clock
-            entry[1] = entry[1] or is_write
-            self.stats.hits += 1
-            return True, None
-        self.stats.misses += 1
-        writeback = None
-        if len(ways) >= self.ways:
-            victim_tag = min(ways, key=lambda t: ways[t][0])
-            victim = ways.pop(victim_tag)
-            if victim[1]:
-                victim_line = victim_tag * self.num_sets + set_index
-                writeback = victim_line << self.line_bits
-                self.stats.writebacks += 1
-        ways[tag] = [self._clock, is_write]
-        return False, writeback
 
     def filter_trace(self, trace: AccessTrace) -> AccessTrace:
-        """Run a trace through the cache; return the external stream.
+        """Run a trace through the cold cache; return the external stream.
 
-        Misses keep their variable tag; write-backs are emitted as
-        writes tagged with the variable of the evicted line's last
-        writer is unknown, so they carry the *current* access's tag —
-        a reasonable approximation that keeps every external access
-        attributable.
+        Every miss goes out with its own address, write flag and
+        variable.  A dirty eviction goes out just before the miss that
+        causes it, as a write of the evicted line; it carries the
+        variable of that *evicting* access, not of the line's last
+        writer.  ``stats`` counts this call.
         """
-        out_va: list[int] = []
-        out_write: list[bool] = []
-        out_variable: list[int] = []
-        va = trace.va.tolist()
-        is_write = trace.is_write.tolist()
-        variable = trace.variable.tolist()
-        access = self.access
-        for address, write, var in zip(va, is_write, variable):
-            hit, writeback = access(address, write)
-            if writeback is not None:
-                out_va.append(writeback)
-                out_write.append(True)
-                out_variable.append(var)
-            if not hit:
-                out_va.append(address)
-                out_write.append(write)
-                out_variable.append(var)
-        return AccessTrace(
-            va=np.array(out_va, dtype=np.uint64),
-            is_write=np.array(out_write, dtype=bool),
-            variable=np.array(out_variable, dtype=np.int64),
-        )
+        return self.filter_traces([trace])[0]
+
+    def filter_traces(self, traces: list[AccessTrace]) -> list[AccessTrace]:
+        """Filter traces back to back, the cache warm between them.
+
+        The result is one external stream per input trace — the same
+        streams as filtering the concatenation and splitting the output
+        at the input boundaries.  ``stats`` counts the whole call.
+        """
+        trace = concat_traces(traces)
+        line = (trace.va >> np.uint64(self.line_bits)).astype(np.int64)
+        hit, victim = self._decide(line, trace.is_write)
+        miss = ~hit
+        writeback = victim >= 0
+        self.stats = CacheStats()
+        self.stats.accesses = len(trace)
+        self.stats.misses = int(miss.sum())
+        self.stats.hits = len(trace) - self.stats.misses
+        self.stats.writebacks = int(writeback.sum())
+        # Each access emits [write-back] then [miss]; scatter both.
+        emitted = miss.astype(np.int64) + writeback
+        ends = np.cumsum(emitted)
+        slot = ends - emitted
+        total = int(ends[-1]) if ends.size else 0
+        va = np.empty(total, dtype=np.uint64)
+        is_write = np.empty(total, dtype=bool)
+        variable = np.empty(total, dtype=np.int64)
+        wb_slot = slot[writeback]
+        va[wb_slot] = (line[victim[writeback]] << self.line_bits).astype(np.uint64)
+        is_write[wb_slot] = True
+        variable[wb_slot] = trace.variable[writeback]
+        miss_slot = slot[miss] + writeback[miss]
+        va[miss_slot] = trace.va[miss]
+        is_write[miss_slot] = trace.is_write[miss]
+        variable[miss_slot] = trace.variable[miss]
+        # Output offset of each input boundary, to split per input trace.
+        edges = np.concatenate(([0], ends))[np.cumsum([0, *map(len, traces)])]
+        return [
+            AccessTrace(
+                va=va[start:stop],
+                is_write=is_write[start:stop],
+                variable=variable[start:stop],
+            )
+            for start, stop in zip(edges[:-1], edges[1:])
+        ]
+
+    # -- the offline LRU decision ------------------------------------------------
+    def _decide(
+        self, line: np.ndarray, is_write: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per access: hit flag and its dirty victim's index (else -1).
+
+        The decision runs on *sorted positions*: accesses sorted stably
+        by set, so each set is a contiguous run in time order.
+        """
+        n = line.size
+        sets = line % self.num_sets
+        order = radix_argsort(sets)
+        ordered = line[order]
+        # Sorted positions grouped by line, time order within a line:
+        # equal tags keep position order, which groups them by set.
+        chain = radix_argsort(ordered // self.num_sets)
+        same = ordered[chain[1:]] == ordered[chain[:-1]]
+        before, after = chain[:-1][same], chain[1:][same]
+        prev = np.full(n, -1, dtype=np.int64)
+        prev[after] = before
+        nxt = np.full(n, n, dtype=np.int64)
+        nxt[before] = after
+        counts = np.bincount(sets, minlength=self.num_sets)
+        set_ends = np.cumsum(counts)
+        set_start = np.repeat(set_ends - counts, counts)
+        miss = ~self._hits(prev, nxt, set_ends)
+        # LRU evicts lines in the order of their last use, so once a set
+        # is full (``ways`` misses in) its j-th further miss evicts its
+        # j-th residency end: an access whose line's next touch misses or
+        # never comes.
+        ends = np.ones(n, dtype=bool)
+        ends[before] = miss[after]
+        misses_before = np.concatenate(([0], np.cumsum(miss)))
+        ends_before = np.concatenate(([0], np.cumsum(ends)))
+        evictions = misses_before[1:] - misses_before[set_start] - self.ways
+        evicts = np.flatnonzero(miss & (evictions > 0))
+        victim = np.flatnonzero(ends)[
+            ends_before[set_start[evicts]] + evictions[evicts] - 1
+        ]
+        # A victim is dirty iff its residency (the run of accesses to its
+        # line from the filling miss up to the victim) holds a write.
+        residency = np.cumsum(miss[chain]) - 1
+        dirty_run = np.bincount(residency, weights=is_write[order[chain]]) > 0
+        dirty = np.empty(n, dtype=bool)
+        dirty[chain] = dirty_run[residency]
+        # Back to trace order.
+        trace_hit = np.empty(n, dtype=bool)
+        trace_hit[order] = ~miss
+        trace_victim = np.full(n, -1, dtype=np.int64)
+        write_back = dirty[victim]
+        trace_victim[order[evicts[write_back]]] = order[victim[write_back]]
+        return trace_hit, trace_victim
+
+    def _hits(self, prev: np.ndarray, nxt: np.ndarray, set_ends: np.ndarray):
+        """Hit flags on sorted positions, from LRU stack distances.
+
+        Access ``i`` hits iff fewer than ``ways`` distinct lines were
+        touched in ``(prev[i], i)``.  Windows shorter than ``ways`` hit
+        and windows holding ``ways`` first touches miss without a walk;
+        the rest walk back, one slab of whole sets at a time.
+        """
+        n = prev.size
+        hit = np.zeros(n, dtype=bool)
+        reuse = np.flatnonzero(prev >= 0)
+        last = prev[reuse]
+        short = reuse - last <= self.ways
+        hit[reuse[short]] = True
+        first_touches = np.concatenate(([0], np.cumsum(prev < 0)))
+        crowded = first_touches[reuse] - first_touches[last + 1] >= self.ways
+        todo = reuse[~short & ~crowded]
+        # Slabs of whole sets: cut at the first set boundary past each
+        # multiple of SLAB_ACCESSES.
+        marks = np.arange(SLAB_ACCESSES, n, SLAB_ACCESSES)
+        cuts = np.unique(set_ends[np.searchsorted(set_ends, marks)]).tolist()
+        bounds = [0, *(c for c in cuts if c < n), n]
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            query = todo[np.searchsorted(todo, start) : np.searchsorted(todo, stop)]
+            hit[query] = _walk(
+                (nxt[start:stop] - start).astype(np.int32),
+                (query - start).astype(np.int32),
+                (prev[query] - start).astype(np.int32),
+                self.ways,
+            )
+        return hit
 
     def __repr__(self) -> str:
         return (
             f"SetAssociativeCache({self.size_bytes // 1024}KiB, "
             f"{self.ways}-way, {self.num_sets} sets)"
         )
+
+
+def _walk(nxt: np.ndarray, query: np.ndarray, floor: np.ndarray, ways: int):
+    """Hit flags for ``query`` positions of one slab (slab-local indices).
+
+    Query ``i`` walks back from ``i - 1`` to its line's previous access
+    ``floor[i]`` and counts positions ``k`` with ``nxt[k] > i``: the
+    last touch of each distinct line in between.  It misses as soon as
+    the count reaches ``ways`` and hits if the walk reaches the floor.
+    """
+    hit = np.zeros(query.size, dtype=bool)
+    index = np.arange(query.size)
+    k = query - 1
+    count = np.zeros(query.size, dtype=np.int32)
+    spans = None
+    step = 0
+    while index.size:
+        if step >= WALK_STEPS:
+            # Long windows full of repeated lines: skip runs in jumps.
+            if spans is None:
+                spans = _span_maxima(nxt)
+            k = _skip(spans, k, floor, query)
+        step += 1
+        out = k == floor
+        count += nxt[k] > query
+        hit[index[out]] = True
+        done = out | (count == ways)
+        if done.any():
+            keep = ~done
+            index, query, floor = index[keep], query[keep], floor[keep]
+            k, count = k[keep], count[keep]
+        k -= 1
+    return hit
+
+
+def _span_maxima(nxt: np.ndarray) -> list[np.ndarray]:
+    """Sparse table: ``spans[j][s] = max(nxt[s : s + 2**j])``."""
+    spans = [nxt]
+    width = 1
+    while 2 * width <= nxt.size:
+        spans.append(np.maximum(spans[-1][:-width], spans[-1][width:]))
+        width *= 2
+    return spans
+
+
+def _skip(spans, k, floor, query):
+    """Move each ``k`` down past positions not counted for its query.
+
+    Jumps over the block of ``2**j`` positions ending at ``k`` when its
+    largest ``nxt`` is at most the query, for ``j`` from the top level
+    down, so a run of any length costs one pass over the levels.  Stops
+    at ``floor`` or at a counted position.
+    """
+    for level in range(len(spans) - 1, -1, -1):
+        start = k - (1 << level) + 1
+        table = spans[level]
+        jump = start > floor
+        jump &= table[np.clip(start, 0, table.size - 1)] <= query
+        k = np.where(jump, start - 1, k)
+    return k

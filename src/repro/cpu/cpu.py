@@ -75,10 +75,17 @@ class CPUModel:
             SetAssociativeCache(self.l1_bytes, self.line_bytes)
             for _ in range(self.cores)
         ]
-        l1_streams: list[AccessTrace] = []
-        for index, trace in enumerate(thread_traces):
-            l1 = l1s[index % self.cores]
-            l1_streams.append(l1.filter_trace(trace.aligned(self.line_bytes)))
+        # A core runs its threads one after another, its L1 warm between.
+        per_core = [
+            l1.filter_traces(
+                [t.aligned(self.line_bytes) for t in thread_traces[core :: self.cores]]
+            )
+            for core, l1 in enumerate(l1s)
+        ]
+        l1_streams = [
+            per_core[index % self.cores][index // self.cores]
+            for index in range(len(thread_traces))
+        ]
         merged = interleave_traces(l1_streams, chunk=4)
         llc = SetAssociativeCache(self.llc_bytes, self.line_bytes, ways=16)
         external = llc.filter_trace(merged)

@@ -80,10 +80,34 @@ class AccessTrace:
         return unique[unique != NO_VARIABLE]
 
 
+def radix_argsort(keys: np.ndarray) -> np.ndarray:
+    """Stable argsort of integer keys, 16 bits per pass.
+
+    NumPy's stable sort is a radix sort for 16-bit keys but a merge
+    sort for wider ones; least-significant-digit passes over the keys'
+    offsets from their minimum keep the speed of the former at any
+    width.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    if keys.size == 0:
+        return np.zeros(0, dtype=np.intp)
+    keys = keys - keys.min()
+    top = int(keys.max())
+    order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
+    shift = 16
+    while top >> shift:
+        digit = ((keys >> shift) & 0xFFFF).astype(np.uint16)
+        order = order[np.argsort(digit[order], kind="stable")]
+        shift += 16
+    return order
+
+
 def concat_traces(traces: list[AccessTrace]) -> AccessTrace:
     """Append traces back to back."""
     if not traces:
         return AccessTrace(va=np.zeros(0, dtype=np.uint64))
+    if len(traces) == 1:
+        return traces[0]
     return AccessTrace(
         va=np.concatenate([t.va for t in traces]),
         is_write=np.concatenate([t.is_write for t in traces]),
@@ -104,22 +128,16 @@ def interleave_traces(traces: list[AccessTrace], chunk: int = 1) -> AccessTrace:
         return AccessTrace(va=np.zeros(0, dtype=np.uint64))
     if len(traces) == 1:
         return traces[0]
-    total = sum(len(t) for t in traces)
-    va = np.empty(total, dtype=np.uint64)
-    is_write = np.empty(total, dtype=bool)
-    variable = np.empty(total, dtype=np.int64)
-    cursors = [0] * len(traces)
-    out = 0
-    while out < total:
-        for index, trace in enumerate(traces):
-            start = cursors[index]
-            if start >= len(trace):
-                continue
-            stop = min(start + chunk, len(trace))
-            span = stop - start
-            va[out : out + span] = trace.va[start:stop]
-            is_write[out : out + span] = trace.is_write[start:stop]
-            variable[out : out + span] = trace.variable[start:stop]
-            cursors[index] = stop
-            out += span
-    return AccessTrace(va=va, is_write=is_write, variable=variable)
+    lengths = [len(t) for t in traces]
+    thread = np.repeat(np.arange(len(traces)), lengths)
+    starts = np.repeat(np.cumsum([0, *lengths[:-1]]), lengths)
+    position = np.arange(thread.size) - starts
+    # Round r takes positions [r*chunk, (r+1)*chunk) of each thread in
+    # thread order, so the stable sort on (round, thread) is the rotation.
+    order = radix_argsort((position // chunk) * len(traces) + thread)
+    merged = concat_traces(traces)
+    return AccessTrace(
+        va=merged.va[order],
+        is_write=merged.is_write[order],
+        variable=merged.variable[order],
+    )

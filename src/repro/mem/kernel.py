@@ -29,6 +29,48 @@ from repro.mem.virtual import AddressSpace, VMArea
 __all__ = ["Kernel"]
 
 
+class _CMTDriver:
+    """Table 4's driver rows: program the CMT as chunks change hands.
+
+    The kernel's callbacks live on this object and on
+    :class:`_FaultHandler` rather than on the kernel itself, so physical
+    memory and the address spaces hold no reference back to the kernel.
+    A finished run's memory model is then freed by reference counting,
+    without waiting for the cyclic garbage collector.
+    """
+
+    def __init__(self, sdam: SDAMController | None, mappings: dict[int, int]):
+        self.sdam = sdam
+        self.mappings = mappings  # the kernel's software id -> CMT index
+
+    def chunk_assigned(self, chunk_no: int, mapping_id: int) -> None:
+        if self.sdam is not None:
+            self.sdam.assign_chunk(chunk_no, self.mappings[mapping_id])
+
+    def chunk_released(self, chunk_no: int) -> None:
+        if self.sdam is not None:
+            self.sdam.release_chunk(chunk_no)
+
+
+class _FaultHandler:
+    """Page-fault handler: allocate a frame from the right group."""
+
+    def __init__(
+        self, physical: PhysicalMemory, mappings: dict[int, int], sdam_enabled: bool
+    ):
+        self.physical = physical
+        self.mappings = mappings
+        self.sdam_enabled = sdam_enabled
+
+    def __call__(self, mapping_id: int) -> int:
+        effective = mapping_id if self.sdam_enabled else 0
+        if effective not in self.mappings:
+            raise ProfilingError(
+                f"mapping id {mapping_id} was never registered via add_addr_map"
+            )
+        return self.physical.alloc_frame(effective)
+
+
 class Kernel:
     """Minimal OS: processes, physical memory, SDAM control plane."""
 
@@ -40,31 +82,26 @@ class Kernel:
     ):
         self.geometry = geometry
         self.sdam = sdam
+        # mapping-id 0 is the boot default (identity), always present.
+        self._registered_mappings: dict[int, int] = {0: 0}
+        driver = _CMTDriver(sdam, self._registered_mappings)
         self.physical = PhysicalMemory(
             geometry,
-            on_chunk_assigned=self._chunk_assigned,
-            on_chunk_released=self._chunk_released,
+            on_chunk_assigned=driver.chunk_assigned,
+            on_chunk_released=driver.chunk_released,
             chunk_colours=chunk_colours,
+        )
+        self._fault_handler = _FaultHandler(
+            self.physical, self._registered_mappings, sdam is not None
         )
         self._spaces: dict[int, AddressSpace] = {}
         self._next_pid = 1
-        # mapping-id 0 is the boot default (identity), always present.
-        self._registered_mappings: dict[int, int] = {0: 0}
         self._identity_translator: GlobalMappingTranslator | None = None
 
     @property
     def sdam_enabled(self) -> bool:
         """True when an SDAM controller is attached."""
         return self.sdam is not None
-
-    # -- CMT driver (Table 4's "Driver" rows) ------------------------------
-    def _chunk_assigned(self, chunk_no: int, mapping_id: int) -> None:
-        if self.sdam is not None:
-            self.sdam.assign_chunk(chunk_no, self._registered_mappings[mapping_id])
-
-    def _chunk_released(self, chunk_no: int) -> None:
-        if self.sdam is not None:
-            self.sdam.release_chunk(chunk_no)
 
     # -- mapping registration (the add_addr_map() syscall backend) ----------
     def add_addr_map(self, mapping, namespace: str | None = None) -> int:
@@ -123,20 +160,11 @@ class Kernel:
         self._next_pid += 1
         space = AddressSpace(
             page_bytes=self.geometry.page_bytes,
-            fault_handler=self._handle_fault,
+            fault_handler=self._fault_handler,
             pid=pid,
         )
         self._spaces[pid] = space
         return space
-
-    def _handle_fault(self, mapping_id: int) -> int:
-        """Page-fault handler: allocate a frame from the right group."""
-        effective = mapping_id if self.sdam is not None else 0
-        if effective not in self._registered_mappings:
-            raise ProfilingError(
-                f"mapping id {mapping_id} was never registered via add_addr_map"
-            )
-        return self.physical.alloc_frame(effective)
 
     @property
     def spaces(self) -> list[AddressSpace]:

@@ -16,65 +16,70 @@ def make_cache(size=4 * KiB, ways=4) -> SetAssociativeCache:
     return SetAssociativeCache(size, line_bytes=64, ways=ways)
 
 
+def run(cache, addresses, writes=None, variables=None) -> AccessTrace:
+    """Filter a short stream of byte addresses through ``cache``."""
+    return cache.filter_trace(
+        AccessTrace(
+            va=np.array(addresses, dtype=np.uint64),
+            is_write=writes,
+            variable=variables,
+        )
+    )
+
+
 class TestAccess:
     def test_cold_miss_then_hit(self):
         cache = make_cache()
-        hit, _wb = cache.access(0x1000)
-        assert not hit
-        hit, _wb = cache.access(0x1000)
-        assert hit
+        out = run(cache, [0x1000, 0x1000])
+        assert out.va.tolist() == [0x1000]
+        assert cache.stats.hits == 1
 
     def test_same_line_different_bytes_hit(self):
         cache = make_cache()
-        cache.access(0x1000)
-        hit, _wb = cache.access(0x103F)
-        assert hit
+        out = run(cache, [0x1000, 0x103F])
+        assert out.va.tolist() == [0x1000]
+        assert cache.stats.hits == 1
 
     def test_lru_eviction(self):
         cache = make_cache(size=64 * 4, ways=4)  # one set, 4 ways
-        for index in range(4):
-            cache.access(index * 64)
-        cache.access(0)  # refresh line 0
-        cache.access(4 * 64)  # evicts LRU = line 1
-        assert cache.access(0)[0]
-        assert not cache.access(64)[0]
+        # Fill, refresh line 0, then line 4 evicts the LRU line 1:
+        # line 0 still hits, line 1 misses.
+        out = run(cache, [0, 64, 128, 192, 0, 256, 0, 64])
+        assert out.va.tolist() == [0, 64, 128, 192, 256, 64]
 
     def test_clean_eviction_no_writeback(self):
         cache = make_cache(size=64 * 2, ways=2)
-        cache.access(0)
-        cache.access(64)
-        _hit, writeback = cache.access(128)
-        assert writeback is None
+        out = run(cache, [0, 64, 128])
+        assert out.va.tolist() == [0, 64, 128]
+        assert cache.stats.writebacks == 0
 
     def test_dirty_eviction_writes_back(self):
         cache = make_cache(size=64 * 2, ways=2)
-        cache.access(0, is_write=True)
-        cache.access(64)
-        _hit, writeback = cache.access(128)
-        assert writeback == 0
+        out = run(cache, [0, 64, 128], writes=[True, False, False])
+        assert out.va.tolist() == [0, 64, 0, 128]
+        assert out.is_write.tolist() == [True, False, True, False]
         assert cache.stats.writebacks == 1
 
     def test_write_hit_marks_dirty(self):
         cache = make_cache(size=64 * 2, ways=2)
-        cache.access(0)
-        cache.access(0, is_write=True)
-        cache.access(64)
-        _hit, writeback = cache.access(128)
-        assert writeback == 0
+        out = run(cache, [0, 0, 64, 128], writes=[False, True, False, False])
+        assert out.va.tolist() == [0, 64, 0, 128]
+        assert out.is_write.tolist() == [False, False, True, False]
 
     def test_stats(self):
         cache = make_cache()
-        cache.access(0)
-        cache.access(0)
+        run(cache, [0, 0])
         assert cache.stats.accesses == 2
         assert cache.stats.hit_rate == pytest.approx(0.5)
 
     def test_reset(self):
+        """Every call starts from a cold cache and fresh counters."""
         cache = make_cache()
-        cache.access(0)
-        cache.reset()
-        assert cache.stats.accesses == 0
-        assert not cache.access(0)[0]
+        run(cache, [0])
+        out = run(cache, [0])
+        assert out.va.tolist() == [0]
+        assert cache.stats.accesses == 1
+        assert cache.stats.hits == 0
 
 
 class TestValidation:
@@ -114,12 +119,23 @@ class TestFilterTrace:
         trace = AccessTrace(
             va=np.array([0, 64, 128], dtype=np.uint64),
             is_write=np.array([True, False, False]),
+            variable=np.array([7, 8, 9]),
         )
         out = cache.filter_trace(trace)
-        # miss(0), miss(64), writeback(0)+miss(128)
-        assert len(out) == 4
-        writeback_mask = out.va == 0
-        assert out.is_write[writeback_mask].sum() >= 1
+        # miss(0), miss(64), then the dirty line 0 goes out just before
+        # miss(128), tagged with the evicting access's variable.
+        assert out.va.tolist() == [0, 64, 0, 128]
+        assert out.is_write.tolist() == [True, False, True, False]
+        assert out.variable.tolist() == [7, 8, 9, 9]
+
+    def test_traces_back_to_back_keep_the_cache_warm(self):
+        cache = make_cache(size=64 * 2, ways=2)
+        first = AccessTrace(va=np.array([0, 64], dtype=np.uint64))
+        second = AccessTrace(va=np.array([0, 128], dtype=np.uint64))
+        outs = cache.filter_traces([first, second])
+        assert [o.va.tolist() for o in outs] == [[0, 64], [128]]
+        assert cache.stats.accesses == 4
+        assert cache.stats.hits == 1
 
 
 @given(
@@ -130,7 +146,6 @@ def test_miss_count_bounded_by_unique_lines_plus_capacity_effects(addresses):
     """Misses >= compulsory (unique lines); hits never exceed revisits."""
     cache = make_cache(size=2 * KiB)
     unique_lines = len({a >> 6 for a in addresses})
-    for address in addresses:
-        cache.access(address)
+    run(cache, addresses)
     assert cache.stats.misses >= unique_lines
     assert cache.stats.hits <= len(addresses) - unique_lines

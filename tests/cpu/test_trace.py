@@ -2,9 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cpu.trace import AccessTrace, concat_traces, interleave_traces
+from repro.cpu.trace import (
+    AccessTrace,
+    concat_traces,
+    interleave_traces,
+    radix_argsort,
+)
 from repro.errors import SimulationError
+from tests.cpu.lru_oracle import interleave_loop
 
 
 def make_trace(values, writes=None, variables=None) -> AccessTrace:
@@ -93,3 +101,38 @@ class TestInterleave:
 
     def test_empty_list(self):
         assert len(interleave_traces([])) == 0
+
+
+@given(
+    lengths=st.lists(st.integers(0, 40), min_size=0, max_size=6),
+    chunk=st.sampled_from([1, 4, 7]),
+)
+@settings(max_examples=60, deadline=None)
+def test_interleave_matches_round_robin_loop(lengths, chunk):
+    """Unequal lengths and empty threads drain exactly like the loop."""
+    rng = np.random.default_rng(sum(lengths) * 31 + chunk)
+    traces = [
+        AccessTrace(
+            va=rng.integers(0, 1 << 20, n).astype(np.uint64),
+            is_write=rng.random(n) < 0.5,
+            variable=rng.integers(-1, 8, n),
+        )
+        for n in lengths
+    ]
+    merged = interleave_traces(traces, chunk=chunk)
+    reference = interleave_loop(traces, chunk=chunk)
+    assert merged.va.tolist() == reference.va.tolist()
+    assert merged.is_write.tolist() == reference.is_write.tolist()
+    assert merged.variable.tolist() == reference.variable.tolist()
+
+
+@given(
+    keys=st.lists(st.integers(-(1 << 40), 1 << 40), max_size=200),
+    divisor=st.sampled_from([1, 3, 1 << 17, 1 << 40]),
+)
+@settings(max_examples=60, deadline=None)
+def test_radix_argsort_is_a_stable_argsort(keys, divisor):
+    """Wide, negative and heavily repeated keys keep their input order."""
+    keys = np.array(keys, dtype=np.int64) // divisor
+    expected = np.argsort(keys, kind="stable")
+    assert radix_argsort(keys).tolist() == expected.tolist()
