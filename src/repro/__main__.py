@@ -34,13 +34,21 @@ without writing any code:
   workload served live while the adaptive controller detects phase
   changes and migrates mappings, scored against every relevant static
   mapping (``--min-speedup`` gates CI, ``--out`` writes the campaign
-  JSON; ``--guard`` and ``--checkpoint``/``--resume`` as for ``ras``).
+  JSON; ``--guard`` and ``--checkpoint``/``--resume`` as for ``ras``);
+* ``tier``    — tiered-memory campaign: swap policies against the
+  all-slow baseline under hot/cold skew and capacity pressure;
+* ``serve``   — multi-tenant isolation selftest.
+
+The four campaigns share one table (:data:`CAMPAIGNS`), one handler
+and one exit contract: 0 ok, 1 the campaign found problems, 2 usage
+error, 3 interrupted.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -331,100 +339,6 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def cmd_adapt(args) -> int:
-    """Run the seeded online-adaptation campaign; optionally write JSON."""
-    import json
-
-    from repro.errors import CampaignInterrupted
-    from repro.online.campaign import run_adaptive_campaign
-
-    try:
-        result = run_adaptive_campaign(
-            seed=args.seed,
-            quick=not args.full,
-            window_accesses=args.window,
-            backend=args.backend or "fast",
-            guard=args.guard,
-            guard_sample=args.guard_sample,
-            checkpoint_path=args.checkpoint,
-            resume=args.resume,
-            stop_after_window=args.stop_after,
-        )
-    except CampaignInterrupted as stop:
-        print(
-            f"campaign interrupted: {stop} "
-            f"(resume with --checkpoint {stop.checkpoint_path} --resume)",
-            file=sys.stderr,
-        )
-        return 3
-    payload = result.to_dict()
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(result.summary())
-        for label, ns in sorted(
-            result.static_ns.items(), key=lambda item: item[1]
-        ):
-            marker = " <- best" if label == result.best_static else ""
-            print(f"  static {label}: {ns / 1e3:.1f} us{marker}")
-        print(
-            f"  {result.remaps} remaps, {result.declines} declines, "
-            f"{result.failed_remaps} failed; stationary control: "
-            f"{result.stationary_remaps} remaps"
-        )
-        if args.out:
-            print(f"report written to {args.out}")
-    problems = []
-    if result.stationary_remaps:
-        problems.append(
-            f"stationary trace triggered {result.stationary_remaps} remaps "
-            "(thrash guard violated)"
-        )
-    if result.speedup < args.min_speedup:
-        problems.append(
-            f"speedup {result.speedup:.2f}x below the "
-            f"--min-speedup {args.min_speedup:.2f}x gate"
-        )
-    for problem in problems:
-        print(f"error: {problem}", file=sys.stderr)
-    return 1 if problems else 0
-
-
-def cmd_tier(args) -> int:
-    """Run the tiered-memory campaign; optionally write JSON."""
-    import json
-
-    from repro.tier.campaign import run_tier_campaign
-
-    try:
-        result = run_tier_campaign(
-            seed=args.seed,
-            quick=not args.full,
-            policy=args.policy,
-        )
-    except KeyboardInterrupt:
-        print("tier campaign interrupted", file=sys.stderr)
-        return 3
-    payload = result.to_dict()
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(result.summary())
-        if args.out:
-            print(f"report written to {args.out}")
-    if not result.ok:
-        for problem in result.problems:
-            print(f"error: {problem}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def cmd_verify_cache(args) -> int:
     """Verify (and optionally sweep) the on-disk stage cache."""
     import json
@@ -478,26 +392,182 @@ def cmd_verify_cache(args) -> int:
     return 1 if bad else 0
 
 
-def cmd_ras(args) -> int:
-    """Run a seeded device-fault RAS campaign; optionally write JSON."""
+def _guard_checkpoint_kwargs(args) -> dict:
+    """The guard and checkpoint keywords ``ras`` and ``adapt`` share."""
+    from repro.errors import ConfigError
+
+    if args.guard_sample is not None and not args.guard:
+        raise ConfigError("--guard-sample requires --guard")
+    if args.checkpoint is None and (
+        args.resume or args.stop_after is not None
+    ):
+        raise ConfigError("--resume and --stop-after require --checkpoint")
+    return {
+        "guard": args.guard,
+        "guard_sample": args.guard_sample,
+        "checkpoint_path": args.checkpoint,
+        "resume": args.resume,
+        "stop_after": args.stop_after,
+    }
+
+
+def _run_ras(args):
+    from repro.errors import ConfigError
+    from repro.ras import campaign
+
+    kinds = tuple(args.kinds.split(",")) if args.kinds else campaign.ALL_KINDS
+    for kind in kinds:
+        if kind not in campaign.ALL_KINDS:
+            raise ConfigError(
+                f"unknown fault kind {kind!r}; "
+                f"known: {', '.join(campaign.ALL_KINDS)}"
+            )
+    return campaign.run_campaign(
+        seed=args.seed,
+        kinds=kinds,
+        quick=not args.full,
+        backend=args.backend,
+        **_guard_checkpoint_kwargs(args),
+    )
+
+
+def _run_adapt(args):
+    from repro.online import campaign
+
+    result = campaign.run_adaptive_campaign(
+        seed=args.seed,
+        quick=not args.full,
+        window_accesses=args.window,
+        backend=args.backend,
+        **_guard_checkpoint_kwargs(args),
+    )
+    result.min_speedup = args.min_speedup
+    return result
+
+
+def _run_tier(args):
+    from repro.tier import campaign
+
+    return campaign.run_tier_campaign(
+        seed=args.seed, quick=not args.full, policy=args.policy
+    )
+
+
+def _run_serve(args):
+    import repro.service
+
+    return repro.service.run_service_campaign(
+        seed=args.seed,
+        tenants=args.tenants,
+        quick=not args.full,
+        controllers=not args.no_controllers,
+        backend=args.backend,
+    )
+
+
+_GUARD_CHECKPOINT_FLAGS = (
+    ("--guard", "wrap the backend in the cross-tier divergence guard "
+     "(sampled chunks replayed through the event reference; divergence "
+     "demotes to the reference tier)", {"action": "store_true"}),
+    ("--guard-sample", "fraction of chunks the guard replays (default "
+     "0.05; requires --guard)", {"type": float}),
+    ("--checkpoint", "persist campaign progress to this file so a killed "
+     "run can be resumed bit-identically", {}),
+    ("--resume", "resume the campaign from --checkpoint instead of "
+     "starting fresh", {"action": "store_true"}),
+    ("--stop-after", "deterministically stop after N steps (fault batches "
+     "for ras, trace windows for adapt; testing/CI hook; requires "
+     "--checkpoint; exits 3 with a resumable checkpoint)", {"type": int}),
+)
+
+
+class _Campaign(NamedTuple):
+    """One campaign subcommand: its flags beyond the shared ones, as
+    ``(flag, help, add_argument options)``, and the call that turns
+    parsed args into a result (``problems``, ``ok``, ``summary()``,
+    ``to_dict()``)."""
+
+    help: str
+    label: str  # what an interrupt reports as interrupted
+    run: Callable
+    backend: str | None = None  # default --backend; None: no flag
+    flags: tuple = ()
+
+
+CAMPAIGNS = {
+    "ras": _Campaign(
+        "seeded device-fault inject/detect/repair campaign",
+        "RAS campaign",
+        _run_ras,
+        backend="fast",
+        flags=(
+            ("--kinds", "comma-separated fault kinds "
+             "(default: row,bank,channel,cmt,amu)", {}),
+            *_GUARD_CHECKPOINT_FLAGS,
+        ),
+    ),
+    "adapt": _Campaign(
+        "seeded online-adaptation campaign (adaptive vs static)",
+        "adaptive campaign",
+        _run_adapt,
+        backend="fast",
+        flags=(
+            ("--window", "accesses per trace window",
+             {"type": int, "default": 2048}),
+            ("--min-speedup", "fail unless adaptive beats the best static "
+             "mapping by this factor (CI gate)",
+             {"type": float, "default": 0.0}),
+            *_GUARD_CHECKPOINT_FLAGS,
+        ),
+    ),
+    "tier": _Campaign(
+        "tiered-memory campaign: swap policies vs the all-slow baseline "
+        "under capacity pressure and hot/cold skew",
+        "tier campaign",
+        _run_tier,
+        flags=(
+            ("--policy", "evaluate one swap policy only (fast | slow | "
+             "smart; default: all three; the all-slow baseline always "
+             "runs)", {}),
+        ),
+    ),
+    "serve": _Campaign(
+        "multi-tenant service isolation selftest "
+        "(solo vs concurrent fingerprints, fault + controller legs)",
+        "selftest",
+        _run_serve,
+        backend="vector",
+        flags=(
+            ("--selftest", "run the isolation selftest campaign (the "
+             "default and only mode)", {"action": "store_true"}),
+            ("--tenants", "tenant count (min 2)",
+             {"type": int, "default": 3}),
+            ("--no-controllers", "skip the per-tenant adaptive/RAS "
+             "controller leg", {"action": "store_true"}),
+        ),
+    ),
+}
+
+
+def cmd_campaign(args) -> int:
+    """Run one :data:`CAMPAIGNS` entry under the shared exit contract:
+    0 ok, 1 problems, 2 usage error, 3 interrupted."""
     import json
 
-    from repro.errors import CampaignInterrupted
-    from repro.ras.campaign import ALL_KINDS, run_campaign
+    from repro.errors import CampaignInterrupted, ConfigError
+    from repro.hbm.backend import available_backends
 
-    kinds = tuple(args.kinds.split(",")) if args.kinds else ALL_KINDS
+    campaign = CAMPAIGNS[args.command]
     try:
-        result = run_campaign(
-            seed=args.seed,
-            kinds=kinds,
-            quick=not args.full,
-            backend=args.backend or "fast",
-            guard=args.guard,
-            guard_sample=args.guard_sample,
-            checkpoint_path=args.checkpoint,
-            resume=args.resume,
-            stop_after_batch=args.stop_after,
-        )
+        if campaign.backend and args.backend not in available_backends():
+            raise ConfigError(
+                f"unknown memory backend {args.backend!r}; "
+                f"available: {', '.join(available_backends())}"
+            )
+        result = campaign.run(args)
+    except ConfigError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     except CampaignInterrupted as stop:
         print(
             f"campaign interrupted: {stop} "
@@ -505,39 +575,8 @@ def cmd_ras(args) -> int:
             file=sys.stderr,
         )
         return 3
-    payload = result.to_dict()
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(result.summary())
-        if args.out:
-            print(f"report written to {args.out}")
-    if not result.ok:
-        for problem in result.problems:
-            print(f"error: {problem}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def cmd_serve(args) -> int:
-    """Run the multi-tenant isolation selftest."""
-    import json
-
-    from repro.service import run_service_campaign
-
-    try:
-        result = run_service_campaign(
-            seed=args.seed,
-            tenants=args.tenants,
-            quick=not args.full,
-            controllers=not args.no_controllers,
-            backend=args.backend or "vector",
-        )
     except KeyboardInterrupt:
-        print("selftest interrupted", file=sys.stderr)
+        print(f"{campaign.label} interrupted", file=sys.stderr)
         return 3
     payload = result.to_dict()
     if args.out:
@@ -547,61 +586,11 @@ def cmd_serve(args) -> int:
         print(json.dumps(payload, indent=2))
     else:
         print(result.summary())
-        for name, fingerprint in result.concurrent_fingerprints.items():
-            namespace = fingerprint.get("namespace") or {}
-            print(
-                f"  {name}: slots [{namespace.get('base')}, "
-                f"{namespace.get('base', 0) + namespace.get('capacity', 0)}) "
-                f"runs {len(fingerprint.get('runs', []))}"
-            )
-        print(
-            f"  fault leg: aggressor {result.faulty_tenant} "
-            + ("demoted to event" if result.aggressor_demoted
-               else "NOT demoted")
-        )
         if args.out:
             print(f"report written to {args.out}")
-    if not result.isolated:
-        for mismatch in result.mismatches:
-            print(f"error: isolation violated: {mismatch}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _add_campaign_flags(parser, unit: str) -> None:
-    """The guarded-execution / checkpoint flags shared by ras and adapt."""
-    parser.add_argument(
-        "--guard",
-        action="store_true",
-        help="wrap the backend in the cross-tier divergence guard "
-        "(sampled chunks replayed through the event reference; "
-        "divergence demotes to the reference tier)",
-    )
-    parser.add_argument(
-        "--guard-sample",
-        type=float,
-        default=None,
-        help="fraction of chunks the guard replays (default 0.05)",
-    )
-    parser.add_argument(
-        "--checkpoint",
-        default=None,
-        help="persist campaign progress to this file so a killed run "
-        "can be resumed bit-identically",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume the campaign from --checkpoint instead of starting "
-        "fresh",
-    )
-    parser.add_argument(
-        "--stop-after",
-        type=int,
-        default=None,
-        help=f"deterministically stop after N {unit} (testing/CI hook; "
-        "requires --checkpoint; exits 3 with a resumable checkpoint)",
-    )
+    for problem in result.problems:
+        print(f"error: {problem}", file=sys.stderr)
+    return 0 if result.ok else 1
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -715,133 +704,28 @@ def main(argv: list[str] | None = None) -> int:
     verify.add_argument(
         "--json", action="store_true", help="emit the report as JSON"
     )
-    ras = sub.add_parser(
-        "ras", help="seeded device-fault inject/detect/repair campaign"
-    )
-    ras_scope = ras.add_mutually_exclusive_group()
-    ras_scope.add_argument(
-        "--quick", action="store_true", help="small device, short run (default)"
-    )
-    ras_scope.add_argument(
-        "--full", action="store_true", help="longer campaign, more traffic"
-    )
-    ras.add_argument("--seed", type=int, default=0)
-    ras.add_argument(
-        "--kinds",
-        default=None,
-        help="comma-separated fault kinds (default: row,bank,channel,cmt,amu)",
-    )
-    ras.add_argument(
-        "--out", default=None, help="write the RASReport as JSON here"
-    )
-    ras.add_argument(
-        "--json", action="store_true", help="print the report as JSON"
-    )
-    ras.add_argument(
-        "--backend",
-        default=None,
-        help="memory fidelity tier both twins run on "
-        "(fast | vector | event; default fast)",
-    )
-    _add_campaign_flags(ras, "fault batches")
-    adapt = sub.add_parser(
-        "adapt", help="seeded online-adaptation campaign (adaptive vs static)"
-    )
-    adapt_scope = adapt.add_mutually_exclusive_group()
-    adapt_scope.add_argument(
-        "--quick", action="store_true", help="short trace, one chunk (default)"
-    )
-    adapt_scope.add_argument(
-        "--full", action="store_true", help="longer trace, multi-chunk buffer"
-    )
-    adapt.add_argument("--seed", type=int, default=0)
-    adapt.add_argument(
-        "--window", type=int, default=2048, help="accesses per trace window"
-    )
-    adapt.add_argument(
-        "--out", default=None, help="write the campaign result as JSON here"
-    )
-    adapt.add_argument(
-        "--json", action="store_true", help="print the result as JSON"
-    )
-    adapt.add_argument(
-        "--min-speedup",
-        type=float,
-        default=0.0,
-        help="fail unless adaptive beats the best static mapping by "
-        "this factor (CI gate)",
-    )
-    adapt.add_argument(
-        "--backend",
-        default=None,
-        help="memory fidelity tier windows are scored through "
-        "(fast | vector | event; default fast)",
-    )
-    _add_campaign_flags(adapt, "trace windows")
-    tier = sub.add_parser(
-        "tier",
-        help="tiered-memory campaign: swap policies vs the all-slow "
-        "baseline under capacity pressure and hot/cold skew",
-    )
-    tier_scope = tier.add_mutually_exclusive_group()
-    tier_scope.add_argument(
-        "--quick", action="store_true", help="small arena, short trace (default)"
-    )
-    tier_scope.add_argument(
-        "--full", action="store_true", help="larger arena, longer trace"
-    )
-    tier.add_argument("--seed", type=int, default=0)
-    tier.add_argument(
-        "--policy",
-        default=None,
-        help="evaluate one swap policy only (fast | slow | smart; "
-        "default: all three; the all-slow baseline always runs)",
-    )
-    tier.add_argument(
-        "--out", default=None, help="write the campaign result as JSON here"
-    )
-    tier.add_argument(
-        "--json", action="store_true", help="print the result as JSON"
-    )
-    serve = sub.add_parser(
-        "serve",
-        help="multi-tenant service isolation selftest "
-        "(solo vs concurrent fingerprints, fault + controller legs)",
-    )
-    serve.add_argument(
-        "--selftest",
-        action="store_true",
-        help="run the isolation selftest campaign (the default and "
-        "only mode)",
-    )
-    serve_scope = serve.add_mutually_exclusive_group()
-    serve_scope.add_argument(
-        "--quick", action="store_true", help="small traces (default)"
-    )
-    serve_scope.add_argument(
-        "--full", action="store_true", help="longer traces per tenant"
-    )
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument(
-        "--tenants", type=int, default=3, help="tenant count (min 2)"
-    )
-    serve.add_argument(
-        "--no-controllers",
-        action="store_true",
-        help="skip the per-tenant adaptive/RAS controller leg",
-    )
-    serve.add_argument(
-        "--backend",
-        default=None,
-        help="memory fidelity tier every tenant runs on "
-        "(fast | vector | event | tiered; default vector)",
-    )
-    serve.add_argument(
-        "--out", default=None, help="write the isolation report as JSON here"
-    )
-    serve.add_argument(
-        "--json", action="store_true", help="print the report as JSON"
-    )
+    for name, campaign in CAMPAIGNS.items():
+        command = sub.add_parser(name, help=campaign.help)
+        scope = command.add_mutually_exclusive_group()
+        scope.add_argument(
+            "--quick", action="store_true", help="short run (default)"
+        )
+        scope.add_argument("--full", action="store_true", help="longer run")
+        command.add_argument("--seed", type=int, default=0)
+        command.add_argument(
+            "--out", default=None, help="write the report as JSON here"
+        )
+        command.add_argument(
+            "--json", action="store_true", help="print the report as JSON"
+        )
+        if campaign.backend:
+            command.add_argument(
+                "--backend",
+                default=campaign.backend,
+                help=f"memory fidelity tier (default {campaign.backend})",
+            )
+        for flag, text, options in campaign.flags:
+            command.add_argument(flag, help=text, **options)
     args = parser.parse_args(argv)
     handlers = {
         "demo": cmd_demo,
@@ -851,10 +735,7 @@ def main(argv: list[str] | None = None) -> int:
         "suite": cmd_suite,
         "bench": cmd_bench,
         "verify-cache": cmd_verify_cache,
-        "ras": cmd_ras,
-        "adapt": cmd_adapt,
-        "serve": cmd_serve,
-        "tier": cmd_tier,
+        **dict.fromkeys(CAMPAIGNS, cmd_campaign),
     }
     return handlers[args.command](args)
 

@@ -328,129 +328,6 @@ class Session:
             self.machine_kwargs.setdefault("dl_config", QUICK_DL_CONFIG)
         return self.sweep(workloads, systems=standard_systems())
 
-    def ras_campaign(
-        self,
-        seed: int = 0,
-        kinds=None,
-        *,
-        quick: bool = True,
-        backend: str | None = None,
-        guard: bool | None = None,
-        guard_sample: float | None = None,
-        checkpoint_path: str | None = None,
-        resume: bool = False,
-    ):
-        """Seeded device-fault campaign: inject, detect, repair, verify.
-
-        Builds a faulty machine and a clean twin (honouring any ``hbm``
-        / ``geometry`` overrides this session was created with), drives
-        both with identical traffic while injecting one fault per
-        requested kind, and checks that every fault is repaired by
-        software-defined remapping — or explicitly reported as graceful
-        degradation — with zero silent corruption.  Returns a
-        :class:`~repro.ras.campaign.CampaignResult`.
-        """
-        from repro.ras.campaign import ALL_KINDS, run_campaign
-
-        overrides = {}
-        if "hbm" in self.machine_kwargs:
-            overrides["config"] = self.machine_kwargs["hbm"]
-        if "geometry" in self.machine_kwargs:
-            overrides["geometry"] = self.machine_kwargs["geometry"]
-        chosen = backend or self.machine_kwargs.get("backend")
-        if chosen is not None:
-            overrides["backend"] = chosen
-        wants_guard = (
-            guard if guard is not None
-            else bool(self.machine_kwargs.get("guard"))
-        )
-        if wants_guard:
-            overrides["guard"] = True
-            chosen_sample = (
-                guard_sample
-                if guard_sample is not None
-                else self.machine_kwargs.get("guard_sample")
-            )
-            if chosen_sample is not None:
-                overrides["guard_sample"] = chosen_sample
-        if checkpoint_path is not None:
-            overrides["checkpoint_path"] = checkpoint_path
-            overrides["resume"] = resume
-        return run_campaign(
-            seed=seed, kinds=kinds or ALL_KINDS, quick=quick, **overrides
-        )
-
-    def adaptive_campaign(
-        self,
-        seed: int = 0,
-        *,
-        quick: bool = True,
-        backend: str | None = None,
-        guard: bool | None = None,
-        guard_sample: float | None = None,
-        checkpoint_path: str | None = None,
-        resume: bool = False,
-        **campaign_kwargs,
-    ) -> AdaptiveCampaignResult:
-        """Seeded online-adaptation campaign: adaptive vs best static.
-
-        Runs the phase-shifting workload on an adaptive machine (the
-        :class:`~repro.online.controller.AdaptiveController` migrating
-        mappings live) and under every relevant static mapping,
-        honouring any ``hbm`` / ``geometry`` overrides this session was
-        created with.  Returns an
-        :class:`~repro.online.campaign.AdaptiveCampaignResult`.
-        """
-        overrides = dict(campaign_kwargs)
-        if "hbm" in self.machine_kwargs:
-            overrides.setdefault("config", self.machine_kwargs["hbm"])
-        if "geometry" in self.machine_kwargs:
-            overrides.setdefault("geometry", self.machine_kwargs["geometry"])
-        chosen = backend or self.machine_kwargs.get("backend")
-        if chosen is not None:
-            overrides.setdefault("backend", chosen)
-        wants_guard = (
-            guard if guard is not None
-            else bool(self.machine_kwargs.get("guard"))
-        )
-        if wants_guard:
-            overrides.setdefault("guard", True)
-            chosen_sample = (
-                guard_sample
-                if guard_sample is not None
-                else self.machine_kwargs.get("guard_sample")
-            )
-            if chosen_sample is not None:
-                overrides.setdefault("guard_sample", chosen_sample)
-        if checkpoint_path is not None:
-            overrides.setdefault("checkpoint_path", checkpoint_path)
-            overrides.setdefault("resume", resume)
-        return run_adaptive_campaign(seed=seed, quick=quick, **overrides)
-
-    def service_campaign(
-        self,
-        seed: int = 0,
-        tenants: int = 3,
-        *,
-        quick: bool = True,
-        controllers: bool = True,
-    ) -> ServiceCampaignResult:
-        """Multi-tenant isolation selftest for the service layer.
-
-        Admits ``tenants`` tenant contexts over shared immutable
-        artifacts, runs each solo and then all concurrently (plus a
-        forced-divergence leg and, with ``controllers=True``, concurrent
-        per-tenant adaptive/RAS campaigns), and checks every tenant's
-        fingerprint is bit-identical across legs.  Returns a
-        :class:`~repro.service.campaign.ServiceCampaignResult`; its
-        ``isolated`` property is the verdict.
-        """
-        return run_service_campaign(
-            seed=seed,
-            tenants=tenants,
-            quick=quick,
-            controllers=controllers,
-        )
 
 
 def evaluation_workloads(*, quick: bool = True) -> list[Workload]:

@@ -34,7 +34,6 @@ from repro.core.bitshuffle import select_window_permutation
 from repro.core.chunks import ChunkGeometry
 from repro.core.keys import stable_hash
 from repro.core.sdam import SDAMController
-from repro.errors import CampaignInterrupted, ConfigError
 from repro.hbm.config import HBMConfig, hbm2_config
 from repro.hbm.backend import create_backend
 from repro.hbm.guard import DEFAULT_GUARD_SAMPLE, GuardedBackend, TierFactory
@@ -69,6 +68,9 @@ class AdaptiveCampaignResult:
     journal: list = field(default_factory=list)
     elapsed_seconds: float = 0.0
     resumed: bool = False
+    #: The speedup gate :attr:`problems` judges the run against (the
+    #: CLI's ``--min-speedup``); not part of the report.
+    min_speedup: float = 0.0
 
     @property
     def adaptive_total_ns(self) -> float:
@@ -87,15 +89,47 @@ class AdaptiveCampaignResult:
             return 0.0
         return self.best_static_ns / self.adaptive_total_ns
 
+    @property
+    def problems(self) -> list[str]:
+        """The thrash guard and the :attr:`min_speedup` gate's verdicts."""
+        problems = []
+        if self.stationary_remaps:
+            problems.append(
+                f"stationary trace triggered {self.stationary_remaps} remaps "
+                "(thrash guard violated)"
+            )
+        if self.speedup < self.min_speedup:
+            problems.append(
+                f"speedup {self.speedup:.2f}x below the "
+                f"--min-speedup {self.min_speedup:.2f}x gate"
+            )
+        return problems
+
+    @property
+    def ok(self) -> bool:
+        """True when no remap thrashed and the speedup gate held."""
+        return not self.problems
+
     def summary(self) -> str:
-        """One-line human-readable summary."""
-        return (
+        """Human-readable summary: the verdict, then every static mapping."""
+        lines = [
             f"{self.workload}: adaptive {self.adaptive_total_ns / 1e3:.1f} us "
             f"(overhead {self.overhead_ns / 1e3:.1f} us, "
             f"{self.remaps} remaps) vs best static "
             f"[{self.best_static}] {self.best_static_ns / 1e3:.1f} us "
             f"-> speedup {self.speedup:.2f}x"
+        ]
+        for label, ns in sorted(
+            self.static_ns.items(), key=lambda item: item[1]
+        ):
+            marker = " <- best" if label == self.best_static else ""
+            lines.append(f"  static {label}: {ns / 1e3:.1f} us{marker}")
+        lines.append(
+            f"  {self.remaps} remaps, {self.declines} declines, "
+            f"{self.failed_remaps} failed; stationary control: "
+            f"{self.stationary_remaps} remaps"
         )
+        return "\n".join(lines)
 
     def to_dict(self) -> dict:
         """A JSON-serialisable form."""
@@ -176,27 +210,6 @@ def _serve_static(
     )
 
 
-def _campaign_key(
-    seed, quick, backend, window_accesses, workload, hbm, geometry
-) -> str:
-    """Bind a checkpoint to the exact campaign parameters."""
-    return stable_hash(
-        "adaptive-campaign",
-        seed,
-        bool(quick),
-        backend,
-        int(window_accesses),
-        workload.name,
-        hbm.name,
-        hbm.total_bytes,
-        hbm.num_channels,
-        hbm.banks_per_channel,
-        hbm.row_bytes,
-        geometry.total_bytes,
-        geometry.chunk_bytes,
-    )
-
-
 def run_adaptive_campaign(
     seed: int = 0,
     quick: bool = False,
@@ -212,7 +225,7 @@ def run_adaptive_campaign(
     checkpoint_path=None,
     resume: bool = False,
     checkpoint_every: int = 8,
-    stop_after_window: int | None = None,
+    stop_after: int | None = None,
 ) -> AdaptiveCampaignResult:
     """Run the seeded adaptive-vs-static campaign.
 
@@ -227,10 +240,12 @@ def run_adaptive_campaign(
     controller and service accumulators every ``checkpoint_every``
     windows; ``resume=True`` continues a killed campaign from that
     file with a fingerprint bit-identical to an uninterrupted run.
-    ``stop_after_window`` (the test/CI kill model) checkpoints and
-    raises :class:`~repro.errors.CampaignInterrupted` once that many
-    windows have been served.
+    ``stop_after`` (the test/CI kill model) checkpoints and raises
+    :class:`~repro.errors.CampaignInterrupted` once that many windows
+    have been served.
     """
+    from repro.system.checkpoint import CheckpointLoop
+
     started = time.perf_counter()
     hbm = config or hbm2_config()
     geometry = geometry or ChunkGeometry(total_bytes=hbm.total_bytes)
@@ -244,29 +259,23 @@ def run_adaptive_campaign(
                 buffer_bytes=4 * 1024 * 1024, accesses_per_phase=98304
             )
         )
-    if stop_after_window is not None and checkpoint_path is None:
-        raise ConfigError("stop_after_window requires a checkpoint_path")
-    key = _campaign_key(
-        seed, quick, backend, window_accesses, workload, hbm, geometry
+    loop = CheckpointLoop(
+        checkpoint_path,
+        "adaptive",
+        # Binds the checkpoint to the exact campaign parameters.
+        stable_hash(
+            "adaptive-campaign", seed, bool(quick), backend,
+            int(window_accesses), workload, hbm, geometry,
+        ),
+        resume=resume,
+        every=checkpoint_every,
+        stop_after=stop_after,
     )
     controller_kwargs = dict(controller_kwargs or {})
     controller_kwargs.setdefault("backend", backend)
 
     # -- adaptive machine ---------------------------------------------------
-    resumed = False
-    if resume:
-        from repro.system.checkpoint import load_checkpoint
-
-        cursor, state = load_checkpoint(checkpoint_path, "adaptive", key)
-        kernel = state["kernel"]
-        controller = state["controller"]
-        model = state["model"]
-        pa = state["pa"]
-        adaptive_service = state["adaptive_service"]
-        windows = state["windows"]
-        adopted = state["adopted"]
-        resumed = True
-    else:
+    def fresh() -> dict:
         model = create_backend(backend, hbm, max_inflight=64)
         if guard and backend != "event":
             model = GuardedBackend(
@@ -289,56 +298,32 @@ def run_adaptive_campaign(
         controller = AdaptiveController(
             kernel, mapping_id=0, hbm=hbm, **controller_kwargs
         )
-        adaptive_service = 0.0
-        windows = 0
-        adopted: list[np.ndarray] = []
-        cursor = 0
+        return {
+            "kernel": kernel,
+            "controller": controller,
+            "model": model,
+            "pa": pa,
+            "adaptive_service": 0.0,
+            "windows": 0,
+            "adopted": [],
+        }
 
+    cursor, state = loop.start(fresh)
+    kernel, controller = state["kernel"], state["controller"]
+    model, pa, adopted = state["model"], state["pa"], state["adopted"]
     starts = list(range(0, int(pa.size), window_accesses))
-
-    def _persist(next_index: int) -> None:
-        from repro.system.checkpoint import save_checkpoint
-
-        save_checkpoint(
-            checkpoint_path,
-            "adaptive",
-            key,
-            next_index,
-            {
-                "kernel": kernel,
-                "controller": controller,
-                "model": model,
-                "pa": pa,
-                "adaptive_service": adaptive_service,
-                "windows": windows,
-                "adopted": adopted,
-            },
-        )
-
-    if checkpoint_path is not None and not resume:
-        _persist(0)
-    for window_index in range(cursor, len(starts)):
+    for window_index in loop.steps(
+        cursor, len(starts), state, "adaptive campaign stopped after window"
+    ):
         start = starts[window_index]
         window = pa[start : start + window_accesses]
-        windows += 1
+        state["windows"] += 1
         ha = kernel.sdam.translate(window)
-        adaptive_service += float(model.simulate(ha).makespan_ns)
+        state["adaptive_service"] += float(model.simulate(ha).makespan_ns)
         entry = controller.observe(window)
         if entry is not None and entry["kind"] == "remap":
             index = kernel.hardware_index_of(controller.mapping_id)
             adopted.append(kernel.sdam.cmt.config_of(index))
-        completed = window_index + 1
-        if checkpoint_path is not None and (
-            completed % max(1, checkpoint_every) == 0
-            or completed == len(starts)
-        ):
-            _persist(completed)
-        if stop_after_window is not None and completed >= stop_after_window:
-            raise CampaignInterrupted(
-                f"adaptive campaign stopped after window {completed}/"
-                f"{len(starts)} (checkpoint saved)",
-                checkpoint_path=str(checkpoint_path),
-            )
 
     # -- static baselines ---------------------------------------------------
     low, high = geometry.window_slice()
@@ -382,8 +367,8 @@ def run_adaptive_campaign(
         seed=seed,
         quick=quick,
         window_accesses=window_accesses,
-        windows=windows,
-        adaptive_service_ns=adaptive_service,
+        windows=state["windows"],
+        adaptive_service_ns=state["adaptive_service"],
         overhead_ns=float(controller.traffic.overhead_ns),
         static_ns=static_ns,
         best_static=best_static,
@@ -394,5 +379,5 @@ def run_adaptive_campaign(
         traffic=controller.traffic.to_dict(),
         journal=[dict(entry) for entry in controller.journal],
         elapsed_seconds=time.perf_counter() - started,
-        resumed=resumed,
+        resumed=resume,
     )

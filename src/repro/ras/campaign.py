@@ -32,7 +32,7 @@ import numpy as np
 from repro.core.chunks import ChunkGeometry
 from repro.core.keys import stable_hash
 from repro.core.sdam import SDAMController
-from repro.errors import CampaignInterrupted, CMTError, MappingError, RASError
+from repro.errors import CMTError, MappingError, RASError
 from repro.faults.sites import (
     DEVICE_AMU_MISPROGRAM,
     DEVICE_CMT_FLIP,
@@ -598,24 +598,6 @@ def _match_detection(spec: DeviceFaultSpec, events: list[dict]) -> dict | None:
     return None
 
 
-def _campaign_key(seed, kinds, quick, backend, config, geometry) -> str:
-    """Bind a checkpoint to the exact campaign parameters."""
-    return stable_hash(
-        "ras-campaign",
-        seed,
-        tuple(kinds),
-        bool(quick),
-        backend,
-        config.name,
-        config.total_bytes,
-        config.num_channels,
-        config.banks_per_channel,
-        config.row_bytes,
-        geometry.total_bytes,
-        geometry.chunk_bytes,
-    )
-
-
 def run_campaign(
     seed: int = 0,
     kinds=ALL_KINDS,
@@ -629,7 +611,7 @@ def run_campaign(
     checkpoint_path=None,
     resume: bool = False,
     checkpoint_every: int = 1,
-    stop_after_batch: int | None = None,
+    stop_after: int | None = None,
 ) -> CampaignResult:
     """Inject a seeded multi-fault sequence and prove it was handled.
 
@@ -643,16 +625,28 @@ def run_campaign(
     With ``checkpoint_path`` the campaign persists its twins and batch
     cursor every ``checkpoint_every`` batches, and ``resume=True``
     continues a killed campaign from that file — producing a report
-    bit-identical to an uninterrupted run.  ``stop_after_batch`` (used
-    by tests and CI to model a mid-campaign kill) checkpoints and
-    raises :class:`~repro.errors.CampaignInterrupted` once that many
-    batches have completed.
+    bit-identical to an uninterrupted run.  ``stop_after`` (used by
+    tests and CI to model a mid-campaign kill) checkpoints and raises
+    :class:`~repro.errors.CampaignInterrupted` once that many batches
+    have completed.
     """
+    from repro.system.checkpoint import CheckpointLoop
+
     config = config or small_ras_config()
     geometry = geometry or ChunkGeometry(total_bytes=config.total_bytes)
-    if stop_after_batch is not None and checkpoint_path is None:
-        raise RASError("stop_after_batch requires a checkpoint_path")
-    key = _campaign_key(seed, kinds, quick, backend, config, geometry)
+    loop = CheckpointLoop(
+        checkpoint_path,
+        "ras",
+        # Binds the checkpoint to the exact campaign parameters.
+        stable_hash(
+            "ras-campaign", seed, tuple(kinds), bool(quick), backend,
+            config, geometry,
+        ),
+        resume=resume,
+        every=checkpoint_every,
+        stop_after=stop_after,
+        error=RASError,
+    )
     pages_per_vma = 4 if quick else 8
     writes_per_batch = 128 if quick else 256
     line_bytes = geometry.line_bytes
@@ -661,21 +655,8 @@ def run_campaign(
     # else (schedules, the fault plan's coordinates) is recomputed
     # deterministically from the seed.
     batches = 2 * len(kinds) + 2
-    resumed = False
-    if resume:
-        from repro.system.checkpoint import load_checkpoint
 
-        start_batch, state = load_checkpoint(checkpoint_path, "ras", key)
-        faulty = state["faulty"]
-        clean = state["clean"]
-        vmas_f = state["vmas_f"]
-        vmas_c = state["vmas_c"]
-        vma_specs = state["vma_specs"]
-        schedule = _make_schedule(
-            seed, vma_specs, batches, writes_per_batch, line_bytes
-        )
-        resumed = True
-    else:
+    def fresh() -> dict:
         rng = np.random.default_rng(seed)
         faulty, ids = _build_machine(
             seed, config, geometry, None, 2, backend,
@@ -708,12 +689,10 @@ def run_campaign(
 
         # One fault per kind, one quiet batch between faults so each is
         # detected and repaired before the next strikes.
-        schedule = _make_schedule(
-            seed, vma_specs, batches, writes_per_batch, line_bytes
-        )
-        per_batch = sum(
-            op[2].size for op in schedule[0]
-        )
+        first = _make_schedule(
+            seed, vma_specs, 1, writes_per_batch, line_bytes
+        )[0]
+        per_batch = sum(op[2].size for op in first)
         faulty.plan = _plan_from_state(
             faulty,
             kinds,
@@ -721,46 +700,29 @@ def run_campaign(
             first_trigger=faulty.accesses + per_batch // 2,
             spacing=2 * per_batch,
         )
-        start_batch = 0
+        return {
+            "faulty": faulty,
+            "clean": clean,
+            "vmas_f": vmas_f,
+            "vmas_c": vmas_c,
+            "vma_specs": vma_specs,
+        }
 
-    def _persist(next_batch: int) -> None:
-        from repro.system.checkpoint import save_checkpoint
-
-        save_checkpoint(
-            checkpoint_path,
-            "ras",
-            key,
-            next_batch,
-            {
-                "faulty": faulty,
-                "clean": clean,
-                "vmas_f": vmas_f,
-                "vmas_c": vmas_c,
-                "vma_specs": vma_specs,
-            },
-        )
-
-    if checkpoint_path is not None and not resume:
-        _persist(0)
-
-    for batch_index in range(start_batch, len(schedule)):
+    cursor, state = loop.start(fresh)
+    faulty, clean = state["faulty"], state["clean"]
+    vmas_f, vmas_c = state["vmas_f"], state["vmas_c"]
+    vma_specs = state["vma_specs"]
+    schedule = _make_schedule(
+        seed, vma_specs, batches, writes_per_batch, line_bytes
+    )
+    for batch_index in loop.steps(
+        cursor, len(schedule), state, "RAS campaign stopped after batch"
+    ):
         ops = schedule[batch_index]
         _apply_ops(faulty, vmas_f, ops, line_bytes)
         _apply_ops(clean, vmas_c, ops, line_bytes)
         faulty.patrol()
         clean.patrol()
-        completed = batch_index + 1
-        if checkpoint_path is not None and (
-            completed % max(1, checkpoint_every) == 0
-            or completed == len(schedule)
-        ):
-            _persist(completed)
-        if stop_after_batch is not None and completed >= stop_after_batch:
-            raise CampaignInterrupted(
-                f"RAS campaign stopped after batch {completed}/"
-                f"{len(schedule)} (checkpoint saved)",
-                checkpoint_path=str(checkpoint_path),
-            )
     faulty.patrol()
 
     problems: list[str] = []
@@ -850,4 +812,4 @@ def run_campaign(
         all_detected=all_detected,
         all_repaired=all(d["repaired"] for d in detections),
     )
-    return CampaignResult(report=report, problems=problems, resumed=resumed)
+    return CampaignResult(report=report, problems=problems, resumed=resume)

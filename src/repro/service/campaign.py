@@ -29,6 +29,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+from repro.errors import ConfigError
 from repro.faults import FaultPlan
 from repro.faults.sites import BACKEND_DIVERGENCE
 from repro.service.registry import TenantSpec
@@ -53,15 +54,15 @@ class ServiceCampaignResult:
     concurrent_health: dict = field(default_factory=dict)
     fault_health: dict = field(default_factory=dict)
     controller_fingerprints: dict = field(default_factory=dict)
-    mismatches: list = field(default_factory=list)
+    problems: list = field(default_factory=list)
     plan_cache: dict = field(default_factory=dict)
     budget: dict = field(default_factory=dict)
     elapsed_seconds: float = 0.0
 
     @property
-    def isolated(self) -> bool:
+    def ok(self) -> bool:
         """True when every isolation check held."""
-        return not self.mismatches
+        return not self.problems
 
     @property
     def aggressor_demoted(self) -> bool:
@@ -79,8 +80,8 @@ class ServiceCampaignResult:
             "quick": self.quick,
             "tenants": self.tenants,
             "faulty_tenant": self.faulty_tenant,
-            "isolated": self.isolated,
-            "mismatches": list(self.mismatches),
+            "isolated": self.ok,
+            "mismatches": list(self.problems),
             "solo_fingerprints": self.solo_fingerprints,
             "concurrent_fingerprints": self.concurrent_fingerprints,
             "fault_fingerprints": self.fault_fingerprints,
@@ -97,22 +98,35 @@ class ServiceCampaignResult:
         return {
             "seed": self.seed,
             "tenants": self.tenants,
-            "isolated": self.isolated,
+            "isolated": self.ok,
             "concurrent_fingerprints": self.concurrent_fingerprints,
         }
 
     def summary(self) -> str:
-        """One-line human-readable verdict."""
-        verdict = "ISOLATED" if self.isolated else (
-            f"{len(self.mismatches)} ISOLATION VIOLATION(S)"
+        """The verdict, each tenant's namespace and the fault leg."""
+        verdict = "ISOLATED" if self.ok else (
+            f"{len(self.problems)} ISOLATION VIOLATION(S)"
         )
-        return (
+        lines = [
             f"service selftest: {len(self.tenants)} tenants, "
             f"{verdict}, plan cache "
             f"{self.plan_cache.get('hits', 0)} hits / "
             f"{self.plan_cache.get('misses', 0)} misses, "
             f"{self.elapsed_seconds:.1f}s"
+        ]
+        for name, fingerprint in self.concurrent_fingerprints.items():
+            namespace = fingerprint.get("namespace") or {}
+            lines.append(
+                f"  {name}: slots [{namespace.get('base')}, "
+                f"{namespace.get('base', 0) + namespace.get('capacity', 0)}) "
+                f"runs {len(fingerprint.get('runs', []))}"
+            )
+        lines.append(
+            f"  fault leg: aggressor {self.faulty_tenant} "
+            + ("demoted to event" if self.aggressor_demoted
+               else "NOT demoted")
         )
+        return "\n".join(lines)
 
 
 def _tenant_specs(
@@ -200,23 +214,41 @@ def _run_leg(
 
 
 def _controller_leg(
-    seed: int, specs: list[TenantSpec], mismatches: list
+    seed: int, specs: list[TenantSpec], problems: list
 ) -> dict:
     """Per-tenant adaptive + RAS campaigns, solo vs concurrent.
 
-    Controllers are parameterized by tenant context alone, so running
-    two tenants' campaigns on threads must reproduce the solo
+    Controllers are parameterized by tenant context alone — device
+    config, geometry, seed, backend tier and guard settings — so
+    running two tenants' campaigns on threads must reproduce the solo
     fingerprints bit for bit.  The fast backend keeps the leg cheap;
     the property being checked is context isolation, not tier choice.
     """
+    from repro.online.campaign import run_adaptive_campaign
+    from repro.ras.campaign import run_campaign
+
     service = MappingService(shared=SharedArtifacts.create(backend="fast"))
     contexts = [service.admit(spec) for spec in specs[:2]]
 
+    def tenant_kwargs(context) -> dict:
+        return {
+            "seed": context.seed,
+            "quick": True,
+            "config": context.hbm,
+            "geometry": context.geometry,
+            "backend": context.backend,
+            "guard": context.guard,
+            "guard_sample": context.guard_sample,
+            "guard_faults": context.backend_faults,
+        }
+
     def adaptive(context):
-        return context.adaptive_campaign(quick=True).fingerprint()
+        return run_adaptive_campaign(**tenant_kwargs(context)).fingerprint()
 
     def ras(context):
-        return context.ras_campaign(quick=True, kinds=("row",)).fingerprint()
+        return run_campaign(
+            kinds=("row",), **tenant_kwargs(context)
+        ).fingerprint()
 
     solo = {}
     for context in contexts:
@@ -240,7 +272,7 @@ def _controller_leg(
     for name, kinds in concurrent.items():
         for kind, fingerprint in kinds.items():
             if fingerprint != solo[name][kind]:
-                mismatches.append(
+                problems.append(
                     {
                         "check": "controller",
                         "tenant": name,
@@ -258,9 +290,12 @@ def run_service_campaign(
     backend: str = "vector",
 ) -> ServiceCampaignResult:
     """Run the full isolation selftest; see the module docstring."""
+    if tenants < 2:
+        raise ConfigError(
+            f"the isolation selftest needs at least 2 tenants, got {tenants}"
+        )
     started = time.perf_counter()
-    count = max(2, tenants)
-    clean_specs = _tenant_specs(seed, count, backend=backend)
+    clean_specs = _tenant_specs(seed, tenants, backend=backend)
     names = [spec.name for spec in clean_specs]
     faulty = names[0]
     result = ServiceCampaignResult(
@@ -288,14 +323,14 @@ def run_service_campaign(
     result.budget = report.budget
     for name in names:
         if result.concurrent_fingerprints[name] != result.solo_fingerprints[name]:
-            result.mismatches.append(
+            result.problems.append(
                 {"check": "concurrent-vs-solo", "tenant": name}
             )
 
     # Leg 3: concurrent again, with one tenant's backend faulted.  The
     # aggressor must be demoted (the fault fired); the victim tenants
     # must see neither their fingerprints nor their health move.
-    fault_specs = _tenant_specs(seed, count, faulty=faulty, backend=backend)
+    fault_specs = _tenant_specs(seed, tenants, faulty=faulty, backend=backend)
     report = _run_leg(seed, fault_specs, names, quick, backend=backend)
     result.fault_fingerprints = report.fingerprints()
     result.fault_health = {
@@ -305,23 +340,23 @@ def run_service_campaign(
         for name, tenant in report.tenants.items()
     }
     if not result.aggressor_demoted:
-        result.mismatches.append({"check": "fault-not-fired", "tenant": faulty})
+        result.problems.append({"check": "fault-not-fired", "tenant": faulty})
     for name in names:
         if name == faulty:
             continue
         if result.fault_fingerprints[name] != result.solo_fingerprints[name]:
-            result.mismatches.append(
+            result.problems.append(
                 {"check": "fault-vs-solo", "tenant": name}
             )
         if result.fault_health.get(name) != result.concurrent_health.get(name):
-            result.mismatches.append(
+            result.problems.append(
                 {"check": "fault-health", "tenant": name}
             )
 
     # Leg 4: per-tenant controllers, solo vs concurrent.
     if controllers:
         result.controller_fingerprints = _controller_leg(
-            seed, clean_specs, result.mismatches
+            seed, clean_specs, result.problems
         )
 
     result.elapsed_seconds = time.perf_counter() - started

@@ -460,50 +460,6 @@ class TenantContext:
             tier_traffic=getattr(backend, "last_traffic", None),
         )
 
-    # -- RAS -------------------------------------------------------------------
-    def ras_campaign(self, seed: int | None = None, kinds=None, quick=True):
-        """Run a seeded device-fault RAS campaign for this tenant.
-
-        The campaign builds its software stack from this tenant's
-        device config, geometry, backend tier and guard settings — no
-        global machine state — so per-tenant campaigns can run
-        concurrently without sharing anything mutable.
-        """
-        from repro.ras.campaign import ALL_KINDS, run_campaign
-
-        return run_campaign(
-            seed=self.seed if seed is None else seed,
-            kinds=kinds or ALL_KINDS,
-            quick=quick,
-            config=self.hbm,
-            geometry=self.geometry,
-            backend=self.backend,
-            guard=self.guard,
-            guard_sample=self.guard_sample,
-            guard_faults=self.backend_faults,
-        )
-
-    # -- online adaptation ------------------------------------------------------
-    def adaptive_campaign(self, seed: int | None = None, quick: bool = True):
-        """Run the seeded online-adaptation campaign for this tenant.
-
-        Like :meth:`ras_campaign`, fully parameterized by tenant state:
-        the adaptive controller watches this tenant's trace on this
-        tenant's device model.
-        """
-        from repro.online.campaign import run_adaptive_campaign
-
-        return run_adaptive_campaign(
-            seed=self.seed if seed is None else seed,
-            quick=quick,
-            config=self.hbm,
-            geometry=self.geometry,
-            backend=self.backend,
-            guard=self.guard,
-            guard_sample=self.guard_sample,
-            guard_faults=self.backend_faults,
-        )
-
     def __repr__(self) -> str:
         ns = "" if self.namespace is None else f", namespace={self.namespace!r}"
         return (

@@ -19,6 +19,9 @@ it; resuming with different parameters is a hard
 :class:`~repro.errors.ConfigError`, never a silently-wrong campaign.
 Writes are atomic (temp file + ``os.replace``), so a kill *during*
 checkpointing leaves the previous checkpoint intact.
+
+:class:`CheckpointLoop` is the one resume/persist/stop-after loop both
+campaigns drive their step loop through.
 """
 
 from __future__ import annotations
@@ -27,9 +30,14 @@ import os
 import pickle
 from pathlib import Path
 
-from repro.errors import ConfigError
+from repro.errors import CampaignInterrupted, ConfigError
 
-__all__ = ["CHECKPOINT_VERSION", "load_checkpoint", "save_checkpoint"]
+__all__ = [
+    "CHECKPOINT_VERSION",
+    "CheckpointLoop",
+    "load_checkpoint",
+    "save_checkpoint",
+]
 
 CHECKPOINT_VERSION = 1
 
@@ -95,3 +103,66 @@ def load_checkpoint(
             "to resume into a different experiment"
         )
     return int(payload["cursor"]), payload["state"]
+
+
+class CheckpointLoop:
+    """A campaign's step loop, made resumable.
+
+    :meth:`start` loads ``(cursor, state)`` from ``path`` when resuming
+    and otherwise builds fresh state; :meth:`steps` yields the step
+    indices from the cursor on.  With a ``path`` the loop persists the
+    state before the first fresh step, after every ``every`` completed
+    steps and after the last one.  ``stop_after`` (the test/CI kill
+    model) raises :class:`~repro.errors.CampaignInterrupted` once that
+    many steps have completed and been persisted.  ``state`` is a dict
+    of the live objects; a campaign keeps its accumulators in it so a
+    persist always sees their current values.
+    """
+
+    def __init__(
+        self,
+        path,
+        campaign: str,
+        key: str,
+        *,
+        resume: bool = False,
+        every: int = 1,
+        stop_after: int | None = None,
+        error: type[Exception] = ConfigError,
+    ):
+        if path is None and (resume or stop_after is not None):
+            raise error("resume and stop_after require a checkpoint_path")
+        self.path = path
+        self.campaign = campaign
+        self.key = key
+        self.resume = resume
+        self.every = max(1, every)
+        self.stop_after = stop_after
+
+    def start(self, fresh) -> tuple[int, dict]:
+        """``(cursor, state)``: loaded when resuming, else ``(0, fresh())``."""
+        if self.resume:
+            return load_checkpoint(self.path, self.campaign, self.key)
+        return 0, fresh()
+
+    def steps(self, cursor: int, total: int, state: dict, what: str):
+        """Yield step indices ``cursor..total-1``, persisting as they
+        complete; ``what`` names a step in the interruption message
+        (``"RAS campaign stopped after batch"``)."""
+        if self.path is not None and not self.resume:
+            self._persist(0, state)
+        for index in range(cursor, total):
+            yield index
+            completed = index + 1
+            if self.path is not None and (
+                completed % self.every == 0 or completed == total
+            ):
+                self._persist(completed, state)
+            if self.stop_after is not None and completed >= self.stop_after:
+                raise CampaignInterrupted(
+                    f"{what} {completed}/{total} (checkpoint saved)",
+                    checkpoint_path=str(self.path),
+                )
+
+    def _persist(self, cursor: int, state: dict) -> None:
+        save_checkpoint(self.path, self.campaign, self.key, cursor, state)

@@ -364,29 +364,3 @@ class Machine:
             profile=profile,
             selection=selection,
         )
-
-    # -- RAS -------------------------------------------------------------------
-    def ras_campaign(self, seed: int | None = None, kinds=None, quick=True):
-        """Run a seeded device-fault RAS campaign on this machine's device.
-
-        Injects one modeled-hardware fault per requested kind (stuck
-        row, dead bank, lost channel, CMT bit flip, AMU misprogramming)
-        into a live software stack built on this machine's HBM
-        configuration, lets the RAS controller detect and repair each,
-        and verifies the surviving contents against a never-faulted
-        twin.  Returns a :class:`~repro.ras.campaign.CampaignResult`.
-        """
-        return self._tenant.ras_campaign(seed=seed, kinds=kinds, quick=quick)
-
-    # -- online adaptation ------------------------------------------------------
-    def adaptive_campaign(self, seed: int | None = None, quick: bool = True):
-        """Run the seeded online-adaptation campaign on this device.
-
-        A phase-shifting workload is served window by window while an
-        :class:`~repro.online.controller.AdaptiveController` watches
-        the external trace, detects phase changes and migrates the live
-        mapping; the same trace is then scored under every relevant
-        static mapping.  Returns an
-        :class:`~repro.online.campaign.AdaptiveCampaignResult`.
-        """
-        return self._tenant.adaptive_campaign(seed=seed, quick=quick)

@@ -24,7 +24,7 @@ class TestKillAndResume:
                 quick=True,
                 checkpoint_path=str(path),
                 checkpoint_every=5,
-                stop_after_window=10,
+                stop_after=10,
             )
         assert excinfo.value.checkpoint_path == str(path)
         assert path.exists()
@@ -44,7 +44,7 @@ class TestKillAndResume:
                 seed=SEED,
                 quick=True,
                 checkpoint_path=str(path),
-                stop_after_window=4,
+                stop_after=4,
             )
         resumed = run_adaptive_campaign(
             seed=SEED, quick=True, checkpoint_path=str(path), resume=True
@@ -61,7 +61,7 @@ class TestCheckpointValidation:
                 seed=SEED,
                 quick=True,
                 checkpoint_path=str(path),
-                stop_after_window=4,
+                stop_after=4,
             )
         with pytest.raises(ConfigError, match="different parameters"):
             run_adaptive_campaign(
@@ -82,7 +82,7 @@ class TestCheckpointValidation:
                 kinds=("row",),
                 quick=True,
                 checkpoint_path=str(path),
-                stop_after_batch=1,
+                stop_after=1,
             )
         with pytest.raises(ConfigError, match="campaign"):
             run_adaptive_campaign(
@@ -94,4 +94,4 @@ class TestCheckpointValidation:
 
     def test_stop_after_requires_a_checkpoint_path(self):
         with pytest.raises(ConfigError):
-            run_adaptive_campaign(seed=SEED, quick=True, stop_after_window=4)
+            run_adaptive_campaign(seed=SEED, quick=True, stop_after=4)

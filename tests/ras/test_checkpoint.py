@@ -24,7 +24,7 @@ class TestKillAndResume:
                 kinds=KINDS,
                 quick=True,
                 checkpoint_path=str(path),
-                stop_after_batch=2,
+                stop_after=2,
             )
         assert excinfo.value.checkpoint_path == str(path)
         assert path.exists()
@@ -46,7 +46,7 @@ class TestKillAndResume:
                 kinds=KINDS,
                 quick=True,
                 checkpoint_path=str(path),
-                stop_after_batch=1,
+                stop_after=1,
             )
         resumed = run_campaign(
             seed=3,
@@ -68,7 +68,7 @@ class TestCheckpointValidation:
                 kinds=KINDS,
                 quick=True,
                 checkpoint_path=str(path),
-                stop_after_batch=1,
+                stop_after=1,
             )
         with pytest.raises(ConfigError, match="different parameters"):
             run_campaign(
@@ -93,4 +93,4 @@ class TestCheckpointValidation:
         from repro.errors import RASError
 
         with pytest.raises(RASError):
-            run_campaign(seed=3, kinds=KINDS, quick=True, stop_after_batch=1)
+            run_campaign(seed=3, kinds=KINDS, quick=True, stop_after=1)

@@ -145,8 +145,8 @@ class TestServiceCampaign:
         result = run_service_campaign(
             seed=0, tenants=2, quick=True, controllers=False
         )
-        assert result.isolated
-        assert result.mismatches == []
+        assert result.ok
+        assert result.problems == []
         assert result.tenants == ["tenant0", "tenant1"]
         assert result.faulty_tenant == "tenant0"
         # The shared cache really was shared across tenants and legs.
@@ -168,7 +168,7 @@ class TestServiceCampaign:
         result = run_service_campaign(
             seed=0, tenants=2, quick=True, controllers=True
         )
-        assert result.isolated
+        assert result.ok
         controllers = result.controller_fingerprints
         assert set(controllers["solo"]) == {"tenant0", "tenant1"}
         for name, kinds in controllers["solo"].items():
@@ -190,7 +190,11 @@ class TestServiceCampaign:
             seed=0, tenants=2, quick=True, controllers=False
         )
         assert not result.aggressor_demoted
-        assert result.mismatches == [
+        assert result.problems == [
             {"check": "fault-not-fired", "tenant": "tenant0"}
         ]
-        assert not result.isolated
+        assert not result.ok
+
+    def test_fewer_than_two_tenants_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="at least 2 tenants"):
+            run_service_campaign(seed=0, tenants=1, quick=True)

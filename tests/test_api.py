@@ -80,9 +80,8 @@ class TestOnlineExports:
         for name in api.__all__:
             assert getattr(api, name) is not None
 
-    def test_session_adaptive_campaign(self):
-        session = api.Session(cache_dir=None, workers=0)
-        result = session.adaptive_campaign(seed=0, quick=True)
+    def test_run_adaptive_campaign(self):
+        result = api.run_adaptive_campaign(seed=0, quick=True)
         assert result.stationary_remaps == 0
         assert result.speedup > 1.0
 

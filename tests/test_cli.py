@@ -1,5 +1,6 @@
 """Tests for the ``python -m repro`` command-line front end."""
 
+import importlib
 import json
 
 import pytest
@@ -311,17 +312,84 @@ class TestTierCommand:
         with pytest.raises(SystemExit):
             main(["tier", "--quick", "--full"])
 
-    def test_tier_interrupt_exits_3(self, capsys, monkeypatch):
-        import repro.tier.campaign
+
+#: Where each campaign subcommand looks its function up at call time.
+CAMPAIGN_FUNCTIONS = {
+    "ras": ("repro.ras.campaign", "run_campaign"),
+    "adapt": ("repro.online.campaign", "run_adaptive_campaign"),
+    "tier": ("repro.tier.campaign", "run_tier_campaign"),
+    "serve": ("repro.service", "run_service_campaign"),
+}
+
+#: Usage errors: each exits 2 with one ``error:`` line, no traceback.
+#: ``{ckpt}`` is a checkpoint path under the test's tmp dir.
+USAGE_ERRORS = {
+    "ras-resume-without-checkpoint": ["ras", "--resume"],
+    "adapt-resume-without-checkpoint": ["adapt", "--resume"],
+    "stop-after-without-checkpoint": ["ras", "--stop-after", "2"],
+    "guard-sample-without-guard": ["adapt", "--guard-sample", "0.5"],
+    "unknown-kind": ["ras", "--kinds", "foo"],
+    "unknown-policy": ["tier", "--policy", "bogus"],
+    "unknown-backend": ["serve", "--backend", "bogus"],
+    "missing-checkpoint": ["ras", "--checkpoint", "{ckpt}", "--resume"],
+    "checkpoint-of-other-parameters": [
+        "ras", "--seed", "3", "--kinds", "row",
+        "--checkpoint", "{ckpt}", "--resume",
+    ],
+    "one-tenant": ["serve", "--tenants", "1"],
+}
+
+
+class _OneProblem:
+    """A campaign result that found exactly one problem."""
+
+    problems = ["planted problem"]
+    ok = False
+
+    def to_dict(self):
+        return {}
+
+    def summary(self):
+        return "planted result"
+
+
+class TestCampaignExitContract:
+    @pytest.mark.parametrize("name", sorted(CAMPAIGN_FUNCTIONS))
+    def test_exit_contract(self, name, capsys, monkeypatch):
+        module, function = CAMPAIGN_FUNCTIONS[name]
+        module = importlib.import_module(module)
 
         def interrupted(**kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(
-            repro.tier.campaign, "run_tier_campaign", interrupted
-        )
-        assert main(["tier", "--quick"]) == 3
+        monkeypatch.setattr(module, function, interrupted)
+        assert main([name, "--quick"]) == 3
         assert "interrupted" in capsys.readouterr().err
+
+        monkeypatch.setattr(module, function, lambda **kwargs: _OneProblem())
+        assert main([name, "--quick"]) == 1
+        captured = capsys.readouterr()
+        assert "planted result" in captured.out
+        assert captured.err == "error: planted problem\n"
+
+        monkeypatch.undo()
+        usage = next(v for v in USAGE_ERRORS.values() if v[0] == name)
+        assert main(usage) == 2
+        assert capsys.readouterr().err.count("error:") == 1
+
+    @pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+    def test_usage_error_exits_2(self, case, capsys, tmp_path):
+        ckpt = str(tmp_path / "ras.ckpt")
+        if case == "checkpoint-of-other-parameters":
+            written = ["ras", "--seed", "2", "--kinds", "row"]
+            assert main(
+                written + ["--checkpoint", ckpt, "--stop-after", "1"]
+            ) == 3
+            capsys.readouterr()
+        argv = [arg.format(ckpt=ckpt) for arg in USAGE_ERRORS[case]]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestTierBench:
