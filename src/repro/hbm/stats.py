@@ -12,73 +12,44 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.ledger import (
+    APPEND,
+    LATEST,
+    LEFT,
+    MAX,
+    SUM,
+    Ledger,
+    key,
+    summed_array,
+)
+
 __all__ = ["BackendHealth", "DeviceHealth", "RemapTraffic", "RunStats"]
 
 
-@dataclass(frozen=True)
-class RunStats:
+@dataclass(frozen=True, eq=False)
+class RunStats(Ledger):
     """Outcome of running one HA trace through a memory model.
 
     ``clp_utilization`` is the share of total channel-time that was
     actually busy: 1.0 means every channel worked for the whole run
     (perfect channel-level parallelism), 1/num_channels means one
     channel did all the work while the rest idled — the stride-32 worst
-    case of Fig. 3.
+    case of Fig. 3.  Stats of independent runs (e.g. a tenant's jobs)
+    merge under the ledger laws (:mod:`repro.ledger`).
     """
 
-    requests: int
-    bytes_moved: int
-    makespan_ns: float
-    row_hits: int
-    row_misses: int
-    num_channels: int
-    per_channel_requests: np.ndarray = field(repr=False)
-    per_channel_busy_ns: np.ndarray = field(repr=False)
-
-    @classmethod
-    def empty(cls, num_channels: int) -> "RunStats":
-        """The merge identity: an all-zero stats for ``num_channels``."""
-        return cls(
-            requests=0,
-            bytes_moved=0,
-            makespan_ns=0.0,
-            row_hits=0,
-            row_misses=0,
-            num_channels=num_channels,
-            per_channel_requests=np.zeros(num_channels, dtype=np.int64),
-            per_channel_busy_ns=np.zeros(num_channels, dtype=np.float64),
-        )
-
-    def merge(self, other: "RunStats") -> "RunStats":
-        """Combine stats from independent runs (e.g. a tenant's jobs).
-
-        Counters add, per-channel arrays add elementwise, and the
-        makespan takes the max.  Lawful: associative, commutative, with
-        :meth:`empty` as identity — so any reduction order gives the
-        same aggregate.
-        """
-        if self.num_channels != other.num_channels:
-            raise ValueError(
-                "cannot merge RunStats with different channel counts: "
-                f"{self.num_channels} != {other.num_channels}"
-            )
-        return RunStats(
-            requests=self.requests + other.requests,
-            bytes_moved=self.bytes_moved + other.bytes_moved,
-            makespan_ns=max(self.makespan_ns, other.makespan_ns),
-            row_hits=self.row_hits + other.row_hits,
-            row_misses=self.row_misses + other.row_misses,
-            num_channels=self.num_channels,
-            per_channel_requests=self.per_channel_requests
-            + other.per_channel_requests,
-            per_channel_busy_ns=self.per_channel_busy_ns
-            + other.per_channel_busy_ns,
-        )
-
-    def __add__(self, other: "RunStats") -> "RunStats":
-        if not isinstance(other, RunStats):
-            return NotImplemented
-        return self.merge(other)
+    requests: int = field(metadata=SUM)
+    bytes_moved: int = field(metadata=SUM)
+    makespan_ns: float = field(metadata=MAX)
+    row_hits: int = field(metadata=SUM)
+    row_misses: int = field(metadata=SUM)
+    num_channels: int = field(metadata=key("channel counts"))
+    per_channel_requests: np.ndarray = field(
+        repr=False, metadata=summed_array(np.int64, "num_channels")
+    )
+    per_channel_busy_ns: np.ndarray = field(
+        repr=False, metadata=summed_array(np.float64, "num_channels")
+    )
 
     @property
     def throughput_gbps(self) -> float:
@@ -126,45 +97,9 @@ class RunStats:
             f"({self.channels_touched}/{self.num_channels} channels)"
         )
 
-    # -- serialization -------------------------------------------------------
-    def to_dict(self) -> dict:
-        """A JSON-serialisable form; :meth:`from_dict` round-trips it."""
-        return {
-            "requests": self.requests,
-            "bytes_moved": self.bytes_moved,
-            "makespan_ns": self.makespan_ns,
-            "row_hits": self.row_hits,
-            "row_misses": self.row_misses,
-            "num_channels": self.num_channels,
-            "per_channel_requests": [
-                int(v) for v in self.per_channel_requests
-            ],
-            "per_channel_busy_ns": [
-                float(v) for v in self.per_channel_busy_ns
-            ],
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunStats":
-        """Rebuild stats written by :meth:`to_dict`."""
-        return cls(
-            requests=int(data["requests"]),
-            bytes_moved=int(data["bytes_moved"]),
-            makespan_ns=float(data["makespan_ns"]),
-            row_hits=int(data["row_hits"]),
-            row_misses=int(data["row_misses"]),
-            num_channels=int(data["num_channels"]),
-            per_channel_requests=np.asarray(
-                data["per_channel_requests"], dtype=np.int64
-            ),
-            per_channel_busy_ns=np.asarray(
-                data["per_channel_busy_ns"], dtype=np.float64
-            ),
-        )
-
-
-@dataclass
-class BackendHealth:
+@dataclass(eq=False)
+class BackendHealth(Ledger):
     """Structured record of every degradation a guarded run suffered.
 
     Like :class:`DeviceHealth` and :class:`RemapTraffic`, deliberately
@@ -176,13 +111,16 @@ class BackendHealth:
     recovery action, each a dict with at least ``event``
     (``"tier-demoted"``) and ``reason``; ``demoted_to`` names the tier
     a demotion pinned the run to, and ``guard`` holds the guard's
-    comparison report.
+    comparison report.  Health merges over *sequential* runs of one
+    backend, so it is the one ledger whose merge is not commutative.
     """
 
-    backend: str = "vector"
-    demoted_to: str | None = None
-    degradations: list = field(default_factory=list)
-    guard: dict | None = None
+    derived = ("ok",)
+
+    backend: str = field(default="vector", metadata=LEFT)
+    demoted_to: str | None = field(default=None, metadata=LATEST)
+    degradations: list = field(default_factory=list, metadata=APPEND)
+    guard: dict | None = field(default=None, metadata=LATEST)
 
     def record(self, event: str, reason: str, **detail) -> None:
         """Append one structured degradation event."""
@@ -199,44 +137,9 @@ class BackendHealth:
             return False
         return self.guard is None or not self.guard.get("diverged", False)
 
-    def merge(self, other: "BackendHealth") -> "BackendHealth":
-        """Combine health from sequential runs of the same backend."""
-        return BackendHealth(
-            backend=self.backend,
-            demoted_to=other.demoted_to or self.demoted_to,
-            degradations=list(self.degradations) + list(other.degradations),
-            guard=other.guard if other.guard is not None else self.guard,
-        )
 
-    def to_dict(self) -> dict:
-        """A JSON-serialisable form."""
-        return {
-            "backend": self.backend,
-            "demoted_to": self.demoted_to,
-            "degradations": [dict(d) for d in self.degradations],
-            "guard": dict(self.guard) if self.guard is not None else None,
-            "ok": self.ok,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BackendHealth":
-        """Rebuild health written by :meth:`to_dict`.
-
-        Keys this record no longer carries (the shard counters of older
-        reports) are ignored, so stored results keep loading.
-        """
-        return cls(
-            backend=str(data.get("backend", "vector")),
-            demoted_to=data.get("demoted_to"),
-            degradations=[dict(d) for d in data.get("degradations", [])],
-            guard=(
-                dict(data["guard"]) if data.get("guard") is not None else None
-            ),
-        )
-
-
-@dataclass
-class RemapTraffic:
+@dataclass(eq=False)
+class RemapTraffic(Ledger):
     """Accounting for live-remap traffic (the online control plane).
 
     Like :class:`DeviceHealth`, deliberately separate from the frozen,
@@ -248,16 +151,18 @@ class RemapTraffic:
     its service-time wins.
     """
 
-    remaps: int = 0
-    failed_remaps: int = 0
-    rollback_migrations: int = 0
-    chunks_migrated: int = 0
-    lines_copied: int = 0
-    bytes_moved: int = 0
-    migration_ns: float = 0.0
-    cmt_writes: int = 0
-    amu_reprograms: int = 0
-    reprogram_ns: float = 0.0
+    derived = ("overhead_ns",)
+
+    remaps: int = field(default=0, metadata=SUM)
+    failed_remaps: int = field(default=0, metadata=SUM)
+    rollback_migrations: int = field(default=0, metadata=SUM)
+    chunks_migrated: int = field(default=0, metadata=SUM)
+    lines_copied: int = field(default=0, metadata=SUM)
+    bytes_moved: int = field(default=0, metadata=SUM)
+    migration_ns: float = field(default=0.0, metadata=SUM)
+    cmt_writes: int = field(default=0, metadata=SUM)
+    amu_reprograms: int = field(default=0, metadata=SUM)
+    reprogram_ns: float = field(default=0.0, metadata=SUM)
 
     def record_migration(self, report, line_bytes: int = 64) -> None:
         """Fold one :class:`~repro.mem.migration.MigrationReport` in."""
@@ -268,47 +173,10 @@ class RemapTraffic:
         self.bytes_moved += 2 * int(report.lines_copied) * int(line_bytes)
         self.migration_ns += float(report.cost_ns)
 
-    def merge(self, other: "RemapTraffic") -> "RemapTraffic":
-        """Combine counters from independent campaign shards (all add)."""
-        return RemapTraffic(
-            remaps=self.remaps + other.remaps,
-            failed_remaps=self.failed_remaps + other.failed_remaps,
-            rollback_migrations=self.rollback_migrations
-            + other.rollback_migrations,
-            chunks_migrated=self.chunks_migrated + other.chunks_migrated,
-            lines_copied=self.lines_copied + other.lines_copied,
-            bytes_moved=self.bytes_moved + other.bytes_moved,
-            migration_ns=self.migration_ns + other.migration_ns,
-            cmt_writes=self.cmt_writes + other.cmt_writes,
-            amu_reprograms=self.amu_reprograms + other.amu_reprograms,
-            reprogram_ns=self.reprogram_ns + other.reprogram_ns,
-        )
-
-    def __add__(self, other: "RemapTraffic") -> "RemapTraffic":
-        if not isinstance(other, RemapTraffic):
-            return NotImplemented
-        return self.merge(other)
-
     @property
     def overhead_ns(self) -> float:
         """Total simulated time the remaps cost."""
         return self.migration_ns + self.reprogram_ns
-
-    def to_dict(self) -> dict:
-        """A JSON-serialisable form."""
-        return {
-            "remaps": self.remaps,
-            "failed_remaps": self.failed_remaps,
-            "rollback_migrations": self.rollback_migrations,
-            "chunks_migrated": self.chunks_migrated,
-            "lines_copied": self.lines_copied,
-            "bytes_moved": self.bytes_moved,
-            "migration_ns": self.migration_ns,
-            "cmt_writes": self.cmt_writes,
-            "amu_reprograms": self.amu_reprograms,
-            "reprogram_ns": self.reprogram_ns,
-            "overhead_ns": self.overhead_ns,
-        }
 
 
 class DeviceHealth:

@@ -1,29 +1,27 @@
 """The mapping service: a batching front-end over tenant contexts.
 
-:class:`MappingService` is the serving layer the ROADMAP's
-"SDAM-as-a-service" north star asks for: tenants are admitted through a
+:class:`MappingService` admits tenants through a
 :class:`~repro.service.registry.TenantRegistry` (quota-carved mapping
-namespaces over shared immutable artifacts), submit workload jobs, and
-``drain()`` schedules every tenant's lane concurrently.  Within a lane
-jobs run in submission order and each job streams its decoded trace
-chunk-by-chunk into that tenant's own backend instance (the vector
-tier by default) — per-tenant streams stay ordered, which is
-what makes every tenant's result bit-identical to a solo run no matter
-how lanes interleave.
+namespaces over shared immutable artifacts), accepts their workload
+jobs, and ``drain()`` schedules every tenant's lane concurrently.
+Within a lane jobs run in submission order and each job streams its
+decoded trace chunk-by-chunk into that tenant's own backend instance
+(the vector tier by default) — per-tenant streams stay ordered, which
+is what makes every tenant's result bit-identical to a solo run no
+matter how lanes interleave.
 
 Per-tenant :class:`~repro.hbm.stats.RunStats` and
-:class:`~repro.hbm.stats.BackendHealth` are folded with the PR-7 merge
-laws into service-level aggregates, and the report carries deterministic
-per-tenant fingerprints plus the shared plan-cache counters — the
-evidence that tenants shared compiled plans without sharing anything
-mutable.
+:class:`~repro.hbm.stats.BackendHealth` are folded under the ledger
+laws (DESIGN §2, "Run ledgers") into service-level aggregates, and the
+report carries deterministic per-tenant fingerprints plus the shared
+plan-cache counters — the evidence that tenants shared compiled plans
+without sharing anything mutable.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import reduce
 
 from repro.core.cmt import MappingNamespace
 from repro.errors import ConfigError
@@ -56,21 +54,12 @@ class TenantResult:
     @property
     def stats(self) -> RunStats | None:
         """This tenant's run statistics, merged across its jobs."""
-        parts = [r.stats for r in self.results]
-        if not parts:
-            return None
-        return reduce(lambda a, b: a.merge(b), parts)
+        return RunStats.fold(r.stats for r in self.results)
 
     @property
     def health(self) -> BackendHealth | None:
         """This tenant's backend health, merged across its jobs."""
-        parts = [
-            r.backend_health for r in self.results
-            if r.backend_health is not None
-        ]
-        if not parts:
-            return None
-        return reduce(lambda a, b: a.merge(b), parts)
+        return BackendHealth.fold(r.backend_health for r in self.results)
 
     def fingerprint(self) -> dict:
         """Deterministic content of this tenant's lane.
@@ -111,22 +100,12 @@ class ServiceReport:
     @property
     def aggregate_stats(self) -> RunStats | None:
         """Service-wide statistics: per-tenant stats under the merge laws."""
-        parts = [
-            t.stats for t in self.tenants.values() if t.stats is not None
-        ]
-        if not parts:
-            return None
-        return reduce(lambda a, b: a.merge(b), parts)
+        return RunStats.fold(t.stats for t in self.tenants.values())
 
     @property
     def aggregate_health(self) -> BackendHealth | None:
         """Service-wide backend health under the merge laws."""
-        parts = [
-            t.health for t in self.tenants.values() if t.health is not None
-        ]
-        if not parts:
-            return None
-        return reduce(lambda a, b: a.merge(b), parts)
+        return BackendHealth.fold(t.health for t in self.tenants.values())
 
     def fingerprints(self) -> dict[str, dict]:
         """Per-tenant deterministic fingerprints."""

@@ -2,8 +2,7 @@
 
 The single-tenant :class:`~repro.system.machine.Machine` owns everything
 — device config, geometry, engine, kernel, backend, selection policy.
-Multi-tenant serving (ROADMAP: "millions of users, heavy traffic")
-splits that state along its natural seam:
+Multi-tenant serving splits that state along its natural seam:
 
 * :class:`SharedArtifacts` — the immutable, compile-once side every
   tenant reads: the :class:`~repro.hbm.config.HBMConfig`, the chunk

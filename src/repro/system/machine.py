@@ -191,9 +191,9 @@ class MachineResult:
         data["profiling_seconds"] = 0.0
         if data["selection"] is not None:
             data["selection"]["elapsed_seconds"] = 0.0
-        # Health describes *how* the result was obtained (pool
-        # availability, retries) and varies with the host environment;
-        # the deterministic content is the result itself.
+        # Health describes *how* the result was obtained (guard
+        # demotions and their reports), not what the result is; the
+        # deterministic content is the result itself.
         data.pop("backend_health", None)
         # Tier traffic is likewise provenance (placement and swap
         # accounting), not result content: the timing it influenced is

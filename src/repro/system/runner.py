@@ -40,6 +40,7 @@ from repro.core.keys import stable_hash
 from repro.core.selection import MappingSelection
 from repro.errors import ConfigError, RetryExhaustedError
 from repro.faults import FaultPlan
+from repro.ledger import SUM, Ledger, key
 from repro.profiling.profiler import WorkloadProfile
 from repro.system.config import SystemConfig, standard_systems
 from repro.system.experiment import SpeedupTable
@@ -110,36 +111,15 @@ class RetryPolicy:
         return attempt < self.max_attempts and error_type in self.retry_on
 
 
-@dataclass
-class StageMetrics:
+@dataclass(eq=False)
+class StageMetrics(Ledger):
     """Aggregated accounting for one stage across a sweep."""
 
-    stage: str
-    wall_seconds: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    bytes_simulated: int = 0
-
-    def to_dict(self) -> dict:
-        """A JSON-serialisable form."""
-        return {
-            "stage": self.stage,
-            "wall_seconds": self.wall_seconds,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "bytes_simulated": self.bytes_simulated,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StageMetrics":
-        """Rebuild metrics written by :meth:`to_dict`."""
-        return cls(
-            stage=data["stage"],
-            wall_seconds=float(data["wall_seconds"]),
-            cache_hits=int(data["cache_hits"]),
-            cache_misses=int(data["cache_misses"]),
-            bytes_simulated=int(data["bytes_simulated"]),
-        )
+    stage: str = field(metadata=key("stages"))
+    wall_seconds: float = field(default=0.0, metadata=SUM)
+    cache_hits: int = field(default=0, metadata=SUM)
+    cache_misses: int = field(default=0, metadata=SUM)
+    bytes_simulated: int = field(default=0, metadata=SUM)
 
 
 @dataclass(frozen=True)

@@ -1,82 +1,45 @@
 """Tier traffic accounting: what the fast/slow split cost and saved.
 
-:class:`TierTraffic` follows the same laws as
-:class:`~repro.hbm.stats.RunStats` and
-:class:`~repro.hbm.stats.RemapTraffic` — ``empty()`` is the identity of
-an associative, commutative ``merge`` (all counters add), and
-``__add__`` returns ``NotImplemented`` for foreign types — so traffic
-from independent campaign legs or sequential runs folds together in any
-order.  Like :class:`~repro.hbm.stats.BackendHealth` it is deliberately
-*not* part of the frozen, cache-fingerprinted
-:class:`~repro.hbm.stats.RunStats`: tier traffic describes how the
-tiered backend obtained a result, never what the result is, so a
-tiered run whose fast tier covers the whole footprint fingerprints
-bit-identically to its delegate backend.
+:class:`TierTraffic` is a ledger (:mod:`repro.ledger`, DESIGN §2 "Run
+ledgers"): every counter adds, so traffic from independent campaign
+legs or sequential runs folds together in any order.  Like
+:class:`~repro.hbm.stats.BackendHealth` it is deliberately *not* part of
+the frozen, cache-fingerprinted :class:`~repro.hbm.stats.RunStats`: tier
+traffic describes how the tiered backend obtained a result, never what
+the result is, so a tiered run whose fast tier covers the whole
+footprint fingerprints bit-identically to its delegate backend.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+from repro.ledger import SUM, Ledger
 
 __all__ = ["TierTraffic"]
 
-_FIELDS = (
-    "fast_accesses",
-    "slow_accesses",
-    "promotions",
-    "demotions",
-    "retired_pins",
-    "swap_waves",
-    "swap_bytes",
-    "swap_ns",
-    "trans_lookups",
-    "trans_hits",
-    "trans_misses",
-    "trans_ns",
-    "slow_busy_ns",
-    "sdam_remaps",
-    "sdam_rollbacks",
-)
 
-
-@dataclass
-class TierTraffic:
+@dataclass(eq=False)
+class TierTraffic(Ledger):
     """Counters for one tiered run (or a merge of several)."""
 
-    fast_accesses: int = 0
-    slow_accesses: int = 0
-    promotions: int = 0
-    demotions: int = 0
-    retired_pins: int = 0
-    swap_waves: int = 0
-    swap_bytes: int = 0
-    swap_ns: float = 0.0
-    trans_lookups: int = 0
-    trans_hits: int = 0
-    trans_misses: int = 0
-    trans_ns: float = 0.0
-    slow_busy_ns: float = 0.0
-    sdam_remaps: int = 0
-    sdam_rollbacks: int = 0
+    derived = ("fast_fraction", "overhead_ns")
 
-    @classmethod
-    def empty(cls) -> "TierTraffic":
-        """The merge identity: all counters zero."""
-        return cls()
-
-    def merge(self, other: "TierTraffic") -> "TierTraffic":
-        """Combine traffic from independent runs (all counters add)."""
-        return TierTraffic(
-            **{
-                name: getattr(self, name) + getattr(other, name)
-                for name in _FIELDS
-            }
-        )
-
-    def __add__(self, other: "TierTraffic") -> "TierTraffic":
-        if not isinstance(other, TierTraffic):
-            return NotImplemented
-        return self.merge(other)
+    fast_accesses: int = field(default=0, metadata=SUM)
+    slow_accesses: int = field(default=0, metadata=SUM)
+    promotions: int = field(default=0, metadata=SUM)
+    demotions: int = field(default=0, metadata=SUM)
+    retired_pins: int = field(default=0, metadata=SUM)
+    swap_waves: int = field(default=0, metadata=SUM)
+    swap_bytes: int = field(default=0, metadata=SUM)
+    swap_ns: float = field(default=0.0, metadata=SUM)
+    trans_lookups: int = field(default=0, metadata=SUM)
+    trans_hits: int = field(default=0, metadata=SUM)
+    trans_misses: int = field(default=0, metadata=SUM)
+    trans_ns: float = field(default=0.0, metadata=SUM)
+    slow_busy_ns: float = field(default=0.0, metadata=SUM)
+    sdam_remaps: int = field(default=0, metadata=SUM)
+    sdam_rollbacks: int = field(default=0, metadata=SUM)
 
     @property
     def accesses(self) -> int:
@@ -105,26 +68,6 @@ class TierTraffic:
     def overhead_ns(self) -> float:
         """Simulated time the tier machinery itself cost."""
         return self.swap_ns + self.trans_ns
-
-    def to_dict(self) -> dict:
-        """A JSON-serialisable form; :meth:`from_dict` round-trips it."""
-        data = {name: getattr(self, name) for name in _FIELDS}
-        data["fast_fraction"] = self.fast_fraction
-        data["overhead_ns"] = self.overhead_ns
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TierTraffic":
-        """Rebuild traffic written by :meth:`to_dict`."""
-        kwargs = {}
-        for name in _FIELDS:
-            value = data.get(name, 0)
-            kwargs[name] = (
-                float(value)
-                if name.endswith("_ns")
-                else int(value)
-            )
-        return cls(**kwargs)
 
     def summary(self) -> str:
         """One-line human-readable summary."""

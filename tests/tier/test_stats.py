@@ -7,10 +7,14 @@ instances.  Nanosecond fields are drawn as integer-valued floats so the
 laws are about the merge structure, not float associativity.
 """
 
+from dataclasses import fields
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tier.stats import _FIELDS, TierTraffic
+from repro.tier.stats import TierTraffic
+
+_FIELDS = tuple(f.name for f in fields(TierTraffic))
 
 counters = st.integers(min_value=0, max_value=10_000)
 whole_ns = st.integers(min_value=0, max_value=10**9).map(float)
