@@ -15,20 +15,54 @@ contention structure of 3D memory (Section 2.1):
   ``max_inflight`` outstanding requests, so by Little's law the run
   takes at least ``sum(service costs) / max_inflight``.
 
-Row hits are classified with an FR-FCFS batching rule (see
-:func:`row_hit_mask`), matching the event-driven tier's scheduler.
+Row hits follow the FR-FCFS batch rule of :func:`frfcfs_batch_hits`
+(shared with the vector tier), as in the event tier's scheduler.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.cpu.trace import radix_argsort
 from repro.errors import SimulationError
 from repro.hbm.config import HBMConfig
 from repro.hbm.decode import DecodedTrace, concat_decoded, decode_trace
 from repro.hbm.stats import RunStats
 
-__all__ = ["WindowModel", "row_hit_mask"]
+__all__ = ["WindowModel", "frfcfs_batch_hits", "row_hit_mask"]
+
+
+def frfcfs_batch_hits(bank: np.ndarray, row: np.ndarray, window: int):
+    """The FR-FCFS batch rule, per bank: ``(order, new_run, hit)``.
+
+    ``order`` is the stable bank order, so each bank's run keeps trace
+    order; ``new_run`` flags each run's first request.  Runs are cut
+    into batches of ``window`` requests, and ``hit`` (in bank order)
+    flags a request whose row already occurred earlier in its batch.
+    Two radix sorts decide it at any window: runs are shifted to start
+    on a multiple of the window, so batches are windows of positions,
+    and a stable sort by row makes each batch's same-row requests
+    adjacent, in trace order.
+    """
+    order = radix_argsort(bank)
+    b_s = bank[order]
+    n = b_s.size
+    new_run = np.ones(n, dtype=bool)
+    new_run[1:] = b_s[1:] != b_s[:-1]
+    window = max(1, window)
+    lengths = np.diff(np.flatnonzero(new_run), append=n)
+    gaps = -lengths % window
+    batch = np.arange(n) + np.repeat(np.cumsum(gaps) - gaps, lengths)
+    batch //= window
+    r_s = row[order]
+    by_row = radix_argsort(r_s)
+    r_g = r_s[by_row]
+    batch_g = batch[by_row]
+    same = np.zeros(n, dtype=bool)
+    same[1:] = (r_g[1:] == r_g[:-1]) & (batch_g[1:] == batch_g[:-1])
+    hit = np.empty(n, dtype=bool)
+    hit[by_row] = same
+    return order, new_run, hit
 
 
 def row_hit_mask(decoded: DecodedTrace, reorder_window: int = 8) -> np.ndarray:
@@ -36,38 +70,17 @@ def row_hit_mask(decoded: DecodedTrace, reorder_window: int = 8) -> np.ndarray:
 
     A real controller reorders its queue to serve same-row requests
     back to back, so two interleaved streams alternating rows in one
-    bank do not thrash: within each window of ``reorder_window``
+    bank do not thrash: within each batch of ``reorder_window``
     consecutive accesses *to a bank*, all requests to the same row
-    after the first are hits.  ``reorder_window=1`` degenerates to the
-    strict in-order rule (previous access to the bank must match).
+    after the first are hits (:func:`frfcfs_batch_hits`).  No open row
+    is carried between batches (the vector tier carries it), so each
+    batch's first access misses and ``reorder_window=1`` never hits.
     """
-    n = len(decoded)
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    window = max(1, reorder_window)
-    # Rank of each access within its bank's sub-stream.
-    bank_order = np.argsort(decoded.global_bank, kind="stable")
-    bank_sorted = decoded.global_bank[bank_order]
-    new_bank = np.ones(n, dtype=bool)
-    new_bank[1:] = bank_sorted[1:] != bank_sorted[:-1]
-    group_start = np.maximum.accumulate(np.where(new_bank, np.arange(n), 0))
-    pos_in_bank = np.arange(n) - group_start
-    batch = pos_in_bank // window
-    # Within (bank, batch, row), everything after the first access hits.
-    keys = np.empty(n, dtype=np.int64)
-    keys[bank_order] = batch  # batch id, aligned back to trace order
-    order = np.lexsort((np.arange(n), decoded.row, keys, decoded.global_bank))
-    bank_g = decoded.global_bank[order]
-    batch_g = keys[order]
-    row_g = decoded.row[order]
-    same = np.zeros(n, dtype=bool)
-    same[1:] = (
-        (bank_g[1:] == bank_g[:-1])
-        & (batch_g[1:] == batch_g[:-1])
-        & (row_g[1:] == row_g[:-1])
+    order, _, hit = frfcfs_batch_hits(
+        decoded.global_bank, decoded.row, reorder_window
     )
-    hits = np.empty(n, dtype=bool)
-    hits[order] = same
+    hits = np.empty(len(decoded), dtype=bool)
+    hits[order] = hit
     return hits
 
 

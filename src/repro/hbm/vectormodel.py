@@ -17,12 +17,12 @@ Channels are independent (the paper's CLP argument), so each channel's
 requests form a private substream, processed sequentially in fixed
 blocks of ``block_accesses`` requests:
 
-* **Row hits** — a stable sort by bank turns the block into per-bank
-  runs.  A request hits when its row already occurred in the same
-  FR-FCFS batch (``frfcfs_window`` consecutive same-bank requests — the
-  scheduler's reorder credit) or when it continues the bank's open row,
-  carried across blocks.  This is the event scheduler's behaviour
-  without the queue dynamics.
+* **Row hits** — the shared :func:`~repro.hbm.fastmodel.frfcfs_batch_hits`
+  turns the block into per-bank runs.  A request hits when its row
+  already occurred in the same FR-FCFS batch (``frfcfs_window``
+  same-bank requests — the scheduler's reorder credit) or continues
+  the bank's open row, carried across batches and blocks: the event
+  scheduler's behaviour without the queue dynamics.
 * **Timing** — the event recurrence ``done_i = max(bank_ready + cost_i,
   bus_free + t_burst)`` is a longest path through a DAG with per-bank
   edges (weight = hit/miss cost) and per-channel bus edges (weight =
@@ -52,9 +52,11 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from repro.cpu.trace import radix_argsort
 from repro.errors import SimulationError
 from repro.hbm.config import HBMConfig
 from repro.hbm.decode import DecodedTrace, decode_trace
+from repro.hbm.fastmodel import frfcfs_batch_hits
 from repro.hbm.stats import RunStats
 
 __all__ = ["VectorModel"]
@@ -89,7 +91,7 @@ class _ChannelLane:
         banks = config.banks_per_channel
         self.t_burst = config.effective_t_burst_ns
         self.t_miss = config.effective_t_row_miss_ns
-        self.window = max(1, frfcfs_window)
+        self.window = frfcfs_window
         self.block = block_accesses
         self.open_row = np.full(banks, -1, dtype=np.int64)
         self.bank_ready = np.zeros(banks, dtype=np.float64)
@@ -150,29 +152,14 @@ class _ChannelLane:
         self, bank: np.ndarray, row: np.ndarray, forced: np.ndarray
     ) -> None:
         m = bank.size
-        order = np.argsort(bank, kind="stable")  # per-bank runs, trace order
-        b_s = bank[order]
-        r_s = row[order]
-        new_seg = np.empty(m, dtype=bool)
-        new_seg[0] = True
-        new_seg[1:] = b_s[1:] != b_s[:-1]
-        positions = np.arange(m)
-        seg_start = np.maximum.accumulate(np.where(new_seg, positions, 0))
-        rank = positions - seg_start
-        batch = rank // self.window
-
         # Hit rule, clause 1: the row already occurred in this (bank,
         # batch) — FR-FCFS serves same-row requests in the lookahead
         # window back to back, so only the first of the group misses.
-        lex = np.lexsort((positions, r_s, batch, b_s))
-        dup = np.zeros(m, dtype=bool)
-        dup[1:] = (
-            (b_s[lex][1:] == b_s[lex][:-1])
-            & (batch[lex][1:] == batch[lex][:-1])
-            & (r_s[lex][1:] == r_s[lex][:-1])
-        )
-        hit_s = np.zeros(m, dtype=bool)
-        hit_s[lex] = dup
+        order, new_seg, hit_s = frfcfs_batch_hits(bank, row, self.window)
+        b_s = bank[order]
+        r_s = row[order]
+        positions = np.arange(m)
+        seg_start = np.maximum.accumulate(np.where(new_seg, positions, 0))
         # Clause 2: the row continues the bank's open row (carried across
         # batches and blocks).  Inside a batch this is subsumed by
         # clause 1, so applying it everywhere is harmless.
@@ -259,7 +246,7 @@ def _run_lanes(
         if m == 0:
             continue
         channel = np.asarray(decoded.channel)
-        order = np.argsort(channel, kind="stable")
+        order = radix_argsort(channel)
         channel_s = channel[order]
         bank_s = np.asarray(decoded.bank)[order]
         row_s = np.asarray(decoded.row)[order]

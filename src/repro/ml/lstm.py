@@ -15,13 +15,12 @@ __all__ = ["LSTMCell", "LSTMLayer", "sigmoid"]
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically-stable logistic function."""
-    out = np.empty_like(x)
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    exp_x = np.exp(x[~positive])
-    out[~positive] = exp_x / (1.0 + exp_x)
-    return out
+    """Numerically-stable logistic function, without branches.
+
+    ``minimum(x, -x)`` is ``-|x|`` that keeps a NaN's sign bit.
+    """
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 class LSTMCell:
@@ -55,10 +54,11 @@ class LSTMCell:
         gates = x @ p[f"{self.prefix}.Wx"] + h @ p[f"{self.prefix}.Wh"]
         gates += p[f"{self.prefix}.b"]
         hd = self.hidden_dim
-        i = sigmoid(gates[:, :hd])
-        f = sigmoid(gates[:, hd : 2 * hd])
+        act = sigmoid(gates)  # one call over [i|f|g|o]; g is re-done as tanh
+        i = act[:, :hd]
+        f = act[:, hd : 2 * hd]
         g = np.tanh(gates[:, 2 * hd : 3 * hd])
-        o = sigmoid(gates[:, 3 * hd :])
+        o = act[:, 3 * hd :]
         c_next = f * c + i * g
         tanh_c = np.tanh(c_next)
         h_next = o * tanh_c
