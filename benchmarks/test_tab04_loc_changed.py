@@ -23,7 +23,7 @@ PAPER_LOC = {
 
 FEATURE_MODULES = {
     "VM allocator": ["malloc.py", "virtual.py"],
-    "PM allocator": ["physical.py", "buddy.py"],
+    "PM allocator": ["physical.py"],
     "Driver": ["kernel.py"],
     "Miscellaneous": ["__init__.py"],
 }

@@ -49,7 +49,13 @@ class AllocationError(ReproError):
 
 
 class OutOfMemoryError(AllocationError):
-    """No free chunks/frames/heap space remain."""
+    """No free chunks/frames/heap space remain.
+
+    A bulk frame allocation that runs out part-way sets ``frames`` to
+    the frames it did allocate, so the caller can still map them.
+    """
+
+    frames: list[int] | tuple[()] = ()
 
 
 class AddressError(ReproError):

@@ -1,6 +1,5 @@
-"""OS memory-management substrate: buddy, chunks, VM, kernel, malloc."""
+"""OS memory-management substrate: chunks, VM, kernel, malloc."""
 
-from repro.mem.buddy import BuddyAllocator
 from repro.mem.kernel import Kernel
 from repro.mem.malloc import Allocation, Heap, MappingAwareAllocator
 from repro.mem.migration import ChunkMigrator, MigrationReport
@@ -10,7 +9,6 @@ from repro.mem.virtual import AddressSpace, VMArea
 __all__ = [
     "AddressSpace",
     "Allocation",
-    "BuddyAllocator",
     "Chunk",
     "ChunkGroup",
     "ChunkMigrator",

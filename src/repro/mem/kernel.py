@@ -53,7 +53,7 @@ class _CMTDriver:
 
 
 class _FaultHandler:
-    """Page-fault handler: allocate a frame from the right group."""
+    """Page-fault handler: allocate a VMA's new frames from the right group."""
 
     def __init__(
         self, physical: PhysicalMemory, mappings: dict[int, int], sdam_enabled: bool
@@ -62,13 +62,13 @@ class _FaultHandler:
         self.mappings = mappings
         self.sdam_enabled = sdam_enabled
 
-    def __call__(self, mapping_id: int) -> int:
+    def __call__(self, mapping_id: int, count: int) -> list[int]:
         effective = mapping_id if self.sdam_enabled else 0
         if effective not in self.mappings:
             raise ProfilingError(
                 f"mapping id {mapping_id} was never registered via add_addr_map"
             )
-        return self.physical.alloc_frame(effective)
+        return self.physical.alloc_frames(count, effective)
 
 
 class Kernel:

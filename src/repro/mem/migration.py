@@ -69,8 +69,8 @@ class ChunkMigrator:
     def _allocated_lines(self, chunk) -> np.ndarray:
         """PAs of every live (data-bearing) cache line in the chunk.
 
-        Retired pages are pinned in the buddy allocator but carry no
-        data, so they are excluded from the copy.
+        Retired pages are marked used in the chunk but carry no data,
+        so they are excluded from the copy.
         """
         geometry = self.kernel.geometry
         lines_per_page = geometry.page_bytes // geometry.line_bytes

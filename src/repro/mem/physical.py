@@ -4,8 +4,8 @@ Section 6.1's physical page allocator: physical memory is carved into
 2 MB chunks; chunks with the same address mapping form a *chunk group*;
 a global free list holds unused chunks.  When a group needs memory it
 acquires chunks from the free list (notifying the hardware CMT through
-a callback), and when a chunk drains empty the buddy allocator coalesces
-it back to the free list.
+a callback).  Inside a chunk, frames are single pages tracked by a free
+bitmap; when a chunk drains empty it coalesces back to the free list.
 """
 
 from __future__ import annotations
@@ -14,84 +14,96 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from repro.core.chunks import ChunkGeometry
 from repro.errors import AllocationError, OutOfMemoryError
-from repro.mem.buddy import BuddyAllocator
 
 __all__ = ["Chunk", "ChunkGroup", "PhysicalMemory"]
 
 
-@dataclass
+@dataclass(eq=False)
 class Chunk:
     """One physical chunk with its intra-chunk frame allocator.
 
-    ``rotation_pages`` implements *chunk colouring*: frames are handed
-    out starting at a per-mapping rotation inside the chunk, so heaps
-    of different mappings do not all begin at chunk offset 0 (which
-    would pile every mapping's hottest data into the same DRAM bank).
+    Frames are single pages, so the allocator is a free bitmap over the
+    chunk's pages.  ``rotation_pages`` implements *chunk colouring*:
+    frames are handed out starting at a per-mapping rotation inside the
+    chunk, so heaps of different mappings do not all begin at chunk
+    offset 0 (which would pile every mapping's hottest data into the
+    same DRAM bank).
     """
 
     number: int
     geometry: ChunkGeometry
     mapping_id: int | None = None
     rotation_pages: int = 0
-    frames: BuddyAllocator = field(init=False)
+    free_pages: int = field(init=False)
     retired_pages: set[int] = field(init=False, default_factory=set)
+    _free: np.ndarray = field(init=False, repr=False)
     _cursor: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
-        max_order = (self.geometry.pages_per_chunk - 1).bit_length()
-        self.frames = BuddyAllocator(max_order)
-        self._cursor = self.rotation_pages % self.geometry.pages_per_chunk
+        pages = self.geometry.pages_per_chunk
+        self.free_pages = pages
+        self._free = np.ones(pages, dtype=bool)
+        self._cursor = self.rotation_pages % pages
 
     @property
     def base_pa(self) -> int:
         """First physical address of the chunk."""
         return self.geometry.chunk_base(self.number)
 
-    @property
-    def free_pages(self) -> int:
-        """Unallocated frames remaining."""
-        return self.frames.free_pages
-
     def alloc_frame(self) -> int:
-        """Allocate one frame; returns its physical address.
-
-        Frames are allocated in rotated sequential order from
-        ``rotation_pages``, wrapping around the chunk.
-        """
-        pages = self.geometry.pages_per_chunk
-        for _attempt in range(pages):
-            candidate = self._cursor
-            self._cursor = (self._cursor + 1) % pages
-            if self.frames.is_free(candidate):
-                offset = self.frames.alloc_at(candidate)
-                return self.base_pa + (offset << self.geometry.page_bits)
-        raise OutOfMemoryError(f"chunk {self.number} has no free frames")
+        """Allocate one frame; returns its physical address."""
+        return self.alloc_frames(1)[0]
 
     def alloc_frames(self, count: int) -> list[int]:
-        """Allocate ``count`` frames (not necessarily contiguous)."""
-        return [self.alloc_frame() for _ in range(count)]
+        """Allocate ``count`` frames; returns their physical addresses.
+
+        Frames go out in rotated sequential order: the first ``count``
+        free pages at or after the cursor, wrapping around the chunk.
+        The cursor starts at ``rotation_pages`` and rests one past the
+        last page handed out.
+        """
+        if count > self.free_pages:
+            raise OutOfMemoryError(
+                f"chunk {self.number} has no free frames"
+                if not self.free_pages
+                else f"chunk {self.number} has only {self.free_pages} free frames"
+            )
+        if count <= 0:
+            return []
+        free = np.flatnonzero(self._free)
+        split = np.searchsorted(free, self._cursor)
+        taken = np.concatenate((free[split:], free[:split]))[:count]
+        self._free[taken] = False
+        self.free_pages -= count
+        self._cursor = (int(taken[-1]) + 1) % self._free.size
+        return ((taken << self.geometry.page_bits) + self.base_pa).tolist()
 
     def free_frame(self, pa: int) -> None:
         """Free one frame by physical address."""
         offset = (pa - self.base_pa) >> self.geometry.page_bits
         if not 0 <= offset < self.geometry.pages_per_chunk:
             raise AllocationError(f"frame {pa:#x} not in chunk {self.number}")
-        self.frames.free(offset)
+        if self._free[offset]:
+            raise AllocationError(f"block at page {offset} is not allocated")
+        self._free[offset] = True
+        self.free_pages += 1
 
     @property
     def is_empty(self) -> bool:
-        """True when nothing is allocated."""
-        return self.frames.is_empty
+        """True when nothing is allocated (retired pages count as used)."""
+        return self.free_pages == self._free.size
 
     # -- RAS: page retirement ---------------------------------------------
     def retire_page(self, page_offset: int) -> None:
         """Permanently take one page out of service.
 
-        The page must be free (relocate live data first); it is pinned
-        in the buddy allocator so neither the rotation cursor nor buddy
-        coalescing can ever hand it out again.
+        The page must be free (relocate live data first); it is marked
+        used, so the rotation cursor never hands it out again and the
+        chunk never drains back to the free list.
         """
         if not 0 <= page_offset < self.geometry.pages_per_chunk:
             raise AllocationError(
@@ -99,22 +111,22 @@ class Chunk:
             )
         if page_offset in self.retired_pages:
             return
-        if not self.frames.is_free(page_offset):
+        if not self._free[page_offset]:
             raise AllocationError(
                 f"page {page_offset} of chunk {self.number} is live; "
                 "relocate before retiring"
             )
-        self.frames.alloc_at(page_offset)
+        self._free[page_offset] = False
+        self.free_pages -= 1
         self.retired_pages.add(page_offset)
 
     def live_page_offsets(self) -> list[int]:
         """Offsets of data-bearing pages (allocated and not retired)."""
-        live: list[int] = []
-        for offset, order in self.frames.allocated_blocks().items():
-            for page in range(offset, offset + (1 << order)):
-                if page not in self.retired_pages:
-                    live.append(page)
-        return sorted(live)
+        return [
+            page
+            for page in np.flatnonzero(~self._free).tolist()
+            if page not in self.retired_pages
+        ]
 
     @property
     def is_drained(self) -> bool:
@@ -241,17 +253,35 @@ class PhysicalMemory:
     # -- frame-level operations --------------------------------------------
     def alloc_frame(self, mapping_id: int) -> int:
         """Allocate one physical frame with the given address mapping."""
-        group = self.group(mapping_id)
-        chunk = group.chunk_with_space()
-        if chunk is None:
-            chunk = self.acquire_chunk(mapping_id)
-        pa = chunk.alloc_frame()
-        self._frame_owner[pa] = chunk.number
-        return pa
+        return self.alloc_frames(1, mapping_id)[0]
 
     def alloc_frames(self, count: int, mapping_id: int) -> list[int]:
-        """Allocate several frames with one mapping."""
-        return [self.alloc_frame(mapping_id) for _ in range(count)]
+        """Allocate ``count`` frames with one mapping, in fault order.
+
+        Fills the group's first chunk with space, then the next,
+        acquiring chunks from the free list as the group runs out, so
+        frames, chunk acquisitions and their callbacks come out exactly
+        as ``count`` one-frame allocations would produce them.  If
+        memory runs out part-way, the raised :class:`OutOfMemoryError`
+        carries the frames already allocated in ``frames``.
+        """
+        group = self.group(mapping_id)
+        frames: list[int] = []
+        try:
+            while len(frames) < count:
+                chunk = group.chunk_with_space()
+                if chunk is None:
+                    chunk = self.acquire_chunk(mapping_id)
+                take = min(count - len(frames), chunk.free_pages)
+                # A chunk born full (the new-chunk hook retired every
+                # page) asks for one frame, which raises.
+                run = chunk.alloc_frames(take or 1)
+                self._frame_owner.update(dict.fromkeys(run, chunk.number))
+                frames += run
+        except OutOfMemoryError as error:
+            error.frames = frames
+            raise
+        return frames
 
     def free_frame(self, pa: int) -> None:
         """Free a frame; empty chunks coalesce back to the free list."""

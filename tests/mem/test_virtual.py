@@ -16,11 +16,11 @@ class FrameSource:
         self.next_frame = 0
         self.faults: list[int] = []
 
-    def __call__(self, mapping_id: int) -> int:
-        self.faults.append(mapping_id)
-        frame = self.next_frame
-        self.next_frame += PAGE
-        return frame
+    def __call__(self, mapping_id: int, count: int) -> list[int]:
+        self.faults += [mapping_id] * count
+        frames = list(range(self.next_frame, self.next_frame + count * PAGE, PAGE))
+        self.next_frame += count * PAGE
+        return frames
 
 
 def make_space():
