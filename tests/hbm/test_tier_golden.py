@@ -1,13 +1,15 @@
-"""Golden digests of the ``fast`` and ``vector`` tiers' run statistics.
+"""Golden digests of the three timing tiers' run statistics.
 
 Each case runs one decoded request stream through one tier at one
 FR-FCFS window and hashes the JSON form of the resulting
-:class:`~repro.hbm.stats.RunStats`.  Any change to either tier's row-hit
+:class:`~repro.hbm.stats.RunStats`.  Any change to a tier's row-hit
 rule or timing arithmetic that moves a single counter, busy time or
 makespan bit shows up here.  The traces cover streaming copies at
 three strides, uniform random lines and one accelerator ``hashjoin``
 external stream; the windows cover in-order batches (1), the default
-(8) and the widest the ablation sweeps (16).
+(8) and the widest the ablation sweeps (16).  The event tier is also
+pinned on ``hashjoin`` with ECC-retry flags, chunked input and the
+extremes of its in-flight window.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import pytest
 from repro.cpu.accelerator import AcceleratorModel
 from repro.hbm.config import hbm2_config
 from repro.hbm.decode import DecodedTrace, decode_trace
+from repro.hbm.device import HBMDevice
 from repro.hbm.fastmodel import WindowModel
 from repro.hbm.vectormodel import VectorModel
 from repro.workloads import HashJoinWorkload
@@ -98,6 +101,25 @@ def chunks(trace: DecodedTrace, sizes):
 
 
 GOLDEN = {
+    ("event", "copy-s1", 1): "ad0df6be3bccbaed",
+    ("event", "copy-s1", 8): "c5f125fdc1b0d970",
+    ("event", "copy-s1", 16): "c5f125fdc1b0d970",
+    ("event", "copy-s16", 1): "c68548b751f0ee41",
+    ("event", "copy-s16", 8): "1c07231c62b710a0",
+    ("event", "copy-s16", 16): "1c07231c62b710a0",
+    ("event", "copy-s4", 1): "4281d5965768fa7b",
+    ("event", "copy-s4", 8): "a03650ab138a22d1",
+    ("event", "copy-s4", 16): "a03650ab138a22d1",
+    ("event", "hashjoin", 1): "609178d3326f254d",
+    ("event", "hashjoin", 8): "21e6497990cd3fcf",
+    ("event", "hashjoin", 16): "e337748546771055",
+    ("event", "hashjoin", "chunked"): "21e6497990cd3fcf",
+    ("event", "hashjoin", "forced"): "3f05bb5f07926330",
+    ("event", "hashjoin", "inflight1"): "14970fe41f45cac3",
+    ("event", "hashjoin", "inflight256"): "a4b0e971bda1f487",
+    ("event", "random", 1): "7a309a0f50710917",
+    ("event", "random", 8): "c76860d25f81656e",
+    ("event", "random", 16): "b99f18167985b12d",
     ("fast", "copy-s1", 1): "3acd147630dbc9a7",
     ("fast", "copy-s1", 8): "e56b3776609b9377",
     ("fast", "copy-s1", 16): "e56b3776609b9377",
@@ -176,3 +198,37 @@ def test_vector_tier_chunked_small_blocks_matches_golden():
     chunked = model.simulate_decoded(chunks(stream, [5000, 1, 12_345, 999]))
     assert digest(whole) == digest(chunked)
     assert digest(chunked) == GOLDEN["vector", "hashjoin", "chunked"]
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+@pytest.mark.parametrize("trace", sorted(TRACES))
+def test_event_tier_matches_golden(trace, window):
+    stats = HBMDevice(CONFIG, frfcfs_window=window).simulate_decoded(
+        decoded(trace)
+    )
+    assert digest(stats) == GOLDEN["event", trace, window]
+
+
+def test_event_tier_forced_miss_matches_golden():
+    stream = decoded("hashjoin")
+    stats = HBMDevice(CONFIG).simulate_decoded(
+        stream, forced_miss=forced_mask(len(stream))
+    )
+    assert digest(stats) == GOLDEN["event", "hashjoin", "forced"]
+
+
+def test_event_tier_chunked_matches_golden():
+    """Queues, open rows and the admission clock carry across chunks."""
+    stream = decoded("hashjoin")
+    stats = HBMDevice(CONFIG).simulate_decoded(
+        chunks(stream, [5000, 1, 12_345, 999])
+    )
+    assert digest(stats) == GOLDEN["event", "hashjoin", "chunked"]
+
+
+@pytest.mark.parametrize("inflight", [1, 256])
+def test_event_tier_inflight_extremes_match_golden(inflight):
+    stats = HBMDevice(CONFIG, max_inflight=inflight).simulate_decoded(
+        decoded("hashjoin")
+    )
+    assert digest(stats) == GOLDEN["event", "hashjoin", f"inflight{inflight}"]
