@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.core.bitmatrix import BitOperator, BitProjection
 from repro.core.sdam import AddressTranslator
-from repro.errors import MappingError
+from repro.errors import MappingError, SimulationError
 from repro.hbm.config import HBMConfig
 from repro.hbm.plancache import PlanCache, default_plan_cache
 
@@ -42,6 +42,7 @@ __all__ = [
     "concat_decoded",
     "decode_trace",
     "decode_translated",
+    "forced_miss_mask",
     "iter_decoded_chunks",
     "plan_for",
 ]
@@ -245,3 +246,27 @@ def concat_decoded(chunks) -> DecodedTrace:
         column=np.concatenate([c.column for c in chunks]),
         global_bank=np.concatenate([c.global_bank for c in chunks]),
     )
+
+
+def forced_miss_mask(decoded, forced_miss) -> np.ndarray | None:
+    """Check an ECC-retry mask against the stream it flags.
+
+    Every timing tier takes ``forced_miss`` as one boolean flag per
+    request of a whole :class:`DecodedTrace`; this is their shared
+    up-front check.  Returns the mask as a boolean array (``None``
+    passes through) and raises :class:`~repro.errors.SimulationError`
+    for a chunked stream or a mask of the wrong length.
+    """
+    if forced_miss is None:
+        return None
+    if not isinstance(decoded, DecodedTrace):
+        raise SimulationError(
+            "forced_miss requires a whole DecodedTrace, not chunks"
+        )
+    mask = np.asarray(forced_miss, dtype=bool)
+    if mask.shape != (len(decoded),):
+        raise SimulationError(
+            f"forced_miss has shape {mask.shape}, expected one flag per "
+            f"request ({len(decoded)},)"
+        )
+    return mask

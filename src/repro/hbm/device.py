@@ -6,21 +6,33 @@ FR-FCFS against per-bank row-buffer state, with the channel data bus
 serialising transfers.  Slower than :class:`~repro.hbm.fastmodel.
 WindowModel` but models queueing and scheduler reordering explicitly;
 ``tests/hbm/test_model_agreement.py`` checks the two tiers agree.
+
+The loop keeps all device state in flat lists — one queue, bus horizon
+and busy time per channel, one open row and ready time per
+channel-major bank — and caches each channel's next feasible start, so
+picking the channel to issue from is one ``min`` over a list.  The
+per-object loop it replaced (:class:`~repro.hbm.channel.Channel` and
+:class:`~repro.hbm.bank.Bank`) is kept as
+:class:`repro.system.bench.EventLoopBaseline`, the evaluate bench's
+baseline and the reference ``tests/hbm/test_event_differential.py``
+compares against bit for bit.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
+from itertools import chain, islice, repeat
 
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.hbm.channel import Channel, ChannelRequest
 from repro.hbm.config import HBMConfig
-from repro.hbm.decode import DecodedTrace, decode_trace
+from repro.hbm.decode import DecodedTrace, decode_trace, forced_miss_mask
 from repro.hbm.stats import RunStats
 
 __all__ = ["HBMDevice"]
+
+_INF = float("inf")
 
 
 class HBMDevice:
@@ -34,25 +46,39 @@ class HBMDevice:
     ):
         if max_inflight < 1:
             raise SimulationError("max_inflight must be >= 1")
+        if frfcfs_window < 1:
+            raise SimulationError("frfcfs_window must be >= 1")
         self.config = config
         self.max_inflight = max_inflight
         self.frfcfs_window = frfcfs_window
-
-    def _new_channels(self) -> list[Channel]:
-        return [
-            Channel(
-                banks_per_channel=self.config.banks_per_channel,
-                t_burst_ns=self.config.effective_t_burst_ns,
-                t_row_miss_ns=self.config.effective_t_row_miss_ns,
-                frfcfs_window=self.frfcfs_window,
-            )
-            for _ in range(self.config.num_channels)
-        ]
 
     def simulate(self, ha: np.ndarray) -> RunStats:
         """Run a hardware-address trace through the device."""
         ha = np.asarray(ha, dtype=np.uint64)
         return self.simulate_decoded(decode_trace(ha, self.config))
+
+    def _requests(self, decoded, forced_miss):
+        """Yield, per chunk, an iterator of ``(channel, bank, row,
+        forced)`` request tuples in trace order.
+
+        ``bank`` is channel-major (``channel * banks + bank``), the index
+        into the flat per-bank state.  Iterating ``memoryview``s makes
+        each Python int as the loop reaches it, rather than a list of a
+        whole chunk's.
+        """
+        chunks = [decoded] if isinstance(decoded, DecodedTrace) else decoded
+        banks = self.config.banks_per_channel
+        for chunk in chunks:
+            channel = np.asarray(chunk.channel, dtype=np.int64)
+            forced = (
+                repeat(False) if forced_miss is None else memoryview(forced_miss)
+            )
+            yield zip(
+                memoryview(channel),
+                memoryview(channel * banks + chunk.bank),
+                memoryview(chunk.row),
+                forced,
+            )
 
     def simulate_decoded(
         self,
@@ -69,94 +95,119 @@ class HBMDevice:
         whole-trace form only) marks ECC-retry requests that must pay
         the full miss cost.
         """
-        if isinstance(decoded, DecodedTrace):
-            if forced_miss is not None:
-                forced_miss = np.asarray(forced_miss, dtype=bool)
-            chunks = iter([(decoded, forced_miss)])
-        else:
-            if forced_miss is not None:
-                raise SimulationError(
-                    "forced_miss requires a whole DecodedTrace, not chunks"
-                )
-            chunks = ((chunk, None) for chunk in decoded)
-        channels = self._new_channels()
+        forced_miss = forced_miss_mask(decoded, forced_miss)
         num_channels = self.config.num_channels
+        t_burst = self.config.effective_t_burst_ns
+        t_miss = self.config.effective_t_row_miss_ns
+        window = self.frfcfs_window
+        max_inflight = self.max_inflight
 
-        completions: list[float] = []
-        makespan = 0.0
-        admit_time = 0.0
-        completed = 0
-        issued = 0
+        # Per channel: queued (bank, row, arrival_ns, forced) tuples,
+        # data-bus horizon (also its last completion: the bus
+        # serialises), busy time, requests served, and the cached start
+        # estimate max(bus_free, head arrival) — inf while idle.
+        queues = [deque() for _ in range(num_channels)]
+        bus_free = [0.0] * num_channels
+        busy = [0.0] * num_channels
+        served = [0] * num_channels
+        starts = [_INF] * num_channels
+        # Per channel-major bank: open row (None after power-up) and the
+        # time it can begin its next access.
+        open_row = [None] * (num_channels * self.config.banks_per_channel)
+        bank_ready = [0.0] * len(open_row)
 
-        def serve_one() -> None:
-            """Issue the request with the earliest feasible start."""
-            nonlocal makespan
-            best_start = float("inf")
-            best_channel: Channel | None = None
-            for channel in channels:
-                if not channel.has_work():
-                    continue
-                start = channel.next_start_estimate()
-                if start < best_start:
-                    best_start = start
-                    best_channel = channel
-            if best_channel is None:  # pragma: no cover - guarded by callers
-                raise SimulationError("no queued work to serve")
-            _req, done, _hit = best_channel.service_next(best_start)
-            heapq.heappush(completions, done)
-            makespan = max(makespan, done)
+        latest = 0.0  # the latest completion so far
+        queued = 0  # admitted and not yet issued
+        hits = 0
 
-        n = 0
-        work_remaining = 0
-        for chunk, chunk_forced in chunks:
-            for index in range(len(chunk)):
-                # Admission control: wait for a window slot.
-                while issued - completed >= self.max_inflight:
-                    if not completions:
-                        serve_one()
-                        work_remaining -= 1
-                    else:
-                        admit_time = max(admit_time, heapq.heappop(completions))
-                        completed += 1
-                channel = channels[chunk.channel[index]]
-                channel.enqueue(
-                    ChannelRequest(
-                        index=n + index,
-                        bank=int(chunk.bank[index]),
-                        row=int(chunk.row[index]),
-                        arrival_ns=admit_time,
-                        forced_miss=bool(chunk_forced[index])
-                        if chunk_forced is not None
-                        else False,
-                    )
-                )
-                issued += 1
-                work_remaining += 1
-            n += len(chunk)
+        # A request is admitted while fewer than max_inflight are
+        # outstanding; once the window is full, the next admission waits
+        # for the earliest outstanding completion.  A request is only
+        # issued when the window is full or the trace is exhausted, and
+        # its completion is the next one the window retires, so
+        # "outstanding" equals "queued" and every request is admitted
+        # at the latest completion so far — which is never before any
+        # channel's bus horizon.
+        requests = chain.from_iterable(self._requests(decoded, forced_miss))
+        pending = next(requests, None)
+        while True:
+            if pending is not None and queued < max_inflight:
+                ch, bank, row, forced = pending
+                queue = queues[ch]
+                if not queue:
+                    starts[ch] = latest
+                queue.append((bank, row, latest, forced))
+                queued += 1
+                pending = next(requests, None)
+                continue
+            if not queued:
+                break
 
+            # Issue the request with the earliest feasible start; ties
+            # go to the lowest channel index.
+            now = min(starts)
+            ch = starts.index(now)
+            queue = queues[ch]
+            # FR-FCFS: the earliest-arrived row hit in the lookahead
+            # window, else the oldest request.  The head has always
+            # arrived; arrivals are non-decreasing, so the scan stops
+            # at the first request that has not.
+            bank, row, arrival, forced = queue[0]
+            position = 0
+            if forced or open_row[bank] != row:
+                for index, (b, r, a, f) in enumerate(
+                    islice(queue, 1, window), 1
+                ):
+                    if a > now:
+                        break
+                    if not f and open_row[b] == r:
+                        position = index
+                        break
+            if position:
+                bank, row, arrival, forced = queue[position]
+                del queue[position]
+            else:
+                queue.popleft()
+
+            # The bank pays the full hit/miss cost; the data bus only
+            # carries the final burst, so activations in different banks
+            # overlap but transfers serialise.
+            ready = bank_ready[bank]
+            bank_start = ready if ready > arrival else arrival
+            if not forced and open_row[bank] == row:
+                hits += 1
+                finish = bank_start + t_burst
+            else:
+                finish = bank_start + t_miss
+            bf = bus_free[ch]
+            bus_done = bf + t_burst
+            done = bus_done if bus_done > finish else finish
+            open_row[bank] = row
+            bank_ready[bank] = done
+            # Channel active time = union of [bank_start, done] intervals.
+            busy[ch] += done - (bf if bf > bank_start else bank_start)
+            bus_free[ch] = done
+            served[ch] += 1
+            if queue:
+                head = queue[0][2]
+                starts[ch] = head if head > done else done
+            else:
+                starts[ch] = _INF
+            if done > latest:
+                latest = done
+            queued -= 1
+
+        n = sum(served)
         if n == 0:
             zeros = np.zeros(num_channels)
             return RunStats(0, 0, 0.0, 0, 0, num_channels, zeros, zeros)
-
-        while work_remaining > 0:
-            serve_one()
-            work_remaining -= 1
-
-        per_channel_requests = np.array(
-            [channel.served for channel in channels], dtype=np.int64
-        )
-        per_channel_busy = np.array(
-            [channel.busy_ns for channel in channels], dtype=np.float64
-        )
-        hits = sum(bank.hits for channel in channels for bank in channel.banks)
-        misses = sum(bank.misses for channel in channels for bank in channel.banks)
         return RunStats(
             requests=n,
             bytes_moved=n * self.config.line_bytes,
-            makespan_ns=makespan,
+            makespan_ns=latest,
             row_hits=hits,
-            row_misses=misses,
+            row_misses=n - hits,
             num_channels=num_channels,
-            per_channel_requests=per_channel_requests,
-            per_channel_busy_ns=per_channel_busy,
+            per_channel_requests=np.array(served, dtype=np.int64),
+            per_channel_busy_ns=np.array(busy, dtype=np.float64),
         )

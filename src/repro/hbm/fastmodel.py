@@ -26,7 +26,12 @@ import numpy as np
 from repro.cpu.trace import radix_argsort
 from repro.errors import SimulationError
 from repro.hbm.config import HBMConfig
-from repro.hbm.decode import DecodedTrace, concat_decoded, decode_trace
+from repro.hbm.decode import (
+    DecodedTrace,
+    concat_decoded,
+    decode_trace,
+    forced_miss_mask,
+)
 from repro.hbm.stats import RunStats
 
 __all__ = ["WindowModel", "frfcfs_batch_hits", "row_hit_mask"]
@@ -95,6 +100,8 @@ class WindowModel:
     ):
         if max_inflight < 1:
             raise SimulationError("max_inflight must be >= 1")
+        if reorder_window < 1:
+            raise SimulationError("reorder_window must be >= 1")
         self.config = config
         self.max_inflight = max_inflight
         self.reorder_window = reorder_window
@@ -118,11 +125,8 @@ class WindowModel:
         on degraded hardware — and charges them the full miss cost
         regardless of locality.
         """
+        forced_miss = forced_miss_mask(decoded, forced_miss)
         if not isinstance(decoded, DecodedTrace):
-            if forced_miss is not None:
-                raise SimulationError(
-                    "forced_miss requires a whole DecodedTrace, not chunks"
-                )
             decoded = concat_decoded(decoded)
         n = len(decoded)
         channels = self.config.num_channels
@@ -131,7 +135,7 @@ class WindowModel:
             return RunStats(0, 0, 0.0, 0, 0, channels, zeros, zeros)
         hits = row_hit_mask(decoded, self.reorder_window)
         if forced_miss is not None:
-            hits = hits & ~np.asarray(forced_miss, dtype=bool)
+            hits = hits & ~forced_miss
         t_burst = self.config.effective_t_burst_ns
         cost = np.where(hits, t_burst, self.config.effective_t_row_miss_ns)
         banks_per_channel = self.config.banks_per_channel

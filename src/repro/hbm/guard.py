@@ -37,7 +37,7 @@ import numpy as np
 from repro.core.keys import stable_hash
 from repro.errors import BackendDivergenceError, ConfigError
 from repro.faults.sites import BACKEND_DIVERGENCE
-from repro.hbm.decode import DecodedTrace, decode_trace
+from repro.hbm.decode import DecodedTrace, decode_trace, forced_miss_mask
 from repro.hbm.stats import BackendHealth, RunStats
 
 __all__ = [
@@ -162,17 +162,11 @@ class GuardedBackend:
         demotes or raises per ``mode``; the comparison report is always
         attached to ``last_health.guard``.
         """
+        forced_miss = forced_miss_mask(decoded, forced_miss)
         if isinstance(decoded, DecodedTrace):
             chunks = [decoded]
         else:
             chunks = list(decoded)
-            if forced_miss is not None:
-                # Match the concrete backends' contract.
-                from repro.errors import SimulationError
-
-                raise SimulationError(
-                    "forced_miss requires a whole DecodedTrace, not chunks"
-                )
 
         if self.demoted:
             stats = self._run_reference(chunks, forced_miss)

@@ -1,8 +1,8 @@
 """Vectorised HBM device model — the ``"vector"`` fidelity tier.
 
 The event-driven :class:`~repro.hbm.device.HBMDevice` is the reference
-model, but its per-request heapq/deque loop is pure Python: after the
-GF(2) datapath refactor it dominates end-to-end ``evaluate`` time.
+model, but it runs one pure-Python loop step per request, which
+dominates end-to-end ``evaluate`` time at scale.
 :class:`VectorModel` replaces the event loop with numpy scans over
 sorted ``(channel, bank)`` request runs while keeping the same timing
 vocabulary (per-bank row-buffer state, per-channel data-bus
@@ -55,7 +55,7 @@ import numpy as np
 from repro.cpu.trace import radix_argsort
 from repro.errors import SimulationError
 from repro.hbm.config import HBMConfig
-from repro.hbm.decode import DecodedTrace, decode_trace
+from repro.hbm.decode import DecodedTrace, decode_trace, forced_miss_mask
 from repro.hbm.fastmodel import frfcfs_batch_hits
 from repro.hbm.stats import RunStats
 
@@ -253,7 +253,7 @@ def _run_lanes(
         if forced is None:
             forced_s = np.zeros(m, dtype=bool)
         else:
-            forced_s = np.asarray(forced, dtype=bool)[order]
+            forced_s = forced[order]
         bounds = np.searchsorted(channel_s, np.arange(num_channels + 1))
         for c, lane in enumerate(lanes):
             left, right = bounds[c], bounds[c + 1]
@@ -299,6 +299,8 @@ class VectorModel:
     ):
         if max_inflight < 1:
             raise SimulationError("max_inflight must be >= 1")
+        if frfcfs_window < 1:
+            raise SimulationError("frfcfs_window must be >= 1")
         if block_accesses < 1:
             raise SimulationError("block_accesses must be >= 1")
         self.config = config
@@ -325,13 +327,10 @@ class VectorModel:
         ``forced_miss`` (whole-trace form only) marks ECC retries that
         pay the full miss cost.
         """
+        forced_miss = forced_miss_mask(decoded, forced_miss)
         if isinstance(decoded, DecodedTrace):
             stream: Iterator = iter([(decoded, forced_miss)])
         else:
-            if forced_miss is not None:
-                raise SimulationError(
-                    "forced_miss requires a whole DecodedTrace, not chunks"
-                )
             stream = ((chunk, None) for chunk in decoded)
         merged = _run_lanes(
             self.config, self.frfcfs_window, self.block_accesses, stream

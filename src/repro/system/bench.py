@@ -7,17 +7,21 @@ families, and compares the fused bit-operator pipeline against the
 **pre-refactor baseline**: the per-bit shift/mask loop the mapping
 classes used before they lowered to :mod:`repro.core.bitmatrix`, plus
 the field-by-field extraction ``decode_trace`` used before plans.  The
-baseline implementations are kept verbatim in this module so the
+evaluate bench (``--evaluate``) likewise times the vector tier against
+the event tier's pre-rewrite per-object loop, :class:`EventLoopBaseline`.
+The baseline implementations are kept verbatim in this module so the
 speedup is recorded against a fixed reference *in the same run*, on the
 same host, giving future PRs a perf trajectory to compare against
-(``BENCH_translation.json``).
+(``BENCH_translation.json``, ``BENCH_evaluate.json``).
 
 Correctness is asserted, not assumed: every fused cell is checked
-bit-identical to its baseline before it is timed.
+bit-identical to its baseline before it is timed, and so is the live
+event tier against :class:`EventLoopBaseline`.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import time
 from pathlib import Path
@@ -29,9 +33,12 @@ from repro.core.chunks import ChunkGeometry
 from repro.core.hashing import default_hash_mapping
 from repro.core.mapping import PermutationMapping, identity_mapping
 from repro.core.sdam import GlobalMappingTranslator, SDAMController
+from repro.errors import SimulationError
+from repro.hbm.channel import Channel, ChannelRequest
 from repro.hbm.config import HBMConfig, hbm2_config
 from repro.hbm.decode import DecodedTrace, decode_translated
 from repro.hbm.fastmodel import WindowModel
+from repro.hbm.stats import RunStats
 from repro.profiling.bfrv import bit_flip_rate_vector
 
 __all__ = [
@@ -129,6 +136,151 @@ def _make_reference_translate(translator):
         return lambda pa: _reference_apply_permutation(source, pa)
     row_masks = _row_masks(mapping.as_matrix())
     return lambda pa: _reference_apply_linear(row_masks, pa)
+
+
+# -- the pre-rewrite event loop (the evaluate bench's baseline) ------------
+class EventLoopBaseline:
+    """The event tier as it ran before its flat-list rewrite.
+
+    Kept verbatim — one :class:`~repro.hbm.channel.Channel` object per
+    channel, one :class:`~repro.hbm.channel.ChannelRequest` per request
+    and a full channel scan per issue — as the fixed baseline of
+    :func:`run_evaluate_benchmark`.  It must produce the same
+    :class:`~repro.hbm.stats.RunStats` as the live
+    :class:`~repro.hbm.device.HBMDevice`; the bench asserts that before
+    timing, and ``tests/hbm/test_event_differential.py`` checks it on
+    random streams.
+    """
+
+    def __init__(
+        self,
+        config: HBMConfig,
+        max_inflight: int = 64,
+        frfcfs_window: int = 8,
+    ):
+        if max_inflight < 1:
+            raise SimulationError("max_inflight must be >= 1")
+        self.config = config
+        self.max_inflight = max_inflight
+        self.frfcfs_window = frfcfs_window
+
+    def _new_channels(self) -> list[Channel]:
+        return [
+            Channel(
+                banks_per_channel=self.config.banks_per_channel,
+                t_burst_ns=self.config.effective_t_burst_ns,
+                t_row_miss_ns=self.config.effective_t_row_miss_ns,
+                frfcfs_window=self.frfcfs_window,
+            )
+            for _ in range(self.config.num_channels)
+        ]
+
+    def simulate_decoded(
+        self,
+        decoded: DecodedTrace,
+        forced_miss: np.ndarray | None = None,
+    ) -> RunStats:
+        """Run an already-decoded request stream (the fused datapath).
+
+        ``decoded`` may be a single :class:`DecodedTrace` or an
+        iterable of chunks — the event loop consumes requests one at a
+        time, so chunked input is bit-identical to the whole trace and
+        needs no re-decoding (only one chunk is live at a time).
+        ``forced_miss`` (optional boolean mask, one flag per access,
+        whole-trace form only) marks ECC-retry requests that must pay
+        the full miss cost.
+        """
+        if isinstance(decoded, DecodedTrace):
+            if forced_miss is not None:
+                forced_miss = np.asarray(forced_miss, dtype=bool)
+            chunks = iter([(decoded, forced_miss)])
+        else:
+            if forced_miss is not None:
+                raise SimulationError(
+                    "forced_miss requires a whole DecodedTrace, not chunks"
+                )
+            chunks = ((chunk, None) for chunk in decoded)
+        channels = self._new_channels()
+        num_channels = self.config.num_channels
+
+        completions: list[float] = []
+        makespan = 0.0
+        admit_time = 0.0
+        completed = 0
+        issued = 0
+
+        def serve_one() -> None:
+            """Issue the request with the earliest feasible start."""
+            nonlocal makespan
+            best_start = float("inf")
+            best_channel: Channel | None = None
+            for channel in channels:
+                if not channel.has_work():
+                    continue
+                start = channel.next_start_estimate()
+                if start < best_start:
+                    best_start = start
+                    best_channel = channel
+            if best_channel is None:  # pragma: no cover - guarded by callers
+                raise SimulationError("no queued work to serve")
+            _req, done, _hit = best_channel.service_next(best_start)
+            heapq.heappush(completions, done)
+            makespan = max(makespan, done)
+
+        n = 0
+        work_remaining = 0
+        for chunk, chunk_forced in chunks:
+            for index in range(len(chunk)):
+                # Admission control: wait for a window slot.
+                while issued - completed >= self.max_inflight:
+                    if not completions:
+                        serve_one()
+                        work_remaining -= 1
+                    else:
+                        admit_time = max(admit_time, heapq.heappop(completions))
+                        completed += 1
+                channel = channels[chunk.channel[index]]
+                channel.enqueue(
+                    ChannelRequest(
+                        index=n + index,
+                        bank=int(chunk.bank[index]),
+                        row=int(chunk.row[index]),
+                        arrival_ns=admit_time,
+                        forced_miss=bool(chunk_forced[index])
+                        if chunk_forced is not None
+                        else False,
+                    )
+                )
+                issued += 1
+                work_remaining += 1
+            n += len(chunk)
+
+        if n == 0:
+            zeros = np.zeros(num_channels)
+            return RunStats(0, 0, 0.0, 0, 0, num_channels, zeros, zeros)
+
+        while work_remaining > 0:
+            serve_one()
+            work_remaining -= 1
+
+        per_channel_requests = np.array(
+            [channel.served for channel in channels], dtype=np.int64
+        )
+        per_channel_busy = np.array(
+            [channel.busy_ns for channel in channels], dtype=np.float64
+        )
+        hits = sum(bank.hits for channel in channels for bank in channel.banks)
+        misses = sum(bank.misses for channel in channels for bank in channel.banks)
+        return RunStats(
+            requests=n,
+            bytes_moved=n * self.config.line_bytes,
+            makespan_ns=makespan,
+            row_hits=hits,
+            row_misses=misses,
+            num_channels=num_channels,
+            per_channel_requests=per_channel_requests,
+            per_channel_busy_ns=per_channel_busy,
+        )
 
 
 # -- scenario construction --------------------------------------------------
@@ -287,11 +439,19 @@ def run_evaluate_benchmark(
     """Time end-to-end ``evaluate`` under the event reference vs ``backend``.
 
     The companion of :func:`run_benchmark` for the memory-model wall:
-    the *baseline* is the pre-vectorization event-loop evaluate
-    (fused translate+decode feeding :class:`~repro.hbm.device.
-    HBMDevice`), the *candidate* is the chunk-streamed ``backend`` tier
-    (``"vector"`` by default).  The headline number — the acceptance
-    gate — is ``summary_speedup_geomean.evaluate``.
+    the *baseline* is the pre-vectorization event-loop evaluate (fused
+    translate+decode feeding :class:`EventLoopBaseline`, the event
+    tier's per-object loop as it was before its flat-list rewrite), the
+    *candidate* is the chunk-streamed ``backend`` tier (``"vector"`` by
+    default).  The headline number — the acceptance gate — is
+    ``summary_speedup_geomean.evaluate``.
+
+    The live event tier (:class:`~repro.hbm.device.HBMDevice`) is
+    asserted to give the baseline's exact :class:`~repro.hbm.stats.
+    RunStats` before anything is timed, and each cell records its time
+    and the candidate's speedup over it under ``live_event`` (ungated;
+    ``summary_speedup_geomean.live_event`` is their geomean), so the
+    report also states the gap to the event tier as it runs today.
 
     Each cell also records a calibration block (makespan ratio,
     throughput ratio, row-hit-rate delta of candidate vs event) so the
@@ -309,7 +469,8 @@ def run_evaluate_benchmark(
         rng.integers(0, config.total_bytes // line, accesses, dtype=np.uint64)
         * np.uint64(line)
     )
-    baseline_model = create_backend("event", config, max_inflight=64)
+    baseline_model = EventLoopBaseline(config, max_inflight=64)
+    event_model = create_backend("event", config, max_inflight=64)
     candidate_model = create_backend(backend, config, max_inflight=64)
     cells: dict[str, dict] = {}
     for scenario in scenarios:
@@ -320,17 +481,32 @@ def run_evaluate_benchmark(
                 decode_translated(pa, translator, config)
             )
 
+        def run_event():
+            return event_model.simulate_decoded(
+                decode_translated(pa, translator, config)
+            )
+
         def run_candidate():
             return candidate_model.simulate_decoded(
                 iter_decoded_chunks(pa, translator, config, chunk_accesses)
             )
 
         base_stats = run_baseline()
+        if run_event().to_dict() != base_stats.to_dict():
+            raise AssertionError(
+                f"{scenario}: live event tier diverges from the baseline"
+            )
         cand_stats = run_candidate()
         baseline_ns = _time_ns(run_baseline, repeats)
+        event_ns = _time_ns(run_event, repeats)
         candidate_ns = _time_ns(run_candidate, repeats)
         cells[scenario] = {
             "evaluate": _cell(baseline_ns, candidate_ns, accesses),
+            "live_event": {
+                "event_ns": event_ns,
+                "speedup": event_ns / candidate_ns,
+                "event_maccesses_per_s": accesses * 1e3 / event_ns,
+            },
             "calibration": {
                 "makespan_ratio": cand_stats.makespan_ns
                 / base_stats.makespan_ns
@@ -346,16 +522,14 @@ def run_evaluate_benchmark(
                 "candidate_makespan_ns": cand_stats.makespan_ns,
             },
         }
-    geomean = float(
-        np.exp(
-            np.mean(
-                [
-                    np.log(cells[s]["evaluate"]["speedup"])
-                    for s in scenarios
-                ]
+    summary = {
+        key: float(
+            np.exp(
+                np.mean([np.log(cells[s][key]["speedup"]) for s in scenarios])
             )
         )
-    )
+        for key in ("evaluate", "live_event")
+    }
     return {
         "schema": 1,
         "benchmark": "end-to-end-evaluate",
@@ -371,7 +545,7 @@ def run_evaluate_benchmark(
         },
         "unix_time": time.time(),
         "cells": cells,
-        "summary_speedup_geomean": {"evaluate": geomean},
+        "summary_speedup_geomean": summary,
     }
 
 

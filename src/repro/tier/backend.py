@@ -29,10 +29,15 @@ import dataclasses
 
 import numpy as np
 
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError
 from repro.hbm.backend import create_backend
 from repro.hbm.config import HBMConfig
-from repro.hbm.decode import DecodedTrace, concat_decoded, decode_trace
+from repro.hbm.decode import (
+    DecodedTrace,
+    concat_decoded,
+    decode_trace,
+    forced_miss_mask,
+)
 from repro.hbm.stats import RunStats
 from repro.tier.config import SlowTierConfig, TierConfig
 from repro.tier.placement import TierPlacement
@@ -213,10 +218,7 @@ class TieredBackend:
             )
             traffic.fast_accesses = stats.requests
             return stats
-        if forced_miss is not None and not isinstance(decoded, DecodedTrace):
-            raise SimulationError(
-                "forced_miss requires a whole DecodedTrace, not chunks"
-            )
+        forced_miss = forced_miss_mask(decoded, forced_miss)
         full = (
             decoded
             if isinstance(decoded, DecodedTrace)

@@ -1,11 +1,19 @@
 """Tests for the translation-datapath microbenchmark."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.__main__ import main
-from repro.system.bench import SCENARIOS, STAGES, run_benchmark, write_report
+from repro.hbm.device import HBMDevice
+from repro.system.bench import (
+    SCENARIOS,
+    STAGES,
+    run_benchmark,
+    run_evaluate_benchmark,
+    write_report,
+)
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +59,34 @@ class TestRunBenchmark:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError, match="unknown bench scenario"):
             run_benchmark(accesses=256, repeats=1, scenarios=("nope",))
+
+
+class TestEvaluateBenchmark:
+    def test_report_records_live_event_tier(self):
+        report = run_evaluate_benchmark(
+            accesses=2048, repeats=1, scenarios=("bs_dm", "bs_hm")
+        )
+        for cell in report["cells"].values():
+            live = cell["live_event"]
+            assert live["event_ns"] > 0
+            assert live["speedup"] == pytest.approx(
+                live["event_ns"] / cell["evaluate"]["fused_ns"]
+            )
+        summary = report["summary_speedup_geomean"]
+        assert set(summary) == {"evaluate", "live_event"}
+
+    def test_live_event_tier_must_match_baseline(self, monkeypatch):
+        simulate = HBMDevice.simulate_decoded
+
+        def off_by_one(self, decoded, forced_miss=None):
+            stats = simulate(self, decoded, forced_miss)
+            return replace(stats, makespan_ns=stats.makespan_ns + 1.0)
+
+        monkeypatch.setattr(HBMDevice, "simulate_decoded", off_by_one)
+        with pytest.raises(AssertionError, match="diverges from the baseline"):
+            run_evaluate_benchmark(
+                accesses=512, repeats=1, scenarios=("bs_dm",)
+            )
 
 
 class TestBenchCLI:
