@@ -52,6 +52,14 @@ class AutoencoderConfig:
     centroid_refresh: int = 20
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("sequence_length", "batch_size", "centroid_refresh"):
+            if getattr(self, name) < 1:
+                raise TrainingError(f"{name} must be >= 1")
+        for name in ("pretrain_steps", "joint_steps"):
+            if getattr(self, name) < 0:
+                raise TrainingError(f"{name} must be >= 0")
+
 
 def paper_hyperparameters() -> AutoencoderConfig:
     """The Table 2 configuration (256-dim, 500k steps)."""
@@ -102,31 +110,33 @@ class EmbeddingAutoencoder:
         )
         self.params["out.b"] = np.zeros(target_bits)
 
+    def _inputs(self, delta_ids: np.ndarray, vid_ids: np.ndarray) -> np.ndarray:
+        """The encoder input: delta and VID vectors side by side."""
+        delta_vectors = self.delta_embedding.forward(delta_ids)
+        vid_vectors = self.vid_embedding.forward(vid_ids)
+        return np.concatenate([delta_vectors, vid_vectors], axis=2)
+
     def forward(self, delta_ids: np.ndarray, vid_ids: np.ndarray):
         """Compute embeddings and reconstructions.
 
         Returns ``(z, reconstruction, cache)`` with ``z`` of shape
         (batch, hidden) and ``reconstruction`` (batch, time, bits).
         """
-        delta_vectors = self.delta_embedding.forward(delta_ids)
-        vid_vectors = self.vid_embedding.forward(vid_ids)
-        x = np.concatenate([delta_vectors, vid_vectors], axis=2)
-        _enc_out, z, enc_caches = self.encoder.forward(x)
-        batch, steps = delta_ids.shape
-        decoder_input = np.repeat(z[:, None, :], steps, axis=1)
-        dec_out, _h, dec_caches = self.decoder.forward(decoder_input)
+        _enc_out, z, enc_caches = self.encoder.forward(
+            self._inputs(delta_ids, vid_ids)
+        )
+        # The decoder reads z at every step.
+        dec_out, _h, dec_caches = self.decoder.forward_repeated(
+            z, delta_ids.shape[1]
+        )
         logits = dec_out @ self.params["out.W"] + self.params["out.b"]
         reconstruction = sigmoid(logits)
         cache = (delta_ids, vid_ids, enc_caches, dec_caches, dec_out, reconstruction)
         return z, reconstruction, cache
 
     def embed(self, delta_ids: np.ndarray, vid_ids: np.ndarray) -> np.ndarray:
-        """Embeddings only (no decoder pass needed for inference)."""
-        delta_vectors = self.delta_embedding.forward(delta_ids)
-        vid_vectors = self.vid_embedding.forward(vid_ids)
-        x = np.concatenate([delta_vectors, vid_vectors], axis=2)
-        _out, z, _caches = self.encoder.forward(x)
-        return z
+        """Embeddings only: one encoder pass that keeps no BPTT caches."""
+        return self.encoder.final_hidden(self._inputs(delta_ids, vid_ids))
 
     @staticmethod
     def reconstruction_loss(
@@ -188,17 +198,13 @@ class DLAssistedKMeans:
     def _build_dataset(
         self,
         delta_traces: list[np.ndarray],
+        all_deltas: np.ndarray,
         window: tuple[int, int],
     ):
         """Chop per-variable delta traces into fixed-length sequences."""
         length = self.config.sequence_length
         low, high = window
         bits = high - low
-        all_deltas = (
-            np.concatenate([d for d in delta_traces if d.size])
-            if any(d.size for d in delta_traces)
-            else np.zeros(0, dtype=np.uint64)
-        )
         vocab = DeltaVocabulary(self.config.delta_vocab).fit(all_deltas)
         sequences: list[tuple[int, np.ndarray, np.ndarray]] = []
         for variable_index, deltas in enumerate(delta_traces):
@@ -210,6 +216,7 @@ class DLAssistedKMeans:
             usable = (deltas.size // length) * length
             ids = vocab.encode(deltas[:usable]).reshape(-1, length)
             shifts = np.arange(low, high, dtype=np.uint64)
+            # One byte per bit; ``_batch`` widens a batch's to float64.
             bit_targets = (
                 (deltas[:usable, None] >> shifts) & np.uint64(1)
             ).astype(np.float64)
@@ -230,20 +237,54 @@ class DLAssistedKMeans:
         )
         return variable_index, delta_ids, vid_ids, targets
 
+    @staticmethod
+    def _distinct_rows(sequences):
+        """``(variables, distinct, inverse)`` for the embedding passes.
+
+        ``variables`` holds each sequence's variable, ``distinct`` each
+        distinct ``[variable, *delta_ids]`` row once, and
+        ``distinct[inverse]`` the rows in sequence order.
+        """
+        variables = np.array([sequence[0] for sequence in sequences])
+        rows = np.column_stack(
+            [variables, np.stack([sequence[1] for sequence in sequences])]
+        )
+        distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
+        return variables, distinct, inverse.reshape(-1)
+
+    @staticmethod
+    def _embed(model: EmbeddingAutoencoder, rows: np.ndarray) -> np.ndarray:
+        """Embeddings of ``[variable, *delta_ids]`` rows."""
+        steps = rows.shape[1] - 1
+        return model.embed(rows[:, 1:], np.repeat(rows[:, :1], steps, axis=1))
+
     def _variable_embeddings(
-        self, model: EmbeddingAutoencoder, sequences, num_variables: int
+        self, model: EmbeddingAutoencoder, rows, num_variables: int
     ) -> np.ndarray:
-        sums = np.zeros((num_variables, self.config.hidden_dim))
-        counts = np.zeros(num_variables)
+        """Mean embedding per variable over its sequences.
+
+        Embeds each distinct row once, in ``batch_size`` chunks, then sums
+        the embeddings in sequence order.  numpy multiplies a one-row
+        batch through gemv, which rounds differently from gemm, so each
+        row is embedded in a batch of the kind that chunking the
+        sequences themselves would give it: only the last of
+        ``len % batch_size == 1`` sequences (or every sequence, when
+        ``batch_size`` is 1) goes alone.
+        """
+        variables, distinct, inverse = rows
         batch = self.config.batch_size
-        for start in range(0, len(sequences), batch):
-            indices = range(start, min(start + batch, len(sequences)))
-            variable_index, delta_ids, vid_ids, _targets = self._batch(
-                sequences, list(indices)
-            )
-            z = model.embed(delta_ids, vid_ids)
-            np.add.at(sums, variable_index, z)
-            np.add.at(counts, variable_index, 1)
+        parts = []
+        for start in range(0, len(distinct), batch):
+            chunk = distinct[start : start + batch]
+            # A lone row goes through gemm as one of a pair.
+            pair = np.repeat(chunk, 2, axis=0) if len(chunk) == 1 < batch else chunk
+            parts.append(self._embed(model, pair)[: len(chunk)])
+        z = np.concatenate(parts)[inverse]
+        if len(variables) % batch == 1 < batch:
+            z[-1] = self._embed(model, distinct[inverse[-1:]])[0]
+        sums = np.zeros((num_variables, self.config.hidden_dim))
+        np.add.at(sums, variables, z)
+        counts = np.bincount(variables, minlength=num_variables).astype(np.float64)
         counts[counts == 0] = 1
         return sums / counts[:, None]
 
@@ -263,7 +304,13 @@ class DLAssistedKMeans:
         if num_variables == 0:
             raise TrainingError("no variables to cluster")
         config = self.config
-        vocab, sequences = self._build_dataset(delta_traces, window)
+        all_deltas = (
+            np.concatenate([d for d in delta_traces if d.size])
+            if any(d.size for d in delta_traces)
+            else np.zeros(0, dtype=np.uint64)
+        )
+        vocab, sequences = self._build_dataset(delta_traces, all_deltas, window)
+        rows = self._distinct_rows(sequences)
         model = EmbeddingAutoencoder(
             delta_vocab_size=vocab.size,
             num_variables=num_variables,
@@ -296,8 +343,10 @@ class DLAssistedKMeans:
 
         # Phase 2: joint reconstruction + clustering loss.
         effective_k = min(self.k, num_variables)
-        embeddings = self._variable_embeddings(model, sequences, num_variables)
-        centroids = KMeans(effective_k, seed=config.seed).fit(embeddings).centroids
+        kmeans = KMeans(effective_k, seed=config.seed)
+        embeddings = self._variable_embeddings(model, rows, num_variables)
+        clusters = kmeans.fit(embeddings)
+        centroids = clusters.centroids
 
         def cluster_gradient(z: np.ndarray):
             """dL/dz and loss of the clustering term."""
@@ -310,24 +359,19 @@ class DLAssistedKMeans:
         for step in range(config.joint_steps):
             history.append(training_step(cluster_gradient))
             if (step + 1) % config.centroid_refresh == 0:
-                embeddings = self._variable_embeddings(
-                    model, sequences, num_variables
-                )
-                centroids = (
-                    KMeans(effective_k, seed=config.seed).fit(embeddings).centroids
-                )
+                embeddings = self._variable_embeddings(model, rows, num_variables)
+                clusters = kmeans.fit(embeddings)
+                centroids = clusters.centroids
 
-        embeddings = self._variable_embeddings(model, sequences, num_variables)
-        final = KMeans(effective_k, seed=config.seed).fit(embeddings)
-        all_deltas = (
-            np.concatenate([d for d in delta_traces if d.size])
-            if any(d.size for d in delta_traces)
-            else np.zeros(0, dtype=np.uint64)
-        )
+        # Unless a refresh fell on the last step, the model has moved
+        # since ``clusters`` was fitted.
+        if config.joint_steps % config.centroid_refresh:
+            embeddings = self._variable_embeddings(model, rows, num_variables)
+            clusters = kmeans.fit(embeddings)
         return DLClusterResult(
-            labels=final.labels,
+            labels=clusters.labels,
             embeddings=embeddings,
-            centroids=final.centroids,
+            centroids=clusters.centroids,
             loss_history=history,
             elapsed_seconds=time.perf_counter() - start_time,
             vocab_coverage=vocab.coverage(all_deltas),

@@ -36,7 +36,7 @@ class Embedding:
         self.params = params
 
     def forward(self, ids: np.ndarray) -> np.ndarray:
-        """Look up / compute the layer's forward pass."""
+        """The table rows for ``ids``, shaped ``ids.shape + (dim,)``."""
         ids = np.asarray(ids)
         if ids.size and (ids.min() < 0 or ids.max() >= self.vocab_size):
             raise TrainingError("embedding id out of range")
@@ -45,7 +45,7 @@ class Embedding:
     def backward(
         self, ids: np.ndarray, d_vectors: np.ndarray, grads: dict[str, np.ndarray]
     ) -> None:
-        """Accumulate gradients for the layer's backward pass."""
+        """Scatter-add ``d_vectors`` into the table gradient, one row per id."""
         key = f"{self.prefix}.table"
         grads.setdefault(key, np.zeros_like(self.params[key]))
         flat_ids = np.asarray(ids).reshape(-1)
@@ -62,29 +62,41 @@ class DeltaVocabulary:
         if max_size < 2:
             raise TrainingError("vocabulary needs room for OOV plus one delta")
         self.max_size = max_size
-        self._ids: dict[int, int] = {}
+        # The kept deltas in ascending order, and the id of each.
+        self._keys = np.zeros(0, dtype=np.uint64)
+        self._key_ids = np.zeros(0, dtype=np.int64)
 
     def fit(self, deltas: np.ndarray) -> "DeltaVocabulary":
-        """Fit to the given data; returns self or the result."""
+        """Keep the ``max_size - 1`` most frequent deltas; returns self.
+
+        Ids run from 1 in order of falling count; ties go to the delta
+        seen first.
+        """
         counts = Counter(np.asarray(deltas, dtype=np.uint64).tolist())
         most_common = counts.most_common(self.max_size - 1)
-        self._ids = {
-            delta: index + 1 for index, (delta, _count) in enumerate(most_common)
-        }
+        keys = np.array([delta for delta, _count in most_common], dtype=np.uint64)
+        order = np.argsort(keys)
+        self._keys = keys[order]
+        self._key_ids = order.astype(np.int64) + 1
         return self
 
     @property
     def size(self) -> int:
-        """Heap length in bytes."""
-        return len(self._ids) + 1
+        """Number of ids, the OOV id included."""
+        return len(self._keys) + 1
 
     def encode(self, deltas: np.ndarray) -> np.ndarray:
-        """Map raw values to vocabulary ids (OOV for unknown)."""
-        ids = np.fromiter(
-            (self._ids.get(int(d), self.OOV) for d in np.asarray(deltas)),
-            dtype=np.int64,
-            count=len(deltas),
-        )
+        """Map integer deltas to vocabulary ids (OOV for unknown)."""
+        values = np.asarray(deltas)
+        ids = np.full(values.shape, self.OOV, dtype=np.int64)
+        if not len(self._keys):
+            return ids
+        known = values >= 0  # a negative value is never a kept delta
+        queries = values[known].astype(np.uint64)
+        slots = np.searchsorted(self._keys, queries)
+        np.minimum(slots, len(self._keys) - 1, out=slots)
+        found = self._keys[slots] == queries
+        ids[known] = np.where(found, self._key_ids[slots], self.OOV)
         return ids
 
     def coverage(self, deltas: np.ndarray) -> float:
