@@ -242,3 +242,38 @@ class TestGuardForwarding:
         guarded.simulate(_trace(512, seed=8))
         assert guarded.last_traffic is not None
         assert guarded.last_traffic.accesses == 512
+
+
+class TestStateAcrossCalls:
+    """Placement, policy signals, the translation cache and the
+    migrated set persist from one ``simulate`` call to the next."""
+
+    @staticmethod
+    def _skewed():
+        # A first-touch sweep of 256 pages fills the fast tier with
+        # pages 0-31; then 90 % of 40k lines hit the 16 pages 200-215.
+        rng = np.random.default_rng(9)
+        hot = rng.random(40_000) < 0.9
+        lines = np.where(
+            hot,
+            rng.integers(200 * 64, 216 * 64, 40_000),
+            rng.integers(0, 256 * 64, 40_000),
+        ).astype(np.uint64)
+        sweep = np.arange(256, dtype=np.uint64) * np.uint64(4096)
+        return np.concatenate([sweep, lines * np.uint64(CONFIG.line_bytes)])
+
+    @pytest.mark.parametrize("delegate", ("fast", "vector", "event"))
+    def test_second_call_starts_from_the_first_calls_state(self, delegate):
+        ha = self._skewed()
+        backend = TieredBackend(CONFIG, fast_pages=32, delegate=delegate)
+        first = backend.simulate(ha)
+        assert first.makespan_ns == 667_670.0
+        assert backend.last_traffic.promotions == 16
+        second = backend.simulate(ha)
+        # The hot set is already fast: nothing to promote, less time.
+        assert second.makespan_ns == 314_650.0
+        assert backend.last_traffic.promotions == 0
+        assert backend.last_traffic.fast_accesses == 36_596
+        # A fresh backend repeats the first call, not the second.
+        fresh = TieredBackend(CONFIG, fast_pages=32, delegate=delegate)
+        _assert_stats_equal(fresh.simulate(ha), first)

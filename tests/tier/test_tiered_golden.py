@@ -1,0 +1,170 @@
+"""Golden digests of the tiered backend"s outputs.
+
+Each case runs one hardware-address trace through one
+:class:`~repro.tier.backend.TieredBackend` and hashes the JSON form of
+the resulting :class:`~repro.hbm.stats.RunStats`, the JSON form of the
+run's :class:`~repro.tier.stats.TierTraffic` and the sorted final fast,
+slow and pinned page sets.  Any change to admission, the swap plan, the
+victim order, the translation cache or the fast/slow split that moves a
+single counter, charge or placement shows up here.
+
+The grid covers every swap policy on three access shapes (a skewed hot
+set behind a cold-start sweep, uniform capacity pressure and a
+sequential scan) with both fast-tier delegates, plus the edges: a wave
+size that does not divide the trace, no swap budget, no translation
+cache, no fast tier, pages retired before the run, and one backend
+driven twice (its state persists across calls).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+from repro.hbm import hbm2_config
+from repro.tier.backend import TieredBackend
+
+CONFIG = hbm2_config()
+LINE = CONFIG.line_bytes
+PAGE = 4096
+ARENA_PAGES = 512
+FAST_PAGES = 32
+WAVE = 1024
+
+
+def skewed_trace(count: int = 20_000, seed: int = 3) -> np.ndarray:
+    """A tail-first page sweep, then 90 % of lines in a 32-page hot set."""
+    rng = np.random.default_rng(seed)
+    sweep = np.arange(ARENA_PAGES - 1, -1, -1, dtype=np.uint64) * np.uint64(PAGE)
+    hot = rng.random(count) < 0.9
+    lines = np.where(
+        hot,
+        rng.integers(0, FAST_PAGES * PAGE // LINE, count),
+        rng.integers(0, ARENA_PAGES * PAGE // LINE, count),
+    ).astype(np.uint64)
+    return np.concatenate([sweep, lines * np.uint64(LINE)])
+
+
+def uniform_trace(count: int = 20_000, seed: int = 4) -> np.ndarray:
+    """Uniform random lines over an arena 16x the fast tier."""
+    rng = np.random.default_rng(seed)
+    lines = rng.integers(0, ARENA_PAGES * PAGE // LINE, count, dtype=np.uint64)
+    return lines * np.uint64(LINE)
+
+
+def scan_trace(count: int = 20_000) -> np.ndarray:
+    """Consecutive lines, wrapping over 256 pages."""
+    lines = np.arange(count, dtype=np.uint64) % np.uint64(256 * PAGE // LINE)
+    return lines * np.uint64(LINE)
+
+
+TRACES = {"skewed": skewed_trace, "uniform": uniform_trace, "scan": scan_trace}
+
+
+@lru_cache(maxsize=None)
+def trace(name: str) -> np.ndarray:
+    return TRACES[name]()
+
+
+def digest(backend: TieredBackend, stats) -> str:
+    placement = backend.placement
+    text = json.dumps(
+        {
+            "stats": stats.to_dict(),
+            "traffic": backend.last_traffic.to_dict(),
+            "fast": sorted(placement.fast),
+            "slow": sorted(placement.slow),
+            "pinned": sorted(placement.pinned),
+        },
+        sort_keys=True,
+    )
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def run(name: str, **options) -> str:
+    options = {"fast_pages": FAST_PAGES, "wave_accesses": WAVE, **options}
+    backend = TieredBackend(CONFIG, **options)
+    return digest(backend, backend.simulate(trace(name)))
+
+
+GOLDEN = {
+    ("fast", "scan", "fast"): "478d90a72b4c497b",
+    ("fast", "scan", "vector"): "29856856fe1d6f70",
+    ("fast", "skewed", "fast"): "53b0ffc49b37ad3f",
+    ("fast", "skewed", "vector"): "296b8220cffa6b92",
+    ("fast", "uniform", "fast"): "d0379fd5b077768f",
+    ("fast", "uniform", "vector"): "7d1a174f4c03cd70",
+    ("slow", "scan", "fast"): "d174b20eb7aab8da",
+    ("slow", "scan", "vector"): "0ccb99ca554a05a2",
+    ("slow", "skewed", "fast"): "63712bbaa5d5eba8",
+    ("slow", "skewed", "vector"): "2180422b90f1d5ad",
+    ("slow", "uniform", "fast"): "91433c66a643f643",
+    ("slow", "uniform", "vector"): "8f1b57f5578ee172",
+    ("smart", "scan", "fast"): "920aad0d5beb9471",
+    ("smart", "scan", "vector"): "807e861787dbe996",
+    ("smart", "skewed", "fast"): "eefc8f395ed7847d",
+    ("smart", "skewed", "vector"): "c92a1b85a867eeba",
+    ("smart", "uniform", "fast"): "91433c66a643f643",
+    ("smart", "uniform", "vector"): "8f1b57f5578ee172",
+    ("ragged-wave", "fast"): "4b09fbfd87151099",
+    ("ragged-wave", "smart"): "9bbcf0b3a54aa94c",
+    "no-budget": "63712bbaa5d5eba8",
+    "no-trans-cache": "9b40ad09c13969b9",
+    "no-fast-tier": "6a3e789284db441f",
+    "retired": "89e589b36fbbce55",
+    "second-call": ("eefc8f395ed7847d", "353a5b50dda0e46e"),
+}
+
+
+@pytest.mark.parametrize("delegate", ("fast", "vector"))
+@pytest.mark.parametrize("shape", sorted(TRACES))
+@pytest.mark.parametrize("policy", ("fast", "slow", "smart"))
+def test_policy_grid_matches_golden(policy, shape, delegate):
+    got = run(shape, policy=policy, delegate=delegate)
+    assert got == GOLDEN[policy, shape, delegate]
+
+
+@pytest.mark.parametrize("policy", ("fast", "smart"))
+def test_ragged_last_wave_matches_golden(policy):
+    """1000-access waves leave a 512-access last wave."""
+    got = run("skewed", policy=policy, wave_accesses=1000)
+    assert got == GOLDEN["ragged-wave", policy]
+
+
+def test_no_swap_budget_matches_golden():
+    assert run("skewed", policy="fast", swap_budget=0) == GOLDEN["no-budget"]
+
+
+def test_no_translation_cache_matches_golden():
+    got = run("skewed", policy="smart", trans_cache_pages=0)
+    assert got == GOLDEN["no-trans-cache"]
+
+
+def test_no_fast_tier_matches_golden():
+    assert run("uniform", policy="smart", fast_pages=0) == GOLDEN["no-fast-tier"]
+
+
+def test_retired_pages_match_golden():
+    """Retire two hot pages and one cold one before the first wave."""
+    backend = TieredBackend(
+        CONFIG, policy="smart", fast_pages=FAST_PAGES, wave_accesses=WAVE
+    )
+    for page in (3, 17, 400):
+        backend.retire_page(page)
+    stats = backend.simulate(trace("skewed"))
+    assert backend.placement.pinned == {3, 17, 400}
+    assert digest(backend, stats) == GOLDEN["retired"]
+
+
+def test_second_call_matches_golden():
+    """Placement, signals and the translation cache carry over."""
+    backend = TieredBackend(
+        CONFIG, policy="smart", fast_pages=FAST_PAGES, wave_accesses=WAVE
+    )
+    first = digest(backend, backend.simulate(trace("skewed")))
+    second = digest(backend, backend.simulate(trace("uniform")))
+    assert (first, second) == GOLDEN["second-call"]
