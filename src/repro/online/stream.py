@@ -153,7 +153,7 @@ class VariableActivity:
         self.windows_seen = 0
 
     def update(self, addresses: np.ndarray, variable: np.ndarray) -> None:
-        """Fold one window's tagged accesses in."""
+        """Fold one window's tagged accesses in (one pass per window)."""
         addresses = np.asarray(addresses, dtype=np.uint64).ravel()
         variable = np.asarray(variable, dtype=np.int64).ravel()
         if addresses.size != variable.size:
@@ -165,15 +165,22 @@ class VariableActivity:
         if addresses.size == 0:
             return
         pages = addresses >> np.uint64(self.page_bits)
-        for var in np.unique(variable):
-            mask = variable == var
-            var = int(var)
-            self.references[var] = self.references.get(var, 0.0) + float(
-                mask.sum()
-            )
-            self.footprint_pages[var] = self.footprint_pages.get(
-                var, 0.0
-            ) + float(np.unique(pages[mask]).size)
+        tags, refs = np.unique(variable, return_counts=True)
+        # One sort of the (tag, page) pairs: each tag's run of distinct
+        # pages is its footprint this window.
+        order = np.lexsort((pages, variable))
+        tag, page = variable[order], pages[order]
+        fresh = np.ones(tag.size, dtype=bool)
+        fresh[1:] = (tag[1:] != tag[:-1]) | (page[1:] != page[:-1])
+        distinct = np.bincount(
+            np.searchsorted(tags, tag[fresh]), minlength=tags.size
+        )
+        references, footprints = self.references, self.footprint_pages
+        for var, count, spread in zip(
+            tags.tolist(), refs.tolist(), distinct.tolist()
+        ):
+            references[var] = references.get(var, 0.0) + float(count)
+            footprints[var] = footprints.get(var, 0.0) + float(spread)
 
     def majors(self, coverage: float = 0.8) -> list[int]:
         """Variables covering ``coverage`` of decayed references."""

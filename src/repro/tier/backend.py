@@ -80,6 +80,14 @@ class TieredBackend:
     or ``"vector"``); ``policy`` names the swap policy; the remaining
     keywords override individual :class:`~repro.tier.config.TierConfig`
     fields (``fast_pages=0`` is the all-slow baseline).
+
+    State persists across calls: the placement, the policy's decayed
+    signals, the translation cache and the set of migrated pages carry
+    over from one ``simulate`` call to the next (only
+    :attr:`last_traffic` is per call), which is what lets
+    :meth:`retire_page` before a run take effect.  A second run of the
+    same trace therefore starts from the first run's placement; build a
+    fresh backend for an independent run.
     """
 
     def __init__(
@@ -165,14 +173,24 @@ class TieredBackend:
         )
 
     def _apply_swaps(self, traffic: TierTraffic) -> None:
-        """Plan with the policy, migrate through the placement map."""
+        """Plan with the policy, migrate through the placement map.
+
+        The victim ranking is taken once, at the first forced
+        demotion, and walked past pages already ``moved``.  That equals
+        re-ranking the fast set for every demotion: nothing in the loop
+        changes a page's refs or last touch, and every page that joins
+        the fast set here is a promotion, already in ``moved``.
+        """
         promote = self.policy.plan(self.placement, self.tier.swap_budget)
         moved = set(promote)
         cost = self._swap_cost_ns()
+        victims = None
         for page in promote:
             free = self.placement.fast_free
             if free is not None and free <= 0:
-                victim = self.policy.pick_victim(self.placement, moved)
+                if victims is None:
+                    victims = iter(self.policy.victim_order(self.placement))
+                victim = next((p for p in victims if p not in moved), None)
                 if victim is None:
                     break
                 self.placement.demote(victim)
@@ -231,11 +249,12 @@ class TieredBackend:
         for index, start in enumerate(range(0, n, wave)):
             sl = slice(start, min(start + wave, n))
             wave_pages = pages[sl]
-            _, first = np.unique(wave_pages, return_index=True)
-            touched = [int(p) for p in wave_pages[np.sort(first)]]
+            # observe() never reads the placement, so it can go first
+            # and its first-touch order drive admission.
+            self.policy.observe(ha[sl], wave_pages)
+            touched = self.policy.wave_pages
             for page in touched:
                 self.placement.admit(page)
-            self.policy.observe(ha[sl], wave_pages)
             if self.placement.slow:
                 slow_now = np.fromiter(
                     self.placement.slow, dtype=np.int64,

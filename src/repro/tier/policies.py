@@ -64,11 +64,8 @@ class SwapPolicy:
         self.activity.update(ha, pages.astype(np.int64))
         # First-touch order, deduplicated — deterministic across runs.
         _, first = np.unique(pages, return_index=True)
-        self.wave_pages = [
-            int(p) for p in pages[np.sort(first)]
-        ]
-        for page in self.wave_pages:
-            self.last_touch[page] = self.wave
+        self.wave_pages = pages[np.sort(first)].tolist()
+        self.last_touch.update(dict.fromkeys(self.wave_pages, self.wave))
         self.streaming = self._looks_streaming(rates)
 
     def _looks_streaming(self, rates: np.ndarray) -> bool:
@@ -85,9 +82,10 @@ class SwapPolicy:
 
     def victim_order(self, placement: TierPlacement) -> list[int]:
         """Fast pages coldest-first (refs, then recency, then id)."""
+        refs = self.activity.references.get
+        touch = self.last_touch.get
         return sorted(
-            placement.fast,
-            key=lambda p: (self.refs(p), self.last_touch.get(p, 0), p),
+            placement.fast, key=lambda p: (refs(p, 0.0), touch(p, 0), p)
         )
 
     def pick_victim(
@@ -168,34 +166,37 @@ class SmartSwap(SwapPolicy):
     def plan(self, placement: TierPlacement, budget: int) -> list[int]:
         if placement.fast_capacity is None:
             return []
+        refs = self.activity.references.get
+        pinned = placement.pinned
+        # Hottest first: (-refs, page), each page's refs looked up once.
         candidates = sorted(
-            (
-                p
-                for p in placement.slow
-                if not placement.is_pinned(p) and self.refs(p) > 0.0
-            ),
-            key=lambda p: (-self.refs(p), p),
+            (-heat, p)
+            for p in placement.slow
+            if p not in pinned and (heat := refs(p, 0.0)) > 0.0
         )
-        victims = self.victim_order(placement)
+        victims = None
         factor = self.hysteresis * (2.0 if self.streaming else 1.0)
         promote: list[int] = []
         free = placement.fast_free or 0
         victim_index = 0
-        for page in candidates:
+        for neg_heat, page in candidates:
             if len(promote) >= budget:
                 break
+            heat = -neg_heat
             if free > 0:
                 # No demotion needed: half the swap cost, half the bar.
-                if self.refs(page) < self.min_refs / 2.0:
+                if heat < self.min_refs / 2.0:
                     break
                 promote.append(page)
                 free -= 1
                 continue
+            if victims is None:
+                victims = self.victim_order(placement)
             if victim_index >= len(victims):
                 break
             cold = victims[victim_index]
-            bar = max(factor * self.refs(cold), self.min_refs)
-            if self.refs(page) > bar:
+            bar = max(factor * refs(cold, 0.0), self.min_refs)
+            if heat > bar:
                 promote.append(page)
                 victim_index += 1
             else:
