@@ -12,14 +12,6 @@ without writing any code:
   complete suites, ``--workers N`` to parallelise, ``--cache-dir`` to
   memoise stages on disk, ``--resume`` to finish an interrupted
   sweep, ``--json`` for machine-readable output);
-* ``bench``   — translation-datapath microbenchmark: fused
-  translate+decode vs the pre-refactor baseline, written to
-  ``BENCH_translation.json`` (``--min-speedup`` gates CI); with
-  ``--online``, the streaming-BFRV estimator vs windowed batch
-  recompute instead, written to ``BENCH_online.json``; with
-  ``--evaluate``, the end-to-end evaluate stage under the chunked
-  vector backend vs the event tier's pre-rewrite loop (and, ungated,
-  vs the live event tier), written to ``BENCH_evaluate.json``;
 * ``verify-cache`` — checksum + decode every stage-cache entry,
   quarantining corrupt ones (``--gc`` sweeps tmp debris, and
   ``--purge-quarantine`` empties the quarantine);
@@ -42,6 +34,9 @@ without writing any code:
 The four campaigns share one table (:data:`CAMPAIGNS`), one handler
 and one exit contract: 0 ok, 1 the campaign found problems, 2 usage
 error, 3 interrupted.
+
+Host speed is measured by the benchmark harness ``perfbench/run.py``,
+not by this front end.
 """
 
 from __future__ import annotations
@@ -194,153 +189,6 @@ def cmd_suite(args) -> int:
                 f"[{error.stage}]: {error.message}",
                 file=sys.stderr,
             )
-        return 1
-    return 0
-
-
-def cmd_bench(args) -> int:
-    """Benchmark the translation datapath (or, with ``--online``, the
-    streaming estimator; with ``--evaluate``, the end-to-end evaluate
-    stage); write the JSON report."""
-    import json
-
-    if args.tier:
-        from repro.system.bench import (
-            TIER_REPORT_PATH,
-            run_tier_benchmark,
-            write_report,
-        )
-
-        accesses = args.accesses or 65_536
-        report = run_tier_benchmark(
-            accesses=accesses,
-            seed=args.seed,
-            repeats=args.repeats,
-        )
-        path = write_report(report, args.out or TIER_REPORT_PATH)
-        summary = report["summary_speedup_geomean"]
-        if args.json:
-            print(json.dumps(report, indent=2))
-        else:
-            print(f"tier bench: {accesses} accesses -> {path}")
-            for scenario, cell in report["cells"].items():
-                print(
-                    f"  {scenario:8s} smart-tiered "
-                    f"{cell['smart_ns'] / 1e6:8.2f} ms model time "
-                    f"({cell['speedup']:.2f}x vs all-slow)"
-                )
-            print(f"  geomean speedup: smart {summary['smart']:.2f}x")
-        gate = summary["smart"]
-        if gate < args.min_speedup:
-            print(
-                f"error: geomean speedup {gate:.2f}x below the "
-                f"--min-speedup {args.min_speedup:.2f}x gate",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
-
-    if args.evaluate:
-        from repro.system.bench import (
-            EVALUATE_REPORT_PATH,
-            run_evaluate_benchmark,
-            write_report,
-        )
-
-        accesses = args.accesses or 200_000
-        report = run_evaluate_benchmark(
-            accesses=accesses,
-            seed=args.seed,
-            repeats=args.repeats,
-            backend=args.backend or "vector",
-        )
-        path = write_report(report, args.out or EVALUATE_REPORT_PATH)
-        summary = report["summary_speedup_geomean"]
-        if args.json:
-            print(json.dumps(report, indent=2))
-        else:
-            print(
-                f"evaluate bench: {accesses} accesses, "
-                f"backend {report['backend']} -> {path}"
-            )
-            for scenario, cell in report["cells"].items():
-                ev = cell["evaluate"]
-                live = cell["live_event"]
-                cal = cell["calibration"]
-                print(
-                    f"  {scenario:8s} evaluate "
-                    f"{ev['fused_maccesses_per_s']:8.1f} Macc/s "
-                    f"({ev['speedup']:.2f}x vs event-loop baseline, "
-                    f"{live['speedup']:.2f}x vs live event tier, "
-                    f"makespan ratio {cal['makespan_ratio']:.2f})"
-                )
-            print(
-                f"  geomean speedup: evaluate {summary['evaluate']:.2f}x "
-                f"(vs live event tier {summary['live_event']:.2f}x, "
-                "not gated)"
-            )
-        gate = summary["evaluate"]
-        if gate < args.min_speedup:
-            print(
-                f"error: geomean speedup {gate:.2f}x below the "
-                f"--min-speedup {args.min_speedup:.2f}x gate",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
-
-    if args.online:
-        from repro.online.bench import (
-            DEFAULT_REPORT_PATH,
-            run_benchmark,
-            write_report,
-        )
-    else:
-        from repro.system.bench import run_benchmark, write_report
-
-        DEFAULT_REPORT_PATH = "BENCH_translation.json"
-
-    accesses = args.accesses
-    if accesses is None:
-        accesses = 262_144 if args.online else 1_000_000
-    report = run_benchmark(
-        accesses=accesses,
-        seed=args.seed,
-        repeats=args.repeats,
-    )
-    path = write_report(report, args.out or DEFAULT_REPORT_PATH)
-    summary = report["summary_speedup_geomean"]
-    if args.json:
-        print(json.dumps(report, indent=2))
-    elif args.online:
-        print(f"online bench: {accesses} accesses -> {path}")
-        for scenario, cell in report["cells"].items():
-            print(
-                f"  {scenario:10s} streaming "
-                f"{cell['streaming_maccesses_per_s']:8.1f} Macc/s "
-                f"({cell['speedup']:.2f}x vs windowed batch recompute)"
-            )
-        print(f"  geomean speedup: streaming {summary['streaming']:.2f}x")
-    else:
-        print(f"translation bench: {accesses} accesses -> {path}")
-        for scenario, cell in report["cells"].items():
-            fused = cell["translate_decode"]
-            print(
-                f"  {scenario:8s} translate+decode "
-                f"{fused['fused_maccesses_per_s']:8.1f} Macc/s "
-                f"({fused['speedup']:.2f}x vs pre-refactor baseline)"
-            )
-        print(
-            "  geomean speedups: "
-            + ", ".join(f"{k} {v:.2f}x" for k, v in summary.items())
-        )
-    gate = summary["streaming" if args.online else "translate_decode"]
-    if gate < args.min_speedup:
-        print(
-            f"error: geomean speedup {gate:.2f}x below the "
-            f"--min-speedup {args.min_speedup:.2f}x gate",
-            file=sys.stderr,
-        )
         return 1
     return 0
 
@@ -641,60 +489,6 @@ def main(argv: list[str] | None = None) -> int:
         help="memory fidelity tier for every cell "
         "(fast | vector | event; default fast)",
     )
-    bench = sub.add_parser(
-        "bench", help="translation-datapath microbenchmark (fused vs legacy)"
-    )
-    bench_mode = bench.add_mutually_exclusive_group()
-    bench_mode.add_argument(
-        "--online",
-        action="store_true",
-        help="benchmark the streaming-BFRV estimator instead "
-        "(report goes to BENCH_online.json)",
-    )
-    bench_mode.add_argument(
-        "--evaluate",
-        action="store_true",
-        help="benchmark the end-to-end evaluate stage: chunk-streamed "
-        "--backend tier vs the pre-rewrite event-loop baseline "
-        "(report goes to BENCH_evaluate.json)",
-    )
-    bench_mode.add_argument(
-        "--tier",
-        action="store_true",
-        help="benchmark the tiered-memory backend: SmartSwap placement "
-        "vs the all-slow baseline (report goes to BENCH_tier.json)",
-    )
-    bench.add_argument(
-        "--backend",
-        default=None,
-        help="candidate memory backend for --evaluate (default vector)",
-    )
-    bench.add_argument(
-        "--accesses",
-        type=int,
-        default=None,
-        help="trace length (default 1M; 256Ki with --online)",
-    )
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument(
-        "--repeats", type=int, default=3, help="timing repeats (min taken)"
-    )
-    bench.add_argument(
-        "--out",
-        default=None,
-        help="where to write the JSON report (default "
-        "BENCH_translation.json, or BENCH_online.json with --online)",
-    )
-    bench.add_argument(
-        "--json", action="store_true", help="also print the report as JSON"
-    )
-    bench.add_argument(
-        "--min-speedup",
-        type=float,
-        default=0.0,
-        help="fail unless the fused translate+decode geomean speedup "
-        "reaches this factor (CI gate)",
-    )
     verify = sub.add_parser(
         "verify-cache", help="checksum the stage cache, quarantine bad entries"
     )
@@ -739,7 +533,6 @@ def main(argv: list[str] | None = None) -> int:
         "hw": cmd_hw,
         "audit": cmd_audit,
         "suite": cmd_suite,
-        "bench": cmd_bench,
         "verify-cache": cmd_verify_cache,
         **dict.fromkeys(CAMPAIGNS, cmd_campaign),
     }

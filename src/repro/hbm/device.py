@@ -11,11 +11,9 @@ The loop keeps all device state in flat lists — one queue, bus horizon
 and busy time per channel, one open row and ready time per
 channel-major bank — and caches each channel's next feasible start, so
 picking the channel to issue from is one ``min`` over a list.  The
-per-object loop it replaced (:class:`~repro.hbm.channel.Channel` and
-:class:`~repro.hbm.bank.Bank`) is kept as
-:class:`repro.system.bench.EventLoopBaseline`, the evaluate bench's
-baseline and the reference ``tests/hbm/test_event_differential.py``
-compares against bit for bit.
+per-object loop it replaced (one ``Channel`` and one ``Bank`` object
+each) lives on in ``tests/hbm/event_oracle.py`` as the reference
+``tests/hbm/test_event_differential.py`` compares against bit for bit.
 """
 
 from __future__ import annotations

@@ -1,13 +1,13 @@
-"""Tests for the event-driven HBM device model."""
+"""Tests for the event-driven HBM device model and the per-object
+parts of its former loop (``tests/hbm/event_oracle.py``)."""
 
 import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.hbm.bank import Bank
-from repro.hbm.channel import Channel, ChannelRequest
 from repro.hbm.config import hbm2_config
 from repro.hbm.device import HBMDevice
+from tests.hbm.event_oracle import Bank, Channel, ChannelRequest
 
 
 def stride_trace(stride_lines: int, count: int = 2048) -> np.ndarray:

@@ -1,11 +1,12 @@
 """The flat-list event loop against the per-object loop it replaced.
 
-:class:`~repro.system.bench.EventLoopBaseline` keeps the event tier's
-earlier loop (one ``Channel`` and ``Bank`` object each, one
+:class:`tests.hbm.event_oracle.EventLoopBaseline` keeps the event
+tier's earlier loop (one ``Channel`` and ``Bank`` object each, one
 ``ChannelRequest`` per request).  :class:`~repro.hbm.device.HBMDevice`
 must give the same :class:`~repro.hbm.stats.RunStats`, bit for bit, on
 any stream: every window, every in-flight limit, whole or chunked,
-with or without ECC-retry flags.
+with or without ECC-retry flags, and on uniform random traffic decoded
+through each mapping family.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hbm.config import hbm2_config
-from repro.hbm.decode import DecodedTrace
+from repro.hbm.decode import DecodedTrace, decode_translated
 from repro.hbm.device import HBMDevice
-from repro.system.bench import EventLoopBaseline
+from tests.hbm.event_oracle import EventLoopBaseline
+from tests.system.test_fused_equivalence import _random_trace, _translators
 
 CONFIG = hbm2_config()
 
@@ -139,3 +141,13 @@ def test_equal_start_estimates_break_ties_by_channel(window, inflight):
     row = (np.arange(n) // 64) % 2
     forced = np.arange(n) % 5 == 0
     assert_same(stream(channel, bank, row), window, inflight, forced=forced)
+
+
+@pytest.mark.parametrize("name", ["identity", "hash", "bsm", "sdam_multi"])
+def test_translated_traffic_matches_baseline(name):
+    """Uniform random lines through each mapping family the systems
+    use: the channel and bank spread real translated traffic has."""
+    translator = dict(_translators())[name]
+    decoded = decode_translated(_random_trace(8192, seed=0), translator, CONFIG)
+    stats = assert_same(decoded, 8, 64)
+    assert stats.requests == 8192

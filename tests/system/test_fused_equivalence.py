@@ -2,9 +2,11 @@
 
 The acceptance property of the fused pipeline: for every system in
 ``system/config.py``, ``decode_translated(pa, translator, config)`` is
-bit-identical to ``decode_trace(translator.translate(pa), config)``,
-and a ``Machine`` run with ``debug_ha=True`` (the legacy two-step
-evaluate stage) fingerprints identically to the fused default.
+bit-identical to ``decode_trace(translator.translate(pa), config)``
+and to the per-bit translate and field-by-field decode loops it
+replaced (``tests/system/translate_oracle.py``), and a ``Machine`` run
+with ``debug_ha=True`` (the legacy two-step evaluate stage)
+fingerprints identically to the fused default.
 """
 
 import numpy as np
@@ -20,6 +22,10 @@ from repro.hbm.config import hbm2_config
 from repro.hbm.decode import decode_trace, decode_translated
 from repro.profiling.bfrv import bit_flip_rate_vector
 from repro.system.config import standard_systems
+from tests.system.translate_oracle import (
+    _make_reference_translate,
+    _reference_decode,
+)
 
 CONFIG = hbm2_config()
 SYSTEMS = standard_systems(cluster_counts=(4,))
@@ -62,6 +68,11 @@ def _translators():
     yield "sdam_multi", _sdam_controller(num_mappings=8, seed=1)
 
 
+TRANSLATORS = pytest.mark.parametrize(
+    "name,translator", list(_translators()), ids=lambda v: v if isinstance(v, str) else ""
+)
+
+
 def _assert_decoded_equal(fused, legacy, what):
     for name in ("channel", "bank", "row", "column", "global_bank"):
         np.testing.assert_array_equal(
@@ -70,14 +81,19 @@ def _assert_decoded_equal(fused, legacy, what):
 
 
 class TestTranslatorEquivalence:
-    @pytest.mark.parametrize(
-        "name,translator", list(_translators()), ids=lambda v: v if isinstance(v, str) else ""
-    )
+    @TRANSLATORS
     def test_fused_matches_two_step(self, name, translator):
         pa = _random_trace(8192, seed=42)
         fused = decode_translated(pa, translator, CONFIG)
         legacy = decode_trace(translator.translate(pa), CONFIG)
         _assert_decoded_equal(fused, legacy, name)
+
+    @TRANSLATORS
+    def test_fused_matches_per_bit_oracle(self, name, translator):
+        pa = _random_trace(16384, seed=0)
+        fused = decode_translated(pa, translator, CONFIG)
+        oracle = _reference_decode(_make_reference_translate(translator)(pa), CONFIG)
+        _assert_decoded_equal(fused, oracle, name)
 
     def test_single_chunk_trace_uses_one_group(self):
         # A trace inside one chunk touches one mapping: still bit-exact.

@@ -149,29 +149,6 @@ class TestAdaptCommand:
             main(["adapt", "--quick", "--full"])
 
 
-class TestOnlineBench:
-    def test_bench_online_writes_report(self, capsys, tmp_path):
-        out_path = tmp_path / "bench_online.json"
-        code = main(
-            [
-                "bench",
-                "--online",
-                "--accesses",
-                "16384",
-                "--repeats",
-                "1",
-                "--out",
-                str(out_path),
-            ]
-        )
-        captured = capsys.readouterr().out
-        assert code == 0
-        assert "streaming" in captured
-        report = json.loads(out_path.read_text())
-        assert "streaming" in report["summary_speedup_geomean"]
-        assert set(report["cells"]) == {"stream", "random", "phase-mix"}
-
-
 class TestRASCommand:
     def test_ras_quick_campaign(self, capsys, tmp_path):
         out_path = tmp_path / "ras_report.json"
@@ -391,44 +368,3 @@ class TestCampaignExitContract:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
-
-class TestTierBench:
-    def test_bench_tier_writes_report(self, capsys, tmp_path):
-        out_path = tmp_path / "bench_tier.json"
-        code = main(
-            [
-                "bench",
-                "--tier",
-                "--repeats",
-                "1",
-                "--out",
-                str(out_path),
-            ]
-        )
-        captured = capsys.readouterr().out
-        assert code == 0
-        assert "smart-tiered" in captured
-        report = json.loads(out_path.read_text())
-        assert report["benchmark"] == "tiered-memory"
-        assert "smart" in report["summary_speedup_geomean"]
-        assert set(report["cells"]) == {"skew", "pressure"}
-
-    def test_bench_tier_gate_failure_exits_1(self, capsys, tmp_path):
-        out_path = tmp_path / "bench_tier.json"
-        assert main(
-            [
-                "bench",
-                "--tier",
-                "--repeats",
-                "1",
-                "--min-speedup",
-                "1000",
-                "--out",
-                str(out_path),
-            ]
-        ) == 1
-        assert "below the" in capsys.readouterr().err
-
-    def test_bench_rejects_tier_and_online(self):
-        with pytest.raises(SystemExit):
-            main(["bench", "--tier", "--online"])
