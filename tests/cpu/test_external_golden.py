@@ -3,7 +3,10 @@
 The external stream (misses and write-backs in order, with their write
 flags and variable tags) is what SDAM profiles and remaps, so any change
 to the cache filter or the interleave that moves a single access shows
-up here.  The digests were recorded with the per-access dict LRU.
+up here.  The first four digests were recorded with the per-access dict
+LRU; the rest pin the two other Fig. 15 programs on the accelerator and
+a graph workload, whose threads are dealt from one merged trace, on
+four and on two cores.
 """
 
 import hashlib
@@ -13,7 +16,13 @@ import pytest
 
 from repro.cpu.accelerator import AcceleratorModel
 from repro.cpu.cpu import CPUModel
-from repro.workloads import BFSWorkload, HashJoinWorkload, spec2006_workload
+from repro.workloads import (
+    BFSWorkload,
+    HashJoinWorkload,
+    MergeJoinWorkload,
+    PageRankWorkload,
+    spec2006_workload,
+)
 
 
 def layout(workload) -> dict[str, int]:
@@ -56,6 +65,11 @@ CASES = {
     ),
     "bfs-accel": (lambda: BFSWorkload(), lambda: AcceleratorModel(), 3),
     "hashjoin-accel": (lambda: HashJoinWorkload(), lambda: AcceleratorModel(), 5),
+    "pagerank-accel": (lambda: PageRankWorkload(), lambda: AcceleratorModel(), 3),
+    "mergejoin-accel": (lambda: MergeJoinWorkload(), lambda: AcceleratorModel(), 5),
+    # Four near-equal graph threads (one access short on the last).
+    "bfs-cpu4": (lambda: BFSWorkload(), lambda: CPUModel(cores=4), 7),
+    "bfs-cpu2": (lambda: BFSWorkload(), lambda: CPUModel(cores=2), 7),
 }
 
 GOLDEN = {
@@ -63,6 +77,10 @@ GOLDEN = {
     "mcf-cpu2": (45679, "929ec44256880441", 46, 9851),
     "bfs-accel": (34897, "84d591654caf6bba", 22610, 0),
     "hashjoin-accel": (64752, "122afeff14385a50", 3625, 0),
+    "pagerank-accel": (38242, "624ed245c1d8e491", 15750, 0),
+    "mergejoin-accel": (53892, "4f059b4f1bfa12ba", 6011, 0),
+    "bfs-cpu4": (12762, "c462baef4c7bc6ff", 9589, 33696),
+    "bfs-cpu2": (12826, "7cb75204c7764c43", 9668, 33739),
 }
 
 
