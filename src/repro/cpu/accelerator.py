@@ -32,6 +32,13 @@ class AcceleratorModel:
     ):
         if lanes < 1:
             raise ConfigError("need at least one lane")
+        if mlp_per_lane < 1:
+            raise ConfigError("need at least one in-flight access per lane")
+        if scratch_bytes < 0:
+            raise ConfigError("scratch size must be >= 0 (0: no scratch)")
+        if scratch_bytes:
+            # Reject a bad scratch geometry now, not on the first trace.
+            SetAssociativeCache(scratch_bytes, line_bytes, ways=4)
         self.lanes = lanes
         self.mlp_per_lane = mlp_per_lane
         self.scratch_bytes = scratch_bytes

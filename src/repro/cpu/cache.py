@@ -60,6 +60,10 @@ class SetAssociativeCache:
     """LRU set-associative write-back, write-allocate cache."""
 
     def __init__(self, size_bytes: int, line_bytes: int = 64, ways: int = 8):
+        if ways < 1:
+            raise ConfigError("need at least one way")
+        if line_bytes < 1:
+            raise ConfigError("line size must be positive")
         if size_bytes <= 0 or size_bytes % (line_bytes * ways):
             raise ConfigError(
                 "cache size must be a positive multiple of line_bytes*ways"
@@ -93,30 +97,29 @@ class SetAssociativeCache:
         """
         trace = concat_traces(traces)
         line = (trace.va >> np.uint64(self.line_bits)).astype(np.int64)
-        hit, victim = self._decide(line, trace.is_write)
-        miss = ~hit
-        writeback = victim >= 0
+        miss, evictor, victim = self._decide(line, trace.is_write)
+        misses = np.flatnonzero(miss)
         self.stats = CacheStats()
         self.stats.accesses = len(trace)
-        self.stats.misses = int(miss.sum())
-        self.stats.hits = len(trace) - self.stats.misses
-        self.stats.writebacks = int(writeback.sum())
-        # Each access emits [write-back] then [miss]; scatter both.
-        emitted = miss.astype(np.int64) + writeback
+        self.stats.misses = misses.size
+        self.stats.hits = len(trace) - misses.size
+        self.stats.writebacks = evictor.size
+        # Each miss emits [write-back] then itself; scatter both.
+        emitted = miss.astype(np.int32)
+        emitted[evictor] = 2
         ends = np.cumsum(emitted)
-        slot = ends - emitted
         total = int(ends[-1]) if ends.size else 0
         va = np.empty(total, dtype=np.uint64)
         is_write = np.empty(total, dtype=bool)
         variable = np.empty(total, dtype=np.int64)
-        wb_slot = slot[writeback]
-        va[wb_slot] = (line[victim[writeback]] << self.line_bits).astype(np.uint64)
+        miss_slot = ends[misses] - 1
+        va[miss_slot] = trace.va[misses]
+        is_write[miss_slot] = trace.is_write[misses]
+        variable[miss_slot] = trace.variable[misses]
+        wb_slot = ends[evictor] - 2
+        va[wb_slot] = (line[victim] << self.line_bits).astype(np.uint64)
         is_write[wb_slot] = True
-        variable[wb_slot] = trace.variable[writeback]
-        miss_slot = slot[miss] + writeback[miss]
-        va[miss_slot] = trace.va[miss]
-        is_write[miss_slot] = trace.is_write[miss]
-        variable[miss_slot] = trace.variable[miss]
+        variable[wb_slot] = trace.variable[evictor]
         # Output offset of each input boundary, to split per input trace.
         edges = np.concatenate(([0], ends))[np.cumsum([0, *map(len, traces)])]
         return [
@@ -131,55 +134,61 @@ class SetAssociativeCache:
     # -- the offline LRU decision ------------------------------------------------
     def _decide(
         self, line: np.ndarray, is_write: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per access: hit flag and its dirty victim's index (else -1).
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per access a miss flag; and the dirty evictions, as index pairs.
 
+        Returns ``(miss, evictor, victim)``: ``evictor[k]`` is a miss
+        whose eviction writes back the line of access ``victim[k]``.
         The decision runs on *sorted positions*: accesses sorted stably
         by set, so each set is a contiguous run in time order.
         """
         n = line.size
-        sets = line % self.num_sets
+        tag = line // self.num_sets
+        sets = line - tag * self.num_sets
         order = radix_argsort(sets)
-        ordered = line[order]
         # Sorted positions grouped by line, time order within a line:
         # equal tags keep position order, which groups them by set.
-        chain = radix_argsort(ordered // self.num_sets)
-        same = ordered[chain[1:]] == ordered[chain[:-1]]
-        before, after = chain[:-1][same], chain[1:][same]
-        prev = np.full(n, -1, dtype=np.int64)
+        chain = radix_argsort(tag[order])
+        traced = order[chain]
+        linked = line[traced]
+        same = np.flatnonzero(linked[1:] == linked[:-1])
+        before, after = chain[same], chain[same + 1]
+        # int32 links: the walk reads them slab by slab without a copy.
+        prev = np.full(n, -1, dtype=np.int32)
         prev[after] = before
-        nxt = np.full(n, n, dtype=np.int64)
+        nxt = np.full(n, n, dtype=np.int32)
         nxt[before] = after
         counts = np.bincount(sets, minlength=self.num_sets)
         set_ends = np.cumsum(counts)
-        set_start = np.repeat(set_ends - counts, counts)
         miss = ~self._hits(prev, nxt, set_ends)
+        # Along the chain, a line's accesses from a miss up to its next
+        # miss (or the next line) are one residency; the last of them is
+        # a residency end, dirty iff the residency holds a write.
+        fills = np.flatnonzero(miss[chain])
+        is_end = np.zeros(n, dtype=bool)
+        dirty = np.zeros(n, dtype=bool)
+        if fills.size:
+            last = chain[np.append(fills[1:], n) - 1]
+            is_end[last] = True
+            dirty[last] = np.logical_or.reduceat(is_write[traced], fills)
         # LRU evicts lines in the order of their last use, so once a set
         # is full (``ways`` misses in) its j-th further miss evicts its
-        # j-th residency end: an access whose line's next touch misses or
-        # never comes.
-        ends = np.ones(n, dtype=bool)
-        ends[before] = miss[after]
-        misses_before = np.concatenate(([0], np.cumsum(miss)))
-        ends_before = np.concatenate(([0], np.cumsum(ends)))
-        evictions = misses_before[1:] - misses_before[set_start] - self.ways
-        evicts = np.flatnonzero(miss & (evictions > 0))
-        victim = np.flatnonzero(ends)[
-            ends_before[set_start[evicts]] + evictions[evicts] - 1
-        ]
-        # A victim is dirty iff its residency (the run of accesses to its
-        # line from the filling miss up to the victim) holds a write.
-        residency = np.cumsum(miss[chain]) - 1
-        dirty_run = np.bincount(residency, weights=is_write[order[chain]]) > 0
-        dirty = np.empty(n, dtype=bool)
-        dirty[chain] = dirty_run[residency]
-        # Back to trace order.
-        trace_hit = np.empty(n, dtype=bool)
-        trace_hit[order] = ~miss
-        trace_victim = np.full(n, -1, dtype=np.int64)
+        # j-th residency end.  Each miss fills one residency, so every set
+        # holds as many ends as misses, and miss g (counted over all
+        # sets) evicts end g - ways unless it is among its set's first
+        # ``ways`` misses.
+        misses = np.flatnonzero(miss)
+        first = np.searchsorted(misses, set_ends - counts)
+        filling = first[:, None] + np.arange(self.ways)
+        next_first = np.append(first[1:], misses.size)[:, None]
+        evicting = np.ones(misses.size, dtype=bool)
+        evicting[filling[filling < next_first]] = False
+        g = np.flatnonzero(evicting)
+        evicts, victim = misses[g], np.flatnonzero(is_end)[g - self.ways]
         write_back = dirty[victim]
-        trace_victim[order[evicts[write_back]]] = order[victim[write_back]]
-        return trace_hit, trace_victim
+        trace_miss = np.empty(n, dtype=bool)
+        trace_miss[order] = miss
+        return trace_miss, order[evicts[write_back]], order[victim[write_back]]
 
     def _hits(self, prev: np.ndarray, nxt: np.ndarray, set_ends: np.ndarray):
         """Hit flags on sorted positions, from LRU stack distances.
@@ -194,10 +203,10 @@ class SetAssociativeCache:
         reuse = np.flatnonzero(prev >= 0)
         last = prev[reuse]
         short = reuse - last <= self.ways
-        hit[reuse[short]] = True
-        first_touches = np.concatenate(([0], np.cumsum(prev < 0)))
-        crowded = first_touches[reuse] - first_touches[last + 1] >= self.ways
-        todo = reuse[~short & ~crowded]
+        hit[reuse] = short
+        first_touches = np.cumsum(prev < 0, dtype=np.int32)
+        crowded = first_touches[reuse - 1] - first_touches[last] >= self.ways
+        todo = reuse[np.flatnonzero(~(short | crowded))]
         # Slabs of whole sets: cut at the first set boundary past each
         # multiple of SLAB_ACCESSES.
         marks = np.arange(SLAB_ACCESSES, n, SLAB_ACCESSES)
@@ -206,9 +215,9 @@ class SetAssociativeCache:
         for start, stop in zip(bounds[:-1], bounds[1:]):
             query = todo[np.searchsorted(todo, start) : np.searchsorted(todo, stop)]
             hit[query] = _walk(
-                (nxt[start:stop] - start).astype(np.int32),
+                nxt[start:stop] - start,
                 (query - start).astype(np.int32),
-                (prev[query] - start).astype(np.int32),
+                prev[query] - start,
                 self.ways,
             )
         return hit

@@ -51,6 +51,11 @@ class CPUModel:
     ):
         if cores < 1:
             raise ConfigError("need at least one core")
+        if mlp_per_core < 1:
+            raise ConfigError("need at least one in-flight access per core")
+        # Reject a bad cache geometry now, not on the first trace.
+        SetAssociativeCache(l1_bytes, line_bytes)
+        SetAssociativeCache(llc_bytes, line_bytes, ways=16)
         self.cores = cores
         self.l1_bytes = l1_bytes
         self.llc_bytes = llc_bytes

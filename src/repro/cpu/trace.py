@@ -128,16 +128,32 @@ def interleave_traces(traces: list[AccessTrace], chunk: int = 1) -> AccessTrace:
         return AccessTrace(va=np.zeros(0, dtype=np.uint64))
     if len(traces) == 1:
         return traces[0]
-    lengths = [len(t) for t in traces]
-    thread = np.repeat(np.arange(len(traces)), lengths)
-    starts = np.repeat(np.cumsum([0, *lengths[:-1]]), lengths)
-    position = np.arange(thread.size) - starts
-    # Round r takes positions [r*chunk, (r+1)*chunk) of each thread in
-    # thread order, so the stable sort on (round, thread) is the rotation.
-    order = radix_argsort((position // chunk) * len(traces) + thread)
-    merged = concat_traces(traces)
-    return AccessTrace(
-        va=merged.va[order],
-        is_write=merged.is_write[order],
-        variable=merged.variable[order],
-    )
+    total = sum(map(len, traces))
+    merged = {
+        "va": np.empty(total, dtype=np.uint64),
+        "is_write": np.empty(total, dtype=bool),
+        "variable": np.empty(total, dtype=np.int64),
+    }
+    live, start, out = list(traces), 0, 0
+    while live:
+        # The rounds in which every live thread has ``chunk`` accesses
+        # left form a (round, thread, chunk) block of the output.
+        rounds = (min(map(len, live)) - start) // chunk
+        stop = start + rounds * chunk
+        size = len(live) * (stop - start)
+        for name, column in merged.items():
+            block = column[out : out + size].reshape(rounds, len(live), chunk)
+            for index, trace in enumerate(live):
+                block[:, index] = getattr(trace, name)[start:stop].reshape(
+                    rounds, chunk
+                )
+        out += size
+        # The next round is ragged: the shortest live thread ends in it.
+        for trace in live:
+            end = min(len(trace), stop + chunk)
+            for name, column in merged.items():
+                column[out : out + end - stop] = getattr(trace, name)[stop:end]
+            out += end - stop
+        start = stop + chunk
+        live = [trace for trace in live if len(trace) > start]
+    return AccessTrace(**merged)

@@ -458,10 +458,18 @@ class SSSPWorkload(_GraphWorkloadBase):
 
 
 def _split_threads(trace: AccessTrace, threads: int) -> list[AccessTrace]:
-    """Deal a merged trace across threads round-robin (work stealing)."""
+    """Deal a merged trace across threads round-robin.
+
+    Access ``i`` goes to thread ``i % threads``: a static deal, so each
+    thread's trace is a strided view of the merged one, not a copy.
+    """
     if threads <= 1:
         return [trace]
     return [
-        trace.select(np.arange(len(trace)) % threads == t)
+        AccessTrace(
+            va=trace.va[t::threads],
+            is_write=trace.is_write[t::threads],
+            variable=trace.variable[t::threads],
+        )
         for t in range(threads)
     ]

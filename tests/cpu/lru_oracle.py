@@ -3,9 +3,12 @@
 ``DictLRU`` is the per-access set-associative write-back LRU cache the
 package used before the filter was decided offline: one dict per set,
 one Python step per access.  ``interleave_loop`` is the chunk-by-chunk
-round-robin loop ``interleave_traces`` replaced.  Both are kept here,
-outside the package, as oracles: the package's vectorised versions must
-produce bit-identical streams.
+round-robin loop ``interleave_traces`` replaced, and ``interleave_sort``
+the one stable sort on (round, thread) that replaced it in turn, before
+the rotation was laid out in whole blocks.  ``split_masks`` is the
+mask-and-copy round-robin deal the workloads used before they returned
+strided views.  All are kept here, outside the package, as oracles: the
+package's vectorised versions must produce bit-identical streams.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cpu.cache import CacheStats
-from repro.cpu.trace import AccessTrace
+from repro.cpu.trace import AccessTrace, concat_traces, radix_argsort
+from repro.errors import SimulationError
 
 
 class DictLRU:
@@ -106,6 +110,44 @@ def interleave_loop(traces: list[AccessTrace], chunk: int = 1) -> AccessTrace:
             cursors[index] = stop
             out += span
     return AccessTrace(va=va, is_write=is_write, variable=variable)
+
+
+def interleave_sort(traces: list[AccessTrace], chunk: int = 1) -> AccessTrace:
+    """Round-robin interleave per-thread traces into one stream.
+
+    ``chunk`` accesses are taken from each thread in turn — the paper's
+    four-thread data copy (Fig. 11) interleaves at fine grain.  Threads
+    that run out simply drop out of the rotation.
+    """
+    if chunk < 1:
+        raise SimulationError("interleave chunk must be >= 1")
+    if not traces:
+        return AccessTrace(va=np.zeros(0, dtype=np.uint64))
+    if len(traces) == 1:
+        return traces[0]
+    lengths = [len(t) for t in traces]
+    thread = np.repeat(np.arange(len(traces)), lengths)
+    starts = np.repeat(np.cumsum([0, *lengths[:-1]]), lengths)
+    position = np.arange(thread.size) - starts
+    # Round r takes positions [r*chunk, (r+1)*chunk) of each thread in
+    # thread order, so the stable sort on (round, thread) is the rotation.
+    order = radix_argsort((position // chunk) * len(traces) + thread)
+    merged = concat_traces(traces)
+    return AccessTrace(
+        va=merged.va[order],
+        is_write=merged.is_write[order],
+        variable=merged.variable[order],
+    )
+
+
+def split_masks(trace: AccessTrace, threads: int) -> list[AccessTrace]:
+    """Deal a merged trace across threads round-robin (work stealing)."""
+    if threads <= 1:
+        return [trace]
+    return [
+        trace.select(np.arange(len(trace)) % threads == t)
+        for t in range(threads)
+    ]
 
 
 def oracle_external_trace(cpu, thread_traces: list[AccessTrace]):

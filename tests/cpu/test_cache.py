@@ -91,6 +91,16 @@ class TestValidation:
         with pytest.raises(ConfigError):
             SetAssociativeCache(4 * KiB, line_bytes=48, ways=4)
 
+    @pytest.mark.parametrize("ways", [0, -1])
+    def test_ways_below_one_rejected(self, ways):
+        with pytest.raises(ConfigError):
+            SetAssociativeCache(4 * KiB, line_bytes=64, ways=ways)
+
+    @pytest.mark.parametrize("line_bytes", [0, -64])
+    def test_line_below_one_byte_rejected(self, line_bytes):
+        with pytest.raises(ConfigError):
+            SetAssociativeCache(4 * KiB, line_bytes=line_bytes, ways=4)
+
 
 class TestFilterTrace:
     def test_working_set_smaller_than_cache_filters_repeats(self):

@@ -29,6 +29,19 @@ class TestCPUModel:
         with pytest.raises(ConfigError):
             CPUModel(cores=0)
 
+    @pytest.mark.parametrize("mlp", [0, -4])
+    def test_mlp_below_one_rejected(self, mlp):
+        with pytest.raises(ConfigError):
+            CPUModel(mlp_per_core=mlp)
+
+    @pytest.mark.parametrize(
+        "caches",
+        [{"l1_bytes": 1000}, {"l1_bytes": 0}, {"llc_bytes": 1000}, {"llc_bytes": -KiB}],
+    )
+    def test_bad_cache_geometry_rejected_at_construction(self, caches):
+        with pytest.raises(ConfigError):
+            CPUModel(**caches)
+
     def test_cache_resident_set_filters(self):
         cpu = CPUModel(cores=1)
         result = cpu.external_trace([hot_trace(lines=128, repeats=20)])
@@ -81,3 +94,13 @@ class TestAcceleratorModel:
     def test_zero_lanes_rejected(self):
         with pytest.raises(ConfigError):
             AcceleratorModel(lanes=0)
+
+    @pytest.mark.parametrize("mlp", [0, -1])
+    def test_mlp_below_one_rejected(self, mlp):
+        with pytest.raises(ConfigError):
+            AcceleratorModel(mlp_per_lane=mlp)
+
+    @pytest.mark.parametrize("scratch", [-1, -8 * KiB, 1000])
+    def test_bad_scratch_rejected_at_construction(self, scratch):
+        with pytest.raises(ConfigError):
+            AcceleratorModel(scratch_bytes=scratch)
