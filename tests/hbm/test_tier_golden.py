@@ -9,7 +9,9 @@ three strides, uniform random lines and one accelerator ``hashjoin``
 external stream; the windows cover in-order batches (1), the default
 (8) and the widest the ablation sweeps (16).  The event tier is also
 pinned on ``hashjoin`` with ECC-retry flags, chunked input and the
-extremes of its in-flight window.
+extremes of its in-flight window, and on ``random`` and ``copy-s4``
+at the widest in-flight window (most channels scheduled at once,
+longest queues) and on ``random`` with ECC-retry flags.
 """
 
 from __future__ import annotations
@@ -108,6 +110,7 @@ GOLDEN = {
     ("event", "copy-s16", 8): "1c07231c62b710a0",
     ("event", "copy-s16", 16): "1c07231c62b710a0",
     ("event", "copy-s4", 1): "4281d5965768fa7b",
+    ("event", "copy-s4", "inflight256"): "a03650ab138a22d1",
     ("event", "copy-s4", 8): "a03650ab138a22d1",
     ("event", "copy-s4", 16): "a03650ab138a22d1",
     ("event", "hashjoin", 1): "609178d3326f254d",
@@ -120,6 +123,8 @@ GOLDEN = {
     ("event", "random", 1): "7a309a0f50710917",
     ("event", "random", 8): "c76860d25f81656e",
     ("event", "random", 16): "b99f18167985b12d",
+    ("event", "random", "forced"): "9266e130bfb8ac59",
+    ("event", "random", "inflight256"): "a9773ca2a1b31401",
     ("fast", "copy-s1", 1): "3acd147630dbc9a7",
     ("fast", "copy-s1", 8): "e56b3776609b9377",
     ("fast", "copy-s1", 16): "e56b3776609b9377",
@@ -232,3 +237,20 @@ def test_event_tier_inflight_extremes_match_golden(inflight):
         decoded("hashjoin")
     )
     assert digest(stats) == GOLDEN["event", "hashjoin", f"inflight{inflight}"]
+
+
+@pytest.mark.parametrize("trace", ["copy-s4", "random"])
+def test_event_tier_wide_inflight_matches_golden(trace):
+    """Up to 256 queued requests spread over every channel."""
+    stats = HBMDevice(CONFIG, max_inflight=256).simulate_decoded(
+        decoded(trace)
+    )
+    assert digest(stats) == GOLDEN["event", trace, "inflight256"]
+
+
+def test_event_tier_random_forced_miss_matches_golden():
+    stream = decoded("random")
+    stats = HBMDevice(CONFIG).simulate_decoded(
+        stream, forced_miss=forced_mask(len(stream))
+    )
+    assert digest(stats) == GOLDEN["event", "random", "forced"]
