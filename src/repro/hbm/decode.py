@@ -27,6 +27,7 @@ process-wide default.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -45,6 +46,7 @@ __all__ = [
     "forced_miss_mask",
     "iter_decoded_chunks",
     "plan_for",
+    "request_count",
 ]
 
 #: Default streaming granularity for :func:`iter_decoded_chunks`.
@@ -270,3 +272,25 @@ def forced_miss_mask(decoded, forced_miss) -> np.ndarray | None:
             f"request ({len(decoded)},)"
         )
     return mask
+
+
+def request_count(name: str, value) -> int:
+    """Check a tier's request-count knob (a window or an in-flight limit).
+
+    Every timing tier takes these as whole numbers of requests; this is
+    their shared up-front check.  Returns ``value`` as an ``int``
+    (numpy integers pass) and raises
+    :class:`~repro.errors.SimulationError` for a bool, a non-integral
+    value or one below 1.
+    """
+    if isinstance(value, (bool, np.bool_)):
+        raise SimulationError(f"{name} must be an integer, not {value!r}")
+    try:
+        count = index(value)
+    except TypeError:
+        raise SimulationError(
+            f"{name} must be an integer, not {value!r}"
+        ) from None
+    if count < 1:
+        raise SimulationError(f"{name} must be >= 1")
+    return count

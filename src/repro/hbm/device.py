@@ -9,8 +9,10 @@ WindowModel` but models queueing and scheduler reordering explicitly;
 
 The loop keeps all device state in flat lists — one queue, bus horizon
 and busy time per channel, one open row and ready time per
-channel-major bank — and caches each channel's next feasible start, so
-picking the channel to issue from is one ``min`` over a list.  The
+channel-major bank — plus a heap of ``(start, channel)`` holding each
+busy channel's next feasible start, so picking the channel to issue
+from is a look at the heap's top.  One ``for`` loop admits the trace
+and issues a request whenever the in-flight window is full.  The
 per-object loop it replaced (one ``Channel`` and one ``Bank`` object
 each) lives on in ``tests/hbm/event_oracle.py`` as the reference
 ``tests/hbm/test_event_differential.py`` compares against bit for bit.
@@ -19,18 +21,16 @@ each) lives on in ``tests/hbm/event_oracle.py`` as the reference
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush, heapreplace
 from itertools import chain, islice, repeat
 
 import numpy as np
 
-from repro.errors import SimulationError
 from repro.hbm.config import HBMConfig
-from repro.hbm.decode import DecodedTrace, decode_trace, forced_miss_mask
+from repro.hbm.decode import DecodedTrace, decode_trace, forced_miss_mask, request_count
 from repro.hbm.stats import RunStats
 
 __all__ = ["HBMDevice"]
-
-_INF = float("inf")
 
 
 class HBMDevice:
@@ -42,13 +42,9 @@ class HBMDevice:
         max_inflight: int = 64,
         frfcfs_window: int = 8,
     ):
-        if max_inflight < 1:
-            raise SimulationError("max_inflight must be >= 1")
-        if frfcfs_window < 1:
-            raise SimulationError("frfcfs_window must be >= 1")
         self.config = config
-        self.max_inflight = max_inflight
-        self.frfcfs_window = frfcfs_window
+        self.max_inflight = request_count("max_inflight", max_inflight)
+        self.frfcfs_window = request_count("frfcfs_window", frfcfs_window)
 
     def simulate(self, ha: np.ndarray) -> RunStats:
         """Run a hardware-address trace through the device."""
@@ -56,26 +52,29 @@ class HBMDevice:
         return self.simulate_decoded(decode_trace(ha, self.config))
 
     def _requests(self, decoded, forced_miss):
-        """Yield, per chunk, an iterator of ``(channel, bank, row,
-        forced)`` request tuples in trace order.
+        """Yield, per chunk, an iterator of ``(channel, bank, key, row)``
+        request tuples in trace order.
 
         ``bank`` is channel-major (``channel * banks + bank``), the index
-        into the flat per-bank state.  Iterating ``memoryview``s makes
-        each Python int as the loop reaches it, rather than a list of a
-        whole chunk's.
+        into the flat per-bank state.  ``key`` is the row a hit must
+        find open: the row itself, or -1 (which no open row equals) for
+        an ECC retry, so only a ``forced_miss`` run copies the rows.
+        Iterating ``memoryview``s makes each Python int as the loop
+        reaches it, rather than a list of a whole chunk's.
         """
         chunks = [decoded] if isinstance(decoded, DecodedTrace) else decoded
         banks = self.config.banks_per_channel
         for chunk in chunks:
             channel = np.asarray(chunk.channel, dtype=np.int64)
-            forced = (
-                repeat(False) if forced_miss is None else memoryview(forced_miss)
-            )
+            key = chunk.row
+            if forced_miss is not None:
+                key = np.array(key, dtype=np.int64)
+                key[forced_miss] = -1
             yield zip(
                 memoryview(channel),
                 memoryview(channel * banks + chunk.bank),
+                memoryview(key),
                 memoryview(chunk.row),
-                forced,
             )
 
     def simulate_decoded(
@@ -100,15 +99,18 @@ class HBMDevice:
         window = self.frfcfs_window
         max_inflight = self.max_inflight
 
-        # Per channel: queued (bank, row, arrival_ns, forced) tuples,
+        # Per channel: queued (bank, key, row, arrival_ns) tuples,
         # data-bus horizon (also its last completion: the bus
-        # serialises), busy time, requests served, and the cached start
-        # estimate max(bus_free, head arrival) — inf while idle.
+        # serialises), busy time and requests served.
         queues = [deque() for _ in range(num_channels)]
         bus_free = [0.0] * num_channels
         busy = [0.0] * num_channels
         served = [0] * num_channels
-        starts = [_INF] * num_channels
+        # One (start, channel) entry per channel with queued requests;
+        # start is max(bus_free, head arrival).  It only moves when the
+        # queue's head does, so the entry is pushed, replaced or popped
+        # there and is never stale.  Ties go to the lowest channel.
+        heap = []
         # Per channel-major bank: open row (None after power-up) and the
         # time it can begin its next access.
         open_row = [None] * (num_channels * self.config.banks_per_channel)
@@ -127,73 +129,69 @@ class HBMDevice:
         # at the latest completion so far — which is never before any
         # channel's bus horizon.
         requests = chain.from_iterable(self._requests(decoded, forced_miss))
-        pending = next(requests, None)
-        while True:
-            if pending is not None and queued < max_inflight:
-                ch, bank, row, forced = pending
+        for request in chain(requests, repeat(None)):
+            if queued == max_inflight or request is None:
+                if not queued:
+                    break
+                # Issue from the channel with the earliest start.
+                now, ch = heap[0]
+                queue = queues[ch]
+                # FR-FCFS: the earliest-arrived row hit in the lookahead
+                # window, else the oldest request.  The head has always
+                # arrived; arrivals are non-decreasing, so the scan
+                # stops at the first request that has not.
+                bank, key, row, arrival = queue[0]
+                hit = open_row[bank] == key
+                if hit or len(queue) == 1:
+                    queue.popleft()
+                else:
+                    for index, (b, k, r, a) in enumerate(
+                        islice(queue, 1, window), 1
+                    ):
+                        if a > now:
+                            break
+                        if open_row[b] == k:
+                            bank, key, row, arrival = b, k, r, a
+                            hit = True
+                            del queue[index]
+                            break
+                    if not hit:
+                        queue.popleft()
+
+                # The bank pays the full hit/miss cost; the data bus only
+                # carries the final burst, so activations in different
+                # banks overlap but transfers serialise.
+                ready = bank_ready[bank]
+                bank_start = ready if ready > arrival else arrival
+                if hit:
+                    hits += 1
+                    finish = bank_start + t_burst
+                else:
+                    finish = bank_start + t_miss
+                bf = bus_free[ch]
+                bus_done = bf + t_burst
+                done = bus_done if bus_done > finish else finish
+                open_row[bank] = row
+                bank_ready[bank] = done
+                # Channel active time = union of [bank_start, done].
+                busy[ch] += done - (bf if bf > bank_start else bank_start)
+                bus_free[ch] = done
+                served[ch] += 1
+                if queue:
+                    head = queue[0][3]
+                    heapreplace(heap, (head if head > done else done, ch))
+                else:
+                    heappop(heap)
+                if done > latest:
+                    latest = done
+                queued -= 1
+            if request is not None:
+                ch, bank, key, row = request
                 queue = queues[ch]
                 if not queue:
-                    starts[ch] = latest
-                queue.append((bank, row, latest, forced))
+                    heappush(heap, (latest, ch))
+                queue.append((bank, key, row, latest))
                 queued += 1
-                pending = next(requests, None)
-                continue
-            if not queued:
-                break
-
-            # Issue the request with the earliest feasible start; ties
-            # go to the lowest channel index.
-            now = min(starts)
-            ch = starts.index(now)
-            queue = queues[ch]
-            # FR-FCFS: the earliest-arrived row hit in the lookahead
-            # window, else the oldest request.  The head has always
-            # arrived; arrivals are non-decreasing, so the scan stops
-            # at the first request that has not.
-            bank, row, arrival, forced = queue[0]
-            position = 0
-            if forced or open_row[bank] != row:
-                for index, (b, r, a, f) in enumerate(
-                    islice(queue, 1, window), 1
-                ):
-                    if a > now:
-                        break
-                    if not f and open_row[b] == r:
-                        position = index
-                        break
-            if position:
-                bank, row, arrival, forced = queue[position]
-                del queue[position]
-            else:
-                queue.popleft()
-
-            # The bank pays the full hit/miss cost; the data bus only
-            # carries the final burst, so activations in different banks
-            # overlap but transfers serialise.
-            ready = bank_ready[bank]
-            bank_start = ready if ready > arrival else arrival
-            if not forced and open_row[bank] == row:
-                hits += 1
-                finish = bank_start + t_burst
-            else:
-                finish = bank_start + t_miss
-            bf = bus_free[ch]
-            bus_done = bf + t_burst
-            done = bus_done if bus_done > finish else finish
-            open_row[bank] = row
-            bank_ready[bank] = done
-            # Channel active time = union of [bank_start, done] intervals.
-            busy[ch] += done - (bf if bf > bank_start else bank_start)
-            bus_free[ch] = done
-            served[ch] += 1
-            if queue:
-                head = queue[0][2]
-                starts[ch] = head if head > done else done
-            else:
-                starts[ch] = _INF
-            if done > latest:
-                latest = done
-            queued -= 1
 
         n = sum(served)
         if n == 0:

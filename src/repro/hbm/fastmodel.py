@@ -24,13 +24,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cpu.trace import radix_argsort
-from repro.errors import SimulationError
 from repro.hbm.config import HBMConfig
 from repro.hbm.decode import (
     DecodedTrace,
     concat_decoded,
     decode_trace,
     forced_miss_mask,
+    request_count,
 )
 from repro.hbm.stats import RunStats
 
@@ -98,13 +98,9 @@ class WindowModel:
         max_inflight: int = 64,
         reorder_window: int = 8,
     ):
-        if max_inflight < 1:
-            raise SimulationError("max_inflight must be >= 1")
-        if reorder_window < 1:
-            raise SimulationError("reorder_window must be >= 1")
         self.config = config
-        self.max_inflight = max_inflight
-        self.reorder_window = reorder_window
+        self.max_inflight = request_count("max_inflight", max_inflight)
+        self.reorder_window = request_count("reorder_window", reorder_window)
 
     def simulate(self, ha: np.ndarray) -> RunStats:
         """Run a hardware-address trace; return aggregate statistics."""

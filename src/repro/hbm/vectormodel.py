@@ -53,9 +53,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.cpu.trace import radix_argsort
-from repro.errors import SimulationError
 from repro.hbm.config import HBMConfig
-from repro.hbm.decode import DecodedTrace, decode_trace, forced_miss_mask
+from repro.hbm.decode import DecodedTrace, decode_trace, forced_miss_mask, request_count
 from repro.hbm.fastmodel import frfcfs_batch_hits
 from repro.hbm.stats import RunStats
 
@@ -297,16 +296,10 @@ class VectorModel:
         frfcfs_window: int = 8,
         block_accesses: int = DEFAULT_BLOCK_ACCESSES,
     ):
-        if max_inflight < 1:
-            raise SimulationError("max_inflight must be >= 1")
-        if frfcfs_window < 1:
-            raise SimulationError("frfcfs_window must be >= 1")
-        if block_accesses < 1:
-            raise SimulationError("block_accesses must be >= 1")
         self.config = config
-        self.max_inflight = max_inflight
-        self.frfcfs_window = frfcfs_window
-        self.block_accesses = block_accesses
+        self.max_inflight = request_count("max_inflight", max_inflight)
+        self.frfcfs_window = request_count("frfcfs_window", frfcfs_window)
+        self.block_accesses = request_count("block_accesses", block_accesses)
 
     # -- entry points -------------------------------------------------------
     def simulate(self, ha: np.ndarray) -> RunStats:

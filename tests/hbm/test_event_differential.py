@@ -143,11 +143,38 @@ def test_equal_start_estimates_break_ties_by_channel(window, inflight):
     assert_same(stream(channel, bank, row), window, inflight, forced=forced)
 
 
+@pytest.mark.parametrize(
+    "reentry, pending, makespan", [(1, 2, 135.0), (5, 2, 100.0)]
+)
+def test_reentry_ties_with_pending_start_break_by_channel(
+    reentry, pending, makespan
+):
+    """A channel drains, then re-enters the schedule at the latest
+    completion, which is also another channel's pending start.
+
+    In-flight 3, misses 45 ns, bursts 10 ns.  ``reentry`` (one request)
+    and ``pending`` (two, in different banks) are admitted at 0 and
+    each issues one miss done at 45, so ``pending`` waits at start 45;
+    ``reentry`` drains and is re-admitted at 45 with a row miss done at
+    90, and channel 9 is admitted at 45 too.  The lower of the two tied
+    channels issues first, and its completion (90 for ``reentry``, 55
+    for ``pending``) is when channel 0's request is admitted.
+    """
+    channel = [reentry, pending, pending, 9, reentry, 0]
+    bank = [0, 0, 1, 0, 0, 0]
+    row = [0, 0, 0, 0, 1, 0]
+    stats = assert_same(stream(channel, bank, row), 8, 3)
+    assert stats.makespan_ns == makespan
+
+
 @pytest.mark.parametrize("name", ["identity", "hash", "bsm", "sdam_multi"])
 def test_translated_traffic_matches_baseline(name):
     """Uniform random lines through each mapping family the systems
-    use: the channel and bank spread real translated traffic has."""
+    use: the channel and bank spread real translated traffic has, at
+    in-order issue up to the widest window and in-flight limit."""
     translator = dict(_translators())[name]
     decoded = decode_translated(_random_trace(8192, seed=0), translator, CONFIG)
-    stats = assert_same(decoded, 8, 64)
-    assert stats.requests == 8192
+    for inflight in (1, 64, 256):
+        for window in (1, 8, 16):
+            stats = assert_same(decoded, window, inflight)
+            assert stats.requests == 8192

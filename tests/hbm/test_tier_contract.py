@@ -1,9 +1,10 @@
 """Input checks every timing tier shares.
 
 A ``forced_miss`` mask must hold exactly one flag per request, and an
-FR-FCFS window must be at least one request wide.  Each tier rejects
-the rest up front with :class:`~repro.errors.SimulationError` rather
-than broadcasting, truncating or clamping.
+FR-FCFS window and an in-flight limit must each be a whole number of
+requests, at least one.  Each tier rejects the rest up front with
+:class:`~repro.errors.SimulationError` rather than broadcasting,
+truncating, rounding or clamping; numpy integers are whole numbers.
 """
 
 from __future__ import annotations
@@ -21,9 +22,15 @@ from repro.hbm.vectormodel import VectorModel
 CONFIG = hbm2_config()
 
 TIERS = {
-    "fast": lambda window=8: WindowModel(CONFIG, reorder_window=window),
-    "vector": lambda window=8: VectorModel(CONFIG, frfcfs_window=window),
-    "event": lambda window=8: HBMDevice(CONFIG, frfcfs_window=window),
+    "fast": lambda window=8, inflight=64: WindowModel(
+        CONFIG, max_inflight=inflight, reorder_window=window
+    ),
+    "vector": lambda window=8, inflight=64: VectorModel(
+        CONFIG, max_inflight=inflight, frfcfs_window=window
+    ),
+    "event": lambda window=8, inflight=64: HBMDevice(
+        CONFIG, max_inflight=inflight, frfcfs_window=window
+    ),
 }
 
 
@@ -63,3 +70,38 @@ def test_forced_miss_with_chunks_rejected(tier):
 def test_window_below_one_rejected(tier, window):
     with pytest.raises(SimulationError, match="window must be >= 1"):
         TIERS[tier](window)
+
+
+@pytest.mark.parametrize("tier", sorted(TIERS))
+@pytest.mark.parametrize("inflight", [0, -3])
+def test_inflight_below_one_rejected(tier, inflight):
+    with pytest.raises(SimulationError, match="max_inflight must be >= 1"):
+        TIERS[tier](inflight=inflight)
+
+
+NOT_WHOLE = [8.0, 2.5, True, np.bool_(True), "8", None, np.float64(8.0)]
+
+
+@pytest.mark.parametrize("tier", sorted(TIERS))
+@pytest.mark.parametrize("window", NOT_WHOLE, ids=repr)
+def test_window_not_whole_rejected(tier, window):
+    with pytest.raises(SimulationError, match="window must be an integer"):
+        TIERS[tier](window=window)
+
+
+@pytest.mark.parametrize("tier", sorted(TIERS))
+@pytest.mark.parametrize("inflight", NOT_WHOLE, ids=repr)
+def test_inflight_not_whole_rejected(tier, inflight):
+    with pytest.raises(SimulationError, match="max_inflight must be an integer"):
+        TIERS[tier](inflight=inflight)
+
+
+@pytest.mark.parametrize("tier", sorted(TIERS))
+def test_numpy_integer_knobs_accepted(tier):
+    """A numpy integer knob runs exactly like the equal Python int."""
+    model = TIERS[tier](window=np.int64(4), inflight=np.uint16(16))
+    assert type(model.max_inflight) is int
+    reference = TIERS[tier](window=4, inflight=16)
+    trace = stride1()
+    got = model.simulate_decoded(trace).to_dict()
+    assert got == reference.simulate_decoded(trace).to_dict()
