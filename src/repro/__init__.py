@@ -10,49 +10,54 @@ The curated convenience surface is re-exported here (and lives in
 :mod:`repro.api`); subsystem packages (``repro.core``, ``repro.hbm``,
 ``repro.mem``, ``repro.cpu``, ``repro.profiling``, ``repro.ml``,
 ``repro.workloads``, ``repro.system``) expose the full interfaces.
+
+``import repro`` loads the run path, every module that
+:meth:`Machine.run` and :meth:`Machine.profile` can reach.  Names from
+the campaigns, the sweep runner, the service front-end and RAS load
+their modules on first use (:mod:`repro.lazy`).
 """
 
-from repro.api import (
-    AdaptiveCampaignResult,
-    AdaptiveController,
-    MappingSelection,
-    Session,
-    default_cache_dir,
-    evaluation_workloads,
-    mixed_stride_workload,
-    run_adaptive_campaign,
-    select_application_mapping,
-    strided_workload,
-)
-from repro.faults import FaultPlan, FaultSpec
+from repro.core import MappingSelection, select_application_mapping
 from repro.hbm import PlanCache, default_plan_cache
-from repro.service import (
-    MappingService,
-    ServiceCampaignResult,
-    SharedArtifacts,
-    TenantContext,
-    TenantRegistry,
-    TenantSpec,
-    run_service_campaign,
-)
-from repro.ras import (
-    CampaignResult,
-    DeviceFaultPlan,
-    DeviceFaultSpec,
-    RASReport,
-)
-from repro.ras import run_campaign as run_ras_campaign
+from repro.lazy import lazy_exports
+from repro.service import SharedArtifacts, TenantContext
 from repro.system import (
-    ExperimentRunner,
     Machine,
     MachineResult,
-    RetryPolicy,
-    SpeedupTable,
-    SuiteResult,
     SystemConfig,
-    run_suite,
     standard_systems,
     system_by_key,
+)
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "Session": ("repro.api", "Session"),
+        "default_cache_dir": ("repro.api", "default_cache_dir"),
+        "evaluation_workloads": ("repro.api", "evaluation_workloads"),
+        "mixed_stride_workload": ("repro.api", "mixed_stride_workload"),
+        "strided_workload": ("repro.api", "strided_workload"),
+        "FaultPlan": ("repro.faults.plan", "FaultPlan"),
+        "FaultSpec": ("repro.faults.plan", "FaultSpec"),
+        "AdaptiveCampaignResult": ("repro.online.campaign", "AdaptiveCampaignResult"),
+        "run_adaptive_campaign": ("repro.online.campaign", "run_adaptive_campaign"),
+        "AdaptiveController": ("repro.online.controller", "AdaptiveController"),
+        "CampaignResult": ("repro.ras.campaign", "CampaignResult"),
+        "run_ras_campaign": ("repro.ras.campaign", "run_campaign"),
+        "RASReport": ("repro.ras.controller", "RASReport"),
+        "DeviceFaultPlan": ("repro.ras.faults", "DeviceFaultPlan"),
+        "DeviceFaultSpec": ("repro.ras.faults", "DeviceFaultSpec"),
+        "ServiceCampaignResult": ("repro.service.campaign", "ServiceCampaignResult"),
+        "run_service_campaign": ("repro.service.campaign", "run_service_campaign"),
+        "TenantRegistry": ("repro.service.registry", "TenantRegistry"),
+        "TenantSpec": ("repro.service.registry", "TenantSpec"),
+        "MappingService": ("repro.service.service", "MappingService"),
+        "SpeedupTable": ("repro.system.experiment", "SpeedupTable"),
+        "run_suite": ("repro.system.experiment", "run_suite"),
+        "ExperimentRunner": ("repro.system.runner", "ExperimentRunner"),
+        "RetryPolicy": ("repro.system.runner", "RetryPolicy"),
+        "SuiteResult": ("repro.system.runner", "SuiteResult"),
+    },
 )
 
 __version__ = "1.4.0"

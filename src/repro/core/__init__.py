@@ -26,7 +26,6 @@ from repro.core.mapping import (
     identity_mapping,
     mapping_from_field_sources,
 )
-from repro.core.security import GuardPlan, plan_guard_rows, verify_isolation
 from repro.core.selection import (
     MappingSelection,
     mapping_for_stride,
@@ -39,10 +38,18 @@ from repro.core.sdam import (
     GlobalMappingTranslator,
     SDAMController,
 )
-from repro.core.verification import (
-    VerificationReport,
-    audit_controller,
-    verify_mapping,
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "GuardPlan": ("repro.core.security", "GuardPlan"),
+        "plan_guard_rows": ("repro.core.security", "plan_guard_rows"),
+        "verify_isolation": ("repro.core.security", "verify_isolation"),
+        "VerificationReport": ("repro.core.verification", "VerificationReport"),
+        "audit_controller": ("repro.core.verification", "audit_controller"),
+        "verify_mapping": ("repro.core.verification", "verify_mapping"),
+    },
 )
 
 __all__ = [

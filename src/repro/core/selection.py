@@ -133,23 +133,24 @@ def _majors_or_fail(
 
 
 def _cluster_mappings(
-    majors: list[VariableProfile],
+    vectors: np.ndarray,
     labels: np.ndarray,
     k: int,
     layout: AddressLayout,
     geometry: ChunkGeometry,
 ) -> list[np.ndarray]:
-    """Step 3: per cluster, average flip rates pick the mapping."""
-    window = geometry.window_slice()
+    """Step 3: per cluster, average flip rates pick the mapping.
+
+    ``vectors`` holds one flip-rate row per major variable, in the
+    order of ``labels``.
+    """
     perms: list[np.ndarray] = []
     for cluster in range(k):
-        members = [m for m, label in zip(majors, labels) if label == cluster]
-        if members:
-            rates = np.mean(
-                [m.window_flip_rates(window) for m in members], axis=0
-            )
+        members = vectors[labels == cluster]
+        if len(members):
+            rates = np.mean(members, axis=0)
         else:
-            rates = np.ones(window[1] - window[0])
+            rates = np.ones(vectors.shape[1])
         perms.append(_perm_from_rates(rates, layout, geometry))
     return perms
 
@@ -169,7 +170,7 @@ def select_mappings_kmeans(
     vectors = np.stack([m.window_flip_rates(window) for m in majors])
     effective_k = min(k, len(majors))
     result = KMeans(effective_k, seed=seed).fit(vectors)
-    perms = _cluster_mappings(majors, result.labels, effective_k, layout, geometry)
+    perms = _cluster_mappings(vectors, result.labels, effective_k, layout, geometry)
     variable_cluster = {
         m.variable_id: int(label) for m, label in zip(majors, result.labels)
     }
@@ -199,7 +200,8 @@ def select_mappings_dl(
     effective_k = min(k, len(majors))
     clusterer = DLAssistedKMeans(effective_k, config=config)
     result = clusterer.fit(delta_traces, window=window)
-    perms = _cluster_mappings(majors, result.labels, effective_k, layout, geometry)
+    vectors = np.stack([m.window_flip_rates(window) for m in majors])
+    perms = _cluster_mappings(vectors, result.labels, effective_k, layout, geometry)
     variable_cluster = {
         m.variable_id: int(label) for m, label in zip(majors, result.labels)
     }

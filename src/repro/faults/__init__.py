@@ -13,13 +13,23 @@ Three site families share the namespace of :mod:`repro.faults.sites`:
   :class:`FaultPlan` inside the divergence guard.
 """
 
-from repro.faults.plan import ENV_VAR, FAULT_KINDS, FaultPlan, FaultSpec
 from repro.faults.sites import (
     BACKEND_SITES,
     DEVICE_SITES,
     ENGINE_SITES,
     KNOWN_SITES,
     matches_known_site,
+)
+from repro.lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "ENV_VAR": ("repro.faults.plan", "ENV_VAR"),
+        "FAULT_KINDS": ("repro.faults.plan", "FAULT_KINDS"),
+        "FaultPlan": ("repro.faults.plan", "FaultPlan"),
+        "FaultSpec": ("repro.faults.plan", "FaultSpec"),
+    },
 )
 
 __all__ = [

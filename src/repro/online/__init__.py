@@ -12,11 +12,22 @@ is the seeded adaptive-vs-static experiment behind
 ``python -m repro adapt``.
 """
 
-from repro.online.campaign import AdaptiveCampaignResult, run_adaptive_campaign
-from repro.online.controller import AdaptiveController
-from repro.online.phase import PhaseDetector, PhaseEvent, bfrv_distance
-from repro.online.policy import RemapDecision, RemapPolicy
+from repro.lazy import lazy_exports
 from repro.online.stream import StreamingBFRV, VariableActivity
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "AdaptiveCampaignResult": ("repro.online.campaign", "AdaptiveCampaignResult"),
+        "run_adaptive_campaign": ("repro.online.campaign", "run_adaptive_campaign"),
+        "AdaptiveController": ("repro.online.controller", "AdaptiveController"),
+        "PhaseDetector": ("repro.online.phase", "PhaseDetector"),
+        "PhaseEvent": ("repro.online.phase", "PhaseEvent"),
+        "bfrv_distance": ("repro.online.phase", "bfrv_distance"),
+        "RemapDecision": ("repro.online.policy", "RemapDecision"),
+        "RemapPolicy": ("repro.online.policy", "RemapPolicy"),
+    },
+)
 
 __all__ = [
     "AdaptiveCampaignResult",

@@ -1,31 +1,34 @@
 """System composition: configurations, machines, experiments, runner."""
 
+from repro.lazy import lazy_exports
 from repro.system.config import SystemConfig, standard_systems, system_by_key
-from repro.system.corun import CorunMachine, CorunResult
-from repro.system.experiment import (
-    SpeedupTable,
-    core_sweep,
-    frequency_sweep,
-    run_suite,
-)
 from repro.system.machine import ExternalSummary, Machine, MachineResult
-from repro.system.reporting import format_series, format_table
-from repro.system.runner import (
-    CellError,
-    ExperimentRunner,
-    RetryPolicy,
-    StageMetrics,
-    SuiteResult,
-)
-from repro.system.stages import MachineParams
-from repro.system.tracefile import (
-    StageStore,
-    load_profile,
-    load_selection,
-    load_trace,
-    save_profile,
-    save_selection,
-    save_trace,
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "CorunMachine": ("repro.system.corun", "CorunMachine"),
+        "CorunResult": ("repro.system.corun", "CorunResult"),
+        "SpeedupTable": ("repro.system.experiment", "SpeedupTable"),
+        "core_sweep": ("repro.system.experiment", "core_sweep"),
+        "frequency_sweep": ("repro.system.experiment", "frequency_sweep"),
+        "run_suite": ("repro.system.experiment", "run_suite"),
+        "format_series": ("repro.system.reporting", "format_series"),
+        "format_table": ("repro.system.reporting", "format_table"),
+        "CellError": ("repro.system.runner", "CellError"),
+        "ExperimentRunner": ("repro.system.runner", "ExperimentRunner"),
+        "RetryPolicy": ("repro.system.runner", "RetryPolicy"),
+        "StageMetrics": ("repro.system.runner", "StageMetrics"),
+        "SuiteResult": ("repro.system.runner", "SuiteResult"),
+        "MachineParams": ("repro.system.stages", "MachineParams"),
+        "StageStore": ("repro.system.tracefile", "StageStore"),
+        "load_profile": ("repro.system.tracefile", "load_profile"),
+        "load_selection": ("repro.system.tracefile", "load_selection"),
+        "load_trace": ("repro.system.tracefile", "load_trace"),
+        "save_profile": ("repro.system.tracefile", "save_profile"),
+        "save_selection": ("repro.system.tracefile", "save_selection"),
+        "save_trace": ("repro.system.tracefile", "save_trace"),
+    },
 )
 
 __all__ = [

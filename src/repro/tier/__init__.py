@@ -8,8 +8,8 @@ activity signals, SDAM-aware chunk swaps (mapping reprogramming with
 rollback), and RAS-retired pages pinned to the slow tier.
 """
 
+from repro.lazy import lazy_exports
 from repro.tier.backend import TieredBackend
-from repro.tier.campaign import TierCampaignResult, run_tier_campaign
 from repro.tier.config import SlowTierConfig, TierConfig
 from repro.tier.placement import TierPlacement
 from repro.tier.policies import (
@@ -21,7 +21,15 @@ from repro.tier.policies import (
     create_policy,
 )
 from repro.tier.stats import TierTraffic
-from repro.tier.swapper import SDAMAwareSwapper
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "TierCampaignResult": ("repro.tier.campaign", "TierCampaignResult"),
+        "run_tier_campaign": ("repro.tier.campaign", "run_tier_campaign"),
+        "SDAMAwareSwapper": ("repro.tier.swapper", "SDAMAwareSwapper"),
+    },
+)
 
 __all__ = [
     "FastSwap",

@@ -1,5 +1,14 @@
 """Tests for the convenience API surface (Session and re-exports)."""
 
+import ast
+import importlib
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 import repro
 from repro import api
 from repro.system import MachineResult, SuiteResult, system_by_key
@@ -104,3 +113,90 @@ class TestFullEvaluation:
         assert "BS+DM" in table.systems()
         for system in table.systems():
             assert table.geomean(system) > 0
+
+
+#: The packages that export names from modules outside the run path and
+#: load those modules on first use (``repro.lazy``).
+LAZY_PACKAGES = (
+    "repro",
+    "repro.core",
+    "repro.faults",
+    "repro.mem",
+    "repro.online",
+    "repro.service",
+    "repro.system",
+    "repro.tier",
+)
+
+
+def _bindings(package: str, name: str) -> dict[int, object]:
+    """Every distinct object bound to ``name`` in a module under ``package``."""
+    root = importlib.import_module(package)
+    found = {}
+    for info in pkgutil.walk_packages(root.__path__, package + "."):
+        if info.name.endswith("__main__"):
+            continue
+        value = vars(importlib.import_module(info.name)).get(name)
+        if value is not None:
+            found[id(value)] = value
+    return found
+
+
+class TestLazyExports:
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_every_name_is_its_home_modules_object(self, package):
+        module = importlib.import_module(package)
+        for name in module.__all__:
+            if name == "__version__":
+                continue
+            homes = _bindings(package, name)
+            assert len(homes) == 1, (package, name)
+            assert getattr(module, name) is next(iter(homes.values()))
+
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_every_name_is_listed_by_dir(self, package):
+        module = importlib.import_module(package)
+        assert set(module.__all__) <= set(dir(module))
+
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_unknown_name_raises_attribute_error(self, package):
+        module = importlib.import_module(package)
+        with pytest.raises(AttributeError, match=f"module {package!r} has no"):
+            module.no_such_name
+
+    def test_lazy_names_import_in_a_fresh_interpreter(self):
+        code = (
+            "from repro.online import run_adaptive_campaign\n"
+            "from repro import Session\n"
+            "print(run_adaptive_campaign.__module__, Session.__module__)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        assert done.stdout.split() == ["repro.online.campaign", "repro.api"]
+
+
+class TestVersion:
+    def test_pyproject_reads_the_package_version(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(__file__).resolve().parents[1]
+        project = tomllib.loads((root / "pyproject.toml").read_text())
+        assert "version" not in project["project"]
+        assert "version" in project["project"]["dynamic"]
+        dynamic = project["tool"]["setuptools"]["dynamic"]["version"]
+        assert dynamic == {"attr": "repro.__version__"}
+        # setuptools reads the attribute without importing the package,
+        # which works only for a literal assignment.
+        source = (root / "src" / "repro" / "__init__.py").read_text()
+        literals = [
+            node.value.value
+            for node in ast.parse(source).body
+            if isinstance(node, ast.Assign)
+            and [ast.unparse(target) for target in node.targets] == ["__version__"]
+            and isinstance(node.value, ast.Constant)
+        ]
+        assert literals == [repro.__version__]
