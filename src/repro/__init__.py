@@ -55,7 +55,6 @@ __getattr__, __dir__ = lazy_exports(
         "SpeedupTable": ("repro.system.experiment", "SpeedupTable"),
         "run_suite": ("repro.system.experiment", "run_suite"),
         "ExperimentRunner": ("repro.system.runner", "ExperimentRunner"),
-        "RetryPolicy": ("repro.system.runner", "RetryPolicy"),
         "SuiteResult": ("repro.system.runner", "SuiteResult"),
     },
 )
@@ -80,7 +79,6 @@ __all__ = [
     "run_ras_campaign",
     "run_service_campaign",
     "MachineResult",
-    "RetryPolicy",
     "ServiceCampaignResult",
     "Session",
     "SharedArtifacts",

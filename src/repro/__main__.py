@@ -10,11 +10,7 @@ without writing any code:
   the Section 4 correctness properties;
 * ``suite``   — a quick Fig. 12-style sweep (pass ``--full`` for the
   complete suites, ``--workers N`` to parallelise, ``--cache-dir`` to
-  memoise stages on disk, ``--resume`` to finish an interrupted
-  sweep, ``--json`` for machine-readable output);
-* ``verify-cache`` — checksum + decode every stage-cache entry,
-  quarantining corrupt ones (``--gc`` sweeps tmp debris, and
-  ``--purge-quarantine`` empties the quarantine);
+  memoise stages on disk, ``--json`` for machine-readable output);
 * ``ras``     — seeded device-fault campaign: inject modeled hardware
   faults (stuck rows, dead banks/channels, CMT/AMU upsets), detect
   them, repair by software-defined remapping, and verify zero silent
@@ -141,26 +137,36 @@ def cmd_audit(args) -> int:
     return 0 if report.ok else 1
 
 
+def _check_backend(name: str) -> None:
+    """Raise :class:`ConfigError` unless ``name`` is a memory backend."""
+    from repro.errors import ConfigError
+    from repro.hbm.backend import available_backends
+
+    if name not in available_backends():
+        raise ConfigError(
+            f"unknown memory backend {name!r}; "
+            f"available: {', '.join(available_backends())}"
+        )
+
+
 def cmd_suite(args) -> int:
     """Run a (quick) Fig. 12-style speedup sweep."""
     from repro import api
+    from repro.errors import ConfigError
     from repro.system.reporting import format_table
 
     session_kwargs: dict = {}
-    if args.backend:
-        session_kwargs["backend"] = args.backend
-    session = api.Session(
-        cache_dir=args.cache_dir, workers=args.workers, **session_kwargs
-    )
-    if args.resume:
-        workloads = api.evaluation_workloads(quick=not args.full)
-        if not args.full:
-            session.machine_kwargs.setdefault(
-                "dl_config", api.QUICK_DL_CONFIG
-            )
-        suite = session.sweep(workloads, resume=True)
-    else:
-        suite = session.full_evaluation(quick=not args.full)
+    try:
+        if args.backend:
+            _check_backend(args.backend)
+            session_kwargs["backend"] = args.backend
+        session = api.Session(
+            cache_dir=args.cache_dir, workers=args.workers, **session_kwargs
+        )
+    except ConfigError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    suite = session.full_evaluation(quick=not args.full)
     if args.json:
         print(suite.to_json(indent=2))
     else:
@@ -176,12 +182,6 @@ def cmd_suite(args) -> int:
             f"cache {suite.cache_hits} hits / {suite.cache_misses} misses, "
             f"{suite.bytes_simulated / 1e6:.1f} MB simulated"
         )
-        if suite.degraded:
-            print(
-                "note: worker pool broke mid-sweep; remaining cells ran "
-                "serially",
-                file=sys.stderr,
-            )
     if suite.errors:
         for error in suite.errors:
             print(
@@ -191,59 +191,6 @@ def cmd_suite(args) -> int:
             )
         return 1
     return 0
-
-
-def cmd_verify_cache(args) -> int:
-    """Verify (and optionally sweep) the on-disk stage cache."""
-    import json
-
-    from repro import api
-    from repro.system.tracefile import StageStore
-
-    cache_dir = args.cache_dir or api.default_cache_dir()
-    store = StageStore(cache_dir)
-    report = store.verify()
-    gc_report = None
-    if args.gc or args.purge_quarantine:
-        gc_report = store.gc(purge_quarantine=args.purge_quarantine)
-    bad = sorted(
-        name
-        for entry in report.values()
-        for name in entry["quarantined"]
-    )
-    if args.json:
-        print(
-            json.dumps(
-                {"cache_dir": str(cache_dir), "verify": report, "gc": gc_report},
-                indent=2,
-            )
-        )
-    else:
-        print(f"cache: {cache_dir}")
-        for kind, entry in report.items():
-            if entry["checked"] == 0:
-                continue
-            print(
-                f"  {kind:9s} {entry['ok']}/{entry['checked']} healthy"
-                + (
-                    f", quarantined: {', '.join(entry['quarantined'])}"
-                    if entry["quarantined"]
-                    else ""
-                )
-            )
-        if gc_report is not None:
-            print(
-                f"  gc: {gc_report['tmp']} tmp files, "
-                f"{gc_report['orphan_sidecars']} orphan sidecars, "
-                f"{gc_report['quarantined']} quarantined files removed"
-            )
-        if bad:
-            print(
-                f"{len(bad)} corrupt entr{'y' if len(bad) == 1 else 'ies'} "
-                "quarantined; the next sweep recomputes them",
-                file=sys.stderr,
-            )
-    return 1 if bad else 0
 
 
 def _guard_checkpoint_kwargs(args) -> dict:
@@ -409,15 +356,11 @@ def cmd_campaign(args) -> int:
     import json
 
     from repro.errors import CampaignInterrupted, ConfigError
-    from repro.hbm.backend import available_backends
 
     campaign = CAMPAIGNS[args.command]
     try:
-        if campaign.backend and args.backend not in available_backends():
-            raise ConfigError(
-                f"unknown memory backend {args.backend!r}; "
-                f"available: {', '.join(available_backends())}"
-            )
+        if campaign.backend:
+            _check_backend(args.backend)
         result = campaign.run(args)
     except ConfigError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -479,30 +422,10 @@ def main(argv: list[str] | None = None) -> int:
         "--json", action="store_true", help="emit the full suite result as JSON"
     )
     suite.add_argument(
-        "--resume",
-        action="store_true",
-        help="finish an interrupted sweep (healthy cells served from cache)",
-    )
-    suite.add_argument(
         "--backend",
         default=None,
         help="memory fidelity tier for every cell "
         "(fast | vector | event; default fast)",
-    )
-    verify = sub.add_parser(
-        "verify-cache", help="checksum the stage cache, quarantine bad entries"
-    )
-    verify.add_argument(
-        "--cache-dir", default=None, help="cache to verify (default: the Session default)"
-    )
-    verify.add_argument(
-        "--gc", action="store_true", help="also remove tmp debris and orphan sidecars"
-    )
-    verify.add_argument(
-        "--purge-quarantine", action="store_true", help="empty the quarantine directory"
-    )
-    verify.add_argument(
-        "--json", action="store_true", help="emit the report as JSON"
     )
     for name, campaign in CAMPAIGNS.items():
         command = sub.add_parser(name, help=campaign.help)
@@ -533,7 +456,6 @@ def main(argv: list[str] | None = None) -> int:
         "hw": cmd_hw,
         "audit": cmd_audit,
         "suite": cmd_suite,
-        "verify-cache": cmd_verify_cache,
         **dict.fromkeys(CAMPAIGNS, cmd_campaign),
     }
     return handlers[args.command](args)

@@ -56,7 +56,6 @@ from repro.system import (
     ExperimentRunner,
     Machine,
     MachineResult,
-    RetryPolicy,
     SuiteResult,
     SystemConfig,
     run_suite,
@@ -82,7 +81,6 @@ __all__ = [
     "MappingSelection",
     "MappingService",
     "RASReport",
-    "RetryPolicy",
     "ServiceCampaignResult",
     "Session",
     "SharedArtifacts",
@@ -138,20 +136,8 @@ class Session:
     workers:
         Worker processes for independent cells.  ``0``/``1`` is
         serial in-process; ``None`` picks a small machine-appropriate
-        default.
-    cell_timeout:
-        Per-cell time budget (seconds) for parallel sweeps; an
-        overrunning cell is recorded as an error instead of stalling
-        the sweep.
-    retry:
-        A :class:`~repro.system.RetryPolicy` for transiently failing
-        cells (crashed workers, I/O flakes).  Defaults to three
-        attempts with exponential backoff; ``RetryPolicy.none()``
-        records every failure immediately.
-    faults:
-        A :class:`~repro.faults.FaultPlan` injecting failures at
-        named engine sites, for resilience testing.  Defaults to the
-        ``$REPRO_FAULT_PLAN`` environment hook (unset = no faults).
+        default; a negative count raises
+        :class:`~repro.errors.ConfigError`.
     machine_kwargs:
         Platform configuration forwarded to every
         :class:`~repro.system.machine.Machine` (``hbm``, ``geometry``,
@@ -162,9 +148,6 @@ class Session:
         self,
         cache_dir: str | None | object = _UNSET,
         workers: int | None = None,
-        cell_timeout: float | None = None,
-        retry: RetryPolicy | None = None,
-        faults: FaultPlan | None = None,
         **machine_kwargs,
     ):
         if cache_dir is _UNSET:
@@ -173,11 +156,7 @@ class Session:
             workers = min(4, os.cpu_count() or 1)
         self.machine_kwargs = machine_kwargs
         self.runner = ExperimentRunner(
-            cache_dir=cache_dir,
-            max_workers=workers,
-            cell_timeout=cell_timeout,
-            retry_policy=retry,
-            faults=faults,
+            cache_dir=cache_dir, max_workers=workers
         )
 
     # -- introspection -------------------------------------------------------
@@ -287,7 +266,6 @@ class Session:
         *,
         profile_seed: int = 0,
         eval_seed: int = 1,
-        resume: bool = False,
         backend: str | None = None,
         guard: bool | None = None,
         guard_sample: float | None = None,
@@ -298,11 +276,6 @@ class Session:
         Returns a :class:`~repro.system.runner.SuiteResult` carrying
         the speedup table, per-stage metrics (wall time, cache
         hits/misses, bytes simulated) and any per-cell errors.
-
-        ``resume=True`` finishes an interrupted or partially failed
-        sweep: cells the sweep manifest records as healthy are served
-        from the stage cache with zero recomputation, and only failed
-        or missing cells re-run.
         """
         resolved = (
             [_resolve_system(s) for s in systems] if systems else None
@@ -312,22 +285,25 @@ class Session:
             systems=resolved,
             profile_seed=profile_seed,
             eval_seed=eval_seed,
-            resume=resume,
             **self._machine_kwargs(backend, guard, guard_sample),
         )
 
     def full_evaluation(self, *, quick: bool = True) -> SuiteResult:
         """The Fig. 12 sweep: all workloads x all systems.
 
-        ``quick=True`` trims the suites and uses a small DL
-        configuration; ``quick=False`` reproduces the full benchmark
-        run (minutes, cold).
+        ``quick=True`` trims the suites and, unless the session sets
+        its own ``dl_config``, uses a small DL configuration for this
+        call only; ``quick=False`` reproduces the full benchmark run
+        (minutes, cold).
         """
-        workloads = evaluation_workloads(quick=quick)
+        kwargs = dict(self.machine_kwargs)
         if quick:
-            self.machine_kwargs.setdefault("dl_config", QUICK_DL_CONFIG)
-        return self.sweep(workloads, systems=standard_systems())
-
+            kwargs.setdefault("dl_config", QUICK_DL_CONFIG)
+        return self.runner.run_suite(
+            evaluation_workloads(quick=quick),
+            systems=standard_systems(),
+            **kwargs,
+        )
 
 
 def evaluation_workloads(*, quick: bool = True) -> list[Workload]:

@@ -78,28 +78,6 @@ class TrainingError(ReproError):
     """A machine-learning component failed to train or converge."""
 
 
-class CacheCorruptionError(ReproError):
-    """A stage-cache entry failed its checksum or could not be decoded.
-
-    The store never propagates this to sweep code — the entry is
-    quarantined and reported as a miss — but maintenance ops
-    (``StageStore.verify``) and tests see it directly.
-    """
-
-
-class WorkerCrashError(ReproError):
-    """A worker process died (or was made to die) mid-stage.
-
-    Raised by injected ``raise`` faults and used to classify broken
-    process pools; it is in the default retry class set, so a crashed
-    cell is re-executed rather than recorded as failed.
-    """
-
-
-class RetryExhaustedError(ReproError):
-    """A transient failure persisted through every allowed attempt."""
-
-
 class BackendDivergenceError(SimulationError):
     """The runtime divergence guard found a cross-tier mismatch.
 

@@ -1,24 +1,7 @@
 """Named fault-injection sites.
 
 A *fault site* is a stable string naming one place where fault machinery
-may act.  Sites come in three *families* with different injectors:
-
-**Engine sites** — checked by the experiment engine, injected through a
-:class:`~repro.faults.plan.FaultPlan`:
-
-``store.load.<kind>``
-    Checked by :class:`~repro.system.tracefile.StageStore` just before
-    reading a cached entry; the token is the entry's cache key.  The
-    only useful fault kind here is ``corrupt`` (garble the blob on
-    disk so the checksum/decode path must heal it).
-
-``worker.<stage>``
-    Checked at the start of each compute stage, whether it runs in a
-    worker process or inline.  The token is ``"<workload>:<system>"``
-    for cell stages and the bare workload name for the shared
-    profiling phase.  Useful kinds: ``raise`` (simulated crash),
-    ``stall`` (sleep past the cell timeout) and ``break-pool``
-    (``os._exit`` the worker so the whole pool breaks).
+may act.  Sites come in two *families* with different injectors:
 
 **Device sites** — modeled-hardware failures, injected through a
 :class:`~repro.ras.faults.DeviceFaultPlan` at access-count trigger
@@ -39,10 +22,7 @@ points:
     shadow compare cannot see and only translation spot checks catch.
 
 **Backend sites** — guarded-execution failures inside the memory
-backends, injected through the same :class:`~repro.faults.plan.
-FaultPlan` as engine sites (they share its deterministic firing
-machinery).  Unlike engine sites, where the spec's *kind* chooses the
-effect, a backend site *names* its effect:
+backends, injected through a :class:`~repro.faults.plan.FaultPlan`:
 
 ``backend.divergence``
     The divergence guard's sampled primary-tier result is perturbed,
@@ -50,11 +30,11 @@ effect, a backend site *names* its effect:
     Recovery: the run demotes primary → reference with a structured
     report.
 
-Site patterns in a :class:`FaultSpec` are ``fnmatch`` globs, so
-``store.load.*`` or ``device.hbm.*`` cover a family.  Each injector
-validates patterns against *its* family, so a spec that could never
-fire (e.g. a ``device.*`` pattern handed to the engine's ``FaultPlan``)
-fails fast at construction instead of silently never firing.
+Site patterns are ``fnmatch`` globs, so ``device.hbm.*`` covers a
+family.  Each injector validates patterns against *its* family, so a
+spec that could never fire (e.g. a ``device.*`` pattern handed to a
+``FaultPlan``) fails fast at construction instead of silently never
+firing.
 """
 
 from __future__ import annotations
@@ -70,27 +50,9 @@ __all__ = [
     "DEVICE_HBM_CHANNEL",
     "DEVICE_HBM_ROW",
     "DEVICE_SITES",
-    "ENGINE_SITES",
     "KNOWN_SITES",
-    "STORE_LOAD_PROFILE",
-    "STORE_LOAD_RESULT",
-    "STORE_LOAD_SELECTION",
-    "STORE_LOAD_SWEEP",
-    "STORE_LOAD_TRACE",
-    "WORKER_EVALUATE",
-    "WORKER_PROFILE",
-    "WORKER_SELECTION",
     "matches_known_site",
 ]
-
-STORE_LOAD_TRACE = "store.load.trace"
-STORE_LOAD_PROFILE = "store.load.profile"
-STORE_LOAD_SELECTION = "store.load.selection"
-STORE_LOAD_RESULT = "store.load.result"
-STORE_LOAD_SWEEP = "store.load.sweep"
-WORKER_PROFILE = "worker.profile"
-WORKER_SELECTION = "worker.selection"
-WORKER_EVALUATE = "worker.evaluate"
 
 DEVICE_HBM_ROW = "device.hbm.row"
 DEVICE_HBM_BANK = "device.hbm.bank"
@@ -99,18 +61,6 @@ DEVICE_CMT_FLIP = "device.cmt.flip"
 DEVICE_AMU_MISPROGRAM = "device.amu.misprogram"
 
 BACKEND_DIVERGENCE = "backend.divergence"
-
-#: Sites the experiment engine's FaultPlan can act on.
-ENGINE_SITES = (
-    STORE_LOAD_TRACE,
-    STORE_LOAD_PROFILE,
-    STORE_LOAD_SELECTION,
-    STORE_LOAD_RESULT,
-    STORE_LOAD_SWEEP,
-    WORKER_PROFILE,
-    WORKER_SELECTION,
-    WORKER_EVALUATE,
-)
 
 #: Modeled-hardware sites the RAS DeviceFaultPlan can act on.
 DEVICE_SITES = (
@@ -122,15 +72,14 @@ DEVICE_SITES = (
 )
 
 #: Guarded-execution sites inside the memory backends, checked by the
-#: cross-tier divergence guard.  They fire through the engine
+#: cross-tier divergence guard.  They fire through
 #: :class:`~repro.faults.plan.FaultPlan`.
 BACKEND_SITES = (BACKEND_DIVERGENCE,)
 
-KNOWN_SITES = ENGINE_SITES + DEVICE_SITES + BACKEND_SITES
+KNOWN_SITES = DEVICE_SITES + BACKEND_SITES
 
 _FAMILIES = {
     None: KNOWN_SITES,
-    "engine": ENGINE_SITES,
     "device": DEVICE_SITES,
     "backend": BACKEND_SITES,
 }
@@ -140,6 +89,6 @@ def matches_known_site(pattern: str, family: str | None = None) -> bool:
     """Whether a site pattern can ever match a real injection point.
 
     ``family`` restricts the check to one injector's sites
-    (``"engine"`` or ``"device"``); the default spans both families.
+    (``"device"`` or ``"backend"``); the default spans both families.
     """
     return any(fnmatch(site, pattern) for site in _FAMILIES[family])

@@ -246,7 +246,7 @@ class GuardedBackend:
             spec = None
             if self.faults is not None:
                 spec = self.faults.should_fire(
-                    BACKEND_DIVERGENCE, f"chunk{index}", 1
+                    BACKEND_DIVERGENCE, f"chunk{index}"
                 )
             if spec is not None:
                 # Model a silently-broken fast tier: scale its answer

@@ -3,12 +3,12 @@
 The ``device.*`` site family of :mod:`repro.faults.sites` names the
 modeled-hardware failure modes; a :class:`DeviceFaultSpec` pins one of
 them to concrete coordinates (channel/bank/row, CMT word, mapping
-index) and an access-count trigger point.  Unlike the engine's
-:class:`~repro.faults.plan.FaultPlan` — which arms probabilistic hooks
-inside the experiment engine — a :class:`DeviceFaultPlan` is consumed
-by :class:`~repro.ras.campaign.RASMachine`, which injects each spec
-exactly once when the machine's cumulative access counter passes the
-trigger.
+index) and an access-count trigger point.  Unlike
+:class:`~repro.faults.plan.FaultPlan` — which arms the divergence
+guard's hook inside a memory backend — a :class:`DeviceFaultPlan` is
+consumed by :class:`~repro.ras.campaign.RASMachine`, which injects each
+spec exactly once when the machine's cumulative access counter passes
+the trigger.
 """
 
 from __future__ import annotations
@@ -59,9 +59,9 @@ class DeviceFaultSpec:
     def __post_init__(self) -> None:
         if self.site not in DEVICE_SITES:
             hint = ""
-            if matches_known_site(self.site, family="engine"):
+            if matches_known_site(self.site, family="backend"):
                 hint = (
-                    "; engine sites are injected through "
+                    "; backend sites are injected through "
                     "repro.faults.FaultPlan, not a DeviceFaultPlan"
                 )
             raise DeviceFaultError(

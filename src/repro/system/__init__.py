@@ -17,7 +17,6 @@ __getattr__, __dir__ = lazy_exports(
         "format_table": ("repro.system.reporting", "format_table"),
         "CellError": ("repro.system.runner", "CellError"),
         "ExperimentRunner": ("repro.system.runner", "ExperimentRunner"),
-        "RetryPolicy": ("repro.system.runner", "RetryPolicy"),
         "StageMetrics": ("repro.system.runner", "StageMetrics"),
         "SuiteResult": ("repro.system.runner", "SuiteResult"),
         "MachineParams": ("repro.system.stages", "MachineParams"),
@@ -40,7 +39,6 @@ __all__ = [
     "Machine",
     "MachineParams",
     "MachineResult",
-    "RetryPolicy",
     "SpeedupTable",
     "StageMetrics",
     "StageStore",

@@ -130,7 +130,6 @@ def run_suite(
     eval_seed: int = 1,
     cache_dir: str | None = None,
     max_workers: int = 0,
-    cell_timeout: float | None = None,
     **machine_kwargs,
 ) -> SpeedupTable:
     """Run every workload under every system; speedups vs ``BS+DM``.
@@ -143,11 +142,7 @@ def run_suite(
     """
     from repro.system.runner import ExperimentRunner
 
-    runner = ExperimentRunner(
-        cache_dir=cache_dir,
-        max_workers=max_workers,
-        cell_timeout=cell_timeout,
-    )
+    runner = ExperimentRunner(cache_dir=cache_dir, max_workers=max_workers)
     suite = runner.run_suite(
         workloads,
         systems=systems,

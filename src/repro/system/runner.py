@@ -3,43 +3,35 @@
 :class:`ExperimentRunner` turns a (workloads x systems) sweep into the
 stage DAG of :mod:`repro.system.stages`, memoises every stage output —
 in memory for the lifetime of the runner and on disk through a
-:class:`~repro.system.tracefile.StageStore` — and fans the remaining
-independent cells out over a ``ProcessPoolExecutor``:
+:class:`~repro.system.tracefile.StageStore` — and, given more than one
+worker, maps the remaining independent stages over a
+``ProcessPoolExecutor``:
 
 1. *Plan*: compute every cell's result key; cells whose result is
    already cached are done without touching a worker.
 2. *Profile*: the unique profiling stages the remaining cells need
-   (one per workload, shared by every system) run first, in parallel.
-3. *Evaluate*: the remaining cells run in parallel, each worker
-   computing (or loading) its mapping selection and simulating the
-   memory system.  Results come back as serialised dicts, so parallel,
-   serial and cached cells are exactly interchangeable.
+   (one per workload, shared by every system) run first.
+3. *Evaluate*: the remaining cells run, each computing (or receiving)
+   its mapping selection and simulating the memory system.  Results
+   come back as serialised dicts, so parallel, serial and cached cells
+   are exactly interchangeable.
 
-Results are returned in deterministic (workload-major) order whatever
-the completion order; a failing or timed-out cell degrades to a
-recorded :class:`CellError` instead of killing the sweep.
-
-The engine is *fault-tolerant* (see DESIGN.md, "Failure model"):
-transient cell failures are retried under a :class:`RetryPolicy`, a
-broken process pool degrades the rest of the sweep to serial
-execution instead of aborting it, every sweep writes a per-cell
-outcome manifest so ``run_suite(..., resume=True)`` re-runs only
-failed or missing cells, and a :class:`~repro.faults.FaultPlan` can
-inject failures at named sites to test all of the above.
+Results are returned in deterministic (workload-major) order.  A stage
+that raises is recorded as a :class:`CellError` on every cell that
+needs its output, and the sweep continues; a worker process that dies
+breaks the pool, and that error propagates out of
+:meth:`ExperimentRunner.run_suite`.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict, dataclass, field
 
 from repro.core.keys import stable_hash
 from repro.core.selection import MappingSelection
-from repro.errors import ConfigError, RetryExhaustedError
-from repro.faults import FaultPlan
+from repro.errors import ConfigError
 from repro.ledger import SUM, Ledger, key
 from repro.profiling.profiler import WorkloadProfile
 from repro.system.config import SystemConfig, standard_systems
@@ -54,7 +46,6 @@ from repro.system.stages import (
     profile_stage,
     selection_cache_key,
     selection_stage,
-    sweep_cache_key,
 )
 from repro.system.tracefile import StageStore
 from repro.workloads.base import Workload
@@ -62,53 +53,11 @@ from repro.workloads.base import Workload
 __all__ = [
     "CellError",
     "ExperimentRunner",
-    "RetryPolicy",
     "StageMetrics",
     "SuiteResult",
 ]
 
 STAGES = ("profile", "mix", "selection", "evaluate")
-
-MANIFEST_FORMAT = 1
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """When and how often to re-execute a failed cell.
-
-    A cell whose error class is in ``retry_on`` is re-submitted with
-    exponential backoff until it succeeds or ``max_attempts`` is
-    spent; other errors are recorded immediately.  The default class
-    set covers crashes and I/O flakes — failures that plausibly pass
-    on a second try — and excludes deterministic ones (a workload
-    whose trace generator raises will raise again).
-    """
-
-    max_attempts: int = 3
-    backoff_seconds: float = 0.05
-    backoff_factor: float = 2.0
-    retry_on: tuple[str, ...] = (
-        "WorkerCrashError",
-        "BrokenProcessPool",
-        "OSError",
-        "IOError",
-        "EOFError",
-        "ConnectionError",
-        "ConnectionResetError",
-    )
-
-    @classmethod
-    def none(cls) -> "RetryPolicy":
-        """Single-attempt policy: record every failure immediately."""
-        return cls(max_attempts=1)
-
-    def delay(self, attempt: int) -> float:
-        """Backoff before re-running a cell that failed ``attempt``."""
-        return self.backoff_seconds * self.backoff_factor ** (attempt - 1)
-
-    def should_retry(self, error_type: str | None, attempt: int) -> bool:
-        """Whether a failure of this class at this attempt is retried."""
-        return attempt < self.max_attempts and error_type in self.retry_on
 
 
 @dataclass(eq=False)
@@ -124,46 +73,16 @@ class StageMetrics(Ledger):
 
 @dataclass(frozen=True)
 class CellError:
-    """One failed cell: where it failed and why; the sweep continued.
-
-    ``error_type`` is the exception class name (what retry policies
-    classify on) and ``attempts`` how many executions were spent
-    before the failure was recorded.
-    """
+    """One failed cell: where it failed and why; the sweep continued."""
 
     workload: str
     system: str
     stage: str
     message: str
-    error_type: str = ""
-    attempts: int = 1
 
     def to_dict(self) -> dict:
         """A JSON-serialisable form."""
-        return {
-            "workload": self.workload,
-            "system": self.system,
-            "stage": self.stage,
-            "message": self.message,
-            "error_type": self.error_type,
-            "attempts": self.attempts,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CellError":
-        """Rebuild an error written by :meth:`to_dict`.
-
-        Tolerant of manifests from other engine versions: missing
-        keys fall back to defaults and extra keys are ignored.
-        """
-        return cls(
-            workload=str(data.get("workload", "?")),
-            system=str(data.get("system", "?")),
-            stage=str(data.get("stage", "evaluate")),
-            message=str(data.get("message", "")),
-            error_type=str(data.get("error_type", "")),
-            attempts=int(data.get("attempts", 1)),
-        )
+        return asdict(self)
 
 
 @dataclass
@@ -175,8 +94,6 @@ class SuiteResult:
     metrics: dict[str, StageMetrics] = field(default_factory=dict)
     wall_seconds: float = 0.0
     workers: int = 0
-    degraded: bool = False
-    resumed: bool = False
 
     @property
     def cache_hits(self) -> int:
@@ -214,8 +131,6 @@ class SuiteResult:
             },
             "wall_seconds": self.wall_seconds,
             "workers": self.workers,
-            "degraded": self.degraded,
-            "resumed": self.resumed,
         }
 
     def to_json(self, **json_kwargs) -> str:
@@ -229,21 +144,28 @@ class SuiteResult:
         """Rebuild a result written by :meth:`to_dict`."""
         return cls(
             table=SpeedupTable.from_dict(data["table"]),
-            errors=[CellError.from_dict(e) for e in data["errors"]],
+            errors=[CellError(**e) for e in data["errors"]],
             metrics={
                 stage: StageMetrics.from_dict(m)
                 for stage, m in data["metrics"].items()
             },
             wall_seconds=float(data["wall_seconds"]),
             workers=int(data["workers"]),
-            degraded=bool(data.get("degraded", False)),
-            resumed=bool(data.get("resumed", False)),
         )
 
 
 # ---------------------------------------------------------------------------
 # Worker-side tasks (module-level and picklable)
 # ---------------------------------------------------------------------------
+
+def _describe(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _uses_mix(system: SystemConfig) -> bool:
+    """Whether a system's cells consume the suite-wide mix profile."""
+    return system.policy == "bsm" and not system.sdam
+
 
 @dataclass(frozen=True)
 class _ProfileTask:
@@ -252,8 +174,6 @@ class _ProfileTask:
     workload: Workload
     input_seed: int
     cache_dir: str | None
-    attempt: int = 1
-    faults: FaultPlan | None = None
 
 
 @dataclass(frozen=True)
@@ -265,115 +185,51 @@ class _CellTask:
     eval_seed: int
     result_key: str
     selection_key: str | None = None
-    profile_key: str | None = None
     profile: WorkloadProfile | None = None
     selection: MappingSelection | None = None
     mix_profile: WorkloadProfile | None = None
     cache_dir: str | None = None
-    attempt: int = 1
-    faults: FaultPlan | None = None
-
-    @property
-    def token(self) -> str:
-        """The fault-site token identifying this cell."""
-        return f"{self.workload.name}:{self.params.system.key}"
 
 
 @dataclass
 class _CellOutcome:
     index: int
-    result: dict | None
-    timings: dict[str, float]
-    error_stage: str | None = None
-    error: str | None = None
-    error_type: str | None = None
-    attempt: int = 1
+    result: dict | None = None
+    timings: dict[str, float] = field(default_factory=dict)
+    error: tuple[str, str] | None = None  # (stage, message)
 
 
 def _run_profile_task(
-    task: _ProfileTask, in_worker: bool = False
-) -> tuple[str, WorkloadProfile, float]:
-    """Worker entry: compute (or load) one profiling stage."""
-    store = (
-        StageStore(task.cache_dir, faults=task.faults)
-        if task.cache_dir
-        else None
-    )
-    if store is not None:
-        cached = store.load_profile(task.key)
-        if cached is not None:
-            return task.key, cached, 0.0
-    if task.faults is not None:
-        task.faults.inject(
-            "worker.profile",
-            task.workload.name,
-            attempt=task.attempt,
-            allow_exit=in_worker,
-        )
-    start = time.perf_counter()
-    profile = profile_stage(task.params, task.workload, task.input_seed)
-    elapsed = time.perf_counter() - start
-    if store is not None:
-        store.store_profile(task.key, profile)
-    return task.key, profile, elapsed
+    task: _ProfileTask,
+) -> tuple[WorkloadProfile | None, str | None]:
+    """Worker entry: compute and publish one profiling stage.
 
-
-def _run_cell_task(task: _CellTask, in_worker: bool = False) -> _CellOutcome:
-    """Worker entry: selection (if needed) + evaluation for one cell."""
-    store = (
-        StageStore(task.cache_dir, faults=task.faults)
-        if task.cache_dir
-        else None
-    )
-    timings: dict[str, float] = {}
-    stage = "evaluate"
-
-    def fail(exc: Exception) -> _CellOutcome:
-        return _CellOutcome(
-            index=task.index,
-            result=None,
-            timings=timings,
-            error_stage=stage,
-            error=f"{type(exc).__name__}: {exc}",
-            error_type=type(exc).__name__,
-            attempt=task.attempt,
-        )
-
-    def inject(site: str) -> None:
-        if task.faults is not None:
-            task.faults.inject(
-                site, task.token, attempt=task.attempt, allow_exit=in_worker
-            )
-
+    Returns ``(profile, None)``, or ``(None, message)`` if profiling
+    raised.
+    """
     try:
-        profile = task.profile
+        profile = profile_stage(task.params, task.workload, task.input_seed)
+    except Exception as exc:  # noqa: BLE001 — recorded on dependent cells
+        return None, _describe(exc)
+    if task.cache_dir:
+        StageStore(task.cache_dir).store("profile", task.key, profile)
+    return profile, None
+
+
+def _run_cell_task(task: _CellTask) -> _CellOutcome:
+    """Worker entry: selection (if needed) + evaluation for one cell."""
+    store = StageStore(task.cache_dir) if task.cache_dir else None
+    outcome = _CellOutcome(task.index)
+    stage = "selection"
+    try:
         selection = task.selection
         if task.params.system.sdam and selection is None:
-            stage = "selection"
-            if store is not None and task.selection_key:
-                selection = store.load_selection(task.selection_key)
-            if selection is None:
-                if profile is None:
-                    # Planner normally embeds the profile; recompute as
-                    # a fallback so a lone task stays self-contained.
-                    stage = "profile"
-                    inject("worker.profile")
-                    start = time.perf_counter()
-                    profile = profile_stage(
-                        task.params, task.workload, task.profile_seed
-                    )
-                    timings["profile"] = time.perf_counter() - start
-                    if store is not None and task.profile_key:
-                        store.store_profile(task.profile_key, profile)
-                    stage = "selection"
-                inject("worker.selection")
-                start = time.perf_counter()
-                selection = selection_stage(task.params, profile)
-                timings["selection"] = time.perf_counter() - start
-                if store is not None and task.selection_key:
-                    store.store_selection(task.selection_key, selection)
+            start = time.perf_counter()
+            selection = selection_stage(task.params, task.profile)
+            outcome.timings["selection"] = time.perf_counter() - start
+            if store is not None:
+                store.store("selection", task.selection_key, selection)
         stage = "evaluate"
-        inject("worker.evaluate")
         start = time.perf_counter()
         result = evaluate_stage(
             task.params,
@@ -381,21 +237,16 @@ def _run_cell_task(task: _CellTask, in_worker: bool = False) -> _CellOutcome:
             task.profile_seed,
             task.eval_seed,
             mix_profile=task.mix_profile,
-            profile=profile,
+            profile=task.profile,
             selection=selection,
         )
-        timings["evaluate"] = time.perf_counter() - start
-        result_dict = result.to_dict()
+        outcome.timings["evaluate"] = time.perf_counter() - start
+        outcome.result = result.to_dict()
         if store is not None:
-            store.store_result(task.result_key, result_dict)
-        return _CellOutcome(
-            index=task.index,
-            result=result_dict,
-            timings=timings,
-            attempt=task.attempt,
-        )
+            store.store("result", task.result_key, outcome.result)
     except Exception as exc:  # noqa: BLE001 — isolate the failing cell
-        return fail(exc)
+        outcome.error = (stage, _describe(exc))
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -406,136 +257,77 @@ class ExperimentRunner:
     """Plans, caches and executes (workload x system) sweeps.
 
     ``max_workers <= 1`` runs every stage in-process (still cached);
-    larger values fan independent stages out over worker processes.
-    ``cell_timeout`` bounds the wait for each parallel cell; a cell
-    that exceeds it is recorded as a :class:`CellError`.  Timeouts
-    require ``max_workers >= 2`` — the serial path cannot interrupt a
-    running stage.
-
-    ``retry_policy`` governs re-execution of transiently failed cells
-    (crashes, I/O flakes); a broken process pool degrades the rest of
-    the sweep to serial execution instead of aborting.  ``faults``
-    optionally injects failures from a
-    :class:`~repro.faults.FaultPlan` (defaults to the
-    ``$REPRO_FAULT_PLAN`` environment hook); when a cache directory
-    exists, the plan's firing ledger is kept inside it so fault
-    budgets hold across worker processes and resumed sweeps.
+    larger values map independent stages over worker processes.
+    ``cache_dir`` persists stage outputs across runners and processes.
     """
 
-    def __init__(
-        self,
-        cache_dir: str | None = None,
-        max_workers: int = 0,
-        cell_timeout: float | None = None,
-        retry_policy: RetryPolicy | None = None,
-        faults: FaultPlan | None = None,
-    ):
-        self.cache_dir = str(cache_dir) if cache_dir else None
-        if faults is None:
-            faults = FaultPlan.from_env()
-        if (
-            faults is not None
-            and faults.ledger_dir is None
-            and self.cache_dir
-        ):
-            faults = faults.with_ledger(
-                Path(self.cache_dir) / "faults-ledger"
-            )
-        self.faults = faults
-        self.retry_policy = retry_policy or RetryPolicy()
-        self.store = (
-            StageStore(self.cache_dir, faults=faults)
-            if self.cache_dir
-            else None
-        )
+    def __init__(self, cache_dir: str | None = None, max_workers: int = 0):
         self.max_workers = int(max_workers or 0)
-        self.cell_timeout = cell_timeout
-        self._profiles: dict[str, WorkloadProfile] = {}
-        self._selections: dict[str, MappingSelection] = {}
-        self._results: dict[str, dict] = {}
-        self._degraded = False
+        if self.max_workers < 0:
+            raise ConfigError(
+                f"worker count must be >= 0, got {self.max_workers}"
+            )
+        self.cache_dir = str(cache_dir) if cache_dir else None
+        self.store = StageStore(self.cache_dir) if self.cache_dir else None
+        # kind -> key -> stage output, for the runner's lifetime.
+        self._memo: dict[str, dict] = {
+            kind: {} for kind in ("profile", "selection", "result")
+        }
 
     # -- cached stage lookups ------------------------------------------------
-    def _cached_profile(self, key: str) -> WorkloadProfile | None:
-        profile = self._profiles.get(key)
-        if profile is None and self.store is not None:
-            profile = self.store.load_profile(key)
-            if profile is not None:
-                self._profiles[key] = profile
-        return profile
+    def _cached(self, kind: str, key: str):
+        """A stage output from memory, else from the store, else None."""
+        memo = self._memo[kind]
+        if key not in memo and self.store is not None:
+            value = self.store.load(kind, key)
+            if value is not None:
+                memo[key] = value
+        return memo.get(key)
 
-    def _cached_selection(self, key: str) -> MappingSelection | None:
-        selection = self._selections.get(key)
-        if selection is None and self.store is not None:
-            selection = self.store.load_selection(key)
-            if selection is not None:
-                self._selections[key] = selection
-        return selection
-
-    def _cached_result(self, key: str) -> dict | None:
-        result = self._results.get(key)
-        if result is None and self.store is not None:
-            result = self.store.load_result(key)
-            if result is not None:
-                self._results[key] = result
-        return result
+    def _map(self, fn, tasks: list) -> list:
+        """``fn`` over ``tasks`` in order: in-process or over a pool."""
+        if self.max_workers <= 1 or not tasks:
+            return [fn(task) for task in tasks]
+        with ProcessPoolExecutor(
+            max_workers=min(self.max_workers, len(tasks))
+        ) as pool:
+            return list(pool.map(fn, tasks))
 
     # -- profiling phase -----------------------------------------------------
     def _ensure_profiles(
         self,
-        needed: list[tuple[str, Workload]],
+        wanted: dict[str, Workload],
         params: MachineParams,
         input_seed: int,
         metrics: StageMetrics,
-    ) -> dict[str, WorkloadProfile]:
-        """Compute (in parallel) every missing profiling stage."""
+    ) -> tuple[dict[str, WorkloadProfile], dict[str, str]]:
+        """Every wanted profile, plus the message of each that failed."""
         profiles: dict[str, WorkloadProfile] = {}
+        failures: dict[str, str] = {}
         missing: list[_ProfileTask] = []
-        for key, workload in needed:
-            cached = self._cached_profile(key)
+        for pkey, workload in wanted.items():
+            cached = self._cached("profile", pkey)
             if cached is not None:
-                profiles[key] = cached
+                profiles[pkey] = cached
                 metrics.cache_hits += 1
             else:
                 metrics.cache_misses += 1
                 missing.append(
                     _ProfileTask(
-                        key=key,
-                        params=params,
-                        workload=workload,
-                        input_seed=input_seed,
-                        cache_dir=self.cache_dir,
-                        faults=self.faults,
+                        pkey, params, workload, input_seed, self.cache_dir
                     )
                 )
         if not missing:
-            return profiles
+            return profiles, failures
         start = time.perf_counter()
-        if self.max_workers > 1:
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=min(self.max_workers, len(missing))
-                ) as pool:
-                    outcomes = list(
-                        pool.map(_run_profile_task, missing, [True] * len(missing))
-                    )
-            except Exception as exc:  # noqa: BLE001 — degrade, don't abort
-                # A crashed worker (or injected fault) lost the batch;
-                # profiles the workers did publish reload from the
-                # store, the rest recompute serially as a fresh attempt.
-                if isinstance(exc, BrokenProcessPool):
-                    self._degraded = True
-                outcomes = [
-                    _run_profile_task(replace(task, attempt=task.attempt + 1))
-                    for task in missing
-                ]
-        else:
-            outcomes = [_run_profile_task(task) for task in missing]
+        outcomes = self._map(_run_profile_task, missing)
         metrics.wall_seconds += time.perf_counter() - start
-        for key, profile, _elapsed in outcomes:
-            profiles[key] = profile
-            self._profiles[key] = profile
-        return profiles
+        for task, (profile, error) in zip(missing, outcomes):
+            if profile is None:
+                failures[task.key] = error
+            else:
+                profiles[task.key] = self._memo["profile"][task.key] = profile
+        return profiles, failures
 
     # -- the sweep -----------------------------------------------------------
     def run_suite(
@@ -544,7 +336,6 @@ class ExperimentRunner:
         systems: list[SystemConfig] | None = None,
         profile_seed: int = 0,
         eval_seed: int = 1,
-        resume: bool = False,
         **machine_kwargs,
     ) -> SuiteResult:
         """Run every workload under every system, cached and parallel.
@@ -552,16 +343,8 @@ class ExperimentRunner:
         Speedups are reported against the first system in ``systems``
         (``BS+DM`` in the standard set), matching
         :func:`repro.system.experiment.run_suite`.
-
-        With a cache directory the sweep maintains a *manifest* — a
-        per-cell outcome record updated as results land — so an
-        interrupted or partially failed sweep can be finished with
-        ``resume=True``: healthy cells are served from the stage
-        cache (zero recomputation) and only failed or missing cells
-        re-run.
         """
         sweep_start = time.perf_counter()
-        self._degraded = False
         systems = systems or standard_systems()
         if not workloads:
             raise ConfigError("no workloads given")
@@ -569,110 +352,100 @@ class ExperimentRunner:
             raise ConfigError("no systems given")
         base = MachineParams.from_kwargs(systems[0], **machine_kwargs)
         metrics = {stage: StageMetrics(stage) for stage in STAGES}
-
-        # Keys shared across the plan.
         profile_keys = {
             workload.name: profile_cache_key(base, workload, profile_seed)
             for workload in workloads
         }
-        mix_needed_by = [
-            system
-            for system in systems
-            if system.policy == "bsm" and not system.sdam
-        ]
         mix_key = stable_hash(
             "mix", [profile_keys[w.name] for w in workloads]
         )
 
-        # Plan: resolve every cell to a cached result or a task.
-        cells: list[tuple[int, Workload, SystemConfig, MachineParams, str]] = []
+        # Plan: resolve every cell to a cached result or a pending cell.
+        cells: list[tuple[Workload, SystemConfig, MachineParams, str]] = []
         results: dict[int, dict] = {}
-        errors: list[CellError] = []
-        pending: list[tuple[int, Workload, SystemConfig, MachineParams, str]] = []
+        pending: list[int] = []
         for index, (workload, system) in enumerate(
             (w, s) for w in workloads for s in systems
         ):
             params = base.with_system(system)
-            cell_mix = (
-                mix_key if system.policy == "bsm" and not system.sdam else None
-            )
             result_key = evaluate_cache_key(
-                params, workload, profile_seed, eval_seed, cell_mix
+                params,
+                workload,
+                profile_seed,
+                eval_seed,
+                mix_key if _uses_mix(system) else None,
             )
-            cells.append((index, workload, system, params, result_key))
-            cached = self._cached_result(result_key)
+            cells.append((workload, system, params, result_key))
+            cached = self._cached("result", result_key)
             if cached is not None:
                 metrics["evaluate"].cache_hits += 1
                 results[index] = cached
             else:
-                pending.append((index, workload, system, params, result_key))
-
-        # Manifest: record the plan (and each outcome, incrementally)
-        # so an interrupted sweep can be resumed from what finished.
-        sweep_key = sweep_cache_key(
-            base, workloads, systems, profile_seed, eval_seed
-        )
-        manifest: dict | None = None
-        resumed = False
-        if self.store is not None:
-            if resume:
-                resumed = self.store.load_manifest(sweep_key) is not None
-            manifest = {
-                "format": MANIFEST_FORMAT,
-                "sweep": sweep_key,
-                "workloads": [w.name for w in workloads],
-                "systems": [s.key for s in systems],
-                "resumed": resumed,
-                "completed": False,
-                "cells": {
-                    str(index): {
-                        "workload": workload.name,
-                        "system": system.key,
-                        "result_key": key,
-                        "status": "ok" if index in results else "pending",
-                    }
-                    for index, workload, system, _params, key in cells
-                },
-            }
-            self.store.store_manifest(sweep_key, manifest)
+                pending.append(index)
 
         # Profile: one stage per workload, shared by every system.
-        profiles_wanted: dict[str, Workload] = {}
-        if mix_needed_by and pending:
+        needs_mix = any(_uses_mix(cells[index][1]) for index in pending)
+        wanted: dict[str, Workload] = {}
+        if needs_mix:
             # The suite mix folds in every workload's profile.
             for workload in workloads:
-                profiles_wanted[profile_keys[workload.name]] = workload
-        for _index, workload, system, params, _key in pending:
-            if not system.sdam:
-                continue
+                wanted[profile_keys[workload.name]] = workload
+        for index in pending:
+            workload, system, params, _key = cells[index]
             pkey = profile_keys[workload.name]
-            skey = selection_cache_key(params, pkey)
-            if self._cached_selection(skey) is None:
-                profiles_wanted[pkey] = workload
-        profiles = self._ensure_profiles(
-            list(profiles_wanted.items()), base, profile_seed, metrics["profile"]
+            if system.sdam and (
+                self._cached("selection", selection_cache_key(params, pkey))
+                is None
+            ):
+                wanted[pkey] = workload
+        profiles, failures = self._ensure_profiles(
+            wanted, base, profile_seed, metrics["profile"]
         )
 
         mix_profile: WorkloadProfile | None = None
-        if mix_needed_by and pending:
-            start = time.perf_counter()
-            mix_profile = build_mix_profile(
-                [profiles[profile_keys[w.name]] for w in workloads]
-            )
-            metrics["mix"].wall_seconds += time.perf_counter() - start
-            metrics["mix"].cache_misses += 1
+        mix_error: str | None = None
+        if needs_mix:
+            failed = [
+                w.name for w in workloads if profile_keys[w.name] in failures
+            ]
+            if failed:
+                mix_error = (
+                    f"suite mix: profile of {failed[0]} failed: "
+                    f"{failures[profile_keys[failed[0]]]}"
+                )
+            else:
+                start = time.perf_counter()
+                mix_profile = build_mix_profile(
+                    [profiles[profile_keys[w.name]] for w in workloads]
+                )
+                metrics["mix"].wall_seconds += time.perf_counter() - start
+                metrics["mix"].cache_misses += 1
 
-        # Evaluate: fan the remaining cells out.
+        # Evaluate: run every pending cell whose inputs exist.
+        errors: dict[int, CellError] = {}
         tasks: list[_CellTask] = []
-        for index, workload, system, params, result_key in pending:
+        for index in pending:
+            workload, system, params, result_key = cells[index]
             pkey = profile_keys[workload.name]
-            skey = selection_cache_key(params, pkey) if system.sdam else None
-            selection = self._cached_selection(skey) if skey else None
-            if skey and selection is not None:
-                metrics["selection"].cache_hits += 1
-            elif skey:
-                metrics["selection"].cache_misses += 1
-            needs_mix = system.policy == "bsm" and not system.sdam
+            skey = selection = None
+            if system.sdam:
+                skey = selection_cache_key(params, pkey)
+                selection = self._cached("selection", skey)
+                if selection is None:
+                    metrics["selection"].cache_misses += 1
+                else:
+                    metrics["selection"].cache_hits += 1
+            if system.sdam and selection is None:
+                failure = failures.get(pkey)
+            elif _uses_mix(system):
+                failure = mix_error
+            else:
+                failure = None
+            if failure is not None:
+                errors[index] = CellError(
+                    workload.name, system.key, "profile", failure
+                )
+                continue
             tasks.append(
                 _CellTask(
                     index=index,
@@ -682,54 +455,20 @@ class ExperimentRunner:
                     eval_seed=eval_seed,
                     result_key=result_key,
                     selection_key=skey,
-                    profile_key=pkey,
                     profile=profiles.get(pkey),
                     selection=selection,
-                    mix_profile=mix_profile if needs_mix else None,
+                    mix_profile=mix_profile if _uses_mix(system) else None,
                     cache_dir=self.cache_dir,
-                    faults=self.faults,
                 )
             )
 
-        def record_outcome(outcome: _CellOutcome) -> None:
-            if manifest is None:
-                return
-            cell = manifest["cells"][str(outcome.index)]
-            if outcome.error is None:
-                cell["status"] = "ok"
-                cell.pop("error", None)
-            else:
-                cell["status"] = "error"
-                cell["error"] = {
-                    "stage": outcome.error_stage or "evaluate",
-                    "message": outcome.error,
-                    "error_type": outcome.error_type or "",
-                    "attempts": outcome.attempt,
-                }
-            self.store.store_manifest(sweep_key, manifest)
-
-        outcomes = self._execute_cells(tasks, on_outcome=record_outcome)
-
-        # Assemble in deterministic cell order.
-        by_index = {
-            index: (workload, system)
-            for index, workload, system, _params, _key in cells
-        }
-        keys_by_index = {index: key for index, _w, _s, _p, key in cells}
-        for outcome in outcomes:
-            workload, system = by_index[outcome.index]
+        for outcome in self._map(_run_cell_task, tasks):
+            workload, system, _params, result_key = cells[outcome.index]
             for stage, seconds in outcome.timings.items():
                 metrics[stage].wall_seconds += seconds
             if outcome.error is not None:
-                errors.append(
-                    CellError(
-                        workload=workload.name,
-                        system=system.key,
-                        stage=outcome.error_stage or "evaluate",
-                        message=outcome.error,
-                        error_type=outcome.error_type or "",
-                        attempts=outcome.attempt,
-                    )
+                errors[outcome.index] = CellError(
+                    workload.name, system.key, *outcome.error
                 )
                 continue
             metrics["evaluate"].cache_misses += 1
@@ -737,175 +476,19 @@ class ExperimentRunner:
                 outcome.result["stats"]["bytes_moved"]
             )
             results[outcome.index] = outcome.result
-            self._results[keys_by_index[outcome.index]] = outcome.result
+            self._memo["result"][result_key] = outcome.result
 
+        # Assemble in deterministic cell order.
         table = SpeedupTable(baseline_label=systems[0].label)
-        for index, _workload, _system, _params, _key in cells:
-            if index in results:
-                table.add(MachineResult.from_dict(results[index]))
-        suite = SuiteResult(
+        for index in sorted(results):
+            table.add(MachineResult.from_dict(results[index]))
+        return SuiteResult(
             table=table,
-            errors=errors,
+            errors=[errors[index] for index in sorted(errors)],
             metrics=metrics,
             wall_seconds=time.perf_counter() - sweep_start,
             workers=self.max_workers,
-            degraded=self._degraded,
-            resumed=resumed,
         )
-        if manifest is not None:
-            manifest["completed"] = not errors
-            self.store.store_manifest(sweep_key, manifest)
-        return suite
-
-    def _execute_cells(
-        self, tasks: list[_CellTask], on_outcome=None
-    ) -> list[_CellOutcome]:
-        """Run cell tasks with retries, degrading serially if needed.
-
-        Each round executes the outstanding tasks (over the pool, or
-        in-process once the pool has broken or ``max_workers <= 1``);
-        failures the :class:`RetryPolicy` classifies as transient are
-        re-submitted with backoff as the next round.  ``on_outcome``
-        fires once per cell when its outcome becomes final.
-        """
-        if not tasks:
-            return []
-        final: dict[int, _CellOutcome] = {}
-        serial = self.max_workers <= 1
-        batch = list(tasks)
-        while batch:
-            if serial:
-                raw = [_run_cell_task(task) for task in batch]
-            else:
-                raw, pool_broken = self._run_pooled(batch)
-                if pool_broken:
-                    # Graceful degradation: finish the sweep (and any
-                    # retries) in-process rather than aborting it.
-                    self._degraded = True
-                    serial = True
-            by_index = {task.index: task for task in batch}
-            retries: list[_CellTask] = []
-            for outcome in raw:
-                task = by_index[outcome.index]
-                if outcome.error is not None and self.retry_policy.should_retry(
-                    outcome.error_type, task.attempt
-                ):
-                    retries.append(replace(task, attempt=task.attempt + 1))
-                else:
-                    final[outcome.index] = outcome
-                    if on_outcome is not None:
-                        on_outcome(outcome)
-            if retries:
-                time.sleep(
-                    self.retry_policy.delay(
-                        min(task.attempt for task in retries) - 1
-                    )
-                )
-            batch = retries
-        return [final[index] for index in sorted(final)]
-
-    def _run_pooled(
-        self, tasks: list[_CellTask]
-    ) -> tuple[list[_CellOutcome], bool]:
-        """One round of tasks over a process pool.
-
-        Returns the outcomes plus whether the pool broke.  A broken
-        pool marks every unfinished cell as a crash (retryable, so
-        the serial fallback re-runs them); a timeout marks every
-        still-running cell as timed out and abandons the pool.
-        """
-        outcomes: list[_CellOutcome] = []
-        pool = ProcessPoolExecutor(
-            max_workers=min(self.max_workers, len(tasks))
-        )
-        timed_out = False
-        pool_broken = False
-        try:
-            futures = {
-                pool.submit(_run_cell_task, task, True): task
-                for task in tasks
-            }
-            remaining = set(futures)
-            while remaining:
-                done, remaining = wait(
-                    remaining,
-                    timeout=self.cell_timeout,
-                    return_when=FIRST_COMPLETED,
-                )
-                if not done:
-                    # No cell finished within the per-cell budget: the
-                    # in-flight cells are recorded as timed out and the
-                    # pool is abandoned without waiting on them.
-                    timed_out = True
-                    for future in remaining:
-                        task = futures[future]
-                        future.cancel()
-                        outcomes.append(
-                            _CellOutcome(
-                                index=task.index,
-                                result=None,
-                                timings={},
-                                error_stage="evaluate",
-                                error=(
-                                    "timeout: no progress within "
-                                    f"{self.cell_timeout:.1f}s"
-                                ),
-                                error_type="CellTimeout",
-                                attempt=task.attempt,
-                            )
-                        )
-                    break
-                for future in done:
-                    task = futures[future]
-                    try:
-                        outcomes.append(future.result())
-                    except BrokenProcessPool as exc:
-                        pool_broken = True
-                        outcomes.append(
-                            _CellOutcome(
-                                index=task.index,
-                                result=None,
-                                timings={},
-                                error_stage="evaluate",
-                                error=f"worker crashed: {exc}",
-                                error_type="WorkerCrashError",
-                                attempt=task.attempt,
-                            )
-                        )
-                    except Exception as exc:  # pool/pickle failures
-                        outcomes.append(
-                            _CellOutcome(
-                                index=task.index,
-                                result=None,
-                                timings={},
-                                error_stage="evaluate",
-                                error=f"{type(exc).__name__}: {exc}",
-                                error_type=type(exc).__name__,
-                                attempt=task.attempt,
-                            )
-                        )
-                if pool_broken:
-                    # The pool takes every queued future down with it.
-                    for future in remaining:
-                        task = futures[future]
-                        future.cancel()
-                        outcomes.append(
-                            _CellOutcome(
-                                index=task.index,
-                                result=None,
-                                timings={},
-                                error_stage="evaluate",
-                                error="worker pool broke before the cell ran",
-                                error_type="WorkerCrashError",
-                                attempt=task.attempt,
-                            )
-                        )
-                    break
-        finally:
-            abandoned = timed_out or pool_broken
-            pool.shutdown(wait=not abandoned, cancel_futures=abandoned)
-        outcomes.sort(key=lambda outcome: outcome.index)
-        return outcomes, pool_broken
 
     # -- single cells --------------------------------------------------------
     def run_one(
@@ -929,64 +512,42 @@ class ExperimentRunner:
             workload,
             profile_seed,
             eval_seed,
-            stable_hash("self-mix", pkey)
-            if system.policy == "bsm" and not system.sdam
-            else None,
+            stable_hash("self-mix", pkey) if _uses_mix(system) else None,
         )
-        cached = self._cached_result(result_key)
+        cached = self._cached("result", result_key)
         if cached is not None:
             return MachineResult.from_dict(cached)
-        profile = None
-        selection = None
-        skey = None
+        profile = selection = skey = None
         if system.needs_profiling:
-            profile = self._cached_profile(pkey)
+            profile = self._cached("profile", pkey)
             if profile is None:
                 profile = profile_stage(params, workload, profile_seed)
-                self._profiles[pkey] = profile
+                self._memo["profile"][pkey] = profile
                 if self.store is not None:
-                    self.store.store_profile(pkey, profile)
+                    self.store.store("profile", pkey, profile)
             if system.sdam:
                 skey = selection_cache_key(params, pkey)
-                selection = self._cached_selection(skey)
-        task = _CellTask(
-            index=0,
-            params=params,
-            workload=workload,
-            profile_seed=profile_seed,
-            eval_seed=eval_seed,
-            result_key=result_key,
-            selection_key=skey,
-            profile_key=pkey,
-            profile=profile,
-            selection=selection,
-            mix_profile=profile
-            if system.policy == "bsm" and not system.sdam
-            else None,
-            cache_dir=self.cache_dir,
-            faults=self.faults,
-        )
-        attempt = 1
-        while True:
-            outcome = _run_cell_task(replace(task, attempt=attempt))
-            if outcome.error is None:
-                break
-            if self.retry_policy.should_retry(outcome.error_type, attempt):
-                time.sleep(self.retry_policy.delay(attempt))
-                attempt += 1
-                continue
-            if (
-                outcome.error_type in self.retry_policy.retry_on
-                and attempt >= self.retry_policy.max_attempts
-            ):
-                raise RetryExhaustedError(
-                    f"{workload.name} on {system.key} still failing in "
-                    f"{outcome.error_stage} after {attempt} attempt(s): "
-                    f"{outcome.error}"
-                )
-            raise ConfigError(
-                f"{workload.name} on {system.key} failed in "
-                f"{outcome.error_stage}: {outcome.error}"
+                selection = self._cached("selection", skey)
+        outcome = _run_cell_task(
+            _CellTask(
+                index=0,
+                params=params,
+                workload=workload,
+                profile_seed=profile_seed,
+                eval_seed=eval_seed,
+                result_key=result_key,
+                selection_key=skey,
+                profile=profile,
+                selection=selection,
+                mix_profile=profile if _uses_mix(system) else None,
+                cache_dir=self.cache_dir,
             )
-        self._results[result_key] = outcome.result
+        )
+        if outcome.error is not None:
+            stage, message = outcome.error
+            raise ConfigError(
+                f"{workload.name} on {system.key} failed in {stage}: "
+                f"{message}"
+            )
+        self._memo["result"][result_key] = outcome.result
         return MachineResult.from_dict(outcome.result)

@@ -55,7 +55,6 @@ __all__ = [
     "profile_stage",
     "selection_cache_key",
     "selection_stage",
-    "sweep_cache_key",
 ]
 
 STAGE_VERSION = 3
@@ -235,30 +234,6 @@ def evaluate_cache_key(
         profile_seed,
         eval_seed,
         mix_key,
-    )
-
-
-def sweep_cache_key(
-    params: MachineParams,
-    workloads: list[Workload],
-    systems: list[SystemConfig],
-    profile_seed: int,
-    eval_seed: int,
-) -> str:
-    """Content hash identifying a whole (workloads x systems) sweep.
-
-    Keys the sweep *manifest* — the per-cell outcome record resume
-    reads — so two sweeps share a manifest exactly when they would
-    share every cell.
-    """
-    return stable_hash(
-        "sweep",
-        STAGE_VERSION,
-        params,
-        [workload.spec_dict() for workload in workloads],
-        list(systems),
-        profile_seed,
-        eval_seed,
     )
 
 

@@ -7,11 +7,10 @@ not change", Section 6.2).  These helpers store external traces and
 per-variable profiles on disk so a profiling pass can be decoupled
 from the evaluation runs that consume it.
 
-:class:`StageStore` is the *self-healing* content-addressed cache the
-experiment engine builds on: every entry carries a checksum sidecar,
-and an entry that fails its checksum or its decoder is quarantined to
-``root/quarantine/`` and reported as a miss — a torn write can cost a
-recomputation but never poisons the cache.
+:class:`StageStore` is the content-addressed cache the experiment
+engine builds on: every entry carries a checksum sidecar, and an entry
+that fails its checksum or its decoder is a miss — a torn or edited
+entry costs a recomputation but never poisons a result.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import numpy as np
 
 from repro.core.selection import MappingSelection
 from repro.cpu.trace import AccessTrace
-from repro.errors import CacheCorruptionError, ProfilingError
+from repro.errors import ProfilingError
 from repro.profiling.profiler import VariableProfile, WorkloadProfile
 
 __all__ = [
@@ -174,12 +173,16 @@ def _file_digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _save_json(path: Path, value: dict) -> None:
+    path.write_text(json.dumps(value))
+
+
 def _load_json(path: Path) -> dict:
     return json.loads(path.read_text())
 
 
 class StageStore:
-    """Content-addressed, process-safe, self-healing stage-output store.
+    """Content-addressed, process-safe stage-output store.
 
     Each stage output lives in ``root/<kind>/<key>.<ext>`` where
     ``key`` is the content hash of everything that determines the
@@ -191,245 +194,54 @@ class StageStore:
 
     Writes go through a per-call temporary file and an atomic
     ``os.replace``, so concurrent writers racing on the same key are
-    harmless: both write identical bytes and one rename wins.  Every
-    blob gets a ``.sha256`` sidecar; a load whose checksum or decoder
-    fails *quarantines* the entry (moves it to ``root/quarantine/``
-    with a ``.reason`` note) and returns a miss, so one torn write
-    costs at most a recomputation, never a crashing sweep.
-
-    ``faults`` optionally wires a :class:`~repro.faults.FaultPlan`
-    into the load path (sites ``store.load.<kind>``) for resilience
-    testing.
+    harmless: one rename wins (a blob and a sidecar from two writers
+    that disagree cost one recomputation).  Every blob gets a
+    ``.sha256`` sidecar, published after the blob.  A load whose blob or sidecar is
+    missing, whose checksum does not match, or whose decoder fails is
+    a miss; the caller recomputes the stage and republishes the entry.
     """
 
-    KINDS = ("trace", "profile", "selection", "result", "sweep")
-    QUARANTINE = "quarantine"
-
-    _READERS = {
-        "trace": load_trace,
-        "profile": load_profile,
-        "selection": load_selection,
-        "result": _load_json,
-        "sweep": _load_json,
+    # kind -> (extension, writer, reader)
+    _CODECS = {
+        "profile": ("npz", save_profile, load_profile),
+        "selection": ("npz", save_selection, load_selection),
+        "result": ("json", _save_json, _load_json),
     }
 
-    def __init__(self, root: str | Path, faults=None):
+    def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.faults = faults
-        self.hits: dict[str, int] = {kind: 0 for kind in self.KINDS}
-        self.misses: dict[str, int] = {kind: 0 for kind in self.KINDS}
-        self.corruptions: dict[str, int] = {kind: 0 for kind in self.KINDS}
 
-    @classmethod
-    def _ext(cls, kind: str) -> str:
-        return "json" if kind in ("result", "sweep") else "npz"
-
-    def _path(self, kind: str, key: str, ext: str) -> Path:
-        if kind not in self.KINDS:
+    def _path(self, kind: str, key: str) -> Path:
+        if kind not in self._CODECS:
             raise ProfilingError(f"unknown stage kind {kind!r}")
-        return self.root / kind / f"{key}.{ext}"
+        return self.root / kind / f"{key}.{self._CODECS[kind][0]}"
 
-    def _publish(self, target: Path, write) -> None:
+    def load(self, kind: str, key: str):
+        """The ``kind`` entry (``"profile"``, ``"selection"`` or
+        ``"result"``) under a key, or None on a miss."""
+        path = self._path(kind, key)
+        try:
+            if _digest_path(path).read_text().strip() != _file_digest(path):
+                return None
+            return self._CODECS[kind][2](path)
+        except Exception:  # noqa: BLE001 — an unreadable entry is a miss
+            return None
+
+    def store(self, kind: str, key: str, value) -> None:
+        """Publish an entry (blob, then its sidecar) under a key."""
+        target = self._path(kind, key)
         target.parent.mkdir(parents=True, exist_ok=True)
         # Keep the real extension so the npz writers don't append one;
         # the serial keeps same-key writes from one process distinct.
         tmp = target.parent / (
             f".tmp-{os.getpid()}-{next(_TMP_IDS)}-{target.name}"
         )
-        digest_tmp = target.parent / f"{tmp.name}.sha256"
+        digest_tmp = _digest_path(tmp)
         try:
-            write(tmp)
+            self._CODECS[kind][1](tmp, value)
             digest_tmp.write_text(_file_digest(tmp) + "\n")
             os.replace(tmp, target)
             os.replace(digest_tmp, _digest_path(target))
         finally:
             tmp.unlink(missing_ok=True)
             digest_tmp.unlink(missing_ok=True)
-
-    def _record(self, kind: str, hit: bool) -> bool:
-        counter = self.hits if hit else self.misses
-        counter[kind] += 1
-        return hit
-
-    # -- the self-healing load path ------------------------------------------
-    def _check(self, path: Path) -> None:
-        """Raise :class:`CacheCorruptionError` on a checksum mismatch.
-
-        Entries without a sidecar (pre-checksum caches, or a crash
-        between blob and sidecar publication) are admitted if their
-        decoder accepts them; the sidecar is backfilled after a
-        successful load.
-        """
-        sidecar = _digest_path(path)
-        if not sidecar.exists():
-            return
-        expected = sidecar.read_text().strip()
-        if _file_digest(path) != expected:
-            raise CacheCorruptionError(
-                f"checksum mismatch for cache entry {path.name}"
-            )
-
-    def _backfill_digest(self, path: Path) -> None:
-        sidecar = _digest_path(path)
-        if not sidecar.exists():
-            tmp = path.parent / f".tmp-{os.getpid()}-{next(_TMP_IDS)}-sha256"
-            tmp.write_text(_file_digest(path) + "\n")
-            os.replace(tmp, sidecar)
-
-    def _quarantine(self, kind: str, path: Path, reason: str) -> None:
-        """Move a bad entry (blob + sidecar) out of the cache's way."""
-        qdir = self.root / self.QUARANTINE / kind
-        qdir.mkdir(parents=True, exist_ok=True)
-        for victim in (path, _digest_path(path)):
-            if victim.exists():
-                os.replace(victim, qdir / victim.name)
-        (qdir / f"{path.name}.reason").write_text(reason + "\n")
-
-    def _load(self, kind: str, key: str, reader):
-        path = self._path(kind, key, self._ext(kind))
-        if not path.exists():
-            self._record(kind, False)
-            return None
-        if self.faults is not None:
-            self.faults.inject(f"store.load.{kind}", key, path=path)
-        try:
-            self._check(path)
-            value = reader(path)
-        except Exception as exc:  # noqa: BLE001 — heal, don't crash
-            self._quarantine(kind, path, f"{type(exc).__name__}: {exc}")
-            self.corruptions[kind] += 1
-            self._record(kind, False)
-            return None
-        self._record(kind, True)
-        self._backfill_digest(path)
-        return value
-
-    # -- traces / profiles / selections (npz) -------------------------------
-    def load_trace(self, key: str) -> AccessTrace | None:
-        """The cached trace under a key; corrupt entries are a miss."""
-        return self._load("trace", key, load_trace)
-
-    def store_trace(self, key: str, trace: AccessTrace) -> None:
-        """Publish a trace under a key."""
-        self._publish(
-            self._path("trace", key, "npz"), lambda p: save_trace(p, trace)
-        )
-
-    def load_profile(self, key: str) -> WorkloadProfile | None:
-        """The cached profile under a key; corrupt entries are a miss."""
-        return self._load("profile", key, load_profile)
-
-    def store_profile(self, key: str, profile: WorkloadProfile) -> None:
-        """Publish a profile under a key."""
-        self._publish(
-            self._path("profile", key, "npz"),
-            lambda p: save_profile(p, profile),
-        )
-
-    def load_selection(self, key: str) -> MappingSelection | None:
-        """The cached selection under a key; corrupt entries are a miss."""
-        return self._load("selection", key, load_selection)
-
-    def store_selection(self, key: str, selection: MappingSelection) -> None:
-        """Publish a selection under a key."""
-        self._publish(
-            self._path("selection", key, "npz"),
-            lambda p: save_selection(p, selection),
-        )
-
-    # -- results / sweep manifests (json) ------------------------------------
-    def load_result(self, key: str) -> dict | None:
-        """The cached result dict under a key; corrupt entries are a miss."""
-        return self._load("result", key, _load_json)
-
-    def store_result(self, key: str, result: dict) -> None:
-        """Publish a result dict under a key."""
-        text = json.dumps(result)
-        self._publish(
-            self._path("result", key, "json"), lambda p: p.write_text(text)
-        )
-
-    def load_manifest(self, key: str) -> dict | None:
-        """The sweep manifest under a key; corrupt entries are a miss."""
-        return self._load("sweep", key, _load_json)
-
-    def store_manifest(self, key: str, manifest: dict) -> None:
-        """Publish a sweep manifest under a key."""
-        text = json.dumps(manifest)
-        self._publish(
-            self._path("sweep", key, "json"), lambda p: p.write_text(text)
-        )
-
-    # -- maintenance ----------------------------------------------------------
-    def verify(self) -> dict:
-        """Checksum + decode every entry, quarantining the bad ones.
-
-        Returns a per-kind report: entries checked, entries healthy,
-        and the file names moved to quarantine.
-        """
-        report: dict[str, dict] = {}
-        for kind in self.KINDS:
-            directory = self.root / kind
-            checked = ok = 0
-            quarantined: list[str] = []
-            if directory.is_dir():
-                for path in sorted(directory.glob(f"*.{self._ext(kind)}")):
-                    checked += 1
-                    try:
-                        self._check(path)
-                        self._READERS[kind](path)
-                    except Exception as exc:  # noqa: BLE001
-                        self._quarantine(
-                            kind, path, f"{type(exc).__name__}: {exc}"
-                        )
-                        self.corruptions[kind] += 1
-                        quarantined.append(path.name)
-                    else:
-                        ok += 1
-                        self._backfill_digest(path)
-            report[kind] = {
-                "checked": checked,
-                "ok": ok,
-                "quarantined": quarantined,
-            }
-        return report
-
-    def gc(self, purge_quarantine: bool = False) -> dict:
-        """Sweep maintenance debris out of the cache tree.
-
-        Removes abandoned ``.tmp-*`` files (crashed writers) and
-        orphaned ``.sha256`` sidecars; with ``purge_quarantine`` the
-        quarantine directory is emptied too.  Returns removal counts.
-        """
-        removed = {"tmp": 0, "orphan_sidecars": 0, "quarantined": 0}
-        for tmp in self.root.glob("*/.tmp-*"):
-            tmp.unlink(missing_ok=True)
-            removed["tmp"] += 1
-        for sidecar in self.root.glob("*/*.sha256"):
-            if not sidecar.with_suffix("").exists():
-                sidecar.unlink(missing_ok=True)
-                removed["orphan_sidecars"] += 1
-        if purge_quarantine:
-            qroot = self.root / self.QUARANTINE
-            if qroot.is_dir():
-                for path in sorted(
-                    qroot.rglob("*"), key=lambda p: len(p.parts), reverse=True
-                ):
-                    if path.is_file():
-                        path.unlink(missing_ok=True)
-                        removed["quarantined"] += 1
-                    elif path.is_dir():
-                        path.rmdir()
-        return removed
-
-    # -- accounting ----------------------------------------------------------
-    def counters(self) -> dict[str, dict[str, int]]:
-        """Per-kind hit/miss/corruption counts for this store instance."""
-        return {
-            kind: {
-                "hits": self.hits[kind],
-                "misses": self.misses[kind],
-                "corruptions": self.corruptions[kind],
-            }
-            for kind in self.KINDS
-        }

@@ -178,3 +178,21 @@ class TestPickling:
             clone.simulate(trace).makespan_ns
             == reference.simulate(trace).makespan_ns
         )
+
+
+class TestFaultPlan:
+    def test_sites_are_validated(self):
+        FaultPlan.single("backend.*")
+        with pytest.raises(ConfigError, match="matches no backend"):
+            FaultPlan.single("backend.nonsense")
+        with pytest.raises(ConfigError, match="DeviceFaultPlan"):
+            FaultPlan.single("device.hbm.row")
+
+    def test_each_spec_fires_once_on_its_first_match(self):
+        plan = FaultPlan.single(BACKEND_DIVERGENCE, match="chunk1")
+        fired = [
+            plan.should_fire(BACKEND_DIVERGENCE, f"chunk{i}") is not None
+            for i in (0, 1, 1, 2)
+        ]
+        assert fired == [False, True, False, False]
+        assert FaultPlan().should_fire(BACKEND_DIVERGENCE, "chunk0") is None

@@ -5,13 +5,14 @@ import pytest
 from repro.core.chunks import ChunkGeometry
 from repro.errors import DeviceFaultError
 from repro.faults.sites import (
+    BACKEND_DIVERGENCE,
+    BACKEND_SITES,
     DEVICE_AMU_MISPROGRAM,
     DEVICE_CMT_FLIP,
     DEVICE_HBM_BANK,
     DEVICE_HBM_CHANNEL,
     DEVICE_HBM_ROW,
     DEVICE_SITES,
-    ENGINE_SITES,
     KNOWN_SITES,
     matches_known_site,
 )
@@ -23,11 +24,11 @@ class TestSiteRegistry:
     def test_device_family_registered(self):
         assert DEVICE_HBM_ROW in KNOWN_SITES
         assert DEVICE_CMT_FLIP in DEVICE_SITES
-        assert not set(DEVICE_SITES) & set(ENGINE_SITES)
+        assert not set(DEVICE_SITES) & set(BACKEND_SITES)
 
     def test_family_filtered_matching(self):
         assert matches_known_site("device.hbm.*", family="device")
-        assert not matches_known_site("device.hbm.*", family="engine")
+        assert not matches_known_site("device.hbm.*", family="backend")
 
 
 class TestSpecValidation:
@@ -35,9 +36,9 @@ class TestSpecValidation:
         with pytest.raises(DeviceFaultError, match="unknown device fault"):
             DeviceFaultSpec(site="device.hbm.rank", channel=0)
 
-    def test_engine_site_gets_a_hint(self):
+    def test_backend_site_gets_a_hint(self):
         with pytest.raises(DeviceFaultError, match="FaultPlan"):
-            DeviceFaultSpec(site=ENGINE_SITES[0])
+            DeviceFaultSpec(site=BACKEND_DIVERGENCE)
 
     def test_missing_coordinates_rejected(self):
         with pytest.raises(DeviceFaultError, match="'row'"):

@@ -3,11 +3,13 @@
 The contract under test: cached, serial and parallel execution of the
 same sweep are interchangeable — a warm cache serves every cell without
 recomputation, a process pool produces numerically identical results,
-and one failing cell degrades to a recorded error instead of killing
-the sweep.
+a cache entry that fails its checksum is recomputed, and a failing
+stage degrades to recorded errors on the cells that need it instead of
+killing the sweep.
 """
 
 import json
+import re
 
 import pytest
 
@@ -72,6 +74,48 @@ class TestCaching:
         assert second.bytes_simulated == 0
         assert second.table.to_dict() == first.table.to_dict()
 
+    def test_pooled_cold_sweep_serves_a_serial_warm_sweep(self, tmp_path):
+        # Every entry the warm sweep reads was published by a worker.
+        workloads, systems = small_workloads(), small_systems()
+        cold = ExperimentRunner(cache_dir=tmp_path, max_workers=2).run_suite(
+            workloads, systems=systems
+        )
+        warm = ExperimentRunner(cache_dir=tmp_path).run_suite(
+            workloads, systems=systems
+        )
+        assert not cold.errors and not warm.errors
+        assert warm.metrics["evaluate"].cache_misses == 0
+        assert warm.table.fingerprint() == cold.table.fingerprint()
+
+    def test_edited_or_unsigned_result_is_recomputed(self, tmp_path):
+        workloads, systems = small_workloads(), small_systems()
+        first = ExperimentRunner(cache_dir=tmp_path).run_suite(
+            workloads, systems=systems
+        )
+        edited, unsigned = sorted((tmp_path / "result").glob("*.json"))[:2]
+        # One changed digit in a number: still valid JSON, wrong value.
+        text = edited.read_text()
+        digit = re.search(r": (\d)", text).start(1)
+        edited.write_text(
+            text[:digit] + str((int(text[digit]) + 1) % 10)
+            + text[digit + 1:]
+        )
+        assert json.loads(edited.read_text()) != json.loads(text)
+        unsigned.with_name(unsigned.name + ".sha256").unlink()
+
+        second = ExperimentRunner(cache_dir=tmp_path).run_suite(
+            workloads, systems=systems
+        )
+        assert not second.errors
+        assert second.metrics["evaluate"].cache_misses == 2
+        assert second.table.fingerprint() == first.table.fingerprint()
+        # Both entries were republished with valid sidecars.
+        third = ExperimentRunner(cache_dir=tmp_path).run_suite(
+            workloads, systems=systems
+        )
+        assert third.metrics["evaluate"].cache_misses == 0
+        assert third.table.fingerprint() == first.table.fingerprint()
+
     def test_run_one_round_trips_through_the_disk_cache(self, tmp_path):
         workload = small_workloads()[0]
         system = system_by_key("sdm_bsm")
@@ -123,6 +167,33 @@ class TestFailureIsolation:
             assert "boom" in error.message
         with pytest.raises(ConfigError, match="boom"):
             suite.raise_errors()
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_failing_profile_fails_only_the_cells_that_need_it(
+        self, workers
+    ):
+        good = small_workloads()[0]
+        bad = ExplodingWorkload(stride_lines=4, accesses_per_thread=600)
+        suite = ExperimentRunner(max_workers=workers).run_suite(
+            [good, bad], systems=small_systems()
+        )
+        # SDAM cells need their own profile; every BS+BSM cell needs the
+        # suite mix, which folds in every profile.
+        assert [(e.workload, e.system, e.stage) for e in suite.errors] == [
+            (good.name, "bs_bsm", "profile"),
+            ("exploding", "bs_dm", "evaluate"),
+            ("exploding", "bs_bsm", "profile"),
+            ("exploding", "sdm_bsm", "profile"),
+        ]
+        assert all("boom" in error.message for error in suite.errors)
+        alone = ExperimentRunner().run_suite(
+            [good], systems=[system_by_key("bs_dm"), system_by_key("sdm_bsm")]
+        )
+        assert suite.table.fingerprint() == alone.table.fingerprint()
+
+    def test_negative_worker_count_is_rejected(self):
+        with pytest.raises(ConfigError, match="worker count"):
+            ExperimentRunner(max_workers=-2)
 
     def test_run_one_raises_on_failure(self):
         bad = ExplodingWorkload(stride_lines=4, accesses_per_thread=600)

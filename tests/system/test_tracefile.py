@@ -82,7 +82,8 @@ class TestProfileRoundtrip:
 
 
 class TestStageStoreSelfHealing:
-    """The checksummed, quarantining store behind the experiment engine."""
+    """The checksummed store behind the experiment engine: a bad entry
+    is a miss, and the next store republishes it."""
 
     @staticmethod
     def _store(tmp_path):
@@ -92,7 +93,7 @@ class TestStageStoreSelfHealing:
 
     def test_store_writes_checksum_sidecar(self, tmp_path):
         store = self._store(tmp_path)
-        store.store_result("k1", {"answer": 42})
+        store.store("result", "k1", {"answer": 42})
         blob = store.root / "result" / "k1.json"
         sidecar = store.root / "result" / "k1.json.sha256"
         assert blob.exists() and sidecar.exists()
@@ -102,75 +103,37 @@ class TestStageStoreSelfHealing:
             sidecar.read_text().strip()
             == hashlib.sha256(blob.read_bytes()).hexdigest()
         )
-        assert store.load_result("k1") == {"answer": 42}
+        assert store.load("result", "k1") == {"answer": 42}
 
-    def test_corrupt_entry_is_quarantined_not_raised(self, tmp_path):
+    def test_corrupt_entry_is_a_miss_not_raised(self, tmp_path):
         store = self._store(tmp_path)
-        store.store_result("k1", {"answer": 42})
+        store.store("result", "k1", {"answer": 42})
         blob = store.root / "result" / "k1.json"
         blob.write_bytes(b'{"answer": 4')  # torn write
-        assert store.load_result("k1") is None
-        assert not blob.exists()
-        qdir = store.root / "quarantine" / "result"
-        assert (qdir / "k1.json").exists()
-        assert (qdir / "k1.json.sha256").exists()
-        reason = (qdir / "k1.json.reason").read_text()
-        assert "CacheCorruptionError" in reason
-        assert store.corruptions["result"] == 1
-        # The key is a plain miss afterwards, and re-storing heals it.
-        store.store_result("k1", {"answer": 42})
-        assert store.load_result("k1") == {"answer": 42}
+        assert store.load("result", "k1") is None
+        # Re-storing republishes blob and sidecar.
+        store.store("result", "k1", {"answer": 42})
+        assert store.load("result", "k1") == {"answer": 42}
 
-    def test_undecodable_npz_is_quarantined(self, tmp_path):
+    def test_undecodable_npz_is_a_miss(self, tmp_path):
+        import hashlib
+
         store = self._store(tmp_path)
-        # A legacy entry without a sidecar whose decoder rejects it.
+        # A blob whose sidecar matches but whose decoder rejects it.
         target = store.root / "profile" / "bad.npz"
         target.parent.mkdir(parents=True)
         target.write_bytes(b"not an npz archive")
-        assert store.load_profile("bad") is None
-        assert (store.root / "quarantine" / "profile" / "bad.npz").exists()
+        (store.root / "profile" / "bad.npz.sha256").write_text(
+            hashlib.sha256(target.read_bytes()).hexdigest() + "\n"
+        )
+        assert store.load("profile", "bad") is None
 
-    def test_sidecar_backfilled_for_legacy_entries(self, tmp_path):
-        import json
-
+    def test_entry_without_sidecar_is_a_miss(self, tmp_path):
         store = self._store(tmp_path)
-        target = store.root / "result" / "legacy.json"
-        target.parent.mkdir(parents=True)
-        target.write_text(json.dumps({"ok": True}))
-        assert store.load_result("legacy") == {"ok": True}
-        assert (store.root / "result" / "legacy.json.sha256").exists()
-
-    def test_verify_reports_and_quarantines(self, tmp_path):
-        store = self._store(tmp_path)
-        store.store_result("good", {"ok": True})
-        store.store_result("bad", {"ok": False})
-        (store.root / "result" / "bad.json").write_text("{broken")
-        report = store.verify()
-        assert report["result"]["checked"] == 2
-        assert report["result"]["ok"] == 1
-        assert report["result"]["quarantined"] == ["bad.json"]
-        # A second verify sees only the healthy entry.
-        assert store.verify()["result"] == {
-            "checked": 1,
-            "ok": 1,
-            "quarantined": [],
-        }
-
-    def test_gc_sweeps_debris(self, tmp_path):
-        store = self._store(tmp_path)
-        store.store_result("keep", {"ok": True})
-        rdir = store.root / "result"
-        (rdir / ".tmp-123-0-x.json").write_text("crashed writer")
-        (rdir / "orphan.json.sha256").write_text("feed" * 16 + "\n")
-        store.store_result("doomed", {"ok": False})
-        (rdir / "doomed.json").write_text("{")
-        assert store.load_result("doomed") is None  # quarantined
-        removed = store.gc(purge_quarantine=True)
-        assert removed["tmp"] == 1
-        assert removed["orphan_sidecars"] == 1
-        assert removed["quarantined"] == 3  # blob + sidecar + reason
-        assert store.load_result("keep") == {"ok": True}
-        assert not list(store.root.glob("quarantine/**/*.json"))
+        store.store("result", "k", {"ok": True})
+        (store.root / "result" / "k.json.sha256").unlink()
+        assert store.load("result", "k") is None
+        assert store.load("result", "absent") is None
 
     def test_concurrent_same_key_writes_are_collision_free(self, tmp_path):
         """Threads racing on one key never tear a published entry."""
@@ -183,7 +146,7 @@ class TestStageStoreSelfHealing:
         def write():
             try:
                 for _ in range(20):
-                    store.store_result("contested", payload)
+                    store.store("result", "contested", payload)
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)
 
@@ -193,17 +156,6 @@ class TestStageStoreSelfHealing:
         for thread in threads:
             thread.join()
         assert not errors
-        assert store.load_result("contested") == payload
-        assert store.verify()["result"]["quarantined"] == []
+        assert store.load("result", "contested") == payload
         # No tmp debris left behind either.
         assert not list(store.root.glob("*/.tmp-*"))
-
-    def test_counters_track_hits_misses_corruptions(self, tmp_path):
-        store = self._store(tmp_path)
-        assert store.load_result("absent") is None
-        store.store_result("k", {"v": 1})
-        store.load_result("k")
-        (store.root / "result" / "k.json").write_text("{")
-        store.load_result("k")
-        counters = store.counters()["result"]
-        assert counters == {"hits": 1, "misses": 2, "corruptions": 1}

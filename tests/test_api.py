@@ -11,6 +11,7 @@ import pytest
 
 import repro
 from repro import api
+from repro.errors import ConfigError
 from repro.system import MachineResult, SuiteResult, system_by_key
 
 
@@ -32,6 +33,10 @@ class TestSession:
         session = api.Session(cache_dir=None, workers=0)
         assert session.cache_dir is None
         assert session.runner.store is None
+
+    def test_negative_workers_rejected(self):
+        with pytest.raises(ConfigError, match="worker count"):
+            api.Session(cache_dir=None, workers=-1)
 
     def test_run_persists_stages(self, tmp_path):
         session = api.Session(cache_dir=tmp_path, workers=0)
@@ -113,6 +118,17 @@ class TestFullEvaluation:
         assert "BS+DM" in table.systems()
         for system in table.systems():
             assert table.geomean(system) > 0
+
+    def test_quick_dl_config_applies_to_that_call_only(self, monkeypatch):
+        monkeypatch.setattr(
+            api, "evaluation_workloads", lambda *, quick=True: [tiny_workload()]
+        )
+        monkeypatch.setattr(
+            api, "standard_systems", lambda: [system_by_key("bs_dm")]
+        )
+        session = api.Session(cache_dir=None, workers=0, cores=2)
+        assert not session.full_evaluation(quick=True).errors
+        assert session.machine_kwargs == {"cores": 2}
 
 
 #: The packages that export names from modules outside the run path and

@@ -80,42 +80,6 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["teleport"])
 
-    def test_suite_resume_finishes_from_cache(self, capsys, monkeypatch, tmp_path):
-        _tiny_suite(monkeypatch)
-        assert main(["suite", "--cache-dir", str(tmp_path)]) == 0
-        capsys.readouterr()
-        assert main(["suite", "--resume", "--cache-dir", str(tmp_path)]) == 0
-        assert "speedup over BS+DM" in capsys.readouterr().out
-
-    def test_verify_cache_healthy(self, capsys, monkeypatch, tmp_path):
-        _tiny_suite(monkeypatch)
-        assert main(["suite", "--cache-dir", str(tmp_path)]) == 0
-        capsys.readouterr()
-        assert main(["verify-cache", "--cache-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "result" in out and "healthy" in out
-
-    def test_verify_cache_quarantines_corrupt_entry(
-        self, capsys, monkeypatch, tmp_path
-    ):
-        _tiny_suite(monkeypatch)
-        assert main(["suite", "--cache-dir", str(tmp_path)]) == 0
-        capsys.readouterr()
-        victim = next((tmp_path / "result").glob("*.json"))
-        victim.write_text("{torn")
-        assert main(["verify-cache", "--cache-dir", str(tmp_path)]) == 1
-        captured = capsys.readouterr()
-        assert victim.name in captured.out
-        assert "quarantined" in captured.err
-        assert (tmp_path / "quarantine" / "result" / victim.name).exists()
-        # The sweep recomputes the quarantined cell and heals the cache.
-        assert main(["suite", "--cache-dir", str(tmp_path)]) == 0
-        capsys.readouterr()
-        assert main(["verify-cache", "--cache-dir", str(tmp_path), "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["verify"]["result"]["quarantined"] == []
-        assert report["gc"] is None
-
 
 class TestAdaptCommand:
     def test_adapt_quick_passes_gate(self, capsys, tmp_path):
@@ -314,6 +278,8 @@ USAGE_ERRORS = {
         "--checkpoint", "{ckpt}", "--resume",
     ],
     "one-tenant": ["serve", "--tenants", "1"],
+    "suite-unknown-backend": ["suite", "--backend", "bogus"],
+    "suite-negative-workers": ["suite", "--workers", "-2"],
 }
 
 
