@@ -13,8 +13,8 @@ The curated convenience surface is re-exported here (and lives in
 
 ``import repro`` loads the run path, every module that
 :meth:`Machine.run` and :meth:`Machine.profile` can reach.  Names from
-the campaigns, the sweep runner, the service front-end and RAS load
-their modules on first use (:mod:`repro.lazy`).
+the campaigns, the sweep runner and RAS load their modules on first use
+(:mod:`repro.lazy`).
 """
 
 from repro.core import MappingSelection, select_application_mapping
@@ -37,8 +37,6 @@ __getattr__, __dir__ = lazy_exports(
         "evaluation_workloads": ("repro.api", "evaluation_workloads"),
         "mixed_stride_workload": ("repro.api", "mixed_stride_workload"),
         "strided_workload": ("repro.api", "strided_workload"),
-        "FaultPlan": ("repro.faults.plan", "FaultPlan"),
-        "FaultSpec": ("repro.faults.plan", "FaultSpec"),
         "AdaptiveCampaignResult": ("repro.online.campaign", "AdaptiveCampaignResult"),
         "run_adaptive_campaign": ("repro.online.campaign", "run_adaptive_campaign"),
         "AdaptiveController": ("repro.online.controller", "AdaptiveController"),
@@ -47,11 +45,6 @@ __getattr__, __dir__ = lazy_exports(
         "RASReport": ("repro.ras.controller", "RASReport"),
         "DeviceFaultPlan": ("repro.ras.faults", "DeviceFaultPlan"),
         "DeviceFaultSpec": ("repro.ras.faults", "DeviceFaultSpec"),
-        "ServiceCampaignResult": ("repro.service.campaign", "ServiceCampaignResult"),
-        "run_service_campaign": ("repro.service.campaign", "run_service_campaign"),
-        "TenantRegistry": ("repro.service.registry", "TenantRegistry"),
-        "TenantSpec": ("repro.service.registry", "TenantSpec"),
-        "MappingService": ("repro.service.service", "MappingService"),
         "SpeedupTable": ("repro.system.experiment", "SpeedupTable"),
         "run_suite": ("repro.system.experiment", "run_suite"),
         "ExperimentRunner": ("repro.system.runner", "ExperimentRunner"),
@@ -68,26 +61,19 @@ __all__ = [
     "DeviceFaultPlan",
     "DeviceFaultSpec",
     "ExperimentRunner",
-    "FaultPlan",
-    "FaultSpec",
     "Machine",
     "MappingSelection",
-    "MappingService",
     "PlanCache",
     "RASReport",
     "run_adaptive_campaign",
     "run_ras_campaign",
-    "run_service_campaign",
     "MachineResult",
-    "ServiceCampaignResult",
     "Session",
     "SharedArtifacts",
     "SpeedupTable",
     "SuiteResult",
     "SystemConfig",
     "TenantContext",
-    "TenantRegistry",
-    "TenantSpec",
     "__version__",
     "default_cache_dir",
     "default_plan_cache",

@@ -15,19 +15,17 @@ without writing any code:
   faults (stuck rows, dead banks/channels, CMT/AMU upsets), detect
   them, repair by software-defined remapping, and verify zero silent
   corruption against a never-faulted twin machine (``--out`` writes
-  the RASReport JSON for CI artifacts; ``--guard`` cross-checks the
-  backend against the event reference, ``--checkpoint``/``--resume``
+  the RASReport JSON for CI artifacts; ``--checkpoint``/``--resume``
   make the campaign crash-safe);
 * ``adapt``   — seeded online-adaptation campaign: a phase-shifting
   workload served live while the adaptive controller detects phase
   changes and migrates mappings, scored against every relevant static
   mapping (``--min-speedup`` gates CI, ``--out`` writes the campaign
-  JSON; ``--guard`` and ``--checkpoint``/``--resume`` as for ``ras``);
+  JSON; ``--checkpoint``/``--resume`` as for ``ras``);
 * ``tier``    — tiered-memory campaign: swap policies against the
-  all-slow baseline under hot/cold skew and capacity pressure;
-* ``serve``   — multi-tenant isolation selftest.
+  all-slow baseline under hot/cold skew and capacity pressure.
 
-The four campaigns share one table (:data:`CAMPAIGNS`), one handler
+The three campaigns share one table (:data:`CAMPAIGNS`), one handler
 and one exit contract: 0 ok, 1 the campaign found problems, 2 usage
 error, 3 interrupted.
 
@@ -75,6 +73,12 @@ def cmd_stride(args) -> int:
     from repro.hbm import WindowModel, hbm2_config
     from repro.system.reporting import format_table
 
+    if args.accesses < 1:
+        print(
+            f"error: --accesses must be >= 1, got {args.accesses}",
+            file=sys.stderr,
+        )
+        return 2
     config = hbm2_config()
     model = WindowModel(config, max_inflight=256)
     rows = []
@@ -123,6 +127,14 @@ def cmd_audit(args) -> int:
 
     geometry = ChunkGeometry()
     controller = SDAMController(geometry)
+    capacity = controller.cmt.max_mappings - controller.cmt.live_mappings
+    if not 0 <= args.mappings <= capacity:
+        print(
+            f"error: --mappings must be in [0, {capacity}] (the CMT's "
+            f"free mapping slots), got {args.mappings}",
+            file=sys.stderr,
+        )
+        return 2
     rng = np.random.default_rng(args.seed)
     for index in range(args.mappings):
         mapping_id = controller.register_mapping(
@@ -193,19 +205,15 @@ def cmd_suite(args) -> int:
     return 0
 
 
-def _guard_checkpoint_kwargs(args) -> dict:
-    """The guard and checkpoint keywords ``ras`` and ``adapt`` share."""
+def _checkpoint_kwargs(args) -> dict:
+    """The checkpoint keywords ``ras`` and ``adapt`` share."""
     from repro.errors import ConfigError
 
-    if args.guard_sample is not None and not args.guard:
-        raise ConfigError("--guard-sample requires --guard")
     if args.checkpoint is None and (
         args.resume or args.stop_after is not None
     ):
         raise ConfigError("--resume and --stop-after require --checkpoint")
     return {
-        "guard": args.guard,
-        "guard_sample": args.guard_sample,
         "checkpoint_path": args.checkpoint,
         "resume": args.resume,
         "stop_after": args.stop_after,
@@ -228,7 +236,7 @@ def _run_ras(args):
         kinds=kinds,
         quick=not args.full,
         backend=args.backend,
-        **_guard_checkpoint_kwargs(args),
+        **_checkpoint_kwargs(args),
     )
 
 
@@ -240,7 +248,7 @@ def _run_adapt(args):
         quick=not args.full,
         window_accesses=args.window,
         backend=args.backend,
-        **_guard_checkpoint_kwargs(args),
+        **_checkpoint_kwargs(args),
     )
     result.min_speedup = args.min_speedup
     return result
@@ -254,24 +262,7 @@ def _run_tier(args):
     )
 
 
-def _run_serve(args):
-    import repro.service
-
-    return repro.service.run_service_campaign(
-        seed=args.seed,
-        tenants=args.tenants,
-        quick=not args.full,
-        controllers=not args.no_controllers,
-        backend=args.backend,
-    )
-
-
-_GUARD_CHECKPOINT_FLAGS = (
-    ("--guard", "wrap the backend in the cross-tier divergence guard "
-     "(sampled chunks replayed through the event reference; divergence "
-     "demotes to the reference tier)", {"action": "store_true"}),
-    ("--guard-sample", "fraction of chunks the guard replays (default "
-     "0.05; requires --guard)", {"type": float}),
+_CHECKPOINT_FLAGS = (
     ("--checkpoint", "persist campaign progress to this file so a killed "
      "run can be resumed bit-identically", {}),
     ("--resume", "resume the campaign from --checkpoint instead of "
@@ -304,7 +295,7 @@ CAMPAIGNS = {
         flags=(
             ("--kinds", "comma-separated fault kinds "
              "(default: row,bank,channel,cmt,amu)", {}),
-            *_GUARD_CHECKPOINT_FLAGS,
+            *_CHECKPOINT_FLAGS,
         ),
     ),
     "adapt": _Campaign(
@@ -318,7 +309,7 @@ CAMPAIGNS = {
             ("--min-speedup", "fail unless adaptive beats the best static "
              "mapping by this factor (CI gate)",
              {"type": float, "default": 0.0}),
-            *_GUARD_CHECKPOINT_FLAGS,
+            *_CHECKPOINT_FLAGS,
         ),
     ),
     "tier": _Campaign(
@@ -330,21 +321,6 @@ CAMPAIGNS = {
             ("--policy", "evaluate one swap policy only (fast | slow | "
              "smart; default: all three; the all-slow baseline always "
              "runs)", {}),
-        ),
-    ),
-    "serve": _Campaign(
-        "multi-tenant service isolation selftest "
-        "(solo vs concurrent fingerprints, fault + controller legs)",
-        "selftest",
-        _run_serve,
-        backend="vector",
-        flags=(
-            ("--selftest", "run the isolation selftest campaign (the "
-             "default and only mode)", {"action": "store_true"}),
-            ("--tenants", "tenant count (min 2)",
-             {"type": int, "default": 3}),
-            ("--no-controllers", "skip the per-tenant adaptive/RAS "
-             "controller leg", {"action": "store_true"}),
         ),
     ),
 }

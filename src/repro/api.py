@@ -28,7 +28,6 @@ from repro.core import (
     SDAMController,
     select_application_mapping,
 )
-from repro.faults import FaultPlan
 from repro.hbm import HBMConfig, WindowModel, hbm2_config
 from repro.ml import AutoencoderConfig
 from repro.online import (
@@ -43,15 +42,7 @@ from repro.ras import (
     RASReport,
 )
 from repro.ras import run_campaign as run_ras_campaign
-from repro.service import (
-    MappingService,
-    ServiceCampaignResult,
-    SharedArtifacts,
-    TenantContext,
-    TenantRegistry,
-    TenantSpec,
-    run_service_campaign,
-)
+from repro.service import SharedArtifacts, TenantContext
 from repro.system import (
     ExperimentRunner,
     Machine,
@@ -77,19 +68,13 @@ __all__ = [
     "CampaignResult",
     "DeviceFaultPlan",
     "DeviceFaultSpec",
-    "FaultPlan",
     "MappingSelection",
-    "MappingService",
     "RASReport",
-    "ServiceCampaignResult",
     "Session",
     "SharedArtifacts",
     "TenantContext",
-    "TenantRegistry",
-    "TenantSpec",
     "run_adaptive_campaign",
     "run_ras_campaign",
-    "run_service_campaign",
     "select_application_mapping",
     "default_cache_dir",
     "evaluation_workloads",
@@ -176,25 +161,12 @@ class Session:
         )
 
     # -- the API -------------------------------------------------------------
-    def _machine_kwargs(
-        self,
-        backend: str | None,
-        guard: bool | None = None,
-        guard_sample: float | None = None,
-    ) -> dict:
-        """Session-wide machine kwargs, with per-call overrides.
-
-        ``backend`` picks the memory fidelity tier for one call;
-        ``guard``/``guard_sample`` switch the cross-tier divergence
-        guard on (or off) for one call without rebuilding the session.
-        """
+    def _machine_kwargs(self, backend: str | None) -> dict:
+        """Session-wide machine kwargs; ``backend`` overrides the memory
+        fidelity tier for one call."""
         kwargs = dict(self.machine_kwargs)
         if backend is not None:
             kwargs["backend"] = backend
-        if guard is not None:
-            kwargs["guard"] = guard
-        if guard_sample is not None:
-            kwargs["guard_sample"] = guard_sample
         return kwargs
 
     def run(
@@ -205,25 +177,19 @@ class Session:
         profile_seed: int = 0,
         eval_seed: int = 1,
         backend: str | None = None,
-        guard: bool | None = None,
-        guard_sample: float | None = None,
     ) -> MachineResult:
         """One workload under one system, cached.
 
         ``backend`` selects the memory fidelity tier (``"fast"``,
         ``"vector"``, ``"event"``) for this call, overriding the
-        session-wide machine configuration.  ``guard=True`` wraps the
-        chosen tier in a :class:`~repro.hbm.guard.GuardedBackend` that
-        replays a deterministic sample of chunks through the
-        event-driven reference and demotes (or raises) on divergence;
-        the verdict rides on ``result.backend_health``.
+        session-wide machine configuration.
         """
         return self.runner.run_one(
             workload,
             _resolve_system(system),
             profile_seed=profile_seed,
             eval_seed=eval_seed,
-            **self._machine_kwargs(backend, guard, guard_sample),
+            **self._machine_kwargs(backend),
         )
 
     def compare(
@@ -239,8 +205,6 @@ class Session:
         profile_seed: int = 0,
         eval_seed: int = 1,
         backend: str | None = None,
-        guard: bool | None = None,
-        guard_sample: float | None = None,
     ) -> dict[str, MachineResult]:
         """One workload under several systems, keyed by the *caller's*
         system key (so duplicate labels cannot collide)."""
@@ -254,8 +218,6 @@ class Session:
                 profile_seed=profile_seed,
                 eval_seed=eval_seed,
                 backend=backend,
-                guard=guard,
-                guard_sample=guard_sample,
             )
         return results
 
@@ -267,8 +229,6 @@ class Session:
         profile_seed: int = 0,
         eval_seed: int = 1,
         backend: str | None = None,
-        guard: bool | None = None,
-        guard_sample: float | None = None,
     ) -> SuiteResult:
         """Every workload under every system: cached, parallel, and
         failure-isolated.
@@ -285,7 +245,7 @@ class Session:
             systems=resolved,
             profile_seed=profile_seed,
             eval_seed=eval_seed,
-            **self._machine_kwargs(backend, guard, guard_sample),
+            **self._machine_kwargs(backend),
         )
 
     def full_evaluation(self, *, quick: bool = True) -> SuiteResult:

@@ -78,22 +78,6 @@ class TrainingError(ReproError):
     """A machine-learning component failed to train or converge."""
 
 
-class BackendDivergenceError(SimulationError):
-    """The runtime divergence guard found a cross-tier mismatch.
-
-    Raised in ``mode="raise"`` when a sampled decoded chunk replayed
-    through the reference tier disagrees with the primary tier beyond
-    the declared tolerance (in ``mode="demote"`` the run degrades to
-    the reference tier instead).  ``report`` is the structured
-    divergence report (sampled chunk, both tiers' numbers, the
-    tolerance band violated).
-    """
-
-    def __init__(self, message: str, report: dict | None = None):
-        super().__init__(message)
-        self.report = dict(report or {})
-
-
 class RASError(ReproError):
     """The RAS subsystem was misused or could not complete a repair."""
 

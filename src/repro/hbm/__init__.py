@@ -18,23 +18,19 @@ from repro.hbm.decode import (
 )
 from repro.hbm.device import HBMDevice
 from repro.hbm.fastmodel import WindowModel, row_hit_mask
-from repro.hbm.guard import GuardedBackend, TierFactory
 from repro.hbm.plancache import PlanCache, default_plan_cache
-from repro.hbm.stats import BackendHealth, DeviceHealth, RunStats
+from repro.hbm.stats import DeviceHealth, RunStats
 from repro.hbm.vectormodel import VectorModel
 
 __all__ = [
-    "BackendHealth",
     "DecodedTrace",
     "DecodePlan",
     "DeviceHealth",
-    "GuardedBackend",
     "HBMConfig",
     "HBMDevice",
     "MemoryBackend",
     "PlanCache",
     "RunStats",
-    "TierFactory",
     "VectorModel",
     "WindowModel",
     "available_backends",

@@ -12,18 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.ledger import (
-    APPEND,
-    LATEST,
-    LEFT,
-    MAX,
-    SUM,
-    Ledger,
-    key,
-    summed_array,
-)
+from repro.ledger import MAX, SUM, Ledger, key, summed_array
 
-__all__ = ["BackendHealth", "DeviceHealth", "RemapTraffic", "RunStats"]
+__all__ = ["DeviceHealth", "RemapTraffic", "RunStats"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,46 +87,6 @@ class RunStats(Ledger):
             f"CLP {self.clp_utilization:.2f} "
             f"({self.channels_touched}/{self.num_channels} channels)"
         )
-
-
-@dataclass(eq=False)
-class BackendHealth(Ledger):
-    """Structured record of every degradation a guarded run suffered.
-
-    Like :class:`DeviceHealth` and :class:`RemapTraffic`, deliberately
-    separate from the frozen, cache-fingerprinted :class:`RunStats`:
-    health describes *how* a result was obtained (demotions), never
-    *what* the result is.
-
-    The divergence guard appends one entry to ``degradations`` per
-    recovery action, each a dict with at least ``event``
-    (``"tier-demoted"``) and ``reason``; ``demoted_to`` names the tier
-    a demotion pinned the run to, and ``guard`` holds the guard's
-    comparison report.  Health merges over *sequential* runs of one
-    backend, so it is the one ledger whose merge is not commutative.
-    """
-
-    derived = ("ok",)
-
-    backend: str = field(default="vector", metadata=LEFT)
-    demoted_to: str | None = field(default=None, metadata=LATEST)
-    degradations: list = field(default_factory=list, metadata=APPEND)
-    guard: dict | None = field(default=None, metadata=LATEST)
-
-    def record(self, event: str, reason: str, **detail) -> None:
-        """Append one structured degradation event."""
-        entry = {"event": event, "reason": reason}
-        entry.update(detail)
-        self.degradations.append(entry)
-        if event == "tier-demoted":
-            self.demoted_to = str(detail.get("to", "event"))
-
-    @property
-    def ok(self) -> bool:
-        """True when the run completed with no degradation at all."""
-        if self.degradations:
-            return False
-        return self.guard is None or not self.guard.get("diverged", False)
 
 
 @dataclass(eq=False)

@@ -4,7 +4,7 @@
 :meth:`~repro.system.Machine.run` and
 :meth:`~repro.system.Machine.profile` can reach — and nothing else.  A
 package that also exports names from off-path modules (campaigns, the
-sweep runner, the service front-end, RAS) lists them in a table of
+sweep runner, RAS) lists them in a table of
 ``name -> (module, attribute)`` and installs the pair this module
 returns as its ``__getattr__`` and ``__dir__``::
 

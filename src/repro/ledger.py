@@ -2,7 +2,6 @@
 
 A ledger is a dataclass of counters that runs, jobs and tenants fold
 together: :class:`~repro.hbm.stats.RunStats`,
-:class:`~repro.hbm.stats.BackendHealth`,
 :class:`~repro.hbm.stats.RemapTraffic`,
 :class:`~repro.tier.stats.TierTraffic` and
 :class:`~repro.system.runner.StageMetrics`.  Each field declares how it
@@ -12,21 +11,16 @@ those declarations:
 * ``SUM`` — counters and ``*_ns`` totals add; arrays declared with
   :func:`summed_array` add elementwise.
 * ``MAX`` — the larger value wins (``makespan_ns``).
-* ``APPEND`` — lists concatenate in arrival order (a journal).
-* ``LATEST`` — the right operand's value unless it is ``None``.
 * :func:`key` — both operands must agree, else ``ValueError``.
-* ``LEFT`` — the left operand's value.
 
 The laws (DESIGN §2, "Run ledgers"): :meth:`Ledger.empty` is a
-two-sided identity and :meth:`Ledger.merge` is associative; a ledger
-without ``APPEND``, ``LATEST`` or ``LEFT`` fields is also commutative.
+two-sided identity and :meth:`Ledger.merge` is associative and
+commutative.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
-import types
 import typing
 from dataclasses import MISSING, Field, fields
 from typing import Any, ClassVar, Iterable
@@ -34,9 +28,6 @@ from typing import Any, ClassVar, Iterable
 import numpy as np
 
 __all__ = [
-    "APPEND",
-    "LATEST",
-    "LEFT",
     "Ledger",
     "MAX",
     "SUM",
@@ -46,9 +37,6 @@ __all__ = [
 
 SUM = {"merge": "sum"}
 MAX = {"merge": "max"}
-APPEND = {"merge": "append"}
-LATEST = {"merge": "latest"}
-LEFT = {"merge": "left"}
 
 
 def key(what: str) -> dict:
@@ -65,22 +53,14 @@ def summed_array(dtype, length: str) -> dict:
 _MERGES = {
     "sum": lambda a, b: a + b,
     "max": max,
-    "append": lambda a, b: [*a, *b],
-    "latest": lambda a, b: a if b is None else b,
-    "left": lambda a, b: a,
 }
 
 def _coercer(hint, metadata):
-    """How :meth:`Ledger.from_dict` turns a JSON value into a field value."""
-    if typing.get_origin(hint) in (typing.Union, types.UnionType):
-        (inner,) = [a for a in typing.get_args(hint) if a is not type(None)]
-        coerce = _coercer(inner, metadata)
-        return lambda value: None if value is None else coerce(value)
+    """How :meth:`Ledger.from_dict` turns a JSON value into a field value:
+    arrays by their declared dtype, scalars by their annotation."""
     if hint is np.ndarray:
         return lambda value: np.asarray(value, dtype=metadata["dtype"])
-    if hint in (int, float, str):
-        return hint
-    return copy.deepcopy
+    return hint
 
 
 @functools.cache
@@ -96,8 +76,6 @@ def _plain(value, metadata):
     """A JSON-serialisable copy of one field value."""
     if isinstance(value, np.ndarray):
         return value.astype(metadata["dtype"], copy=False).tolist()
-    if isinstance(value, (list, dict)):
-        return copy.deepcopy(value)
     return value
 
 
@@ -135,10 +113,6 @@ class Ledger:
                 values[f.name] = np.zeros(
                     keys[f.metadata["length"]], dtype=f.metadata["dtype"]
                 )
-            elif f.metadata["merge"] == "append":
-                values[f.name] = []
-            elif f.metadata["merge"] == "latest":
-                values[f.name] = None
             else:
                 values[f.name] = coerce(0)
         return cls(**values, **keys)

@@ -34,9 +34,9 @@ from repro.core.bitshuffle import select_window_permutation
 from repro.core.chunks import ChunkGeometry
 from repro.core.keys import stable_hash
 from repro.core.sdam import SDAMController
+from repro.errors import ConfigError
 from repro.hbm.config import HBMConfig, hbm2_config
 from repro.hbm.backend import create_backend
-from repro.hbm.guard import DEFAULT_GUARD_SAMPLE, GuardedBackend, TierFactory
 from repro.mem.kernel import Kernel
 from repro.mem.malloc import MappingAwareAllocator
 from repro.online.controller import AdaptiveController
@@ -219,9 +219,6 @@ def run_adaptive_campaign(
     workload: Workload | None = None,
     controller_kwargs: dict | None = None,
     backend: str = "fast",
-    guard: bool = False,
-    guard_sample: float | None = None,
-    guard_faults=None,
     checkpoint_path=None,
     resume: bool = False,
     checkpoint_every: int = 8,
@@ -233,8 +230,7 @@ def run_adaptive_campaign(
     two) for smoke runs; the experiment's structure is unchanged.
     ``backend`` selects the memory fidelity tier the windows (adaptive
     and static alike) are scored through, and the default policy's
-    benefit probes with it; ``guard=True`` wraps that tier in the
-    cross-tier divergence guard.
+    benefit probes with it.
 
     With ``checkpoint_path`` the campaign persists its kernel,
     controller and service accumulators every ``checkpoint_every``
@@ -246,6 +242,10 @@ def run_adaptive_campaign(
     """
     from repro.system.checkpoint import CheckpointLoop
 
+    if window_accesses < 1:
+        raise ConfigError(
+            f"window_accesses must be >= 1, got {window_accesses}"
+        )
     started = time.perf_counter()
     hbm = config or hbm2_config()
     geometry = geometry or ChunkGeometry(total_bytes=hbm.total_bytes)
@@ -277,23 +277,6 @@ def run_adaptive_campaign(
     # -- adaptive machine ---------------------------------------------------
     def fresh() -> dict:
         model = create_backend(backend, hbm, max_inflight=64)
-        if guard and backend != "event":
-            model = GuardedBackend(
-                model,
-                primary_factory=TierFactory(backend, hbm, max_inflight=64),
-                reference_factory=TierFactory(
-                    "event", hbm, max_inflight=64
-                ),
-                primary_name=backend,
-                sample=(
-                    guard_sample
-                    if guard_sample is not None
-                    else DEFAULT_GUARD_SAMPLE
-                ),
-                mode="demote",
-                faults=guard_faults,
-                seed=seed,
-            )
         kernel, pa = _build_stack(workload, geometry, seed)
         controller = AdaptiveController(
             kernel, mapping_id=0, hbm=hbm, **controller_kwargs

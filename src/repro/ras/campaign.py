@@ -43,7 +43,6 @@ from repro.faults.sites import (
 from repro.hbm.config import HBMConfig
 from repro.hbm.decode import decode_trace
 from repro.hbm.backend import create_backend
-from repro.hbm.guard import DEFAULT_GUARD_SAMPLE, GuardedBackend, TierFactory
 from repro.hbm.stats import DeviceHealth
 from repro.mem.kernel import Kernel
 from repro.mem.migration import ChunkMigrator
@@ -98,9 +97,6 @@ class RASMachine:
         seed: int = 0,
         plan: DeviceFaultPlan | None = None,
         backend: str = "fast",
-        guard: bool = False,
-        guard_sample: float | None = None,
-        guard_faults=None,
     ):
         self.config = config or small_ras_config()
         self.geometry = geometry or ChunkGeometry(
@@ -115,21 +111,6 @@ class RASMachine:
         self.migrator = ChunkMigrator(self.kernel, hbm=self.config)
         self.backend_name = backend
         self.backend = create_backend(backend, self.config)
-        if guard and backend != "event":
-            self.backend = GuardedBackend(
-                self.backend,
-                primary_factory=TierFactory(backend, self.config),
-                reference_factory=TierFactory("event", self.config),
-                primary_name=backend,
-                sample=(
-                    guard_sample
-                    if guard_sample is not None
-                    else DEFAULT_GUARD_SAMPLE
-                ),
-                mode="demote",
-                faults=guard_faults,
-                seed=seed,
-            )
         self.storage = DeviceStorage()
         self.health = DeviceHealth(
             self.config.num_channels, self.config.banks_per_channel
@@ -398,9 +379,6 @@ def _build_machine(
     plan: DeviceFaultPlan | None,
     extra_mappings: int,
     backend: str = "fast",
-    guard: bool = False,
-    guard_sample: float | None = None,
-    guard_faults=None,
 ):
     """One machine + its mapping ids; same seed => identical twin."""
     machine = RASMachine(
@@ -409,9 +387,6 @@ def _build_machine(
         seed=seed,
         plan=plan,
         backend=backend,
-        guard=guard,
-        guard_sample=guard_sample,
-        guard_faults=guard_faults,
     )
     rng = np.random.default_rng(seed + 11)
     ids = [0]
@@ -605,9 +580,6 @@ def run_campaign(
     config: HBMConfig | None = None,
     geometry: ChunkGeometry | None = None,
     backend: str = "fast",
-    guard: bool = False,
-    guard_sample: float | None = None,
-    guard_faults=None,
     checkpoint_path=None,
     resume: bool = False,
     checkpoint_every: int = 1,
@@ -619,8 +591,7 @@ def run_campaign(
     per requested kind (staggered so each is detected before the next
     strikes), patrol-scrubs every batch, and finally compares the twins
     line by line over the surviving address space.  ``backend`` selects
-    the memory fidelity tier both twins charge their accesses against;
-    ``guard=True`` wraps it in the cross-tier divergence guard.
+    the memory fidelity tier both twins charge their accesses against.
 
     With ``checkpoint_path`` the campaign persists its twins and batch
     cursor every ``checkpoint_every`` batches, and ``resume=True``
@@ -658,16 +629,8 @@ def run_campaign(
 
     def fresh() -> dict:
         rng = np.random.default_rng(seed)
-        faulty, ids = _build_machine(
-            seed, config, geometry, None, 2, backend,
-            guard=guard, guard_sample=guard_sample,
-            guard_faults=guard_faults,
-        )
-        clean, _ids = _build_machine(
-            seed, config, geometry, None, 2, backend,
-            guard=guard, guard_sample=guard_sample,
-            guard_faults=guard_faults,
-        )
+        faulty, ids = _build_machine(seed, config, geometry, None, 2, backend)
+        clean, _ids = _build_machine(seed, config, geometry, None, 2, backend)
         vma_specs = [
             (mid, pages_per_vma * geometry.page_bytes) for mid in ids
         ]

@@ -3,12 +3,10 @@
 The ``device.*`` site family of :mod:`repro.faults.sites` names the
 modeled-hardware failure modes; a :class:`DeviceFaultSpec` pins one of
 them to concrete coordinates (channel/bank/row, CMT word, mapping
-index) and an access-count trigger point.  Unlike
-:class:`~repro.faults.plan.FaultPlan` — which arms the divergence
-guard's hook inside a memory backend — a :class:`DeviceFaultPlan` is
-consumed by :class:`~repro.ras.campaign.RASMachine`, which injects each
-spec exactly once when the machine's cumulative access counter passes
-the trigger.
+index) and an access-count trigger point.  A :class:`DeviceFaultPlan`
+is consumed by :class:`~repro.ras.campaign.RASMachine`, which injects
+each spec exactly once when the machine's cumulative access counter
+passes the trigger.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from repro.faults.sites import (
     DEVICE_HBM_CHANNEL,
     DEVICE_HBM_ROW,
     DEVICE_SITES,
-    matches_known_site,
 )
 from repro.hbm.config import HBMConfig
 
@@ -58,15 +55,9 @@ class DeviceFaultSpec:
 
     def __post_init__(self) -> None:
         if self.site not in DEVICE_SITES:
-            hint = ""
-            if matches_known_site(self.site, family="backend"):
-                hint = (
-                    "; backend sites are injected through "
-                    "repro.faults.FaultPlan, not a DeviceFaultPlan"
-                )
             raise DeviceFaultError(
                 f"unknown device fault site {self.site!r}; known sites: "
-                f"{', '.join(DEVICE_SITES)}{hint}"
+                f"{', '.join(DEVICE_SITES)}"
             )
         if self.trigger_access < 0:
             raise DeviceFaultError("trigger_access must be >= 0")

@@ -1,25 +1,22 @@
 """Tenant-scoped machine core: shared immutable artifacts + per-tenant state.
 
-The single-tenant :class:`~repro.system.machine.Machine` owns everything
-— device config, geometry, engine, kernel, backend, selection policy.
-Multi-tenant serving splits that state along its natural seam:
+The machine's state splits along one seam:
 
 * :class:`SharedArtifacts` — the immutable, compile-once side every
   tenant reads: the :class:`~repro.hbm.config.HBMConfig`, the chunk
   geometry, the address layout, the shared
   :class:`~repro.hbm.plancache.PlanCache` of compiled GF(2) decode
-  plans, and the backend factory defaults.  Nothing here changes after
-  construction, so it is safe to hand one instance to any number of
-  concurrently-running tenants.
+  plans, and the backend defaults.  Nothing here changes after
+  construction, so one instance can serve any number of tenants.
 * :class:`TenantContext` — everything one tenant mutates: its kernel
-  (address spaces, allocator, CMT driver state), its mapping-budget
-  namespace, its profiler outputs, its seeds, its backend instances and
-  their health.  Two contexts share no mutable state, which is the
-  isolation property the service selftest proves.
+  (address spaces, allocator, CMT driver state), its profiler outputs,
+  its seeds and the one memory backend each run builds.  Two contexts
+  share no mutable state.
 
-The pipeline methods here are the former ``Machine`` internals, moved
-verbatim so the façade stays bit-identical: ``Machine`` now constructs
-one :class:`TenantContext` and delegates.
+:class:`~repro.system.machine.Machine` constructs one
+:class:`TenantContext` over private artifacts and delegates to it;
+:class:`~repro.system.corun.CorunMachine` builds one context per
+co-running application over one shared set.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.chunks import ChunkGeometry
-from repro.core.cmt import MappingNamespace
 from repro.core.hashing import default_hash_mapping
 from repro.core.mapping import identity_mapping
 from repro.core.sdam import GlobalMappingTranslator, SDAMController
@@ -45,14 +41,13 @@ from repro.cpu.accelerator import AcceleratorModel
 from repro.cpu.cpu import CPUModel
 from repro.cpu.trace import AccessTrace
 from repro.errors import ConfigError
-from repro.hbm.backend import MemoryBackend, available_backends, create_backend
+from repro.hbm.backend import available_backends, create_backend
 from repro.hbm.config import HBMConfig, hbm2_config
 from repro.hbm.decode import (
     decode_trace,
     decode_translated,
     iter_decoded_chunks,
 )
-from repro.hbm.guard import DEFAULT_GUARD_SAMPLE, GuardedBackend, TierFactory
 from repro.hbm.plancache import PlanCache, default_plan_cache
 from repro.mem.kernel import Kernel
 from repro.mem.malloc import MappingAwareAllocator
@@ -82,10 +77,10 @@ ACCEL_COMPUTE_NS_PER_ACCESS = 0.15  # deep custom pipelines
 class SharedArtifacts:
     """The immutable artifacts every tenant of a deployment shares.
 
-    One instance per service deployment (or per :class:`Machine`): the
-    device model, the chunk geometry derived from it, the plan cache
-    that amortises GF(2) compilation across tenants, and the default
-    backend tier + options new tenants inherit.  All fields are
+    One instance per :class:`Machine` or co-run machine: the device
+    model, the chunk geometry derived from it, the plan cache that
+    amortises GF(2) compilation across tenants, and the default backend
+    tier + options new tenants inherit.  All fields are
     read-only after construction; the plan cache is internally locked.
     """
 
@@ -130,13 +125,12 @@ class SharedArtifacts:
 class TenantContext:
     """One tenant's mutable half of the machine.
 
-    Owns the tenant's system configuration, engine model, seeds,
-    optional mapping-budget namespace and backend options, and
-    runs the paper's profile -> select -> evaluate pipeline against the
-    :class:`SharedArtifacts` it was admitted with.  Every kernel,
-    SDAM controller and backend it builds is private to the tenant;
-    the only cross-tenant objects it touches are the immutable shared
-    artifacts.
+    Owns the tenant's system configuration, engine model, seeds and
+    backend options, and runs the paper's profile -> select -> evaluate
+    pipeline against the :class:`SharedArtifacts` it was built with.
+    Every kernel, SDAM controller and backend it builds is private to
+    the tenant; the only cross-tenant objects it touches are the
+    immutable shared artifacts.
     """
 
     # Major-variable coverage for clustered selection.  The paper's 80%
@@ -160,11 +154,6 @@ class TenantContext:
         seed: int = 0,
         chunk_colours: int = 8,
         debug_ha: bool = False,
-        guard: bool = False,
-        guard_sample: float | None = None,
-        guard_mode: str = "demote",
-        backend_faults=None,
-        namespace: MappingNamespace | None = None,
     ):
         self.name = name
         self.system = system
@@ -191,81 +180,13 @@ class TenantContext:
         if backend_options is None:
             backend_options = shared.backend_options
         self.backend_options = dict(backend_options)
-        if guard_mode not in ("demote", "raise"):
-            raise ConfigError(
-                f"unknown guard mode {guard_mode!r}; "
-                "expected 'demote' or 'raise'"
-            )
-        if guard_sample is not None and not (0.0 < guard_sample <= 1.0):
-            raise ConfigError("guard_sample must be in (0, 1]")
-        self.guard = bool(guard)
-        self.guard_sample = guard_sample
-        self.guard_mode = guard_mode
-        self.backend_faults = backend_faults
         self.chunk_accesses = chunk_accesses
         self.dl_config = dl_config
         self.seed = seed
         self.chunk_colours = chunk_colours
         self.debug_ha = debug_ha
-        self.namespace = namespace
 
     # -- building blocks -----------------------------------------------------
-    def _memory(self) -> MemoryBackend:
-        backend = create_backend(
-            self.backend,
-            self.hbm,
-            max_inflight=self.engine.max_inflight,
-            **self.backend_options,
-        )
-        if not self.guard or self.backend == "event":
-            return backend
-        max_inflight = self.engine.max_inflight
-        if self.backend == "tiered":
-            # Guard a tiered primary against a tiered reference that
-            # shares the tier semantics (placement, policy, slow tier)
-            # but times the fast tier with the event model — the two
-            # sides then differ only in the timing engine, which is the
-            # comparison the guard is built for.
-            reference_name = "tiered:event"
-            reference_factory = TierFactory(
-                "tiered",
-                self.hbm,
-                max_inflight=max_inflight,
-                **{**self.backend_options, "delegate": "event"},
-            )
-        else:
-            reference_name = "event"
-            reference_factory = TierFactory(
-                "event", self.hbm, max_inflight=max_inflight
-            )
-        return GuardedBackend(
-            backend,
-            primary_factory=TierFactory(
-                self.backend,
-                self.hbm,
-                max_inflight=max_inflight,
-                **self.backend_options,
-            ),
-            reference_factory=reference_factory,
-            primary_name=self.backend,
-            reference_name=reference_name,
-            sample=(
-                self.guard_sample
-                if self.guard_sample is not None
-                else DEFAULT_GUARD_SAMPLE
-            ),
-            mode=self.guard_mode,
-            faults=self.backend_faults,
-            seed=self.seed,
-        )
-
-    def _sdam(self) -> SDAMController:
-        """A fresh SDAM controller with this tenant's namespace live."""
-        sdam = SDAMController(self.geometry)
-        if self.namespace is not None:
-            sdam.register_namespace(self.namespace)
-        return sdam
-
     def _allocate(
         self,
         kernel: Kernel,
@@ -370,7 +291,6 @@ class TenantContext:
 
         system = self.system
         profiling_seconds = 0.0
-        namespace = None if self.namespace is None else self.namespace.tenant
 
         if system.sdam:
             if selection is None:
@@ -378,12 +298,13 @@ class TenantContext:
                     profile = self.profile(workload, input_seed=profile_seed)
                 selection = self.select(profile)
             profiling_seconds = selection.elapsed_seconds
-            sdam = self._sdam()
             kernel = Kernel(
-                self.geometry, sdam=sdam, chunk_colours=self.chunk_colours
+                self.geometry,
+                sdam=SDAMController(self.geometry),
+                chunk_colours=self.chunk_colours,
             )
             cluster_to_mapping = {
-                index: kernel.add_addr_map(perm, namespace=namespace)
+                index: kernel.add_addr_map(perm)
                 for index, perm in enumerate(selection.window_perms)
             }
             mapping_of_variable = {
@@ -414,7 +335,12 @@ class TenantContext:
             translator = kernel.address_translator
         else:
             translator = self._global_translator(mix_profile)
-        backend = self._memory()
+        backend = create_backend(
+            self.backend,
+            self.hbm,
+            max_inflight=self.engine.max_inflight,
+            **self.backend_options,
+        )
         cache = self.shared.plan_cache
         if self.debug_ha:
             ha = translator.translate(pa)
@@ -455,13 +381,11 @@ class TenantContext:
             selection=selection,
             compute_ns=compute_ns,
             profiling_seconds=profiling_seconds,
-            backend_health=getattr(backend, "last_health", None),
             tier_traffic=getattr(backend, "last_traffic", None),
         )
 
     def __repr__(self) -> str:
-        ns = "" if self.namespace is None else f", namespace={self.namespace!r}"
         return (
             f"TenantContext({self.name!r}, system={self.system.key!r}, "
-            f"backend={self.backend!r}{ns})"
+            f"backend={self.backend!r})"
         )

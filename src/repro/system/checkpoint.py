@@ -132,6 +132,8 @@ class CheckpointLoop:
     ):
         if path is None and (resume or stop_after is not None):
             raise error("resume and stop_after require a checkpoint_path")
+        if stop_after is not None and stop_after < 1:
+            raise ConfigError(f"stop_after must be >= 1, got {stop_after}")
         self.path = path
         self.campaign = campaign
         self.key = key

@@ -14,10 +14,9 @@ Re-expressed on the tenant-scoped core: each application is a
 :class:`~repro.service.tenant.SharedArtifacts`, its slice of the
 mapping budget is a :class:`~repro.core.cmt.MappingNamespace` carved by
 :func:`~repro.core.cmt.partition_budget`, and every ``add_addr_map`` is
-charged against that namespace — the budget split is now *enforced*,
-not just hoped for.  Unlike the fully-isolated service
-(:mod:`repro.service.service`), the apps here deliberately share one
-kernel and one CMT, reproducing the prototype's globally-shared table.
+charged against that namespace — the budget split is *enforced*, not
+just hoped for.  The apps deliberately share one kernel and one CMT,
+reproducing the prototype's globally-shared table.
 """
 
 from __future__ import annotations

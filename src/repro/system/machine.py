@@ -18,8 +18,8 @@ The pipeline itself lives in
 :class:`~repro.service.tenant.TenantContext`; ``Machine`` is the thin
 single-tenant façade that builds one private
 :class:`~repro.service.tenant.SharedArtifacts` + tenant context pair
-and delegates.  Multi-tenant serving constructs the same contexts
-directly through :mod:`repro.service` and shares the artifacts.
+and delegates.  The co-run machine (:mod:`repro.system.corun`) builds
+the same contexts over one shared set of artifacts.
 
 The returned :class:`MachineResult` carries the memory statistics plus
 an end-to-end time model (memory makespan + a compute term proportional
@@ -34,7 +34,7 @@ from repro.core.chunks import ChunkGeometry
 from repro.core.selection import MappingSelection
 from repro.cpu.cpu import ExternalTraceResult
 from repro.hbm.config import HBMConfig
-from repro.hbm.stats import BackendHealth, RunStats
+from repro.hbm.stats import RunStats
 from repro.ml.dlkmeans import AutoencoderConfig
 from repro.profiling.profiler import WorkloadProfile
 from repro.service.tenant import (
@@ -89,7 +89,6 @@ class MachineResult:
     selection: MappingSelection | None
     compute_ns: float
     profiling_seconds: float = 0.0
-    backend_health: BackendHealth | None = None
     tier_traffic: TierTraffic | None = None
 
     @property
@@ -164,11 +163,8 @@ class MachineResult:
             "compute_ns": self.compute_ns,
             "profiling_seconds": self.profiling_seconds,
         }
-        # Only present for guarded/supervised runs: keeps the dict (and
-        # every pre-existing cache entry and fingerprint) unchanged for
-        # plain runs.
-        if self.backend_health is not None:
-            data["backend_health"] = self.backend_health.to_dict()
+        # Only present for tiered runs: keeps the dict (and every cache
+        # entry and fingerprint) of the other tiers unchanged.
         if self.tier_traffic is not None:
             data["tier_traffic"] = self.tier_traffic.to_dict()
         return data
@@ -191,13 +187,9 @@ class MachineResult:
         data["profiling_seconds"] = 0.0
         if data["selection"] is not None:
             data["selection"]["elapsed_seconds"] = 0.0
-        # Health describes *how* the result was obtained (guard
-        # demotions and their reports), not what the result is; the
-        # deterministic content is the result itself.
-        data.pop("backend_health", None)
-        # Tier traffic is likewise provenance (placement and swap
-        # accounting), not result content: the timing it influenced is
-        # already inside ``stats``.
+        # Tier traffic is provenance (placement and swap accounting),
+        # not result content: the timing it influenced is already inside
+        # ``stats``.
         data.pop("tier_traffic", None)
         return data
 
@@ -232,9 +224,6 @@ class MachineResult:
                 elapsed_seconds=float(sel["elapsed_seconds"]),
                 details={"num_mappings": int(sel["num_mappings"])},
             )
-        health = None
-        if data.get("backend_health") is not None:
-            health = BackendHealth.from_dict(data["backend_health"])
         tier_traffic = None
         if data.get("tier_traffic") is not None:
             tier_traffic = TierTraffic.from_dict(data["tier_traffic"])
@@ -246,7 +235,6 @@ class MachineResult:
             selection=selection,
             compute_ns=float(data["compute_ns"]),
             profiling_seconds=float(data.get("profiling_seconds", 0.0)),
-            backend_health=health,
             tier_traffic=tier_traffic,
         )
 
@@ -278,10 +266,6 @@ class Machine:
         seed: int = 0,
         chunk_colours: int = 8,
         debug_ha: bool = False,
-        guard: bool = False,
-        guard_sample: float | None = None,
-        guard_mode: str = "demote",
-        backend_faults=None,
     ):
         if backend is None:
             backend = "fast"
@@ -302,10 +286,6 @@ class Machine:
             seed=seed,
             chunk_colours=chunk_colours,
             debug_ha=debug_ha,
-            guard=guard,
-            guard_sample=guard_sample,
-            guard_mode=guard_mode,
-            backend_faults=backend_faults,
         )
         # Façade mirrors of the tenant's configuration, kept for the
         # pre-refactor public surface (experiments, stages, tests).
@@ -318,10 +298,6 @@ class Machine:
         self.compute_ns_per_access = self._tenant.compute_ns_per_access
         self.backend = self._tenant.backend
         self.backend_options = self._tenant.backend_options
-        self.guard = self._tenant.guard
-        self.guard_sample = self._tenant.guard_sample
-        self.guard_mode = self._tenant.guard_mode
-        self.backend_faults = self._tenant.backend_faults
         self.chunk_accesses = self._tenant.chunk_accesses
         self.dl_config = self._tenant.dl_config
         self.seed = self._tenant.seed

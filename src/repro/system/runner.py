@@ -521,10 +521,17 @@ class ExperimentRunner:
         if system.needs_profiling:
             profile = self._cached("profile", pkey)
             if profile is None:
-                profile = profile_stage(params, workload, profile_seed)
+                profile, message = _run_profile_task(
+                    _ProfileTask(
+                        pkey, params, workload, profile_seed, self.cache_dir
+                    )
+                )
+                if message is not None:
+                    raise ConfigError(
+                        f"{workload.name} on {system.key} failed in "
+                        f"profile: {message}"
+                    )
                 self._memo["profile"][pkey] = profile
-                if self.store is not None:
-                    self.store.store("profile", pkey, profile)
             if system.sdam:
                 skey = selection_cache_key(params, pkey)
                 selection = self._cached("selection", skey)

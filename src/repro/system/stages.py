@@ -57,16 +57,20 @@ __all__ = [
     "selection_stage",
 ]
 
-STAGE_VERSION = 3
+STAGE_VERSION = 4
 """Bump to invalidate every cached stage after a semantic change.
 
 v2: the backend-selection redesign renamed ``MachineParams.
 memory_model`` to ``backend`` — dataclass field names feed the stable
 hash, so every stage key moved.
 
-v3: guarded backend execution added ``guard``/``guard_sample``/
-``guard_mode`` to :class:`MachineParams`; field names feed the stable
-hash, so every stage key moved again.
+v3: guarded backend execution added three guard fields to
+:class:`MachineParams`; field names feed the stable hash, so every
+stage key moved again.
+
+v4: retiring guarded execution removed those three fields from
+:class:`MachineParams`; field names feed the stable hash, so every
+stage key moved once more.
 """
 
 
@@ -83,9 +87,6 @@ class MachineParams:
     dl_config: AutoencoderConfig | None = None
     seed: int = 0
     chunk_colours: int = 8
-    guard: bool = False
-    guard_sample: float | None = None
-    guard_mode: str = "demote"
 
     @classmethod
     def from_kwargs(cls, system: SystemConfig, **machine_kwargs) -> "MachineParams":
@@ -108,9 +109,6 @@ class MachineParams:
             dl_config=self.dl_config,
             seed=self.seed,
             chunk_colours=self.chunk_colours,
-            guard=self.guard,
-            guard_sample=self.guard_sample,
-            guard_mode=self.guard_mode,
         )
 
     # -- key fragments -------------------------------------------------------

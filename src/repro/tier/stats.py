@@ -2,9 +2,9 @@
 
 :class:`TierTraffic` is a ledger (:mod:`repro.ledger`, DESIGN §2 "Run
 ledgers"): every counter adds, so traffic from independent campaign
-legs or sequential runs folds together in any order.  Like
-:class:`~repro.hbm.stats.BackendHealth` it is deliberately *not* part of
-the frozen, cache-fingerprinted :class:`~repro.hbm.stats.RunStats`: tier
+legs or sequential runs folds together in any order.  It is
+deliberately *not* part of the frozen, cache-fingerprinted
+:class:`~repro.hbm.stats.RunStats`: tier
 traffic describes how the tiered backend obtained a result, never what
 the result is, so a tiered run whose fast tier covers the whole
 footprint fingerprints bit-identically to its delegate backend.

@@ -92,8 +92,8 @@ class TestPlanCache:
     def test_multithread_hammer_accounting_is_exact(self):
         """Many threads, many keys, interleaved lookups: the stats
         ledger must balance (hits + misses == lookups) and no key's
-        builder may ever run twice — the service front-end leans on
-        both guarantees when tenant lanes share one cache."""
+        builder may ever run twice — any tenants sharing one cache
+        across threads lean on both guarantees."""
         keys = [f"plan{i}" for i in range(16)]
         cache = PlanCache(maxsize=len(keys))  # no evictions in play
         builds = {key: 0 for key in keys}

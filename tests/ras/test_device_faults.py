@@ -5,15 +5,12 @@ import pytest
 from repro.core.chunks import ChunkGeometry
 from repro.errors import DeviceFaultError
 from repro.faults.sites import (
-    BACKEND_DIVERGENCE,
-    BACKEND_SITES,
     DEVICE_AMU_MISPROGRAM,
     DEVICE_CMT_FLIP,
     DEVICE_HBM_BANK,
     DEVICE_HBM_CHANNEL,
     DEVICE_HBM_ROW,
     DEVICE_SITES,
-    KNOWN_SITES,
     matches_known_site,
 )
 from repro.ras.campaign import small_ras_config
@@ -22,23 +19,19 @@ from repro.ras.faults import DeviceFaultPlan, DeviceFaultSpec
 
 class TestSiteRegistry:
     def test_device_family_registered(self):
-        assert DEVICE_HBM_ROW in KNOWN_SITES
+        assert DEVICE_HBM_ROW in DEVICE_SITES
         assert DEVICE_CMT_FLIP in DEVICE_SITES
-        assert not set(DEVICE_SITES) & set(BACKEND_SITES)
+        assert all(site.startswith("device.") for site in DEVICE_SITES)
 
     def test_family_filtered_matching(self):
-        assert matches_known_site("device.hbm.*", family="device")
-        assert not matches_known_site("device.hbm.*", family="backend")
+        assert matches_known_site("device.hbm.*")
+        assert not matches_known_site("backend.*")
 
 
 class TestSpecValidation:
     def test_unknown_site_fails_fast(self):
         with pytest.raises(DeviceFaultError, match="unknown device fault"):
             DeviceFaultSpec(site="device.hbm.rank", channel=0)
-
-    def test_backend_site_gets_a_hint(self):
-        with pytest.raises(DeviceFaultError, match="FaultPlan"):
-            DeviceFaultSpec(site=BACKEND_DIVERGENCE)
 
     def test_missing_coordinates_rejected(self):
         with pytest.raises(DeviceFaultError, match="'row'"):

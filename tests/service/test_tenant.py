@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.cmt import MappingNamespace
 from repro.errors import ConfigError
 from repro.hbm.plancache import PlanCache
 from repro.service.tenant import SharedArtifacts, TenantContext
@@ -62,22 +61,6 @@ class TestTenantContext:
         with pytest.raises(ConfigError, match="unknown engine"):
             TenantContext("t", SYSTEM, SharedArtifacts.create(), engine="gpu")
 
-    def test_unknown_guard_mode_rejected(self):
-        with pytest.raises(ConfigError, match="guard mode"):
-            TenantContext(
-                "t", SYSTEM, SharedArtifacts.create(), guard_mode="explode"
-            )
-
-    def test_sdam_registers_namespace(self):
-        namespace = MappingNamespace("t", 1, 4)
-        context = TenantContext(
-            "t", SYSTEM, SharedArtifacts.create(), namespace=namespace
-        )
-        sdam = context._sdam()
-        assert sdam.cmt.namespaces == {"t": namespace}
-        # Each call builds a private controller: tenant-scoped state.
-        assert context._sdam() is not sdam
-
     def test_run_matches_machine_facade(self):
         """The façade must be bit-identical to a bare tenant context."""
         workload = small_workload()
@@ -95,26 +78,3 @@ class TestTenantContext:
         context = TenantContext("t", SYSTEM, shared)
         context.run(small_workload())
         assert cache.misses > 0
-
-    def test_namespace_quota_enforced_end_to_end(self):
-        """A 4-cluster system cannot fit a 1-slot namespace."""
-        from repro.errors import CMTError
-
-        context = TenantContext(
-            "tiny",
-            SYSTEM,  # selects up to 4 distinct window permutations
-            SharedArtifacts.create(),
-            namespace=MappingNamespace("tiny", 1, 1),
-        )
-        with pytest.raises(CMTError, match="quota exhausted"):
-            context.run(small_workload())
-
-    def test_repr_names_tenant_and_namespace(self):
-        context = TenantContext(
-            "t",
-            SYSTEM,
-            SharedArtifacts.create(),
-            namespace=MappingNamespace("t", 1, 2),
-        )
-        assert "t" in repr(context)
-        assert "namespace" in repr(context)

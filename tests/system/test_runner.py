@@ -200,6 +200,17 @@ class TestFailureIsolation:
         with pytest.raises(ConfigError, match="boom"):
             ExperimentRunner().run_one(bad, system_by_key("bs_dm"))
 
+    @pytest.mark.parametrize("key", ["bs_bsm", "sdm_bsm"])
+    def test_run_one_names_a_failing_profile_stage(self, key):
+        from repro.api import Session
+
+        bad = ExplodingWorkload(stride_lines=4, accesses_per_thread=600)
+        expected = f"exploding on {key} failed in profile: RuntimeError: boom"
+        with pytest.raises(ConfigError, match=expected):
+            ExperimentRunner().run_one(bad, system_by_key(key))
+        with pytest.raises(ConfigError, match=expected):
+            Session(cache_dir=None, workers=0).run(bad, key)
+
 
 class TestSerialization:
     def test_suite_result_round_trips_through_json(self):

@@ -131,8 +131,9 @@ class TestFullEvaluation:
         assert session.machine_kwargs == {"cores": 2}
 
 
-#: The packages that export names from modules outside the run path and
-#: load those modules on first use (``repro.lazy``).
+#: The packages whose exports these checks cover: most load their
+#: off-path modules on first use (``repro.lazy``); ``repro.faults`` and
+#: ``repro.service`` export only eagerly imported names.
 LAZY_PACKAGES = (
     "repro",
     "repro.core",

@@ -1,4 +1,4 @@
-"""Golden fingerprint digests of the four campaigns at fixed seeds.
+"""Golden fingerprint digests of the three campaigns at fixed seeds.
 
 Each digest is ``sha256(json.dumps(result.fingerprint(), sort_keys=True,
 default=str))``.  A change to how campaigns are started, checkpointed or
@@ -13,7 +13,6 @@ import pytest
 
 from repro.online.campaign import run_adaptive_campaign
 from repro.ras.campaign import run_campaign
-from repro.service.campaign import run_service_campaign
 from repro.tier.campaign import run_tier_campaign
 
 GOLDEN = {
@@ -28,10 +27,6 @@ GOLDEN = {
     "tier": (
         lambda: run_tier_campaign(seed=0, quick=True),
         "0730e9935bdaaa546643f89ea24cd154fc1e79fe579e1e7aea47f72568881cff",
-    ),
-    "serve": (
-        lambda: run_service_campaign(seed=0, tenants=3, quick=True),
-        "7f257ffdd80c93a0fa58ed8b2184bad55f4832d4aeb23d764ec24400b35e013a",
     ),
 }
 

@@ -161,71 +161,6 @@ class TestCampaignCheckpointFlags:
         assert data["resumed"] is True
 
 
-class TestServeCommand:
-    def test_serve_selftest_writes_report(self, capsys, tmp_path):
-        out = tmp_path / "service_report.json"
-        assert main([
-            "serve", "--selftest", "--quick", "--tenants", "2",
-            "--no-controllers", "--out", str(out),
-        ]) == 0
-        captured = capsys.readouterr().out
-        assert "ISOLATED" in captured
-        assert "aggressor tenant0 demoted to event" in captured
-        data = json.loads(out.read_text())
-        assert data["isolated"] is True
-        assert data["tenants"] == ["tenant0", "tenant1"]
-        assert data["mismatches"] == []
-
-    def test_serve_json_output(self, capsys):
-        assert main([
-            "serve", "--quick", "--tenants", "2", "--no-controllers",
-            "--json",
-        ]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["isolated"] is True
-
-    def test_serve_rejects_quick_and_full(self):
-        with pytest.raises(SystemExit):
-            main(["serve", "--quick", "--full"])
-
-    def test_serve_selftest_interrupt_exits_3(self, capsys, monkeypatch):
-        import repro.service
-
-        def interrupted(**kwargs):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(
-            repro.service, "run_service_campaign", interrupted
-        )
-        assert main(["serve", "--quick", "--tenants", "2"]) == 3
-        assert "selftest interrupted" in capsys.readouterr().err
-
-
-class TestServeBackendFlag:
-    def test_selftest_backend_threads_through(self, capsys, monkeypatch):
-        import repro.service
-
-        seen = {}
-        real = repro.service.run_service_campaign
-
-        def spy(**kwargs):
-            seen.update(kwargs)
-            return real(
-                seed=kwargs["seed"],
-                tenants=kwargs["tenants"],
-                quick=kwargs["quick"],
-                controllers=False,
-                backend=kwargs["backend"],
-            )
-
-        monkeypatch.setattr(repro.service, "run_service_campaign", spy)
-        assert main(
-            ["serve", "--quick", "--tenants", "2", "--backend", "fast"]
-        ) == 0
-        assert seen["backend"] == "fast"
-        assert "ISOLATED" in capsys.readouterr().out
-
-
 class TestTierCommand:
     def test_tier_quick_writes_report(self, capsys, tmp_path):
         out_path = tmp_path / "tier.json"
@@ -259,7 +194,6 @@ CAMPAIGN_FUNCTIONS = {
     "ras": ("repro.ras.campaign", "run_campaign"),
     "adapt": ("repro.online.campaign", "run_adaptive_campaign"),
     "tier": ("repro.tier.campaign", "run_tier_campaign"),
-    "serve": ("repro.service", "run_service_campaign"),
 }
 
 #: Usage errors: each exits 2 with one ``error:`` line, no traceback.
@@ -268,18 +202,33 @@ USAGE_ERRORS = {
     "ras-resume-without-checkpoint": ["ras", "--resume"],
     "adapt-resume-without-checkpoint": ["adapt", "--resume"],
     "stop-after-without-checkpoint": ["ras", "--stop-after", "2"],
-    "guard-sample-without-guard": ["adapt", "--guard-sample", "0.5"],
+    "ras-stop-after-zero": [
+        "ras", "--checkpoint", "{ckpt}", "--stop-after", "0",
+    ],
+    "ras-stop-after-negative": [
+        "ras", "--checkpoint", "{ckpt}", "--stop-after", "-3",
+    ],
+    "adapt-stop-after-zero": [
+        "adapt", "--checkpoint", "{ckpt}", "--stop-after", "0",
+    ],
+    "adapt-stop-after-negative": [
+        "adapt", "--checkpoint", "{ckpt}", "--stop-after", "-3",
+    ],
+    "adapt-window-zero": ["adapt", "--window", "0"],
+    "adapt-window-negative": ["adapt", "--window", "-5"],
     "unknown-kind": ["ras", "--kinds", "foo"],
     "unknown-policy": ["tier", "--policy", "bogus"],
-    "unknown-backend": ["serve", "--backend", "bogus"],
+    "unknown-backend": ["adapt", "--backend", "bogus"],
     "missing-checkpoint": ["ras", "--checkpoint", "{ckpt}", "--resume"],
     "checkpoint-of-other-parameters": [
         "ras", "--seed", "3", "--kinds", "row",
         "--checkpoint", "{ckpt}", "--resume",
     ],
-    "one-tenant": ["serve", "--tenants", "1"],
     "suite-unknown-backend": ["suite", "--backend", "bogus"],
     "suite-negative-workers": ["suite", "--workers", "-2"],
+    "audit-mappings-over-cmt-capacity": ["audit", "--mappings", "300"],
+    "stride-zero-accesses": ["stride", "--accesses", "0"],
+    "stride-negative-accesses": ["stride", "--accesses", "-4"],
 }
 
 

@@ -2,11 +2,10 @@
 
 ``import repro`` loads the run path: every module that
 ``Machine.run`` and ``Machine.profile`` reach on both engines and all
-four backends, guarded or not.  Campaigns, the sweep runner, the stage
-store, the service front-end, RAS and the online controller load on
-first use of one of their names (:mod:`repro.lazy`).  Each check runs
-in a fresh interpreter, since this process has long since imported
-everything.
+four backends.  Campaigns, the sweep runner, the stage store, RAS, the
+fault sites and the online controller load on first use of one of
+their names (:mod:`repro.lazy`).  Each check runs in a fresh
+interpreter, since this process has long since imported everything.
 """
 
 import json
@@ -19,7 +18,8 @@ OFF_PATH = (
     "repro.api",
     "repro.core.security",
     "repro.core.verification",
-    "repro.faults.plan",
+    "repro.faults",
+    "repro.faults.sites",
     "repro.mem.migration",
     "repro.online.campaign",
     "repro.online.controller",
@@ -31,9 +31,6 @@ OFF_PATH = (
     "repro.ras.faults",
     "repro.ras.repair",
     "repro.ras.storage",
-    "repro.service.campaign",
-    "repro.service.registry",
-    "repro.service.service",
     "repro.system.corun",
     "repro.system.experiment",
     "repro.system.reporting",
@@ -48,8 +45,7 @@ OFF_PATH = (
 OFF_PATH_STDLIB = ("multiprocessing", "concurrent.futures", "socket", "subprocess")
 
 #: After ``import repro``: one profile, then a run of five systems on
-#: every engine x backend, and one guarded run; prints the ``repro``
-#: modules those loaded.
+#: every engine x backend; prints the ``repro`` modules those loaded.
 RUN_ALL_PATHS = """
 import json, sys
 import repro
@@ -76,9 +72,6 @@ for engine in ("cpu", "accelerator"):
                 backend_options=options,
                 dl_config=dl,
             ).run(workload, mix_profile=profile)
-repro.Machine(repro.system_by_key("sdm_bsm"), guard=True, guard_sample=1.0).run(
-    workload
-)
 new = set(sys.modules) - before
 print(json.dumps(sorted(m for m in new if m.startswith("repro"))))
 """

@@ -1,14 +1,13 @@
-"""Merge laws of every run ledger, checked once over all five.
+"""Merge laws of every run ledger, checked once over all four.
 
 Each ledger derives ``empty``, ``merge``, ``+``, ``==``, ``to_dict``,
 ``from_dict`` and ``fold`` from its field declarations
 (:mod:`repro.ledger`).  The laws, over hypothesis-drawn instances:
 
-* identity — ``empty()`` (with the operand's key and left-kept fields)
-  is a two-sided identity;
-* associativity — any reduction order gives the same ledger;
-* commutativity — for every ledger except ``BackendHealth``, which
-  merges *sequential* runs (journal order, latest demotion and guard);
+* identity — ``empty()`` (with the operand's key fields) is a
+  two-sided identity;
+* associativity and commutativity — any reduction order gives the same
+  ledger;
 * the law of each field's merge kind;
 * ``from_dict(to_dict())`` and a JSON round trip give the ledger back;
 * ``+`` with a foreign type returns ``NotImplemented``.
@@ -26,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hbm.stats import BackendHealth, RemapTraffic, RunStats
+from repro.hbm.stats import RemapTraffic, RunStats
 from repro.system.runner import StageMetrics
 from repro.tier.stats import TierTraffic
 
@@ -58,28 +57,12 @@ STRATEGIES = {
         per_channel_requests=_channel_array(counters, np.int64),
         per_channel_busy_ns=_channel_array(whole, np.float64),
     ),
-    BackendHealth: st.builds(
-        BackendHealth,
-        backend=st.sampled_from(["vector", "tiered"]),
-        demoted_to=st.none() | st.sampled_from(["event", "tiered:event"]),
-        degradations=st.lists(
-            st.fixed_dictionaries(
-                {
-                    "event": st.just("tier-demoted"),
-                    "reason": st.sampled_from(["injected", "diverged"]),
-                }
-            ),
-            max_size=3,
-        ),
-        guard=st.none() | st.fixed_dictionaries({"diverged": st.booleans()}),
-    ),
     RemapTraffic: _counters_of(RemapTraffic),
     TierTraffic: _counters_of(TierTraffic),
     StageMetrics: _counters_of(StageMetrics, stage=st.just("evaluate")),
 }
 LEDGERS = list(STRATEGIES)
-COMMUTATIVE = [cls for cls in LEDGERS if cls is not BackendHealth]
-KINDS = {"sum", "max", "append", "latest", "key", "left"}
+KINDS = {"sum", "max", "key"}
 
 
 def _ids(cls):
@@ -91,11 +74,9 @@ def _kind(f):
 
 
 def _identity_for(a):
-    """``empty()`` sharing ``a``'s key and left-kept fields."""
+    """``empty()`` sharing ``a``'s key fields."""
     keys = {
-        f.name: getattr(a, f.name)
-        for f in fields(a)
-        if _kind(f) in ("key", "left")
+        f.name: getattr(a, f.name) for f in fields(a) if _kind(f) == "key"
     }
     return type(a).empty(**keys)
 
@@ -135,19 +116,12 @@ def test_associative(cls, data):
     assert a.merge(b).merge(c) == a.merge(b.merge(c))
 
 
-@pytest.mark.parametrize("cls", COMMUTATIVE, ids=_ids)
+@pytest.mark.parametrize("cls", LEDGERS, ids=_ids)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_commutative(cls, data):
     a, b = data.draw(_pair_of(cls))
     assert a + b == b + a
-
-
-def test_backend_health_is_not_commutative():
-    a, b = BackendHealth(), BackendHealth()
-    a.record("tier-demoted", "injected", to="event")
-    b.record("tier-demoted", "diverged", to="tiered:event")
-    assert a + b != b + a
 
 
 @pytest.mark.parametrize("cls", LEDGERS, ids=_ids)
@@ -164,11 +138,7 @@ def test_each_field_obeys_its_kind(cls, data):
             assert np.array_equal(m, np.add(x, y))
         elif kind == "max":
             assert m == max(x, y)
-        elif kind == "append":
-            assert m == [*x, *y]
-        elif kind == "latest":
-            assert m == (x if y is None else y)
-        else:  # key (operands agree) and left
+        else:  # key: the operands agree
             assert m == x
     assert (a.to_dict(), b.to_dict()) == before
 

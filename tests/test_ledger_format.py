@@ -2,7 +2,7 @@
 
 Every literal below is the ``to_dict()`` output of the commit before
 the ledgers moved onto :class:`repro.ledger.Ledger`, recorded before any
-source edit: one populated instance of each ledger, plus three legacy
+source edit: one populated instance of each ledger, plus two legacy
 inputs that stored reports and stage-cache entries still carry.  The
 checks compare ``json.dumps`` text without ``sort_keys``, so key order
 is pinned as well as content.
@@ -13,17 +13,10 @@ import json
 import numpy as np
 import pytest
 
-from repro.hbm.stats import BackendHealth, RemapTraffic, RunStats
+from repro.hbm.stats import RemapTraffic, RunStats
 from repro.system.machine import MachineResult
 from repro.system.runner import StageMetrics
 from repro.tier.stats import TierTraffic
-
-
-def _populated_health() -> BackendHealth:
-    health = BackendHealth(backend="tiered")
-    health.record("tier-demoted", "diverged", to="tiered:event", chunk=3)
-    health.guard = {"diverged": True, "demoted": True, "max_rel_error": 0.375}
-    return health
 
 
 #: (ledger class, builder of one populated instance, its pinned dict).
@@ -49,24 +42,6 @@ POPULATED = {
             "num_channels": 4,
             "per_channel_requests": [40, 0, 31, 25],
             "per_channel_busy_ns": [610.25, 0.0, 402.5, 330.125],
-        },
-    ),
-    "BackendHealth": (
-        BackendHealth,
-        _populated_health,
-        {
-            "backend": "tiered",
-            "demoted_to": "tiered:event",
-            "degradations": [
-                {
-                    "event": "tier-demoted",
-                    "reason": "diverged",
-                    "to": "tiered:event",
-                    "chunk": 3,
-                }
-            ],
-            "guard": {"diverged": True, "demoted": True, "max_rel_error": 0.375},
-            "ok": False,
         },
     ),
     "RemapTraffic": (
@@ -153,37 +128,6 @@ POPULATED = {
             "bytes_simulated": 1572864,
         },
     ),
-}
-
-#: A guarded run's health as stored while it still carried the shard
-#: counters of the retired sharding ladder, and what it loads as.
-LEGACY_HEALTH = {
-    "backend": "vector",
-    "workers": 4,
-    "shards": 4,
-    "shard_retries": 2,
-    "shard_timeouts": 1,
-    "stats_rejected": 0,
-    "serial_shards": 1,
-    "pool_degraded": True,
-    "demoted_to": None,
-    "degradations": [
-        {"event": "shard-retry", "reason": "timeout", "shard": 2},
-        {"event": "serial-fallback", "reason": "pool-broken", "shard": 3},
-    ],
-    "guard": None,
-    "ok": False,
-    "sharded": True,
-}
-LEGACY_HEALTH_LOADED = {
-    "backend": "vector",
-    "demoted_to": None,
-    "degradations": [
-        {"event": "shard-retry", "reason": "timeout", "shard": 2},
-        {"event": "serial-fallback", "reason": "pool-broken", "shard": 3},
-    ],
-    "guard": None,
-    "ok": False,
 }
 
 #: Tier traffic written before ``retired_pins``, ``slow_busy_ns`` and the
@@ -278,11 +222,6 @@ def test_from_dict_reproduces_the_pinned_dict(name):
     loaded = cls.from_dict(pinned)
     assert _text(loaded.to_dict()) == _text(pinned)
     assert loaded == build()
-
-
-def test_legacy_health_drops_the_shard_counters():
-    loaded = BackendHealth.from_dict(LEGACY_HEALTH)
-    assert _text(loaded.to_dict()) == _text(LEGACY_HEALTH_LOADED)
 
 
 def test_legacy_tier_traffic_fills_missing_counters_with_zero():

@@ -19,7 +19,6 @@ from repro import api
 from repro.errors import ConfigError, SimulationError
 from repro.hbm.backend import create_backend
 from repro.hbm.decode import decode_trace
-from repro.hbm.guard import GuardedBackend, TierFactory
 from repro.hbm import hbm2_config
 from repro.system.config import system_by_key
 from repro.system.machine import Machine
@@ -218,30 +217,6 @@ class TestConstruction:
         )
         assert isinstance(backend, TieredBackend)
         assert backend.tier.fast_pages == 8
-
-
-class TestGuardForwarding:
-    def test_guard_forwards_last_traffic(self):
-        guarded = GuardedBackend(
-            TieredBackend(CONFIG, fast_pages=16, wave_accesses=256),
-            primary_factory=TierFactory(
-                "tiered", CONFIG, max_inflight=64, fast_pages=16,
-                wave_accesses=256,
-            ),
-            reference_factory=TierFactory(
-                "tiered", CONFIG, max_inflight=64, fast_pages=16,
-                wave_accesses=256, delegate="event",
-            ),
-            primary_name="tiered",
-            reference_name="tiered:event",
-            sample=0.01,
-        )
-        assert guarded.last_traffic is None or (
-            guarded.last_traffic.accesses == 0
-        )
-        guarded.simulate(_trace(512, seed=8))
-        assert guarded.last_traffic is not None
-        assert guarded.last_traffic.accesses == 512
 
 
 class TestStateAcrossCalls:
