@@ -13,7 +13,11 @@ set behind a cold-start sweep, uniform capacity pressure and a
 sequential scan) with both fast-tier delegates, plus the edges: a wave
 size that does not divide the trace, no swap budget, no translation
 cache, no fast tier, pages retired before the run, and one backend
-driven twice (its state persists across calls).
+driven twice (its state persists across calls).  Two more cases run
+the pressure cells of the ``tier-calib`` benchmark end to end through a
+:class:`~repro.system.machine.Machine`: 1,024 pages over a 256-page
+fast tier, so the smart policy ranks a large slow set and forces
+demotions every wave it promotes.
 """
 
 from __future__ import annotations
@@ -26,7 +30,10 @@ import numpy as np
 import pytest
 
 from repro.hbm import hbm2_config
+from repro.system.config import system_by_key
+from repro.system.machine import Machine
 from repro.tier.backend import TieredBackend
+from repro.workloads.synthetic import TieredPressureWorkload
 
 CONFIG = hbm2_config()
 LINE = CONFIG.line_bytes
@@ -71,11 +78,14 @@ def trace(name: str) -> np.ndarray:
 
 
 def digest(backend: TieredBackend, stats) -> str:
-    placement = backend.placement
+    return digest_of(stats, backend.last_traffic, backend.placement)
+
+
+def digest_of(stats, traffic, placement) -> str:
     text = json.dumps(
         {
             "stats": stats.to_dict(),
-            "traffic": backend.last_traffic.to_dict(),
+            "traffic": traffic.to_dict(),
             "fast": sorted(placement.fast),
             "slow": sorted(placement.slow),
             "pinned": sorted(placement.pinned),
@@ -117,6 +127,8 @@ GOLDEN = {
     "no-fast-tier": "6a3e789284db441f",
     "retired": "89e589b36fbbce55",
     "second-call": ("eefc8f395ed7847d", "353a5b50dda0e46e"),
+    ("pressure", 0.9): "e24647fb47770d43",
+    ("pressure", 0.0): "216c5489e19d5136",
 }
 
 
@@ -168,3 +180,31 @@ def test_second_call_matches_golden():
     first = digest(backend, backend.simulate(trace("skewed")))
     second = digest(backend, backend.simulate(trace("uniform")))
     assert (first, second) == GOLDEN["second-call"]
+
+
+@pytest.mark.parametrize("hot", (0.9, 0.0))
+def test_pressure_cell_matches_golden(hot):
+    """The ``tier-calib`` pressure cells: BS+DM, smart, 256 fast pages."""
+    seen = {}
+
+    def capture(index, placement, traffic):
+        seen["placement"], seen["waves"] = placement, index + 1
+
+    workload = TieredPressureWorkload(
+        footprint_bytes=4 << 20, hot_fraction=hot, accesses=65_536
+    )
+    result = Machine(
+        system_by_key("bs_dm"),
+        backend="tiered",
+        backend_options={
+            "policy": "smart",
+            "fast_pages": 256,
+            "on_wave": capture,
+        },
+    ).run(workload)
+    placement, traffic = seen["placement"], result.tier_traffic
+    assert len(placement.known) == 1024
+    assert traffic.demotions > 0
+    assert seen["waves"] == traffic.swap_waves
+    got = digest_of(result.stats, traffic, placement)
+    assert got == GOLDEN["pressure", hot]
