@@ -26,6 +26,7 @@ Per-run accounting lands in :attr:`TieredBackend.last_traffic`
 from __future__ import annotations
 
 import dataclasses
+from collections import OrderedDict
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from repro.hbm.decode import (
 )
 from repro.hbm.stats import RunStats
 from repro.tier.config import SlowTierConfig, TierConfig
-from repro.tier.placement import TierPlacement
+from repro.tier.placement import TierPlacement, page_array
 from repro.tier.policies import SwapPolicy, create_policy
 from repro.tier.stats import TierTraffic
 
@@ -57,20 +58,27 @@ class _TranslationCache:
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self._entries: dict[int, None] = {}
+        self._entries: OrderedDict[int, None] = OrderedDict()
 
-    def probe(self, page: int) -> bool:
-        """True on hit; misses insert the page (evicting the LRU)."""
-        if page in self._entries:
-            self._entries.pop(page)
-            self._entries[page] = None
-            return True
-        if self.capacity > 0:
-            if len(self._entries) >= self.capacity:
-                oldest = next(iter(self._entries))
-                self._entries.pop(oldest)
-            self._entries[page] = None
-        return False
+    def probe_all(self, pages: list[int]) -> int:
+        """Probe each page in order; returns the hits.
+
+        A hit moves the page to the most-recent end; a miss inserts it,
+        evicting the least recent entry when full.  The order matters,
+        so this stays one pass over the pages.
+        """
+        entries, capacity = self._entries, self.capacity
+        refresh, evict = entries.move_to_end, entries.popitem
+        hits = 0
+        for page in pages:
+            if page in entries:
+                refresh(page)
+                hits += 1
+            elif capacity > 0:
+                if len(entries) >= capacity:
+                    evict(last=False)
+                entries[page] = None
+        return hits
 
 
 class TieredBackend:
@@ -206,18 +214,21 @@ class TieredBackend:
             traffic.swap_ns += cost
 
     def _charge_translation(
-        self, wave_pages: list[int], traffic: TierTraffic
+        self, touched: np.ndarray, slow: np.ndarray, traffic: TierTraffic
     ) -> None:
         """Probe the translation cache for every non-default page."""
-        for page in wave_pages:
-            if page not in self.placement.slow and page not in self._migrated:
-                continue
-            traffic.trans_lookups += 1
-            if self._trans.probe(page):
-                traffic.trans_hits += 1
-            else:
-                traffic.trans_misses += 1
-                traffic.trans_ns += self.tier.trans_miss_ns
+        remapped = np.isin(touched, slow) | np.isin(
+            touched, page_array(self._migrated)
+        )
+        lookups = touched[remapped].tolist()
+        hits = self._trans.probe_all(lookups)
+        misses = len(lookups) - hits
+        traffic.trans_lookups += len(lookups)
+        traffic.trans_hits += hits
+        traffic.trans_misses += misses
+        for _ in range(misses):
+            # One addition per miss: the rounding of a per-page charge.
+            traffic.trans_ns += self.tier.trans_miss_ns
 
     # -- MemoryBackend protocol ----------------------------------------------
     def simulate(self, ha) -> RunStats:
@@ -250,18 +261,15 @@ class TieredBackend:
             sl = slice(start, min(start + wave, n))
             wave_pages = pages[sl]
             # observe() never reads the placement, so it can go first
-            # and its first-touch order drive admission.
-            self.policy.observe(ha[sl], wave_pages)
+            # and its first-touch order drive admission.  A page the
+            # policy saw in an earlier wave was admitted in that wave.
+            new = self.policy.observe(ha[sl], wave_pages)
+            self.placement.admit_all(new.tolist())
             touched = self.policy.wave_pages
-            for page in touched:
-                self.placement.admit(page)
-            if self.placement.slow:
-                slow_now = np.fromiter(
-                    self.placement.slow, dtype=np.int64,
-                    count=len(self.placement.slow),
-                )
-                fast_mask[sl] = ~np.isin(wave_pages, slow_now)
-            self._charge_translation(touched, traffic)
+            slow = page_array(self.placement.slow)
+            if slow.size:
+                fast_mask[sl] = ~np.isin(wave_pages, slow)
+            self._charge_translation(touched, slow, traffic)
             self._apply_swaps(traffic)
             traffic.swap_waves += 1
             if self.on_wave is not None:

@@ -15,9 +15,16 @@ arbitrary operation sequences:
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import ConfigError, SimulationError
 
-__all__ = ["TierPlacement"]
+__all__ = ["TierPlacement", "page_array"]
+
+
+def page_array(pages) -> np.ndarray:
+    """A collection of page ids as an int64 array, in iteration order."""
+    return np.fromiter(pages, dtype=np.int64, count=len(pages))
 
 
 class TierPlacement:
@@ -76,6 +83,16 @@ class TierPlacement:
             return "fast"
         self.slow.add(page)
         return "slow"
+
+    def admit_all(self, pages: list[int]) -> None:
+        """:meth:`admit` each page in order, in one pass."""
+        fast, slow = self.fast, self.slow
+        fresh = list(
+            dict.fromkeys(p for p in pages if p not in fast and p not in slow)
+        )
+        room = len(fresh) if self.fast_free is None else max(self.fast_free, 0)
+        fast.update(fresh[:room])
+        slow.update(fresh[room:])
 
     def promote(self, page: int) -> None:
         """Move a slow page to the fast tier."""

@@ -1,14 +1,15 @@
-"""The whole-wave tiered backend against the page-at-a-time oracle.
+"""The array-based tiered backend against the dict-based oracle.
 
-``tests/tier/tier_oracle.py`` keeps the former per-page wave
-bookkeeping: one ``np.unique`` and mask per distinct tag in
-``VariableActivity.update``, a second first-touch pass in the backend,
-and a full sort of the fast set for every forced demotion.  Both run the
-same random page streams, capacities, budgets, wave sizes, policies and
-multi-call sequences side by side and must agree on every output bit:
-the run statistics, the tier traffic after every wave, the placement,
-the migrated set, the translation cache's LRU order and the policy's
-decayed signals, dict order included.
+``tests/tier/tier_oracle.py`` keeps the former dict-based wave
+bookkeeping: a ``VariableActivity`` keyed by page id, one
+``TierPlacement.admit`` call per touched page, and both rankings as
+sorted Python tuples.  Both run the same random page streams,
+capacities, budgets, wave sizes, policies and multi-call sequences side
+by side and must agree on every output bit: the run statistics, the
+tier traffic after every wave, the placement, the migrated set, the
+translation cache's LRU order and each page's decayed heat and last
+touch.  Dict key order is not state: the package keeps no such dicts,
+and every ranking sorts on a total key.
 """
 
 from __future__ import annotations
@@ -56,10 +57,25 @@ def page_stream(seed: int, count: int, universe: int, shape: str) -> np.ndarray:
     return picked.astype(np.uint64) * np.uint64(CONFIG.line_bytes)
 
 
+def signals(policy) -> str:
+    """``(page, heat, last touch)`` for every page seen, by page id."""
+    if isinstance(policy, tier_oracle.SwapPolicy):
+        heat = policy.activity.references
+        rows = [(p, heat[p], policy.last_touch[p]) for p in sorted(heat)]
+    else:
+        rows = list(
+            zip(
+                policy.pages.tolist(),
+                policy.heat.tolist(),
+                policy.last_touch.tolist(),
+            )
+        )
+    return repr(rows)
+
+
 def state(backend, waves: list) -> dict:
     """Every bit a run leaves behind, in comparable form."""
     policy, placement = backend.policy, backend.placement
-    activity = policy.activity
     return {
         "traffic": backend.last_traffic.to_dict(),
         "waves": list(waves),
@@ -68,11 +84,8 @@ def state(backend, waves: list) -> dict:
         "pinned": sorted(placement.pinned),
         "migrated": sorted(backend._migrated),
         "trans": list(backend._trans._entries),
-        "references": repr(list(activity.references.items())),
-        "footprints": repr(list(activity.footprint_pages.items())),
-        "windows": activity.windows_seen,
-        "last_touch": list(policy.last_touch.items()),
-        "wave_pages": list(policy.wave_pages),
+        "signals": signals(policy),
+        "wave_pages": [int(p) for p in policy.wave_pages],
         "wave": policy.wave,
         "streaming": policy.streaming,
         "bfrv": repr(policy.bfrv.rates.tolist()),

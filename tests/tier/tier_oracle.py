@@ -1,28 +1,44 @@
-"""The per-page wave bookkeeping of the tiered backend, kept as an oracle.
+"""The dict-based wave bookkeeping of the tiered backend, kept as an oracle.
 
-The tiered backend once did its per-wave bookkeeping page by page:
-``VariableActivity.update`` ran one ``np.unique`` and one boolean mask
-over the whole window for every distinct tag, both the backend and
-``SwapPolicy.observe`` computed the wave's first-touch order, and every
-forced demotion re-sorted the whole fast set to find its victim.  The
-package now does each of these once per wave.  The old methods are
-kept here verbatim, outside the package, as the oracle the whole-wave
-path must match bit for bit (``tests/tier/test_tier_differential.py``).
+The tiered backend once kept each page's decayed heat and last touch in
+dicts: ``SwapPolicy.observe`` folded every wave into a
+:class:`~repro.online.stream.VariableActivity` keyed by page id (which
+decays every key in a Python loop), the backend admitted the wave's
+pages one ``TierPlacement.admit`` call at a time and rebuilt the slow
+set for ``np.isin``, and both rankings sorted Python tuples with a dict
+lookup per page.  The package now keeps that state in page-indexed
+arrays.  The former methods are kept here verbatim, outside the
+package, as the oracle the array path must match bit for bit
+(``tests/tier/test_tier_differential.py``).
 
-Each class subclasses its package counterpart and overrides the former
-wave-loop methods; the rest (placement, construction, the translation
-cache, ``refs``, the scan detector) is shared.
+The oracle stands alone: its policies and backend subclass nothing in
+:mod:`repro.tier`, so a change to the package cannot change the oracle
+under it.  It shares only what the array path leaves as it was:
+:class:`~repro.tier.placement.TierPlacement`, the online estimators, the
+configs, the stats ledgers and the delegate backends.
+
+:class:`VariableActivity` below is an older oracle, for the online
+estimator itself: one ``np.unique`` and one mask per distinct tag.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
-from repro.errors import ProfilingError
-from repro.hbm.decode import DecodedTrace, concat_decoded, forced_miss_mask
+from repro.errors import ConfigError, ProfilingError
+from repro.hbm.backend import create_backend
+from repro.hbm.decode import (
+    DecodedTrace,
+    concat_decoded,
+    decode_trace,
+    forced_miss_mask,
+)
 from repro.hbm.stats import RunStats
 from repro.online import stream
-from repro.tier import backend, policies
+from repro.online.stream import StreamingBFRV
+from repro.tier.config import TierConfig
 from repro.tier.placement import TierPlacement
 from repro.tier.stats import TierTraffic
 
@@ -54,14 +70,24 @@ class VariableActivity(stream.VariableActivity):
             ) + float(np.unique(pages[mask]).size)
 
 
-class _PolicyMixin:
-    """The former observation and victim ranking of ``SwapPolicy``."""
+class SwapPolicy:
+    """Base class: per-wave observation + promotion planning."""
 
-    def __init__(self, config, line_bits: int = 6, **kwargs):
-        super().__init__(config, line_bits, **kwargs)
-        self.activity = VariableActivity(
+    name = "policy"
+
+    def __init__(self, config: TierConfig, line_bits: int = 6):
+        self.config = config
+        self.line_bits = line_bits
+        self.activity = stream.VariableActivity(
             page_bits=config.page_bits, decay=0.5
         )
+        self.bfrv = StreamingBFRV(
+            num_bits=max(config.page_bits, line_bits + 4), decay=0.5
+        )
+        self.last_touch: dict[int, int] = {}
+        self.wave = 0
+        self.wave_pages: list[int] = []
+        self.streaming = False
 
     def observe(self, ha: np.ndarray, pages: np.ndarray) -> None:
         """Fold one wave's accesses into the online signals."""
@@ -70,31 +96,36 @@ class _PolicyMixin:
         self.activity.update(ha, pages.astype(np.int64))
         # First-touch order, deduplicated — deterministic across runs.
         _, first = np.unique(pages, return_index=True)
-        self.wave_pages = [
-            int(p) for p in pages[np.sort(first)]
-        ]
-        for page in self.wave_pages:
-            self.last_touch[page] = self.wave
+        self.wave_pages = pages[np.sort(first)].tolist()
+        self.last_touch.update(dict.fromkeys(self.wave_pages, self.wave))
         self.streaming = self._looks_streaming(rates)
+
+    def _looks_streaming(self, rates: np.ndarray) -> bool:
+        """A sequential scan flips the line-stride bit nearly every pair."""
+        stride_bit = self.line_bits
+        if rates.size <= stride_bit + 3:
+            return False
+        high = rates[stride_bit + 2 :]
+        return float(rates[stride_bit]) > 0.8 and float(high.mean()) < 0.3
+
+    def refs(self, page: int) -> float:
+        """Decayed reference count of a page (0.0 when never seen)."""
+        return self.activity.references.get(int(page), 0.0)
 
     def victim_order(self, placement: TierPlacement) -> list[int]:
         """Fast pages coldest-first (refs, then recency, then id)."""
+        refs = self.activity.references.get
+        touch = self.last_touch.get
         return sorted(
-            placement.fast,
-            key=lambda p: (self.refs(p), self.last_touch.get(p, 0), p),
+            placement.fast, key=lambda p: (refs(p, 0.0), touch(p, 0), p)
         )
 
-    def pick_victim(
-        self, placement: TierPlacement, exclude: set[int]
-    ) -> int | None:
-        """The coldest demotable fast page, or None."""
-        for page in self.victim_order(placement):
-            if page not in exclude:
-                return page
-        return None
 
+class FastSwap(SwapPolicy):
+    """Promote everything touched last wave (recency, no hysteresis)."""
 
-class FastSwap(_PolicyMixin, policies.FastSwap):
+    name = "fast"
+
     def plan(self, placement: TierPlacement, budget: int) -> list[int]:
         if placement.fast_capacity is None:
             return []
@@ -109,42 +140,71 @@ class FastSwap(_PolicyMixin, policies.FastSwap):
         return promote
 
 
-class SlowSwap(_PolicyMixin, policies.SlowSwap):
-    pass
+class SlowSwap(SwapPolicy):
+    """Never migrate: first-touch placement is final."""
+
+    name = "slow"
+
+    def plan(self, placement: TierPlacement, budget: int) -> list[int]:
+        return []
 
 
-class SmartSwap(_PolicyMixin, policies.SmartSwap):
+class SmartSwap(SwapPolicy):
+    """Decayed-heat ranking with scan-aware hysteresis."""
+
+    name = "smart"
+
+    def __init__(
+        self,
+        config: TierConfig,
+        line_bits: int = 6,
+        hysteresis: float = 1.5,
+        reuse_horizon: float = 8.0,
+    ):
+        super().__init__(config, line_bits)
+        if hysteresis < 1.0:
+            raise ConfigError("hysteresis must be >= 1.0")
+        if reuse_horizon <= 0.0:
+            raise ConfigError("reuse_horizon must be positive")
+        self.hysteresis = hysteresis
+        self.reuse_horizon = reuse_horizon
+        lines_per_page = 1 << max(config.page_bits - line_bits, 0)
+        self.min_refs = 2.0 * lines_per_page / reuse_horizon
+
     def plan(self, placement: TierPlacement, budget: int) -> list[int]:
         if placement.fast_capacity is None:
             return []
+        refs = self.activity.references.get
+        pinned = placement.pinned
+        # Hottest first: (-refs, page), each page's refs looked up once.
         candidates = sorted(
-            (
-                p
-                for p in placement.slow
-                if not placement.is_pinned(p) and self.refs(p) > 0.0
-            ),
-            key=lambda p: (-self.refs(p), p),
+            (-heat, p)
+            for p in placement.slow
+            if p not in pinned and (heat := refs(p, 0.0)) > 0.0
         )
-        victims = self.victim_order(placement)
+        victims = None
         factor = self.hysteresis * (2.0 if self.streaming else 1.0)
         promote: list[int] = []
         free = placement.fast_free or 0
         victim_index = 0
-        for page in candidates:
+        for neg_heat, page in candidates:
             if len(promote) >= budget:
                 break
+            heat = -neg_heat
             if free > 0:
                 # No demotion needed: half the swap cost, half the bar.
-                if self.refs(page) < self.min_refs / 2.0:
+                if heat < self.min_refs / 2.0:
                     break
                 promote.append(page)
                 free -= 1
                 continue
+            if victims is None:
+                victims = self.victim_order(placement)
             if victim_index >= len(victims):
                 break
             cold = victims[victim_index]
-            bar = max(factor * self.refs(cold), self.min_refs)
-            if self.refs(page) > bar:
+            bar = max(factor * refs(cold, 0.0), self.min_refs)
+            if heat > bar:
                 promote.append(page)
                 victim_index += 1
             else:
@@ -157,22 +217,111 @@ class SmartSwap(_PolicyMixin, policies.SmartSwap):
 POLICIES = {"fast": FastSwap, "slow": SlowSwap, "smart": SmartSwap}
 
 
-class TieredBackend(backend.TieredBackend):
-    """The former page-at-a-time wave loop of ``TieredBackend``."""
+class _TranslationCache:
+    """A small LRU of pages whose placement differs from the default."""
 
-    def __init__(self, config, *args, policy: str = "smart", **kwargs):
-        super().__init__(config, *args, policy=policy, **kwargs)
-        self.policy = POLICIES[policy](self.tier, line_bits=config.line_bits)
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._entries: dict[int, None] = {}
+
+    def probe(self, page: int) -> bool:
+        """True on hit; misses insert the page (evicting the LRU)."""
+        if page in self._entries:
+            self._entries.pop(page)
+            self._entries[page] = None
+            return True
+        if self.capacity > 0:
+            if len(self._entries) >= self.capacity:
+                oldest = next(iter(self._entries))
+                self._entries.pop(oldest)
+            self._entries[page] = None
+        return False
+
+
+class TieredBackend:
+    """The former dict-based wave loop of ``TieredBackend``."""
+
+    def __init__(
+        self,
+        config,
+        max_inflight: int = 64,
+        tier: TierConfig | None = None,
+        delegate: str = "fast",
+        policy: str = "smart",
+        fast_pages: int | None = None,
+        wave_accesses: int | None = None,
+        swap_budget: int | None = None,
+        trans_cache_pages: int | None = None,
+        slow=None,
+        on_wave=None,
+        **delegate_options,
+    ):
+        tier = tier or TierConfig()
+        overrides = {
+            "fast_pages": fast_pages,
+            "wave_accesses": wave_accesses,
+            "swap_budget": swap_budget,
+            "trans_cache_pages": trans_cache_pages,
+            "slow": slow,
+        }
+        overrides = {k: v for k, v in overrides.items() if v is not None}
+        if overrides:
+            tier = dataclasses.replace(tier, **overrides)
+        self.config = config
+        self.tier = tier
+        self.delegate = create_backend(
+            delegate, config, max_inflight=max_inflight, **delegate_options
+        )
+        self.placement = TierPlacement(tier.fast_pages)
+        self.policy = POLICIES[policy](tier, line_bits=config.line_bits)
+        self.on_wave = on_wave
+        self.last_traffic = TierTraffic()
+        self._trans = _TranslationCache(tier.trans_cache_pages)
+        self._migrated: set[int] = set()
+        layout = config.layout()
+        self._shifts = {
+            name: layout[name].shift
+            for name in ("channel", "column", "bank", "row")
+        }
+
+    def retire_page(self, page: int) -> None:
+        """Pin a RAS-retired page to the slow tier."""
+        if self.placement.pin_slow(int(page)):
+            self.last_traffic.retired_pins += 1
+            self._migrated.add(int(page))
+
+    def _pages_of(self, decoded: DecodedTrace) -> tuple[np.ndarray, np.ndarray]:
+        """Reconstruct HAs + page ids from decoded device coordinates."""
+        s = self._shifts
+        ha = (
+            (decoded.channel.astype(np.uint64) << np.uint64(s["channel"]))
+            | (decoded.column.astype(np.uint64) << np.uint64(s["column"]))
+            | (decoded.bank.astype(np.uint64) << np.uint64(s["bank"]))
+            | (decoded.row.astype(np.uint64) << np.uint64(s["row"]))
+        )
+        pages = (ha >> np.uint64(self.tier.page_bits)).astype(np.int64)
+        return ha, pages
+
+    def _swap_cost_ns(self) -> float:
+        """Cost of moving one page between tiers (read + write)."""
+        lines = self.tier.page_bytes // self.config.line_bytes
+        return lines * (
+            self.tier.slow.t_access_ns / self.tier.slow.channels
+            + self.config.effective_t_burst_ns
+        )
 
     def _apply_swaps(self, traffic: TierTraffic) -> None:
         """Plan with the policy, migrate through the placement map."""
         promote = self.policy.plan(self.placement, self.tier.swap_budget)
         moved = set(promote)
         cost = self._swap_cost_ns()
+        victims = None
         for page in promote:
             free = self.placement.fast_free
             if free is not None and free <= 0:
-                victim = self.policy.pick_victim(self.placement, moved)
+                if victims is None:
+                    victims = iter(self.policy.victim_order(self.placement))
+                victim = next((p for p in victims if p not in moved), None)
                 if victim is None:
                     break
                 self.placement.demote(victim)
@@ -201,6 +350,10 @@ class TieredBackend(backend.TieredBackend):
                 traffic.trans_misses += 1
                 traffic.trans_ns += self.tier.trans_miss_ns
 
+    def simulate(self, ha) -> RunStats:
+        """Run a hardware-address trace (decodes, then simulates)."""
+        return self.simulate_decoded(decode_trace(ha, self.config))
+
     def simulate_decoded(self, decoded, forced_miss=None) -> RunStats:
         """Run a decoded stream through the fast/slow split."""
         traffic = TierTraffic()
@@ -226,11 +379,12 @@ class TieredBackend(backend.TieredBackend):
         for index, start in enumerate(range(0, n, wave)):
             sl = slice(start, min(start + wave, n))
             wave_pages = pages[sl]
-            _, first = np.unique(wave_pages, return_index=True)
-            touched = [int(p) for p in wave_pages[np.sort(first)]]
+            # observe() never reads the placement, so it can go first
+            # and its first-touch order drive admission.
+            self.policy.observe(ha[sl], wave_pages)
+            touched = self.policy.wave_pages
             for page in touched:
                 self.placement.admit(page)
-            self.policy.observe(ha[sl], wave_pages)
             if self.placement.slow:
                 slow_now = np.fromiter(
                     self.placement.slow, dtype=np.int64,
