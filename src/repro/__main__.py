@@ -135,6 +135,12 @@ def cmd_audit(args) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.chunks < 0:
+        print(
+            f"error: --chunks must be >= 0, got {args.chunks}",
+            file=sys.stderr,
+        )
+        return 2
     rng = np.random.default_rng(args.seed)
     for index in range(args.mappings):
         mapping_id = controller.register_mapping(

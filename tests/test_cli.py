@@ -227,6 +227,7 @@ USAGE_ERRORS = {
     "suite-unknown-backend": ["suite", "--backend", "bogus"],
     "suite-negative-workers": ["suite", "--workers", "-2"],
     "audit-mappings-over-cmt-capacity": ["audit", "--mappings", "300"],
+    "audit-negative-chunks": ["audit", "--chunks", "-1"],
     "stride-zero-accesses": ["stride", "--accesses", "0"],
     "stride-negative-accesses": ["stride", "--accesses", "-4"],
 }
