@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cpu.trace import AccessTrace
+from repro.cpu.trace import AccessTrace, radix_argsort
 from repro.errors import ConfigError
 from repro.workloads.base import (
     VariableSpec,
@@ -106,11 +106,11 @@ def rmat_graph(
     # Permute vertex ids so degree is not correlated with index.
     perm = rng.permutation(n)
     src, dst = perm[src], perm[dst]
-    order = np.argsort(src, kind="stable")
-    src, dst = src[order], dst[order]
+    # CSR: edges grouped by source in generation order, one offset
+    # per vertex from its out-degree.
+    dst = dst[radix_argsort(src)]
     xadj = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(xadj, src + 1, 1)
-    xadj = np.cumsum(xadj)
+    np.cumsum(np.bincount(src, minlength=n), out=xadj[1:])
     weights = rng.integers(1, 256, m).astype(np.float64)
     return CSRGraph(xadj=xadj, adjncy=dst, weights=weights)
 

@@ -13,6 +13,31 @@ from repro.workloads.graph import (
 )
 
 
+def merge_sort_rmat(scale, edge_factor, seed, a=0.57, b=0.19, c=0.19):
+    """The former R-MAT generator: CSR from a stable merge sort by
+    source and ``np.add.at`` degree counts."""
+    n = 1 << scale
+    m = edge_factor * n
+    rng = np.random.default_rng(seed)
+    src = np.zeros(m, dtype=np.int64)
+    dst = np.zeros(m, dtype=np.int64)
+    for bit in range(scale):
+        r = rng.random(m)
+        right = (r >= a) & (r < a + b) | (r >= a + b + c)
+        down = r >= a + b
+        src |= (down.astype(np.int64)) << bit
+        dst |= (right.astype(np.int64)) << bit
+    perm = rng.permutation(n)
+    src, dst = perm[src], perm[dst]
+    order = np.argsort(src, kind="stable")
+    src, dst = src[order], dst[order]
+    xadj = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(xadj, src + 1, 1)
+    xadj = np.cumsum(xadj)
+    weights = rng.integers(1, 256, m).astype(np.float64)
+    return xadj, dst, weights
+
+
 def bases(workload) -> dict[str, int]:
     base = {}
     cursor = 0x10000000
@@ -62,6 +87,26 @@ class TestRMAT:
     def test_invalid_scale(self):
         with pytest.raises(ConfigError):
             rmat_graph(scale=0)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("workload", [BFSWorkload, PageRankWorkload])
+    def test_matches_merge_sort_construction(self, workload, seed):
+        """The default BFS and PageRank graphs, array for array."""
+        w = workload()
+        graph = w.graph(seed)
+        xadj, adjncy, weights = merge_sort_rmat(w.scale, w.edge_factor, seed)
+        assert graph.xadj.dtype == xadj.dtype
+        assert np.array_equal(graph.xadj, xadj)
+        assert np.array_equal(graph.adjncy, adjncy)
+        assert np.array_equal(graph.weights, weights)
+
+    @pytest.mark.parametrize("scale, edge_factor", [(1, 1), (5, 3), (9, 16)])
+    def test_small_graphs_match_merge_sort_construction(self, scale, edge_factor):
+        graph = rmat_graph(scale, edge_factor, seed=7)
+        xadj, adjncy, weights = merge_sort_rmat(scale, edge_factor, 7)
+        assert np.array_equal(graph.xadj, xadj)
+        assert np.array_equal(graph.adjncy, adjncy)
+        assert np.array_equal(graph.weights, weights)
 
 
 class TestBFS:
