@@ -11,7 +11,13 @@ external stream; the windows cover in-order batches (1), the default
 pinned on ``hashjoin`` with ECC-retry flags, chunked input and the
 extremes of its in-flight window, and on ``random`` and ``copy-s4``
 at the widest in-flight window (most channels scheduled at once,
-longest queues) and on ``random`` with ECC-retry flags.
+longest queues) and on ``random`` with ECC-retry flags.  Four more
+cases run whole programs through a :class:`~repro.system.machine.
+Machine` on the event tier: the ``tier-calib`` benchmark's mixed-stride
+copies under BS+DM (a quarter of the requests on one channel, so the
+deepest queues and the most lookahead scans), BS+HM and SDM+BSM, and
+``fig15-accel``'s ``hashjoin`` under BS+DM on the accelerator (in-flight
+256).
 """
 
 from __future__ import annotations
@@ -29,7 +35,9 @@ from repro.hbm.decode import DecodedTrace, decode_trace
 from repro.hbm.device import HBMDevice
 from repro.hbm.fastmodel import WindowModel
 from repro.hbm.vectormodel import VectorModel
-from repro.workloads import HashJoinWorkload
+from repro.system.config import system_by_key
+from repro.system.machine import Machine
+from repro.workloads import HashJoinWorkload, MixedStrideWorkload
 
 CONFIG = hbm2_config()
 LINE = CONFIG.line_bytes
@@ -125,6 +133,10 @@ GOLDEN = {
     ("event", "random", 16): "b99f18167985b12d",
     ("event", "random", "forced"): "9266e130bfb8ac59",
     ("event", "random", "inflight256"): "a9773ca2a1b31401",
+    ("event", "machine", "mixed-stride", "bs_dm"): "eb04976f5d098e0c",
+    ("event", "machine", "mixed-stride", "bs_hm"): "b2af18752982456c",
+    ("event", "machine", "mixed-stride", "sdm_bsm"): "abcad3c2103b3cfd",
+    ("event", "machine", "hashjoin-accel", "bs_dm"): "5dc24e6a40dba15c",
     ("fast", "copy-s1", 1): "3acd147630dbc9a7",
     ("fast", "copy-s1", 8): "e56b3776609b9377",
     ("fast", "copy-s1", 16): "e56b3776609b9377",
@@ -254,3 +266,26 @@ def test_event_tier_random_forced_miss_matches_golden():
         stream, forced_miss=forced_mask(len(stream))
     )
     assert digest(stats) == GOLDEN["event", "random", "forced"]
+
+
+@pytest.mark.parametrize("system", ["bs_dm", "bs_hm", "sdm_bsm"])
+def test_event_tier_mixed_stride_machine_matches_golden(system):
+    """The ``tier-calib`` benchmark's event cells, end to end."""
+    workload = MixedStrideWorkload((1, 4, 8, 16), accesses_per_stride=8192)
+    result = Machine(system_by_key(system), backend="event").run(workload)
+    assert result.stats.requests == 44_311
+    assert digest(result.stats) == GOLDEN[
+        "event", "machine", "mixed-stride", system
+    ]
+
+
+def test_event_tier_hashjoin_accelerator_machine_matches_golden():
+    """``fig15-accel``'s calibration cell: BS+DM, in-flight 256."""
+    machine = Machine(
+        system_by_key("bs_dm"), engine="accelerator", backend="event"
+    )
+    result = machine.run(HashJoinWorkload())
+    assert result.stats.requests == 64_718
+    assert digest(result.stats) == GOLDEN[
+        "event", "machine", "hashjoin-accel", "bs_dm"
+    ]
