@@ -11,18 +11,20 @@ The loop keeps all device state in flat lists — one queue, bus horizon
 and busy time per channel, one open row and ready time per
 channel-major bank — plus a heap of ``(start, channel)`` holding each
 busy channel's next feasible start, so picking the channel to issue
-from is a look at the heap's top.  One ``for`` loop admits the trace
-and issues a request whenever the in-flight window is full.  The
-per-object loop it replaced (one ``Channel`` and one ``Bank`` object
-each) lives on in ``tests/hbm/event_oracle.py`` as the reference
+from is a look at the heap's top.  The stream is read in blocks, each
+turned into Python lists once (channel, bank, row-hit key, row,
+arrival), and a queue entry is an index into them.  The loop admits the
+first ``max_inflight`` requests, then issues one request and admits the
+next at every step, then drains the queues.  The per-object loop it
+replaced (one ``Channel`` and one ``Bank`` object each) lives on in
+``tests/hbm/event_oracle.py`` as the reference
 ``tests/hbm/test_event_differential.py`` compares against bit for bit.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from heapq import heappop, heappush, heapreplace
-from itertools import chain, islice, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -31,6 +33,10 @@ from repro.hbm.decode import DecodedTrace, decode_trace, forced_miss_mask, reque
 from repro.hbm.stats import RunStats
 
 __all__ = ["HBMDevice"]
+
+#: Requests per block of Python lists: the loop holds one block (plus
+#: the queued requests it carries), however long the trace or chunk.
+BLOCK_REQUESTS = 4096
 
 
 class HBMDevice:
@@ -51,31 +57,26 @@ class HBMDevice:
         ha = np.asarray(ha, dtype=np.uint64)
         return self.simulate_decoded(decode_trace(ha, self.config))
 
-    def _requests(self, decoded, forced_miss):
-        """Yield, per chunk, an iterator of ``(channel, bank, key, row)``
-        request tuples in trace order.
-
-        ``bank`` is channel-major (``channel * banks + bank``), the index
-        into the flat per-bank state.  ``key`` is the row a hit must
-        find open: the row itself, or -1 (which no open row equals) for
-        an ECC retry, so only a ``forced_miss`` run copies the rows.
-        Iterating ``memoryview``s makes each Python int as the loop
-        reaches it, rather than a list of a whole chunk's.
-        """
+    def _blocks(self, decoded, forced_miss):
+        """Yield ``(channel, bank, row, key)`` arrays of at most
+        :data:`BLOCK_REQUESTS` requests each, in trace order, with
+        ``bank`` channel-major and ``key`` the rows with -1 for an ECC
+        retry (``None`` when there are none)."""
         chunks = [decoded] if isinstance(decoded, DecodedTrace) else decoded
         banks = self.config.banks_per_channel
         for chunk in chunks:
-            channel = np.asarray(chunk.channel, dtype=np.int64)
-            key = chunk.row
+            keys = None
             if forced_miss is not None:
-                key = np.array(key, dtype=np.int64)
-                key[forced_miss] = -1
-            yield zip(
-                memoryview(channel),
-                memoryview(channel * banks + chunk.bank),
-                memoryview(key),
-                memoryview(chunk.row),
-            )
+                keys = np.where(forced_miss, -1, chunk.row)
+            for lo in range(0, len(chunk), BLOCK_REQUESTS):
+                hi = lo + BLOCK_REQUESTS
+                channel = np.asarray(chunk.channel[lo:hi], dtype=np.int64)
+                yield (
+                    channel,
+                    channel * banks + chunk.bank[lo:hi],
+                    chunk.row[lo:hi],
+                    None if keys is None else keys[lo:hi],
+                )
 
     def simulate_decoded(
         self,
@@ -85,27 +86,31 @@ class HBMDevice:
         """Run an already-decoded request stream (the fused datapath).
 
         ``decoded`` may be a single :class:`DecodedTrace` or an
-        iterable of chunks — the event loop consumes requests one at a
-        time, so chunked input is bit-identical to the whole trace and
-        needs no re-decoding (only one chunk is live at a time).
-        ``forced_miss`` (optional boolean mask, one flag per access,
-        whole-trace form only) marks ECC-retry requests that must pay
-        the full miss cost.
+        iterable of chunks.  The stream is cut into blocks of at most
+        :data:`BLOCK_REQUESTS` requests; each becomes Python lists once,
+        and the requests still queued at a block's end (at most
+        ``max_inflight``) are re-indexed into the next block's lists, so
+        chunked input is bit-identical to the whole trace and memory is
+        bounded by one block.  ``forced_miss`` (optional boolean mask,
+        one flag per access, whole-trace form only) marks ECC-retry
+        requests that must pay the full miss cost.
         """
         forced_miss = forced_miss_mask(decoded, forced_miss)
         num_channels = self.config.num_channels
+        banks = self.config.banks_per_channel
         t_burst = self.config.effective_t_burst_ns
         t_miss = self.config.effective_t_row_miss_ns
         window = self.frfcfs_window
         max_inflight = self.max_inflight
 
-        # Per channel: queued (bank, key, row, arrival_ns) tuples,
-        # data-bus horizon (also its last completion: the bus
-        # serialises), busy time and requests served.
-        queues = [deque() for _ in range(num_channels)]
+        # Per channel: queued request indices, data-bus horizon (also
+        # its last completion: the bus serialises) and busy time.
+        queues = [[] for _ in range(num_channels)]
         bus_free = [0.0] * num_channels
         busy = [0.0] * num_channels
-        served = [0] * num_channels
+        # Every request is served exactly once, so per-channel counts
+        # are the channel histogram of the stream.
+        served = np.zeros(num_channels, dtype=np.int64)
         # One (start, channel) entry per channel with queued requests;
         # start is max(bus_free, head arrival).  It only moves when the
         # queue's head does, so the entry is pushed, replaced or popped
@@ -113,11 +118,15 @@ class HBMDevice:
         heap = []
         # Per channel-major bank: open row (None after power-up) and the
         # time it can begin its next access.
-        open_row = [None] * (num_channels * self.config.banks_per_channel)
+        open_row = [None] * (num_channels * banks)
         bank_ready = [0.0] * len(open_row)
+        # Per request of the current block: channel, channel-major bank,
+        # key (the row a hit must find open: the row itself, or -1 for
+        # an ECC retry, which no open row equals), row and, once it is
+        # admitted, arrival time.
+        channel_of = bank_of = key_of = row_of = arrival = []
 
         latest = 0.0  # the latest completion so far
-        queued = 0  # admitted and not yet issued
         hits = 0
 
         # A request is admitted while fewer than max_inflight are
@@ -127,12 +136,42 @@ class HBMDevice:
         # its completion is the next one the window retires, so
         # "outstanding" equals "queued" and every request is admitted
         # at the latest completion so far — which is never before any
-        # channel's bus horizon.
-        requests = chain.from_iterable(self._requests(decoded, forced_miss))
-        for request in chain(requests, repeat(None)):
-            if queued == max_inflight or request is None:
-                if not queued:
-                    break
+        # channel's bus horizon.  So block index ``i < max_inflight`` is
+        # admitted at once (the first requests, or the carried ones);
+        # every later one after one issue; and a last, empty block
+        # issues what is still queued.
+        for block in chain(self._blocks(decoded, forced_miss), [None]):
+            carried = [i for queue in queues for i in queue]
+            first = 0
+            for queue in queues:
+                count = len(queue)
+                queue[:] = range(first, first + count)
+                first += count
+            channel_of = [channel_of[i] for i in carried]
+            bank_of = [bank_of[i] for i in carried]
+            key_of = [key_of[i] for i in carried]
+            row_of = [row_of[i] for i in carried]
+            arrival = [arrival[i] for i in carried]
+            if block is None:
+                end, stop = first, 2 * first
+            else:
+                channel, bank, row, key = block
+                served += np.bincount(channel, minlength=num_channels)
+                channel_of += channel.tolist()
+                bank_of += bank.tolist()
+                row_of += row.tolist()
+                # Without ECC retries the keys are the rows themselves.
+                key_of += row_of[len(key_of):] if key is None else key.tolist()
+                end = stop = len(channel_of)
+            filled = min(end, max_inflight)
+            for i in range(first, filled):
+                ch = channel_of[i]
+                queue = queues[ch]
+                if not queue:
+                    heappush(heap, (latest, ch))
+                queue.append(i)
+                arrival.append(latest)
+            for i in range(filled, stop):
                 # Issue from the channel with the earliest start.
                 now, ch = heap[0]
                 queue = queues[ch]
@@ -140,29 +179,24 @@ class HBMDevice:
                 # window, else the oldest request.  The head has always
                 # arrived; arrivals are non-decreasing, so the scan
                 # stops at the first request that has not.
-                bank, key, row, arrival = queue[0]
-                hit = open_row[bank] == key
-                if hit or len(queue) == 1:
-                    queue.popleft()
-                else:
-                    for index, (b, k, r, a) in enumerate(
-                        islice(queue, 1, window), 1
-                    ):
-                        if a > now:
+                picked = queue[0]
+                hit = open_row[bank_of[picked]] == key_of[picked]
+                if not hit:
+                    for index in queue[1:window]:
+                        if arrival[index] > now:
                             break
-                        if open_row[b] == k:
-                            bank, key, row, arrival = b, k, r, a
-                            hit = True
-                            del queue[index]
+                        if open_row[bank_of[index]] == key_of[index]:
+                            picked, hit = index, True
                             break
-                    if not hit:
-                        queue.popleft()
+                queue.remove(picked)
 
                 # The bank pays the full hit/miss cost; the data bus only
                 # carries the final burst, so activations in different
                 # banks overlap but transfers serialise.
+                bank = bank_of[picked]
+                arrived = arrival[picked]
                 ready = bank_ready[bank]
-                bank_start = ready if ready > arrival else arrival
+                bank_start = ready if ready > arrived else arrived
                 if hit:
                     hits += 1
                     finish = bank_start + t_burst
@@ -171,32 +205,27 @@ class HBMDevice:
                 bf = bus_free[ch]
                 bus_done = bf + t_burst
                 done = bus_done if bus_done > finish else finish
-                open_row[bank] = row
+                open_row[bank] = row_of[picked]
                 bank_ready[bank] = done
                 # Channel active time = union of [bank_start, done].
                 busy[ch] += done - (bf if bf > bank_start else bank_start)
                 bus_free[ch] = done
-                served[ch] += 1
                 if queue:
-                    head = queue[0][3]
+                    head = arrival[queue[0]]
                     heapreplace(heap, (head if head > done else done, ch))
                 else:
                     heappop(heap)
                 if done > latest:
                     latest = done
-                queued -= 1
-            if request is not None:
-                ch, bank, key, row = request
-                queue = queues[ch]
-                if not queue:
-                    heappush(heap, (latest, ch))
-                queue.append((bank, key, row, latest))
-                queued += 1
+                if i < end:
+                    ch = channel_of[i]
+                    queue = queues[ch]
+                    if not queue:
+                        heappush(heap, (latest, ch))
+                    queue.append(i)
+                    arrival.append(latest)
 
-        n = sum(served)
-        if n == 0:
-            zeros = np.zeros(num_channels)
-            return RunStats(0, 0, 0.0, 0, 0, num_channels, zeros, zeros)
+        n = int(served.sum())
         return RunStats(
             requests=n,
             bytes_moved=n * self.config.line_bytes,
@@ -204,6 +233,6 @@ class HBMDevice:
             row_hits=hits,
             row_misses=n - hits,
             num_channels=num_channels,
-            per_channel_requests=np.array(served, dtype=np.int64),
+            per_channel_requests=served,
             per_channel_busy_ns=np.array(busy, dtype=np.float64),
         )
