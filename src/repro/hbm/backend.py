@@ -17,6 +17,7 @@ touching the pipeline:
 
 from __future__ import annotations
 
+import inspect
 from typing import Callable, Protocol, runtime_checkable
 
 from repro.errors import ConfigError
@@ -88,7 +89,14 @@ def available_backends() -> tuple[str, ...]:
 
 
 def create_backend(name: str, config: HBMConfig, **kwargs) -> MemoryBackend:
-    """Instantiate a registered backend for a device configuration."""
+    """Instantiate a registered backend for a device configuration.
+
+    The options are bound against the factory's signature first, so an
+    option the backend does not take raises
+    :class:`~repro.errors.ConfigError` naming the backend and the
+    option.  (A factory taking ``**options``, such as ``"tiered"``,
+    checks what it forwards through its own :func:`create_backend`.)
+    """
     try:
         factory = _REGISTRY[name]
     except KeyError:
@@ -96,6 +104,10 @@ def create_backend(name: str, config: HBMConfig, **kwargs) -> MemoryBackend:
             f"unknown memory backend {name!r}; "
             f"available: {', '.join(available_backends())}"
         ) from None
+    try:
+        inspect.signature(factory).bind(config, **kwargs)
+    except TypeError as exc:
+        raise ConfigError(f"memory backend {name!r}: {exc}") from None
     return factory(config, **kwargs)
 
 

@@ -127,8 +127,7 @@ class WindowModel:
         n = len(decoded)
         channels = self.config.num_channels
         if n == 0:
-            zeros = np.zeros(channels)
-            return RunStats(0, 0, 0.0, 0, 0, channels, zeros, zeros)
+            return RunStats.empty(channels)
         hits = row_hit_mask(decoded, self.reorder_window)
         if forced_miss is not None:
             hits = hits & ~forced_miss

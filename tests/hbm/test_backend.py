@@ -106,6 +106,78 @@ class TestRegistry:
         assert "counting-test" not in available_backends()
 
 
+class TestOptionChecks:
+    """An option a backend does not take is a ConfigError, not a bare
+    TypeError from deep inside the factory."""
+
+    @pytest.mark.parametrize(
+        "name, option, named",
+        [
+            ("fast", "bogus", "fast"),
+            ("vector", "reorder_window", "vector"),
+            ("event", "reorder_window", "event"),
+            # The default delegate gets what tiered does not take.
+            ("tiered", "bogus", "fast"),
+        ],
+    )
+    def test_unknown_option_raises_config_error(self, name, option, named):
+        with pytest.raises(
+            ConfigError, match=f"memory backend '{named}': .*'{option}'"
+        ):
+            create_backend(name, CONFIG, **{option: 8})
+
+    def test_tiered_forwards_unknown_options_to_the_delegate(self):
+        """The tiered backend passes what it does not take on to its
+        delegate, whose own check names it."""
+        with pytest.raises(ConfigError, match="'vector'.*'hysteresis'"):
+            create_backend("tiered", CONFIG, delegate="vector", hysteresis=2.0)
+        backend = create_backend(
+            "tiered", CONFIG, delegate="vector", block_accesses=512
+        )
+        assert backend.delegate.block_accesses == 512
+
+    def test_machine_backend_options_are_checked(self):
+        from repro.system import system_by_key
+        from repro.system.machine import Machine
+        from repro.workloads import MixedStrideWorkload
+
+        workload = MixedStrideWorkload((1,), accesses_per_stride=256)
+        with pytest.raises(ConfigError, match="'hysteresis'"):
+            Machine(
+                system_by_key("bs_dm"),
+                backend="tiered",
+                backend_options={"hysteresis": 2.0},
+            ).run(workload)
+
+
+class TestCountDtypes:
+    """``per_channel_requests`` is int64 on every tier, for empty and
+    non-empty streams, including the all-slow tiered baseline."""
+
+    @pytest.mark.parametrize(
+        "name, options",
+        [
+            ("fast", {}),
+            ("vector", {}),
+            ("event", {}),
+            ("tiered", {}),
+            ("tiered", {"fast_pages": 0}),
+            ("tiered", {"fast_pages": 0, "delegate": "event"}),
+            ("tiered", {"fast_pages": 4, "delegate": "vector"}),
+        ],
+    )
+    @pytest.mark.parametrize("size", [0, 1000])
+    def test_per_channel_requests_are_int64(self, name, options, size):
+        decoded = decode_trace(_trace(size), CONFIG)
+        stats = create_backend(name, CONFIG, **options).simulate_decoded(
+            decoded
+        )
+        assert stats.requests == size
+        assert stats.per_channel_requests.dtype == np.int64
+        assert stats.per_channel_busy_ns.dtype == np.float64
+        assert stats.per_channel_requests.sum() == size
+
+
 class TestProtocolAgreement:
     @pytest.mark.parametrize("name", ["fast", "event"])
     def test_simulate_equals_simulate_decoded(self, name):
