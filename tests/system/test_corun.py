@@ -1,5 +1,8 @@
 """Tests for multiprogrammed (co-run) execution with a shared CMT."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.errors import ConfigError
@@ -12,6 +15,42 @@ def small_apps():
         StridedCopyWorkload(stride_lines=16, accesses_per_thread=1500),
         StridedCopyWorkload(stride_lines=4, accesses_per_thread=1500),
     ]
+
+
+def golden_apps():
+    return [
+        StridedCopyWorkload(stride_lines=16, accesses_per_thread=1500),
+        StridedCopyWorkload(stride_lines=4, accesses_per_thread=1500),
+        MixedStrideWorkload(strides=(1, 8), accesses_per_stride=800),
+    ]
+
+
+def corun_digest(result) -> str:
+    text = json.dumps(
+        {
+            "stats": result.stats.to_dict(),
+            "compute_ns": result.compute_ns,
+            "live_mappings": result.live_mappings,
+        },
+        sort_keys=True,
+    )
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+#: ``CorunResult`` digests of a three-application mix, with and without
+#: SDAM.  Any change to the co-run pipeline's profiling, selection,
+#: allocation, trace interleave or timing that moves a bit shows here.
+CORUN_GOLDEN = {
+    True: "91ccd91ddb4de0d8",
+    False: "826bdef728fa59ab",
+}
+
+
+@pytest.mark.parametrize("use_sdam", [True, False])
+def test_corun_golden(use_sdam):
+    machine = CorunMachine(use_sdam=use_sdam, clusters_per_app=2, seed=3)
+    result = machine.run(golden_apps(), profile_seed=0, eval_seed=1)
+    assert corun_digest(result) == CORUN_GOLDEN[use_sdam]
 
 
 class TestCorun:
