@@ -2,12 +2,13 @@
 
 The chunk-mapping table is a *global* resource (Section 4: "the
 physical memory space ... is globally shared by all the processes"),
-so co-running applications split the 256-mapping budget.  Since the
-tenant-scoped refactor that split is explicit: each application is
-admitted with a :class:`~repro.core.cmt.MappingNamespace` carved by
-:func:`~repro.core.cmt.partition_budget`, and interning a mapping
-outside the namespace's quota raises instead of silently crowding a
-neighbour.  This example co-runs four applications with different
+so co-running applications split the 256-mapping budget.  The co-run
+machine makes that split explicit: each application runs through its
+own :class:`~repro.system.machine.Machine` over one shared kernel and
+CMT, and is admitted with a :class:`~repro.core.cmt.MappingNamespace`
+carved by :func:`~repro.core.cmt.partition_budget`; interning a
+mapping outside the namespace's quota raises instead of silently
+crowding a neighbour.  This example co-runs four applications with different
 access characters, sweeps the per-application cluster budget, prints
 the resulting budget partition, and shows the CMT never overflowing
 while SDAM still pays off for the mix.

@@ -20,7 +20,6 @@ the campaigns, the sweep runner and RAS load their modules on first use
 from repro.core import MappingSelection, select_application_mapping
 from repro.hbm import PlanCache, default_plan_cache
 from repro.lazy import lazy_exports
-from repro.service import SharedArtifacts, TenantContext
 from repro.system import (
     Machine,
     MachineResult,
@@ -69,11 +68,9 @@ __all__ = [
     "run_ras_campaign",
     "MachineResult",
     "Session",
-    "SharedArtifacts",
     "SpeedupTable",
     "SuiteResult",
     "SystemConfig",
-    "TenantContext",
     "__version__",
     "default_cache_dir",
     "default_plan_cache",

@@ -42,7 +42,6 @@ from repro.ras import (
     RASReport,
 )
 from repro.ras import run_campaign as run_ras_campaign
-from repro.service import SharedArtifacts, TenantContext
 from repro.system import (
     ExperimentRunner,
     Machine,
@@ -71,8 +70,6 @@ __all__ = [
     "MappingSelection",
     "RASReport",
     "Session",
-    "SharedArtifacts",
-    "TenantContext",
     "run_adaptive_campaign",
     "run_ras_campaign",
     "select_application_mapping",

@@ -13,15 +13,14 @@ GF(2) bit operation (a row slice of the identity), so it lowers to the
   :class:`~repro.core.sdam.AddressTranslator`'s translation groups —
   the fused datapath the machine's evaluate stage runs;
 * :func:`decode_trace` is the identity-mapping plan, the classic
-  HA-array entry point (kept for the debug/legacy two-step path).
+  HA-array entry point (each backend's ``simulate(ha)``, the RAS
+  scrub, and the tests' reference for the fused path).
 
 Plans are cached per (operator, config) in an explicit, thread-safe
 :class:`~repro.hbm.plancache.PlanCache`: an experiment sweep compiles
-each live mapping once and reuses it across every trace, and in the
-multi-tenant service layer every tenant shares one cache so compile
-cost is paid once per distinct mapping, not once per tenant.  Callers
-that want their own cache pass ``cache=``; everyone else shares the
-process-wide default.
+each live mapping once and reuses it across every trace and every
+run.  Callers that want their own cache pass ``cache=``; everyone else,
+``Machine`` included, shares the process-wide default.
 """
 
 from __future__ import annotations
@@ -174,8 +173,8 @@ def decode_translated(
     crossbar-LUT gather) and decodes it with the cached identity plan:
     measured on million-access traces, one HA array beats scattering
     four field arrays per group.  Bit-identical to
-    ``decode_trace(translator.translate(pa), config)`` — the legacy
-    two-step kept as the ``debug_ha`` path.
+    ``decode_trace(translator.translate(pa), config)``, the legacy
+    two-step (tested, also through a whole ``Machine`` run).
     """
     if not isinstance(pa, np.ndarray) or pa.dtype != np.uint64:
         pa = np.asarray(pa, dtype=np.uint64)

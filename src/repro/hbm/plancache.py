@@ -3,22 +3,22 @@
 Compiled :class:`~repro.hbm.decode.DecodePlan`\\s (an address-mapping
 operator precomposed with the config's field projections) are pure
 functions of ``(config, operator)`` — immutable once built, safe to
-share between any number of concurrent tenants.  This module provides
-the explicit cache that holds them: :class:`PlanCache` replaces the
-old module-level ``functools.lru_cache`` in :mod:`repro.hbm.decode`
-with an object that is
+share between every run in a process.  This module provides the
+explicit cache that holds them: :class:`PlanCache` replaces the old
+module-level ``functools.lru_cache`` in :mod:`repro.hbm.decode` with an
+object that is
 
-* **explicit** — the service layer creates one per deployment and
-  hands it to every tenant through
-  :class:`~repro.service.tenant.SharedArtifacts`, so compile cost is
-  paid once per distinct mapping, not once per tenant;
-* **thread-safe** — tenants run concurrently; lookups and builds are
-  serialised under one lock (plans compile in microseconds, so
-  building under the lock also guarantees a plan is never compiled
-  twice);
-* **stats-exposing** — hits/misses/evictions are first-class, so an
-  isolation campaign can *prove* the sharing happened
-  (``stats()["hits"] > 0`` across tenants) instead of assuming it.
+* **explicit** — every :class:`~repro.system.machine.Machine` run
+  decodes through the process-wide :func:`default_plan_cache`, so
+  compile cost is paid once per distinct mapping, not once per run;
+  a caller that wants an isolated cache passes its own to
+  :func:`~repro.hbm.decode.plan_for`;
+* **thread-safe** — lookups and builds are serialised under one lock
+  (plans compile in microseconds, so building under the lock also
+  guarantees a plan is never compiled twice, whichever thread asks);
+* **stats-exposing** — hits/misses/evictions are first-class, so a
+  caller can *prove* the sharing happened (``stats()["hits"] > 0``)
+  instead of assuming it; ``perfbench`` reads them.
 
 Entries are evicted least-recently-used beyond ``maxsize``.  Cached
 values must be treated as immutable by every consumer — the cache
@@ -63,7 +63,7 @@ class PlanCache:
     def get(self, key: Hashable, build: Callable[[], object]) -> object:
         """Return the cached value for ``key``, building it on a miss.
 
-        ``build`` runs under the cache lock: concurrent tenants asking
+        ``build`` runs under the cache lock: concurrent callers asking
         for the same plan get one compile and one shared object, never
         a duplicate.
         """
@@ -136,10 +136,7 @@ class PlanCache:
 
 
 #: The process-wide default cache, used whenever a caller does not pass
-#: an explicit one (the single-tenant :class:`~repro.system.machine.
-#: Machine` path).  The service layer builds its own instance per
-#: deployment so tenants of one service share plans with each other
-#: without cross-talk between services.
+#: an explicit one (every :class:`~repro.system.machine.Machine` run).
 _DEFAULT_CACHE = PlanCache()
 
 

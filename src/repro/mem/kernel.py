@@ -110,8 +110,8 @@ class Kernel:
         ``mapping`` is a window permutation (array-like) or a full-width
         :class:`PermutationMapping` restricted to the chunk window.  On a
         baseline kernel the id is accepted but aliases the default.
-        With ``namespace`` set (the multi-tenant service), the intern is
-        charged against that tenant's slice of the mapping budget.
+        With ``namespace`` set (one co-running application's), the
+        intern is charged against that slice of the mapping budget.
         """
         if self.sdam is None:
             return 0

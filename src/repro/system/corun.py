@@ -9,14 +9,14 @@ memory, one CMT — splitting the cluster budget across them and
 interleaving their external traces, the multiprogrammed scenario the
 prototype's globally-shared CMT is designed for.
 
-Re-expressed on the tenant-scoped core: each application is a
-:class:`~repro.service.tenant.TenantContext` built over one set of
-:class:`~repro.service.tenant.SharedArtifacts`, its slice of the
-mapping budget is a :class:`~repro.core.cmt.MappingNamespace` carved by
-:func:`~repro.core.cmt.partition_budget`, and every ``add_addr_map`` is
-charged against that namespace — the budget split is *enforced*, not
-just hoped for.  The apps deliberately share one kernel and one CMT,
-reproducing the prototype's globally-shared table.
+Each application gets its own :class:`~repro.system.machine.Machine`,
+which profiles it, selects its mappings and builds its allocation,
+trace and compute time exactly as a single-application run would.  Its
+slice of the mapping budget is a :class:`~repro.core.cmt.MappingNamespace`
+carved by :func:`~repro.core.cmt.partition_budget`, and every
+``add_addr_map`` is charged against that namespace — the budget split
+is *enforced*, not just hoped for.  The apps deliberately share one
+kernel and one CMT, reproducing the prototype's globally-shared table.
 """
 
 from __future__ import annotations
@@ -26,20 +26,14 @@ from dataclasses import dataclass
 from repro.core.chunks import ChunkGeometry
 from repro.core.cmt import partition_budget
 from repro.core.sdam import SDAMController
-from repro.cpu.cpu import CPUModel
 from repro.cpu.trace import AccessTrace, interleave_traces
 from repro.errors import ConfigError
-from repro.hbm.config import HBMConfig
+from repro.hbm.config import HBMConfig, hbm2_config
 from repro.hbm.fastmodel import WindowModel
 from repro.hbm.stats import RunStats
 from repro.mem.kernel import Kernel
-from repro.mem.malloc import MappingAwareAllocator
-from repro.service.tenant import (
-    CPU_COMPUTE_NS_PER_ACCESS,
-    SharedArtifacts,
-    TenantContext,
-)
 from repro.system.config import SystemConfig
+from repro.system.machine import Machine
 from repro.workloads.base import Workload
 
 __all__ = ["CorunResult", "CorunMachine"]
@@ -77,20 +71,19 @@ class CorunMachine:
             raise ConfigError("need at least one cluster per application")
         self.use_sdam = use_sdam
         self.clusters_per_app = clusters_per_app
-        self.shared = SharedArtifacts.create(hbm=hbm, geometry=geometry)
-        self.hbm = self.shared.hbm
-        self.geometry = self.shared.geometry
+        self.hbm = hbm or hbm2_config()
+        self.geometry = geometry or ChunkGeometry(
+            total_bytes=self.hbm.total_bytes
+        )
         self.cores = cores
         self.max_mappings = max_mappings
         self.seed = seed
-        self.layout = self.shared.layout()
 
-    def _app_context(self, app_index: int, workload: Workload) -> TenantContext:
-        """A tenant context for one co-running application.
+    def _app_machine(self, app_index: int, workload: Workload) -> Machine:
+        """The machine that profiles, selects and traces one application.
 
-        Shares the machine's artifacts; profiling and K-Means selection
-        run through the tenant pipeline with the app-specific seed the
-        pre-refactor code used.
+        K-Means selection with the machine's cluster budget per app,
+        seeded per app.
         """
         system = SystemConfig(
             key=f"corun_app{app_index}",
@@ -100,10 +93,10 @@ class CorunMachine:
             clustering="kmeans",
             clusters=self.clusters_per_app,
         )
-        return TenantContext(
-            name=f"app{app_index}",
-            system=system,
-            shared=self.shared,
+        return Machine(
+            system,
+            hbm=self.hbm,
+            geometry=self.geometry,
             cores=self.cores,
             seed=self.seed + app_index,
         )
@@ -130,16 +123,15 @@ class CorunMachine:
             for namespace in namespaces.values():
                 sdam.register_namespace(namespace)
         kernel = Kernel(self.geometry, sdam=sdam)
-        engine = CPUModel(cores=self.cores)
         all_external: list[AccessTrace] = []
-        program_accesses = 0
+        max_inflight = 0
         compute_ns = 0.0
         for app_index, workload in enumerate(workloads):
+            app = self._app_machine(app_index, workload)
             mapping_of_variable: dict[int, int] = {}
             if self.use_sdam:
-                context = self._app_context(app_index, workload)
-                selection = context.select(
-                    context.profile(workload, input_seed=profile_seed)
+                selection = app.select(
+                    app.profile(workload, input_seed=profile_seed)
                 )
                 cluster_to_mapping = {
                     index: kernel.add_addr_map(
@@ -151,25 +143,12 @@ class CorunMachine:
                     vid: cluster_to_mapping[cluster]
                     for vid, cluster in selection.variable_cluster.items()
                 }
-            space = kernel.spawn()
-            malloc = MappingAwareAllocator(kernel, space)
-            base = {}
-            for vid, spec in enumerate(workload.variables()):
-                base[spec.name] = malloc.malloc(
-                    spec.size_bytes,
-                    mapping_id=mapping_of_variable.get(vid, 0),
-                    tag=spec.name,
-                )
-            external = engine.external_trace(
-                workload.trace(base, eval_seed)
+            space, _allocator, base, _registry = app._allocate(
+                kernel, workload, mapping_of_variable
             )
-            program_accesses += external.program_accesses
-            intensity = getattr(workload, "compute_intensity", 1.0)
-            compute_ns += (
-                external.program_accesses
-                * CPU_COMPUTE_NS_PER_ACCESS
-                * intensity
-            )
+            external = app._external(workload, base, eval_seed)
+            compute_ns += app._compute_ns(workload, external)
+            max_inflight += app.engine.max_inflight
             ha = kernel.translate_to_hardware(space, external.trace.va)
             all_external.append(
                 AccessTrace(
@@ -179,9 +158,7 @@ class CorunMachine:
                 )
             )
         combined = interleave_traces(all_external, chunk=8)
-        model = WindowModel(
-            self.hbm, max_inflight=engine.max_inflight * len(workloads)
-        )
+        model = WindowModel(self.hbm, max_inflight=max_inflight)
         stats = model.simulate(combined.va)
         live = sdam.cmt.live_mappings if sdam is not None else 1
         return CorunResult(

@@ -1,4 +1,4 @@
-"""The full machine: a single-tenant façade over the tenant-scoped core.
+"""The full machine: one platform running the paper's pipeline.
 
 ``Machine.run(workload)`` executes the paper's whole pipeline for one
 system configuration:
@@ -14,12 +14,9 @@ system configuration:
    through the cache hierarchy, translate VA->PA->HA, and simulate the
    HBM device.
 
-The pipeline itself lives in
-:class:`~repro.service.tenant.TenantContext`; ``Machine`` is the thin
-single-tenant façade that builds one private
-:class:`~repro.service.tenant.SharedArtifacts` + tenant context pair
-and delegates.  The co-run machine (:mod:`repro.system.corun`) builds
-the same contexts over one shared set of artifacts.
+The co-run machine (:mod:`repro.system.corun`) builds one ``Machine``
+per application for its profile, selection, allocation and trace
+steps, over one shared kernel and CMT.
 
 The returned :class:`MachineResult` carries the memory statistics plus
 an end-to-end time model (memory makespan + a compute term proportional
@@ -30,19 +27,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from repro.core.bitshuffle import select_global_mapping
 from repro.core.chunks import ChunkGeometry
-from repro.core.selection import MappingSelection
-from repro.cpu.cpu import ExternalTraceResult
-from repro.hbm.config import HBMConfig
-from repro.hbm.stats import RunStats
-from repro.ml.dlkmeans import AutoencoderConfig
-from repro.profiling.profiler import WorkloadProfile
-from repro.service.tenant import (
-    ACCEL_COMPUTE_NS_PER_ACCESS,
-    CPU_COMPUTE_NS_PER_ACCESS,
-    SharedArtifacts,
-    TenantContext,
+from repro.core.hashing import default_hash_mapping
+from repro.core.mapping import identity_mapping
+from repro.core.sdam import GlobalMappingTranslator, SDAMController
+from repro.core.selection import (
+    MappingSelection,
+    select_application_mapping,
+    select_mappings_dl,
+    select_mappings_kmeans,
 )
+from repro.cpu.accelerator import AcceleratorModel
+from repro.cpu.cpu import CPUModel, ExternalTraceResult
+from repro.cpu.trace import AccessTrace
+from repro.errors import ConfigError
+from repro.hbm.backend import available_backends, create_backend
+from repro.hbm.config import HBMConfig, hbm2_config
+from repro.hbm.decode import decode_translated, iter_decoded_chunks
+from repro.hbm.stats import RunStats
+from repro.mem.kernel import Kernel
+from repro.mem.malloc import MappingAwareAllocator
+from repro.ml.dlkmeans import AutoencoderConfig
+from repro.profiling.bfrv import bit_flip_rate_vector
+from repro.profiling.profiler import WorkloadProfile, profile_trace
+from repro.profiling.variables import VariableRegistry
 from repro.system.config import SystemConfig
 from repro.tier.stats import TierTraffic
 from repro.workloads.base import Workload
@@ -54,6 +65,11 @@ __all__ = [
     "Machine",
     "MachineResult",
 ]
+
+# End-to-end time model: compute overlaps poorly with a saturated memory
+# system, so total time = memory makespan + accesses * per-access work.
+CPU_COMPUTE_NS_PER_ACCESS = 1.0  # per-access pipeline work, BOOM-scaled
+ACCEL_COMPUTE_NS_PER_ACCESS = 0.15  # deep custom pipelines
 
 
 @dataclass(frozen=True)
@@ -242,15 +258,20 @@ class MachineResult:
 class Machine:
     """One simulated platform bound to a system configuration.
 
-    A thin single-tenant façade: construction builds one private
-    :class:`~repro.service.tenant.SharedArtifacts` and one
-    :class:`~repro.service.tenant.TenantContext`, and every pipeline
-    method delegates to the context.  The familiar attributes
-    (``system``, ``hbm``, ``geometry``, ``engine``, ``backend``,
-    ``layout``, ...) remain available on the façade.
+    Owns the system configuration, the device model and chunk geometry,
+    the engine model, the seeds and the backend choice, and runs the
+    paper's profile -> select -> evaluate pipeline.  Every run builds
+    its own kernel, SDAM controller and backend, so runs of one machine
+    share no state; compiled decode plans come from the process-wide
+    :func:`~repro.hbm.plancache.default_plan_cache`.
     """
 
-    SELECTION_COVERAGE = TenantContext.SELECTION_COVERAGE
+    # Major-variable coverage for clustered selection.  The paper's 80%
+    # rule identifies majors in real applications with thousands of
+    # variables; our Table-1 models *are* the majors by construction,
+    # so selection covers (nearly) all of them and leaves only the
+    # modelled minor tail on the default mapping.
+    SELECTION_COVERAGE = 0.95
 
     def __init__(
         self,
@@ -259,65 +280,143 @@ class Machine:
         geometry: ChunkGeometry | None = None,
         engine: str = "cpu",
         cores: int = 4,
-        backend: str | None = None,
+        backend: str = "fast",
         backend_options: dict | None = None,
-        chunk_accesses: int | None = None,
         dl_config: AutoencoderConfig | None = None,
         seed: int = 0,
         chunk_colours: int = 8,
-        debug_ha: bool = False,
     ):
-        if backend is None:
-            backend = "fast"
-        shared = SharedArtifacts.create(
-            hbm=hbm,
-            geometry=geometry,
-            backend=backend,
-            backend_options=backend_options,
-        )
-        self._tenant = TenantContext(
-            name="machine",
-            system=system,
-            shared=shared,
-            engine=engine,
-            cores=cores,
-            chunk_accesses=chunk_accesses,
-            dl_config=dl_config,
-            seed=seed,
-            chunk_colours=chunk_colours,
-            debug_ha=debug_ha,
-        )
-        # Façade mirrors of the tenant's configuration, kept for the
-        # pre-refactor public surface (experiments, stages, tests).
-        self.shared = shared
+        if not isinstance(system, SystemConfig):
+            raise ConfigError(
+                f"system must be a SystemConfig, got {type(system).__name__}"
+            )
+        if engine == "cpu":
+            self.engine = CPUModel(cores=cores)
+            self.compute_ns_per_access = CPU_COMPUTE_NS_PER_ACCESS
+        elif engine == "accelerator":
+            self.engine = AcceleratorModel()
+            self.compute_ns_per_access = ACCEL_COMPUTE_NS_PER_ACCESS
+        else:
+            raise ConfigError(f"unknown engine {engine!r}")
+        if backend not in available_backends():
+            raise ConfigError(
+                f"unknown memory model {backend!r}; "
+                f"available: {', '.join(available_backends())}"
+            )
+        backend_options = dict(backend_options or {})
+        if "max_inflight" in backend_options:
+            raise ConfigError(
+                "backend option 'max_inflight' is not settable: the "
+                f"engine sets the in-flight limit ({engine!r}: "
+                f"{self.engine.max_inflight})"
+            )
+        if chunk_colours < 1:
+            raise ConfigError(
+                f"chunk_colours must be >= 1, got {chunk_colours}"
+            )
         self.system = system
-        self.hbm = shared.hbm
-        self.geometry = shared.geometry
-        self.layout = self._tenant.layout
-        self.engine = self._tenant.engine
-        self.compute_ns_per_access = self._tenant.compute_ns_per_access
-        self.backend = self._tenant.backend
-        self.backend_options = self._tenant.backend_options
-        self.chunk_accesses = self._tenant.chunk_accesses
-        self.dl_config = self._tenant.dl_config
-        self.seed = self._tenant.seed
-        self.chunk_colours = self._tenant.chunk_colours
-        self.debug_ha = self._tenant.debug_ha
+        self.hbm = hbm or hbm2_config()
+        self.geometry = geometry or ChunkGeometry(
+            total_bytes=self.hbm.total_bytes
+        )
+        self.layout = self.hbm.layout()
+        self.backend = backend
+        self.backend_options = backend_options
+        self.dl_config = dl_config
+        self.seed = seed
+        self.chunk_colours = chunk_colours
 
-    @property
-    def tenant(self) -> TenantContext:
-        """The tenant context this façade drives."""
-        return self._tenant
+    # -- building blocks -----------------------------------------------------
+    def _allocate(
+        self,
+        kernel: Kernel,
+        workload: Workload,
+        mapping_of_variable: dict[int, int],
+    ):
+        space = kernel.spawn()
+        allocator = MappingAwareAllocator(kernel, space)
+        registry = VariableRegistry()
+        base: dict[str, int] = {}
+        for variable_id, spec in enumerate(workload.variables()):
+            mapping_id = mapping_of_variable.get(variable_id, 0)
+            va = allocator.malloc(
+                spec.size_bytes, mapping_id=mapping_id, tag=spec.name
+            )
+            registry.record_allocation(spec.name, va, spec.size_bytes)
+            base[spec.name] = va
+        return space, allocator, base, registry
 
-    # -- the pipeline (delegated to the tenant context) ----------------------
+    def _external(
+        self, workload: Workload, base: dict[str, int], seed: int
+    ) -> ExternalTraceResult:
+        thread_traces = workload.trace(base, input_seed=seed)
+        return self.engine.external_trace(thread_traces)
+
+    def _compute_ns(
+        self, workload: Workload, external: ExternalTraceResult
+    ) -> float:
+        intensity = getattr(workload, "compute_intensity", 1.0)
+        return (
+            external.program_accesses * self.compute_ns_per_access * intensity
+        )
+
+    # -- profiling pass --------------------------------------------------------
     def profile(self, workload: Workload, input_seed: int = 0) -> WorkloadProfile:
         """Offline profiling on the baseline system (Section 6.2)."""
-        return self._tenant.profile(workload, input_seed=input_seed)
+        kernel = Kernel(self.geometry, sdam=None)
+        space, _allocator, base, registry = self._allocate(kernel, workload, {})
+        external = self._external(workload, base, input_seed)
+        pa = space.translate_trace(external.trace.va)
+        pa_trace = AccessTrace(
+            va=pa,
+            is_write=external.trace.is_write,
+            variable=external.trace.variable,
+        )
+        return profile_trace(pa_trace, registry, name=workload.name)
 
+    # -- mapping selection -------------------------------------------------------
     def select(self, profile: WorkloadProfile) -> MappingSelection:
         """Mapping selection for this machine's system configuration."""
-        return self._tenant.select(profile)
+        system = self.system
+        if system.clustering == "kmeans":
+            return select_mappings_kmeans(
+                profile,
+                system.clusters,
+                self.layout,
+                self.geometry,
+                seed=self.seed,
+                coverage=self.SELECTION_COVERAGE,
+            )
+        if system.clustering == "dl":
+            return select_mappings_dl(
+                profile,
+                system.clusters,
+                self.layout,
+                self.geometry,
+                config=self.dl_config,
+                coverage=self.SELECTION_COVERAGE,
+            )
+        return select_application_mapping(profile, self.layout, self.geometry)
 
+    def _global_translator(
+        self, mix_profile: WorkloadProfile | None
+    ) -> GlobalMappingTranslator:
+        if self.system.policy == "default":
+            return GlobalMappingTranslator(identity_mapping(self.layout.width))
+        if self.system.policy == "hash":
+            return GlobalMappingTranslator(default_hash_mapping(self.layout))
+        # Global bit-shuffle from the workload-mix profile.
+        if mix_profile is None or not mix_profile.profiles:
+            return GlobalMappingTranslator(identity_mapping(self.layout.width))
+        addresses = np.concatenate(
+            [p.addresses for p in mix_profile.profiles]
+        )
+        rates = bit_flip_rate_vector(addresses, self.layout.width)
+        return GlobalMappingTranslator(
+            select_global_mapping(rates, self.layout)
+        )
+
+    # -- the full pipeline ----------------------------------------------------
     def run(
         self,
         workload: Workload,
@@ -329,14 +428,80 @@ class Machine:
     ) -> MachineResult:
         """Profile (if needed), select mappings, evaluate, simulate.
 
-        See :meth:`repro.service.tenant.TenantContext.run` for the
-        parameter semantics.
+        ``mix_profile`` overrides the profile used by the global
+        ``BS+BSM`` policy — the experiment driver passes the suite-wide
+        mix, matching the paper's methodology.  ``profile`` and
+        ``selection`` inject precomputed stage outputs (the experiment
+        runner's cache); when given, the corresponding pipeline stage
+        is skipped.
         """
-        return self._tenant.run(
-            workload,
-            profile_seed=profile_seed,
-            eval_seed=eval_seed,
-            mix_profile=mix_profile,
-            profile=profile,
+        system = self.system
+        profiling_seconds = 0.0
+
+        if system.sdam:
+            if selection is None:
+                if profile is None:
+                    profile = self.profile(workload, input_seed=profile_seed)
+                selection = self.select(profile)
+            profiling_seconds = selection.elapsed_seconds
+            kernel = Kernel(
+                self.geometry,
+                sdam=SDAMController(self.geometry),
+                chunk_colours=self.chunk_colours,
+            )
+            cluster_to_mapping = {
+                index: kernel.add_addr_map(perm)
+                for index, perm in enumerate(selection.window_perms)
+            }
+            mapping_of_variable = {
+                variable_id: cluster_to_mapping[cluster]
+                for variable_id, cluster in selection.variable_cluster.items()
+            }
+        else:
+            kernel = Kernel(
+                self.geometry, sdam=None, chunk_colours=self.chunk_colours
+            )
+            mapping_of_variable = {}
+            if system.policy == "bsm" and mix_profile is None:
+                mix_profile = profile or self.profile(
+                    workload, input_seed=profile_seed
+                )
+
+        space, _allocator, base, _registry = self._allocate(
+            kernel, workload, mapping_of_variable
+        )
+        external = self._external(workload, base, eval_seed)
+        # The fused datapath: VA -> PA through the page table, then one
+        # precomposed mapping∘decode pass per translation group straight
+        # into the memory backend — no intermediate HA array.  It is
+        # bit-identical to translating to HA and decoding that (tested).
+        pa = space.translate_trace(external.trace.va)
+        if system.sdam:
+            translator = kernel.address_translator
+        else:
+            translator = self._global_translator(mix_profile)
+        backend = create_backend(
+            self.backend,
+            self.hbm,
+            max_inflight=self.engine.max_inflight,
+            **self.backend_options,
+        )
+        if self.backend == "vector":
+            # Streaming evaluate: decoded chunks flow straight into the
+            # backend, so the decoded trace never fully materialises.
+            # Chunking is bit-identical to whole-trace simulation
+            # (tested), so this only changes peak memory.
+            decoded = iter_decoded_chunks(pa, translator, self.hbm)
+        else:
+            decoded = decode_translated(pa, translator, self.hbm)
+        stats = backend.simulate_decoded(decoded)
+        return MachineResult(
+            workload=workload.name,
+            system=system.label,
+            stats=stats,
+            external=external,
             selection=selection,
+            compute_ns=self._compute_ns(workload, external),
+            profiling_seconds=profiling_seconds,
+            tier_traffic=getattr(backend, "last_traffic", None),
         )

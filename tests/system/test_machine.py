@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
+from repro.hbm.plancache import default_plan_cache
 from repro.ml.dlkmeans import AutoencoderConfig
 from repro.system.config import system_by_key
 from repro.system.machine import Machine
@@ -107,3 +108,37 @@ class TestCrossValidation:
             workload, profile_seed=0, eval_seed=3
         )
         assert sdam.time_ns < baseline.time_ns
+
+
+class TestConstruction:
+    """Bad arguments fail when the machine is built, not at its first run."""
+
+    @pytest.mark.parametrize("backend", ["fast", "vector", "event", "tiered"])
+    def test_inflight_backend_option_rejected(self, backend):
+        with pytest.raises(ConfigError, match="engine sets the in-flight"):
+            Machine(
+                system_by_key("bs_dm"),
+                backend=backend,
+                backend_options={"max_inflight": 8},
+            )
+
+    @pytest.mark.parametrize("system", ["bs_dm", None])
+    def test_system_must_be_a_system_config(self, system):
+        with pytest.raises(ConfigError, match="SystemConfig"):
+            Machine(system)
+
+    @pytest.mark.parametrize("colours", [0, -1])
+    def test_chunk_colours_below_one_rejected(self, colours):
+        with pytest.raises(ConfigError, match="chunk_colours"):
+            Machine(system_by_key("bs_dm"), chunk_colours=colours)
+
+
+def test_run_fills_the_default_plan_cache():
+    """Decode plans come from the process-wide cache (perfbench reads it)."""
+    cache = default_plan_cache()
+    cache.clear()
+    misses = cache.misses
+    workload = StridedCopyWorkload(stride_lines=8, accesses_per_thread=1200)
+    Machine(system_by_key("sdm_bsm_ml4")).run(workload)
+    assert len(cache) > 0
+    assert cache.misses > misses

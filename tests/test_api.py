@@ -132,15 +132,14 @@ class TestFullEvaluation:
 
 
 #: The packages whose exports these checks cover: most load their
-#: off-path modules on first use (``repro.lazy``); ``repro.faults`` and
-#: ``repro.service`` export only eagerly imported names.
+#: off-path modules on first use (``repro.lazy``); ``repro.faults``
+#: exports only eagerly imported names.
 LAZY_PACKAGES = (
     "repro",
     "repro.core",
     "repro.faults",
     "repro.mem",
     "repro.online",
-    "repro.service",
     "repro.system",
     "repro.tier",
 )

@@ -31,6 +31,8 @@ OFF_PATH = (
     "repro.ras.faults",
     "repro.ras.repair",
     "repro.ras.storage",
+    "repro.service",
+    "repro.service.tenant",
     "repro.system.corun",
     "repro.system.experiment",
     "repro.system.reporting",
