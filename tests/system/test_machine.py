@@ -90,6 +90,14 @@ class TestEngines:
         with pytest.raises(ConfigError):
             Machine(system_by_key("bs_dm"), backend="exact")
 
+    def test_unknown_engine_message_names_it(self):
+        with pytest.raises(ConfigError, match="unknown engine 'gpu'"):
+            Machine(system_by_key("bs_dm"), engine="gpu")
+
+    def test_unknown_memory_model_message_names_it(self):
+        with pytest.raises(ConfigError, match="unknown memory model 'nope'"):
+            Machine(system_by_key("bs_dm"), backend="nope")
+
     def test_event_model_runs(self):
         workload = MixedStrideWorkload(strides=(1, 16), accesses_per_stride=500)
         machine = Machine(system_by_key("bs_dm"), backend="event")
