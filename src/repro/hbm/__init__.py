@@ -11,10 +11,8 @@ from repro.hbm.config import HBMConfig, ddr4_config, hbm2_config
 from repro.hbm.decode import (
     DecodedTrace,
     DecodePlan,
-    concat_decoded,
     decode_trace,
     decode_translated,
-    iter_decoded_chunks,
 )
 from repro.hbm.device import HBMDevice
 from repro.hbm.fastmodel import WindowModel, row_hit_mask
@@ -34,14 +32,12 @@ __all__ = [
     "VectorModel",
     "WindowModel",
     "available_backends",
-    "concat_decoded",
     "create_backend",
     "ddr4_config",
     "decode_trace",
     "decode_translated",
     "default_plan_cache",
     "hbm2_config",
-    "iter_decoded_chunks",
     "register_backend",
     "row_hit_mask",
 ]

@@ -4,8 +4,8 @@ All three fidelity tiers — the analytic :class:`~repro.hbm.fastmodel.
 WindowModel` (``"fast"``), the vectorised-timing :class:`~repro.hbm.
 vectormodel.VectorModel` (``"vector"``), and the event-driven reference
 :class:`~repro.hbm.device.HBMDevice` (``"event"``) — consume the *same*
-fused decoded stream (:class:`~repro.hbm.decode.DecodedTrace`, whole or
-chunked) through :class:`MemoryBackend`.  The machine selects a backend
+fused decoded trace (:class:`~repro.hbm.decode.DecodedTrace`) through
+:class:`MemoryBackend`.  The machine selects a backend
 by name from a registry, so alternative device models (a DDR model, a
 remote simulator bridge, a statistics-only stub) plug in without
 touching the pipeline:
@@ -48,11 +48,9 @@ class MemoryBackend(Protocol):
     ) -> RunStats:
         """Run an already-decoded request stream.
 
-        ``decoded`` is a :class:`DecodedTrace` or — for the built-in
-        tiers — an iterable of chunks (the streaming path; chunking is
-        bit-identical to whole-trace simulation for every backend).
-        ``forced_miss`` (optional boolean mask, whole-trace form only)
-        marks ECC-retry requests that must be charged the full
+        ``decoded`` is one :class:`DecodedTrace` holding the whole
+        stream.  ``forced_miss`` (optional boolean mask, one flag per
+        request) marks ECC-retry requests that must be charged the full
         row-miss cost.
         """
         ...  # pragma: no cover - protocol

@@ -39,17 +39,12 @@ from repro.hbm.plancache import PlanCache, default_plan_cache
 __all__ = [
     "DecodedTrace",
     "DecodePlan",
-    "concat_decoded",
     "decode_trace",
     "decode_translated",
     "forced_miss_mask",
-    "iter_decoded_chunks",
     "plan_for",
     "request_count",
 ]
-
-#: Default streaming granularity for :func:`iter_decoded_chunks`.
-DEFAULT_CHUNK_ACCESSES = 1 << 16
 
 #: HA fields a decoded trace carries, in plan order.
 DECODE_FIELDS = ("channel", "bank", "row", "column")
@@ -194,76 +189,19 @@ def decode_translated(
     return plan_for(config, cache=cache).decode(translator.translate(pa))
 
 
-def iter_decoded_chunks(
-    pa: np.ndarray,
-    translator: AddressTranslator,
-    config: HBMConfig,
-    chunk_accesses: int = DEFAULT_CHUNK_ACCESSES,
-    cache: PlanCache | None = None,
-):
-    """Stream :func:`decode_translated` over fixed-size PA slices.
-
-    Decode is elementwise, so chunked decoding is bit-identical to
-    whole-trace decoding for every chunk size — only peak memory
-    changes: at most one decoded chunk is live at a time, which is what
-    lets a backend evaluate traces that never fully materialise.
-    Yields :class:`DecodedTrace` chunks (none for an empty trace).
-    """
-    if chunk_accesses < 1:
-        raise MappingError(
-            f"chunk_accesses must be >= 1, got {chunk_accesses}"
-        )
-    if not isinstance(pa, np.ndarray) or pa.dtype != np.uint64:
-        pa = np.asarray(pa, dtype=np.uint64)
-    for start in range(0, pa.size, chunk_accesses):
-        yield decode_translated(
-            pa[start : start + chunk_accesses], translator, config,
-            cache=cache,
-        )
-
-
-def concat_decoded(chunks) -> DecodedTrace:
-    """Concatenate decoded chunks back into one :class:`DecodedTrace`.
-
-    The adapter for whole-trace consumers (e.g. the analytic fast
-    model, whose batch hit rule needs the full per-bank sequence).
-    """
-    chunks = [c for c in chunks if len(c)]
-    if not chunks:
-        empty = np.zeros(0, dtype=np.int64)
-        return DecodedTrace(
-            channel=empty,
-            bank=empty.copy(),
-            row=empty.copy(),
-            column=empty.copy(),
-            global_bank=empty.copy(),
-        )
-    if len(chunks) == 1:
-        return chunks[0]
-    return DecodedTrace(
-        channel=np.concatenate([c.channel for c in chunks]),
-        bank=np.concatenate([c.bank for c in chunks]),
-        row=np.concatenate([c.row for c in chunks]),
-        column=np.concatenate([c.column for c in chunks]),
-        global_bank=np.concatenate([c.global_bank for c in chunks]),
-    )
-
-
-def forced_miss_mask(decoded, forced_miss) -> np.ndarray | None:
-    """Check an ECC-retry mask against the stream it flags.
+def forced_miss_mask(
+    decoded: DecodedTrace, forced_miss
+) -> np.ndarray | None:
+    """Check an ECC-retry mask against the trace it flags.
 
     Every timing tier takes ``forced_miss`` as one boolean flag per
-    request of a whole :class:`DecodedTrace`; this is their shared
-    up-front check.  Returns the mask as a boolean array (``None``
-    passes through) and raises :class:`~repro.errors.SimulationError`
-    for a chunked stream or a mask of the wrong length.
+    request of the :class:`DecodedTrace`; this is their shared up-front
+    check.  Returns the mask as a boolean array (``None`` passes
+    through) and raises :class:`~repro.errors.SimulationError` for a
+    mask of the wrong length.
     """
     if forced_miss is None:
         return None
-    if not isinstance(decoded, DecodedTrace):
-        raise SimulationError(
-            "forced_miss requires a whole DecodedTrace, not chunks"
-        )
     mask = np.asarray(forced_miss, dtype=bool)
     if mask.shape != (len(decoded),):
         raise SimulationError(

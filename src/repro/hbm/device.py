@@ -35,7 +35,7 @@ from repro.hbm.stats import RunStats
 __all__ = ["HBMDevice"]
 
 #: Requests per block of Python lists: the loop holds one block (plus
-#: the queued requests it carries), however long the trace or chunk.
+#: the queued requests it carries), however long the trace.
 BLOCK_REQUESTS = 4096
 
 
@@ -57,26 +57,24 @@ class HBMDevice:
         ha = np.asarray(ha, dtype=np.uint64)
         return self.simulate_decoded(decode_trace(ha, self.config))
 
-    def _blocks(self, decoded, forced_miss):
+    def _blocks(self, decoded: DecodedTrace, forced_miss):
         """Yield ``(channel, bank, row, key)`` arrays of at most
         :data:`BLOCK_REQUESTS` requests each, in trace order, with
         ``bank`` channel-major and ``key`` the rows with -1 for an ECC
         retry (``None`` when there are none)."""
-        chunks = [decoded] if isinstance(decoded, DecodedTrace) else decoded
         banks = self.config.banks_per_channel
-        for chunk in chunks:
-            keys = None
-            if forced_miss is not None:
-                keys = np.where(forced_miss, -1, chunk.row)
-            for lo in range(0, len(chunk), BLOCK_REQUESTS):
-                hi = lo + BLOCK_REQUESTS
-                channel = np.asarray(chunk.channel[lo:hi], dtype=np.int64)
-                yield (
-                    channel,
-                    channel * banks + chunk.bank[lo:hi],
-                    chunk.row[lo:hi],
-                    None if keys is None else keys[lo:hi],
-                )
+        keys = None
+        if forced_miss is not None:
+            keys = np.where(forced_miss, -1, decoded.row)
+        for lo in range(0, len(decoded), BLOCK_REQUESTS):
+            hi = lo + BLOCK_REQUESTS
+            channel = np.asarray(decoded.channel[lo:hi], dtype=np.int64)
+            yield (
+                channel,
+                channel * banks + decoded.bank[lo:hi],
+                decoded.row[lo:hi],
+                None if keys is None else keys[lo:hi],
+            )
 
     def simulate_decoded(
         self,
@@ -85,15 +83,13 @@ class HBMDevice:
     ) -> RunStats:
         """Run an already-decoded request stream (the fused datapath).
 
-        ``decoded`` may be a single :class:`DecodedTrace` or an
-        iterable of chunks.  The stream is cut into blocks of at most
-        :data:`BLOCK_REQUESTS` requests; each becomes Python lists once,
-        and the requests still queued at a block's end (at most
-        ``max_inflight``) are re-indexed into the next block's lists, so
-        chunked input is bit-identical to the whole trace and memory is
+        The trace is cut into blocks of at most :data:`BLOCK_REQUESTS`
+        requests; each becomes Python lists once, and the requests still
+        queued at a block's end (at most ``max_inflight``) are
+        re-indexed into the next block's lists, so the loop's memory is
         bounded by one block.  ``forced_miss`` (optional boolean mask,
-        one flag per access, whole-trace form only) marks ECC-retry
-        requests that must pay the full miss cost.
+        one flag per access) marks ECC-retry requests that must pay the
+        full miss cost.
         """
         forced_miss = forced_miss_mask(decoded, forced_miss)
         num_channels = self.config.num_channels

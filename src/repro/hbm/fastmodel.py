@@ -27,7 +27,6 @@ from repro.cpu.trace import radix_argsort
 from repro.hbm.config import HBMConfig
 from repro.hbm.decode import (
     DecodedTrace,
-    concat_decoded,
     decode_trace,
     forced_miss_mask,
     request_count,
@@ -112,18 +111,12 @@ class WindowModel:
     ) -> RunStats:
         """Run an already-decoded request stream (the fused datapath).
 
-        ``decoded`` may be a single :class:`DecodedTrace` or an
-        iterable of chunks; the analytic batch rule needs the whole
-        per-bank sequence, so chunks are concatenated (bit-identical,
-        the streaming interface is shared with the other tiers).
         ``forced_miss`` (optional boolean mask, one flag per access)
         marks requests whose row buffer cannot be trusted — ECC retries
         on degraded hardware — and charges them the full miss cost
         regardless of locality.
         """
         forced_miss = forced_miss_mask(decoded, forced_miss)
-        if not isinstance(decoded, DecodedTrace):
-            decoded = concat_decoded(decoded)
         n = len(decoded)
         channels = self.config.num_channels
         if n == 0:

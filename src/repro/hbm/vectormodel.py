@@ -39,16 +39,15 @@ blocks of ``block_accesses`` requests:
   it either way); it mostly shapes idle-channel lag, which the
   calibration tolerances absorb.
 
-Because every channel is evaluated independently and blocks are formed
-per channel at a fixed size, the result is **bit-identical** however the
-input is chunked (``tests/hbm/test_vectormodel.py`` holds a hypothesis
-property over arbitrary chunkings).
+Every channel is evaluated independently, and its blocks are cut at
+fixed multiples of ``block_accesses`` of that channel's own requests,
+so a block boundary never depends on another channel's traffic
+(``tests/hbm/test_tier_golden.py`` pins a small-block run).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -61,7 +60,7 @@ from repro.hbm.stats import RunStats
 __all__ = ["VectorModel"]
 
 #: Per-channel block size: large enough to amortise numpy call overhead,
-#: small enough that streaming never holds more than a block per channel.
+#: small enough that a block's temporaries stay small.
 DEFAULT_BLOCK_ACCESSES = 16384
 
 #: Cap on bank/bus closure rounds per block.  Each round resolves one
@@ -75,10 +74,9 @@ class _ChannelLane:
 
     Carries the cross-block device state: per-bank open rows and ready
     times, the channel data-bus horizon, and the served/hit/busy
-    counters.  ``feed`` buffers requests and flushes complete blocks;
-    ``finish`` flushes the tail.  Block boundaries depend only on this
-    lane's own request count, which is what makes results invariant to
-    input chunking.
+    counters.  :meth:`run` walks the lane's substream in blocks of
+    ``block_accesses`` requests, so block boundaries depend only on this
+    lane's own request count.
     """
 
     def __init__(
@@ -99,55 +97,17 @@ class _ChannelLane:
         self.served = 0
         self.hits = 0
         self.misses = 0
-        self._parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self._buffered = 0
 
-    # -- streaming ----------------------------------------------------------
-    def feed(
+    def run(
         self, bank: np.ndarray, row: np.ndarray, forced: np.ndarray
     ) -> None:
-        """Append one chunk's worth of this channel's requests."""
-        if bank.size == 0:
-            return
-        self._parts.append((bank, row, forced))
-        self._buffered += bank.size
-        while self._buffered >= self.block:
-            self._flush_block(*self._take(self.block))
-
-    def finish(self) -> None:
-        """Flush the final partial block."""
-        if self._buffered:
-            self._flush_block(*self._take(self._buffered))
-
-    def _take(self, n: int):
-        """Pop exactly ``n`` buffered requests (splitting a part)."""
-        banks, rows, forceds = [], [], []
-        need = n
-        while need:
-            bank, row, forced = self._parts[0]
-            if bank.size <= need:
-                self._parts.pop(0)
-                banks.append(bank)
-                rows.append(row)
-                forceds.append(forced)
-                need -= bank.size
-            else:
-                banks.append(bank[:need])
-                rows.append(row[:need])
-                forceds.append(forced[:need])
-                self._parts[0] = (bank[need:], row[need:], forced[need:])
-                need = 0
-        self._buffered -= n
-        if len(banks) == 1:
-            return banks[0], rows[0], forceds[0]
-        return (
-            np.concatenate(banks),
-            np.concatenate(rows),
-            np.concatenate(forceds),
-        )
+        """Evaluate this channel's whole substream, block by block."""
+        for lo in range(0, bank.size, self.block):
+            hi = lo + self.block
+            self._run_block(bank[lo:hi], row[lo:hi], forced[lo:hi])
 
     # -- one block ----------------------------------------------------------
-    def _flush_block(
+    def _run_block(
         self, bank: np.ndarray, row: np.ndarray, forced: np.ndarray
     ) -> None:
         m = bank.size
@@ -228,7 +188,8 @@ def _run_lanes(
     config: HBMConfig,
     frfcfs_window: int,
     block_accesses: int,
-    stream: Iterable[tuple[DecodedTrace, np.ndarray | None]],
+    decoded: DecodedTrace,
+    forced: np.ndarray | None,
 ) -> RunStats:
     """Evaluate every channel's substream; return the merged RunStats.
 
@@ -240,34 +201,24 @@ def _run_lanes(
         _ChannelLane(config, frfcfs_window, block_accesses)
         for _ in range(num_channels)
     ]
-    for decoded, forced in stream:
-        m = len(decoded)
-        if m == 0:
-            continue
-        channel = np.asarray(decoded.channel)
-        order = radix_argsort(channel)
-        channel_s = channel[order]
-        bank_s = np.asarray(decoded.bank)[order]
-        row_s = np.asarray(decoded.row)[order]
-        if forced is None:
-            forced_s = np.zeros(m, dtype=bool)
-        else:
-            forced_s = forced[order]
-        bounds = np.searchsorted(channel_s, np.arange(num_channels + 1))
-        for c, lane in enumerate(lanes):
-            left, right = bounds[c], bounds[c + 1]
-            if left < right:
-                lane.feed(
-                    bank_s[left:right],
-                    row_s[left:right],
-                    forced_s[left:right],
-                )
+    channel = np.asarray(decoded.channel)
+    order = radix_argsort(channel)
+    channel_s = channel[order]
+    bank_s = np.asarray(decoded.bank)[order]
+    row_s = np.asarray(decoded.row)[order]
+    if forced is None:
+        forced_s = np.zeros(len(decoded), dtype=bool)
+    else:
+        forced_s = forced[order]
+    bounds = np.searchsorted(channel_s, np.arange(num_channels + 1))
+    for c, lane in enumerate(lanes):
+        left, right = bounds[c], bounds[c + 1]
+        lane.run(bank_s[left:right], row_s[left:right], forced_s[left:right])
     per_channel_requests = np.zeros(num_channels, dtype=np.int64)
     per_channel_busy = np.zeros(num_channels, dtype=np.float64)
     requests = hits = misses = 0
     makespan = 0.0
     for c, lane in enumerate(lanes):
-        lane.finish()
         per_channel_requests[c] = lane.served
         per_channel_busy[c] = lane.busy_ns
         requests += lane.served
@@ -309,24 +260,21 @@ class VectorModel:
 
     def simulate_decoded(
         self,
-        decoded: DecodedTrace | Iterable[DecodedTrace],
+        decoded: DecodedTrace,
         forced_miss: np.ndarray | None = None,
     ) -> RunStats:
-        """Run a decoded request stream — whole or chunked.
+        """Run an already-decoded request stream (the fused datapath).
 
-        ``decoded`` may be a single :class:`DecodedTrace` or any
-        iterable of them (the chunked streaming path: decoded traces
-        never materialise beyond one chunk plus one block per channel).
-        ``forced_miss`` (whole-trace form only) marks ECC retries that
-        pay the full miss cost.
+        ``forced_miss`` (optional boolean mask, one flag per access)
+        marks ECC retries that pay the full miss cost.
         """
         forced_miss = forced_miss_mask(decoded, forced_miss)
-        if isinstance(decoded, DecodedTrace):
-            stream: Iterator = iter([(decoded, forced_miss)])
-        else:
-            stream = ((chunk, None) for chunk in decoded)
         merged = _run_lanes(
-            self.config, self.frfcfs_window, self.block_accesses, stream
+            self.config,
+            self.frfcfs_window,
+            self.block_accesses,
+            decoded,
+            forced_miss,
         )
         return self._finalize(merged)
 

@@ -46,7 +46,7 @@ from repro.cpu.trace import AccessTrace
 from repro.errors import ConfigError
 from repro.hbm.backend import available_backends, create_backend
 from repro.hbm.config import HBMConfig, hbm2_config
-from repro.hbm.decode import decode_translated, iter_decoded_chunks
+from repro.hbm.decode import decode_translated
 from repro.hbm.stats import RunStats
 from repro.mem.kernel import Kernel
 from repro.mem.malloc import MappingAwareAllocator
@@ -325,8 +325,19 @@ class Machine:
         self.dl_config = dl_config
         self.seed = seed
         self.chunk_colours = chunk_colours
+        # Bind the options now: a bad one fails here, not after the
+        # profiling and selection a run pays for first.
+        self._new_backend()
 
     # -- building blocks -----------------------------------------------------
+    def _new_backend(self):
+        return create_backend(
+            self.backend,
+            self.hbm,
+            max_inflight=self.engine.max_inflight,
+            **self.backend_options,
+        )
+
     def _allocate(
         self,
         kernel: Kernel,
@@ -480,21 +491,10 @@ class Machine:
             translator = kernel.address_translator
         else:
             translator = self._global_translator(mix_profile)
-        backend = create_backend(
-            self.backend,
-            self.hbm,
-            max_inflight=self.engine.max_inflight,
-            **self.backend_options,
+        backend = self._new_backend()
+        stats = backend.simulate_decoded(
+            decode_translated(pa, translator, self.hbm)
         )
-        if self.backend == "vector":
-            # Streaming evaluate: decoded chunks flow straight into the
-            # backend, so the decoded trace never fully materialises.
-            # Chunking is bit-identical to whole-trace simulation
-            # (tested), so this only changes peak memory.
-            decoded = iter_decoded_chunks(pa, translator, self.hbm)
-        else:
-            decoded = decode_translated(pa, translator, self.hbm)
-        stats = backend.simulate_decoded(decoded)
         return MachineResult(
             workload=workload.name,
             system=system.label,

@@ -9,14 +9,11 @@ latency/bandwidth-modeled slow tier.  Placement is re-planned every
 policy driven by the online BFRV/activity signals, and accesses to
 non-resident pages pay a small translation cache.
 
-Two exactness properties anchor the design:
-
-* with ``fast_pages=None`` (unbounded fast capacity, the default) the
-  backend delegates the *entire* stream untouched, so its
-  :class:`~repro.hbm.stats.RunStats` are bit-identical to the delegate
-  backend's — tiering is strictly additive;
-* the wave split buffers the stream first, so chunked and whole-trace
-  simulation agree for every chunk size, like every other backend.
+One exactness property anchors the design: with ``fast_pages=None``
+(unbounded fast capacity, the default) the backend delegates the
+*entire* stream untouched, so its :class:`~repro.hbm.stats.RunStats`
+are bit-identical to the delegate backend's — tiering is strictly
+additive.
 
 Per-run accounting lands in :attr:`TieredBackend.last_traffic`
 (a :class:`~repro.tier.stats.TierTraffic`), which rides on
@@ -33,12 +30,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.hbm.backend import create_backend
 from repro.hbm.config import HBMConfig
-from repro.hbm.decode import (
-    DecodedTrace,
-    concat_decoded,
-    decode_trace,
-    forced_miss_mask,
-)
+from repro.hbm.decode import DecodedTrace, decode_trace, forced_miss_mask
 from repro.hbm.stats import RunStats
 from repro.tier.config import SlowTierConfig, TierConfig
 from repro.tier.placement import TierPlacement, page_array
@@ -235,7 +227,9 @@ class TieredBackend:
         """Run a hardware-address trace (decodes, then simulates)."""
         return self.simulate_decoded(decode_trace(ha, self.config))
 
-    def simulate_decoded(self, decoded, forced_miss=None) -> RunStats:
+    def simulate_decoded(
+        self, decoded: DecodedTrace, forced_miss=None
+    ) -> RunStats:
         """Run a decoded stream through the fast/slow split."""
         traffic = TierTraffic()
         self.last_traffic = traffic
@@ -248,13 +242,8 @@ class TieredBackend:
             traffic.fast_accesses = stats.requests
             return stats
         forced_miss = forced_miss_mask(decoded, forced_miss)
-        full = (
-            decoded
-            if isinstance(decoded, DecodedTrace)
-            else concat_decoded(list(decoded))
-        )
-        n = len(full)
-        ha, pages = self._pages_of(full)
+        n = len(decoded)
+        ha, pages = self._pages_of(decoded)
         fast_mask = np.ones(n, dtype=bool)
         wave = self.tier.wave_accesses
         for index, start in enumerate(range(0, n, wave)):
@@ -275,11 +264,11 @@ class TieredBackend:
             if self.on_wave is not None:
                 self.on_wave(index, self.placement, traffic)
         fast_sub = DecodedTrace(
-            channel=full.channel[fast_mask],
-            bank=full.bank[fast_mask],
-            row=full.row[fast_mask],
-            column=full.column[fast_mask],
-            global_bank=full.global_bank[fast_mask],
+            channel=decoded.channel[fast_mask],
+            bank=decoded.bank[fast_mask],
+            row=decoded.row[fast_mask],
+            column=decoded.column[fast_mask],
+            global_bank=decoded.global_bank[fast_mask],
         )
         fast_stats = self.delegate.simulate_decoded(
             fast_sub,
@@ -293,7 +282,7 @@ class TieredBackend:
         traffic.slow_accesses = slow_count
         traffic.slow_busy_ns = slow_busy
         per_channel = fast_stats.per_channel_requests + np.bincount(
-            full.channel[~fast_mask], minlength=self.config.num_channels
+            decoded.channel[~fast_mask], minlength=self.config.num_channels
         ).astype(np.int64)
         makespan = (
             max(fast_stats.makespan_ns, slow_busy)

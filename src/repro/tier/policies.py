@@ -185,23 +185,13 @@ class SmartSwap(SwapPolicy):
     """
 
     name = "smart"
+    hysteresis = 1.5
+    reuse_horizon = 8.0
 
-    def __init__(
-        self,
-        config: TierConfig,
-        line_bits: int = 6,
-        hysteresis: float = 1.5,
-        reuse_horizon: float = 8.0,
-    ):
+    def __init__(self, config: TierConfig, line_bits: int = 6):
         super().__init__(config, line_bits)
-        if hysteresis < 1.0:
-            raise ConfigError("hysteresis must be >= 1.0")
-        if reuse_horizon <= 0.0:
-            raise ConfigError("reuse_horizon must be positive")
-        self.hysteresis = hysteresis
-        self.reuse_horizon = reuse_horizon
         lines_per_page = 1 << max(config.page_bits - line_bits, 0)
-        self.min_refs = 2.0 * lines_per_page / reuse_horizon
+        self.min_refs = 2.0 * lines_per_page / self.reuse_horizon
 
     def plan(self, placement: TierPlacement, budget: int) -> list[int]:
         if placement.fast_capacity is None:
@@ -257,7 +247,7 @@ def available_policies() -> tuple[str, ...]:
 
 
 def create_policy(
-    name: str, config: TierConfig, line_bits: int = 6, **kwargs
+    name: str, config: TierConfig, line_bits: int = 6
 ) -> SwapPolicy:
     """Instantiate a swap policy by name."""
     try:
@@ -267,4 +257,4 @@ def create_policy(
             f"unknown swap policy {name!r}; "
             f"available: {', '.join(available_policies())}"
         ) from None
-    return cls(config, line_bits=line_bits, **kwargs)
+    return cls(config, line_bits=line_bits)

@@ -192,24 +192,12 @@ class EventLoopBaseline:
     ) -> RunStats:
         """Run an already-decoded request stream (the fused datapath).
 
-        ``decoded`` may be a single :class:`DecodedTrace` or an
-        iterable of chunks — the event loop consumes requests one at a
-        time, so chunked input is bit-identical to the whole trace and
-        needs no re-decoding (only one chunk is live at a time).
-        ``forced_miss`` (optional boolean mask, one flag per access,
-        whole-trace form only) marks ECC-retry requests that must pay
-        the full miss cost.
+        ``forced_miss`` (optional boolean mask, one flag per access)
+        marks ECC-retry requests that must pay the full miss cost.
         """
-        if isinstance(decoded, DecodedTrace):
-            if forced_miss is not None:
-                forced_miss = np.asarray(forced_miss, dtype=bool)
-            chunks = iter([(decoded, forced_miss)])
-        else:
-            if forced_miss is not None:
-                raise SimulationError(
-                    "forced_miss requires a whole DecodedTrace, not chunks"
-                )
-            chunks = ((chunk, None) for chunk in decoded)
+        if forced_miss is not None:
+            forced_miss = np.asarray(forced_miss, dtype=bool)
+        chunks = iter([(decoded, forced_miss)])
         channels = self._new_channels()
         num_channels = self.config.num_channels
 

@@ -58,14 +58,6 @@ def test_forced_miss_of_right_length_accepted(tier):
 
 
 @pytest.mark.parametrize("tier", sorted(TIERS))
-def test_forced_miss_with_chunks_rejected(tier):
-    with pytest.raises(SimulationError, match="whole DecodedTrace"):
-        TIERS[tier]().simulate_decoded(
-            iter([stride1()]), forced_miss=np.zeros(1000, dtype=bool)
-        )
-
-
-@pytest.mark.parametrize("tier", sorted(TIERS))
 @pytest.mark.parametrize("window", [0, -3])
 def test_window_below_one_rejected(tier, window):
     with pytest.raises(SimulationError, match="window must be >= 1"):

@@ -8,10 +8,10 @@ makespan bit shows up here.  The traces cover streaming copies at
 three strides, uniform random lines and one accelerator ``hashjoin``
 external stream; the windows cover in-order batches (1), the default
 (8) and the widest the ablation sweeps (16).  The event tier is also
-pinned on ``hashjoin`` with ECC-retry flags, chunked input and the
-extremes of its in-flight window, and on ``random`` and ``copy-s4``
-at the widest in-flight window (most channels scheduled at once,
-longest queues) and on ``random`` with ECC-retry flags.  Four more
+pinned on ``hashjoin`` with ECC-retry flags and at the extremes of its
+in-flight window, and on ``random`` and ``copy-s4`` at the widest
+in-flight window (most channels scheduled at once, longest queues) and
+on ``random`` with ECC-retry flags.  Four more
 cases run whole programs through a :class:`~repro.system.machine.
 Machine` on the event tier: the ``tier-calib`` benchmark's mixed-stride
 copies under BS+DM (a quarter of the requests on one channel, so the
@@ -96,20 +96,6 @@ def forced_mask(n: int) -> np.ndarray:
     return np.arange(n) % 7 == 3
 
 
-def chunks(trace: DecodedTrace, sizes):
-    """Cut a decoded trace into consecutive slices of the given sizes."""
-    bounds = np.cumsum([0, *sizes])
-    bounds = np.append(bounds[bounds < len(trace)], len(trace))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        yield DecodedTrace(
-            channel=trace.channel[lo:hi],
-            bank=trace.bank[lo:hi],
-            row=trace.row[lo:hi],
-            column=trace.column[lo:hi],
-            global_bank=trace.global_bank[lo:hi],
-        )
-
-
 GOLDEN = {
     ("event", "copy-s1", 1): "ad0df6be3bccbaed",
     ("event", "copy-s1", 8): "c5f125fdc1b0d970",
@@ -124,7 +110,6 @@ GOLDEN = {
     ("event", "hashjoin", 1): "609178d3326f254d",
     ("event", "hashjoin", 8): "21e6497990cd3fcf",
     ("event", "hashjoin", 16): "e337748546771055",
-    ("event", "hashjoin", "chunked"): "21e6497990cd3fcf",
     ("event", "hashjoin", "forced"): "3f05bb5f07926330",
     ("event", "hashjoin", "inflight1"): "14970fe41f45cac3",
     ("event", "hashjoin", "inflight256"): "a4b0e971bda1f487",
@@ -165,7 +150,7 @@ GOLDEN = {
     ("vector", "hashjoin", 1): "c2ed882def378e23",
     ("vector", "hashjoin", 8): "f79fea201f5fff6e",
     ("vector", "hashjoin", 16): "6e37cece33438e96",
-    ("vector", "hashjoin", "chunked"): "3990eee9e6f62d50",
+    ("vector", "hashjoin", "blocks777"): "3990eee9e6f62d50",
     ("vector", "hashjoin", "forced"): "05ad9909c1ed66d2",
     ("vector", "random", 1): "58d85fcabcb72e31",
     ("vector", "random", 8): "383ee26e36798f72",
@@ -208,13 +193,13 @@ def test_vector_tier_forced_miss_matches_golden():
 
 
 def test_vector_tier_chunked_small_blocks_matches_golden():
-    """Small blocks carry open rows and ready times across flushes."""
-    model = VectorModel(CONFIG, block_accesses=777)
-    stream = decoded("hashjoin")
-    whole = model.simulate_decoded(stream)
-    chunked = model.simulate_decoded(chunks(stream, [5000, 1, 12_345, 999]))
-    assert digest(whole) == digest(chunked)
-    assert digest(chunked) == GOLDEN["vector", "hashjoin", "chunked"]
+    """Small blocks carry open rows and ready times from block to block,
+    and each channel's blocks are cut at multiples of 777 of its own
+    requests."""
+    stats = VectorModel(CONFIG, block_accesses=777).simulate_decoded(
+        decoded("hashjoin")
+    )
+    assert digest(stats) == GOLDEN["vector", "hashjoin", "blocks777"]
 
 
 @pytest.mark.parametrize("window", WINDOWS)
@@ -232,15 +217,6 @@ def test_event_tier_forced_miss_matches_golden():
         stream, forced_miss=forced_mask(len(stream))
     )
     assert digest(stats) == GOLDEN["event", "hashjoin", "forced"]
-
-
-def test_event_tier_chunked_matches_golden():
-    """Queues, open rows and the admission clock carry across chunks."""
-    stream = decoded("hashjoin")
-    stats = HBMDevice(CONFIG).simulate_decoded(
-        chunks(stream, [5000, 1, 12_345, 999])
-    )
-    assert digest(stats) == GOLDEN["event", "hashjoin", "chunked"]
 
 
 @pytest.mark.parametrize("inflight", [1, 256])

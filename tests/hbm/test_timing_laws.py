@@ -1,0 +1,137 @@
+"""Closed-form timing laws of the event tier.
+
+Each law follows from the device DESIGN §3 describes and the timings
+:class:`~repro.hbm.config.HBMConfig` declares: a row miss holds its
+bank for ``t_miss = effective_t_row_miss_ns``, a row hit for
+``t_burst = effective_t_burst_ns``, and every transfer takes one
+``t_burst`` on its channel's data bus.  The expected makespan is
+written down before the run, from the config alone, so a timing model
+that breaks the declared geometry or timing fails here however well it
+agrees with the other tiers.
+
+The laws hold for every in-flight limit and FR-FCFS window unless
+stated, and are checked over bank counts, row-miss costs and frequency
+scales.  Every cost in the grid is a whole number of nanoseconds, so
+the sums are exact in floating point and compared with ``==``.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+import pytest
+
+from repro.hbm.config import HBMConfig, hbm2_config
+from repro.hbm.device import HBMDevice
+
+CONFIGS = [
+    hbm2_config(banks_per_channel=banks, t_row_miss_ns=t_miss).scaled(scale)
+    for banks, t_miss, scale in itertools.product(
+        (8, 16), (30.0, 45.0, 90.0), (1.0, 0.5, 0.25)
+    )
+]
+INFLIGHTS = (1, 3, 64, 255, 256)
+WINDOWS = (1, 8)
+#: Every (in-flight limit, window, request count) a law is run at.
+RUNS = list(itertools.product(INFLIGHTS, WINDOWS, (1, 5, 300)))
+
+
+def config_id(config: HBMConfig) -> str:
+    return (
+        f"b{config.banks_per_channel}-miss{config.t_row_miss_ns:g}"
+        f"-x{config.frequency_scale:g}"
+    )
+
+
+def addresses(config: HBMConfig, channel, bank, row, column) -> np.ndarray:
+    """Hardware addresses of the given fields in the config's layout."""
+    layout = config.layout()
+    ha = np.zeros(np.broadcast(channel, bank, row, column).shape, np.uint64)
+    for name, value in (
+        ("channel", channel),
+        ("bank", bank),
+        ("row", row),
+        ("column", column),
+    ):
+        field = np.asarray(value, dtype=np.uint64)
+        ha |= field << np.uint64(layout[name].shift)
+    return ha
+
+
+def columns(config: HBMConfig, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 1 << config.column_bits, n)
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=config_id)
+def test_one_row_costs_one_miss_then_bursts(config):
+    """n requests to one (channel, bank, row): the first opens the row,
+    every later one hits it, and each hit adds one burst to the bank
+    and the bus alike."""
+    t_burst = config.effective_t_burst_ns
+    t_miss = config.effective_t_row_miss_ns
+    for inflight, window, n in RUNS:
+        ha = addresses(
+            config, 5, config.banks_per_channel - 1, 77, columns(config, n, n)
+        )
+        device = HBMDevice(config, max_inflight=inflight, frfcfs_window=window)
+        stats = device.simulate(ha)
+        run = f"inflight={inflight} window={window} n={n}"
+        assert stats.requests == n, run
+        assert stats.row_hits == n - 1, run
+        assert stats.row_misses == 1, run
+        assert stats.makespan_ns == t_miss + (n - 1) * t_burst, run
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=config_id)
+def test_distinct_rows_in_one_bank_serialise_misses(config):
+    """n requests to one bank, each in a row of its own: every one is a
+    miss, and the bank serves them back to back."""
+    t_miss = config.effective_t_row_miss_ns
+    for inflight, window, n in RUNS:
+        rows = np.random.default_rng(n).permutation(config.rows_per_bank)[:n]
+        ha = addresses(config, 17, 2, rows, columns(config, n, n))
+        device = HBMDevice(config, max_inflight=inflight, frfcfs_window=window)
+        stats = device.simulate(ha)
+        run = f"inflight={inflight} window={window} n={n}"
+        assert stats.requests == n, run
+        assert stats.row_hits == 0, run
+        assert stats.makespan_ns == n * t_miss, run
+
+
+def expected_in_order(config: HBMConfig, channel, bank, row):
+    """Hits and makespan of in-order service, one request at a time: a
+    hit repeats its bank's previous row, and the next request starts
+    when this one is done."""
+    open_row: dict[tuple[int, int], int] = {}
+    hits = 0
+    for key, r in zip(zip(channel.tolist(), bank.tolist()), row.tolist()):
+        hits += open_row.get(key) == r
+        open_row[key] = r
+    misses = len(row) - hits
+    return hits, (
+        hits * config.effective_t_burst_ns
+        + misses * config.effective_t_row_miss_ns
+    )
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=config_id)
+@pytest.mark.parametrize("window", WINDOWS)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_one_in_flight_sums_the_service_costs(config, window, seed):
+    """At ``max_inflight=1`` requests are served one at a time, in trace
+    order, so the makespan is the sum of their bank costs: the bus is
+    never the later of the two constraints."""
+    rng = np.random.default_rng(seed)
+    n = 2000
+    channel = rng.integers(0, 3, n)
+    bank = rng.integers(0, 3, n)
+    row = rng.integers(0, 3, n)
+    ha = addresses(config, channel, bank, row, columns(config, n, seed))
+    device = HBMDevice(config, max_inflight=1, frfcfs_window=window)
+    stats = device.simulate(ha)
+    hits, makespan = expected_in_order(config, channel, bank, row)
+    assert stats.requests == n
+    assert stats.row_hits == hits
+    assert stats.makespan_ns == makespan

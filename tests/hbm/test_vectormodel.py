@@ -1,18 +1,12 @@
 """Tests for the vectorised ``"vector"`` fidelity tier.
 
-Two contracts matter here:
-
-1. **Streaming invariance** — chunking the decoded input any way at all
-   produces bit-identical stats (hypothesis property);
-2. **Event agreement where exactness is expected** — on per-bank
-   in-order traces (strides >= 4) the vector tier reproduces the event
-   device's makespan and hit counts exactly.
+The contract that matters here is **event agreement where exactness is
+expected**: on per-bank in-order traces (strides >= 4) the vector tier
+reproduces the event device's makespan and hit counts exactly.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.hbm import (
@@ -21,7 +15,7 @@ from repro.hbm import (
     create_backend,
     hbm2_config,
 )
-from repro.hbm.decode import DecodedTrace, concat_decoded, decode_trace
+from repro.hbm.decode import DecodedTrace, decode_trace
 from repro.hbm.device import HBMDevice
 from repro.hbm.stats import RemapTraffic, RunStats
 from repro.hbm.vectormodel import VectorModel
@@ -40,27 +34,6 @@ def _random_trace(n: int, seed: int = 0) -> np.ndarray:
 def _stride_trace(stride_lines: int, count: int = 2048) -> np.ndarray:
     pa = np.arange(count, dtype=np.uint64) * np.uint64(stride_lines * 64)
     return pa % np.uint64(CONFIG.total_bytes)
-
-
-def _chunked(decoded, sizes):
-    start = 0
-    for size in sizes:
-        yield DecodedSlice(decoded, start, start + size)
-        start += size
-    if start < len(decoded):
-        yield DecodedSlice(decoded, start, len(decoded))
-
-
-def DecodedSlice(decoded, lo, hi):
-    from repro.hbm.decode import DecodedTrace
-
-    return DecodedTrace(
-        channel=decoded.channel[lo:hi],
-        bank=decoded.bank[lo:hi],
-        row=decoded.row[lo:hi],
-        column=decoded.column[lo:hi],
-        global_bank=decoded.global_bank[lo:hi],
-    )
 
 
 def _assert_stats_identical(a: RunStats, b: RunStats):
@@ -89,10 +62,6 @@ class TestBasics:
         assert stats.requests == 0
         assert stats.makespan_ns == 0.0
 
-    def test_empty_chunk_stream(self):
-        stats = VectorModel(CONFIG).simulate_decoded(iter([]))
-        assert stats.requests == 0
-
     def test_invalid_params_rejected(self):
         with pytest.raises(SimulationError):
             VectorModel(CONFIG, max_inflight=0)
@@ -109,13 +78,6 @@ class TestBasics:
         )
         assert forced.row_hits == 0
         assert forced.makespan_ns > free.makespan_ns
-
-    def test_forced_miss_rejected_for_chunks(self):
-        decoded = decode_trace(_stride_trace(1, 64), CONFIG)
-        with pytest.raises(SimulationError, match="forced_miss"):
-            VectorModel(CONFIG).simulate_decoded(
-                iter([decoded]), forced_miss=np.ones(64, dtype=bool)
-            )
 
     def test_simulate_equals_simulate_decoded(self):
         ha = _random_trace(2048, seed=3)
@@ -154,40 +116,6 @@ class TestEventAgreement:
         event = HBMDevice(CONFIG).simulate(trace)
         ratio = vector.makespan_ns / event.makespan_ns
         assert 0.5 < ratio < 2.0
-
-
-class TestChunkInvariance:
-    @given(
-        sizes=st.lists(st.integers(min_value=1, max_value=700), max_size=8),
-        seed=st.integers(min_value=0, max_value=7),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_any_chunking_is_bit_identical(self, sizes, seed):
-        trace = _random_trace(1500, seed=seed)
-        decoded = decode_trace(trace, CONFIG)
-        model = VectorModel(CONFIG, block_accesses=256)
-        whole = model.simulate_decoded(decoded)
-        chunked = model.simulate_decoded(_chunked(decoded, sizes))
-        _assert_stats_identical(whole, chunked)
-
-    def test_device_chunked_equals_whole(self):
-        """The event reference also accepts chunked input, bit-identically."""
-        trace = _random_trace(3000, seed=11)
-        decoded = decode_trace(trace, CONFIG)
-        device = HBMDevice(CONFIG)
-        whole = device.simulate_decoded(decoded)
-        chunked = device.simulate_decoded(_chunked(decoded, [997, 512, 64]))
-        _assert_stats_identical(whole, chunked)
-
-    def test_fast_model_accepts_chunks(self):
-        from repro.hbm.fastmodel import WindowModel
-
-        trace = _random_trace(2048, seed=13)
-        decoded = decode_trace(trace, CONFIG)
-        model = WindowModel(CONFIG)
-        whole = model.simulate_decoded(decoded)
-        chunked = model.simulate_decoded(_chunked(decoded, [300, 1000]))
-        _assert_stats_identical(whole, chunked)
 
 
 class TestMergeLaws:
@@ -242,40 +170,3 @@ class TestMergeLaws:
         assert merged.lines_copied == 110
         assert merged.migration_ns == 55.0
         assert merged.overhead_ns == 55.0
-
-
-class TestStreamingDecode:
-    def test_iter_chunks_bit_identical(self):
-        from repro.core.mapping import identity_mapping
-        from repro.core.sdam import GlobalMappingTranslator
-        from repro.hbm.decode import decode_translated, iter_decoded_chunks
-
-        pa = _random_trace(5000, seed=4)
-        translator = GlobalMappingTranslator(
-            identity_mapping(CONFIG.layout().width)
-        )
-        whole = decode_translated(pa, translator, CONFIG)
-        rebuilt = concat_decoded(
-            iter_decoded_chunks(pa, translator, CONFIG, chunk_accesses=777)
-        )
-        np.testing.assert_array_equal(whole.channel, rebuilt.channel)
-        np.testing.assert_array_equal(whole.bank, rebuilt.bank)
-        np.testing.assert_array_equal(whole.row, rebuilt.row)
-        np.testing.assert_array_equal(whole.column, rebuilt.column)
-        np.testing.assert_array_equal(whole.global_bank, rebuilt.global_bank)
-
-    def test_chunk_accesses_validated(self):
-        from repro.core.mapping import identity_mapping
-        from repro.core.sdam import GlobalMappingTranslator
-        from repro.errors import MappingError
-        from repro.hbm.decode import iter_decoded_chunks
-
-        translator = GlobalMappingTranslator(
-            identity_mapping(CONFIG.layout().width)
-        )
-        with pytest.raises(MappingError, match="chunk_accesses"):
-            list(
-                iter_decoded_chunks(
-                    _random_trace(16), translator, CONFIG, chunk_accesses=0
-                )
-            )

@@ -130,6 +130,31 @@ class TestConstruction:
                 backend_options={"max_inflight": 8},
             )
 
+    @pytest.mark.parametrize("backend", ["fast", "tiered"])
+    def test_unknown_backend_option_rejected(self, backend):
+        # The tiered backend forwards what it does not take to its
+        # delegate (the fast tier by default), whose check names it.
+        with pytest.raises(
+            ConfigError, match="memory backend 'fast': .*'bogus'"
+        ):
+            Machine(
+                system_by_key("bs_dm"),
+                backend=backend,
+                backend_options={"bogus": 1},
+            )
+
+    def test_valid_tiered_options_construct_and_run(self):
+        machine = Machine(
+            system_by_key("bs_dm"),
+            backend="tiered",
+            backend_options={"policy": "smart", "fast_pages": 4},
+        )
+        result = machine.run(StridedCopyWorkload(accesses_per_thread=1200))
+        assert result.tier_traffic.slow_accesses > 0
+        assert result.stats.requests == (
+            result.tier_traffic.fast_accesses + result.tier_traffic.slow_accesses
+        )
+
     @pytest.mark.parametrize("system", ["bs_dm", None])
     def test_system_must_be_a_system_config(self, system):
         with pytest.raises(ConfigError, match="SystemConfig"):

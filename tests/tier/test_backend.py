@@ -6,8 +6,8 @@ disabled — fast capacity covers the whole footprint, the default
 to the delegate fast-tier backend on every system family.  Under
 pressure, the split must still conserve the exact ``RunStats``
 invariants every backend obeys (requests = hits + misses, per-channel
-counts sum to requests), and degenerate streams (empty trace,
-zero-length chunks, single request) must flow through every policy.
+counts sum to requests), and degenerate streams (empty trace, single
+request) must flow through every policy.
 """
 
 import json
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError
 from repro.hbm.backend import create_backend
 from repro.hbm.decode import decode_trace
 from repro.hbm import hbm2_config
@@ -100,20 +100,6 @@ class TestPressureAccounting:
         assert traffic.swap_waves == 8
         assert backend.placement.check_invariants() == []
 
-    def test_chunked_equals_whole_trace(self):
-        ha = _trace(6144, seed=2)
-        whole = TieredBackend(
-            CONFIG, policy="smart", fast_pages=64, wave_accesses=512
-        ).simulate_decoded(decode_trace(ha, CONFIG))
-        pieces = [
-            decode_trace(chunk, CONFIG)
-            for chunk in np.array_split(ha, 5)
-        ]
-        chunked = TieredBackend(
-            CONFIG, policy="smart", fast_pages=64, wave_accesses=512
-        ).simulate_decoded(iter(pieces))
-        _assert_stats_equal(whole, chunked)
-
     def test_all_slow_baseline_times_everything_slow(self):
         ha = _trace(2048, seed=4)
         backend = TieredBackend(CONFIG, policy="slow", fast_pages=0)
@@ -124,15 +110,6 @@ class TestPressureAccounting:
         assert stats.row_hits == 0
         assert stats.row_misses == 2048
         assert stats.makespan_ns >= backend.tier.slow.service_ns(2048)
-
-    def test_forced_miss_rejected_for_chunks_under_pressure(self):
-        ha = _trace(1024)
-        pieces = [decode_trace(chunk, CONFIG) for chunk in np.array_split(ha, 2)]
-        backend = TieredBackend(CONFIG, fast_pages=16)
-        with pytest.raises(SimulationError, match="whole DecodedTrace"):
-            backend.simulate_decoded(
-                iter(pieces), forced_miss=np.zeros(1024, dtype=bool)
-            )
 
 
 class TestDegenerateStreams:
@@ -147,17 +124,6 @@ class TestDegenerateStreams:
         assert backend.last_traffic.accesses == 0
 
     @pytest.mark.parametrize("policy", available_policies())
-    def test_zero_length_chunks(self, policy):
-        empty = decode_trace(np.zeros(0, dtype=np.uint64), CONFIG)
-        data = decode_trace(_trace(256, seed=6), CONFIG)
-        backend = TieredBackend(
-            CONFIG, policy=policy, fast_pages=8, wave_accesses=64
-        )
-        stats = backend.simulate_decoded(iter([empty, data, empty]))
-        assert stats.requests == 256
-        assert stats.row_hits + stats.row_misses == 256
-
-    @pytest.mark.parametrize("policy", available_policies())
     def test_single_request(self, policy):
         backend = TieredBackend(
             CONFIG, policy=policy, fast_pages=1, wave_accesses=64
@@ -168,14 +134,6 @@ class TestDegenerateStreams:
         assert stats.requests == 1
         assert backend.last_traffic.fast_accesses == 1
         assert backend.placement.check_invariants() == []
-
-    @pytest.mark.parametrize("policy", available_policies())
-    def test_empty_chunk_list(self, policy):
-        backend = TieredBackend(
-            CONFIG, policy=policy, fast_pages=8, wave_accesses=64
-        )
-        stats = backend.simulate_decoded(iter([]))
-        assert stats.requests == 0
 
 
 class TestRetirement:

@@ -6,11 +6,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.tier.config import TierConfig
 from repro.tier.placement import TierPlacement
-from repro.tier.policies import (
-    SmartSwap,
-    available_policies,
-    create_policy,
-)
+from repro.tier.policies import available_policies, create_policy
 
 CONFIG = TierConfig(fast_pages=4, wave_accesses=64)
 
@@ -99,9 +95,3 @@ class TestSmartSwap:
         assert order.index(2) < order.index(0)
         assert order.index(3) < order.index(0)
         assert order.index(1) < order.index(0)
-
-    def test_invalid_knobs_rejected(self):
-        with pytest.raises(ConfigError, match="hysteresis"):
-            SmartSwap(CONFIG, hysteresis=0.5)
-        with pytest.raises(ConfigError, match="reuse_horizon"):
-            SmartSwap(CONFIG, reuse_horizon=0.0)

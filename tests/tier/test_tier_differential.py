@@ -99,7 +99,6 @@ calls = st.lists(
         st.integers(1, 96),  # page universe
         st.sampled_from(["uniform", "skewed", "scan", "hammer"]),
         st.lists(st.integers(0, 96), max_size=3),  # pages retired first
-        st.booleans(),  # feed the stream in chunks
     ),
     min_size=1,
     max_size=3,
@@ -135,19 +134,14 @@ def test_matches_oracle_bit_for_bit(policy, fast_pages, wave, budget, trans, cal
             **options,
         )
         sides.append((backend, waves))
-    for seed, count, universe, shape, retire, chunked in calls:
+    for seed, count, universe, shape, retire in calls:
         ha = page_stream(seed, count, universe, shape)
         results = []
         for backend, waves in sides:
             for page in retire:
                 backend.retire_page(page)
             waves.clear()
-            stream = (
-                iter([decode_trace(c, CONFIG) for c in np.array_split(ha, 3)])
-                if chunked
-                else decode_trace(ha, CONFIG)
-            )
-            stats = backend.simulate_decoded(stream)
+            stats = backend.simulate_decoded(decode_trace(ha, CONFIG))
             results.append(
                 (json.dumps(stats.to_dict(), sort_keys=True), state(backend, waves))
             )

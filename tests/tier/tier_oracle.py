@@ -31,7 +31,6 @@ from repro.errors import ConfigError, ProfilingError
 from repro.hbm.backend import create_backend
 from repro.hbm.decode import (
     DecodedTrace,
-    concat_decoded,
     decode_trace,
     forced_miss_mask,
 )
@@ -367,11 +366,7 @@ class TieredBackend:
             traffic.fast_accesses = stats.requests
             return stats
         forced_miss = forced_miss_mask(decoded, forced_miss)
-        full = (
-            decoded
-            if isinstance(decoded, DecodedTrace)
-            else concat_decoded(list(decoded))
-        )
+        full = decoded
         n = len(full)
         ha, pages = self._pages_of(full)
         fast_mask = np.ones(n, dtype=bool)
