@@ -122,8 +122,9 @@ class Session:
         :class:`~repro.errors.ConfigError`.
     machine_kwargs:
         Platform configuration forwarded to every
-        :class:`~repro.system.machine.Machine` (``hbm``, ``geometry``,
-        ``engine``, ``cores``, ``dl_config``, ...).
+        :class:`~repro.system.machine.Machine` (``hbm``, ``engine``,
+        ``backend``, ``backend_options``, ``dl_config``, ...); every
+        one is part of each cached entry's key.
     """
 
     def __init__(

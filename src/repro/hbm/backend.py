@@ -20,7 +20,7 @@ from __future__ import annotations
 import inspect
 from typing import Callable, Protocol, runtime_checkable
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.hbm.config import HBMConfig
 from repro.hbm.decode import DecodedTrace
 from repro.hbm.stats import RunStats
@@ -94,6 +94,8 @@ def create_backend(name: str, config: HBMConfig, **kwargs) -> MemoryBackend:
     :class:`~repro.errors.ConfigError` naming the backend and the
     option.  (A factory taking ``**options``, such as ``"tiered"``,
     checks what it forwards through its own :func:`create_backend`.)
+    An option value the backend rejects (its
+    :class:`~repro.errors.SimulationError`) raises ``ConfigError`` too.
     """
     try:
         factory = _REGISTRY[name]
@@ -106,7 +108,10 @@ def create_backend(name: str, config: HBMConfig, **kwargs) -> MemoryBackend:
         inspect.signature(factory).bind(config, **kwargs)
     except TypeError as exc:
         raise ConfigError(f"memory backend {name!r}: {exc}") from None
-    return factory(config, **kwargs)
+    try:
+        return factory(config, **kwargs)
+    except SimulationError as exc:
+        raise ConfigError(f"memory backend {name!r}: {exc}") from exc
 
 
 def _tiered_factory(config: HBMConfig, **kwargs) -> MemoryBackend:

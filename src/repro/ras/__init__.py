@@ -1,10 +1,9 @@
 """Device-level RAS: inject modeled-hardware faults, detect, repair.
 
-The package extends the deterministic fault machinery of
-:mod:`repro.faults` into the device model.  A seeded
-:class:`DeviceFaultPlan` injects stuck rows, dead banks, lost channels,
-CMT bit flips and AMU misprogramming into a live
-:class:`~repro.ras.campaign.RASMachine`; the :class:`RASController`
+The ``device.*`` fault sites of :mod:`repro.ras.faults` name the
+modeled-hardware failures.  A seeded :class:`DeviceFaultPlan` injects
+stuck rows, dead banks, lost channels, CMT bit flips and AMU
+misprogramming into a live :class:`~repro.ras.campaign.RASMachine`; the :class:`RASController`
 detects them (ECC topology, CMT shadow compare, translation spot
 checks) and repairs by software-defined remapping — composing a
 replacement window permutation whose preimage of the faulty region is

@@ -33,13 +33,6 @@ from repro.core.chunks import ChunkGeometry
 from repro.core.keys import stable_hash
 from repro.core.sdam import SDAMController
 from repro.errors import CMTError, MappingError, RASError
-from repro.faults.sites import (
-    DEVICE_AMU_MISPROGRAM,
-    DEVICE_CMT_FLIP,
-    DEVICE_HBM_BANK,
-    DEVICE_HBM_CHANNEL,
-    DEVICE_HBM_ROW,
-)
 from repro.hbm.config import HBMConfig
 from repro.hbm.decode import decode_trace
 from repro.hbm.backend import create_backend
@@ -47,7 +40,15 @@ from repro.hbm.stats import DeviceHealth
 from repro.mem.kernel import Kernel
 from repro.mem.migration import ChunkMigrator
 from repro.ras.controller import RASController, RASReport
-from repro.ras.faults import DeviceFaultPlan, DeviceFaultSpec
+from repro.ras.faults import (
+    DEVICE_AMU_MISPROGRAM,
+    DEVICE_CMT_FLIP,
+    DEVICE_HBM_BANK,
+    DEVICE_HBM_CHANNEL,
+    DEVICE_HBM_ROW,
+    DeviceFaultPlan,
+    DeviceFaultSpec,
+)
 from repro.ras.storage import DeviceStorage
 
 __all__ = [

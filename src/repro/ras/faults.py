@@ -1,36 +1,75 @@
-"""Device fault specifications: what breaks, where, and when.
+"""Device fault sites and specifications: what breaks, where, and when.
 
-The ``device.*`` site family of :mod:`repro.faults.sites` names the
-modeled-hardware failure modes; a :class:`DeviceFaultSpec` pins one of
-them to concrete coordinates (channel/bank/row, CMT word, mapping
-index) and an access-count trigger point.  A :class:`DeviceFaultPlan`
-is consumed by :class:`~repro.ras.campaign.RASMachine`, which injects
-each spec exactly once when the machine's cumulative access counter
-passes the trigger.
+A *fault site* is a stable string naming one modeled-hardware failure:
+
+``device.hbm.row`` / ``device.hbm.bank`` / ``device.hbm.channel``
+    A stuck DRAM row, a dead bank, a lost channel.  Accesses landing on
+    the failed region return ECC errors; writes are dropped.
+
+``device.cmt.flip``
+    An SRAM bit upset in the CMT: either a first-level chunk entry
+    (chunk silently rebinds to another — or an unknown — mapping) or a
+    second-level configuration lane (the stored permutation corrupts).
+
+``device.amu.misprogram``
+    The AMU crossbar applies a *valid but wrong* permutation for one
+    mapping index while the CMT SRAM stays correct — the failure a
+    shadow compare cannot see and only translation spot checks catch.
+
+Site patterns are ``fnmatch`` globs, so ``device.hbm.*`` covers a
+family; :func:`matches_known_site` tells whether a pattern can ever
+fire.  A :class:`DeviceFaultSpec` pins one site to concrete coordinates
+(channel/bank/row, CMT word, mapping index) and an access-count trigger
+point.  A :class:`DeviceFaultPlan` is consumed by
+:class:`~repro.ras.campaign.RASMachine`, which injects each spec exactly
+once when the machine's cumulative access counter passes the trigger.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fnmatch import fnmatch
 
 import numpy as np
 
 from repro.core.chunks import ChunkGeometry
 from repro.errors import DeviceFaultError
-from repro.faults.sites import (
-    DEVICE_AMU_MISPROGRAM,
-    DEVICE_CMT_FLIP,
-    DEVICE_HBM_BANK,
-    DEVICE_HBM_CHANNEL,
-    DEVICE_HBM_ROW,
-    DEVICE_SITES,
-)
 from repro.hbm.config import HBMConfig
 
-__all__ = ["DeviceFaultPlan", "DeviceFaultSpec"]
+__all__ = [
+    "DEVICE_AMU_MISPROGRAM",
+    "DEVICE_CMT_FLIP",
+    "DEVICE_HBM_BANK",
+    "DEVICE_HBM_CHANNEL",
+    "DEVICE_HBM_ROW",
+    "DEVICE_SITES",
+    "DeviceFaultPlan",
+    "DeviceFaultSpec",
+    "matches_known_site",
+]
+
+DEVICE_HBM_ROW = "device.hbm.row"
+DEVICE_HBM_BANK = "device.hbm.bank"
+DEVICE_HBM_CHANNEL = "device.hbm.channel"
+DEVICE_CMT_FLIP = "device.cmt.flip"
+DEVICE_AMU_MISPROGRAM = "device.amu.misprogram"
+
+#: Modeled-hardware sites a DeviceFaultPlan can act on.
+DEVICE_SITES = (
+    DEVICE_HBM_ROW,
+    DEVICE_HBM_BANK,
+    DEVICE_HBM_CHANNEL,
+    DEVICE_CMT_FLIP,
+    DEVICE_AMU_MISPROGRAM,
+)
 
 #: Sites describing physical (channel/bank/row) damage.
 PHYSICAL_SITES = (DEVICE_HBM_ROW, DEVICE_HBM_BANK, DEVICE_HBM_CHANNEL)
+
+
+def matches_known_site(pattern: str) -> bool:
+    """Whether a site pattern can ever match a real injection point."""
+    return any(fnmatch(site, pattern) for site in DEVICE_SITES)
 
 
 @dataclass(frozen=True)

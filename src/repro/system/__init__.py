@@ -19,14 +19,11 @@ __getattr__, __dir__ = lazy_exports(
         "ExperimentRunner": ("repro.system.runner", "ExperimentRunner"),
         "StageMetrics": ("repro.system.runner", "StageMetrics"),
         "SuiteResult": ("repro.system.runner", "SuiteResult"),
-        "MachineParams": ("repro.system.stages", "MachineParams"),
         "StageStore": ("repro.system.tracefile", "StageStore"),
         "load_profile": ("repro.system.tracefile", "load_profile"),
         "load_selection": ("repro.system.tracefile", "load_selection"),
-        "load_trace": ("repro.system.tracefile", "load_trace"),
         "save_profile": ("repro.system.tracefile", "save_profile"),
         "save_selection": ("repro.system.tracefile", "save_selection"),
-        "save_trace": ("repro.system.tracefile", "save_trace"),
     },
 )
 
@@ -37,7 +34,6 @@ __all__ = [
     "ExperimentRunner",
     "ExternalSummary",
     "Machine",
-    "MachineParams",
     "MachineResult",
     "SpeedupTable",
     "StageMetrics",
@@ -50,10 +46,8 @@ __all__ = [
     "frequency_sweep",
     "load_profile",
     "load_selection",
-    "load_trace",
     "save_profile",
     "save_selection",
-    "save_trace",
     "run_suite",
     "standard_systems",
     "system_by_key",

@@ -1,20 +1,34 @@
 """Parallel, cached experiment execution engine.
 
-:class:`ExperimentRunner` turns a (workloads x systems) sweep into the
-stage DAG of :mod:`repro.system.stages`, memoises every stage output —
-in memory for the lifetime of the runner and on disk through a
+:class:`ExperimentRunner` turns a (workloads x systems) sweep into a
+small DAG of stages, each a call on a
+:class:`~repro.system.machine.Machine` built from the caller's keyword
+arguments:
+
+.. code-block:: text
+
+    workload ──> profile ──┬──> selection ──> run ──> result
+                           └──> suite mix ─────┘
+
+It memoises every stage output — in memory for the lifetime of the
+runner and on disk through a
 :class:`~repro.system.tracefile.StageStore` — and, given more than one
 worker, maps the remaining independent stages over a
 ``ProcessPoolExecutor``:
 
 1. *Plan*: compute every cell's result key; cells whose result is
    already cached are done without touching a worker.
-2. *Profile*: the unique profiling stages the remaining cells need
-   (one per workload, shared by every system) run first.
+2. *Profile*: the unique ``Machine.profile`` calls the remaining cells
+   need (one per workload, shared by every system) run first.
 3. *Evaluate*: the remaining cells run, each computing (or receiving)
-   its mapping selection and simulating the memory system.  Results
+   its ``Machine.select`` output and calling ``Machine.run``.  Results
    come back as serialised dicts, so parallel, serial and cached cells
    are exactly interchangeable.
+
+A stage key hashes the workload spec, the seeds, every ``Machine``
+argument (bound against ``Machine``'s own signature with defaults
+applied, so a new argument is keyed without being listed here) and
+:func:`source_digest`, so an entry written by other code is never read.
 
 Results are returned in deterministic (workload-major) order.  A stage
 that raises is recorded as a :class:`CellError` on every cell that
@@ -25,9 +39,13 @@ breaks the pool, and that error propagates out of
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import inspect
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 from repro.core.keys import stable_hash
 from repro.core.selection import MappingSelection
@@ -36,17 +54,8 @@ from repro.ledger import SUM, Ledger, key
 from repro.profiling.profiler import WorkloadProfile
 from repro.system.config import SystemConfig, standard_systems
 from repro.system.experiment import SpeedupTable
-from repro.system.machine import MachineResult
-from repro.system.stages import (
-    MachineParams,
-    build_mix_profile,
-    evaluate_cache_key,
-    evaluate_stage,
-    profile_cache_key,
-    profile_stage,
-    selection_cache_key,
-    selection_stage,
-)
+from repro.system.machine import Machine, MachineResult
+from repro.system.stages import build_mix_profile
 from repro.system.tracefile import StageStore
 from repro.workloads.base import Workload
 
@@ -155,6 +164,52 @@ class SuiteResult:
 
 
 # ---------------------------------------------------------------------------
+# Stage keys
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def source_digest() -> str:
+    """sha256 of the ``repro`` package's own ``.py`` sources.
+
+    Computed once per process, on the first key, over every source file
+    in sorted relative-path order.  Every stage key includes it, so a
+    cached entry is only ever read by the code that wrote it.
+    """
+    root = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for path in sorted(
+        root.rglob("*.py"), key=lambda p: p.relative_to(root).as_posix()
+    ):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\x00")
+        digest.update(path.read_bytes() + b"\x00")
+    return digest.hexdigest()
+
+
+_MACHINE = inspect.signature(Machine)
+
+#: ``Machine`` arguments only the timing backend reads; profiles and
+#: selections are shared across them.
+_BACKEND_ONLY = ("backend", "backend_options")
+
+
+def _machine_args(system: SystemConfig, machine_kwargs: dict) -> dict:
+    """Every ``Machine`` argument of one cell, defaults applied."""
+    try:
+        bound = _MACHINE.bind(system, **machine_kwargs)
+    except TypeError as exc:
+        raise ConfigError(f"Machine: {exc}") from None
+    bound.apply_defaults()
+    return dict(bound.arguments)
+
+
+def _stage_key(stage: str, args: dict, *parts, drop=()) -> str:
+    """Content hash of a stage: its ``Machine`` arguments (minus
+    ``drop``), the extra ``parts`` and the source digest."""
+    kept = {name: value for name, value in args.items() if name not in drop}
+    return stable_hash(stage, source_digest(), kept, *parts)
+
+
+# ---------------------------------------------------------------------------
 # Worker-side tasks (module-level and picklable)
 # ---------------------------------------------------------------------------
 
@@ -170,7 +225,7 @@ def _uses_mix(system: SystemConfig) -> bool:
 @dataclass(frozen=True)
 class _ProfileTask:
     key: str
-    params: MachineParams
+    args: dict
     workload: Workload
     input_seed: int
     cache_dir: str | None
@@ -179,7 +234,7 @@ class _ProfileTask:
 @dataclass(frozen=True)
 class _CellTask:
     index: int
-    params: MachineParams
+    args: dict
     workload: Workload
     profile_seed: int
     eval_seed: int
@@ -208,7 +263,9 @@ def _run_profile_task(
     raised.
     """
     try:
-        profile = profile_stage(task.params, task.workload, task.input_seed)
+        profile = Machine(**task.args).profile(
+            task.workload, input_seed=task.input_seed
+        )
     except Exception as exc:  # noqa: BLE001 — recorded on dependent cells
         return None, _describe(exc)
     if task.cache_dir:
@@ -222,20 +279,20 @@ def _run_cell_task(task: _CellTask) -> _CellOutcome:
     outcome = _CellOutcome(task.index)
     stage = "selection"
     try:
+        machine = Machine(**task.args)
         selection = task.selection
-        if task.params.system.sdam and selection is None:
+        if machine.system.sdam and selection is None:
             start = time.perf_counter()
-            selection = selection_stage(task.params, task.profile)
+            selection = machine.select(task.profile)
             outcome.timings["selection"] = time.perf_counter() - start
             if store is not None:
                 store.store("selection", task.selection_key, selection)
         stage = "evaluate"
         start = time.perf_counter()
-        result = evaluate_stage(
-            task.params,
+        result = machine.run(
             task.workload,
-            task.profile_seed,
-            task.eval_seed,
+            profile_seed=task.profile_seed,
+            eval_seed=task.eval_seed,
             mix_profile=task.mix_profile,
             profile=task.profile,
             selection=selection,
@@ -297,7 +354,7 @@ class ExperimentRunner:
     def _ensure_profiles(
         self,
         wanted: dict[str, Workload],
-        params: MachineParams,
+        args: dict,
         input_seed: int,
         metrics: StageMetrics,
     ) -> tuple[dict[str, WorkloadProfile], dict[str, str]]:
@@ -314,7 +371,7 @@ class ExperimentRunner:
                 metrics.cache_misses += 1
                 missing.append(
                     _ProfileTask(
-                        pkey, params, workload, input_seed, self.cache_dir
+                        pkey, args, workload, input_seed, self.cache_dir
                     )
                 )
         if not missing:
@@ -340,8 +397,10 @@ class ExperimentRunner:
     ) -> SuiteResult:
         """Run every workload under every system, cached and parallel.
 
-        Speedups are reported against the first system in ``systems``
-        (``BS+DM`` in the standard set), matching
+        ``machine_kwargs`` are ``Machine``'s keyword arguments; a bad
+        one raises :class:`~repro.errors.ConfigError` before any stage
+        runs.  Speedups are reported against the first system in
+        ``systems`` (``BS+DM`` in the standard set), matching
         :func:`repro.system.experiment.run_suite`.
         """
         sweep_start = time.perf_counter()
@@ -350,10 +409,17 @@ class ExperimentRunner:
             raise ConfigError("no workloads given")
         if not systems:
             raise ConfigError("no systems given")
-        base = MachineParams.from_kwargs(systems[0], **machine_kwargs)
+        system_args = [_machine_args(s, machine_kwargs) for s in systems]
+        Machine(**system_args[0])  # checks every platform and backend option
         metrics = {stage: StageMetrics(stage) for stage in STAGES}
         profile_keys = {
-            workload.name: profile_cache_key(base, workload, profile_seed)
+            workload.name: _stage_key(
+                "profile",
+                system_args[0],
+                workload.spec_dict(),
+                profile_seed,
+                drop=("system", *_BACKEND_ONLY),
+            )
             for workload in workloads
         }
         mix_key = stable_hash(
@@ -361,27 +427,30 @@ class ExperimentRunner:
         )
 
         # Plan: resolve every cell to a cached result or a pending cell.
-        cells: list[tuple[Workload, SystemConfig, MachineParams, str]] = []
+        cells: list[tuple[Workload, SystemConfig, dict, str]] = []
         results: dict[int, dict] = {}
         pending: list[int] = []
-        for index, (workload, system) in enumerate(
-            (w, s) for w in workloads for s in systems
+        for index, (workload, (system, args)) in enumerate(
+            (w, s) for w in workloads for s in zip(systems, system_args)
         ):
-            params = base.with_system(system)
-            result_key = evaluate_cache_key(
-                params,
-                workload,
+            result_key = _stage_key(
+                "result",
+                args,
+                workload.spec_dict(),
                 profile_seed,
                 eval_seed,
                 mix_key if _uses_mix(system) else None,
             )
-            cells.append((workload, system, params, result_key))
+            cells.append((workload, system, args, result_key))
             cached = self._cached("result", result_key)
             if cached is not None:
                 metrics["evaluate"].cache_hits += 1
                 results[index] = cached
             else:
                 pending.append(index)
+
+        def selection_key(args: dict, pkey: str) -> str:
+            return _stage_key("selection", args, pkey, drop=_BACKEND_ONLY)
 
         # Profile: one stage per workload, shared by every system.
         needs_mix = any(_uses_mix(cells[index][1]) for index in pending)
@@ -391,15 +460,14 @@ class ExperimentRunner:
             for workload in workloads:
                 wanted[profile_keys[workload.name]] = workload
         for index in pending:
-            workload, system, params, _key = cells[index]
+            workload, system, args, _key = cells[index]
             pkey = profile_keys[workload.name]
             if system.sdam and (
-                self._cached("selection", selection_cache_key(params, pkey))
-                is None
+                self._cached("selection", selection_key(args, pkey)) is None
             ):
                 wanted[pkey] = workload
         profiles, failures = self._ensure_profiles(
-            wanted, base, profile_seed, metrics["profile"]
+            wanted, system_args[0], profile_seed, metrics["profile"]
         )
 
         mix_profile: WorkloadProfile | None = None
@@ -425,11 +493,11 @@ class ExperimentRunner:
         errors: dict[int, CellError] = {}
         tasks: list[_CellTask] = []
         for index in pending:
-            workload, system, params, result_key = cells[index]
+            workload, system, args, result_key = cells[index]
             pkey = profile_keys[workload.name]
             skey = selection = None
             if system.sdam:
-                skey = selection_cache_key(params, pkey)
+                skey = selection_key(args, pkey)
                 selection = self._cached("selection", skey)
                 if selection is None:
                     metrics["selection"].cache_misses += 1
@@ -438,7 +506,8 @@ class ExperimentRunner:
             if system.sdam and selection is None:
                 failure = failures.get(pkey)
             elif _uses_mix(system):
-                failure = mix_error
+                # A cell whose own profile failed reports that failure.
+                failure = failures.get(pkey, mix_error)
             else:
                 failure = None
             if failure is not None:
@@ -449,7 +518,7 @@ class ExperimentRunner:
             tasks.append(
                 _CellTask(
                     index=index,
-                    params=params,
+                    args=args,
                     workload=workload,
                     profile_seed=profile_seed,
                     eval_seed=eval_seed,
@@ -463,7 +532,7 @@ class ExperimentRunner:
             )
 
         for outcome in self._map(_run_cell_task, tasks):
-            workload, system, _params, result_key = cells[outcome.index]
+            workload, system, _args, result_key = cells[outcome.index]
             for stage, seconds in outcome.timings.items():
                 metrics[stage].wall_seconds += seconds
             if outcome.error is not None:
@@ -501,60 +570,21 @@ class ExperimentRunner:
     ) -> MachineResult:
         """One (workload, system) cell, cached; raises on failure.
 
-        Unlike :meth:`run_suite`, a ``BS+BSM`` cell run alone uses the
-        workload's *own* profile as the mix (exactly what
-        ``Machine.run`` does without a suite context).
+        The one-cell case of :meth:`run_suite`: a ``BS+BSM`` cell's
+        suite mix is then the workload's own profile, exactly what
+        ``Machine.run`` uses without a suite context.
         """
-        params = MachineParams.from_kwargs(system, **machine_kwargs)
-        pkey = profile_cache_key(params, workload, profile_seed)
-        result_key = evaluate_cache_key(
-            params,
-            workload,
-            profile_seed,
-            eval_seed,
-            stable_hash("self-mix", pkey) if _uses_mix(system) else None,
+        suite = self.run_suite(
+            [workload],
+            [system],
+            profile_seed=profile_seed,
+            eval_seed=eval_seed,
+            **machine_kwargs,
         )
-        cached = self._cached("result", result_key)
-        if cached is not None:
-            return MachineResult.from_dict(cached)
-        profile = selection = skey = None
-        if system.needs_profiling:
-            profile = self._cached("profile", pkey)
-            if profile is None:
-                profile, message = _run_profile_task(
-                    _ProfileTask(
-                        pkey, params, workload, profile_seed, self.cache_dir
-                    )
-                )
-                if message is not None:
-                    raise ConfigError(
-                        f"{workload.name} on {system.key} failed in "
-                        f"profile: {message}"
-                    )
-                self._memo["profile"][pkey] = profile
-            if system.sdam:
-                skey = selection_cache_key(params, pkey)
-                selection = self._cached("selection", skey)
-        outcome = _run_cell_task(
-            _CellTask(
-                index=0,
-                params=params,
-                workload=workload,
-                profile_seed=profile_seed,
-                eval_seed=eval_seed,
-                result_key=result_key,
-                selection_key=skey,
-                profile=profile,
-                selection=selection,
-                mix_profile=profile if _uses_mix(system) else None,
-                cache_dir=self.cache_dir,
-            )
-        )
-        if outcome.error is not None:
-            stage, message = outcome.error
+        if suite.errors:
+            error = suite.errors[0]
             raise ConfigError(
-                f"{workload.name} on {system.key} failed in {stage}: "
-                f"{message}"
+                f"{workload.name} on {system.key} failed in "
+                f"{error.stage}: {error.message}"
             )
-        self._memo["result"][result_key] = outcome.result
-        return MachineResult.from_dict(outcome.result)
+        return suite.table.results[workload.name][system.label]

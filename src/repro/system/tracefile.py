@@ -1,10 +1,10 @@
-"""Trace and profile persistence (npz archives).
+"""Profile and selection persistence (npz archives).
 
 The paper's profiling is offline and reused across runs of the same
 program ("the profiling result can be reused across variations of the
 program as long as the data structure and memory allocation site do
-not change", Section 6.2).  These helpers store external traces and
-per-variable profiles on disk so a profiling pass can be decoupled
+not change", Section 6.2).  These helpers store per-variable profiles
+and mapping selections on disk so a profiling pass can be decoupled
 from the evaluation runs that consume it.
 
 :class:`StageStore` is the content-addressed cache the experiment
@@ -24,48 +24,19 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.selection import MappingSelection
-from repro.cpu.trace import AccessTrace
 from repro.errors import ProfilingError
 from repro.profiling.profiler import VariableProfile, WorkloadProfile
 
 __all__ = [
     "StageStore",
-    "save_trace",
-    "load_trace",
     "save_profile",
     "load_profile",
     "save_selection",
     "load_selection",
 ]
 
-TRACE_FORMAT = 1
 PROFILE_FORMAT = 1
 SELECTION_FORMAT = 1
-
-
-def save_trace(path: str | Path, trace: AccessTrace) -> Path:
-    """Write an access trace to an ``.npz`` archive."""
-    path = Path(path)
-    np.savez_compressed(
-        path,
-        format=np.int64(TRACE_FORMAT),
-        va=trace.va,
-        is_write=trace.is_write,
-        variable=trace.variable,
-    )
-    return path if path.suffix == ".npz" else path.with_suffix(".npz")
-
-
-def load_trace(path: str | Path) -> AccessTrace:
-    """Read an access trace written by :func:`save_trace`."""
-    with np.load(Path(path)) as archive:
-        if int(archive["format"]) != TRACE_FORMAT:
-            raise ProfilingError("unsupported trace file format")
-        return AccessTrace(
-            va=archive["va"],
-            is_write=archive["is_write"],
-            variable=archive["variable"],
-        )
 
 
 def save_profile(path: str | Path, profile: WorkloadProfile) -> Path:
@@ -186,7 +157,7 @@ class StageStore:
 
     Each stage output lives in ``root/<kind>/<key>.<ext>`` where
     ``key`` is the content hash of everything that determines the
-    output (see :mod:`repro.system.stages`).  Identical stages are
+    output (see :mod:`repro.system.runner`).  Identical stages are
     therefore computed once and shared across systems, sweeps and
     process restarts; changing any input yields a new key, so stale
     entries are never *read* (invalidation is by construction — old

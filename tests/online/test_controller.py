@@ -6,7 +6,7 @@ import pytest
 from repro.core.chunks import ChunkGeometry
 from repro.core.sdam import SDAMController
 from repro.errors import DeviceFaultError, ProfilingError
-from repro.faults.sites import DEVICE_HBM_BANK
+from repro.ras.faults import DEVICE_HBM_BANK
 from repro.hbm.config import hbm2_config
 from repro.mem.kernel import Kernel
 from repro.mem.malloc import MappingAwareAllocator

@@ -10,14 +10,13 @@ import numpy as np
 import pytest
 
 from repro.core.chunks import ChunkGeometry
-from repro.faults.sites import DEVICE_HBM_ROW
 from repro.ras.campaign import (
     ALL_KINDS,
     RASMachine,
     run_campaign,
     small_ras_config,
 )
-from repro.ras.faults import DeviceFaultSpec
+from repro.ras.faults import DEVICE_HBM_ROW, DeviceFaultSpec
 
 
 class TestAcceptance:

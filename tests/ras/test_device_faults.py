@@ -4,17 +4,18 @@ import pytest
 
 from repro.core.chunks import ChunkGeometry
 from repro.errors import DeviceFaultError
-from repro.faults.sites import (
+from repro.ras.faults import (
     DEVICE_AMU_MISPROGRAM,
     DEVICE_CMT_FLIP,
     DEVICE_HBM_BANK,
     DEVICE_HBM_CHANNEL,
     DEVICE_HBM_ROW,
     DEVICE_SITES,
+    DeviceFaultPlan,
+    DeviceFaultSpec,
     matches_known_site,
 )
 from repro.ras.campaign import small_ras_config
-from repro.ras.faults import DeviceFaultPlan, DeviceFaultSpec
 
 
 class TestSiteRegistry:

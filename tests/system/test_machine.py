@@ -143,6 +143,29 @@ class TestConstruction:
                 backend_options={"bogus": 1},
             )
 
+    @pytest.mark.parametrize(
+        "backend, options",
+        [
+            ("fast", {"reorder_window": 0}),
+            ("vector", {"block_accesses": 0}),
+            ("event", {"frfcfs_window": 1.5}),
+            ("tiered", {"reorder_window": 0}),
+        ],
+        ids=["fast", "vector", "event", "tiered"],
+    )
+    def test_bad_backend_option_value_rejected(self, backend, options):
+        # The tier's own check (a SimulationError) surfaces as the same
+        # ConfigError class as an unknown option.
+        (option,) = options
+        with pytest.raises(
+            ConfigError, match=f"memory backend '.*': {option} must be"
+        ):
+            Machine(
+                system_by_key("bs_dm"),
+                backend=backend,
+                backend_options=options,
+            )
+
     def test_valid_tiered_options_construct_and_run(self):
         machine = Machine(
             system_by_key("bs_dm"),

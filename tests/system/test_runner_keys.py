@@ -1,0 +1,183 @@
+"""Every sweep entry forwards all of ``Machine``'s arguments, keys them,
+and keys the package source.
+
+The runner binds its keyword arguments against ``Machine``'s own
+signature, so an argument such as ``backend_options`` reaches every
+cell and every stage key without the runner listing it; and every key
+carries a digest of the package sources, so an entry written by other
+code is never read.  ``run_one`` is the one-cell ``run_suite``, so a
+lone ``BS+BSM`` cell must equal ``Machine.run``'s own-profile mix.
+"""
+
+import numpy as np
+import pytest
+
+import repro.system.runner as runner
+from repro.api import Session
+from repro.errors import ConfigError
+from repro.hbm.config import hbm2_config
+from repro.system import (
+    ExperimentRunner,
+    Machine,
+    frequency_sweep,
+    run_suite,
+    system_by_key,
+)
+from repro.workloads import BFSWorkload, MixedStrideWorkload, spec2006_workload
+
+TIERED = dict(
+    backend="tiered", backend_options={"policy": "smart", "fast_pages": 8}
+)
+SYSTEMS = ("bs_dm", "bs_bsm", "sdm_bsm")
+
+
+def workload():
+    return MixedStrideWorkload(strides=(1, 16), accesses_per_stride=600)
+
+
+def expected(key):
+    """The cell as a bare ``Machine.run`` computes it."""
+    return Machine(system_by_key(key), **TIERED).run(workload()).fingerprint()
+
+
+def table_fingerprints(table):
+    return {
+        system: result.fingerprint()
+        for system, result in table.results[workload().name].items()
+    }
+
+
+WORKERS = pytest.mark.parametrize("workers", [0, 2])
+
+
+class TestBackendOptionsReachEveryCell:
+    @WORKERS
+    def test_session_run(self, workers):
+        session = Session(cache_dir=None, workers=workers, **TIERED)
+        for key in SYSTEMS:
+            result = session.run(workload(), key)
+            assert result.tier_traffic is not None
+            assert result.fingerprint() == expected(key)
+
+    @WORKERS
+    def test_session_sweep(self, workers):
+        suite = Session(cache_dir=None, workers=workers, **TIERED).sweep(
+            [workload()], list(SYSTEMS)
+        )
+        assert not suite.errors
+        assert table_fingerprints(suite.table) == {
+            system_by_key(key).label: expected(key) for key in SYSTEMS
+        }
+
+    @WORKERS
+    def test_run_suite(self, workers):
+        table = run_suite(
+            [workload()],
+            systems=[system_by_key(key) for key in SYSTEMS],
+            max_workers=workers,
+            **TIERED,
+        )
+        assert table_fingerprints(table) == {
+            system_by_key(key).label: expected(key) for key in SYSTEMS
+        }
+
+    @WORKERS
+    def test_frequency_sweep(self, workers):
+        scales = (1.0, 0.5)
+        out = frequency_sweep(
+            [workload()],
+            system_by_key("sdm_bsm"),
+            system_by_key("bs_dm"),
+            scales=scales,
+            max_workers=workers,
+            **TIERED,
+        )
+        for scale in scales:
+            hbm = hbm2_config().scaled(scale)
+            base, sdam = (
+                Machine(system_by_key(key), hbm=hbm, **TIERED).run(workload())
+                for key in ("bs_dm", "sdm_bsm")
+            )
+            speedup = base.time_ns / sdam.time_ns
+            assert out[scale] == float(np.exp(np.mean(np.log([speedup]))))
+
+    def test_backend_options_key_the_result(self):
+        sweeps = ExperimentRunner()
+        small = sweeps.run_one(workload(), system_by_key("bs_dm"), **TIERED)
+        large = sweeps.run_one(
+            workload(),
+            system_by_key("bs_dm"),
+            backend="tiered",
+            backend_options={"policy": "smart", "fast_pages": 4096},
+        )
+        assert small.tier_traffic != large.tier_traffic
+
+
+@pytest.mark.parametrize("engine", ["cpu", "accelerator"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: MixedStrideWorkload(strides=(1, 4, 8, 16)),
+        lambda: spec2006_workload("perlbench"),
+        BFSWorkload,
+    ],
+    ids=["copy-mixed", "perlbench", "bfs"],
+)
+def test_one_cell_suite_mix_is_the_own_profile(make, engine):
+    bs_bsm = system_by_key("bs_bsm")
+    cell = ExperimentRunner().run_one(make(), bs_bsm, engine=engine)
+    own = Machine(bs_bsm, engine=engine).run(make())
+    assert cell.fingerprint() == own.fingerprint()
+
+
+class TestBadArgumentsFailBeforeProfiling:
+    @pytest.mark.parametrize(
+        "machine_kwargs",
+        [
+            dict(backend="fast", backend_options={"reorder_window": 0}),
+            dict(backend="tiered", backend_options={"bogus": 1}),
+            dict(backend="tiered", backend_options={"fast_pages": -1}),
+            dict(no_such_argument=1),
+        ],
+        ids=["bad-value", "unknown-option", "tiered-value", "unknown-argument"],
+    )
+    def test_run_suite_raises_config_error(self, monkeypatch, machine_kwargs):
+        profiled = []
+        monkeypatch.setattr(
+            Machine, "profile", lambda self, *a, **k: profiled.append(a)
+        )
+        with pytest.raises(ConfigError):
+            run_suite(
+                [workload()],
+                systems=[system_by_key("bs_dm"), system_by_key("sdm_bsm")],
+                **machine_kwargs,
+            )
+        assert profiled == []
+
+
+class TestSourceDigest:
+    def test_digest_is_one_sha256_per_process(self):
+        digest = runner.source_digest()
+        assert len(digest) == 64 and int(digest, 16) >= 0
+        assert runner.source_digest() is digest
+
+    def test_warm_cache_misses_when_the_digest_differs(
+        self, tmp_path, monkeypatch
+    ):
+        systems = [system_by_key(key) for key in SYSTEMS]
+        cold = ExperimentRunner(cache_dir=tmp_path).run_suite(
+            [workload()], systems=systems
+        )
+        warm = ExperimentRunner(cache_dir=tmp_path).run_suite(
+            [workload()], systems=systems
+        )
+        assert warm.cache_misses == 0
+
+        monkeypatch.setattr(runner, "source_digest", lambda: "0" * 64)
+        other = ExperimentRunner(cache_dir=tmp_path).run_suite(
+            [workload()], systems=systems
+        )
+        assert other.cache_hits == 0
+        assert other.metrics["evaluate"].cache_misses == len(systems)
+        assert other.metrics["profile"].cache_misses == 1
+        assert other.table.fingerprint() == cold.table.fingerprint()

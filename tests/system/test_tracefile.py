@@ -1,46 +1,12 @@
-"""Tests for trace and profile persistence."""
+"""Tests for profile persistence and the stage store."""
 
 import numpy as np
-import pytest
 
-from repro.cpu.trace import AccessTrace
-from repro.errors import ProfilingError
 from repro.system.machine import Machine
 from repro.system.config import system_by_key
-from repro.system.tracefile import (
-    load_profile,
-    load_trace,
-    save_profile,
-    save_trace,
-)
+from repro.system.tracefile import load_profile, save_profile
 from repro.core.selection import select_mappings_kmeans
 from repro.workloads import MixedStrideWorkload
-
-
-class TestTraceRoundtrip:
-    def test_roundtrip(self, tmp_path):
-        trace = AccessTrace(
-            va=np.array([64, 128, 192], dtype=np.uint64),
-            is_write=np.array([True, False, True]),
-            variable=np.array([0, 1, 0]),
-        )
-        path = save_trace(tmp_path / "trace.npz", trace)
-        loaded = load_trace(path)
-        np.testing.assert_array_equal(loaded.va, trace.va)
-        np.testing.assert_array_equal(loaded.is_write, trace.is_write)
-        np.testing.assert_array_equal(loaded.variable, trace.variable)
-
-    def test_empty_trace(self, tmp_path):
-        trace = AccessTrace(va=np.zeros(0, dtype=np.uint64))
-        loaded = load_trace(save_trace(tmp_path / "empty.npz", trace))
-        assert len(loaded) == 0
-
-    def test_bad_format_rejected(self, tmp_path):
-        path = tmp_path / "bad.npz"
-        np.savez(path, format=np.int64(999), va=np.zeros(1, dtype=np.uint64),
-                 is_write=np.zeros(1, dtype=bool), variable=np.zeros(1))
-        with pytest.raises(ProfilingError):
-            load_trace(path)
 
 
 class TestProfileRoundtrip:

@@ -132,14 +132,14 @@ class TestFullEvaluation:
 
 
 #: The packages whose exports these checks cover: most load their
-#: off-path modules on first use (``repro.lazy``); ``repro.faults``
+#: off-path modules on first use (``repro.lazy``); ``repro.ras``
 #: exports only eagerly imported names.
 LAZY_PACKAGES = (
     "repro",
     "repro.core",
-    "repro.faults",
     "repro.mem",
     "repro.online",
+    "repro.ras",
     "repro.system",
     "repro.tier",
 )

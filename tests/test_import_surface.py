@@ -18,8 +18,6 @@ OFF_PATH = (
     "repro.api",
     "repro.core.security",
     "repro.core.verification",
-    "repro.faults",
-    "repro.faults.sites",
     "repro.mem.migration",
     "repro.online.campaign",
     "repro.online.controller",
