@@ -25,6 +25,8 @@ to program accesses) from which experiment-level speedups are computed.
 
 from __future__ import annotations
 
+import dataclasses
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -255,15 +257,113 @@ class MachineResult:
         )
 
 
+_TRACE_FIELDS = ("va", "is_write", "variable")
+
+
+class _LastStream:
+    """The last cache-filtered external stream, for the next run to reuse.
+
+    The engine's filter is a pure function of the engine's type, its
+    constructor fields (``vars(engine)``) and the thread traces' arrays,
+    so a run whose traces equal the previous run's gets the previous
+    result object back unchanged.  Sweeps run workload-major, so a
+    repeated stream comes right after the run that produced it: one
+    entry catches every repeat within a pass, and none across passes.
+
+    The entry keeps private contiguous copies of the thread traces and
+    compares them with ``np.array_equal``.  Hashing instead (which
+    :class:`~repro.hbm.plancache.PlanCache` would need, since its keys
+    must be hashable) first copies the strided thread views of the graph
+    and join workloads and then costs about 1 ms per run; the compare
+    costs about 0.05 ms.  The result's three arrays are read-only, since
+    every run that hits shares them.  The check and the fill hold one
+    lock.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.clear()
+
+    def clear(self) -> None:
+        """Forget the kept stream."""
+        self._engine = None
+        self._inputs: list[tuple[np.ndarray, ...]] = []
+        self._result: ExternalTraceResult | None = None
+
+    def external(
+        self, engine, thread_traces: list[AccessTrace]
+    ) -> ExternalTraceResult:
+        """``engine.external_trace(thread_traces)``, reused on a repeat."""
+        key = (type(engine), vars(engine))
+        with self._lock:
+            if self._matches(key, thread_traces):
+                return self._result
+            result = _read_only(
+                engine.external_trace(thread_traces), thread_traces
+            )
+            self._engine = (type(engine), dict(vars(engine)))
+            self._inputs = [
+                tuple(np.array(getattr(t, name)) for name in _TRACE_FIELDS)
+                for t in thread_traces
+            ]
+            self._result = result
+            return result
+
+    def _matches(self, key, thread_traces: list[AccessTrace]) -> bool:
+        if self._result is None or key != self._engine:
+            return False
+        if len(thread_traces) != len(self._inputs):
+            return False
+        # ``array_equal`` compares shapes first, so lengths come cheap.
+        return all(
+            np.array_equal(getattr(t, name), array)
+            for t, kept in zip(thread_traces, self._inputs)
+            for name, array in zip(_TRACE_FIELDS, kept)
+        )
+
+
+def _read_only(
+    result: ExternalTraceResult, thread_traces: list[AccessTrace]
+) -> ExternalTraceResult:
+    """``result`` with read-only trace arrays that share no caller memory.
+
+    An accelerator without scratch passes a lone thread's write flags
+    and variables through; those are copied, so the caller's own arrays
+    stay writable.
+    """
+    inputs = [
+        getattr(t, name) for t in thread_traces for name in _TRACE_FIELDS
+    ]
+    arrays = {}
+    for name in _TRACE_FIELDS:
+        array = getattr(result.trace, name)
+        if any(np.may_share_memory(array, other) for other in inputs):
+            array = array.copy()
+        array.setflags(write=False)
+        arrays[name] = array
+    if all(
+        arrays[name] is getattr(result.trace, name) for name in _TRACE_FIELDS
+    ):
+        return result
+    return dataclasses.replace(result, trace=AccessTrace(**arrays))
+
+
+#: The one process-wide holder every ``Machine`` run filters through.
+_LAST_STREAM = _LastStream()
+
+
 class Machine:
     """One simulated platform bound to a system configuration.
 
     Owns the system configuration, the device model and chunk geometry,
     the engine model, the seeds and the backend choice, and runs the
     paper's profile -> select -> evaluate pipeline.  Every run builds
-    its own kernel, SDAM controller and backend, so runs of one machine
-    share no state; compiled decode plans come from the process-wide
-    :func:`~repro.hbm.plancache.default_plan_cache`.
+    its own kernel, SDAM controller and backend.  Two things are shared
+    across runs and machines, neither of which changes a result: the
+    compiled decode plans of the process-wide
+    :func:`~repro.hbm.plancache.default_plan_cache`, and the last
+    cache-filtered external stream, which a run whose thread traces and
+    engine repeat the previous run's reuses read-only.
     """
 
     # Major-variable coverage for clustered selection.  The paper's 80%
@@ -361,7 +461,7 @@ class Machine:
         self, workload: Workload, base: dict[str, int], seed: int
     ) -> ExternalTraceResult:
         thread_traces = workload.trace(base, input_seed=seed)
-        return self.engine.external_trace(thread_traces)
+        return _LAST_STREAM.external(self.engine, thread_traces)
 
     def _compute_ns(
         self, workload: Workload, external: ExternalTraceResult

@@ -250,6 +250,7 @@ class _CellTask:
 class _CellOutcome:
     index: int
     result: dict | None = None
+    selection: MappingSelection | None = None  # computed by this task
     timings: dict[str, float] = field(default_factory=dict)
     error: tuple[str, str] | None = None  # (stage, message)
 
@@ -283,7 +284,7 @@ def _run_cell_task(task: _CellTask) -> _CellOutcome:
         selection = task.selection
         if machine.system.sdam and selection is None:
             start = time.perf_counter()
-            selection = machine.select(task.profile)
+            selection = outcome.selection = machine.select(task.profile)
             outcome.timings["selection"] = time.perf_counter() - start
             if store is not None:
                 store.store("selection", task.selection_key, selection)
@@ -409,6 +410,14 @@ class ExperimentRunner:
             raise ConfigError("no workloads given")
         if not systems:
             raise ConfigError("no systems given")
+        names: set[str] = set()
+        for workload in workloads:
+            if workload.name in names:
+                raise ConfigError(
+                    f"two workloads are named {workload.name!r}: profiles, "
+                    "the mix and the result table are keyed by workload name"
+                )
+            names.add(workload.name)
         system_args = [_machine_args(s, machine_kwargs) for s in systems]
         Machine(**system_args[0])  # checks every platform and backend option
         metrics = {stage: StageMetrics(stage) for stage in STAGES}
@@ -532,9 +541,12 @@ class ExperimentRunner:
             )
 
         for outcome in self._map(_run_cell_task, tasks):
-            workload, system, _args, result_key = cells[outcome.index]
+            workload, system, args, result_key = cells[outcome.index]
             for stage, seconds in outcome.timings.items():
                 metrics[stage].wall_seconds += seconds
+            if outcome.selection is not None:
+                skey = selection_key(args, profile_keys[workload.name])
+                self._memo["selection"][skey] = outcome.selection
             if outcome.error is not None:
                 errors[outcome.index] = CellError(
                     workload.name, system.key, *outcome.error

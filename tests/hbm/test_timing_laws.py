@@ -135,3 +135,102 @@ def test_one_in_flight_sums_the_service_costs(config, window, seed):
     assert stats.requests == n
     assert stats.row_hits == hits
     assert stats.makespan_ns == makespan
+
+
+def distinct_rows(config: HBMConfig, n: int) -> np.ndarray:
+    """n different rows, so no request finds its row open: an odd step
+    modulo the power-of-two row count repeats no row within n."""
+    return (np.arange(n) * 7919 + 13) % config.rows_per_bank
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=config_id)
+def test_misses_rotating_over_banks_overlap_up_to_the_bus(config):
+    """n misses on one channel, request i in bank ``i mod k`` of k, each
+    in a new row.  A request finishes at ``done = max(bank_start +
+    t_miss, bus_free + t_burst)`` and then holds both its bank and its
+    channel's bus until ``done``.  While every one of the k banks has a
+    request waiting (in-flight >= k), the last finish is the one the
+    closed form gives:
+
+    * ``k·t_burst >= t_miss``: the bus binds.  The first k start at 0
+      and finish ``t_burst`` apart after the first miss; request i's
+      bank was freed by request i − k at ``t_miss + (i−k)·t_burst``, at
+      least ``t_miss`` before the bus frees, so every request finishes
+      one burst after the one before: ``t_miss + (n−1)·t_burst``.
+    * ``k·t_burst < t_miss``: the banks bind.  Request ``i = r·k + j``
+      finishes at ``(r+1)·t_miss + j·t_burst``: its bank frees at
+      ``r·t_miss + j·t_burst`` and the bus one burst after its
+      predecessor, which is no later.  So the makespan is
+      ``ceil(n/k)·t_miss + ((n−1) mod k)·t_burst``.
+
+    A request is admitted at the latest finish so far, when request
+    i − in-flight finishes, never after request i − k frees its bank;
+    so admission never delays a start.  No request ever hits, so the
+    FR-FCFS window changes nothing.
+    """
+    t_burst = config.effective_t_burst_ns
+    t_miss = config.effective_t_row_miss_ns
+    rng = np.random.default_rng(config.banks_per_channel)
+    for k in range(1, config.banks_per_channel + 1):
+        banks = rng.choice(config.banks_per_channel, k, replace=False)
+        for inflight, window, n in RUNS:
+            if inflight < k:
+                continue
+            ha = addresses(
+                config,
+                11,
+                banks[np.arange(n) % k],
+                distinct_rows(config, n),
+                columns(config, n, n),
+            )
+            device = HBMDevice(
+                config, max_inflight=inflight, frfcfs_window=window
+            )
+            stats = device.simulate(ha)
+            if k * t_burst >= t_miss:
+                expected = t_miss + (n - 1) * t_burst
+            else:
+                expected = -(-n // k) * t_miss + ((n - 1) % k) * t_burst
+            run = f"k={k} inflight={inflight} window={window} n={n}"
+            assert stats.requests == n, run
+            assert stats.row_hits == 0, run
+            assert stats.makespan_ns == expected, run
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=config_id)
+def test_misses_rotating_over_channels_run_in_waves(config):
+    """n misses, request i on channel ``i mod C`` of C, each in a new
+    row of bank 0.  Channels share nothing, and on one channel every
+    request waits for its one bank, which holds it ``t_miss >=
+    t_burst``, longer than the bus does.
+
+    At most ``w = min(m, C)`` requests run at once for an in-flight
+    limit m: m of them while the window is the limit, C (one per
+    channel) while the channels are.  Requests are admitted at the
+    latest finish so far, and consecutive requests sit on different
+    channels, so they run in waves of w that start together and finish
+    ``t_miss`` later, each wave when the one before has finished:
+    ``ceil(n / w)·t_miss``.  No request ever hits, so the FR-FCFS
+    window changes nothing.
+    """
+    t_miss = config.effective_t_row_miss_ns
+    rng = np.random.default_rng(config.banks_per_channel)
+    for count in (1, 2, 3, 5, 8, 16, 31, config.num_channels):
+        channels = rng.choice(config.num_channels, count, replace=False)
+        for inflight, window, n in RUNS:
+            ha = addresses(
+                config,
+                channels[np.arange(n) % count],
+                0,
+                distinct_rows(config, n),
+                columns(config, n, n),
+            )
+            device = HBMDevice(
+                config, max_inflight=inflight, frfcfs_window=window
+            )
+            stats = device.simulate(ha)
+            wave = min(inflight, count)
+            run = f"C={count} inflight={inflight} window={window} n={n}"
+            assert stats.requests == n, run
+            assert stats.row_hits == 0, run
+            assert stats.makespan_ns == -(-n // wave) * t_miss, run

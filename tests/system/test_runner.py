@@ -123,6 +123,25 @@ class TestCaching:
         second = ExperimentRunner(cache_dir=tmp_path).run_one(workload, system)
         assert second.to_dict() == first.to_dict()
 
+    def test_memory_only_runner_keeps_a_fresh_selection(self):
+        # The selection does not depend on the timing backend, so a
+        # second sweep on another backend reuses the first one's.
+        workload, system = small_workloads()[0], system_by_key("sdm_bsm")
+        runner = ExperimentRunner(cache_dir=None)
+        event = runner.run_suite([workload], [system], backend="event")
+        fast = runner.run_suite([workload], [system], backend="fast")
+        assert not event.errors and not fast.errors
+        assert event.metrics["selection"].cache_misses == 1
+        selection = fast.metrics["selection"]
+        assert (selection.cache_hits, selection.cache_misses) == (1, 0)
+        # With the selection in hand, the profile is not even looked up.
+        profile = fast.metrics["profile"]
+        assert (profile.cache_hits, profile.cache_misses) == (0, 0)
+        cold = ExperimentRunner().run_suite(
+            [workload], [system], backend="fast"
+        )
+        assert fast.table.fingerprint() == cold.table.fingerprint()
+
     def test_different_seed_is_a_different_cell(self, tmp_path):
         workload = small_workloads()[0]
         system = system_by_key("bs_dm")
@@ -190,6 +209,19 @@ class TestFailureIsolation:
             [good], systems=[system_by_key("bs_dm"), system_by_key("sdm_bsm")]
         )
         assert suite.table.fingerprint() == alone.table.fingerprint()
+
+    def test_two_workloads_with_one_name_are_rejected(self):
+        # Profiles, the mix and the table rows are keyed by name: a
+        # second workload of the same name would silently replace the
+        # first.
+        short = MixedStrideWorkload((1, 16), accesses_per_stride=600)
+        long = MixedStrideWorkload((1, 16), accesses_per_stride=1200)
+        assert short.name == long.name
+        with pytest.raises(ConfigError, match=re.escape(repr(short.name))):
+            ExperimentRunner().run_suite(
+                [short, long],
+                [system_by_key("bs_dm"), system_by_key("sdm_bsm")],
+            )
 
     def test_negative_worker_count_is_rejected(self):
         with pytest.raises(ConfigError, match="worker count"):
