@@ -3,9 +3,8 @@
 Every benchmark regenerates one of the paper's tables or figures and
 writes its output under ``benchmarks/results/`` (also echoed to stdout
 with ``pytest -s``).  Set ``REPRO_BENCH_QUICK=1`` to run reduced
-sweeps while iterating, ``REPRO_BENCH_WORKERS=N`` to fan sweep cells
-out over worker processes, and ``REPRO_BENCH_CACHE=dir`` to persist
-stage outputs (profiles, selections, results) between benchmark runs.
+sweeps while iterating, and ``REPRO_BENCH_CACHE=dir`` to persist stage
+outputs (profiles, selections, results) between benchmark runs.
 """
 
 from __future__ import annotations
@@ -25,9 +24,6 @@ def is_quick() -> bool:
 def sweep_kwargs() -> dict:
     """Engine knobs for the sweep-driving benchmarks."""
     kwargs: dict = {}
-    workers = os.environ.get("REPRO_BENCH_WORKERS", "")
-    if workers:
-        kwargs["max_workers"] = int(workers)
     cache = os.environ.get("REPRO_BENCH_CACHE", "")
     if cache:
         kwargs["cache_dir"] = cache

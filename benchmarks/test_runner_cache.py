@@ -1,10 +1,9 @@
-"""Experiment-engine benchmark: warm-cache and parallel sweeps.
+"""Experiment-engine benchmark: cold and warm sweeps.
 
-Runs the quick Fig. 12-style sweep three ways — cold serial, cold over
-a process pool, warm from the stage cache — and asserts the engine's
-two contracts: a warm sweep is at least 5x faster than the cold serial
-baseline (100 % cache hits, zero bytes simulated), and parallel
-execution is numerically identical to serial.
+Runs the quick Fig. 12-style sweep twice on one stage cache — cold,
+then warm — and asserts the engine's contract: the warm sweep is at
+least 5x faster than the cold one (100 % cache hits, zero bytes
+simulated) and bit-identical to it.
 """
 
 from __future__ import annotations
@@ -16,62 +15,40 @@ from repro.system import ExperimentRunner, standard_systems
 from repro.system.reporting import format_table
 
 
-def run_three_ways(tmp_path):
+def run_cold_then_warm(tmp_path):
     workloads = evaluation_workloads(quick=True)
-    systems = standard_systems()
-    kwargs = dict(systems=systems, dl_config=QUICK_DL_CONFIG)
+    kwargs = dict(systems=standard_systems(), dl_config=QUICK_DL_CONFIG)
 
     start = time.perf_counter()
-    serial = ExperimentRunner().run_suite(workloads, **kwargs)
-    serial_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    parallel = ExperimentRunner(max_workers=4, cache_dir=tmp_path).run_suite(
-        workloads, **kwargs
-    )
-    parallel_seconds = time.perf_counter() - start
+    cold = ExperimentRunner(cache_dir=tmp_path).run_suite(workloads, **kwargs)
+    cold_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
     warm = ExperimentRunner(cache_dir=tmp_path).run_suite(workloads, **kwargs)
     warm_seconds = time.perf_counter() - start
 
-    return (
-        (serial, serial_seconds),
-        (parallel, parallel_seconds),
-        (warm, warm_seconds),
-    )
+    return (cold, cold_seconds), (warm, warm_seconds)
 
 
-def test_runner_cache_and_parallel_speedup(benchmark, record, tmp_path):
-    (serial, s_sec), (parallel, p_sec), (warm, w_sec) = benchmark.pedantic(
-        run_three_ways, args=(tmp_path,), rounds=1, iterations=1
+def test_runner_cache_speedup(benchmark, record, tmp_path):
+    (cold, c_sec), (warm, w_sec) = benchmark.pedantic(
+        run_cold_then_warm, args=(tmp_path,), rounds=1, iterations=1
     )
-    cells = len(serial.table.workloads()) * len(serial.table.systems())
+    cells = len(cold.table.workloads()) * len(cold.table.systems())
     rows = [
-        {"mode": "cold serial", "seconds": s_sec, "cache_hits": 0},
-        {
-            "mode": "cold parallel (4 workers)",
-            "seconds": p_sec,
-            "cache_hits": parallel.cache_hits,
-        },
-        {
-            "mode": "warm cache",
-            "seconds": w_sec,
-            "cache_hits": warm.cache_hits,
-        },
-        {"mode": "warm speedup", "seconds": s_sec / w_sec, "cache_hits": cells},
+        {"mode": "cold", "seconds": c_sec, "cache_hits": cold.cache_hits},
+        {"mode": "warm cache", "seconds": w_sec, "cache_hits": warm.cache_hits},
+        {"mode": "warm speedup", "seconds": c_sec / w_sec, "cache_hits": cells},
     ]
     record(
         "runner_cache",
-        format_table(rows, title="quick suite: engine execution modes"),
+        format_table(rows, title="quick suite: cold and warm sweeps"),
     )
 
-    assert not serial.errors and not parallel.errors and not warm.errors
-    # Parallel cold == serial cold, numerically.
-    assert parallel.table.fingerprint() == serial.table.fingerprint()
+    assert not cold.errors and not warm.errors
     # Warm == cold, bit-identically, from the cache alone.
-    assert warm.table.to_dict() == parallel.table.to_dict()
+    assert warm.table.to_dict() == cold.table.to_dict()
     assert warm.metrics["evaluate"].cache_hits == cells
     assert warm.cache_misses == 0
     assert warm.bytes_simulated == 0
-    assert s_sec / w_sec >= 5.0
+    assert c_sec / w_sec >= 5.0

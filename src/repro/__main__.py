@@ -9,8 +9,8 @@ without writing any code:
 * ``audit``   — build an SDAM controller, register mappings, verify
   the Section 4 correctness properties;
 * ``suite``   — a quick Fig. 12-style sweep (pass ``--full`` for the
-  complete suites, ``--workers N`` to parallelise, ``--cache-dir`` to
-  memoise stages on disk, ``--json`` for machine-readable output);
+  complete suites, ``--cache-dir`` to memoise stages on disk,
+  ``--json`` for machine-readable output);
 * ``ras``     — seeded device-fault campaign: inject modeled hardware
   faults (stuck rows, dead banks/channels, CMT/AMU upsets), detect
   them, repair by software-defined remapping, and verify zero silent
@@ -48,7 +48,7 @@ def cmd_demo(_args) -> int:
     from repro.system.reporting import format_table
 
     workload = api.mixed_stride_workload()
-    session = api.Session(cache_dir=None, workers=0)
+    session = api.Session(cache_dir=None)
     rows = []
     baseline = None
     for result in session.compare(
@@ -178,9 +178,7 @@ def cmd_suite(args) -> int:
         if args.backend:
             _check_backend(args.backend)
             session_kwargs["backend"] = args.backend
-        session = api.Session(
-            cache_dir=args.cache_dir, workers=args.workers, **session_kwargs
-        )
+        session = api.Session(cache_dir=args.cache_dir, **session_kwargs)
     except ConfigError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -196,7 +194,7 @@ def cmd_suite(args) -> int:
         rows.append(geo)
         print(format_table(rows, title="speedup over BS+DM"))
         print(
-            f"wall {suite.wall_seconds:.1f}s, workers {suite.workers}, "
+            f"wall {suite.wall_seconds:.1f}s, "
             f"cache {suite.cache_hits} hits / {suite.cache_misses} misses, "
             f"{suite.bytes_simulated / 1e6:.1f} MB simulated"
         )
@@ -386,16 +384,15 @@ def main(argv: list[str] | None = None) -> int:
     audit.add_argument("--mappings", type=int, default=16)
     audit.add_argument("--chunks", type=int, default=32)
     audit.add_argument("--seed", type=int, default=0)
-    suite = sub.add_parser("suite", help="Fig. 12-style speedup sweep")
+    suite = sub.add_parser(
+        "suite", help="Fig. 12-style speedup sweep (serial, in-process)"
+    )
     scope = suite.add_mutually_exclusive_group()
     scope.add_argument(
         "--quick", action="store_true", help="trimmed sweep (default)"
     )
     scope.add_argument(
         "--full", action="store_true", help="complete workload suites"
-    )
-    suite.add_argument(
-        "--workers", type=int, default=0, help="worker processes (0 = serial)"
     )
     suite.add_argument(
         "--cache-dir", default=None, help="persist stage outputs here"

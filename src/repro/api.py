@@ -1,14 +1,13 @@
 """Convenience surface: one import for the common SDAM workflows.
 
-The primary entry point is :class:`Session` — it owns a stage cache
-and a worker pool, so every run/compare/sweep gets memoisation and
-parallelism by default::
+The primary entry point is :class:`Session` — it owns a stage cache,
+so every run/compare/sweep is memoised by default::
 
     from repro import Session
 
-    session = Session(workers=4)
+    session = Session()
     result = session.run(mixed_stride_workload(), "sdm_bsm_ml4")
-    sweep = session.sweep(workloads)          # cached + parallel
+    sweep = session.sweep(workloads)          # cached
     sweep.table.geomean("SDM+BSM+ML(4)")
 
 For anything beyond these helpers, use the subsystem packages directly
@@ -52,6 +51,7 @@ from repro.system import (
     standard_systems,
     system_by_key,
 )
+from repro.system.runner import _machine_args
 from repro.workloads import (
     MixedStrideWorkload,
     StridedCopyWorkload,
@@ -102,7 +102,7 @@ def _resolve_system(system: str | SystemConfig) -> SystemConfig:
 
 
 class Session:
-    """An experiment session: one stage cache, one worker budget.
+    """An experiment session: one stage cache, one platform.
 
     Every ``run``/``compare``/``sweep`` goes through a shared
     :class:`~repro.system.runner.ExperimentRunner`, so profiling
@@ -115,32 +115,24 @@ class Session:
     cache_dir:
         Stage-cache directory.  Defaults to :func:`default_cache_dir`;
         pass ``None`` to keep the cache in memory only.
-    workers:
-        Worker processes for independent cells.  ``0``/``1`` is
-        serial in-process; ``None`` picks a small machine-appropriate
-        default; a negative count raises
-        :class:`~repro.errors.ConfigError`.
     machine_kwargs:
         Platform configuration forwarded to every
         :class:`~repro.system.machine.Machine` (``hbm``, ``engine``,
         ``backend``, ``backend_options``, ``dl_config``, ...); every
-        one is part of each cached entry's key.
+        one is part of each cached entry's key.  A name ``Machine``
+        does not take raises :class:`~repro.errors.ConfigError` here.
     """
 
     def __init__(
         self,
         cache_dir: str | None | object = _UNSET,
-        workers: int | None = None,
         **machine_kwargs,
     ):
         if cache_dir is _UNSET:
             cache_dir = default_cache_dir()
-        if workers is None:
-            workers = min(4, os.cpu_count() or 1)
+        _machine_args(system_by_key("bs_dm"), machine_kwargs)
         self.machine_kwargs = machine_kwargs
-        self.runner = ExperimentRunner(
-            cache_dir=cache_dir, max_workers=workers
-        )
+        self.runner = ExperimentRunner(cache_dir=cache_dir)
 
     # -- introspection -------------------------------------------------------
     @property
@@ -148,15 +140,8 @@ class Session:
         """Where stage outputs are persisted (None = memory only)."""
         return self.runner.cache_dir
 
-    @property
-    def workers(self) -> int:
-        """The configured worker-process budget."""
-        return self.runner.max_workers
-
     def __repr__(self) -> str:
-        return (
-            f"Session(cache_dir={self.cache_dir!r}, workers={self.workers})"
-        )
+        return f"Session(cache_dir={self.cache_dir!r})"
 
     # -- the API -------------------------------------------------------------
     def _machine_kwargs(self, backend: str | None) -> dict:
@@ -228,7 +213,7 @@ class Session:
         eval_seed: int = 1,
         backend: str | None = None,
     ) -> SuiteResult:
-        """Every workload under every system: cached, parallel, and
+        """Every workload under every system: cached and
         failure-isolated.
 
         Returns a :class:`~repro.system.runner.SuiteResult` carrying

@@ -58,8 +58,15 @@ class AcceleratorModel:
             [t.aligned(self.line_bytes) for t in thread_traces], chunk=1
         )
         if self.scratch_bytes == 0:
+            # A lone thread passes through ``interleave_traces`` and
+            # ``aligned`` with the caller's write flags and variables:
+            # copy them, so the stream shares no memory with its input.
             return ExternalTraceResult(
-                trace=merged,
+                trace=AccessTrace(
+                    va=merged.va,
+                    is_write=merged.is_write.copy(),
+                    variable=merged.variable.copy(),
+                ),
                 l1_hit_rate=0.0,
                 llc_hit_rate=0.0,
                 program_accesses=program_accesses,

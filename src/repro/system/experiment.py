@@ -129,20 +129,18 @@ def run_suite(
     profile_seed: int = 0,
     eval_seed: int = 1,
     cache_dir: str | None = None,
-    max_workers: int = 0,
     **machine_kwargs,
 ) -> SpeedupTable:
     """Run every workload under every system; speedups vs ``BS+DM``.
 
     A thin wrapper over :class:`repro.system.runner.ExperimentRunner`:
-    pass ``cache_dir`` to memoise stage outputs on disk and
-    ``max_workers`` to fan the cells out over worker processes.  Any
-    failing cell raises (use the runner directly for per-cell error
-    capture and the structured stage metrics).
+    pass ``cache_dir`` to memoise stage outputs on disk.  Any failing
+    cell raises (use the runner directly for per-cell error capture
+    and the structured stage metrics).
     """
     from repro.system.runner import ExperimentRunner
 
-    runner = ExperimentRunner(cache_dir=cache_dir, max_workers=max_workers)
+    runner = ExperimentRunner(cache_dir=cache_dir)
     suite = runner.run_suite(
         workloads,
         systems=systems,
@@ -162,8 +160,8 @@ def frequency_sweep(
 ) -> dict[float, float]:
     """Fig. 14: geomean speedup as the HBM slows down.
 
-    ``cache_dir``/``max_workers`` pass through to :func:`run_suite`, so
-    the per-scale sweeps share one stage cache.
+    ``cache_dir`` passes through to :func:`run_suite`, so the per-scale
+    sweeps share one stage cache.
     """
     from repro.hbm.config import hbm2_config
 
@@ -186,8 +184,8 @@ def core_sweep(
 ) -> dict[int, float]:
     """Fig. 14 companion: geomean speedup vs core count.
 
-    ``cache_dir``/``max_workers`` pass through to :func:`run_suite`, so
-    the per-count sweeps share one stage cache.
+    ``cache_dir`` passes through to :func:`run_suite`, so the per-count
+    sweeps share one stage cache.
     """
     out: dict[int, float] = {}
     for cores in core_counts:

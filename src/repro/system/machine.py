@@ -25,7 +25,6 @@ to program accesses) from which experiment-level speedups are computed.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from dataclasses import dataclass
 
@@ -298,9 +297,7 @@ class _LastStream:
         with self._lock:
             if self._matches(key, thread_traces):
                 return self._result
-            result = _read_only(
-                engine.external_trace(thread_traces), thread_traces
-            )
+            result = _read_only(engine.external_trace(thread_traces))
             self._engine = (type(engine), dict(vars(engine)))
             self._inputs = [
                 tuple(np.array(getattr(t, name)) for name in _TRACE_FIELDS)
@@ -322,30 +319,16 @@ class _LastStream:
         )
 
 
-def _read_only(
-    result: ExternalTraceResult, thread_traces: list[AccessTrace]
-) -> ExternalTraceResult:
-    """``result`` with read-only trace arrays that share no caller memory.
+def _read_only(result: ExternalTraceResult) -> ExternalTraceResult:
+    """``result`` with its trace arrays marked read-only.
 
-    An accelerator without scratch passes a lone thread's write flags
-    and variables through; those are copied, so the caller's own arrays
-    stay writable.
+    Every engine returns arrays that share no memory with its input
+    (``tests/cpu/test_external_alias.py``), so this never freezes a
+    caller's own trace.
     """
-    inputs = [
-        getattr(t, name) for t in thread_traces for name in _TRACE_FIELDS
-    ]
-    arrays = {}
     for name in _TRACE_FIELDS:
-        array = getattr(result.trace, name)
-        if any(np.may_share_memory(array, other) for other in inputs):
-            array = array.copy()
-        array.setflags(write=False)
-        arrays[name] = array
-    if all(
-        arrays[name] is getattr(result.trace, name) for name in _TRACE_FIELDS
-    ):
-        return result
-    return dataclasses.replace(result, trace=AccessTrace(**arrays))
+        getattr(result.trace, name).setflags(write=False)
+    return result
 
 
 #: The one process-wide holder every ``Machine`` run filters through.

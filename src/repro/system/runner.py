@@ -1,7 +1,8 @@
-"""Parallel, cached experiment execution engine.
+"""Cached experiment execution engine.
 
-:class:`ExperimentRunner` turns a (workloads x systems) sweep into a
-small DAG of stages, each a call on a
+:class:`ExperimentRunner` runs a (workloads x systems) sweep as one
+workload-major loop over its cells, in-process.  A cell's result is a
+small chain of stages, each a call on a
 :class:`~repro.system.machine.Machine` built from the caller's keyword
 arguments:
 
@@ -10,31 +11,23 @@ arguments:
     workload ──> profile ──┬──> selection ──> run ──> result
                            └──> suite mix ─────┘
 
-It memoises every stage output — in memory for the lifetime of the
-runner and on disk through a
-:class:`~repro.system.tracefile.StageStore` — and, given more than one
-worker, maps the remaining independent stages over a
-``ProcessPoolExecutor``:
-
-1. *Plan*: compute every cell's result key; cells whose result is
-   already cached are done without touching a worker.
-2. *Profile*: the unique ``Machine.profile`` calls the remaining cells
-   need (one per workload, shared by every system) run first.
-3. *Evaluate*: the remaining cells run, each computing (or receiving)
-   its ``Machine.select`` output and calling ``Machine.run``.  Results
-   come back as serialised dicts, so parallel, serial and cached cells
-   are exactly interchangeable.
+Every stage output comes from one memoised lookup: the runner's
+in-memory memo, then the on-disk
+:class:`~repro.system.tracefile.StageStore`, else it is computed and
+published to both.  A cell whose result is cached touches no other
+stage; a profile is looked up at most once per sweep and shared by
+every system, and the suite mix only when a cell needs it.  Results
+are stored as ``MachineResult.to_dict()`` dicts, so fresh and cached
+cells are exactly interchangeable.
 
 A stage key hashes the workload spec, the seeds, every ``Machine``
 argument (bound against ``Machine``'s own signature with defaults
 applied, so a new argument is keyed without being listed here) and
 :func:`source_digest`, so an entry written by other code is never read.
 
-Results are returned in deterministic (workload-major) order.  A stage
-that raises is recorded as a :class:`CellError` on every cell that
-needs its output, and the sweep continues; a worker process that dies
-breaks the pool, and that error propagates out of
-:meth:`ExperimentRunner.run_suite`.
+Results are returned in workload-major order.  A stage that raises is
+recorded as a :class:`CellError` on every cell that needs its output,
+and the sweep continues.
 """
 
 from __future__ import annotations
@@ -43,12 +36,10 @@ import functools
 import hashlib
 import inspect
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.core.keys import stable_hash
-from repro.core.selection import MappingSelection
 from repro.errors import ConfigError
 from repro.ledger import SUM, Ledger, key
 from repro.profiling.profiler import WorkloadProfile
@@ -102,7 +93,6 @@ class SuiteResult:
     errors: list[CellError] = field(default_factory=list)
     metrics: dict[str, StageMetrics] = field(default_factory=dict)
     wall_seconds: float = 0.0
-    workers: int = 0
 
     @property
     def cache_hits(self) -> int:
@@ -139,7 +129,6 @@ class SuiteResult:
                 stage: m.to_dict() for stage, m in self.metrics.items()
             },
             "wall_seconds": self.wall_seconds,
-            "workers": self.workers,
         }
 
     def to_json(self, **json_kwargs) -> str:
@@ -159,7 +148,6 @@ class SuiteResult:
                 for stage, m in data["metrics"].items()
             },
             wall_seconds=float(data["wall_seconds"]),
-            workers=int(data["workers"]),
         )
 
 
@@ -210,7 +198,7 @@ def _stage_key(stage: str, args: dict, *parts, drop=()) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Worker-side tasks (module-level and picklable)
+# The engine
 # ---------------------------------------------------------------------------
 
 def _describe(exc: Exception) -> str:
@@ -222,109 +210,29 @@ def _uses_mix(system: SystemConfig) -> bool:
     return system.policy == "bsm" and not system.sdam
 
 
-@dataclass(frozen=True)
-class _ProfileTask:
-    key: str
-    args: dict
-    workload: Workload
-    input_seed: int
-    cache_dir: str | None
+class _StageFailed(Exception):
+    """A stage a cell needs raised; the cell becomes a :class:`CellError`."""
+
+    def __init__(self, stage: str, message: str):
+        super().__init__(message)
+        self.stage = stage
+        self.message = message
 
 
-@dataclass(frozen=True)
-class _CellTask:
-    index: int
-    args: dict
-    workload: Workload
-    profile_seed: int
-    eval_seed: int
-    result_key: str
-    selection_key: str | None = None
-    profile: WorkloadProfile | None = None
-    selection: MappingSelection | None = None
-    mix_profile: WorkloadProfile | None = None
-    cache_dir: str | None = None
-
-
-@dataclass
-class _CellOutcome:
-    index: int
-    result: dict | None = None
-    selection: MappingSelection | None = None  # computed by this task
-    timings: dict[str, float] = field(default_factory=dict)
-    error: tuple[str, str] | None = None  # (stage, message)
-
-
-def _run_profile_task(
-    task: _ProfileTask,
-) -> tuple[WorkloadProfile | None, str | None]:
-    """Worker entry: compute and publish one profiling stage.
-
-    Returns ``(profile, None)``, or ``(None, message)`` if profiling
-    raised.
-    """
-    try:
-        profile = Machine(**task.args).profile(
-            task.workload, input_seed=task.input_seed
-        )
-    except Exception as exc:  # noqa: BLE001 — recorded on dependent cells
-        return None, _describe(exc)
-    if task.cache_dir:
-        StageStore(task.cache_dir).store("profile", task.key, profile)
-    return profile, None
-
-
-def _run_cell_task(task: _CellTask) -> _CellOutcome:
-    """Worker entry: selection (if needed) + evaluation for one cell."""
-    store = StageStore(task.cache_dir) if task.cache_dir else None
-    outcome = _CellOutcome(task.index)
-    stage = "selection"
-    try:
-        machine = Machine(**task.args)
-        selection = task.selection
-        if machine.system.sdam and selection is None:
-            start = time.perf_counter()
-            selection = outcome.selection = machine.select(task.profile)
-            outcome.timings["selection"] = time.perf_counter() - start
-            if store is not None:
-                store.store("selection", task.selection_key, selection)
-        stage = "evaluate"
-        start = time.perf_counter()
-        result = machine.run(
-            task.workload,
-            profile_seed=task.profile_seed,
-            eval_seed=task.eval_seed,
-            mix_profile=task.mix_profile,
-            profile=task.profile,
-            selection=selection,
-        )
-        outcome.timings["evaluate"] = time.perf_counter() - start
-        outcome.result = result.to_dict()
-        if store is not None:
-            store.store("result", task.result_key, outcome.result)
-    except Exception as exc:  # noqa: BLE001 — isolate the failing cell
-        outcome.error = (stage, _describe(exc))
+def _unless_failed(outcome):
+    """``outcome``, unless it is a :class:`_StageFailed`: then raise it."""
+    if isinstance(outcome, _StageFailed):
+        raise outcome
     return outcome
 
 
-# ---------------------------------------------------------------------------
-# The engine
-# ---------------------------------------------------------------------------
-
 class ExperimentRunner:
-    """Plans, caches and executes (workload x system) sweeps.
+    """Caches and runs (workload x system) sweeps, in-process.
 
-    ``max_workers <= 1`` runs every stage in-process (still cached);
-    larger values map independent stages over worker processes.
     ``cache_dir`` persists stage outputs across runners and processes.
     """
 
-    def __init__(self, cache_dir: str | None = None, max_workers: int = 0):
-        self.max_workers = int(max_workers or 0)
-        if self.max_workers < 0:
-            raise ConfigError(
-                f"worker count must be >= 0, got {self.max_workers}"
-            )
+    def __init__(self, cache_dir: str | None = None):
         self.cache_dir = str(cache_dir) if cache_dir else None
         self.store = StageStore(self.cache_dir) if self.cache_dir else None
         # kind -> key -> stage output, for the runner's lifetime.
@@ -332,8 +240,8 @@ class ExperimentRunner:
             kind: {} for kind in ("profile", "selection", "result")
         }
 
-    # -- cached stage lookups ------------------------------------------------
-    def _cached(self, kind: str, key: str):
+    # -- cached stage outputs ------------------------------------------------
+    def _lookup(self, kind: str, key: str):
         """A stage output from memory, else from the store, else None."""
         memo = self._memo[kind]
         if key not in memo and self.store is not None:
@@ -342,50 +250,22 @@ class ExperimentRunner:
                 memo[key] = value
         return memo.get(key)
 
-    def _map(self, fn, tasks: list) -> list:
-        """``fn`` over ``tasks`` in order: in-process or over a pool."""
-        if self.max_workers <= 1 or not tasks:
-            return [fn(task) for task in tasks]
-        with ProcessPoolExecutor(
-            max_workers=min(self.max_workers, len(tasks))
-        ) as pool:
-            return list(pool.map(fn, tasks))
+    def _compute(self, kind: str, key: str, metrics: StageMetrics, compute):
+        """``compute()``, timed, then memoised and published.
 
-    # -- profiling phase -----------------------------------------------------
-    def _ensure_profiles(
-        self,
-        wanted: dict[str, Workload],
-        args: dict,
-        input_seed: int,
-        metrics: StageMetrics,
-    ) -> tuple[dict[str, WorkloadProfile], dict[str, str]]:
-        """Every wanted profile, plus the message of each that failed."""
-        profiles: dict[str, WorkloadProfile] = {}
-        failures: dict[str, str] = {}
-        missing: list[_ProfileTask] = []
-        for pkey, workload in wanted.items():
-            cached = self._cached("profile", pkey)
-            if cached is not None:
-                profiles[pkey] = cached
-                metrics.cache_hits += 1
-            else:
-                metrics.cache_misses += 1
-                missing.append(
-                    _ProfileTask(
-                        pkey, args, workload, input_seed, self.cache_dir
-                    )
-                )
-        if not missing:
-            return profiles, failures
+        If it raises, :class:`_StageFailed` names ``metrics.stage``.
+        """
         start = time.perf_counter()
-        outcomes = self._map(_run_profile_task, missing)
-        metrics.wall_seconds += time.perf_counter() - start
-        for task, (profile, error) in zip(missing, outcomes):
-            if profile is None:
-                failures[task.key] = error
-            else:
-                profiles[task.key] = self._memo["profile"][task.key] = profile
-        return profiles, failures
+        try:
+            value = compute()
+        except Exception as exc:  # noqa: BLE001 — recorded on the cell
+            raise _StageFailed(metrics.stage, _describe(exc)) from None
+        finally:
+            metrics.wall_seconds += time.perf_counter() - start
+        self._memo[kind][key] = value
+        if self.store is not None:
+            self.store.store(kind, key, value)
+        return value
 
     # -- the sweep -----------------------------------------------------------
     def run_suite(
@@ -396,7 +276,7 @@ class ExperimentRunner:
         eval_seed: int = 1,
         **machine_kwargs,
     ) -> SuiteResult:
-        """Run every workload under every system, cached and parallel.
+        """Run every workload under every system, cached.
 
         ``machine_kwargs`` are ``Machine``'s keyword arguments; a bad
         one raises :class:`~repro.errors.ConfigError` before any stage
@@ -434,141 +314,131 @@ class ExperimentRunner:
         mix_key = stable_hash(
             "mix", [profile_keys[w.name] for w in workloads]
         )
+        # This sweep's profile of each workload, or its failure.
+        profiles: dict[str, WorkloadProfile | _StageFailed] = {}
 
-        # Plan: resolve every cell to a cached result or a pending cell.
-        cells: list[tuple[Workload, SystemConfig, dict, str]] = []
-        results: dict[int, dict] = {}
-        pending: list[int] = []
-        for index, (workload, (system, args)) in enumerate(
-            (w, s) for w in workloads for s in zip(systems, system_args)
-        ):
+        def profile(workload: Workload) -> WorkloadProfile | _StageFailed:
+            """One workload's profile, looked up once per sweep."""
+            pkey = profile_keys[workload.name]
+            if pkey not in profiles:
+                outcome = self._lookup("profile", pkey)
+                if outcome is not None:
+                    metrics["profile"].cache_hits += 1
+                else:
+                    metrics["profile"].cache_misses += 1
+                    try:
+                        outcome = self._compute(
+                            "profile",
+                            pkey,
+                            metrics["profile"],
+                            lambda: Machine(**system_args[0]).profile(
+                                workload, input_seed=profile_seed
+                            ),
+                        )
+                    except _StageFailed as failure:
+                        outcome = failure
+                profiles[pkey] = outcome
+            return profiles[pkey]
+
+        @functools.cache
+        def suite_mix() -> WorkloadProfile | _StageFailed:
+            """The suite mix, which folds in every workload's profile."""
+            folded = [profile(workload) for workload in workloads]
+            for workload, outcome in zip(workloads, folded):
+                if isinstance(outcome, _StageFailed):
+                    return _StageFailed(
+                        "profile",
+                        f"suite mix: profile of {workload.name} failed: "
+                        f"{outcome.message}",
+                    )
+            start = time.perf_counter()
+            mix = build_mix_profile(folded)
+            metrics["mix"].wall_seconds += time.perf_counter() - start
+            metrics["mix"].cache_misses += 1
+            return mix
+
+        def cell(workload: Workload, system: SystemConfig, args: dict) -> dict:
+            """One cell's serialised result; a failed stage raises."""
+            uses_mix = _uses_mix(system)
             result_key = _stage_key(
                 "result",
                 args,
                 workload.spec_dict(),
                 profile_seed,
                 eval_seed,
-                mix_key if _uses_mix(system) else None,
+                mix_key if uses_mix else None,
             )
-            cells.append((workload, system, args, result_key))
-            cached = self._cached("result", result_key)
-            if cached is not None:
+            result = self._lookup("result", result_key)
+            if result is not None:
                 metrics["evaluate"].cache_hits += 1
-                results[index] = cached
-            else:
-                pending.append(index)
-
-        def selection_key(args: dict, pkey: str) -> str:
-            return _stage_key("selection", args, pkey, drop=_BACKEND_ONLY)
-
-        # Profile: one stage per workload, shared by every system.
-        needs_mix = any(_uses_mix(cells[index][1]) for index in pending)
-        wanted: dict[str, Workload] = {}
-        if needs_mix:
-            # The suite mix folds in every workload's profile.
-            for workload in workloads:
-                wanted[profile_keys[workload.name]] = workload
-        for index in pending:
-            workload, system, args, _key = cells[index]
-            pkey = profile_keys[workload.name]
-            if system.sdam and (
-                self._cached("selection", selection_key(args, pkey)) is None
-            ):
-                wanted[pkey] = workload
-        profiles, failures = self._ensure_profiles(
-            wanted, system_args[0], profile_seed, metrics["profile"]
-        )
-
-        mix_profile: WorkloadProfile | None = None
-        mix_error: str | None = None
-        if needs_mix:
-            failed = [
-                w.name for w in workloads if profile_keys[w.name] in failures
-            ]
-            if failed:
-                mix_error = (
-                    f"suite mix: profile of {failed[0]} failed: "
-                    f"{failures[profile_keys[failed[0]]]}"
-                )
-            else:
-                start = time.perf_counter()
-                mix_profile = build_mix_profile(
-                    [profiles[profile_keys[w.name]] for w in workloads]
-                )
-                metrics["mix"].wall_seconds += time.perf_counter() - start
-                metrics["mix"].cache_misses += 1
-
-        # Evaluate: run every pending cell whose inputs exist.
-        errors: dict[int, CellError] = {}
-        tasks: list[_CellTask] = []
-        for index in pending:
-            workload, system, args, result_key = cells[index]
-            pkey = profile_keys[workload.name]
-            skey = selection = None
+                return result
+            selection = mix_profile = None
             if system.sdam:
-                skey = selection_key(args, pkey)
-                selection = self._cached("selection", skey)
-                if selection is None:
-                    metrics["selection"].cache_misses += 1
-                else:
-                    metrics["selection"].cache_hits += 1
-            if system.sdam and selection is None:
-                failure = failures.get(pkey)
-            elif _uses_mix(system):
-                # A cell whose own profile failed reports that failure.
-                failure = failures.get(pkey, mix_error)
-            else:
-                failure = None
-            if failure is not None:
-                errors[index] = CellError(
-                    workload.name, system.key, "profile", failure
+                selection_key = _stage_key(
+                    "selection",
+                    args,
+                    profile_keys[workload.name],
+                    drop=_BACKEND_ONLY,
                 )
-                continue
-            tasks.append(
-                _CellTask(
-                    index=index,
-                    args=args,
-                    workload=workload,
+                selection = self._lookup("selection", selection_key)
+                if selection is not None:
+                    metrics["selection"].cache_hits += 1
+                else:
+                    metrics["selection"].cache_misses += 1
+                    own = _unless_failed(profile(workload))
+                    selection = self._compute(
+                        "selection",
+                        selection_key,
+                        metrics["selection"],
+                        lambda: Machine(**args).select(own),
+                    )
+            elif uses_mix:
+                mix = suite_mix()
+                # A cell whose own profile failed reports that failure.
+                _unless_failed(profile(workload))
+                mix_profile = _unless_failed(mix)
+            result = self._compute(
+                "result",
+                result_key,
+                metrics["evaluate"],
+                lambda: Machine(**args)
+                .run(
+                    workload,
                     profile_seed=profile_seed,
                     eval_seed=eval_seed,
-                    result_key=result_key,
-                    selection_key=skey,
-                    profile=profiles.get(pkey),
+                    mix_profile=mix_profile,
                     selection=selection,
-                    mix_profile=mix_profile if _uses_mix(system) else None,
-                    cache_dir=self.cache_dir,
                 )
+                .to_dict(),
             )
-
-        for outcome in self._map(_run_cell_task, tasks):
-            workload, system, args, result_key = cells[outcome.index]
-            for stage, seconds in outcome.timings.items():
-                metrics[stage].wall_seconds += seconds
-            if outcome.selection is not None:
-                skey = selection_key(args, profile_keys[workload.name])
-                self._memo["selection"][skey] = outcome.selection
-            if outcome.error is not None:
-                errors[outcome.index] = CellError(
-                    workload.name, system.key, *outcome.error
-                )
-                continue
             metrics["evaluate"].cache_misses += 1
             metrics["evaluate"].bytes_simulated += int(
-                outcome.result["stats"]["bytes_moved"]
+                result["stats"]["bytes_moved"]
             )
-            results[outcome.index] = outcome.result
-            self._memo["result"][result_key] = outcome.result
+            return result
 
-        # Assemble in deterministic cell order.
         table = SpeedupTable(baseline_label=systems[0].label)
-        for index in sorted(results):
-            table.add(MachineResult.from_dict(results[index]))
+        errors: list[CellError] = []
+        for workload in workloads:
+            for system, args in zip(systems, system_args):
+                try:
+                    result = cell(workload, system, args)
+                except _StageFailed as failure:
+                    errors.append(
+                        CellError(
+                            workload.name,
+                            system.key,
+                            failure.stage,
+                            failure.message,
+                        )
+                    )
+                else:
+                    table.add(MachineResult.from_dict(result))
         return SuiteResult(
             table=table,
-            errors=[errors[index] for index in sorted(errors)],
+            errors=errors,
             metrics=metrics,
             wall_seconds=time.perf_counter() - sweep_start,
-            workers=self.max_workers,
         )
 
     # -- single cells --------------------------------------------------------

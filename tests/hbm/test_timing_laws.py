@@ -234,3 +234,45 @@ def test_misses_rotating_over_channels_run_in_waves(config):
             assert stats.requests == n, run
             assert stats.row_hits == 0, run
             assert stats.makespan_ns == -(-n // wave) * t_miss, run
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=config_id)
+def test_frfcfs_promotes_younger_hits_when_the_window_holds_them(config):
+    """n pairs alternating rows A and B of one bank: A, B, A, B, ...
+    Let m = min(in-flight, window), the number of queued requests
+    FR-FCFS can choose among.
+
+    * m >= 2n: every request is queued and visible from the start.  The
+      oldest, A, opens its row (``t_miss``).  From then on the bank
+      always sees a request to its open row while one is left, and
+      FR-FCFS serves it ahead of the older B: the other n − 1 A's hit,
+      one ``t_burst`` each on the bank and bus alike.  Only B's are left;
+      the oldest opens row B and the other n − 1 hit.  So there are
+      2n − 2 hits and the makespan is ``2·t_miss + 2(n−1)·t_burst``.
+    * m = 1: the scheduler only ever sees the oldest request, so service
+      follows trace order; each request finds the other row open and
+      misses: 0 hits and ``2n·t_miss``.
+
+    Other m are left out: how many hits a partly visible queue promotes
+    depends on when each request is admitted.
+    """
+    t_burst = config.effective_t_burst_ns
+    t_miss = config.effective_t_row_miss_ns
+    for n, inflight, window in itertools.product(
+        (1, 2, 3, 5, 8), (1, 2, 3, 4, 8, 16, 64, 256), (1, 2, 3, 4, 8, 16)
+    ):
+        visible = min(inflight, window)
+        if visible >= 2 * n:
+            hits, expected = 2 * n - 2, 2 * t_miss + 2 * (n - 1) * t_burst
+        elif visible == 1:
+            hits, expected = 0, 2 * n * t_miss
+        else:
+            continue
+        rows = np.tile([3, 40], n)
+        ha = addresses(config, 9, 1, rows, columns(config, 2 * n, n))
+        device = HBMDevice(config, max_inflight=inflight, frfcfs_window=window)
+        stats = device.simulate(ha)
+        run = f"n={n} inflight={inflight} window={window}"
+        assert stats.requests == 2 * n, run
+        assert stats.row_hits == hits, run
+        assert stats.makespan_ns == expected, run

@@ -1,11 +1,10 @@
-"""Tests for the parallel, cached experiment engine.
+"""Tests for the cached experiment engine.
 
-The contract under test: cached, serial and parallel execution of the
-same sweep are interchangeable — a warm cache serves every cell without
-recomputation, a process pool produces numerically identical results,
-a cache entry that fails its checksum is recomputed, and a failing
-stage degrades to recorded errors on the cells that need it instead of
-killing the sweep.
+The contract under test: cached and fresh execution of the same sweep
+are interchangeable — a warm cache serves every cell without
+recomputation, a cache entry that fails its checksum is recomputed,
+and a failing stage degrades to recorded errors on the cells that need
+it instead of killing the sweep.
 """
 
 import json
@@ -74,19 +73,6 @@ class TestCaching:
         assert second.bytes_simulated == 0
         assert second.table.to_dict() == first.table.to_dict()
 
-    def test_pooled_cold_sweep_serves_a_serial_warm_sweep(self, tmp_path):
-        # Every entry the warm sweep reads was published by a worker.
-        workloads, systems = small_workloads(), small_systems()
-        cold = ExperimentRunner(cache_dir=tmp_path, max_workers=2).run_suite(
-            workloads, systems=systems
-        )
-        warm = ExperimentRunner(cache_dir=tmp_path).run_suite(
-            workloads, systems=systems
-        )
-        assert not cold.errors and not warm.errors
-        assert warm.metrics["evaluate"].cache_misses == 0
-        assert warm.table.fingerprint() == cold.table.fingerprint()
-
     def test_edited_or_unsigned_result_is_recomputed(self, tmp_path):
         workloads, systems = small_workloads(), small_systems()
         first = ExperimentRunner(cache_dir=tmp_path).run_suite(
@@ -151,23 +137,10 @@ class TestCaching:
         assert a.fingerprint() != b.fingerprint()
 
 
-class TestParallelEquivalence:
-    def test_parallel_cold_matches_serial_cold(self):
-        workloads, systems = small_workloads(), small_systems()
-        serial = ExperimentRunner(max_workers=0).run_suite(
-            workloads, systems=systems
-        )
-        parallel = ExperimentRunner(max_workers=2).run_suite(
-            workloads, systems=systems
-        )
-        assert not serial.errors and not parallel.errors
-        assert parallel.table.fingerprint() == serial.table.fingerprint()
-
+class TestOrder:
     def test_results_arrive_in_workload_major_order(self):
         workloads, systems = small_workloads(), small_systems()
-        suite = ExperimentRunner(max_workers=2).run_suite(
-            workloads, systems=systems
-        )
+        suite = ExperimentRunner().run_suite(workloads, systems=systems)
         assert suite.table.workloads() == [w.name for w in workloads]
         assert suite.table.systems() == [s.label for s in systems]
 
@@ -187,13 +160,10 @@ class TestFailureIsolation:
         with pytest.raises(ConfigError, match="boom"):
             suite.raise_errors()
 
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_failing_profile_fails_only_the_cells_that_need_it(
-        self, workers
-    ):
+    def test_failing_profile_fails_only_the_cells_that_need_it(self):
         good = small_workloads()[0]
         bad = ExplodingWorkload(stride_lines=4, accesses_per_thread=600)
-        suite = ExperimentRunner(max_workers=workers).run_suite(
+        suite = ExperimentRunner().run_suite(
             [good, bad], systems=small_systems()
         )
         # SDAM cells need their own profile; every BS+BSM cell needs the
@@ -223,10 +193,6 @@ class TestFailureIsolation:
                 [system_by_key("bs_dm"), system_by_key("sdm_bsm")],
             )
 
-    def test_negative_worker_count_is_rejected(self):
-        with pytest.raises(ConfigError, match="worker count"):
-            ExperimentRunner(max_workers=-2)
-
     def test_run_one_raises_on_failure(self):
         bad = ExplodingWorkload(stride_lines=4, accesses_per_thread=600)
         with pytest.raises(ConfigError, match="boom"):
@@ -241,7 +207,7 @@ class TestFailureIsolation:
         with pytest.raises(ConfigError, match=expected):
             ExperimentRunner().run_one(bad, system_by_key(key))
         with pytest.raises(ConfigError, match=expected):
-            Session(cache_dir=None, workers=0).run(bad, key)
+            Session(cache_dir=None).run(bad, key)
 
 
 class TestSerialization:

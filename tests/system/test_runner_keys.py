@@ -47,21 +47,16 @@ def table_fingerprints(table):
     }
 
 
-WORKERS = pytest.mark.parametrize("workers", [0, 2])
-
-
 class TestBackendOptionsReachEveryCell:
-    @WORKERS
-    def test_session_run(self, workers):
-        session = Session(cache_dir=None, workers=workers, **TIERED)
+    def test_session_run(self):
+        session = Session(cache_dir=None, **TIERED)
         for key in SYSTEMS:
             result = session.run(workload(), key)
             assert result.tier_traffic is not None
             assert result.fingerprint() == expected(key)
 
-    @WORKERS
-    def test_session_sweep(self, workers):
-        suite = Session(cache_dir=None, workers=workers, **TIERED).sweep(
+    def test_session_sweep(self):
+        suite = Session(cache_dir=None, **TIERED).sweep(
             [workload()], list(SYSTEMS)
         )
         assert not suite.errors
@@ -69,27 +64,23 @@ class TestBackendOptionsReachEveryCell:
             system_by_key(key).label: expected(key) for key in SYSTEMS
         }
 
-    @WORKERS
-    def test_run_suite(self, workers):
+    def test_run_suite(self):
         table = run_suite(
             [workload()],
             systems=[system_by_key(key) for key in SYSTEMS],
-            max_workers=workers,
             **TIERED,
         )
         assert table_fingerprints(table) == {
             system_by_key(key).label: expected(key) for key in SYSTEMS
         }
 
-    @WORKERS
-    def test_frequency_sweep(self, workers):
+    def test_frequency_sweep(self):
         scales = (1.0, 0.5)
         out = frequency_sweep(
             [workload()],
             system_by_key("sdm_bsm"),
             system_by_key("bs_dm"),
             scales=scales,
-            max_workers=workers,
             **TIERED,
         )
         for scale in scales:

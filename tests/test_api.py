@@ -30,16 +30,17 @@ class TestSession:
         assert session.cache_dir == str(tmp_path / "stages")
 
     def test_none_disables_the_disk_cache(self):
-        session = api.Session(cache_dir=None, workers=0)
+        session = api.Session(cache_dir=None)
         assert session.cache_dir is None
         assert session.runner.store is None
 
-    def test_negative_workers_rejected(self):
-        with pytest.raises(ConfigError, match="worker count"):
-            api.Session(cache_dir=None, workers=-1)
+    @pytest.mark.parametrize("name", ["workers", "bogus"])
+    def test_unknown_machine_argument_fails_at_construction(self, name):
+        with pytest.raises(ConfigError, match=name):
+            api.Session(cache_dir=None, **{name: 1})
 
     def test_run_persists_stages(self, tmp_path):
-        session = api.Session(cache_dir=tmp_path, workers=0)
+        session = api.Session(cache_dir=tmp_path)
         result = session.run(tiny_workload(), "sdm_bsm")
         assert isinstance(result, MachineResult)
         assert result.system == "SDM+BSM"
@@ -47,14 +48,14 @@ class TestSession:
         assert list((tmp_path / "profile").iterdir())
 
     def test_compare_keys_by_callers_key(self):
-        session = api.Session(cache_dir=None, workers=0)
+        session = api.Session(cache_dir=None)
         config = system_by_key("sdm_bsm_ml4")
         results = session.compare(tiny_workload(), systems=("bs_dm", config))
         assert set(results) == {"bs_dm", "sdm_bsm_ml4"}
         assert results["sdm_bsm_ml4"].time_ns < results["bs_dm"].time_ns
 
     def test_sweep_returns_suite_result(self):
-        session = api.Session(cache_dir=None, workers=0)
+        session = api.Session(cache_dir=None)
         suite = session.sweep(
             [tiny_workload()], systems=["bs_dm", "sdm_bsm"]
         )
@@ -112,7 +113,7 @@ class TestBuilders:
 
 class TestFullEvaluation:
     def test_quick_sweep_produces_table(self):
-        session = api.Session(cache_dir=None, workers=0)
+        session = api.Session(cache_dir=None)
         table = session.full_evaluation(quick=True).raise_errors().table
         assert len(table.workloads()) == 4
         assert "BS+DM" in table.systems()
@@ -126,7 +127,7 @@ class TestFullEvaluation:
         monkeypatch.setattr(
             api, "standard_systems", lambda: [system_by_key("bs_dm")]
         )
-        session = api.Session(cache_dir=None, workers=0, cores=2)
+        session = api.Session(cache_dir=None, cores=2)
         assert not session.full_evaluation(quick=True).errors
         assert session.machine_kwargs == {"cores": 2}
 

@@ -51,7 +51,7 @@ class TestCLI:
         _tiny_suite(monkeypatch)
         assert main(["suite", "--quick", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert set(data) >= {"table", "errors", "metrics", "workers"}
+        assert set(data) == {"table", "errors", "metrics", "wall_seconds"}
         assert not data["errors"]
         assert list(data["table"]["results"]) == ["copy-mixed-1x16"]
 
@@ -225,7 +225,6 @@ USAGE_ERRORS = {
         "--checkpoint", "{ckpt}", "--resume",
     ],
     "suite-unknown-backend": ["suite", "--backend", "bogus"],
-    "suite-negative-workers": ["suite", "--workers", "-2"],
     "audit-mappings-over-cmt-capacity": ["audit", "--mappings", "300"],
     "audit-negative-chunks": ["audit", "--chunks", "-1"],
     "stride-zero-accesses": ["stride", "--accesses", "0"],
