@@ -120,7 +120,9 @@ class Session:
         :class:`~repro.system.machine.Machine` (``hbm``, ``engine``,
         ``backend``, ``backend_options``, ``dl_config``, ...); every
         one is part of each cached entry's key.  A name ``Machine``
-        does not take raises :class:`~repro.errors.ConfigError` here.
+        does not take, or a value it rejects (an unknown backend or
+        backend option), raises :class:`~repro.errors.ConfigError`
+        here.
     """
 
     def __init__(
@@ -130,7 +132,8 @@ class Session:
     ):
         if cache_dir is _UNSET:
             cache_dir = default_cache_dir()
-        _machine_args(system_by_key("bs_dm"), machine_kwargs)
+        # Checks every platform and backend option, as ``run_suite`` does.
+        Machine(**_machine_args(system_by_key("bs_dm"), machine_kwargs))
         self.machine_kwargs = machine_kwargs
         self.runner = ExperimentRunner(cache_dir=cache_dir)
 

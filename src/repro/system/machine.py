@@ -25,6 +25,7 @@ to program accesses) from which experiment-level speedups are computed.
 
 from __future__ import annotations
 
+import copy
 import threading
 from dataclasses import dataclass
 
@@ -262,21 +263,43 @@ _TRACE_FIELDS = ("va", "is_write", "variable")
 class _LastStream:
     """The last cache-filtered external stream, for the next run to reuse.
 
-    The engine's filter is a pure function of the engine's type, its
-    constructor fields (``vars(engine)``) and the thread traces' arrays,
-    so a run whose traces equal the previous run's gets the previous
-    result object back unchanged.  Sweeps run workload-major, so a
-    repeated stream comes right after the run that produced it: one
-    entry catches every repeat within a pass, and none across passes.
+    A run's stream is a pure function of the engine (its type and
+    constructor fields, ``vars(engine)``) and the thread traces, and
+    every package workload's traces are a pure function of its public
+    attributes, the variables' base addresses and the input seed: it
+    seeds its own generator from ``input_seed``, writes no public
+    attribute outside ``__init__``, and keeps only lazily built inputs
+    derived from the public ones in private attributes (the
+    :meth:`~repro.workloads.base.Workload.spec_dict` contract).  So
+    :meth:`external` checks two levels before it does any work:
 
-    The entry keeps private contiguous copies of the thread traces and
-    compares them with ``np.array_equal``.  Hashing instead (which
+    1. *Same program input*: the same engine key, the same workload
+       object, public attributes ``==`` to a deep copy taken when the
+       entry was written, equal base addresses and an equal seed.  The
+       kept result comes back without calling ``workload.trace``.  An
+       attribute whose ``==`` raises (an ndarray) makes the run a miss.
+    2. *Same thread traces*: otherwise the traces are generated and
+       compared with ``np.array_equal`` against private contiguous
+       copies of the kept ones; only a mismatch runs the filter.  This
+       level serves a workload that ignores its seed, or a fresh
+       instance equal to the kept one.
+
+    The key is built from the attributes, not from
+    :meth:`~repro.workloads.base.Workload.spec_hash`, which would load
+    the stage-key modules on the run path.  Hashing the thread traces
+    instead of comparing them (which
     :class:`~repro.hbm.plancache.PlanCache` would need, since its keys
-    must be hashable) first copies the strided thread views of the graph
-    and join workloads and then costs about 1 ms per run; the compare
-    costs about 0.05 ms.  The result's three arrays are read-only, since
-    every run that hits shares them.  The check and the fill hold one
-    lock.
+    must be hashable) first copies the strided thread views of the
+    graph and join workloads and then costs about 1 ms per run; the
+    compare costs about 0.05 ms.
+
+    Sweeps run workload-major, so a repeated stream comes right after
+    the run that produced it: one entry catches every repeat within a
+    pass, and a pass that starts with its profile input takes none
+    across passes.  The entry is written only after the trace and the
+    filter succeed, so a run that raises leaves the previous entry
+    whole.  The result's three arrays are read-only, since every run
+    that hits shares them.  The checks and the fill hold one lock.
     """
 
     def __init__(self):
@@ -286,29 +309,53 @@ class _LastStream:
     def clear(self) -> None:
         """Forget the kept stream."""
         self._engine = None
+        self._program: tuple | None = None
         self._inputs: list[tuple[np.ndarray, ...]] = []
         self._result: ExternalTraceResult | None = None
 
     def external(
-        self, engine, thread_traces: list[AccessTrace]
+        self, engine, workload: Workload, base: dict[str, int], seed: int
     ) -> ExternalTraceResult:
-        """``engine.external_trace(thread_traces)``, reused on a repeat."""
+        """``engine.external_trace(workload.trace(base, input_seed=seed))``,
+        reused on a repeat."""
         key = (type(engine), vars(engine))
         with self._lock:
-            if self._matches(key, thread_traces):
+            same_engine = self._result is not None and key == self._engine
+            if same_engine and self._same_program(workload, base, seed):
                 return self._result
-            result = _read_only(engine.external_trace(thread_traces))
-            self._engine = (type(engine), dict(vars(engine)))
-            self._inputs = [
-                tuple(np.array(getattr(t, name)) for name in _TRACE_FIELDS)
-                for t in thread_traces
-            ]
-            self._result = result
-            return result
+            # Copied before ``trace`` runs, so the key describes the
+            # input the traces were generated from.
+            program = _program_key(workload, base, seed)
+            thread_traces = workload.trace(base, input_seed=seed)
+            if not (same_engine and self._same_traces(thread_traces)):
+                result = _read_only(engine.external_trace(thread_traces))
+                self._engine = (type(engine), dict(vars(engine)))
+                self._inputs = [
+                    tuple(np.array(getattr(t, name)) for name in _TRACE_FIELDS)
+                    for t in thread_traces
+                ]
+                self._result = result
+            self._program = program
+            return self._result
 
-    def _matches(self, key, thread_traces: list[AccessTrace]) -> bool:
-        if self._result is None or key != self._engine:
+    def _same_program(
+        self, workload: Workload, base: dict[str, int], seed: int
+    ) -> bool:
+        if self._program is None:
             return False
+        kept_workload, kept_public, kept_base, kept_seed = self._program
+        if workload is not kept_workload:
+            return False
+        try:
+            return bool(
+                _public(workload) == kept_public
+                and dict(base) == kept_base
+                and seed == kept_seed
+            )
+        except (TypeError, ValueError):  # no plain ``==`` (an ndarray)
+            return False
+
+    def _same_traces(self, thread_traces: list[AccessTrace]) -> bool:
         if len(thread_traces) != len(self._inputs):
             return False
         # ``array_equal`` compares shapes first, so lengths come cheap.
@@ -317,6 +364,27 @@ class _LastStream:
             for t, kept in zip(thread_traces, self._inputs)
             for name, array in zip(_TRACE_FIELDS, kept)
         )
+
+
+def _public(workload: Workload) -> dict:
+    """The workload's public instance attributes."""
+    return {
+        name: value
+        for name, value in vars(workload).items()
+        if not name.startswith("_")
+    }
+
+
+def _program_key(
+    workload: Workload, base: dict[str, int], seed: int
+) -> tuple | None:
+    """What level 1 of :class:`_LastStream` compares, or None (never
+    equal) for a workload whose attributes cannot be copied."""
+    try:
+        public = copy.deepcopy(_public(workload))
+    except (TypeError, copy.Error):
+        return None
+    return (workload, public, dict(base), seed)
 
 
 def _read_only(result: ExternalTraceResult) -> ExternalTraceResult:
@@ -345,8 +413,11 @@ class Machine:
     across runs and machines, neither of which changes a result: the
     compiled decode plans of the process-wide
     :func:`~repro.hbm.plancache.default_plan_cache`, and the last
-    cache-filtered external stream, which a run whose thread traces and
-    engine repeat the previous run's reuses read-only.
+    cache-filtered external stream (:class:`_LastStream`).  A run whose
+    engine repeats the previous run's reuses that stream read-only: it
+    skips ``workload.trace`` too when the workload object, its public
+    attributes, the base addresses and the seed repeat, and else only
+    the filter when the generated thread traces repeat.
     """
 
     # Major-variable coverage for clustered selection.  The paper's 80%
@@ -443,8 +514,7 @@ class Machine:
     def _external(
         self, workload: Workload, base: dict[str, int], seed: int
     ) -> ExternalTraceResult:
-        thread_traces = workload.trace(base, input_seed=seed)
-        return _LAST_STREAM.external(self.engine, thread_traces)
+        return _LAST_STREAM.external(self.engine, workload, base, seed)
 
     def _compute_ns(
         self, workload: Workload, external: ExternalTraceResult

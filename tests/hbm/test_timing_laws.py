@@ -143,6 +143,17 @@ def distinct_rows(config: HBMConfig, n: int) -> np.ndarray:
     return (np.arange(n) * 7919 + 13) % config.rows_per_bank
 
 
+def one_channel_makespan(config: HBMConfig, banks: int, n: int) -> float:
+    """The makespan of n misses rotating over ``banks`` banks of one
+    channel, each in a new row, with at least ``banks`` in flight (the
+    law the next test derives)."""
+    t_burst = config.effective_t_burst_ns
+    t_miss = config.effective_t_row_miss_ns
+    if banks * t_burst >= t_miss:
+        return t_miss + (n - 1) * t_burst
+    return -(-n // banks) * t_miss + ((n - 1) % banks) * t_burst
+
+
 @pytest.mark.parametrize("config", CONFIGS, ids=config_id)
 def test_misses_rotating_over_banks_overlap_up_to_the_bus(config):
     """n misses on one channel, request i in bank ``i mod k`` of k, each
@@ -168,8 +179,6 @@ def test_misses_rotating_over_banks_overlap_up_to_the_bus(config):
     so admission never delays a start.  No request ever hits, so the
     FR-FCFS window changes nothing.
     """
-    t_burst = config.effective_t_burst_ns
-    t_miss = config.effective_t_row_miss_ns
     rng = np.random.default_rng(config.banks_per_channel)
     for k in range(1, config.banks_per_channel + 1):
         banks = rng.choice(config.banks_per_channel, k, replace=False)
@@ -187,10 +196,7 @@ def test_misses_rotating_over_banks_overlap_up_to_the_bus(config):
                 config, max_inflight=inflight, frfcfs_window=window
             )
             stats = device.simulate(ha)
-            if k * t_burst >= t_miss:
-                expected = t_miss + (n - 1) * t_burst
-            else:
-                expected = -(-n // k) * t_miss + ((n - 1) % k) * t_burst
+            expected = one_channel_makespan(config, k, n)
             run = f"k={k} inflight={inflight} window={window} n={n}"
             assert stats.requests == n, run
             assert stats.row_hits == 0, run
@@ -234,6 +240,83 @@ def test_misses_rotating_over_channels_run_in_waves(config):
             assert stats.requests == n, run
             assert stats.row_hits == 0, run
             assert stats.makespan_ns == -(-n // wave) * t_miss, run
+
+
+def capped_inflights(channels: int, banks: int) -> list[int]:
+    """The in-flight limits the channel-and-bank law covers: every
+    multiple ``C·j'`` with ``1 <= j' <= k``, and limits of ``C·k`` and
+    beyond."""
+    above = (channels * banks + 1, 255, 256)
+    return sorted(
+        {channels * j for j in range(1, banks + 1)}
+        | {m for m in above if m >= channels * banks}
+    )
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=config_id)
+def test_misses_over_channels_and_banks_follow_the_one_channel_law(config):
+    """n misses, request i on channel ``i mod C`` and bank ``(i div C)
+    mod k``, each in a new row, under an in-flight limit m that is
+    ``C·j'`` (``1 <= j' <= k``) or at least ``C·k``.  Let ``j = min(k,
+    m div C)`` and ``N = ceil(n/C)``.  The makespan is the one-channel
+    k-bank law at j banks on N requests, and no request hits.
+
+    Channel c gets requests ``c, c+C, c+2C, ...``; its q-th request is
+    on bank ``q mod k``.  The first m requests are admitted at 0, ``m
+    div C`` of them on every channel when m is a multiple of C.  The
+    channels share no bank and no bus, and each one's first requests
+    start together, so every channel follows the same schedule: its
+    q-th request finishes at a time ``T(q)`` that depends on q alone,
+    and ``T`` increases, since every transfer follows the previous one
+    on its bus.  The issue heap takes the channels in order within each
+    q (ties go to the lowest channel), and every issue admits the next
+    request in trace order, which lands on the channel that just
+    issued: the trace rotates through the channels as the issues do.
+    So each channel keeps ``m div C`` requests outstanding, and the one
+    admitted after request q is issued arrives at the latest finish so
+    far, ``T(q)``.
+
+    * ``m = C·j'`` with ``j' <= k``: request ``q + j`` is admitted at
+      ``T(q)``.  Its bank ``(q + j) mod k`` was last used by request
+      ``q + j − k <= q``, which finished by ``T(q)``, so it starts at
+      ``T(q)``: exactly when bank ``(q + j) mod j`` of a j-bank
+      rotation, last used by request q, would be free.  The channel
+      runs the j-bank rotation, with j in flight.
+    * ``m >= C·k``: at least k requests per channel are outstanding, so
+      request q is admitted no later than request ``q − k`` of its
+      channel frees its bank, and admission never delays a start.  The
+      channel runs the k-bank rotation, and ``j = k``.
+
+    Channel 0 has the most requests, N, so the makespan is ``T(N−1)``:
+    the one-channel law at j banks on N requests.  No request ever
+    hits, so the FR-FCFS window changes nothing.
+    """
+    for channels, k in itertools.product(
+        (2, 3, 4, 8), (1, 2, 3, 4, config.banks_per_channel)
+    ):
+        for inflight, window, n in itertools.product(
+            capped_inflights(channels, k), WINDOWS, (1, 5, 37, 300)
+        ):
+            i = np.arange(n)
+            ha = addresses(
+                config,
+                i % channels,
+                (i // channels) % k,
+                distinct_rows(config, n),
+                columns(config, n, n),
+            )
+            device = HBMDevice(
+                config, max_inflight=inflight, frfcfs_window=window
+            )
+            stats = device.simulate(ha)
+            j = min(k, inflight // channels)
+            expected = one_channel_makespan(config, j, -(-n // channels))
+            run = (
+                f"C={channels} k={k} inflight={inflight} window={window} n={n}"
+            )
+            assert stats.requests == n, run
+            assert stats.row_hits == 0, run
+            assert stats.makespan_ns == expected, run
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=config_id)

@@ -1,12 +1,18 @@
-"""A run reuses the previous run's cache-filtered external stream.
+"""A run reuses the previous run's trace and cache-filtered stream.
 
-``Machine`` filters every run's thread traces through one process-wide
-holder of the last stream (``machine._LAST_STREAM``).  A run whose
-engine and thread traces equal the previous run's gets the previous
-``ExternalTraceResult`` back; anything else filters again.  The
-contract under test: reuse never changes a result, it happens exactly
-when the inputs repeat, and the shared stream cannot be written to.
+``Machine`` gets every run's external stream from one process-wide
+holder of the last one (``machine._LAST_STREAM``).  A run whose engine,
+workload object, public workload attributes, base addresses and seed
+equal the previous run's gets the previous ``ExternalTraceResult`` back
+without generating its traces; a run whose generated thread traces
+equal the previous run's gets it back without filtering them; anything
+else filters again.  The contract under test: reuse never changes a
+result, it happens exactly when the inputs repeat, a run that raises
+leaves the next one correct, and the shared stream cannot be written
+to.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -17,7 +23,10 @@ from repro.cpu.trace import AccessTrace
 from repro.ml.dlkmeans import AutoencoderConfig
 from repro.system.config import standard_systems, system_by_key
 from repro.system.machine import _LAST_STREAM, Machine
-from repro.workloads.synthetic import MixedStrideWorkload
+from repro.workloads.base import Workload
+from repro.workloads.models import ModeledWorkload
+from repro.workloads.spec import spec2006_workload
+from repro.workloads.synthetic import MixedStrideWorkload, StridedCopyWorkload
 
 FAST_DL = AutoencoderConfig(
     pretrain_steps=20, joint_steps=10, hidden_dim=16, delta_embed_dim=8
@@ -49,8 +58,53 @@ def filter_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def trace_calls(monkeypatch):
+    """Counts the workloads' trace calls: a repeated program makes none."""
+    calls = []
+    for cls in (MixedStrideWorkload, StridedCopyWorkload, ModeledWorkload):
+        original = cls.trace
+
+        def counted(self, base, input_seed=0, original=original):
+            calls.append(type(self).__name__)
+            return original(self, base, input_seed=input_seed)
+
+        monkeypatch.setattr(cls, "trace", counted)
+    return calls
+
+
 def small_workload():
     return MixedStrideWorkload(strides=(1, 16), accesses_per_stride=600)
+
+
+def small_model():
+    return spec2006_workload("hmmer", total_accesses=3000)
+
+
+class GivenTraces(Workload):
+    """A program whose thread traces are the given ones.  Every instance
+    is a new program, so the holder compares the traces themselves."""
+
+    def __init__(self, traces):
+        self._traces = traces
+
+    def variables(self):
+        return []
+
+    def trace(self, base, input_seed=0):
+        return self._traces
+
+
+class SeedBlindCopy(StridedCopyWorkload):
+    """A strided copy whose traces ignore the input seed."""
+
+    def trace(self, base, input_seed=0):
+        return super().trace(base, input_seed=0)
+
+
+def filtered(engine, traces):
+    """The holder's stream for the given thread traces."""
+    return _LAST_STREAM.external(engine, GivenTraces(traces), {}, 0)
 
 
 def thread_traces(threads=3, n=2000, seed=0):
@@ -84,37 +138,176 @@ def same_stream(a, b) -> bool:
 
 @pytest.mark.parametrize("engine", ["cpu", "accelerator"])
 @pytest.mark.parametrize("system", SIX_SYSTEMS, ids=lambda s: s.key)
-def test_warm_run_matches_cold_run(engine, system, filter_calls):
+def test_warm_run_matches_cold_run(engine, system, filter_calls, trace_calls):
     workload = small_workload()
     profile = Machine(system_by_key("bs_dm"), engine=engine).profile(workload)
     machine = Machine(system, engine=engine, dl_config=FAST_DL)
     _LAST_STREAM.clear()
     cold = machine.run(workload, profile=profile)
-    filtered = len(filter_calls)
+    counts = len(filter_calls), len(trace_calls)
     warm = machine.run(workload, profile=profile, selection=cold.selection)
-    assert len(filter_calls) == filtered  # the warm run filtered nothing
+    # The warm run neither generated nor filtered a trace.
+    assert (len(filter_calls), len(trace_calls)) == counts
     assert warm.external is cold.external
     assert warm.fingerprint() == cold.fingerprint()
 
 
-def test_a_pass_records_the_same_hits_every_time(filter_calls):
+def test_a_pass_records_the_same_hits_every_time(filter_calls, trace_calls):
     # Each round is one benchmark pass: the shared profile, then the
     # round's runs, so no reuse crosses from one round into the next.
     workload = small_workload()
+
+    def work_since(start):
+        """(generated, filtered) since ``start``."""
+        return (len(trace_calls) > start[0], len(filter_calls) > start[1])
+
     rounds = []
     for _ in range(2):
-        hits = []
-        start = len(filter_calls)
+        start = len(trace_calls), len(filter_calls)
         profile = Machine(system_by_key("bs_dm")).profile(workload)
-        hits.append(len(filter_calls) == start)
+        steps = [work_since(start)]
         for key in ("bs_dm", "bs_hm", "sdm_bsm"):
-            start = len(filter_calls)
+            start = len(trace_calls), len(filter_calls)
             Machine(system_by_key(key)).run(workload, profile=profile)
-            hits.append(len(filter_calls) == start)
-        rounds.append(hits)
-    # The profile input and the first run miss; BS+HM and SDM+BSM
-    # allocate the same virtual addresses as BS+DM, so they hit.
-    assert rounds == [[False, False, True, True]] * 2
+            steps.append(work_since(start))
+        rounds.append(steps)
+    # The profile input and the first run generate and filter; BS+HM
+    # and SDM+BSM allocate the same virtual addresses as BS+DM, so they
+    # do neither.
+    steps = [(True, True), (True, True), (False, False), (False, False)]
+    assert rounds == [steps] * 2
+
+
+def test_an_input_the_seed_does_not_change_skips_the_filter(
+    filter_calls, trace_calls
+):
+    # The evaluation input's traces equal the profile input's, so only
+    # the trace is generated again.
+    workload = SeedBlindCopy(stride_lines=4, accesses_per_thread=500)
+    machine = Machine(system_by_key("bs_dm"))
+    profile = machine.profile(workload, input_seed=0)
+    assert (len(trace_calls), len(filter_calls)) == (1, 1)
+    result = machine.run(workload, profile=profile, eval_seed=1)
+    assert (len(trace_calls), len(filter_calls)) == (2, 1)
+    # The seed-1 input is now the kept program.
+    again = machine.run(workload, profile=profile, eval_seed=1)
+    assert (len(trace_calls), len(filter_calls)) == (2, 1)
+    assert again.external is result.external
+    _LAST_STREAM.clear()
+    assert result.fingerprint() == machine.run(workload).fingerprint()
+
+
+def test_a_second_identical_run_never_generates(trace_calls):
+    workload = small_model()
+    machine = Machine(system_by_key("bs_dm"))
+    first = machine.run(workload)
+    assert len(trace_calls) == 1
+    for _ in range(3):
+        assert machine.run(workload).external is first.external
+    # A fresh machine of the same platform repeats the program too.
+    assert Machine(system_by_key("bs_hm")).run(workload).external is (
+        first.external
+    )
+    assert len(trace_calls) == 1
+
+
+def reassign_attribute(workload):
+    workload.write_fraction = 0.6
+
+
+def edit_majors_in_place(workload):
+    workload.majors[0] = dataclasses.replace(
+        workload.majors[0], pattern="random"
+    )
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [reassign_attribute, edit_majors_in_place],
+    ids=["attribute-reassigned", "majors-edited-in-place"],
+)
+def test_an_edited_workload_regenerates(edit, trace_calls):
+    workload = small_model()
+    machine = Machine(system_by_key("bs_dm"))
+    first = machine.run(workload)
+    edit(workload)
+    edited = machine.run(workload)
+    assert len(trace_calls) == 2
+    assert edited.external is not first.external
+    _LAST_STREAM.clear()
+    cold = machine.run(workload)
+    assert edited.fingerprint() == cold.fingerprint()
+    assert cold.fingerprint() != first.fingerprint()
+
+
+def test_another_seed_regenerates(trace_calls):
+    workload = small_model()
+    machine = Machine(system_by_key("bs_dm"))
+    first = machine.run(workload, eval_seed=1)
+    other = machine.run(workload, eval_seed=2)
+    assert len(trace_calls) == 2
+    assert other.external is not first.external
+    _LAST_STREAM.clear()
+    cold = machine.run(workload, eval_seed=2)
+    assert other.fingerprint() == cold.fingerprint()
+    assert cold.fingerprint() != first.fingerprint()
+
+
+def test_another_base_regenerates(trace_calls):
+    workload = small_model()
+    engine = CPUModel()
+    base = {
+        spec.name: (index + 1) << 28
+        for index, spec in enumerate(workload.variables())
+    }
+    moved = dict(base, **{workload.majors[0].name: (64 << 28)})
+    first = _LAST_STREAM.external(engine, workload, base, 1)
+    other = _LAST_STREAM.external(engine, workload, moved, 1)
+    assert len(trace_calls) == 2
+    assert other is not first
+    cold = engine.external_trace(workload.trace(moved, input_seed=1))
+    assert same_stream(other, cold)
+    assert not same_stream(first, cold)
+
+
+def test_an_array_attribute_compares_the_traces(filter_calls, trace_calls):
+    # ``==`` on an ndarray attribute gives no single answer, so the
+    # program never repeats; the generated traces still do.
+    workload = StridedCopyWorkload(stride_lines=2, accesses_per_thread=500)
+    workload.offsets = np.arange(4)
+    machine = Machine(system_by_key("bs_dm"))
+    first = machine.run(workload)
+    again = machine.run(workload)
+    assert (len(trace_calls), len(filter_calls)) == (2, 1)
+    assert again.external is first.external
+
+
+@pytest.mark.parametrize("stage", ["trace", "filter"])
+def test_a_run_that_raises_leaves_the_next_run_correct(stage, monkeypatch):
+    workload = small_model()
+    machine = Machine(system_by_key("bs_dm"))
+    first = machine.run(workload)
+    owner, name = {
+        "trace": (ModeledWorkload, "trace"),
+        "filter": (CPUModel, "external_trace"),
+    }[stage]
+    original = getattr(owner, name)
+    armed = [True]
+
+    def fails_once(*args, **kwargs):
+        if armed:
+            armed.pop()
+            raise RuntimeError(f"{stage} failed")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, fails_once)
+    reassign_attribute(workload)
+    with pytest.raises(RuntimeError, match=f"{stage} failed"):
+        machine.run(workload)
+    after = machine.run(workload)
+    assert after.external is not first.external
+    _LAST_STREAM.clear()
+    assert after.fingerprint() == machine.run(workload).fingerprint()
 
 
 def test_another_core_count_misses():
@@ -130,8 +323,8 @@ def test_another_core_count_misses():
 
 def test_another_scratch_size_misses():
     traces = thread_traces()
-    scratch = _LAST_STREAM.external(AcceleratorModel(), traces)
-    bare = _LAST_STREAM.external(AcceleratorModel(scratch_bytes=0), traces)
+    scratch = filtered(AcceleratorModel(), traces)
+    bare = filtered(AcceleratorModel(scratch_bytes=0), traces)
     assert bare is not scratch
     assert same_stream(
         bare, AcceleratorModel(scratch_bytes=0).external_trace(traces)
@@ -140,9 +333,9 @@ def test_another_scratch_size_misses():
 
 def test_repeated_traces_hit():
     engine = CPUModel()
-    first = _LAST_STREAM.external(engine, thread_traces(seed=3))
+    first = filtered(engine, thread_traces(seed=3))
     # Equal arrays in fresh objects, from a fresh engine of one config.
-    again = _LAST_STREAM.external(CPUModel(), thread_traces(seed=3))
+    again = filtered(CPUModel(), thread_traces(seed=3))
     assert again is first
 
 
@@ -156,11 +349,11 @@ def test_a_trace_edited_in_place_misses(engine, field):
     # One thread: the accelerator without scratch would pass its write
     # flags and variables straight through to the stream.
     traces = thread_traces(threads=1)
-    before = _LAST_STREAM.external(engine, traces)
+    before = filtered(engine, traces)
     array = getattr(traces[0], field)
     assert array.flags.writeable  # the caller's arrays stay its own
     array[7] = not array[7] if field == "is_write" else array[7] + 64
-    after = _LAST_STREAM.external(engine, traces)
+    after = filtered(engine, traces)
     assert after is not before
     assert same_stream(after, engine.external_trace(traces))
 
@@ -168,9 +361,9 @@ def test_a_trace_edited_in_place_misses(engine, field):
 def test_editing_a_strided_thread_view_misses():
     traces = thread_traces()
     engine = CPUModel()
-    before = _LAST_STREAM.external(engine, traces)
+    before = filtered(engine, traces)
     traces[1].va[0] += np.uint64(1 << 20)
-    after = _LAST_STREAM.external(engine, traces)
+    after = filtered(engine, traces)
     assert after is not before
     assert same_stream(after, engine.external_trace(traces))
 

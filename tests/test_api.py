@@ -39,6 +39,21 @@ class TestSession:
         with pytest.raises(ConfigError, match=name):
             api.Session(cache_dir=None, **{name: 1})
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"backend": "bogus"}, "bogus"),
+            ({"backend_options": {"x": 1}}, "x"),
+            ({"engine": "gpu"}, "gpu"),
+            ({"backend": "fast", "backend_options": {"reorder_window": 0}},
+             "reorder_window"),
+        ],
+        ids=["backend", "backend-option", "engine", "option-value"],
+    )
+    def test_bad_machine_value_fails_at_construction(self, kwargs, match):
+        with pytest.raises(ConfigError, match=match):
+            api.Session(cache_dir=None, **kwargs)
+
     def test_run_persists_stages(self, tmp_path):
         session = api.Session(cache_dir=tmp_path)
         result = session.run(tiny_workload(), "sdm_bsm")
