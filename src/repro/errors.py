@@ -52,10 +52,10 @@ class OutOfMemoryError(AllocationError):
     """No free chunks/frames/heap space remain.
 
     A bulk frame allocation that runs out part-way sets ``frames`` to
-    the frames it did allocate, so the caller can still map them.
+    the frames it did allocate (an array), so the caller can map them.
     """
 
-    frames: list[int] | tuple[()] = ()
+    frames = ()
 
 
 class AddressError(ReproError):

@@ -62,7 +62,7 @@ class _FaultHandler:
         self.mappings = mappings
         self.sdam_enabled = sdam_enabled
 
-    def __call__(self, mapping_id: int, count: int) -> list[int]:
+    def __call__(self, mapping_id: int, count: int) -> np.ndarray:
         effective = mapping_id if self.sdam_enabled else 0
         if effective not in self.mappings:
             raise ProfilingError(
@@ -182,11 +182,9 @@ class Kernel:
         by no process (it is then just discarded).  The caller copies
         the data — the kernel model holds no contents.
         """
-        chunk_no = self.physical._frame_owner.get(frame_pa)
-        if chunk_no is None:
+        chunk = self.physical.frame_chunk(frame_pa)
+        if chunk is None:
             raise ProfilingError(f"frame {frame_pa:#x} is not allocated")
-        chunk = self.physical.chunk(chunk_no)
-        mapping_id = chunk.mapping_id if chunk is not None else 0
         owner = None
         vpn = None
         for space in self._spaces.values():
@@ -197,9 +195,7 @@ class Kernel:
         if owner is None:
             self.physical.discard_frame(frame_pa, retire=True)
             return None
-        new_pa = self.physical.alloc_frame(
-            mapping_id if mapping_id is not None else 0
-        )
+        new_pa = self.physical.alloc_frame(chunk.mapping_id)
         owner.remap(vpn, new_pa)
         self.physical.discard_frame(frame_pa, retire=True)
         return new_pa

@@ -56,9 +56,9 @@ class Chunk:
 
     def alloc_frame(self) -> int:
         """Allocate one frame; returns its physical address."""
-        return self.alloc_frames(1)[0]
+        return int(self.alloc_frames(1)[0])
 
-    def alloc_frames(self, count: int) -> list[int]:
+    def alloc_frames(self, count: int) -> np.ndarray:
         """Allocate ``count`` frames; returns their physical addresses.
 
         Frames go out in rotated sequential order: the first ``count``
@@ -73,14 +73,14 @@ class Chunk:
                 else f"chunk {self.number} has only {self.free_pages} free frames"
             )
         if count <= 0:
-            return []
+            return np.empty(0, dtype=np.uint64)
         free = np.flatnonzero(self._free)
         split = np.searchsorted(free, self._cursor)
         taken = np.concatenate((free[split:], free[:split]))[:count]
         self._free[taken] = False
         self.free_pages -= count
         self._cursor = (int(taken[-1]) + 1) % self._free.size
-        return ((taken << self.geometry.page_bits) + self.base_pa).tolist()
+        return (taken.astype(np.uint64) << self.geometry.page_bits) + self.base_pa
 
     def free_frame(self, pa: int) -> None:
         """Free one frame by physical address."""
@@ -91,6 +91,12 @@ class Chunk:
             raise AllocationError(f"block at page {offset} is not allocated")
         self._free[offset] = True
         self.free_pages += 1
+
+    def holds(self, pa: int) -> bool:
+        """True when page-aligned ``pa`` of this chunk is a live frame:
+        clear in the free bitmap and not retired."""
+        offset = (pa - self.base_pa) >> self.geometry.page_bits
+        return not self._free[offset] and offset not in self.retired_pages
 
     @property
     def is_empty(self) -> bool:
@@ -186,7 +192,6 @@ class PhysicalMemory:
         self._free_chunks: deque[int] = deque(range(geometry.num_chunks))
         self._chunks: dict[int, Chunk] = {}
         self._groups: dict[int, ChunkGroup] = {}
-        self._frame_owner: dict[int, int] = {}  # frame PA -> chunk number
         self._retired_chunks: set[int] = set()
         self.on_chunk_assigned = on_chunk_assigned
         self.on_chunk_released = on_chunk_released
@@ -253,9 +258,9 @@ class PhysicalMemory:
     # -- frame-level operations --------------------------------------------
     def alloc_frame(self, mapping_id: int) -> int:
         """Allocate one physical frame with the given address mapping."""
-        return self.alloc_frames(1, mapping_id)[0]
+        return int(self.alloc_frames(1, mapping_id)[0])
 
-    def alloc_frames(self, count: int, mapping_id: int) -> list[int]:
+    def alloc_frames(self, count: int, mapping_id: int) -> np.ndarray:
         """Allocate ``count`` frames with one mapping, in fault order.
 
         Fills the group's first chunk with space, then the next,
@@ -266,33 +271,34 @@ class PhysicalMemory:
         carries the frames already allocated in ``frames``.
         """
         group = self.group(mapping_id)
-        frames: list[int] = []
+        runs = [np.empty(0, dtype=np.uint64)]
         try:
-            while len(frames) < count:
+            while count > 0:
                 chunk = group.chunk_with_space()
                 if chunk is None:
                     chunk = self.acquire_chunk(mapping_id)
-                take = min(count - len(frames), chunk.free_pages)
+                take = min(count, chunk.free_pages)
                 # A chunk born full (the new-chunk hook retired every
                 # page) asks for one frame, which raises.
-                run = chunk.alloc_frames(take or 1)
-                self._frame_owner.update(dict.fromkeys(run, chunk.number))
-                frames += run
+                runs.append(chunk.alloc_frames(take or 1))
+                count -= take
         except OutOfMemoryError as error:
-            error.frames = frames
+            error.frames = np.concatenate(runs)
             raise
-        return frames
+        return np.concatenate(runs)
+
+    def frame_chunk(self, pa: int) -> Chunk | None:
+        """The chunk owning allocated frame ``pa`` (the chunk its PA falls
+        in, if live and holding the page), or None."""
+        pa = int(pa)
+        chunk = self._chunks.get(self.geometry.chunk_number(pa))
+        if chunk is None or pa & (self.geometry.page_bytes - 1):
+            return None
+        return chunk if chunk.holds(pa) else None
 
     def free_frame(self, pa: int) -> None:
         """Free a frame; empty chunks coalesce back to the free list."""
-        try:
-            chunk_no = self._frame_owner.pop(pa)
-        except KeyError:
-            raise AllocationError(f"frame {pa:#x} was not allocated")
-        chunk = self._chunks[chunk_no]
-        chunk.free_frame(pa)
-        if chunk.is_empty:
-            self.release_chunk(chunk)
+        self.discard_frame(pa, retire=False)
 
     # -- RAS: retirement -------------------------------------------------------
     def _notify_retired(self, chunk_no: int, page_offsets) -> None:
@@ -311,17 +317,15 @@ class PhysicalMemory:
         atomically, which is what page relocation off a faulty row
         needs.
         """
-        try:
-            chunk_no = self._frame_owner.pop(pa)
-        except KeyError:
+        chunk = self.frame_chunk(pa)
+        if chunk is None:
             raise AllocationError(f"frame {pa:#x} was not allocated")
-        chunk = self._chunks[chunk_no]
         chunk.free_frame(pa)
         if retire:
             offset = (pa - chunk.base_pa) >> self.geometry.page_bits
             chunk.retire_page(offset)
             self.pages_retired += 1
-            self._notify_retired(chunk_no, (offset,))
+            self._notify_retired(chunk.number, (offset,))
         elif chunk.is_empty:
             self.release_chunk(chunk)
 
@@ -367,12 +371,6 @@ class PhysicalMemory:
                     f"chunk {chunk_no} still holds live data; "
                     "relocate before retiring"
                 )
-            for pa in [
-                pa
-                for pa, owner in self._frame_owner.items()
-                if owner == chunk_no
-            ]:
-                del self._frame_owner[pa]
             if chunk.mapping_id is not None:
                 self.group(chunk.mapping_id).remove(chunk)
             del self._chunks[chunk_no]
@@ -410,7 +408,15 @@ class PhysicalMemory:
     # -- accounting -----------------------------------------------------------
     def frames_in_use(self) -> int:
         """Allocated frames across all chunks."""
-        return len(self._frame_owner)
+        return len(self.frame_owners())
+
+    def frame_owners(self) -> list[tuple[int, int]]:
+        """``(frame PA, chunk number)`` of every allocated frame, by PA."""
+        return [
+            (chunk.base_pa + (offset << self.geometry.page_bits), number)
+            for number, chunk in sorted(self._chunks.items())
+            for offset in chunk.live_page_offsets()
+        ]
 
     def internal_fragmentation_pages(self) -> int:
         """Free pages stranded inside partially used chunks.

@@ -23,8 +23,11 @@ __all__ = ["VMArea", "AddressSpace"]
 # Virtual address space starts well above zero so a null pointer faults.
 VA_BASE = 0x0000_1000_0000
 VA_LIMIT = 1 << 47
-# Page-table lookup default: above every frame address.
-_NOT_RESIDENT = (1 << 64) - 1
+# Page-table sentinels, above every frame address: a page of a VMA that
+# has no frame yet, and a page no VMA covers (a guard page, an unmapped
+# VMA, or any address outside ``[VA_BASE, _next_va)``).
+_NOT_RESIDENT = np.uint64((1 << 64) - 2)
+_UNMAPPED = np.uint64((1 << 64) - 1)
 
 
 def _segfault(va: int) -> AddressError:
@@ -56,6 +59,11 @@ class AddressSpace:
     ``fault_handler(mapping_id, count) -> frame PAs`` is supplied by the
     kernel; it allocates the frames for ``count`` first-touched pages of
     one VMA (on-demand paging).
+
+    The page table is one ``uint64`` array over ``[VA_BASE, _next_va)``,
+    which ``mmap`` hands out contiguously: slot ``i`` holds page
+    ``(VA_BASE >> page_bits) + i``'s frame PA or a sentinel, and one
+    last ``_UNMAPPED`` slot stands for every address outside.
     """
 
     def __init__(
@@ -74,9 +82,13 @@ class AddressSpace:
         # Every VMA's start and end, flattened in address order: an
         # address lies in ``_vmas[i]`` exactly when it bisects to 2i + 1.
         self._bounds: list[int] = []
-        self._page_table: dict[int, int] = {}  # vpn -> frame PA
+        self._base_vpn = VA_BASE >> self.page_bits
+        self._table = np.full(1, _UNMAPPED)  # slot -> frame PA or sentinel
         self._next_va = VA_BASE
         self.total_faults = 0
+
+    def _slot(self, va: int) -> int:
+        return (int(va) >> self.page_bits) - self._base_vpn
 
     # -- VMA management -----------------------------------------------------
     def mmap(self, length: int, mapping_id: int = 0, name: str = "") -> VMArea:
@@ -89,6 +101,10 @@ class AddressSpace:
         if end > VA_LIMIT:
             raise AllocationError("virtual address space exhausted")
         self._next_va = end + self.page_bytes  # guard page between VMAs
+        # The VMA's pages, its guard page, then the outside slot again.
+        self._table = np.concatenate(
+            (self._table[:-1], np.full(pages, _NOT_RESIDENT), np.full(2, _UNMAPPED))
+        )
         vma = VMArea(start=start, end=end, mapping_id=mapping_id, name=name)
         self._vmas.append(vma)
         self._bounds += (start, end)
@@ -98,12 +114,11 @@ class AddressSpace:
         """Tear down a mapping, freeing any populated frames."""
         if vma not in self._vmas:
             raise AddressError("VMA does not belong to this address space")
-        first_vpn = vma.start >> self.page_bits
-        last_vpn = (vma.end - 1) >> self.page_bits
-        for vpn in range(first_vpn, last_vpn + 1):
-            frame = self._page_table.pop(vpn, None)
-            if frame is not None:
-                free_frame(frame)
+        slots = self._table[self._slot(vma.start) : self._slot(vma.end)]
+        frames = slots[slots < _NOT_RESIDENT].tolist()
+        slots[:] = _UNMAPPED
+        for frame in frames:
+            free_frame(frame)
         index = self._vmas.index(vma)
         del self._vmas[index]
         del self._bounds[2 * index : 2 * index + 2]
@@ -121,91 +136,89 @@ class AddressSpace:
         return list(self._vmas)
 
     # -- faults and translation ------------------------------------------------
-    def _fault(self, vma: VMArea, vpns: list[int]) -> Sequence[int]:
-        """Fault in ascending ``vpns`` of one VMA with one handler call.
+    def _fault(self, vma: VMArea, slots: np.ndarray) -> Sequence[int]:
+        """Fault in ascending page-table ``slots`` of one VMA, one call.
 
         If memory runs out part-way, the pages that got frames stay
         mapped, just as faulting them one at a time would leave them.
         """
         frames: Sequence[int] = ()
         try:
-            frames = self._fault_handler(vma.mapping_id, len(vpns))
+            frames = self._fault_handler(vma.mapping_id, len(slots))
         except OutOfMemoryError as error:
             frames = error.frames
             raise
         finally:
-            self._page_table.update(zip(vpns, frames))
+            self._table[slots[: len(frames)]] = frames
             vma.faults += len(frames)
             self.total_faults += len(frames)
         return frames
 
-    def _fault_pages(self, vpns: np.ndarray) -> list[int]:
-        """Fault in ascending, non-resident ``vpns``; returns their frames.
+    def _fault_missing(self, slots: np.ndarray, va: np.ndarray) -> None:
+        """Fault in the pages of accesses ``va`` whose (clipped) page-table
+        ``slots`` hold a sentinel.
 
-        One search of the VMA bounds finds every page's VMA.  As the
+        A boolean page map lists the pages once, in ascending order.
+        One search of the VMA bounds finds every page's VMA; as the
         pages ascend, each VMA's pages form one run, faulted with one
         handler call.  Runs fault in page order up to the first unmapped
         page, which segfaults.
         """
-        slots = np.searchsorted(
-            np.array(self._bounds, dtype=np.uint64),
-            vpns << np.uint64(self.page_bits),
-            side="right",
-        )
-        unmapped = np.flatnonzero((slots & 1) == 0)
-        stop = int(unmapped[0]) if unmapped.size else vpns.size
-        vma_index = slots[:stop] >> 1
+        marked = np.zeros(self._table.size, dtype=bool)
+        marked[slots] = True
+        pages = np.flatnonzero(marked)
+        stop = pages.size
+        unmapped = self._table[slots] == _UNMAPPED
+        if unmapped.any():
+            first_vpn = int((va[unmapped] >> np.uint64(self.page_bits)).min())
+            first = min(max(first_vpn - self._base_vpn, 0), pages[-1])
+            stop = int(np.searchsorted(pages, first))
+        page_vas = (pages[:stop] + self._base_vpn) << self.page_bits
+        vma_index = np.searchsorted(self._bounds, page_vas, side="right") >> 1
         starts = np.flatnonzero(np.diff(vma_index, prepend=-1)).tolist()
-        pages = vpns.tolist()
-        frames: list[int] = []
         for lo, hi in zip(starts, starts[1:] + [stop]):
-            frames += self._fault(self._vmas[vma_index[lo]], pages[lo:hi])
-        if stop < len(pages):
-            raise _segfault(pages[stop] << self.page_bits)
-        return frames
+            self._fault(self._vmas[vma_index[lo]], pages[lo:hi])
+        if stop < pages.size:
+            raise _segfault(first_vpn << self.page_bits)
 
     def translate(self, va: int) -> int:
         """Translate one VA, faulting the page in if needed."""
-        vpn = int(va) >> self.page_bits
-        frame = self._page_table.get(vpn)
+        frame = self.frame_of(va)
         if frame is None:
-            (frame,) = self._fault(self.find_vma(vpn << self.page_bits), [vpn])
+            vma = self.find_vma((int(va) >> self.page_bits) << self.page_bits)
+            frame = int(self._fault(vma, np.array([self._slot(va)]))[0])
         return frame | (int(va) & (self.page_bytes - 1))
 
     def translate_trace(self, va: np.ndarray) -> np.ndarray:
         """Vectorised translation of a whole VA trace.
 
-        Unique pages are looked up once and the non-resident ones are
-        faulted in, one handler call per VMA; the trace is then
-        translated with one gather.
+        One gather through the page table translates the trace; the
+        accesses that hit a sentinel have their pages faulted in, one
+        handler call per VMA, and are gathered again.
         """
         va = np.asarray(va, dtype=np.uint64)
-        if va.size == 0:
-            return va.copy()
-        vpn = va >> np.uint64(self.page_bits)
-        unique_vpns, inverse = np.unique(vpn, return_inverse=True)
-        lookup = self._page_table.get
-        frames = np.array(
-            [lookup(page, _NOT_RESIDENT) for page in unique_vpns.tolist()],
-            dtype=np.uint64,
-        )
-        new = np.flatnonzero(frames == np.uint64(_NOT_RESIDENT))
-        if new.size:
-            frames[new] = self._fault_pages(unique_vpns[new])
-        offset = va & np.uint64(self.page_bytes - 1)
-        return frames[inverse] | offset
+        slots = va >> np.uint64(self.page_bits)
+        # Addresses below VA_BASE wrap around; all outside the table
+        # clip to its last slot, which reads _UNMAPPED.
+        np.subtract(slots, np.uint64(self._base_vpn), out=slots)
+        np.minimum(slots, np.uint64(self._table.size - 1), out=slots)
+        frames = self._table[slots]
+        missing = frames >= _NOT_RESIDENT
+        if missing.any():
+            self._fault_missing(slots[missing], va[missing])
+            frames[missing] = self._table[slots[missing]]
+        np.bitwise_or(frames, va & np.uint64(self.page_bytes - 1), out=frames)
+        return frames
 
     # -- RAS: page relocation ------------------------------------------------
     def vpn_of_frame(self, frame_pa: int) -> int | None:
         """Reverse lookup: the virtual page mapped to a frame, if any.
 
-        A linear scan — the model has no rmap; fine for the RAS path,
-        which relocates a handful of pages per repair.
+        A scan of the page table — the model has no rmap; fine for the
+        RAS path, which relocates a handful of pages per repair.
         """
-        for vpn, frame in self._page_table.items():
-            if frame == frame_pa:
-                return vpn
-        return None
+        hits = np.flatnonzero(self._table == np.uint64(frame_pa))
+        return int(hits[0]) + self._base_vpn if hits.size else None
 
     def remap(self, vpn: int, new_frame: int) -> int:
         """Point a resident virtual page at a different frame.
@@ -213,17 +226,25 @@ class AddressSpace:
         Returns the old frame.  Used by page relocation: the kernel
         copies the contents, then atomically switches the PTE.
         """
-        if vpn not in self._page_table:
+        old = self.frame_of(vpn << self.page_bits)
+        if old is None:
             raise AddressError(f"vpn {vpn:#x} is not resident")
-        old = self._page_table[vpn]
-        self._page_table[vpn] = new_frame
+        self._table[vpn - self._base_vpn] = new_frame
         return old
 
     # -- introspection -------------------------------------------------------
+    def page_table(self) -> list[tuple[int, int]]:
+        """``(vpn, frame PA)`` of every resident page, by vpn."""
+        slots = np.flatnonzero(self._table < _NOT_RESIDENT)
+        return list(zip((slots + self._base_vpn).tolist(), self._table[slots].tolist()))
+
     def resident_pages(self) -> int:
         """Pages with frames mapped in."""
-        return len(self._page_table)
+        return int(np.count_nonzero(self._table < _NOT_RESIDENT))
 
     def frame_of(self, va: int) -> int | None:
         """Frame backing ``va`` or None if not yet faulted in."""
-        return self._page_table.get(int(va) >> self.page_bits)
+        slot = self._slot(va)
+        if not 0 <= slot < self._table.size or self._table[slot] >= _NOT_RESIDENT:
+            return None
+        return int(self._table[slot])

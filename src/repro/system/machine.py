@@ -271,27 +271,16 @@ class _LastStream:
     attribute outside ``__init__``, and keeps only lazily built inputs
     derived from the public ones in private attributes (the
     :meth:`~repro.workloads.base.Workload.spec_dict` contract).  So
-    :meth:`external` checks two levels before it does any work:
-
-    1. *Same program input*: the same engine key, the same workload
-       object, public attributes ``==`` to a deep copy taken when the
-       entry was written, equal base addresses and an equal seed.  The
-       kept result comes back without calling ``workload.trace``.  An
-       attribute whose ``==`` raises (an ndarray) makes the run a miss.
-    2. *Same thread traces*: otherwise the traces are generated and
-       compared with ``np.array_equal`` against private contiguous
-       copies of the kept ones; only a mismatch runs the filter.  This
-       level serves a workload that ignores its seed, or a fresh
-       instance equal to the kept one.
+    :meth:`external` reuses the kept result, without calling
+    ``workload.trace``, for the *same program input*: the same engine
+    key, the same workload object, public attributes ``==`` to a deep
+    copy taken when the entry was written, equal base addresses and an
+    equal seed.  Anything else generates and filters again.  An
+    attribute whose ``==`` raises (an ndarray) makes the run a miss.
 
     The key is built from the attributes, not from
     :meth:`~repro.workloads.base.Workload.spec_hash`, which would load
-    the stage-key modules on the run path.  Hashing the thread traces
-    instead of comparing them (which
-    :class:`~repro.hbm.plancache.PlanCache` would need, since its keys
-    must be hashable) first copies the strided thread views of the
-    graph and join workloads and then costs about 1 ms per run; the
-    compare costs about 0.05 ms.
+    the stage-key modules on the run path.
 
     Sweeps run workload-major, so a repeated stream comes right after
     the run that produced it: one entry catches every repeat within a
@@ -299,7 +288,7 @@ class _LastStream:
     across passes.  The entry is written only after the trace and the
     filter succeed, so a run that raises leaves the previous entry
     whole.  The result's three arrays are read-only, since every run
-    that hits shares them.  The checks and the fill hold one lock.
+    that hits shares them.  The check and the fill hold one lock.
     """
 
     def __init__(self):
@@ -310,7 +299,6 @@ class _LastStream:
         """Forget the kept stream."""
         self._engine = None
         self._program: tuple | None = None
-        self._inputs: list[tuple[np.ndarray, ...]] = []
         self._result: ExternalTraceResult | None = None
 
     def external(
@@ -320,23 +308,21 @@ class _LastStream:
         reused on a repeat."""
         key = (type(engine), vars(engine))
         with self._lock:
-            same_engine = self._result is not None and key == self._engine
-            if same_engine and self._same_program(workload, base, seed):
+            if (
+                self._result is not None
+                and key == self._engine
+                and self._same_program(workload, base, seed)
+            ):
                 return self._result
             # Copied before ``trace`` runs, so the key describes the
             # input the traces were generated from.
             program = _program_key(workload, base, seed)
             thread_traces = workload.trace(base, input_seed=seed)
-            if not (same_engine and self._same_traces(thread_traces)):
-                result = _read_only(engine.external_trace(thread_traces))
-                self._engine = (type(engine), dict(vars(engine)))
-                self._inputs = [
-                    tuple(np.array(getattr(t, name)) for name in _TRACE_FIELDS)
-                    for t in thread_traces
-                ]
-                self._result = result
+            result = _read_only(engine.external_trace(thread_traces))
+            self._engine = (type(engine), dict(vars(engine)))
             self._program = program
-            return self._result
+            self._result = result
+            return result
 
     def _same_program(
         self, workload: Workload, base: dict[str, int], seed: int
@@ -355,16 +341,6 @@ class _LastStream:
         except (TypeError, ValueError):  # no plain ``==`` (an ndarray)
             return False
 
-    def _same_traces(self, thread_traces: list[AccessTrace]) -> bool:
-        if len(thread_traces) != len(self._inputs):
-            return False
-        # ``array_equal`` compares shapes first, so lengths come cheap.
-        return all(
-            np.array_equal(getattr(t, name), array)
-            for t, kept in zip(thread_traces, self._inputs)
-            for name, array in zip(_TRACE_FIELDS, kept)
-        )
-
 
 def _public(workload: Workload) -> dict:
     """The workload's public instance attributes."""
@@ -378,8 +354,8 @@ def _public(workload: Workload) -> dict:
 def _program_key(
     workload: Workload, base: dict[str, int], seed: int
 ) -> tuple | None:
-    """What level 1 of :class:`_LastStream` compares, or None (never
-    equal) for a workload whose attributes cannot be copied."""
+    """What :class:`_LastStream` compares, or None (never equal) for a
+    workload whose attributes cannot be copied."""
     try:
         public = copy.deepcopy(_public(workload))
     except (TypeError, copy.Error):
@@ -414,10 +390,9 @@ class Machine:
     compiled decode plans of the process-wide
     :func:`~repro.hbm.plancache.default_plan_cache`, and the last
     cache-filtered external stream (:class:`_LastStream`).  A run whose
-    engine repeats the previous run's reuses that stream read-only: it
-    skips ``workload.trace`` too when the workload object, its public
-    attributes, the base addresses and the seed repeat, and else only
-    the filter when the generated thread traces repeat.
+    engine, workload object, public workload attributes, base addresses
+    and seed repeat the previous run's reuses that stream read-only,
+    skipping ``workload.trace`` and the filter.
     """
 
     # Major-variable coverage for clustered selection.  The paper's 80%

@@ -11,9 +11,14 @@ path must match state for state (``tests/mem/test_fault_batch.py``).
 
 ``BuddyAllocator`` and ``Chunk`` are the former ``repro.mem.buddy`` and
 ``repro.mem.physical`` classes.  ``PhysicalMemory`` overrides only what
-the bulk path changed: chunk construction and frame allocation.
-``FaultHandler`` is the former kernel handler and ``AddressSpace`` the
-former demand-paging half of ``repro.mem.virtual.AddressSpace``.
+the bulk path changed: chunk construction, frame allocation and the
+frame owners, which it keeps in the former dict from frame PA to chunk
+number (the package derives a frame's owner from its PA and the chunk's
+free bitmap).  ``FaultHandler`` is the former kernel handler and
+``AddressSpace`` the former demand-paging half of
+``repro.mem.virtual.AddressSpace``, with its dict page table.  The
+``frame_owners`` and ``page_table`` accessors list the two dicts the way
+the package's accessors list its state, for the comparison.
 """
 
 from __future__ import annotations
@@ -259,6 +264,10 @@ class Chunk:
 class PhysicalMemory(physical.PhysicalMemory):
     """Physical memory whose chunks allocate through the buddy oracle."""
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._frame_owner: dict[int, int] = {}  # frame PA -> chunk number
+
     def acquire_chunk(self, mapping_id: int) -> Chunk:
         """Move a chunk from the global free list into a mapping group."""
         if not self._free_chunks:
@@ -295,6 +304,37 @@ class PhysicalMemory(physical.PhysicalMemory):
     def alloc_frames(self, count: int, mapping_id: int) -> list[int]:
         """Allocate several frames with one mapping."""
         return [self.alloc_frame(mapping_id) for _ in range(count)]
+
+    def free_frame(self, pa: int) -> None:
+        """Free a frame; empty chunks coalesce back to the free list."""
+        try:
+            chunk_no = self._frame_owner.pop(pa)
+        except KeyError:
+            raise AllocationError(f"frame {pa:#x} was not allocated")
+        chunk = self._chunks[chunk_no]
+        chunk.free_frame(pa)
+        if chunk.is_empty:
+            self.release_chunk(chunk)
+
+    def discard_frame(self, pa: int, retire: bool = True) -> None:
+        """Drop a frame and (by default) retire its page in place."""
+        try:
+            chunk_no = self._frame_owner.pop(pa)
+        except KeyError:
+            raise AllocationError(f"frame {pa:#x} was not allocated")
+        chunk = self._chunks[chunk_no]
+        chunk.free_frame(pa)
+        if retire:
+            offset = (pa - chunk.base_pa) >> self.geometry.page_bits
+            chunk.retire_page(offset)
+            self.pages_retired += 1
+            self._notify_retired(chunk_no, (offset,))
+        elif chunk.is_empty:
+            self.release_chunk(chunk)
+
+    def frame_owners(self) -> list[tuple[int, int]]:
+        """``(frame PA, chunk number)`` of every allocated frame, by PA."""
+        return sorted(self._frame_owner.items())
 
 
 class FaultHandler:
@@ -416,3 +456,7 @@ class AddressSpace:
             frames[position] = frame
         offset = va & np.uint64(self.page_bytes - 1)
         return frames[inverse] | offset
+
+    def page_table(self) -> list[tuple[int, int]]:
+        """``(vpn, frame PA)`` of every resident page, by vpn."""
+        return sorted(self._page_table.items())

@@ -21,7 +21,7 @@ from repro.core.chunks import ChunkGeometry, KiB
 from repro.errors import OutOfMemoryError, ReproError
 from repro.mem.kernel import _FaultHandler
 from repro.mem.physical import Chunk, PhysicalMemory
-from repro.mem.virtual import AddressSpace
+from repro.mem.virtual import VA_BASE, VA_LIMIT, AddressSpace, VMArea
 
 from tests.mem import fault_oracle
 
@@ -58,14 +58,15 @@ class Side:
             )
         handler = handler_cls(self.physical, MAPPINGS, True)
         self.space = space_cls(geometry.page_bytes, handler)
+        self.unmapped: list[VMArea] = []  # munmapped VMAs, oldest first
 
     def state(self) -> dict:
         physical, space = self.physical, self.space
         return {
-            "page_table": list(space._page_table.items()),
+            "page_table": space.page_table(),
             "vmas": [(v.start, v.end, v.mapping_id, v.faults) for v in space.vmas],
             "total_faults": space.total_faults,
-            "frame_owner": list(physical._frame_owner.items()),
+            "frame_owner": physical.frame_owners(),
             "chunks": [
                 (
                     chunk.number,
@@ -130,13 +131,41 @@ def munmap(pick: int):
     def operation(side):
         vmas = side.space.vmas
         if vmas:
-            side.space.munmap(vmas[pick % len(vmas)], side.physical.free_frame)
+            vma = vmas[pick % len(vmas)]
+            side.space.munmap(vma, side.physical.free_frame)
+            side.unmapped.append(vma)
 
     return operation
 
 
-def touch(picks: list[tuple[int, int, int]], guard: bool):
-    """A trace over existing VMAs; ``guard`` adds unmapped addresses."""
+STRAYS = ("below", "past", "far", "guard", "munmapped")
+
+
+def stray_va(side, kind: str, pick: int, byte: int) -> int | None:
+    """An address no VMA covers, of one ``kind`` (None if there is none):
+    below ``VA_BASE``, just past the last VMA or far past it, in a guard
+    page, or in a munmapped VMA."""
+    vmas = side.space.vmas
+    if kind == "below":
+        return max(VA_BASE - (pick + 1) * PAGE + byte, 0)
+    if kind == "past":
+        return max(v.end for v in vmas) + (pick % 3) * PAGE + byte
+    if kind == "far":
+        return VA_LIMIT + pick * PAGE + byte
+    if kind == "guard":
+        return vmas[pick % len(vmas)].end + byte
+    if not side.unmapped:
+        return None
+    return page_va(side.unmapped[pick % len(side.unmapped)], pick) + byte
+
+
+def touch(
+    picks: list[tuple[int, int, int]],
+    guard: bool,
+    strays: list[tuple[str, int, int]] = (),
+):
+    """A trace over existing VMAs; ``guard`` adds guard-page addresses and
+    each of ``strays`` one unmapped address at a position of its pick."""
 
     def operation(side):
         vmas = side.space.vmas
@@ -149,6 +178,10 @@ def touch(picks: list[tuple[int, int, int]], guard: bool):
         if guard:
             for vma_pick, _page, byte in (picks[0], picks[-1]):
                 va.insert(len(va) // 2, vmas[vma_pick % len(vmas)].end + byte)
+        for kind, pick, byte in strays:
+            stray = stray_va(side, kind, pick, byte)
+            if stray is not None:
+                va.insert(pick % (len(va) + 1), stray)
         return side.space.translate_trace(np.array(va, dtype=np.uint64))
 
     return operation
@@ -160,6 +193,16 @@ def translate(vma_pick: int, page_pick: int):
         if not vmas:
             return None
         return side.space.translate(page_va(vmas[vma_pick % len(vmas)], page_pick))
+
+    return operation
+
+
+def translate_stray(kind: str, pick: int, byte: int):
+    def operation(side):
+        if not side.space.vmas:
+            return None
+        stray = stray_va(side, kind, pick, byte)
+        return None if stray is None else side.space.translate(stray)
 
     return operation
 
@@ -184,11 +227,24 @@ picks = st.lists(
     min_size=1,
     max_size=120,
 )
+strays = st.lists(
+    st.tuples(
+        st.sampled_from(STRAYS), st.integers(0, 63), st.integers(0, PAGE - 1)
+    ),
+    max_size=3,
+)
 operations = st.one_of(
     st.builds(mmap, st.integers(1, 40), st.integers(0, 3)),
     st.builds(munmap, st.integers(0, 7)),
     st.builds(touch, picks, st.booleans()),
+    st.builds(touch, picks, st.booleans(), strays),
     st.builds(translate, st.integers(0, 7), st.integers(0, 63)),
+    st.builds(
+        translate_stray,
+        st.sampled_from(STRAYS),
+        st.integers(0, 63),
+        st.integers(0, PAGE - 1),
+    ),
     st.builds(
         retire, st.integers(0, 7), st.lists(st.integers(0, PAGES - 1), max_size=6)
     ),
@@ -284,7 +340,9 @@ def test_partial_bulk_allocation_reports_its_frames():
     with pytest.raises(OutOfMemoryError) as raised:
         memory.alloc_frames(PAGES + 3, mapping_id=0)
     assert len(raised.value.frames) == PAGES
-    assert sorted(raised.value.frames) == sorted(memory._frame_owner)
+    assert sorted(raised.value.frames.tolist()) == [
+        pa for pa, _chunk in memory.frame_owners()
+    ]
     assert OutOfMemoryError("plain").frames == ()
 
 
@@ -312,7 +370,7 @@ def test_chunk_bitmap_matches_the_buddy_cursor_probe(rotation, ops):
                 with pytest.raises(OutOfMemoryError):
                     bulk.alloc_frames(value)
                 continue
-            assert bulk.alloc_frames(value) == oracle.alloc_frames(value)
+            assert bulk.alloc_frames(value).tolist() == oracle.alloc_frames(value)
         elif kind == "free":
             pa = bulk.base_pa + value * PAGE
             assert outcome(lambda: bulk.free_frame(pa)) == outcome(

@@ -38,13 +38,13 @@ def memory_state_digest(kernels) -> str:
         physical = kernel.physical
         for space in kernel.spaces:
             feed("pid", space.pid)
-            feed("page_table", sorted(space._page_table.items()))
+            feed("page_table", space.page_table())
             feed(
                 "vmas",
                 [(v.start, v.end, v.mapping_id, v.name, v.faults) for v in space.vmas],
             )
             feed("total_faults", space.total_faults)
-        feed("frame_owner", sorted(physical._frame_owner.items()))
+        feed("frame_owner", physical.frame_owners())
         feed(
             "chunks",
             [

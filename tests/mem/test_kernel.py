@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.chunks import ChunkGeometry, MiB
 from repro.core.sdam import SDAMController
-from repro.errors import ProfilingError
+from repro.errors import AddressError, ProfilingError
 from repro.mem.kernel import Kernel
 
 SMALL = ChunkGeometry(total_bytes=32 * MiB)
@@ -75,6 +75,69 @@ class TestFaultPath:
         kernel.sys_munmap(space, vma)
         assert kernel.sdam.cmt.mapping_index_of(chunk) == 0
         assert kernel.physical.free_chunk_count == SMALL.num_chunks
+
+
+class TestPageRelocation:
+    """Relocation, remap and reverse lookup on a page table that
+    ``translate_trace`` filled."""
+
+    PAGE = SMALL.page_bytes
+
+    def faulted(self):
+        kernel = sdam_kernel()
+        mapping_id = kernel.add_addr_map(rolled(5))
+        space = kernel.spawn()
+        vma = kernel.sys_mmap(space, MiB, mapping_id=mapping_id)
+        kernel.sys_mmap(space, MiB, mapping_id=mapping_id)  # never touched
+        va = vma.start + np.arange(0, MiB, self.PAGE // 4, dtype=np.uint64)
+        return kernel, space, vma, va, space.translate_trace(va)
+
+    def test_relocate_remap_and_reverse_lookup(self):
+        kernel, space, vma, va, pa = self.faulted()
+        page = 37
+        page_va = vma.start + page * self.PAGE
+        vpn = page_va >> SMALL.page_bits
+        old = space.frame_of(page_va)
+        assert old == int(pa[4 * page])
+        assert space.vpn_of_frame(old) == vpn
+        new = kernel.relocate_frame(old)
+        assert new not in (None, old)
+        assert kernel.physical.frame_chunk(new).mapping_id == vma.mapping_id
+        assert space.frame_of(page_va + 9) == new
+        assert space.vpn_of_frame(new) == vpn
+        assert space.vpn_of_frame(old) is None
+        assert kernel.physical.frame_chunk(old) is None
+        old_chunk = kernel.physical.chunk(SMALL.chunk_number(old))
+        assert (old - old_chunk.base_pa) // self.PAGE in old_chunk.retired_pages
+        expected = pa.copy()
+        expected[4 * page : 4 * page + 4] += np.uint64(new - old)
+        np.testing.assert_array_equal(space.translate_trace(va), expected)
+        assert space.total_faults == MiB // self.PAGE
+        fresh = kernel.physical.alloc_frame(vma.mapping_id)
+        assert space.remap(vpn, fresh) == new
+        assert space.translate(page_va + 9) == fresh + 9
+        assert space.vpn_of_frame(new) is None
+        with pytest.raises(ProfilingError):
+            kernel.relocate_frame(old)  # retired, no longer allocated
+        with pytest.raises(ProfilingError):
+            kernel.relocate_frame(fresh + 8)  # not a frame address
+
+    def test_remap_needs_a_resident_page(self):
+        kernel, space, vma, _va, _pa = self.faulted()
+        frame = kernel.physical.alloc_frame(vma.mapping_id)
+        for va in (vma.end, vma.end + self.PAGE, vma.start - self.PAGE, 0):
+            with pytest.raises(AddressError):
+                space.remap(va >> SMALL.page_bits, frame)
+        assert space.vpn_of_frame(frame) is None
+
+    def test_relocating_an_unmapped_frame_retires_it(self):
+        kernel, space, vma, _va, _pa = self.faulted()
+        frame = kernel.physical.alloc_frame(vma.mapping_id)
+        in_use = kernel.physical.frames_in_use()
+        assert kernel.relocate_frame(frame) is None
+        assert kernel.physical.frame_chunk(frame) is None
+        assert kernel.physical.frames_in_use() == in_use - 1
+        assert space.resident_pages() == MiB // self.PAGE
 
 
 class TestTranslationPipeline:

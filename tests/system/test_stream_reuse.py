@@ -4,9 +4,8 @@
 holder of the last one (``machine._LAST_STREAM``).  A run whose engine,
 workload object, public workload attributes, base addresses and seed
 equal the previous run's gets the previous ``ExternalTraceResult`` back
-without generating its traces; a run whose generated thread traces
-equal the previous run's gets it back without filtering them; anything
-else filters again.  The contract under test: reuse never changes a
+without generating its traces; anything else generates and filters
+again.  The contract under test: reuse never changes a
 result, it happens exactly when the inputs repeat, a run that raises
 leaves the next one correct, and the shared stream cannot be written
 to.
@@ -83,7 +82,7 @@ def small_model():
 
 class GivenTraces(Workload):
     """A program whose thread traces are the given ones.  Every instance
-    is a new program, so the holder compares the traces themselves."""
+    is a new program, so the holder filters its traces again."""
 
     def __init__(self, traces):
         self._traces = traces
@@ -93,13 +92,6 @@ class GivenTraces(Workload):
 
     def trace(self, base, input_seed=0):
         return self._traces
-
-
-class SeedBlindCopy(StridedCopyWorkload):
-    """A strided copy whose traces ignore the input seed."""
-
-    def trace(self, base, input_seed=0):
-        return super().trace(base, input_seed=0)
 
 
 def filtered(engine, traces):
@@ -178,25 +170,6 @@ def test_a_pass_records_the_same_hits_every_time(filter_calls, trace_calls):
     assert rounds == [steps] * 2
 
 
-def test_an_input_the_seed_does_not_change_skips_the_filter(
-    filter_calls, trace_calls
-):
-    # The evaluation input's traces equal the profile input's, so only
-    # the trace is generated again.
-    workload = SeedBlindCopy(stride_lines=4, accesses_per_thread=500)
-    machine = Machine(system_by_key("bs_dm"))
-    profile = machine.profile(workload, input_seed=0)
-    assert (len(trace_calls), len(filter_calls)) == (1, 1)
-    result = machine.run(workload, profile=profile, eval_seed=1)
-    assert (len(trace_calls), len(filter_calls)) == (2, 1)
-    # The seed-1 input is now the kept program.
-    again = machine.run(workload, profile=profile, eval_seed=1)
-    assert (len(trace_calls), len(filter_calls)) == (2, 1)
-    assert again.external is result.external
-    _LAST_STREAM.clear()
-    assert result.fingerprint() == machine.run(workload).fingerprint()
-
-
 def test_a_second_identical_run_never_generates(trace_calls):
     workload = small_model()
     machine = Machine(system_by_key("bs_dm"))
@@ -270,16 +243,17 @@ def test_another_base_regenerates(trace_calls):
     assert not same_stream(first, cold)
 
 
-def test_an_array_attribute_compares_the_traces(filter_calls, trace_calls):
+def test_an_array_attribute_misses(filter_calls, trace_calls):
     # ``==`` on an ndarray attribute gives no single answer, so the
-    # program never repeats; the generated traces still do.
+    # program never repeats: each run generates and filters.
     workload = StridedCopyWorkload(stride_lines=2, accesses_per_thread=500)
     workload.offsets = np.arange(4)
     machine = Machine(system_by_key("bs_dm"))
     first = machine.run(workload)
     again = machine.run(workload)
-    assert (len(trace_calls), len(filter_calls)) == (2, 1)
-    assert again.external is first.external
+    assert (len(trace_calls), len(filter_calls)) == (2, 2)
+    assert again.external is not first.external
+    assert again.fingerprint() == first.fingerprint()
 
 
 @pytest.mark.parametrize("stage", ["trace", "filter"])
@@ -329,14 +303,6 @@ def test_another_scratch_size_misses():
     assert same_stream(
         bare, AcceleratorModel(scratch_bytes=0).external_trace(traces)
     )
-
-
-def test_repeated_traces_hit():
-    engine = CPUModel()
-    first = filtered(engine, thread_traces(seed=3))
-    # Equal arrays in fresh objects, from a fresh engine of one config.
-    again = filtered(CPUModel(), thread_traces(seed=3))
-    assert again is first
 
 
 @pytest.mark.parametrize("field", ["va", "is_write", "variable"])
