@@ -76,9 +76,10 @@ class CPUModel:
         OS scheduler would), sharing that core's L1.
         """
         program_accesses = sum(len(t) for t in thread_traces)
+        # Only cores with a thread get an L1: an idle one sees nothing.
         l1s = [
             SetAssociativeCache(self.l1_bytes, self.line_bytes)
-            for _ in range(self.cores)
+            for _ in range(min(self.cores, len(thread_traces)))
         ]
         # A core runs its threads one after another, its L1 warm between.
         per_core = [

@@ -83,16 +83,19 @@ class AccessTrace:
 def radix_argsort(keys: np.ndarray) -> np.ndarray:
     """Stable argsort of integer keys, 16 bits per pass.
 
-    NumPy's stable sort is a radix sort for 16-bit keys but a merge
-    sort for wider ones; least-significant-digit passes over the keys'
-    offsets from their minimum keep the speed of the former at any
-    width.
+    NumPy's stable sort is a radix sort for 8- and 16-bit keys but a
+    merge sort for wider ones; least-significant-digit passes over the
+    keys' offsets from their minimum keep the speed of the former at
+    any width.  Offsets below 256 (bank ids, cache sets) take one
+    8-bit pass, which counts into 256 buckets instead of 65,536.
     """
     keys = np.asarray(keys, dtype=np.int64)
     if keys.size == 0:
         return np.zeros(0, dtype=np.intp)
     keys = keys - keys.min()
     top = int(keys.max())
+    if top < 256:
+        return np.argsort(keys.astype(np.uint8), kind="stable")
     order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
     shift = 16
     while top >> shift:

@@ -29,9 +29,19 @@ blocks of ``block_accesses`` requests:
   ``t_burst``).  Pure bank chains close in one segmented ``cumsum``;
   pure bus chains close in one ``maximum.accumulate`` (subtract the
   ramp ``(rank+1)*t_burst``, cummax, add it back).  Alternating
-  bank/bus critical paths are resolved by iterating the two closures to
-  a fixed point — monotone, bounded by the exact longest path, and in
-  practice converged within a handful of rounds.
+  bank/bus critical paths are resolved by iterating the two closures
+  toward a fixed point — monotone and bounded by the exact longest
+  path — for at most ``MAX_RELAX_ROUNDS`` rounds per block.  Each round
+  resolves one more bank/bus alternation, and copy streams have many:
+  on ``tier-calib``'s copies (4 strides x 8,192 accesses) every one of
+  the 32 channel blocks of BS+HM and SDM+BSM stops at the cap
+  unconverged, and 8 of BS+DM's 32 do (the other 24 converge in 36–40
+  rounds).  Run to the fixed point they need 458–507, 471–876 and up
+  to 2,831 rounds, and the BS+DM and SDM+BSM makespans rise from
+  113,070 to 190,495 ns and from 23,465 to 46,810 ns (BS+HM's stays on
+  its in-flight floor).  So the cap is part of the tier's model, not a
+  safety net: it bounds the tier's cost, and its results are pinned
+  with it (``tests/hbm/test_vectormodel.py`` shows that it binds).
 * **Admission** — the global ``max_inflight`` window is modelled as a
   Little's-law floor (``total service cost / max_inflight``) applied
   after the per-channel reduction, not as per-request arrival times.
@@ -64,8 +74,9 @@ __all__ = ["VectorModel"]
 DEFAULT_BLOCK_ACCESSES = 16384
 
 #: Cap on bank/bus closure rounds per block.  Each round resolves one
-#: more bank/bus alternation on the critical path; real traces converge
-#: in well under ten.
+#: more bank/bus alternation on the critical path.  Copy streams need
+#: hundreds to thousands of rounds to converge, so the cap binds on
+#: them and truncates the makespan (see the module docstring).
 MAX_RELAX_ROUNDS = 64
 
 

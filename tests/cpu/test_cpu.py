@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cpu.accelerator import AcceleratorModel
+from repro.cpu.cache import SetAssociativeCache
 from repro.cpu.cpu import CPUModel
 from repro.cpu.trace import AccessTrace
 from repro.errors import ConfigError
@@ -71,6 +72,35 @@ class TestCPUModel:
         trace = AccessTrace(va=np.array([67, 4099], dtype=np.uint64))
         result = cpu.external_trace([trace])
         assert (result.trace.va % 64 == 0).all()
+
+    @pytest.mark.parametrize("threads", [0, 1, 3])
+    def test_only_cores_with_a_thread_filter(self, threads, monkeypatch):
+        """An idle core's L1 sees no access, so it is not run; the
+        stream equals that of a CPU with one core per thread."""
+        calls = []
+        original = SetAssociativeCache.filter_traces
+
+        def counted(self, traces):
+            calls.append((self.size_bytes, len(traces)))
+            return original(self, traces)
+
+        traces = [
+            hot_trace(lines=2_048, repeats=2) if t % 2 else streaming_trace(
+                3_000, base=t << 24
+            )
+            for t in range(threads)
+        ]
+        exact = CPUModel(cores=max(threads, 1)).external_trace(traces)
+        monkeypatch.setattr(SetAssociativeCache, "filter_traces", counted)
+        result = CPUModel(cores=4).external_trace(traces)
+        # One call per busy L1, then the LLC's one.
+        assert calls == [(64 * KiB, 1)] * threads + [(1024 * KiB, 1)]
+        assert result.trace.va.tolist() == exact.trace.va.tolist()
+        assert result.trace.is_write.tolist() == exact.trace.is_write.tolist()
+        assert (result.l1_hit_rate, result.llc_hit_rate) == (
+            exact.l1_hit_rate,
+            exact.llc_hit_rate,
+        )
 
 
 class TestAcceleratorModel:

@@ -136,3 +136,18 @@ def test_radix_argsort_is_a_stable_argsort(keys, divisor):
     keys = np.array(keys, dtype=np.int64) // divisor
     expected = np.argsort(keys, kind="stable")
     assert radix_argsort(keys).tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize(
+    "top", [0, 255, 256, 65_535, 65_536, 1 << 40], ids=lambda top: f"range{top}"
+)
+@pytest.mark.parametrize("low", [0, -(1 << 20)], ids=["from0", "negative"])
+def test_radix_argsort_at_each_pass_width(top, low):
+    """Key ranges on both sides of the one-byte pass and of each
+    16-bit digit, with repeats, sort as NumPy's stable sort does."""
+    rng = np.random.default_rng(top)
+    keys = low + rng.integers(0, top + 1, 3_000, dtype=np.int64)
+    keys[:2] = low, low + top  # the range is exactly ``top``
+    keys[-50:] = keys[:50]  # equal keys far apart keep their order
+    expected = np.argsort(keys, kind="stable")
+    assert radix_argsort(keys).tolist() == expected.tolist()

@@ -2,7 +2,7 @@
 
 Both tiers once computed the rule themselves, each with a stable
 argsort by bank followed by a 4-key ``np.lexsort``.  The package now
-decides it with one radix-sorted primitive,
+decides it with one primitive,
 :func:`repro.hbm.fastmodel.frfcfs_batch_hits`.  The two lexsort
 versions are kept here verbatim, outside the package, as oracles: the
 primitive must produce the same hit flags.

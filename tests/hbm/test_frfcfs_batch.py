@@ -3,7 +3,9 @@
 ``frfcfs_batch_hits`` decides the batch rule for both the fast tier
 (through ``row_hit_mask``) and the vector tier (clause 1 of each
 block); ``tests/hbm/frfcfs_oracle.py`` keeps the lexsort versions the
-two tiers used before.  The primitive must agree flag for flag.
+two tiers used before.  The primitive must agree flag for flag, also
+where a bank's run is longer than the window, so that its look-back
+has to stop at batch edges.
 """
 
 from pathlib import Path
@@ -51,11 +53,36 @@ SINGLE = (np.array([4095], dtype=np.int64), np.array([2**20], dtype=np.int64))
 ONE_ROW = (np.full(40, 7, dtype=np.int64), np.full(40, 3, dtype=np.int64))
 
 
-@given(stream=streams(), window=st.integers(1, 32))
+def long_runs():
+    """Bank 9's run (600 requests) is longer than every window the
+    tests draw, bank 2's (300) than all but 256.  Bank 2 draws from
+    four rows, so equal rows are close; in bank 9 each row after the
+    first 300 repeats one 1 to 299 requests earlier, so equal rows
+    fall at every distance, on both sides of each batch edge."""
+    rng = np.random.default_rng(7)
+    position = np.arange(900)
+    bank = np.where(position % 3 == 0, 2, 9)
+    row = rng.integers(0, 4, 900)
+    far = 100 + np.arange(600)
+    for i, distance in enumerate(rng.integers(1, 300, 300), start=300):
+        far[i] = far[i - distance]
+    row[bank == 9] = far
+    return bank.astype(np.int64), row.astype(np.int64)
+
+
+LONG_RUNS = long_runs()
+
+
+@given(stream=streams(), window=st.integers(1, 64))
 @example(stream=EMPTY, window=8)
 @example(stream=SINGLE, window=1)
 @example(stream=ONE_ROW, window=1)
 @example(stream=ONE_ROW, window=32)
+@example(stream=LONG_RUNS, window=7)
+@example(stream=LONG_RUNS, window=8)
+@example(stream=LONG_RUNS, window=9)
+@example(stream=LONG_RUNS, window=64)
+@example(stream=LONG_RUNS, window=256)
 @settings(max_examples=300, deadline=None)
 def test_fast_tier_matches_lexsort_oracle(stream, window):
     decoded = as_decoded(*stream)
@@ -64,10 +91,15 @@ def test_fast_tier_matches_lexsort_oracle(stream, window):
     )
 
 
-@given(stream=streams(), window=st.integers(1, 32))
+@given(stream=streams(), window=st.integers(1, 64))
 @example(stream=SINGLE, window=1)
 @example(stream=ONE_ROW, window=1)
 @example(stream=ONE_ROW, window=32)
+@example(stream=LONG_RUNS, window=7)
+@example(stream=LONG_RUNS, window=8)
+@example(stream=LONG_RUNS, window=9)
+@example(stream=LONG_RUNS, window=64)
+@example(stream=LONG_RUNS, window=256)
 @settings(max_examples=300, deadline=None)
 def test_vector_clause1_matches_lexsort_oracle(stream, window):
     bank, row = stream

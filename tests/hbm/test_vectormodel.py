@@ -19,6 +19,9 @@ from repro.hbm.decode import DecodedTrace, decode_trace
 from repro.hbm.device import HBMDevice
 from repro.hbm.stats import RemapTraffic, RunStats
 from repro.hbm.vectormodel import VectorModel
+from repro.system.config import system_by_key
+from repro.system.machine import Machine
+from repro.workloads import MixedStrideWorkload
 
 CONFIG = hbm2_config()
 
@@ -170,3 +173,15 @@ class TestMergeLaws:
         assert merged.lines_copied == 110
         assert merged.migration_ns == 55.0
         assert merged.overhead_ns == 55.0
+
+
+def test_the_relaxation_cap_binds_on_copy_streams(monkeypatch):
+    """The bank/bus closures of a copy stream do not converge within
+    ``MAX_RELAX_ROUNDS``: run to the fixed point, BS+DM's makespan on
+    the mixed-stride copies is longer, since the closures only ever
+    raise completion times."""
+    copies = MixedStrideWorkload((1, 4, 8, 16), accesses_per_stride=1_024)
+    machine = Machine(system_by_key("bs_dm"), backend="vector")
+    capped = machine.run(copies).stats.makespan_ns
+    monkeypatch.setattr("repro.hbm.vectormodel.MAX_RELAX_ROUNDS", 4_096)
+    assert machine.run(copies).stats.makespan_ns > capped

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
+from repro.hbm.config import hbm2_config
 from repro.hbm.plancache import default_plan_cache
 from repro.ml.dlkmeans import AutoencoderConfig
 from repro.system.config import system_by_key
-from repro.system.machine import Machine
+from repro.system.machine import _LAST_STREAM, Machine, _hash_translator
 from repro.workloads.synthetic import MixedStrideWorkload, StridedCopyWorkload
 
 FAST_DL = AutoencoderConfig(
@@ -198,3 +199,20 @@ def test_run_fills_the_default_plan_cache():
     Machine(system_by_key("sdm_bsm_ml4")).run(workload)
     assert len(cache) > 0
     assert cache.misses > misses
+
+
+def test_bs_hm_runs_share_one_translator_per_config():
+    """The BS+HM mapping is a pure function of the layout, so it is
+    built once per ``HBMConfig``; a shared one changes no result."""
+    workload = StridedCopyWorkload(stride_lines=8, accesses_per_thread=1200)
+    system = system_by_key("bs_hm")
+    first, second = Machine(system), Machine(system)
+    translator = first._global_translator(None)
+    assert second._global_translator(None) is translator
+    other = Machine(system, hbm=hbm2_config(banks_per_channel=16))
+    assert other._global_translator(None) is not translator
+    warm = [first.run(workload), second.run(workload)]
+    for machine, result in zip((first, second), warm):
+        _hash_translator.cache_clear()
+        _LAST_STREAM.clear()
+        assert result.fingerprint() == machine.run(workload).fingerprint()

@@ -5,20 +5,28 @@ holder of the last one (``machine._LAST_STREAM``).  A run whose engine,
 workload object, public workload attributes, base addresses and seed
 equal the previous run's gets the previous ``ExternalTraceResult`` back
 without generating its traces; anything else generates and filters
-again.  The contract under test: reuse never changes a
-result, it happens exactly when the inputs repeat, a run that raises
-leaves the next one correct, and the shared stream cannot be written
-to.
+again.  A run on a kernel without SDAM also reuses the stream's PA
+trace, if the kept one was translated for the same chunk geometry and
+colours.  The contract under test: reuse never changes a result, it
+happens exactly when the inputs repeat, a run that raises leaves the
+next one correct, and the shared stream and PA cannot be written to.
 """
 
 import dataclasses
+import gc
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.cpu.accelerator import AcceleratorModel
 from repro.cpu.cpu import CPUModel
+from repro.core.chunks import ChunkGeometry
 from repro.cpu.trace import AccessTrace
+from repro.mem.kernel import Kernel
+from repro.mem.virtual import AddressSpace
 from repro.ml.dlkmeans import AutoencoderConfig
 from repro.system.config import standard_systems, system_by_key
 from repro.system.machine import _LAST_STREAM, Machine
@@ -69,6 +77,20 @@ def trace_calls(monkeypatch):
             return original(self, base, input_seed=input_seed)
 
         monkeypatch.setattr(cls, "trace", counted)
+    return calls
+
+
+@pytest.fixture
+def translate_calls(monkeypatch):
+    """Counts page-table walks: a reused PA trace makes none."""
+    calls = []
+    original = AddressSpace.translate_trace
+
+    def counted(self, va):
+        calls.append(len(va))
+        return original(self, va)
+
+    monkeypatch.setattr(AddressSpace, "translate_trace", counted)
     return calls
 
 
@@ -256,7 +278,7 @@ def test_an_array_attribute_misses(filter_calls, trace_calls):
     assert again.fingerprint() == first.fingerprint()
 
 
-@pytest.mark.parametrize("stage", ["trace", "filter"])
+@pytest.mark.parametrize("stage", ["trace", "filter", "translate"])
 def test_a_run_that_raises_leaves_the_next_run_correct(stage, monkeypatch):
     workload = small_model()
     machine = Machine(system_by_key("bs_dm"))
@@ -264,6 +286,7 @@ def test_a_run_that_raises_leaves_the_next_run_correct(stage, monkeypatch):
     owner, name = {
         "trace": (ModeledWorkload, "trace"),
         "filter": (CPUModel, "external_trace"),
+        "translate": (AddressSpace, "translate_trace"),
     }[stage]
     original = getattr(owner, name)
     armed = [True]
@@ -343,3 +366,181 @@ def test_the_returned_stream_is_read_only(engine):
     for array in (trace.va, trace.is_write, trace.variable):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
+
+
+def cold(machine, workload, **kwargs):
+    """``machine.run`` with nothing kept from an earlier run."""
+    _LAST_STREAM.clear()
+    return machine.run(workload, **kwargs)
+
+
+def test_the_non_sdam_systems_translate_once(translate_calls):
+    # BS+DM, BS+BSM and BS+HM share one OS allocation; they differ only
+    # in the boot-time PA -> HA mapping, after translation.
+    workload = small_model()
+    profile = Machine(system_by_key("bs_dm")).profile(workload)
+    del translate_calls[:]
+    warm = [
+        Machine(system_by_key(key)).run(workload, profile=profile)
+        for key in ("bs_dm", "bs_bsm", "bs_hm")
+    ]
+    assert len(translate_calls) == 1
+    for key, result in zip(("bs_dm", "bs_bsm", "bs_hm"), warm):
+        machine = Machine(system_by_key(key))
+        assert result.fingerprint() == cold(
+            machine, workload, profile=profile
+        ).fingerprint()
+
+
+def test_an_sdam_run_neither_reads_nor_writes_the_kept_pa(translate_calls):
+    # SDM+BSM allocates the same virtual addresses as BS+DM, so it
+    # repeats the stream, but its kernel places pages by mapping.
+    workload = small_model()
+    profile = Machine(system_by_key("bs_dm")).profile(workload)
+    baseline = Machine(system_by_key("bs_dm"))
+    sdam = Machine(system_by_key("sdm_bsm"))
+    first = baseline.run(workload, profile=profile)
+    assert len(translate_calls) == 2  # the profile input, then the run
+    warm = sdam.run(workload, profile=profile)
+    assert warm.external is first.external
+    assert len(translate_calls) == 3
+    # The PA kept before the SDAM run still serves the next baseline.
+    after = baseline.run(workload, profile=profile)
+    assert len(translate_calls) == 3
+    assert warm.fingerprint() == cold(sdam, workload, profile=profile).fingerprint()
+    assert after.fingerprint() == cold(
+        baseline, workload, profile=profile
+    ).fingerprint()
+
+
+SMALL_CHUNKS = ChunkGeometry(total_bytes=8 << 30, chunk_bytes=1 << 20)
+
+
+@pytest.mark.parametrize(
+    "other",
+    [{"chunk_colours": 4}, {"geometry": SMALL_CHUNKS}],
+    ids=["chunk-colours", "geometry"],
+)
+def test_another_kernel_translates_again(other, translate_calls, filter_calls):
+    workload = small_model()
+    system = system_by_key("bs_hm")
+    Machine(system).run(workload)
+    moved = Machine(system, **other)
+    warm = moved.run(workload)
+    # Same stream, walked again for the other kernel.
+    assert (len(filter_calls), len(translate_calls)) == (1, 2)
+    moved.run(workload)
+    assert (len(filter_calls), len(translate_calls)) == (1, 2)
+    assert warm.fingerprint() == cold(moved, workload).fingerprint()
+
+
+@pytest.mark.parametrize("colours,walks", [(8, 1), (4, 2)])
+def test_a_profile_keys_its_pa_on_its_own_kernel(colours, walks, translate_calls):
+    # ``profile`` builds its kernel with the default 8 colours, whatever
+    # the machine's: a run at another count on the same input walks again.
+    workload = small_model()
+    machine = Machine(system_by_key("bs_dm"), chunk_colours=colours)
+    machine.profile(workload, input_seed=1)
+    warm = machine.run(workload, eval_seed=1)
+    assert len(translate_calls) == walks
+    assert warm.fingerprint() == cold(machine, workload, eval_seed=1).fingerprint()
+
+
+def test_a_new_stream_translates_again(translate_calls):
+    workload = small_model()
+    machine = Machine(system_by_key("bs_dm"))
+    machine.run(workload, eval_seed=1)
+    other = machine.run(workload, eval_seed=2)
+    assert len(translate_calls) == 2
+    assert other.fingerprint() == cold(
+        machine, workload, eval_seed=2
+    ).fingerprint()
+
+
+def test_the_kept_pa_is_read_only_and_goes_with_its_stream():
+    workload = small_model()
+    machine = Machine(system_by_key("bs_dm"))
+    external = machine.run(workload).external
+    kernel = Kernel(machine.geometry, chunk_colours=machine.chunk_colours)
+    space, _, _, _ = machine._allocate(kernel, workload, {})
+    pa = _LAST_STREAM.physical(external, kernel, space)
+    assert pa is _LAST_STREAM.physical(external, kernel, space)
+    with pytest.raises(ValueError, match="read-only"):
+        pa[0] = 0
+    kept = weakref.ref(pa)
+    del pa, external
+    machine.run(workload, eval_seed=2)  # replaces the entry
+    gc.collect()
+    assert kept() is None
+
+
+def test_a_replaced_stream_never_gets_the_kept_pa():
+    # A caller still holding an earlier stream, whose entry another run
+    # has replaced since, walks its own page table and keeps nothing.
+    workload = small_model()
+    machine = Machine(system_by_key("bs_dm"))
+    stale = machine.run(workload).external
+    current = machine.run(workload, eval_seed=2)
+    fresh, _, _, _ = machine._allocate(Kernel(machine.geometry), workload, {})
+    expected = fresh.translate_trace(stale.trace.va)
+    kernel = Kernel(machine.geometry)
+    space, _, _, _ = machine._allocate(kernel, workload, {})
+    pa = _LAST_STREAM.physical(stale, kernel, space)
+    np.testing.assert_array_equal(pa, expected)
+    again = machine.run(workload, eval_seed=2)
+    assert again.fingerprint() == current.fingerprint()
+
+
+def test_a_failed_translation_keeps_no_pa(translate_calls, monkeypatch):
+    workload = small_model()
+    machine = Machine(system_by_key("bs_hm"))
+    original = AddressSpace.translate_trace
+
+    def fails(self, va):
+        raise RuntimeError("translate failed")
+
+    monkeypatch.setattr(AddressSpace, "translate_trace", fails)
+    with pytest.raises(RuntimeError, match="translate failed"):
+        machine.run(workload)
+    monkeypatch.setattr(AddressSpace, "translate_trace", original)
+    after = machine.run(workload)
+    assert after.fingerprint() == cold(machine, workload).fingerprint()
+
+
+def test_threads_sharing_the_holder_get_cold_results():
+    """Runs on two streams, with and without SDAM, interleaved across
+    more threads than cores: each pairs its stream with its own PA."""
+    workload = small_model()
+    cases = [
+        (key, seed) for key in ("bs_dm", "bs_hm", "sdm_bsm") for seed in (1, 2)
+    ]
+    expected = {
+        case: cold(Machine(system_by_key(case[0])), workload, eval_seed=case[1])
+        .fingerprint()
+        for case in cases
+    }
+    _LAST_STREAM.clear()
+    got = []
+
+    def worker(offset):
+        for index in range(12):
+            key, seed = cases[(offset + index) % len(cases)]
+            result = Machine(system_by_key(key)).run(workload, eval_seed=seed)
+            got.append(((key, seed), result.fingerprint()))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=worker, args=(offset,)) for offset in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(got) == 4 * 12
+    for case, fingerprint in got:
+        assert fingerprint == expected[case], case
