@@ -2,21 +2,19 @@
 
 The chunk-mapping table is a *global* resource (Section 4: "the
 physical memory space ... is globally shared by all the processes"),
-so co-running applications split the 256-mapping budget.  The co-run
-machine makes that split explicit: each application runs through its
-own :class:`~repro.system.machine.Machine` over one shared kernel and
-CMT, and is admitted with a :class:`~repro.core.cmt.MappingNamespace`
-carved by :func:`~repro.core.cmt.partition_budget`; interning a
-mapping outside the namespace's quota raises instead of silently
-crowding a neighbour.  This example co-runs four applications with different
-access characters, sweeps the per-application cluster budget, prints
-the resulting budget partition, and shows the CMT never overflowing
-while SDAM still pays off for the mix.
+so co-running applications share the 256-mapping budget.  Each
+application runs through its own :class:`~repro.system.machine.Machine`
+over one shared kernel and CMT, with at most ``clusters_per_app``
+mappings of its own; the co-run machine checks before profiling that
+the identity plus every application's clusters fit the table.  This
+example co-runs four applications with different access characters,
+sweeps the per-application cluster budget, prints the budget
+arithmetic, and shows the CMT never overflowing while SDAM still pays
+off for the mix.
 
 Run:  python examples/corun_tenants.py
 """
 
-from repro.core.cmt import partition_budget
 from repro.system.corun import CorunMachine
 from repro.system.reporting import format_table
 from repro.workloads import (
@@ -58,17 +56,14 @@ def main() -> None:
             }
         )
     print(format_table(rows, title="four tenants sharing one CMT"))
-    # The partition the last sweep ran under: one namespace per app,
-    # slot 0 (the boot identity) shared by everyone.
-    partition = partition_budget(
-        {f"app{i}": 8 for i in range(len(apps))}, max_mappings=256
+    # The budget the last sweep ran under: slot 0 (the boot identity)
+    # shared by everyone, plus at most 8 mappings per app.
+    needed = 1 + len(apps) * 8
+    print(
+        f"\nbudget at 8 clusters/app: 1 identity + {len(apps)} apps x 8 "
+        f"= {needed} of 256 CMT slots at most "
+        f"({result.live_mappings} used)"
     )
-    print("\nbudget partition at 8 clusters/app:")
-    for name, namespace in partition.items():
-        print(
-            f"  {name}: slots [{namespace.base}, {namespace.end}) "
-            f"of 256 (quota {namespace.capacity})"
-        )
     print(
         "\nEven one mapping per tenant recovers most of the benefit — the\n"
         "paper's argument that a 256-entry CMT comfortably serves many\n"

@@ -13,12 +13,7 @@ from repro.core.bitshuffle import (
     select_window_permutation,
 )
 from repro.core.chunks import ChunkGeometry
-from repro.core.cmt import (
-    ChunkMappingTable,
-    MappingNamespace,
-    cmt_storage_report,
-    partition_budget,
-)
+from repro.core.cmt import ChunkMappingTable, cmt_storage_report
 from repro.core.hashing import default_hash_mapping, hash_mapping
 from repro.core.mapping import (
     LinearMapping,
@@ -64,7 +59,6 @@ __all__ = [
     "GlobalMappingTranslator",
     "GuardPlan",
     "LinearMapping",
-    "MappingNamespace",
     "MappingSelection",
     "PermutationMapping",
     "SDAMController",
@@ -79,7 +73,6 @@ __all__ = [
     "identity_mapping",
     "mapping_for_stride",
     "mapping_from_field_sources",
-    "partition_budget",
     "plan_guard_rows",
     "rank_bits_by_flip_rate",
     "select_application_mapping",

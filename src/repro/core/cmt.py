@@ -13,98 +13,14 @@ model counts those writes so the kernel substrate can be audited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.core.amu import AddressMappingUnit
 from repro.errors import CMTError
 
-__all__ = [
-    "ChunkMappingTable",
-    "MappingNamespace",
-    "cmt_storage_report",
-    "partition_budget",
-]
+__all__ = ["ChunkMappingTable", "cmt_storage_report"]
 
 CMT_LOOKUP_LATENCY_NS = 6.0  # on-chip SRAM, vs >130 ns HBM access (Section 5.3)
-
-
-@dataclass(frozen=True)
-class MappingNamespace:
-    """One tenant's slice of the global 256-mapping CMT budget.
-
-    The second-level table is a hardware resource shared by every
-    tenant (Section 7.4: the prototype shares one CMT globally); a
-    namespace carves ``capacity`` slots out of it for one tenant, with
-    ``base`` recording which contiguous region of the hardware table
-    the service reserved.  Slot 0 (the boot identity) is shared by all
-    tenants and never charged to any namespace, so bases start at 1.
-
-    A namespace is a *quota*, enforced at intern time: a tenant is
-    charged one slot for every distinct configuration it interns, so
-    if every namespace respects its capacity and the capacities (plus
-    the identity slot) sum to at most ``max_mappings``, the global
-    table provably cannot overflow — cross-tenant deduplication only
-    ever makes that bound looser.
-    """
-
-    tenant: str
-    base: int
-    capacity: int
-
-    def __post_init__(self):
-        if not self.tenant:
-            raise CMTError("namespace tenant name must be non-empty")
-        if self.base < 1:
-            raise CMTError(
-                "namespace base must be >= 1 (slot 0 is the shared identity)"
-            )
-        if self.capacity < 1:
-            raise CMTError("namespace capacity must be >= 1")
-
-    @property
-    def end(self) -> int:
-        """One past the last reserved slot."""
-        return self.base + self.capacity
-
-    def overlaps(self, other: "MappingNamespace") -> bool:
-        """Whether two namespaces claim a common hardware slot."""
-        return self.base < other.end and other.base < self.end
-
-    def to_dict(self) -> dict:
-        """A JSON-serialisable form."""
-        return {
-            "tenant": self.tenant,
-            "base": self.base,
-            "capacity": self.capacity,
-        }
-
-
-def partition_budget(
-    quotas: dict[str, int], max_mappings: int = 256
-) -> dict[str, MappingNamespace]:
-    """Carve the global mapping budget into per-tenant namespaces.
-
-    ``quotas`` maps tenant name to requested slot count; namespaces are
-    assigned contiguously in iteration order, after the shared identity
-    slot.  Raises :class:`~repro.errors.CMTError` when the requests do
-    not fit the budget.
-    """
-    namespaces: dict[str, MappingNamespace] = {}
-    base = 1  # slot 0: the shared boot identity
-    for tenant, quota in quotas.items():
-        if quota < 1:
-            raise CMTError(f"tenant {tenant!r} quota must be >= 1")
-        if base + quota > max_mappings:
-            raise CMTError(
-                f"mapping budget exhausted: tenant {tenant!r} needs {quota} "
-                f"slots but only {max_mappings - base} of {max_mappings} "
-                "remain"
-            )
-        namespaces[tenant] = MappingNamespace(tenant, base, quota)
-        base += quota
-    return namespaces
 
 
 class ChunkMappingTable:
@@ -130,91 +46,19 @@ class ChunkMappingTable:
         self._chunk_table = np.zeros(num_chunks, dtype=np.uint16)
         self._configs: list[np.ndarray] = []
         self._intern: dict[tuple[int, ...], int] = {}
-        self._namespaces: dict[str, MappingNamespace] = {}
-        self._charges: dict[str, set[tuple[int, ...]]] = {}
         self.driver_writes = 0
         self.intern_mapping(np.arange(window_bits))  # index 0 = identity
 
-    # -- namespaces: per-tenant slices of the mapping budget ---------------
-    def register_namespace(self, namespace: MappingNamespace) -> None:
-        """Reserve a tenant's slice of the second-level table.
-
-        Rejects namespaces that fall outside the table or overlap an
-        already-registered one — the registry's admission invariant.
-        """
-        if namespace.end > self.max_mappings:
-            raise CMTError(
-                f"namespace {namespace.tenant!r} ends at slot {namespace.end} "
-                f"but the table holds {self.max_mappings} mappings"
-            )
-        existing = self._namespaces.get(namespace.tenant)
-        if existing is not None and existing != namespace:
-            raise CMTError(
-                f"tenant {namespace.tenant!r} already holds a namespace"
-            )
-        for other in self._namespaces.values():
-            if other.tenant != namespace.tenant and namespace.overlaps(other):
-                raise CMTError(
-                    f"namespace {namespace.tenant!r} overlaps {other.tenant!r}"
-                )
-        self._namespaces[namespace.tenant] = namespace
-        self._charges.setdefault(namespace.tenant, set())
-
-    def release_namespace(self, tenant: str) -> None:
-        """Return a tenant's slice to the budget (its charges are dropped).
-
-        Interned configurations stay in the table — hardware has no
-        erase; a released slice merely becomes re-carvable.
-        """
-        self._namespaces.pop(tenant, None)
-        self._charges.pop(tenant, None)
-
-    @property
-    def namespaces(self) -> dict[str, MappingNamespace]:
-        """Registered namespaces by tenant name (a copy)."""
-        return dict(self._namespaces)
-
-    def namespace_usage(self, tenant: str) -> dict:
-        """How much of a tenant's quota is charged."""
-        namespace = self._namespaces.get(tenant)
-        if namespace is None:
-            raise CMTError(f"no namespace registered for tenant {tenant!r}")
-        used = len(self._charges.get(tenant, ()))
-        return {
-            "tenant": tenant,
-            "base": namespace.base,
-            "capacity": namespace.capacity,
-            "used": used,
-            "free": namespace.capacity - used,
-        }
-
     # -- second level: mapping configurations ----------------------------
-    def intern_mapping(self, window_perm, namespace: str | None = None) -> int:
+    def intern_mapping(self, window_perm) -> int:
         """Store a window permutation, deduplicated; return its index.
 
-        With ``namespace`` set, the intern is charged against that
-        tenant's quota: each *distinct* configuration a tenant interns
-        consumes one of its slots (the identity is shared and free;
-        re-interning a configuration the tenant already holds is free).
-        Raises :class:`~repro.errors.CMTError` once the quota is spent.
+        Every process shares this one table (Section 7.4); raises
+        :class:`~repro.errors.CMTError` once ``max_mappings`` distinct
+        configurations are live.
         """
         perm = self.amu.validate(window_perm)
         key = tuple(perm.tolist())
-        if namespace is not None:
-            ns = self._namespaces.get(namespace)
-            if ns is None:
-                raise CMTError(
-                    f"no namespace registered for tenant {namespace!r}"
-                )
-            charges = self._charges[namespace]
-            is_identity = key == tuple(range(perm.size))
-            if not is_identity and key not in charges:
-                if len(charges) >= ns.capacity:
-                    raise CMTError(
-                        f"tenant {namespace!r} mapping quota exhausted "
-                        f"({ns.capacity} slots)"
-                    )
-                charges.add(key)
         if key in self._intern:
             return self._intern[key]
         if len(self._configs) >= self.max_mappings:

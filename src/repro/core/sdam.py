@@ -10,9 +10,10 @@ Two translator implementations share one interface:
   passing through unchanged (Section 4's correctness rule).
 
 Both translate whole numpy traces at once, and both expose the fused
-datapath hook :meth:`translation_groups`: the trace partitioned into
-(selector, :class:`~repro.core.bitmatrix.BitOperator`) groups, which the
-memory side precomposes with its field extraction so a trace goes
+datapath hook :meth:`uniform_operator`: the one
+:class:`~repro.core.bitmatrix.BitOperator` that maps every address of a
+trace, or ``None`` when the trace spans several mappings.  The memory
+side precomposes that operator with its field extraction so a trace goes
 PA -> (channel, bank, row, column) in one vectorised pass with no
 intermediate hardware-address array (see ``repro.hbm.decode``).
 
@@ -26,7 +27,8 @@ translates with a single gather instead of one masked pass per mapping.
 
 from __future__ import annotations
 
-from typing import Iterator, Protocol
+from functools import cache
+from typing import Protocol
 
 import numpy as np
 
@@ -40,6 +42,11 @@ from repro.errors import MappingError
 __all__ = ["AddressTranslator", "GlobalMappingTranslator", "SDAMController"]
 
 
+@cache
+def _identity_operator(width: int) -> BitOperator:
+    return BitOperator.identity(width)
+
+
 class AddressTranslator(Protocol):
     """Anything that can turn a PA trace into an HA trace."""
 
@@ -47,15 +54,12 @@ class AddressTranslator(Protocol):
         """Map physical addresses to hardware addresses."""
         ...  # pragma: no cover - protocol
 
-    def translation_groups(
-        self, pa: np.ndarray
-    ) -> Iterator[tuple[np.ndarray | None, BitOperator]]:
-        """Partition a trace into (selector, operator) groups.
+    def uniform_operator(self, pa: np.ndarray) -> BitOperator | None:
+        """The operator that maps every address of ``pa``, if one does.
 
-        A ``None`` selector means the operator covers the whole trace;
-        otherwise the selector is a boolean mask over ``pa``.  Consumers
-        fuse each group's operator with downstream bit math (decode)
-        instead of materialising the hardware-address array.
+        ``None`` means the trace spans several mappings.  Consumers fuse
+        the operator with downstream bit math (decode) instead of
+        materialising the hardware-address array.
         """
         ...  # pragma: no cover - protocol
 
@@ -76,11 +80,9 @@ class GlobalMappingTranslator:
         """Convenience single-address translation."""
         return int(self.mapping.apply(int(pa)))
 
-    def translation_groups(
-        self, pa: np.ndarray
-    ) -> Iterator[tuple[np.ndarray | None, BitOperator]]:
-        """One group: the boot-time mapping covers everything."""
-        yield None, self.mapping.as_operator()
+    def uniform_operator(self, pa: np.ndarray) -> BitOperator:
+        """The boot-time mapping covers everything."""
+        return self.mapping.as_operator()
 
     def __repr__(self) -> str:
         return f"GlobalMappingTranslator({self.mapping!r})"
@@ -103,7 +105,6 @@ class SDAMController:
         self,
         geometry: ChunkGeometry,
         max_mappings: int = 256,
-        shadow: bool = True,
     ):
         self.geometry = geometry
         self.amu = AddressMappingUnit(geometry.window_bits)
@@ -117,14 +118,10 @@ class SDAMController:
         # can diff the two and roll corruption back (Section 4's
         # correctness rule made self-checking).  Cheap — one extra
         # uint16 per chunk plus the interned configs.
-        self.shadow_cmt: ChunkMappingTable | None = (
-            ChunkMappingTable(
-                num_chunks=geometry.num_chunks,
-                window_bits=geometry.window_bits,
-                max_mappings=max_mappings,
-            )
-            if shadow
-            else None
+        self.shadow_cmt = ChunkMappingTable(
+            num_chunks=geometry.num_chunks,
+            window_bits=geometry.window_bits,
+            max_mappings=max_mappings,
         )
         # Full-width operators per mapping index.  CMT configurations are
         # immutable once interned (set_chunk rebinds chunks, never edits
@@ -139,28 +136,12 @@ class SDAMController:
         self._misprogrammed: dict[int, np.ndarray] = {}
 
     # -- software-facing control interface ---------------------------------
-    def register_namespace(self, namespace) -> None:
-        """Reserve a tenant slice of the mapping budget (see CMT docs).
-
-        The shadow table mirrors the reservation so its shape keeps
-        matching the live SRAM under quota pressure.
-        """
-        self.cmt.register_namespace(namespace)
-        if self.shadow_cmt is not None:
-            self.shadow_cmt.register_namespace(namespace)
-
-    def release_namespace(self, tenant: str) -> None:
-        """Return a tenant's slice of the mapping budget."""
-        self.cmt.release_namespace(tenant)
-        if self.shadow_cmt is not None:
-            self.shadow_cmt.release_namespace(tenant)
-
-    def register_mapping(self, mapping, namespace: str | None = None) -> int:
+    def register_mapping(self, mapping) -> int:
         """Intern a mapping; accepts a window permutation or a full one.
 
         A full-width :class:`PermutationMapping` must leave bits outside
-        the chunk-offset window untouched.  With ``namespace`` set the
-        intern is charged against that tenant's registered quota.
+        the chunk-offset window untouched.  Returns the CMT index, which
+        is also the mapping id software passes to ``mmap``.
         """
         if isinstance(mapping, PermutationMapping):
             low, high = self.geometry.window_slice()
@@ -174,22 +155,19 @@ class SDAMController:
                 )
         else:
             window_perm = np.asarray(mapping, dtype=np.int64)
-        index = self.cmt.intern_mapping(window_perm, namespace=namespace)
-        if self.shadow_cmt is not None:
-            self.shadow_cmt.intern_mapping(window_perm, namespace=namespace)
+        index = self.cmt.intern_mapping(window_perm)
+        self.shadow_cmt.intern_mapping(window_perm)
         return index
 
     def assign_chunk(self, chunk_no: int, mapping_id: int) -> None:
         """Bind a chunk to an interned mapping (a CMT driver write)."""
         self.cmt.set_chunk(chunk_no, mapping_id)
-        if self.shadow_cmt is not None:
-            self.shadow_cmt.set_chunk(chunk_no, mapping_id)
+        self.shadow_cmt.set_chunk(chunk_no, mapping_id)
 
     def release_chunk(self, chunk_no: int) -> None:
         """Return a freed chunk to the identity mapping."""
         self.cmt.reset_chunk(chunk_no)
-        if self.shadow_cmt is not None:
-            self.shadow_cmt.reset_chunk(chunk_no)
+        self.shadow_cmt.reset_chunk(chunk_no)
 
     def full_mapping(self, mapping_id: int) -> PermutationMapping:
         """The full-width permutation a mapping id realises."""
@@ -282,34 +260,27 @@ class SDAMController:
         return self._window_luts
 
     # -- datapath -----------------------------------------------------------
-    def _mapping_indices(self, pa: np.ndarray) -> np.ndarray:
-        chunk_no = self.geometry.chunk_number(pa)
-        return self.cmt.mapping_index_of(np.asarray(chunk_no))
-
-    def translation_groups(
+    def _split(
         self, pa: np.ndarray
-    ) -> Iterator[tuple[np.ndarray | None, BitOperator]]:
-        """Partition a PA trace by live mapping index.
+    ) -> tuple[BitOperator | None, np.ndarray | None]:
+        """``(operator, None)`` when one mapping covers ``pa``, else
+        ``(None, mapping index per address)``."""
+        if self.cmt.live_mappings == 1 or pa.size == 0:
+            # Only the boot identity is interned: nothing can shuffle.
+            return _identity_operator(self.geometry.address_bits), None
+        chunk_no = self.geometry.chunk_number(pa)
+        mapping_idx = self.cmt.mapping_index_of(np.asarray(chunk_no))
+        first = int(mapping_idx.flat[0])
+        if not np.any(mapping_idx != first):
+            return self.operator_of(first), None
+        return None, mapping_idx
 
-        Single-mapping fast path: when only one mapping can be (or is)
-        involved, one whole-trace group comes back and callers skip the
-        per-group masking entirely.
-        """
+    def uniform_operator(self, pa: np.ndarray) -> BitOperator | None:
+        """The one mapping's operator when a PA trace touches only one."""
         if not isinstance(pa, np.ndarray) or pa.dtype != np.uint64:
             pa = np.asarray(pa, dtype=np.uint64)
         self.geometry.check_address(pa)
-        width = self.geometry.address_bits
-        if self.cmt.live_mappings == 1 or pa.size == 0:
-            # Only the boot identity is interned: nothing can shuffle.
-            yield None, BitOperator.identity(width)
-            return
-        mapping_idx = self._mapping_indices(pa)
-        first = int(mapping_idx.flat[0])
-        if not np.any(mapping_idx != first):
-            yield None, self.operator_of(first)
-            return
-        for idx in np.unique(mapping_idx):
-            yield mapping_idx == idx, self.operator_of(int(idx))
+        return self._split(pa)[0]
 
     def translate(self, pa: np.ndarray) -> np.ndarray:
         """PA -> HA for a whole trace, chunk by chunk through the CMT.
@@ -322,12 +293,8 @@ class SDAMController:
         if not isinstance(pa, np.ndarray) or pa.dtype != np.uint64:
             pa = np.asarray(pa, dtype=np.uint64)
         self.geometry.check_address(pa)
-        if self.cmt.live_mappings == 1 or pa.size == 0:
-            return pa.copy()
-        mapping_idx = self._mapping_indices(pa)
-        first = int(mapping_idx.flat[0])
-        if not np.any(mapping_idx != first):
-            operator = self.operator_of(first)
+        operator, mapping_idx = self._split(pa)
+        if operator is not None:
             return pa.copy() if operator.is_identity() else operator.apply(pa)
         lut = self.window_lut()
         if lut is None:  # window too wide to tabulate: masked group loop

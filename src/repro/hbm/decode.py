@@ -10,7 +10,7 @@ GF(2) bit operation (a row slice of the identity), so it lowers to the
   to (channel, bank, row, column) in one vectorised pass per field with
   no intermediate hardware-address array;
 * :func:`decode_translated` consumes an
-  :class:`~repro.core.sdam.AddressTranslator`'s translation groups —
+  :class:`~repro.core.sdam.AddressTranslator`'s uniform operator —
   the fused datapath the machine's evaluate stage runs;
 * :func:`decode_trace` is the identity-mapping plan, the classic
   HA-array entry point (each backend's ``simulate(ha)``, the RAS
@@ -173,18 +173,8 @@ def decode_translated(
     """
     if not isinstance(pa, np.ndarray) or pa.dtype != np.uint64:
         pa = np.asarray(pa, dtype=np.uint64)
-    first = next(translator.translation_groups(pa), None)
-    if first is None:  # empty group iterator (defensive)
-        empty = np.zeros(pa.shape, dtype=np.int64)
-        return DecodedTrace(
-            channel=empty,
-            bank=empty.copy(),
-            row=empty.copy(),
-            column=empty.copy(),
-            global_bank=empty.copy(),
-        )
-    select, operator = first
-    if select is None:
+    operator = translator.uniform_operator(pa)
+    if operator is not None:
         return plan_for(config, operator, cache=cache).decode(pa)
     return plan_for(config, cache=cache).decode(translator.translate(pa))
 

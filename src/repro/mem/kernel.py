@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.chunks import ChunkGeometry
-from repro.core.mapping import PermutationMapping, identity_mapping
+from repro.core.mapping import identity_mapping
 from repro.core.sdam import (
     AddressTranslator,
     GlobalMappingTranslator,
@@ -39,13 +39,12 @@ class _CMTDriver:
     without waiting for the cyclic garbage collector.
     """
 
-    def __init__(self, sdam: SDAMController | None, mappings: dict[int, int]):
+    def __init__(self, sdam: SDAMController | None):
         self.sdam = sdam
-        self.mappings = mappings  # the kernel's software id -> CMT index
 
     def chunk_assigned(self, chunk_no: int, mapping_id: int) -> None:
         if self.sdam is not None:
-            self.sdam.assign_chunk(chunk_no, self.mappings[mapping_id])
+            self.sdam.assign_chunk(chunk_no, mapping_id)
 
     def chunk_released(self, chunk_no: int) -> None:
         if self.sdam is not None:
@@ -56,7 +55,7 @@ class _FaultHandler:
     """Page-fault handler: allocate a VMA's new frames from the right group."""
 
     def __init__(
-        self, physical: PhysicalMemory, mappings: dict[int, int], sdam_enabled: bool
+        self, physical: PhysicalMemory, mappings: set[int], sdam_enabled: bool
     ):
         self.physical = physical
         self.mappings = mappings
@@ -82,9 +81,10 @@ class Kernel:
     ):
         self.geometry = geometry
         self.sdam = sdam
-        # mapping-id 0 is the boot default (identity), always present.
-        self._registered_mappings: dict[int, int] = {0: 0}
-        driver = _CMTDriver(sdam, self._registered_mappings)
+        # A mapping id is its CMT index; id 0 is the boot identity,
+        # always present.
+        self._registered_mappings: set[int] = {0}
+        driver = _CMTDriver(sdam)
         self.physical = PhysicalMemory(
             geometry,
             on_chunk_assigned=driver.chunk_assigned,
@@ -104,54 +104,24 @@ class Kernel:
         return self.sdam is not None
 
     # -- mapping registration (the add_addr_map() syscall backend) ----------
-    def add_addr_map(self, mapping, namespace: str | None = None) -> int:
+    def add_addr_map(self, mapping) -> int:
         """Register an address mapping; returns its mapping id.
 
         ``mapping`` is a window permutation (array-like) or a full-width
-        :class:`PermutationMapping` restricted to the chunk window.  On a
-        baseline kernel the id is accepted but aliases the default.
-        With ``namespace`` set (one co-running application's), the
-        intern is charged against that slice of the mapping budget.
+        :class:`~repro.core.mapping.PermutationMapping` restricted to the
+        chunk window.  The id is the mapping's CMT index, so registering
+        the same mapping twice returns the same id.  On a baseline
+        kernel the id is accepted but aliases the default.
         """
         if self.sdam is None:
             return 0
-        hardware_index = self.sdam.register_mapping(mapping, namespace=namespace)
-        # Software mapping ids mirror the hardware table indices 1:1.
-        self._registered_mappings[hardware_index] = hardware_index
-        return hardware_index
+        mapping_id = self.sdam.register_mapping(mapping)
+        self._registered_mappings.add(mapping_id)
+        return mapping_id
 
     def registered_mapping_ids(self) -> list[int]:
         """Mapping ids registered via add_addr_map."""
         return sorted(self._registered_mappings)
-
-    def hardware_index_of(self, mapping_id: int) -> int:
-        """CMT index currently backing a software mapping id."""
-        return self._registered_mappings[mapping_id]
-
-    def rebind_mapping(self, mapping_id: int, hardware_index: int) -> None:
-        """Point a software mapping id at a different CMT index.
-
-        The RAS repair path uses this after composing a replacement
-        permutation: existing VMAs keep their mapping id, but chunks
-        acquired from now on are programmed with the healed mapping.
-        """
-        if self.sdam is None:
-            raise ProfilingError("mapping rebind requires SDAM")
-        if mapping_id not in self._registered_mappings:
-            raise ProfilingError(
-                f"mapping id {mapping_id} was never registered"
-            )
-        if not 0 <= hardware_index < self.sdam.cmt.live_mappings:
-            raise ProfilingError(
-                f"hardware index {hardware_index} is not interned"
-            )
-        self._registered_mappings[mapping_id] = hardware_index
-
-    def full_mapping(self, mapping_id: int) -> PermutationMapping | None:
-        """Full-width permutation behind a mapping id (None on baseline)."""
-        if self.sdam is None:
-            return None
-        return self.sdam.full_mapping(self._registered_mappings[mapping_id])
 
     # -- processes -----------------------------------------------------------
     def spawn(self) -> AddressSpace:

@@ -69,10 +69,6 @@ class Heap:
         """Total free bytes across the free list."""
         return sum(size for _offset, size in self._free)
 
-    def largest_free_block(self) -> int:
-        """Largest single free block, in bytes."""
-        return max((size for _offset, size in self._free), default=0)
-
     @property
     def is_empty(self) -> bool:
         """True when nothing is allocated."""

@@ -33,11 +33,6 @@ class MigrationReport:
     lines_copied: int
     cost_ns: float
 
-    @property
-    def cost_us(self) -> float:
-        """Copy cost in microseconds."""
-        return self.cost_ns / 1e3
-
 
 class ChunkMigrator:
     """Remaps chunks, moving live data when necessary."""

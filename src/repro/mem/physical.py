@@ -134,11 +134,6 @@ class Chunk:
             if page not in self.retired_pages
         ]
 
-    @property
-    def is_drained(self) -> bool:
-        """True when only retired pages remain allocated."""
-        return not self.live_page_offsets()
-
 
 class ChunkGroup:
     """All chunks sharing one address mapping (one access pattern)."""
@@ -192,7 +187,6 @@ class PhysicalMemory:
         self._free_chunks: deque[int] = deque(range(geometry.num_chunks))
         self._chunks: dict[int, Chunk] = {}
         self._groups: dict[int, ChunkGroup] = {}
-        self._retired_chunks: set[int] = set()
         self.on_chunk_assigned = on_chunk_assigned
         self.on_chunk_released = on_chunk_released
         # RAS: invoked on every freshly acquired chunk, before any frame
@@ -349,53 +343,6 @@ class PhysicalMemory:
         self.pages_retired += newly
         self._notify_retired(chunk_no, fresh)
         return newly
-
-    def retire_chunk(self, chunk_no: int) -> None:
-        """Permanently remove a whole chunk from service.
-
-        Free-list chunks are unlinked from the free list; live chunks
-        must be drained of data first (retired pages may remain), and
-        are detached from their group without returning to the free
-        list.
-        """
-        if chunk_no in self._retired_chunks:
-            return
-        try:
-            self._free_chunks.remove(chunk_no)
-        except ValueError:
-            chunk = self._chunks.get(chunk_no)
-            if chunk is None:
-                raise AllocationError(f"chunk {chunk_no} does not exist")
-            if not chunk.is_drained:
-                raise AllocationError(
-                    f"chunk {chunk_no} still holds live data; "
-                    "relocate before retiring"
-                )
-            if chunk.mapping_id is not None:
-                self.group(chunk.mapping_id).remove(chunk)
-            del self._chunks[chunk_no]
-            self.pages_retired += self.geometry.pages_per_chunk - len(
-                chunk.retired_pages
-            )
-            self._notify_retired(
-                chunk_no,
-                (
-                    offset
-                    for offset in range(self.geometry.pages_per_chunk)
-                    if offset not in chunk.retired_pages
-                ),
-            )
-        else:
-            self.pages_retired += self.geometry.pages_per_chunk
-            self._notify_retired(
-                chunk_no, range(self.geometry.pages_per_chunk)
-            )
-        self._retired_chunks.add(chunk_no)
-
-    @property
-    def retired_chunks(self) -> set[int]:
-        """Chunk numbers permanently out of service."""
-        return set(self._retired_chunks)
 
     def chunk(self, chunk_no: int) -> Chunk | None:
         """The live chunk object for a chunk number, if any."""

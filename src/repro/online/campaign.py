@@ -305,8 +305,7 @@ def run_adaptive_campaign(
         state["adaptive_service"] += float(model.simulate(ha).makespan_ns)
         entry = controller.observe(window)
         if entry is not None and entry["kind"] == "remap":
-            index = kernel.hardware_index_of(controller.mapping_id)
-            adopted.append(kernel.sdam.cmt.config_of(index))
+            adopted.append(kernel.sdam.cmt.config_of(controller.mapping_id))
 
     # -- static baselines ---------------------------------------------------
     low, high = geometry.window_slice()

@@ -117,8 +117,7 @@ class AdaptiveController:
     @property
     def current_perm(self) -> np.ndarray:
         """Window permutation currently programmed for the group."""
-        index = self.kernel.hardware_index_of(self.mapping_id)
-        return self.kernel.sdam.cmt.config_of(index)
+        return self.kernel.sdam.cmt.config_of(self.mapping_id)
 
     def _group_chunks(self) -> list[int]:
         group = self.kernel.physical.group(self.mapping_id)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.verification import audit_controller
-from repro.errors import MappingIntegrityError, OutOfMemoryError
+from repro.errors import OutOfMemoryError
 from repro.hbm.decode import decode_trace
 from repro.ras.repair import FaultCube, compose_repair, cube_for, preimage_pages
 from repro.core.bitmatrix import BitOperator
@@ -179,8 +179,6 @@ class RASController:
         machine = self.machine
         sdam = self.sdam
         shadow = sdam.shadow_cmt
-        if shadow is None:
-            return False
         healed = False
         delta = sdam.cmt.diff(shadow)
         if delta["entries"] or delta["configs"]:
@@ -443,19 +441,10 @@ class RASController:
         cubes = [q for q in self.quarantined if q.applies_to(chunk.number)]
         if not cubes:
             return
-        shadow = self.sdam.shadow_cmt or self.sdam.cmt
+        shadow = self.sdam.shadow_cmt
         index = shadow.mapping_index_of(chunk.number)
         operator = BitOperator.from_permutation(shadow.config_of(index))
         pages: set[int] = set()
         for cube in cubes:
             pages.update(preimage_pages(operator, cube, self.geometry))
         self.physical.retire_pages(chunk.number, sorted(pages))
-
-    # -- verification -------------------------------------------------------
-    def verify_clean(self) -> bool:
-        """True when a strict audit passes on the current state."""
-        try:
-            audit_controller(self.sdam, sample_chunks=4, strict=True)
-        except MappingIntegrityError:
-            return False
-        return True

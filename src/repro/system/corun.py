@@ -2,21 +2,21 @@
 
 Section 7.4 motivates the 4-cluster configurations with co-running
 applications: the CMT supports 256 concurrent mappings *globally*, so
-when many applications co-run, each gets only a slice of the mapping
-budget and several variables must share a mapping.  This module runs
-several workloads concurrently — separate address spaces, one physical
-memory, one CMT — splitting the cluster budget across them and
-interleaving their external traces, the multiprogrammed scenario the
-prototype's globally-shared CMT is designed for.
+when many applications co-run, each gets only a few clusters and
+several variables must share a mapping.  This module runs several
+workloads concurrently — separate address spaces, one physical memory,
+one CMT — with ``clusters_per_app`` clusters each, interleaving their
+external traces, the multiprogrammed scenario the prototype's
+globally-shared CMT is designed for.
 
 Each application gets its own :class:`~repro.system.machine.Machine`,
 which profiles it, selects its mappings and builds its allocation,
-trace and compute time exactly as a single-application run would.  Its
-slice of the mapping budget is a :class:`~repro.core.cmt.MappingNamespace`
-carved by :func:`~repro.core.cmt.partition_budget`, and every
-``add_addr_map`` is charged against that namespace — the budget split
-is *enforced*, not just hoped for.  The apps deliberately share one
-kernel and one CMT, reproducing the prototype's globally-shared table.
+trace and compute time exactly as a single-application run would.  The
+apps share one kernel and one CMT, so identical mappings are interned
+once.  An app's K-Means selection yields at most ``clusters_per_app``
+mappings, so the run checks once, before any profiling, that the
+identity slot plus every app's clusters fit ``max_mappings``; past that
+check the table cannot overflow.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.chunks import ChunkGeometry
-from repro.core.cmt import partition_budget
 from repro.core.sdam import SDAMController
 from repro.cpu.trace import AccessTrace, interleave_traces
 from repro.errors import ConfigError
@@ -110,18 +109,18 @@ class CorunMachine:
         """Profile each app, share the CMT, run everything together."""
         if not workloads:
             raise ConfigError("no workloads to co-run")
+        needed = 1 + len(workloads) * self.clusters_per_app
+        if self.use_sdam and needed > self.max_mappings:
+            raise ConfigError(
+                "mapping budget exhausted: the identity plus "
+                f"{len(workloads)} apps x {self.clusters_per_app} clusters "
+                f"need {needed} of {self.max_mappings} CMT slots"
+            )
         sdam = (
             SDAMController(self.geometry, max_mappings=self.max_mappings)
             if self.use_sdam
             else None
         )
-        if sdam is not None:
-            namespaces = partition_budget(
-                {f"app{i}": self.clusters_per_app for i in range(len(workloads))},
-                max_mappings=self.max_mappings,
-            )
-            for namespace in namespaces.values():
-                sdam.register_namespace(namespace)
         kernel = Kernel(self.geometry, sdam=sdam)
         all_external: list[AccessTrace] = []
         max_inflight = 0
@@ -133,16 +132,7 @@ class CorunMachine:
                 selection = app.select(
                     app.profile(workload, input_seed=profile_seed)
                 )
-                cluster_to_mapping = {
-                    index: kernel.add_addr_map(
-                        perm, namespace=f"app{app_index}"
-                    )
-                    for index, perm in enumerate(selection.window_perms)
-                }
-                mapping_of_variable = {
-                    vid: cluster_to_mapping[cluster]
-                    for vid, cluster in selection.variable_cluster.items()
-                }
+                mapping_of_variable = app._register_selection(kernel, selection)
             space, _allocator, base, _registry = app._allocate(
                 kernel, workload, mapping_of_variable
             )

@@ -117,11 +117,6 @@ class MachineResult:
         """End-to-end time: memory makespan plus compute."""
         return self.stats.makespan_ns + self.compute_ns
 
-    @property
-    def memory_time_ns(self) -> float:
-        """Memory-system makespan only."""
-        return self.stats.makespan_ns
-
     def summary(self) -> str:
         """One-line human-readable summary."""
         return (
@@ -536,6 +531,23 @@ class Machine:
             **self.backend_options,
         )
 
+    @staticmethod
+    def _register_selection(
+        kernel: Kernel, selection: MappingSelection
+    ) -> dict[int, int]:
+        """``add_addr_map`` each cluster's mapping, in cluster order.
+
+        Returns the mapping id of every variable the selection binds.
+        """
+        cluster_to_mapping = {
+            index: kernel.add_addr_map(perm)
+            for index, perm in enumerate(selection.window_perms)
+        }
+        return {
+            variable_id: cluster_to_mapping[cluster]
+            for variable_id, cluster in selection.variable_cluster.items()
+        }
+
     def _allocate(
         self,
         kernel: Kernel,
@@ -657,14 +669,7 @@ class Machine:
                 sdam=SDAMController(self.geometry),
                 chunk_colours=self.chunk_colours,
             )
-            cluster_to_mapping = {
-                index: kernel.add_addr_map(perm)
-                for index, perm in enumerate(selection.window_perms)
-            }
-            mapping_of_variable = {
-                variable_id: cluster_to_mapping[cluster]
-                for variable_id, cluster in selection.variable_cluster.items()
-            }
+            mapping_of_variable = self._register_selection(kernel, selection)
         else:
             kernel = Kernel(
                 self.geometry, sdam=None, chunk_colours=self.chunk_colours

@@ -56,12 +56,6 @@ class CSRGraph:
         """Out-degrees of the given vertices."""
         return self.xadj[vertices + 1] - self.xadj[vertices]
 
-    def edge_targets(self, vertices: np.ndarray) -> np.ndarray:
-        """All neighbours of ``vertices``, concatenated (CSR order)."""
-        starts = self.xadj[vertices]
-        counts = self.degree(vertices)
-        return self.adjncy[ragged_ranges(starts, counts)]
-
 
 def ragged_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Vectorised ``concat(arange(s, s+c) for s, c in zip(starts, counts))``."""

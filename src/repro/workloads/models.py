@@ -184,10 +184,6 @@ class ModeledWorkload(Workload):
         )
         return specs
 
-    def major_ids(self) -> list[int]:
-        """Variable ids of the major variables."""
-        return list(range(len(self.majors)))
-
     # -- Table 1 reporting ----------------------------------------------------
     def table1_nominal(self) -> dict[str, float]:
         """The Table 1 row this model was calibrated to."""

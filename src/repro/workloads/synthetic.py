@@ -303,11 +303,6 @@ class TieredPressureWorkload(Workload):
         return [tagged_trace([(addresses, 0, False)])]
 
 
-def max_stride_footprint(strides: tuple[int, ...], accesses: int) -> int:
-    """Buffer size (bytes) that keeps every stride in-bounds unwrapped."""
-    return max(strides) * accesses * LINE
-
-
 # Re-export for symmetry with other workload modules.
 SyntheticWorkloads = {
     "stride": StridedCopyWorkload,

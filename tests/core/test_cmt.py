@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.cmt import (
-    ChunkMappingTable,
-    MappingNamespace,
-    cmt_storage_report,
-    partition_budget,
-)
+from repro.core.cmt import ChunkMappingTable, cmt_storage_report
 from repro.errors import CMTError
 
 
@@ -181,99 +176,3 @@ class TestShadowAndFaultHooks:
         with pytest.raises(CMTError):
             table.diff(make_table(num_chunks=32))
 
-
-class TestNamespaces:
-    def test_partition_budget_is_contiguous_after_identity(self):
-        spaces = partition_budget({"a": 4, "b": 2, "c": 8}, max_mappings=16)
-        assert spaces["a"].base == 1 and spaces["a"].end == 5
-        assert spaces["b"].base == 5 and spaces["b"].end == 7
-        assert spaces["c"].base == 7 and spaces["c"].end == 15
-        for one in spaces.values():
-            for two in spaces.values():
-                if one is not two:
-                    assert not one.overlaps(two)
-
-    def test_partition_budget_overflow(self):
-        with pytest.raises(CMTError, match="budget exhausted"):
-            partition_budget({"a": 4, "b": 4}, max_mappings=8)
-
-    def test_partition_budget_rejects_zero_quota(self):
-        with pytest.raises(CMTError, match="quota"):
-            partition_budget({"a": 0})
-
-    def test_namespace_validation(self):
-        with pytest.raises(CMTError):
-            MappingNamespace("", 1, 1)
-        with pytest.raises(CMTError):
-            MappingNamespace("t", 0, 1)  # slot 0 is the shared identity
-        with pytest.raises(CMTError):
-            MappingNamespace("t", 1, 0)
-
-    def test_register_rejects_overlap_and_overflow(self):
-        table = make_table()
-        table.register_namespace(MappingNamespace("a", 1, 3))
-        with pytest.raises(CMTError, match="overlaps"):
-            table.register_namespace(MappingNamespace("b", 2, 2))
-        with pytest.raises(CMTError, match="holds"):
-            table.register_namespace(MappingNamespace("b", 100, 2))
-        # Same-tenant re-registration of the identical slice is a no-op;
-        # a *different* slice for a held tenant is rejected.
-        table.register_namespace(MappingNamespace("a", 1, 3))
-        with pytest.raises(CMTError, match="already holds"):
-            table.register_namespace(MappingNamespace("a", 4, 2))
-
-    def test_quota_charged_per_distinct_config(self):
-        table = make_table()
-        table.register_namespace(MappingNamespace("a", 1, 2))
-        first = np.roll(np.arange(15), 1)
-        second = np.roll(np.arange(15), 2)
-        table.intern_mapping(first, namespace="a")
-        # Re-interning the same config and the identity are both free.
-        table.intern_mapping(first, namespace="a")
-        table.intern_mapping(np.arange(15), namespace="a")
-        assert table.namespace_usage("a")["used"] == 1
-        table.intern_mapping(second, namespace="a")
-        with pytest.raises(CMTError, match="quota exhausted"):
-            table.intern_mapping(np.roll(np.arange(15), 3), namespace="a")
-        assert table.namespace_usage("a") == {
-            "tenant": "a",
-            "base": 1,
-            "capacity": 2,
-            "used": 2,
-            "free": 0,
-        }
-
-    def test_cross_tenant_dedup_charges_both(self):
-        """Two tenants interning the same config share the hardware slot
-        but are each charged — the quota proof needs per-tenant bounds."""
-        table = make_table()
-        table.register_namespace(MappingNamespace("a", 1, 2))
-        table.register_namespace(MappingNamespace("b", 3, 2))
-        perm = np.roll(np.arange(15), 1)
-        index_a = table.intern_mapping(perm, namespace="a")
-        index_b = table.intern_mapping(perm, namespace="b")
-        assert index_a == index_b  # dedup: one SRAM slot
-        assert table.namespace_usage("a")["used"] == 1
-        assert table.namespace_usage("b")["used"] == 1
-
-    def test_unregistered_namespace_rejected(self):
-        table = make_table()
-        with pytest.raises(CMTError, match="no namespace"):
-            table.intern_mapping(np.roll(np.arange(15), 1), namespace="ghost")
-        with pytest.raises(CMTError, match="no namespace"):
-            table.namespace_usage("ghost")
-
-    def test_release_drops_charges_keeps_configs(self):
-        table = make_table()
-        table.register_namespace(MappingNamespace("a", 1, 1))
-        perm = np.roll(np.arange(15), 1)
-        index = table.intern_mapping(perm, namespace="a")
-        live = table.live_mappings
-        table.release_namespace("a")
-        assert "a" not in table.namespaces
-        # Hardware has no erase: the config survives, deduplicated.
-        assert table.live_mappings == live
-        assert table.intern_mapping(perm) == index
-        # The slice is re-carvable by a new tenant.
-        table.register_namespace(MappingNamespace("b", 1, 1))
-        table.intern_mapping(np.roll(np.arange(15), 2), namespace="b")

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.chunks import ChunkGeometry, MiB
-from repro.core.cmt import MappingNamespace
 from repro.core.mapping import PermutationMapping, identity_mapping
 from repro.core.sdam import GlobalMappingTranslator, SDAMController
-from repro.errors import AddressError, CMTError, MappingError
+from repro.errors import AddressError, MappingError
 
 SMALL = ChunkGeometry(total_bytes=64 * MiB)  # 32 chunks, quick to exercise
 
@@ -121,30 +120,18 @@ class TestSDAMController:
         np.testing.assert_array_equal(inverse.apply(ha), pa)
 
 
-class TestNamespacedRegistration:
-    def test_quota_enforced_through_controller(self):
+class TestShadowTable:
+    def test_shadow_table_mirrors_driver_writes(self):
         controller = SDAMController(SMALL)
-        controller.register_namespace(MappingNamespace("a", 1, 1))
-        controller.register_mapping(rolled(1), namespace="a")
-        with pytest.raises(CMTError, match="quota exhausted"):
-            controller.register_mapping(rolled(2), namespace="a")
-
-    def test_shadow_table_mirrors_namespace(self):
-        controller = SDAMController(SMALL, shadow=True)
-        controller.register_namespace(MappingNamespace("a", 1, 2))
-        controller.register_mapping(rolled(1), namespace="a")
-        assert controller.cmt.diff(controller.shadow_cmt) == {
-            "entries": [],
-            "configs": [],
-        }
-        controller.release_namespace("a")
-        assert "a" not in controller.cmt.namespaces
-        assert "a" not in controller.shadow_cmt.namespaces
-
-    def test_unnamespaced_registration_unchanged(self):
-        controller = SDAMController(SMALL)
-        controller.register_namespace(MappingNamespace("a", 1, 1))
-        # Registrations outside any namespace are never charged.
-        controller.register_mapping(rolled(1))
-        controller.register_mapping(rolled(2))
-        assert controller.cmt.namespace_usage("a")["used"] == 0
+        no_diff = {"entries": [], "configs": []}
+        first = controller.register_mapping(rolled(1))
+        second = controller.register_mapping(rolled(2))
+        assert controller.cmt.diff(controller.shadow_cmt) == no_diff
+        controller.assign_chunk(0, first)
+        controller.assign_chunk(5, second)
+        controller.assign_chunk(5, first)
+        assert controller.cmt.diff(controller.shadow_cmt) == no_diff
+        assert controller.shadow_cmt.mapping_index_of(5) == first
+        controller.release_chunk(0)
+        assert controller.cmt.diff(controller.shadow_cmt) == no_diff
+        assert controller.shadow_cmt.mapping_index_of(0) == 0

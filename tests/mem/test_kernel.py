@@ -39,6 +39,19 @@ class TestMappingRegistration:
         kernel.add_addr_map(rolled(1))
         assert kernel.registered_mapping_ids() == [0, 1]
 
+    def test_mapping_id_is_cmt_index(self):
+        kernel = sdam_kernel()
+        shifts = [3, 1, 3, 0, 1, 5]  # duplicates and the identity
+        ids = [kernel.add_addr_map(rolled(shift)) for shift in shifts]
+        assert ids == [1, 2, 1, 0, 2, 3]
+        for mapping_id, shift in zip(ids, shifts):
+            np.testing.assert_array_equal(
+                kernel.sdam.cmt.config_of(mapping_id), rolled(shift)
+            )
+        assert kernel.registered_mapping_ids() == list(
+            range(kernel.sdam.cmt.live_mappings)
+        )
+
 
 class TestFaultPath:
     def test_fault_allocates_from_mapping_group(self):
@@ -64,6 +77,17 @@ class TestFaultPath:
         space = kernel.spawn()
         with pytest.raises(ProfilingError):
             kernel.sys_mmap(space, MiB, mapping_id=42)
+
+    def test_fault_on_unregistered_mapping_rejected(self):
+        # An id the CMT holds but add_addr_map never handed out.
+        kernel = sdam_kernel()
+        kernel.sdam.register_mapping(rolled(4))
+        space = kernel.spawn()
+        with pytest.raises(ProfilingError):
+            kernel.sys_mmap(space, MiB, mapping_id=1)
+        vma = space.mmap(MiB, mapping_id=1)  # bypasses the syscall check
+        with pytest.raises(ProfilingError, match="never registered"):
+            space.translate(vma.start)
 
     def test_munmap_releases_chunk_and_cmt(self):
         kernel = sdam_kernel()

@@ -88,9 +88,11 @@ def test_phase_shift_commits_live_remap(hbm, geometry):
     assert remaps[0]["old_mapping"] == 0
     assert remaps[0]["new_mapping"] == controller.mapping_id
     # ... the CMT agrees for every chunk of the group ...
-    index = kernel.hardware_index_of(controller.mapping_id)
     for chunk in kernel.physical.group(controller.mapping_id).chunks:
-        assert kernel.sdam.cmt.mapping_index_of(chunk.number) == index
+        assert (
+            kernel.sdam.cmt.mapping_index_of(chunk.number)
+            == controller.mapping_id
+        )
     # ... and the data movement was accounted.
     assert remaps[0]["lines_copied"] > 0
     assert controller.traffic.lines_copied > 0

@@ -1,11 +1,13 @@
 """Crash-safe RAS campaign checkpoints: kill, resume, same answer."""
 
 import json
+import pickle
 
 import pytest
 
 from repro.errors import CampaignInterrupted, ConfigError
 from repro.ras.campaign import run_campaign
+from repro.system.checkpoint import CHECKPOINT_VERSION
 
 KINDS = ("row", "cmt")
 
@@ -73,6 +75,30 @@ class TestCheckpointValidation:
         with pytest.raises(ConfigError, match="different parameters"):
             run_campaign(
                 seed=4,  # different campaign key
+                kinds=KINDS,
+                quick=True,
+                checkpoint_path=str(path),
+                resume=True,
+            )
+
+    def test_other_checkpoint_version_is_refused(self, tmp_path):
+        # The pickled state's shape belongs to one CHECKPOINT_VERSION: a
+        # checkpoint from another layout must never be resumed into it.
+        path = tmp_path / "ras.ckpt"
+        with pytest.raises(CampaignInterrupted):
+            run_campaign(
+                seed=3,
+                kinds=KINDS,
+                quick=True,
+                checkpoint_path=str(path),
+                stop_after=1,
+            )
+        payload = pickle.loads(path.read_bytes())
+        payload["version"] = CHECKPOINT_VERSION - 1
+        path.write_bytes(pickle.dumps(payload))
+        with pytest.raises(ConfigError, match="has version"):
+            run_campaign(
+                seed=3,
                 kinds=KINDS,
                 quick=True,
                 checkpoint_path=str(path),

@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.system.corun import CorunMachine
+from repro.system.machine import Machine
 from repro.workloads import MixedStrideWorkload, StridedCopyWorkload
 
 
@@ -90,6 +91,17 @@ class TestCorun:
         )
         # More clusters never hurt badly.
         assert roomy.time_ns <= tight.time_ns * 1.15
+
+    def test_over_budget_rejected_before_profiling(self, monkeypatch):
+        profiled = []
+        monkeypatch.setattr(
+            Machine, "profile", lambda self, *a, **k: profiled.append(1)
+        )
+        # identity + 2 apps x 4 clusters = 9 slots > 8.
+        machine = CorunMachine(clusters_per_app=4, max_mappings=8)
+        with pytest.raises(ConfigError, match="9 of 8"):
+            machine.run(small_apps())
+        assert profiled == []
 
     def test_no_workloads_rejected(self):
         with pytest.raises(ConfigError):
