@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import PermutationMapping, identity_mapping
+from repro.core import BitOperator, identity_mapping
 from repro.hbm import decode_trace, hbm2_config
 from repro.system.reporting import format_table
 
 CFG = hbm2_config()
 
 
-def mapping2() -> PermutationMapping:
+def mapping2() -> BitOperator:
     """Feed three higher address bits into the channel LSBs.
 
     The paper's second example mapping splits the row field and slots
@@ -32,7 +32,7 @@ def mapping2() -> PermutationMapping:
             source[high_bit],
             source[channel_bit],
         )
-    return PermutationMapping(source)
+    return BitOperator.from_permutation(source)
 
 
 def channels_used(mapping, stride_lines: int, count: int = 32) -> int:

@@ -15,12 +15,7 @@ from repro.core.bitshuffle import (
 from repro.core.chunks import ChunkGeometry
 from repro.core.cmt import ChunkMappingTable, cmt_storage_report
 from repro.core.hashing import default_hash_mapping, hash_mapping
-from repro.core.mapping import (
-    LinearMapping,
-    PermutationMapping,
-    identity_mapping,
-    mapping_from_field_sources,
-)
+from repro.core.mapping import identity_mapping, mapping_from_field_sources
 from repro.core.selection import (
     MappingSelection,
     mapping_for_stride,
@@ -58,9 +53,7 @@ __all__ = [
     "ChunkMappingTable",
     "GlobalMappingTranslator",
     "GuardPlan",
-    "LinearMapping",
     "MappingSelection",
-    "PermutationMapping",
     "SDAMController",
     "VerificationReport",
     "amu_area_report",

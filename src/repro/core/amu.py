@@ -6,9 +6,9 @@ one closed switch per column.  Its configuration is therefore n integers
 of ceil(log2 n) bits — 60 bits for n = 15 — which is what each
 second-level CMT entry stores.
 
-This module provides the functional model (apply a window permutation to
-chunk offsets), the configuration codec, and the analytic area model
-behind Table 3.
+This module provides the functional model (a window permutation as a
+window-width or a full-width bit operator), the configuration codec, and
+the analytic area model behind Table 3.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.core.bitmatrix import BitOperator
 from repro.core.chunks import ChunkGeometry
-from repro.core.mapping import PermutationMapping
 from repro.errors import MappingError
 
 __all__ = ["AddressMappingUnit", "amu_area_report"]
@@ -94,16 +93,9 @@ class AddressMappingUnit:
         """The crossbar configuration as a window-width GF(2) operator."""
         return BitOperator.from_permutation(self.validate(perm))
 
-    def apply(self, offsets, perm) -> np.ndarray | int:
-        """Shuffle chunk-offset window bits through the crossbar.
-
-        ``offsets`` are window-relative values (< 2**window_bits).
-        """
-        return self.window_operator(perm).apply(offsets)
-
     def full_mapping(
         self, perm, geometry: ChunkGeometry, address_bits: int | None = None
-    ) -> PermutationMapping:
+    ) -> BitOperator:
         """Lift a window permutation to a full-width PA-to-HA permutation.
 
         Bits below the window (byte-in-line offset) and above it (chunk
@@ -116,7 +108,7 @@ class AddressMappingUnit:
         width = address_bits if address_bits is not None else geometry.address_bits
         source = np.arange(width, dtype=np.int64)
         source[low:high] = perm + low
-        return PermutationMapping(source)
+        return BitOperator.from_permutation(source)
 
     # -- area model (Table 3) ----------------------------------------------
     @property

@@ -202,9 +202,12 @@ class BitOperator(_BitLinear):
     """A square GF(2) bit-linear operator over ``width``-bit words.
 
     ``matrix[i, j] == 1`` means input bit ``j`` contributes (by XOR) to
-    output bit ``i``.  Construction does *not* require invertibility —
-    use :meth:`is_bijective` / :meth:`invert` where the Section 4
-    guarantee matters; the mapping classes enforce it at their level.
+    output bit ``i``.  This is the one PA-to-HA mapping type.
+    Construction does *not* require invertibility — use
+    :meth:`is_permutation` / :meth:`is_bijective` / :meth:`invert` where
+    the Section 4 guarantee matters: :meth:`from_permutation`,
+    :func:`~repro.core.hashing.hash_mapping` and
+    :class:`~repro.core.sdam.GlobalMappingTranslator` enforce it.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -228,7 +231,11 @@ class BitOperator(_BitLinear):
         ``source[i]``."""
         source = np.asarray(source, dtype=np.int64)
         width = source.size
-        if sorted(source.tolist()) != list(range(width)):
+        if (
+            source.ndim != 1
+            or width == 0
+            or sorted(source.tolist()) != list(range(width))
+        ):
             raise MappingError(
                 f"source is not a permutation of 0..{width - 1}: "
                 f"{source.tolist()}"

@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.bitfield import AddressLayout
+from repro.core.bitmatrix import BitOperator
 from repro.core.chunks import ChunkGeometry
-from repro.core.mapping import PermutationMapping
 from repro.errors import MappingError
 
 __all__ = [
@@ -131,7 +131,7 @@ def select_global_mapping(
     flip_rates: np.ndarray,
     layout: AddressLayout,
     line_bits: int = 6,
-) -> PermutationMapping:
+) -> BitOperator:
     """Choose one whole-address bit-shuffle (the ``BS+BSM`` baseline).
 
     All bits above the byte-in-line offset may move.  ``flip_rates`` has
@@ -146,4 +146,4 @@ def select_global_mapping(
     source = _assign_fields(
         layout, ranked, line_bits, layout.width, bank_by_position=False
     )
-    return PermutationMapping(source)
+    return BitOperator.from_permutation(source)

@@ -3,9 +3,9 @@
 Following Liu et al. ("Get out of the valley") and Zhang et al.'s
 permutation-based interleaving: each channel-select bit is the XOR of
 its identity bit with several higher address bits, concentrating entropy
-from a wide bit range into the channel field.  The construction keeps
-the transform linear and invertible over GF(2), so PA-to-HA stays
-one-to-one without any table.
+from a wide bit range into the channel field.  The mapping is a
+:class:`~repro.core.bitmatrix.BitOperator` that is linear and invertible
+over GF(2), so PA-to-HA stays one-to-one without any table.
 
 The default fold reaches a bounded distance up the address ("a number of
 address bits", Section 7.3), so most strides spread well but a few
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from repro.core.bitfield import AddressLayout
 from repro.core.bitmatrix import BitOperator
-from repro.core.mapping import LinearMapping
 from repro.errors import MappingError
 
 __all__ = ["hash_mapping", "default_hash_mapping"]
@@ -25,16 +24,18 @@ __all__ = ["hash_mapping", "default_hash_mapping"]
 def hash_mapping(
     layout: AddressLayout,
     fold_sources: dict[int, list[int]],
-) -> LinearMapping:
+) -> BitOperator:
     """Build a hashing mapping from explicit XOR source sets.
 
     ``fold_sources[channel_bit_index]`` lists the *extra* PA bit
     positions XORed into that channel bit (its identity bit is always
     included).  Bits used as fold sources keep their identity positions
-    too, which is what makes the matrix invertible.  The fold is
-    expressed as identity-plus-XOR-terms in the
-    :class:`~repro.core.bitmatrix.BitOperator` algebra, so it compiles
-    to one pass for the identity part plus one per fold source.
+    too, and no channel bit may fold into another (that raises
+    :class:`MappingError`), so the matrix is ``I + N`` with ``N`` mapping
+    non-channel bits into channel rows only: ``N @ N = 0``, so the fold
+    is its own inverse and can never alias two PAs.  The fold is
+    identity-plus-XOR-terms (:meth:`BitOperator.from_xor_terms`), so it
+    compiles to one pass for the identity part plus one per fold source.
     """
     if "channel" not in layout:
         raise MappingError("layout has no channel field to hash into")
@@ -54,15 +55,14 @@ def hash_mapping(
                     "folding channel bits into each other risks singularity"
                 )
             terms.setdefault(row, []).append(pa_bit)
-    operator = BitOperator.from_xor_terms(layout.width, terms)
-    return LinearMapping(operator.matrix)
+    return BitOperator.from_xor_terms(layout.width, terms)
 
 
 def default_hash_mapping(
     layout: AddressLayout,
     reach_bits: int = 20,
     stride_step: int | None = None,
-) -> LinearMapping:
+) -> BitOperator:
     """The default entropy-harvesting hash used by the ``BS+HM`` system.
 
     Channel bit *i* (at position ``p``) XORs in bits ``p + k*step`` for

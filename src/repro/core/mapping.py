@@ -1,214 +1,48 @@
-"""Physical-address to hardware-address (PA-to-HA) mappings.
+"""Physical-address to hardware-address (PA-to-HA) mapping constructors.
 
 The paper's memory controller transforms a flat physical address into the
 3D hierarchical hardware address of channels/banks/rows (Section 2.2).
-Two families of invertible mapping are modelled:
+Every mapping it evaluates is a :class:`~repro.core.bitmatrix.BitOperator`
+over GF(2):
 
-* :class:`PermutationMapping` — the *bit-shuffle* family (Akin et al.,
-  and the paper's AMU): HA bit ``i`` is a copy of one PA bit.  Exactly
-  the mapping class the AMU crossbar can realise.
-* :class:`LinearMapping` — the *hashing* family (Liu et al., the
-  ``BS+HM`` baseline): each HA bit is the XOR of a set of PA bits, i.e.
-  an invertible linear transform over GF(2).
+* the *bit-shuffle* family (Akin et al., and the paper's AMU): HA bit
+  ``i`` is a copy of one PA bit — a permutation operator, exactly what
+  the AMU crossbar can realise;
+* the *hashing* family (Liu et al., the ``BS+HM`` baseline): each HA bit
+  is the XOR of a set of PA bits (:mod:`repro.core.hashing`).
 
-Both are thin, validated views over one substrate — the
-:class:`~repro.core.bitmatrix.BitOperator` GF(2) algebra — so they share
-``apply`` / ``inverse`` / ``as_operator`` and a rigorous invertibility
-check, the property Section 4 requires for functional correctness ("one
-PA can map to only one HA or vice versa").  ``apply`` runs the
-operator's compiled bit program: the identity is one vector pass, a
-typical shuffle a handful, instead of one pass per address bit.
+Section 4 requires every mapping to be one-to-one ("one PA can map to
+only one HA or vice versa"): :meth:`BitOperator.from_permutation`
+rejects a non-permutation, and
+:class:`~repro.core.sdam.GlobalMappingTranslator` rejects a singular
+operator.
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from repro.core.bitfield import AddressLayout
-from repro.core.bitmatrix import BitOperator, gf2_inverse
+from repro.core.bitmatrix import BitOperator
 from repro.errors import MappingError
 
-__all__ = [
-    "PermutationMapping",
-    "LinearMapping",
-    "identity_mapping",
-    "mapping_from_field_sources",
-]
+__all__ = ["identity_mapping", "mapping_from_field_sources"]
 
 
-class PermutationMapping:
-    """A bit permutation: HA bit ``i`` equals PA bit ``source[i]``.
+@cache
+def identity_mapping(width: int) -> BitOperator:
+    """The boot-time default (``BS+DM``): HA bit i = PA bit i.
 
-    ``source`` must be a permutation of ``range(width)``.  Application
-    lowers to the operator algebra's compiled program: all bits moving
-    the same distance travel in one shift/mask pass.
+    One shared operator per width (operators are immutable).
     """
-
-    def __init__(self, source: "list[int] | np.ndarray"):
-        source_arr = np.asarray(source, dtype=np.int64)
-        if source_arr.ndim != 1:
-            raise MappingError("source must be a 1-D sequence of bit indices")
-        width = source_arr.size
-        if width == 0:
-            raise MappingError("mapping must cover at least one bit")
-        if sorted(source_arr.tolist()) != list(range(width)):
-            raise MappingError(
-                "source is not a permutation of bit indices "
-                f"0..{width - 1}: {source_arr.tolist()}"
-            )
-        self._source = source_arr
-        self._width = width
-        self._operator = BitOperator.from_permutation(source_arr)
-
-    @property
-    def width(self) -> int:
-        """Number of address bits the mapping covers."""
-        return self._width
-
-    @property
-    def source(self) -> np.ndarray:
-        """Copy of the permutation vector (HA bit -> PA bit)."""
-        return self._source.copy()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PermutationMapping):
-            return NotImplemented
-        return np.array_equal(self._source, other._source)
-
-    def __hash__(self) -> int:
-        return hash(tuple(self._source.tolist()))
-
-    def __repr__(self) -> str:
-        return f"PermutationMapping({self._source.tolist()})"
-
-    def is_identity(self) -> bool:
-        """True when every HA bit equals its PA bit."""
-        return bool(np.array_equal(self._source, np.arange(self._width)))
-
-    def apply(self, pa):
-        """Map physical address(es) to hardware address(es)."""
-        return self._operator.apply(pa)
-
-    def as_operator(self) -> BitOperator:
-        """The mapping as a GF(2) bit operator (shared, do not mutate)."""
-        return self._operator
-
-    def inverse(self) -> "PermutationMapping":
-        """Return the HA-to-PA mapping."""
-        inv = np.empty(self._width, dtype=np.int64)
-        inv[self._source] = np.arange(self._width)
-        return PermutationMapping(inv)
-
-    def compose(self, inner: "PermutationMapping") -> "PermutationMapping":
-        """Return the mapping equivalent to ``self(inner(pa))``."""
-        if inner.width != self._width:
-            raise MappingError("cannot compose mappings of different widths")
-        return PermutationMapping(inner._source[self._source])
-
-    def restricted_window(self, low: int, high: int) -> bool:
-        """True if the permutation only moves bits inside ``[low, high)``.
-
-        SDAM requires the chunk number (bits >= chunk shift) and the
-        byte-in-line offset (bits < line shift) to pass through unchanged.
-        """
-        idx = np.arange(self._width)
-        outside = (idx < low) | (idx >= high)
-        return bool(np.array_equal(self._source[outside], idx[outside]))
-
-    def window_permutation(self, low: int, high: int) -> np.ndarray:
-        """Extract the permutation of bits in ``[low, high)``, 0-based.
-
-        Raises :class:`MappingError` if the mapping moves bits across the
-        window boundary.
-        """
-        if not self.restricted_window(low, high):
-            raise MappingError(
-                f"mapping moves bits outside window [{low}, {high})"
-            )
-        return self._source[low:high] - low
-
-    def as_matrix(self) -> np.ndarray:
-        """Return the equivalent GF(2) matrix (rows = HA bits)."""
-        return self._operator.matrix
-
-    def to_linear(self) -> "LinearMapping":
-        """The same mapping as a GF(2) linear transform."""
-        return LinearMapping(self.as_matrix())
-
-
-class LinearMapping:
-    """An invertible GF(2) linear transform: HA = M · PA (bit vectors).
-
-    ``matrix[i, j] == 1`` means PA bit ``j`` contributes (by XOR) to HA
-    bit ``i``.  Construction verifies invertibility; a singular matrix —
-    one that would alias two PAs onto one HA — is rejected, enforcing the
-    Section 4 correctness guarantee.
-    """
-
-    def __init__(self, matrix: np.ndarray):
-        matrix = np.asarray(matrix, dtype=np.uint8) & 1
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise MappingError("matrix must be square")
-        self._matrix = matrix
-        self._inverse_matrix = gf2_inverse(matrix)  # raises if singular
-        self._width = matrix.shape[0]
-        self._operator = BitOperator(matrix)
-
-    @property
-    def width(self) -> int:
-        """Number of address bits the transform covers."""
-        return self._width
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Copy of the GF(2) matrix (rows = HA bits)."""
-        return self._matrix.copy()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LinearMapping):
-            return NotImplemented
-        return np.array_equal(self._matrix, other._matrix)
-
-    def __hash__(self) -> int:
-        return hash(self._matrix.tobytes())
-
-    def __repr__(self) -> str:
-        terms = int(self._matrix.sum())
-        return f"LinearMapping(width={self._width}, xor_terms={terms})"
-
-    def apply(self, pa):
-        """Map physical address(es) to hardware address(es)."""
-        scalar = np.isscalar(pa) or isinstance(pa, int)
-        if scalar:
-            return self._operator.apply(pa)
-        pa_arr = np.atleast_1d(np.asarray(pa, dtype=np.uint64))
-        return self._operator.apply(pa_arr).reshape(np.shape(pa))
-
-    def as_operator(self) -> BitOperator:
-        """The transform as a GF(2) bit operator (shared, do not mutate)."""
-        return self._operator
-
-    def inverse(self) -> "LinearMapping":
-        """The HA-to-PA transform (precomputed at construction)."""
-        return LinearMapping(self._inverse_matrix)
-
-    def is_identity(self) -> bool:
-        """True when the matrix is the identity."""
-        return bool(np.array_equal(self._matrix, np.eye(self._width, dtype=np.uint8)))
-
-    def as_matrix(self) -> np.ndarray:
-        """Alias of :attr:`matrix` (shared mapping interface)."""
-        return self.matrix
-
-
-def identity_mapping(width: int) -> PermutationMapping:
-    """The boot-time default (``BS+DM``): HA bit i = PA bit i."""
-    return PermutationMapping(np.arange(width))
+    return BitOperator.identity(width)
 
 
 def mapping_from_field_sources(
     layout: AddressLayout, sources: dict[str, list[int]]
-) -> PermutationMapping:
+) -> BitOperator:
     """Build a permutation by stating which PA bits feed each HA field.
 
     ``sources[name]`` lists PA bit positions, LSB of the field first.
@@ -240,4 +74,4 @@ def mapping_from_field_sources(
     if len(remaining) != len(holes):  # pragma: no cover - internal invariant
         raise MappingError("field sources do not tile the address")
     source[holes] = remaining
-    return PermutationMapping(source)
+    return BitOperator.from_permutation(source)

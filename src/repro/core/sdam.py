@@ -3,8 +3,9 @@
 Two translator implementations share one interface:
 
 * :class:`GlobalMappingTranslator` — the hardware-only baselines
-  (``BS+DM``, ``BS+BSM``, ``BS+HM``): a single boot-time mapping applied
-  to every physical address.
+  (``BS+DM``, ``BS+BSM``, ``BS+HM``): a single boot-time
+  :class:`~repro.core.bitmatrix.BitOperator` applied to every physical
+  address.
 * :class:`SDAMController` — the paper's contribution: per-chunk mappings
   selected through the CMT and applied by the AMU, with the chunk number
   passing through unchanged (Section 4's correctness rule).
@@ -36,15 +37,15 @@ from repro.core.amu import AddressMappingUnit
 from repro.core.bitmatrix import BitOperator
 from repro.core.chunks import ChunkGeometry
 from repro.core.cmt import ChunkMappingTable
-from repro.core.mapping import LinearMapping, PermutationMapping
+from repro.core.mapping import identity_mapping
 from repro.errors import MappingError
 
-__all__ = ["AddressTranslator", "GlobalMappingTranslator", "SDAMController"]
-
-
-@cache
-def _identity_operator(width: int) -> BitOperator:
-    return BitOperator.identity(width)
+__all__ = [
+    "AddressTranslator",
+    "GlobalMappingTranslator",
+    "SDAMController",
+    "identity_translator",
+]
 
 
 class AddressTranslator(Protocol):
@@ -65,27 +66,42 @@ class AddressTranslator(Protocol):
 
 
 class GlobalMappingTranslator:
-    """A single fixed mapping for the whole physical address space."""
+    """A single fixed mapping for the whole physical address space.
 
-    def __init__(self, mapping: PermutationMapping | LinearMapping):
-        self.mapping = mapping
+    The operator must be one-to-one (Section 4).  A bit permutation
+    passes on the cheap structural test; any other operator is inverted
+    once, here, and a singular one raises :class:`MappingError`.
+    """
+
+    def __init__(self, operator: BitOperator):
+        if not (operator.is_permutation() or operator.is_bijective()):
+            raise MappingError(
+                "global mapping is singular (mapping not 1-to-1)"
+            )
+        self.operator = operator
 
     def translate(self, pa: np.ndarray) -> np.ndarray:
         """Apply the boot-time mapping to a PA trace."""
         if not isinstance(pa, np.ndarray) or pa.dtype != np.uint64:
             pa = np.asarray(pa, dtype=np.uint64)
-        return self.mapping.apply(pa)
-
-    def translate_scalar(self, pa: int) -> int:
-        """Convenience single-address translation."""
-        return int(self.mapping.apply(int(pa)))
+        return self.operator.apply(pa)
 
     def uniform_operator(self, pa: np.ndarray) -> BitOperator:
         """The boot-time mapping covers everything."""
-        return self.mapping.as_operator()
+        return self.operator
 
     def __repr__(self) -> str:
-        return f"GlobalMappingTranslator({self.mapping!r})"
+        return f"GlobalMappingTranslator({self.operator!r})"
+
+
+@cache
+def identity_translator(width: int) -> GlobalMappingTranslator:
+    """The boot-time identity (``BS+DM``) translator, one per width.
+
+    A translator holds no run state, so every baseline kernel and
+    machine of one address width shares this one.
+    """
+    return GlobalMappingTranslator(identity_mapping(width))
 
 
 class SDAMController:
@@ -136,25 +152,13 @@ class SDAMController:
         self._misprogrammed: dict[int, np.ndarray] = {}
 
     # -- software-facing control interface ---------------------------------
-    def register_mapping(self, mapping) -> int:
-        """Intern a mapping; accepts a window permutation or a full one.
+    def register_mapping(self, window_perm) -> int:
+        """Intern a chunk-offset window permutation.
 
-        A full-width :class:`PermutationMapping` must leave bits outside
-        the chunk-offset window untouched.  Returns the CMT index, which
-        is also the mapping id software passes to ``mmap``.
+        Returns the CMT index, which is also the mapping id software
+        passes to ``mmap``.  The CMT validates the permutation (the
+        crossbar rule) and raises :class:`MappingError` on a bad one.
         """
-        if isinstance(mapping, PermutationMapping):
-            low, high = self.geometry.window_slice()
-            if mapping.width < high:
-                raise MappingError("mapping narrower than the chunk window")
-            window_perm = mapping.window_permutation(low, high)
-            if not mapping.restricted_window(low, high):
-                raise MappingError(
-                    "SDAM mappings must keep line-offset and chunk-number "
-                    "bits in place"
-                )
-        else:
-            window_perm = np.asarray(mapping, dtype=np.int64)
         index = self.cmt.intern_mapping(window_perm)
         self.shadow_cmt.intern_mapping(window_perm)
         return index
@@ -169,13 +173,9 @@ class SDAMController:
         self.cmt.reset_chunk(chunk_no)
         self.shadow_cmt.reset_chunk(chunk_no)
 
-    def full_mapping(self, mapping_id: int) -> PermutationMapping:
-        """The full-width permutation a mapping id realises."""
-        window_perm = self.cmt.config_of(mapping_id)
-        return self.amu.full_mapping(window_perm, self.geometry)
-
     def operator_of(self, mapping_id: int) -> BitOperator:
-        """The full-width GF(2) operator a mapping id realises (cached).
+        """The full-width permutation operator a mapping id realises
+        (cached).
 
         A misprogrammed crossbar (see :meth:`misprogram_crossbar`)
         substitutes its wrong-but-valid permutation here — the datapath
@@ -183,12 +183,10 @@ class SDAMController:
         """
         operator = self._operators.get(mapping_id)
         if operator is None:
-            wrong = self._misprogrammed.get(mapping_id)
-            if wrong is not None:
-                full = self.amu.full_mapping(wrong, self.geometry)
-            else:
-                full = self.full_mapping(mapping_id)
-            operator = full.as_operator()
+            config = self._misprogrammed.get(mapping_id)
+            if config is None:
+                config = self.cmt.config_of(mapping_id)
+            operator = self.amu.full_mapping(config, self.geometry)
             self._operators[mapping_id] = operator
         return operator
 
@@ -267,7 +265,7 @@ class SDAMController:
         ``(None, mapping index per address)``."""
         if self.cmt.live_mappings == 1 or pa.size == 0:
             # Only the boot identity is interned: nothing can shuffle.
-            return _identity_operator(self.geometry.address_bits), None
+            return identity_mapping(self.geometry.address_bits), None
         chunk_no = self.geometry.chunk_number(pa)
         mapping_idx = self.cmt.mapping_index_of(np.asarray(chunk_no))
         first = int(mapping_idx.flat[0])
@@ -313,10 +311,6 @@ class SDAMController:
         shuffled = lut.reshape(-1)[rows | window.astype(np.int64)]
         keep = np.uint64(~(((1 << window_bits) - 1) << low) & (2**64 - 1))
         return (pa & keep) | (shuffled.astype(np.uint64) << np.uint64(low))
-
-    def translate_scalar(self, pa: int) -> int:
-        """Convenience single-address translation."""
-        return int(self.translate(np.array([pa], dtype=np.uint64))[0])
 
     def __repr__(self) -> str:
         return (

@@ -16,11 +16,10 @@ GF(2) bit operation (a row slice of the identity), so it lowers to the
   HA-array entry point (each backend's ``simulate(ha)``, the RAS
   scrub, and the tests' reference for the fused path).
 
-Plans are cached per (operator, config) in an explicit, thread-safe
-:class:`~repro.hbm.plancache.PlanCache`: an experiment sweep compiles
-each live mapping once and reuses it across every trace and every
-run.  Callers that want their own cache pass ``cache=``; everyone else,
-``Machine`` included, shares the process-wide default.
+Plans are cached per (operator, config) in the process-wide, thread-safe
+:func:`~repro.hbm.plancache.default_plan_cache`: an experiment sweep
+compiles each live mapping once and reuses it across every trace and
+every run.
 """
 
 from __future__ import annotations
@@ -31,10 +30,11 @@ from operator import index
 import numpy as np
 
 from repro.core.bitmatrix import BitOperator, BitProjection
+from repro.core.mapping import identity_mapping
 from repro.core.sdam import AddressTranslator
 from repro.errors import MappingError, SimulationError
 from repro.hbm.config import HBMConfig
-from repro.hbm.plancache import PlanCache, default_plan_cache
+from repro.hbm.plancache import default_plan_cache
 
 __all__ = [
     "DecodedTrace",
@@ -81,7 +81,7 @@ class DecodePlan:
     def __init__(self, config: HBMConfig, operator: BitOperator | None = None):
         layout = config.layout()
         if operator is None:
-            operator = BitOperator.identity(layout.width)
+            operator = identity_mapping(layout.width)
         if operator.width != layout.width:
             operator = _pad_operator(operator, layout.width)
         self.config = config
@@ -129,22 +129,17 @@ def _pad_operator(operator: BitOperator, width: int) -> BitOperator:
 
 
 def plan_for(
-    config: HBMConfig,
-    operator: BitOperator | None = None,
-    cache: PlanCache | None = None,
+    config: HBMConfig, operator: BitOperator | None = None
 ) -> DecodePlan:
     """The (cached) decode plan fusing ``operator`` with ``config``'s layout.
 
-    ``cache`` selects which :class:`~repro.hbm.plancache.PlanCache`
-    serves the plan; by default the process-wide shared cache.  The
+    Served from the process-wide :func:`default_plan_cache`.  The
     returned plan is immutable and shared — never mutate it.
     """
     if operator is None:
-        operator = BitOperator.identity(config.layout().width)
-    if cache is None:
-        cache = default_plan_cache()
+        operator = identity_mapping(config.layout().width)
     key = (config, operator)
-    return cache.get(key, lambda: DecodePlan(config, operator))
+    return default_plan_cache().get(key, lambda: DecodePlan(config, operator))
 
 
 def decode_trace(ha: np.ndarray, config: HBMConfig) -> DecodedTrace:
@@ -156,7 +151,6 @@ def decode_translated(
     pa: np.ndarray,
     translator: AddressTranslator,
     config: HBMConfig,
-    cache: PlanCache | None = None,
 ) -> DecodedTrace:
     """Fused PA -> (channel, bank, row, column) for a whole trace.
 
@@ -175,8 +169,8 @@ def decode_translated(
         pa = np.asarray(pa, dtype=np.uint64)
     operator = translator.uniform_operator(pa)
     if operator is not None:
-        return plan_for(config, operator, cache=cache).decode(pa)
-    return plan_for(config, cache=cache).decode(translator.translate(pa))
+        return plan_for(config, operator).decode(pa)
+    return plan_for(config).decode(translator.translate(pa))
 
 
 def forced_miss_mask(

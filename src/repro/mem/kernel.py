@@ -16,11 +16,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.chunks import ChunkGeometry
-from repro.core.mapping import identity_mapping
 from repro.core.sdam import (
     AddressTranslator,
-    GlobalMappingTranslator,
     SDAMController,
+    identity_translator,
 )
 from repro.errors import ProfilingError
 from repro.mem.physical import PhysicalMemory
@@ -96,7 +95,6 @@ class Kernel:
         )
         self._spaces: dict[int, AddressSpace] = {}
         self._next_pid = 1
-        self._identity_translator: GlobalMappingTranslator | None = None
 
     @property
     def sdam_enabled(self) -> bool:
@@ -104,18 +102,18 @@ class Kernel:
         return self.sdam is not None
 
     # -- mapping registration (the add_addr_map() syscall backend) ----------
-    def add_addr_map(self, mapping) -> int:
+    def add_addr_map(self, window_perm) -> int:
         """Register an address mapping; returns its mapping id.
 
-        ``mapping`` is a window permutation (array-like) or a full-width
-        :class:`~repro.core.mapping.PermutationMapping` restricted to the
-        chunk window.  The id is the mapping's CMT index, so registering
-        the same mapping twice returns the same id.  On a baseline
-        kernel the id is accepted but aliases the default.
+        ``window_perm`` is a chunk-offset window permutation (see
+        :meth:`~repro.core.sdam.SDAMController.register_mapping`).  The
+        id is the mapping's CMT index, so registering the same mapping
+        twice returns the same id.  On a baseline kernel the id is
+        accepted but aliases the default.
         """
         if self.sdam is None:
             return 0
-        mapping_id = self.sdam.register_mapping(mapping)
+        mapping_id = self.sdam.register_mapping(window_perm)
         self._registered_mappings.add(mapping_id)
         return mapping_id
 
@@ -201,11 +199,7 @@ class Kernel:
         """
         if self.sdam is not None:
             return self.sdam
-        if self._identity_translator is None:
-            self._identity_translator = GlobalMappingTranslator(
-                identity_mapping(self.geometry.address_bits)
-            )
-        return self._identity_translator
+        return identity_translator(self.geometry.address_bits)
 
     def translate_to_hardware(
         self, space: AddressSpace, va: np.ndarray

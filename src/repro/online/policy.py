@@ -117,8 +117,8 @@ class RemapPolicy:
         pa = np.asarray(pa, dtype=np.uint64)
         if pa.size > self.probe_accesses:
             pa = pa[-self.probe_accesses :]
-        mapping = self._amu.full_mapping(window_perm, self.geometry)
-        return float(self._model.simulate(mapping.apply(pa)).makespan_ns)
+        operator = self._amu.full_mapping(window_perm, self.geometry)
+        return float(self._model.simulate(operator.apply(pa)).makespan_ns)
 
     def migration_estimate_ns(self, live_lines: int, chunks: int) -> float:
         """Priced copy traffic + control-plane reprogram for one remap.

@@ -209,7 +209,7 @@ class RASController:
         for index in range(sdam.cmt.live_mappings):
             expected = sdam.amu.full_mapping(
                 shadow.config_of(index), self.geometry
-            ).as_operator()
+            )
             actual = sdam.operator_of(index)
             if not np.array_equal(
                 np.asarray(actual.apply(sample)),

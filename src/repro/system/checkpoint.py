@@ -10,7 +10,7 @@ the seed, and everything stateful rides in the checkpoint.
 
 The format is a single pickle with a small validated envelope::
 
-    {"version": 2, "campaign": "ras" | "adaptive",
+    {"version": 3, "campaign": "ras" | "adaptive",
      "key": <stable_hash of the campaign parameters>,
      "cursor": <loop index to resume from>, "state": <campaign dict>}
 
@@ -39,7 +39,7 @@ __all__ = [
     "save_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def save_checkpoint(

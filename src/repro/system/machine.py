@@ -36,8 +36,11 @@ import numpy as np
 from repro.core.bitshuffle import select_global_mapping
 from repro.core.chunks import ChunkGeometry
 from repro.core.hashing import default_hash_mapping
-from repro.core.mapping import identity_mapping
-from repro.core.sdam import GlobalMappingTranslator, SDAMController
+from repro.core.sdam import (
+    GlobalMappingTranslator,
+    SDAMController,
+    identity_translator,
+)
 from repro.core.selection import (
     MappingSelection,
     select_application_mapping,
@@ -622,12 +625,12 @@ class Machine:
         self, mix_profile: WorkloadProfile | None
     ) -> GlobalMappingTranslator:
         if self.system.policy == "default":
-            return GlobalMappingTranslator(identity_mapping(self.layout.width))
+            return identity_translator(self.layout.width)
         if self.system.policy == "hash":
             return _hash_translator(self.hbm)
         # Global bit-shuffle from the workload-mix profile.
         if mix_profile is None or not mix_profile.profiles:
-            return GlobalMappingTranslator(identity_mapping(self.layout.width))
+            return identity_translator(self.layout.width)
         addresses = np.concatenate(
             [p.addresses for p in mix_profile.profiles]
         )

@@ -44,12 +44,13 @@ class TestDatapath:
     def test_identity_apply(self):
         amu = AddressMappingUnit(8)
         offsets = np.arange(256, dtype=np.uint64)
-        np.testing.assert_array_equal(amu.apply(offsets, np.arange(8)), offsets)
+        operator = amu.window_operator(np.arange(8))
+        np.testing.assert_array_equal(operator.apply(offsets), offsets)
 
     def test_reverse_permutation(self):
         amu = AddressMappingUnit(4)
         perm = [3, 2, 1, 0]
-        assert amu.apply(0b0001, perm) == 0b1000
+        assert amu.window_operator(perm).apply(0b0001) == 0b1000
 
     def test_full_mapping_keeps_boundaries(self):
         geometry = ChunkGeometry()
@@ -58,7 +59,10 @@ class TestDatapath:
         perm = rng.permutation(geometry.window_bits)
         mapping = amu.full_mapping(perm, geometry)
         low, high = geometry.window_slice()
-        assert mapping.restricted_window(low, high)
+        source = mapping.permutation_source()
+        np.testing.assert_array_equal(source[low:high], perm + low)
+        outside = np.r_[0:low, high:source.size]
+        np.testing.assert_array_equal(source[outside], outside)
         # Chunk number and line offset survive.
         pa = (123 << geometry.chunk_shift) | 0b101010
         ha = mapping.apply(pa)

@@ -76,20 +76,22 @@ class TestGlobalSelection:
         rng = np.random.default_rng(3)
         rates = rng.random(LAYOUT.width)
         mapping = select_global_mapping(rates, LAYOUT)
-        assert sorted(mapping.source.tolist()) == list(range(LAYOUT.width))
+        assert mapping.is_permutation()
+        source = mapping.permutation_source()
+        assert sorted(source.tolist()) == list(range(LAYOUT.width))
 
     def test_line_offset_bits_never_move(self):
         rng = np.random.default_rng(4)
         rates = rng.random(LAYOUT.width)
         mapping = select_global_mapping(rates, LAYOUT, line_bits=6)
-        assert mapping.source[:6].tolist() == [0, 1, 2, 3, 4, 5]
+        assert mapping.permutation_source()[:6].tolist() == [0, 1, 2, 3, 4, 5]
 
     def test_hot_high_bits_take_channel(self):
         rates = np.zeros(LAYOUT.width)
         rates[20:25] = 1.0
         mapping = select_global_mapping(rates, LAYOUT)
         channel = LAYOUT["channel"]
-        sources = mapping.source[channel.shift : channel.end]
+        sources = mapping.permutation_source()[channel.shift : channel.end]
         assert sorted(sources.tolist()) == [20, 21, 22, 23, 24]
 
     def test_wrong_length_rejected(self):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.bitmatrix import BitOperator
 from repro.core.hashing import default_hash_mapping, hash_mapping
+from repro.core.sdam import GlobalMappingTranslator
 from repro.errors import MappingError
 from repro.hbm.config import hbm2_config
 
@@ -29,8 +31,10 @@ class TestHashMapping:
         mapping = default_hash_mapping(LAYOUT)
         rng = np.random.default_rng(0)
         pa = rng.integers(0, 1 << 33, 512, dtype=np.uint64)
-        roundtrip = mapping.inverse().apply(mapping.apply(pa))
+        roundtrip = mapping.invert().apply(mapping.apply(pa))
         np.testing.assert_array_equal(roundtrip, pa)
+        # I + N with N @ N = 0: every fold is its own inverse.
+        assert mapping.compose(mapping).is_identity()
 
     def test_channel_bit_out_of_range(self):
         with pytest.raises(MappingError):
@@ -43,6 +47,13 @@ class TestHashMapping:
     def test_channel_into_channel_rejected(self):
         with pytest.raises(MappingError):
             hash_mapping(LAYOUT, {0: [7]})
+
+    def test_singular_fold_rejected_by_translator(self):
+        # Folding a bit into itself cancels it: HA bit 6 reads nothing.
+        fold = BitOperator.from_xor_terms(LAYOUT.width, {6: [6]})
+        assert not fold.is_bijective()
+        with pytest.raises(MappingError):
+            GlobalMappingTranslator(fold)
 
 
 class TestDefaultHash:

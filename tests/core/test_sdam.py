@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.bitmatrix import BitOperator
 from repro.core.chunks import ChunkGeometry, MiB
-from repro.core.mapping import PermutationMapping, identity_mapping
+from repro.core.mapping import identity_mapping
 from repro.core.sdam import GlobalMappingTranslator, SDAMController
 from repro.errors import AddressError, MappingError
 
@@ -26,8 +27,24 @@ class TestGlobalTranslator:
     def test_applies_mapping(self):
         source = list(range(26))
         source[6], source[20] = source[20], source[6]
-        translator = GlobalMappingTranslator(PermutationMapping(source))
+        translator = GlobalMappingTranslator(BitOperator.from_permutation(source))
         assert translator.translate(np.array([1 << 20], dtype=np.uint64))[0] == 1 << 6
+
+    def test_rejects_singular_operator(self):
+        # HA bits 1 and 2 are both PA bit 0 XOR PA bit 1: two PAs alias
+        # one HA, which Section 4 forbids.
+        matrix = np.eye(26, dtype=np.uint8)
+        matrix[1, 0] = 1
+        matrix[2] = matrix[1]
+        operator = BitOperator(matrix)
+        assert not operator.is_bijective()
+        with pytest.raises(MappingError):
+            GlobalMappingTranslator(operator)
+
+    def test_uniform_operator_is_the_held_operator(self):
+        operator = identity_mapping(26)
+        translator = GlobalMappingTranslator(operator)
+        assert translator.uniform_operator(np.zeros(1, np.uint64)) is operator
 
 
 class TestSDAMController:
@@ -36,17 +53,17 @@ class TestSDAMController:
         mapping_id = controller.register_mapping(rolled(1))
         assert mapping_id == 1
 
-    def test_register_full_mapping(self):
-        controller = SDAMController(SMALL)
-        full = controller.amu.full_mapping(rolled(2), SMALL)
-        assert controller.register_mapping(full) == 1
-
     def test_register_rejects_leaky_mapping(self):
+        # Registration takes the chunk-offset window only, so nothing can
+        # move a line-offset or chunk-number bit: a full-width source and
+        # a window array that is not a permutation are both refused.
         controller = SDAMController(SMALL)
         source = list(range(SMALL.address_bits))
         source[0], source[25] = source[25], source[0]  # moves line offset bit
-        with pytest.raises(MappingError):
-            controller.register_mapping(PermutationMapping(source))
+        for bad in (source, np.zeros(SMALL.window_bits, dtype=int)):
+            with pytest.raises(MappingError):
+                controller.register_mapping(bad)
+        assert controller.cmt.live_mappings == 1
 
     def test_unconfigured_chunks_are_identity(self):
         controller = SDAMController(SMALL)
@@ -61,7 +78,7 @@ class TestSDAMController:
         ha = controller.translate(pa)
         assert ha[0] == pa[0]  # chunk 0 untouched
         assert ha[1] != pa[1]  # chunk 1 remapped
-        expected = controller.full_mapping(mapping_id).apply(int(pa[1]))
+        expected = controller.operator_of(mapping_id).apply(int(pa[1]))
         assert int(ha[1]) == expected
 
     def test_chunk_number_always_preserved(self):
@@ -91,7 +108,8 @@ class TestSDAMController:
 
     def test_translate_scalar(self):
         controller = SDAMController(SMALL)
-        assert controller.translate_scalar(4096) == 4096
+        pa = np.array([4096], dtype=np.uint64)
+        np.testing.assert_array_equal(controller.translate(pa), pa)
 
     @given(shift=st.integers(1, 14), seed=st.integers(0, 1000))
     @settings(max_examples=20, deadline=None)
@@ -116,7 +134,7 @@ class TestSDAMController:
         controller.assign_chunk(0, mapping_id)
         pa = np.arange(0, 2 * MiB, 997 * 64, dtype=np.uint64)
         ha = controller.translate(pa)
-        inverse = controller.full_mapping(mapping_id).inverse()
+        inverse = controller.operator_of(mapping_id).invert()
         np.testing.assert_array_equal(inverse.apply(ha), pa)
 
 

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.bitmatrix import BitOperator
 from repro.core.chunks import ChunkGeometry, MiB
-from repro.core.mapping import LinearMapping, PermutationMapping, identity_mapping
+from repro.core.mapping import identity_mapping
 from repro.core.sdam import SDAMController
 from repro.core.verification import (
     VerificationReport,
@@ -42,13 +43,20 @@ class TestVerifyMapping:
 
     def test_random_permutation_passes(self):
         rng = np.random.default_rng(3)
-        mapping = PermutationMapping(rng.permutation(24))
+        mapping = BitOperator.from_permutation(rng.permutation(24))
         assert verify_mapping(mapping).ok
 
     def test_linear_mapping_passes(self):
         matrix = np.eye(20, dtype=np.uint8)
         matrix[6, 15] = 1
-        assert verify_mapping(LinearMapping(matrix)).ok
+        assert verify_mapping(BitOperator(matrix)).ok
+
+    def test_singular_mapping_fails(self):
+        matrix = np.eye(20, dtype=np.uint8)
+        matrix[7] = matrix[6]  # HA bits 6 and 7 copy one PA bit
+        report = verify_mapping(BitOperator(matrix))
+        assert not report.ok
+        assert {r.code for r in report.records} == {"bijectivity"}
 
 
 class TestAuditController:
@@ -81,6 +89,20 @@ class TestAuditController:
         report = audit_controller(controller, sample_chunks=32)
         assert not report.ok
 
+    def test_detects_mapping_leaking_outside_window(self, monkeypatch):
+        controller = SDAMController(SMALL)
+        controller.register_mapping(np.roll(np.arange(SMALL.window_bits), 1))
+        # A datapath operator that swaps a line-offset bit with a
+        # chunk-number bit: still a permutation, but it leaves the window.
+        source = np.arange(SMALL.address_bits)
+        source[[0, SMALL.address_bits - 1]] = [SMALL.address_bits - 1, 0]
+        leaky = BitOperator.from_permutation(source)
+        monkeypatch.setattr(controller, "operator_of", lambda index: leaky)
+        with pytest.raises(MappingIntegrityError) as excinfo:
+            audit_controller(controller, strict=True)
+        assert "leaks outside the chunk window" in str(excinfo.value)
+        assert excinfo.value.code == "cmt-config"
+
 
 class TestStrictMode:
     def corrupted_controller(self):
@@ -109,17 +131,9 @@ class TestStrictMode:
         assert report.ok
 
     def test_strict_verify_mapping_flags_bijectivity(self):
-        class BrokenMapping:  # aliases everything to zero
-            width = 12
-
-            def apply(self, x):
-                return np.zeros_like(np.asarray(x))
-
-            def inverse(self):
-                return self
-
+        broken = BitOperator(np.zeros((12, 12), dtype=np.uint8))  # all -> 0
         with pytest.raises(MappingIntegrityError) as excinfo:
-            verify_mapping(BrokenMapping(), strict=True)
+            verify_mapping(broken, strict=True)
         assert excinfo.value.code == "bijectivity"
 
     def test_failure_records_convert_to_errors(self):

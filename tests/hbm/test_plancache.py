@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.mapping import PermutationMapping, identity_mapping
+from repro.core.bitmatrix import BitOperator
 from repro.errors import ConfigError
 from repro.hbm.config import hbm2_config
 from repro.hbm.decode import DecodePlan, plan_for
@@ -135,41 +135,48 @@ class TestPlanCache:
         assert len(cache) == len(keys)
 
 
+def _cleared_default_cache() -> PlanCache:
+    """The shared cache, emptied; tests read its counters as deltas."""
+    cache = default_plan_cache()
+    cache.clear()
+    return cache
+
+
 class TestPlanForIntegration:
     def test_plan_for_shares_through_explicit_cache(self):
-        cache = PlanCache()
-        first = plan_for(CONFIG, cache=cache)
-        second = plan_for(CONFIG, cache=cache)
+        cache = _cleared_default_cache()
+        hits, misses = cache.hits, cache.misses
+        first = plan_for(CONFIG)
+        second = plan_for(CONFIG)
         assert first is second
         assert isinstance(first, DecodePlan)
-        assert cache.misses == 1 and cache.hits == 1
+        assert cache.misses - misses == 1 and cache.hits - hits == 1
 
     def test_identity_operator_dedups_with_none(self):
         """``operator=None`` normalises to the identity: one plan."""
-        cache = PlanCache()
+        cache = _cleared_default_cache()
+        hits, misses = cache.hits, cache.misses
         layout = CONFIG.layout()
-        plain = plan_for(CONFIG, cache=cache)
-        mapped = plan_for(
-            CONFIG, identity_mapping(layout.width).as_operator(), cache=cache
-        )
+        plain = plan_for(CONFIG)
+        mapped = plan_for(CONFIG, BitOperator.identity(layout.width))
         assert plain is mapped
-        assert cache.misses == 1 and cache.hits == 1
+        assert cache.misses - misses == 1 and cache.hits - hits == 1
 
     def test_distinct_operators_get_distinct_plans(self):
-        cache = PlanCache()
+        cache = _cleared_default_cache()
+        misses = cache.misses
         layout = CONFIG.layout()
         source = np.roll(np.arange(layout.width), 1)
-        shuffled = PermutationMapping(source).as_operator()
-        plain = plan_for(CONFIG, cache=cache)
-        mapped = plan_for(CONFIG, shuffled, cache=cache)
+        shuffled = BitOperator.from_permutation(source)
+        plain = plan_for(CONFIG)
+        mapped = plan_for(CONFIG, shuffled)
         assert plain is not mapped
-        assert cache.misses == 2
+        assert cache.misses - misses == 2
 
     def test_cached_plan_decodes_identically(self):
-        cache = PlanCache()
         pa = np.arange(0, 1 << 16, 64, dtype=np.uint64)
         fresh = DecodePlan(CONFIG).decode(pa)
-        cached = plan_for(CONFIG, cache=cache).decode(pa)
+        cached = plan_for(CONFIG).decode(pa)
         np.testing.assert_array_equal(fresh.channel, cached.channel)
         np.testing.assert_array_equal(fresh.bank, cached.bank)
         np.testing.assert_array_equal(fresh.row, cached.row)

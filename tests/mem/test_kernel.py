@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.chunks import ChunkGeometry, MiB
-from repro.core.sdam import SDAMController
+from repro.core.sdam import SDAMController, identity_translator
 from repro.errors import AddressError, ProfilingError
 from repro.mem.kernel import Kernel
 
@@ -173,6 +173,13 @@ class TestTranslationPipeline:
         ha = kernel.translate_to_hardware(space, va)
         pa = space.translate_trace(va)
         np.testing.assert_array_equal(ha, pa)
+
+    def test_baseline_kernels_share_the_identity_translator(self):
+        shared = identity_translator(SMALL.address_bits)
+        assert Kernel(SMALL, sdam=None).address_translator is shared
+        assert Kernel(SMALL, sdam=None).address_translator is shared
+        sdam = sdam_kernel()
+        assert sdam.address_translator is sdam.sdam
 
     def test_sdam_applies_chunk_mapping(self):
         kernel = sdam_kernel()

@@ -159,7 +159,7 @@ def _group_loop(controller, pa):
     return ha
 
 
-def _two_step_decode(pa, translator, config, cache=None):
+def _two_step_decode(pa, translator, config):
     """The legacy evaluate stage: materialise HA, then decode it."""
     return decode_trace(translator.translate(pa), config)
 

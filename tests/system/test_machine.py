@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core import bitmatrix
+from repro.core.sdam import identity_translator
 from repro.errors import ConfigError
 from repro.hbm.config import hbm2_config
 from repro.hbm.plancache import default_plan_cache
@@ -216,3 +218,31 @@ def test_bs_hm_runs_share_one_translator_per_config():
         _hash_translator.cache_clear()
         _LAST_STREAM.clear()
         assert result.fingerprint() == machine.run(workload).fingerprint()
+
+
+def test_identity_translator_shared_and_no_inversion_per_run(monkeypatch):
+    """BS+DM machines and baseline kernels share one identity translator
+    per width, and no run inverts a GF(2) matrix: permutations pass the
+    structural check, and the BS+HM fold is checked once per config."""
+    width = hbm2_config().layout().width
+    dm = Machine(system_by_key("bs_dm"))
+    assert dm._global_translator(None) is identity_translator(width)
+    bsm = Machine(system_by_key("bs_bsm"))
+    assert bsm._global_translator(None) is identity_translator(width)
+    workload = StridedCopyWorkload(stride_lines=8, accesses_per_thread=1200)
+    machines = [
+        Machine(system_by_key(key))
+        for key in ("bs_dm", "bs_bsm", "bs_hm", "sdm_bsm")
+    ]
+    for machine in machines:  # warm the per-config BS+HM translator
+        machine.run(workload)
+    inversions = []
+    inverse = bitmatrix.gf2_inverse
+    monkeypatch.setattr(
+        bitmatrix,
+        "gf2_inverse",
+        lambda matrix: inversions.append(matrix.shape) or inverse(matrix),
+    )
+    for machine in machines:
+        machine.run(workload)
+    assert inversions == []

@@ -1,26 +1,27 @@
 """The pre-refactor translate and decode paths, kept as test oracles.
 
-Before the mapping classes lowered to :mod:`repro.core.bitmatrix`,
-``PermutationMapping.apply`` made one shift/mask pass per HA bit and
-``LinearMapping.apply`` took a popcount parity per row; before decode
-plans, ``decode_trace`` extracted every layout field from a full HA
-array.  Those loops are kept here verbatim, outside the package:
-:func:`repro.hbm.decode.decode_translated` must give the same fields,
-bit for bit, for every translator kind.
+Before every mapping became a compiled :mod:`repro.core.bitmatrix`
+operator, a bit-permutation mapping's ``apply`` made one shift/mask
+pass per HA bit and an XOR (linear) mapping's ``apply`` took a popcount
+parity per row; before decode plans, ``decode_trace`` extracted every
+layout field from a full HA array.  Those loops are kept here verbatim,
+outside the package: :func:`repro.hbm.decode.decode_translated` must
+give the same fields, bit for bit, for every translator kind.  The
+oracle reads only the raw inputs — a chunk's window permutation from
+the CMT, a global operator's matrix — never a compiled bit program.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.mapping import PermutationMapping
 from repro.core.sdam import SDAMController
 from repro.hbm.config import HBMConfig
 from repro.hbm.decode import DecodedTrace
 
 
 def _reference_apply_permutation(source: np.ndarray, pa: np.ndarray) -> np.ndarray:
-    """Old ``PermutationMapping.apply``: one shift/mask pass per HA bit."""
+    """Old permutation ``apply``: one shift/mask pass per HA bit."""
     ha = np.zeros_like(pa)
     for ha_bit in range(source.size):
         pa_bit = int(source[ha_bit])
@@ -33,7 +34,7 @@ def _reference_apply_permutation(source: np.ndarray, pa: np.ndarray) -> np.ndarr
 
 
 def _reference_apply_linear(row_masks: np.ndarray, pa: np.ndarray) -> np.ndarray:
-    """Old ``LinearMapping.apply``: per-row popcount parity."""
+    """Old linear ``apply``: per-row popcount parity."""
     ha = np.zeros_like(pa)
     for ha_bit in range(row_masks.size):
         mask = row_masks[ha_bit]
@@ -75,6 +76,7 @@ def _make_reference_translate(translator):
     """The pre-refactor translate path for either translator kind."""
     if isinstance(translator, SDAMController):
         controller = translator
+        low, high = controller.geometry.window_slice()
 
         def translate(pa: np.ndarray) -> np.ndarray:
             controller.geometry.check_address(pa)
@@ -85,14 +87,15 @@ def _make_reference_translate(translator):
                 if idx == 0:
                     continue
                 select = mapping_idx == idx
-                source = controller.full_mapping(int(idx)).source
+                source = np.arange(controller.geometry.address_bits)
+                source[low:high] = controller.cmt.config_of(int(idx)) + low
                 ha[select] = _reference_apply_permutation(source, pa[select])
             return ha
 
         return translate
-    mapping = translator.mapping
-    if isinstance(mapping, PermutationMapping):
-        source = mapping.source
+    operator = translator.operator
+    if operator.is_permutation():
+        source = np.nonzero(operator.matrix)[1]
         return lambda pa: _reference_apply_permutation(source, pa)
-    row_masks = _row_masks(mapping.as_matrix())
+    row_masks = _row_masks(operator.matrix)
     return lambda pa: _reference_apply_linear(row_masks, pa)
