@@ -1,11 +1,10 @@
 """3D-memory simulator substrate: device configs, fused decode and
-pluggable backends (three built-in fidelity tiers)."""
+memory backends (three fidelity tiers, plus the tiered split)."""
 
 from repro.hbm.backend import (
     MemoryBackend,
     available_backends,
     create_backend,
-    register_backend,
 )
 from repro.hbm.config import HBMConfig, ddr4_config, hbm2_config
 from repro.hbm.decode import (
@@ -38,6 +37,5 @@ __all__ = [
     "decode_translated",
     "default_plan_cache",
     "hbm2_config",
-    "register_backend",
     "row_hit_mask",
 ]

@@ -1,16 +1,15 @@
-"""Pluggable memory backends behind one protocol.
+"""Memory backends behind one protocol, selected by name.
 
 All three fidelity tiers — the analytic :class:`~repro.hbm.fastmodel.
 WindowModel` (``"fast"``), the vectorised-timing :class:`~repro.hbm.
 vectormodel.VectorModel` (``"vector"``), and the event-driven reference
 :class:`~repro.hbm.device.HBMDevice` (``"event"``) — consume the *same*
 fused decoded trace (:class:`~repro.hbm.decode.DecodedTrace`) through
-:class:`MemoryBackend`.  The machine selects a backend
-by name from a registry, so alternative device models (a DDR model, a
-remote simulator bridge, a statistics-only stub) plug in without
-touching the pipeline:
+:class:`MemoryBackend`.  The machine selects a backend by name from one
+fixed table, which also holds the ``"tiered"`` backend
+(:class:`~repro.tier.backend.TieredBackend`):
 
->>> from repro.hbm import register_backend, create_backend
+>>> from repro.hbm import create_backend
 >>> backend = create_backend("vector", hbm2_config(), max_inflight=64)
 >>> stats = backend.simulate_decoded(decoded)
 """
@@ -23,13 +22,15 @@ from typing import Callable, Protocol, runtime_checkable
 from repro.errors import ConfigError, SimulationError
 from repro.hbm.config import HBMConfig
 from repro.hbm.decode import DecodedTrace
+from repro.hbm.device import HBMDevice
+from repro.hbm.fastmodel import WindowModel
 from repro.hbm.stats import RunStats
+from repro.hbm.vectormodel import VectorModel
 
 __all__ = [
     "MemoryBackend",
     "available_backends",
     "create_backend",
-    "register_backend",
 ]
 
 
@@ -56,38 +57,13 @@ class MemoryBackend(Protocol):
         ...  # pragma: no cover - protocol
 
 
-BackendFactory = Callable[..., MemoryBackend]
-
-_REGISTRY: dict[str, BackendFactory] = {}
-
-
-def register_backend(
-    name: str, factory: BackendFactory, replace: bool = False
-) -> None:
-    """Register a backend under ``name``.
-
-    Duplicate names raise :class:`~repro.errors.ConfigError` unless
-    ``replace=True`` — silently shadowing a registered backend turned a
-    typo'd plugin registration into wrong results, so overwriting is
-    now an explicit request.
-    """
-    if not name:
-        raise ConfigError("backend name must be non-empty")
-    if not replace and name in _REGISTRY:
-        raise ConfigError(
-            f"backend {name!r} is already registered; "
-            "pass replace=True to overwrite it"
-        )
-    _REGISTRY[name] = factory
-
-
 def available_backends() -> tuple[str, ...]:
-    """Registered backend names, sorted."""
-    return tuple(sorted(_REGISTRY))
+    """Backend names, sorted."""
+    return tuple(sorted(_BACKENDS))
 
 
 def create_backend(name: str, config: HBMConfig, **kwargs) -> MemoryBackend:
-    """Instantiate a registered backend for a device configuration.
+    """Instantiate a backend for a device configuration.
 
     The options are bound against the factory's signature first, so an
     option the backend does not take raises
@@ -98,7 +74,7 @@ def create_backend(name: str, config: HBMConfig, **kwargs) -> MemoryBackend:
     :class:`~repro.errors.SimulationError`) raises ``ConfigError`` too.
     """
     try:
-        factory = _REGISTRY[name]
+        factory = _BACKENDS[name]
     except KeyError:
         raise ConfigError(
             f"unknown memory backend {name!r}; "
@@ -122,19 +98,9 @@ def _tiered_factory(config: HBMConfig, **kwargs) -> MemoryBackend:
     return TieredBackend(config, **kwargs)
 
 
-def _register_builtins() -> None:
-    # Imported lazily to keep backend.py free of circular imports: the
-    # model modules import decode, which imports config only.
-    # ``replace=True`` keeps re-registration idempotent (this runs on
-    # every import of the module, e.g. after importlib.reload).
-    from repro.hbm.device import HBMDevice
-    from repro.hbm.fastmodel import WindowModel
-    from repro.hbm.vectormodel import VectorModel
-
-    register_backend("fast", WindowModel, replace=True)
-    register_backend("event", HBMDevice, replace=True)
-    register_backend("vector", VectorModel, replace=True)
-    register_backend("tiered", _tiered_factory, replace=True)
-
-
-_register_builtins()
+_BACKENDS: dict[str, Callable[..., MemoryBackend]] = {
+    "fast": WindowModel,
+    "event": HBMDevice,
+    "vector": VectorModel,
+    "tiered": _tiered_factory,
+}

@@ -37,6 +37,7 @@ from repro.core.sdam import SDAMController
 from repro.errors import ConfigError
 from repro.hbm.config import HBMConfig, hbm2_config
 from repro.hbm.backend import create_backend
+from repro.ledger import OMIT, PROVENANCE, Record
 from repro.mem.kernel import Kernel
 from repro.mem.malloc import MappingAwareAllocator
 from repro.online.controller import AdaptiveController
@@ -48,8 +49,15 @@ __all__ = ["AdaptiveCampaignResult", "run_adaptive_campaign"]
 
 
 @dataclass
-class AdaptiveCampaignResult:
-    """Everything one adaptive campaign produced."""
+class AdaptiveCampaignResult(Record):
+    """Everything one adaptive campaign produced.
+
+    ``resumed`` is execution provenance, not computed content: a
+    killed-and-resumed campaign fingerprints identically to an
+    uninterrupted one.
+    """
+
+    derived = ("adaptive_total_ns", "best_static_ns", "speedup")
 
     workload: str
     seed: int
@@ -66,11 +74,11 @@ class AdaptiveCampaignResult:
     stationary_remaps: int
     traffic: dict = field(default_factory=dict)
     journal: list = field(default_factory=list)
-    elapsed_seconds: float = 0.0
-    resumed: bool = False
+    elapsed_seconds: float = field(default=0.0, metadata=PROVENANCE)
+    resumed: bool = field(default=False, metadata=PROVENANCE)
     #: The speedup gate :attr:`problems` judges the run against (the
     #: CLI's ``--min-speedup``); not part of the report.
-    min_speedup: float = 0.0
+    min_speedup: float = field(default=0.0, metadata=OMIT)
 
     @property
     def adaptive_total_ns(self) -> float:
@@ -130,45 +138,6 @@ class AdaptiveCampaignResult:
             f"{self.stationary_remaps} remaps"
         )
         return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        """A JSON-serialisable form."""
-        return {
-            "workload": self.workload,
-            "seed": self.seed,
-            "quick": self.quick,
-            "window_accesses": self.window_accesses,
-            "windows": self.windows,
-            "adaptive_service_ns": self.adaptive_service_ns,
-            "overhead_ns": self.overhead_ns,
-            "adaptive_total_ns": self.adaptive_total_ns,
-            "static_ns": {k: float(v) for k, v in self.static_ns.items()},
-            "best_static": self.best_static,
-            "best_static_ns": self.best_static_ns,
-            "speedup": self.speedup,
-            "remaps": self.remaps,
-            "failed_remaps": self.failed_remaps,
-            "declines": self.declines,
-            "stationary_remaps": self.stationary_remaps,
-            "traffic": dict(self.traffic),
-            "journal": [dict(entry) for entry in self.journal],
-            "elapsed_seconds": self.elapsed_seconds,
-            "resumed": self.resumed,
-        }
-
-    def fingerprint(self) -> dict:
-        """:meth:`to_dict` with wall-clock and provenance fields zeroed.
-
-        Two campaigns with the same seed are bit-identical on this —
-        the determinism contract the tests assert.  ``resumed`` is
-        execution provenance, not computed content: a
-        killed-and-resumed campaign fingerprints identically to an
-        uninterrupted one.
-        """
-        data = self.to_dict()
-        data["elapsed_seconds"] = 0.0
-        data["resumed"] = False
-        return data
 
 
 def _build_stack(

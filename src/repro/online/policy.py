@@ -28,6 +28,7 @@ from repro.core.chunks import ChunkGeometry
 from repro.errors import ProfilingError
 from repro.hbm.config import HBMConfig
 from repro.hbm.backend import create_backend
+from repro.ledger import Record
 
 __all__ = ["RemapDecision", "RemapPolicy", "CMT_WRITE_NS", "AMU_REPROGRAM_NS"]
 
@@ -38,7 +39,7 @@ AMU_REPROGRAM_NS = 200.0
 
 
 @dataclass(frozen=True)
-class RemapDecision:
+class RemapDecision(Record):
     """The policy's verdict on one phase-change event."""
 
     remap: bool
@@ -48,17 +49,6 @@ class RemapDecision:
     projected_gain_ns: float = 0.0
     migration_cost_ns: float = 0.0
     details: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        """A JSON-serialisable form."""
-        return {
-            "remap": self.remap,
-            "reason": self.reason,
-            "gain_ns_per_window": self.gain_ns_per_window,
-            "projected_gain_ns": self.projected_gain_ns,
-            "migration_cost_ns": self.migration_cost_ns,
-            "details": dict(self.details),
-        }
 
 
 class RemapPolicy:
@@ -81,7 +71,7 @@ class RemapPolicy:
         Cap on the replayed window length for the benefit probe.
     backend:
         Memory fidelity tier the benefit probes replay through (a
-        registered backend name; ``"fast"`` by default).
+        backend name; ``"fast"`` by default).
     """
 
     def __init__(

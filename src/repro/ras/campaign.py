@@ -37,6 +37,7 @@ from repro.hbm.config import HBMConfig
 from repro.hbm.decode import decode_trace
 from repro.hbm.backend import create_backend
 from repro.hbm.stats import DeviceHealth
+from repro.ledger import PROVENANCE, Record
 from repro.mem.kernel import Kernel
 from repro.mem.migration import ChunkMigrator
 from repro.ras.controller import RASController, RASReport
@@ -331,37 +332,24 @@ class RASMachine:
 
 
 @dataclass
-class CampaignResult:
-    """Outcome of :func:`run_campaign`: the report plus any violations."""
+class CampaignResult(Record):
+    """Outcome of :func:`run_campaign`: the report plus any violations.
+
+    ``resumed`` records *how* the campaign was executed, not what it
+    computed; a killed-and-resumed campaign fingerprints identically to
+    an uninterrupted one.
+    """
+
+    derived = ("ok",)
 
     report: RASReport
     problems: list[str] = field(default_factory=list)
-    resumed: bool = False
+    resumed: bool = field(default=False, metadata=PROVENANCE)
 
     @property
     def ok(self) -> bool:
         """True when every fault was handled and no data corrupted."""
         return self.report.ok and not self.problems
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable form."""
-        return {
-            "ok": self.ok,
-            "problems": list(self.problems),
-            "resumed": self.resumed,
-            "report": self.report.to_dict(),
-        }
-
-    def fingerprint(self) -> dict:
-        """:meth:`to_dict` minus execution provenance.
-
-        ``resumed`` records *how* the campaign was executed, not what
-        it computed; a killed-and-resumed campaign fingerprints
-        identically to an uninterrupted one.
-        """
-        data = self.to_dict()
-        data["resumed"] = False
-        return data
 
     def summary(self) -> str:
         """Human-readable campaign summary."""

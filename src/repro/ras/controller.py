@@ -31,6 +31,7 @@ import numpy as np
 from repro.core.verification import audit_controller
 from repro.errors import OutOfMemoryError
 from repro.hbm.decode import decode_trace
+from repro.ledger import Record
 from repro.ras.repair import FaultCube, compose_repair, cube_for, preimage_pages
 from repro.core.bitmatrix import BitOperator
 
@@ -38,8 +39,10 @@ __all__ = ["RASController", "RASReport"]
 
 
 @dataclass
-class RASReport:
+class RASReport(Record):
     """Structured outcome of a RAS campaign (or a sequence of scrubs)."""
+
+    derived = ("ok",)
 
     seed: int = 0
     faults_injected: list = field(default_factory=list)
@@ -91,31 +94,6 @@ class RASReport:
             f"{self.fingerprint_match}",
         ]
         return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable form."""
-        return {
-            "seed": self.seed,
-            "faults_injected": list(self.faults_injected),
-            "detections": list(self.detections),
-            "events": list(self.events),
-            "scrubs": self.scrubs,
-            "machine_checks": self.machine_checks,
-            "lines_migrated": self.lines_migrated,
-            "pages_retired": self.pages_retired,
-            "pages_relocated": self.pages_relocated,
-            "repair_cost_ns": self.repair_cost_ns,
-            "lines_written": self.lines_written,
-            "lines_survived": self.lines_survived,
-            "lines_lost": self.lines_lost,
-            "degraded": self.degraded,
-            "dead_channels": sorted(self.dead_channels),
-            "residual_slowdown": self.residual_slowdown,
-            "fingerprint_match": self.fingerprint_match,
-            "all_detected": self.all_detected,
-            "all_repaired": self.all_repaired,
-            "ok": self.ok,
-        }
 
 
 class RASController:

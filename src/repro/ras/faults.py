@@ -35,6 +35,7 @@ import numpy as np
 from repro.core.chunks import ChunkGeometry
 from repro.errors import DeviceFaultError
 from repro.hbm.config import HBMConfig
+from repro.ledger import Record
 
 __all__ = [
     "DEVICE_AMU_MISPROGRAM",
@@ -73,7 +74,7 @@ def matches_known_site(pattern: str) -> bool:
 
 
 @dataclass(frozen=True)
-class DeviceFaultSpec:
+class DeviceFaultSpec(Record):
     """One modeled-hardware fault, armed at an access-count trigger.
 
     Coordinate fields are site-specific: ``channel``/``bank``/``row``
@@ -145,25 +146,6 @@ class DeviceFaultSpec:
             DEVICE_AMU_MISPROGRAM: f"mapping {self.mapping_index}",
         }[self.site]
         return f"{self.site} @ {where} after {self.trigger_access} accesses"
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable form; :meth:`from_dict` round-trips it."""
-        return {
-            "site": self.site,
-            "trigger_access": self.trigger_access,
-            "channel": self.channel,
-            "bank": self.bank,
-            "row": self.row,
-            "chunk_no": self.chunk_no,
-            "mapping_index": self.mapping_index,
-            "lane": self.lane,
-            "bit": self.bit,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DeviceFaultSpec":
-        """Rebuild a spec written by :meth:`to_dict`."""
-        return cls(**data)
 
 
 class DeviceFaultPlan:

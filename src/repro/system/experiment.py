@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.ledger import Record
 from repro.system.config import SystemConfig
 from repro.system.machine import MachineResult
 from repro.workloads.base import Workload
@@ -21,8 +22,13 @@ __all__ = ["SpeedupTable", "run_suite", "frequency_sweep", "core_sweep"]
 
 
 @dataclass
-class SpeedupTable:
-    """Results of a workload x system sweep, keyed by labels."""
+class SpeedupTable(Record):
+    """Results of a workload x system sweep, keyed by labels.
+
+    Its :meth:`fingerprint` holds each result's fingerprint, so two
+    sweeps of the same cells compare equal however they were executed
+    (serially, over a process pool, or from the stage cache).
+    """
 
     baseline_label: str
     results: dict[str, dict[str, MachineResult]] = field(default_factory=dict)
@@ -70,57 +76,6 @@ class SpeedupTable:
                 row[system] = self.speedup(workload, system)
             rows.append(row)
         return rows
-
-    # -- serialization -------------------------------------------------------
-    def to_dict(self) -> dict:
-        """A JSON-serialisable form; :meth:`from_dict` round-trips it."""
-        return {
-            "baseline_label": self.baseline_label,
-            "results": {
-                workload: {
-                    system: result.to_dict()
-                    for system, result in row.items()
-                }
-                for workload, row in self.results.items()
-            },
-        }
-
-    def to_json(self, **json_kwargs) -> str:
-        """JSON text of :meth:`to_dict`."""
-        import json
-
-        return json.dumps(self.to_dict(), **json_kwargs)
-
-    def fingerprint(self) -> dict:
-        """The deterministic content: per-result fingerprints only.
-
-        Wall-clock timing fields are zeroed, so two sweeps of the same
-        cells compare equal however they were executed (serially, over
-        a process pool, or from the stage cache).
-        """
-        return {
-            "baseline_label": self.baseline_label,
-            "results": {
-                workload: {
-                    system: result.fingerprint()
-                    for system, result in row.items()
-                }
-                for workload, row in self.results.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SpeedupTable":
-        """Rebuild a table written by :meth:`to_dict`."""
-        table = cls(baseline_label=data["baseline_label"])
-        table.results = {
-            workload: {
-                system: MachineResult.from_dict(result)
-                for system, result in row.items()
-            }
-            for workload, row in data["results"].items()
-        }
-        return table
 
 
 def run_suite(

@@ -36,12 +36,12 @@ import functools
 import hashlib
 import inspect
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.keys import stable_hash
 from repro.errors import ConfigError
-from repro.ledger import SUM, Ledger, key
+from repro.ledger import SUM, Ledger, Record, key
 from repro.profiling.profiler import WorkloadProfile
 from repro.system.config import SystemConfig, standard_systems
 from repro.system.experiment import SpeedupTable
@@ -72,7 +72,7 @@ class StageMetrics(Ledger):
 
 
 @dataclass(frozen=True)
-class CellError:
+class CellError(Record):
     """One failed cell: where it failed and why; the sweep continued."""
 
     workload: str
@@ -80,13 +80,9 @@ class CellError:
     stage: str
     message: str
 
-    def to_dict(self) -> dict:
-        """A JSON-serialisable form."""
-        return asdict(self)
-
 
 @dataclass
-class SuiteResult:
+class SuiteResult(Record):
     """A sweep's results plus per-stage structured metrics."""
 
     table: SpeedupTable
@@ -119,36 +115,6 @@ class SuiteResult:
                 f"{first.message}"
             )
         return self
-
-    def to_dict(self) -> dict:
-        """A JSON-serialisable form; :meth:`from_dict` round-trips it."""
-        return {
-            "table": self.table.to_dict(),
-            "errors": [e.to_dict() for e in self.errors],
-            "metrics": {
-                stage: m.to_dict() for stage, m in self.metrics.items()
-            },
-            "wall_seconds": self.wall_seconds,
-        }
-
-    def to_json(self, **json_kwargs) -> str:
-        """JSON text of :meth:`to_dict`."""
-        import json
-
-        return json.dumps(self.to_dict(), **json_kwargs)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SuiteResult":
-        """Rebuild a result written by :meth:`to_dict`."""
-        return cls(
-            table=SpeedupTable.from_dict(data["table"]),
-            errors=[CellError(**e) for e in data["errors"]],
-            metrics={
-                stage: StageMetrics.from_dict(m)
-                for stage, m in data["metrics"].items()
-            },
-            wall_seconds=float(data["wall_seconds"]),
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Tiered heterogeneous memory: HBM fast tier + configurable slow tier.
 
 The package behind the ``"tiered"`` entry in the memory-backend
-registry: page-granular placement between a fast HBM tier (timing
+table: page-granular placement between a fast HBM tier (timing
 delegated to the fast/vector backends) and a latency/bandwidth-modeled
 slow tier, with pluggable swap policies driven by the online BFRV and
 activity signals, SDAM-aware chunk swaps (mapping reprogramming with

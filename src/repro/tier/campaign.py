@@ -35,6 +35,7 @@ from repro.core.chunks import ChunkGeometry, MiB
 from repro.core.sdam import SDAMController
 from repro.errors import ConfigError, SimulationError
 from repro.hbm.config import HBMConfig, hbm2_config
+from repro.ledger import PROVENANCE, Record
 from repro.mem.kernel import Kernel
 from repro.mem.malloc import MappingAwareAllocator
 from repro.tier.backend import TieredBackend
@@ -49,8 +50,10 @@ GATED_POLICY = "smart"
 
 
 @dataclass
-class TierCampaignResult:
+class TierCampaignResult(Record):
     """Everything one tiered-memory campaign produced."""
+
+    derived = ("speedups", "ok")
 
     seed: int
     quick: bool
@@ -64,7 +67,7 @@ class TierCampaignResult:
     sdam: dict = field(default_factory=dict)
     ras: dict = field(default_factory=dict)
     problems: list[str] = field(default_factory=list)
-    elapsed_seconds: float = 0.0
+    elapsed_seconds: float = field(default=0.0, metadata=PROVENANCE)
 
     @property
     def ok(self) -> bool:
@@ -78,43 +81,14 @@ class TierCampaignResult:
             return 0.0
         return self.baseline_ns[leg] / policy_ns
 
-    def to_dict(self) -> dict:
-        """A JSON-serialisable form."""
+    @property
+    def speedups(self) -> dict[str, float]:
+        """:meth:`speedup` of every leg the gated policy ran on."""
         return {
-            "seed": self.seed,
-            "quick": self.quick,
-            "policies": list(self.policies),
-            "fast_pages": self.fast_pages,
-            "wave_accesses": self.wave_accesses,
-            "waves": self.waves,
-            "legs": {
-                leg: {p: float(v) for p, v in cells.items()}
-                for leg, cells in self.legs.items()
-            },
-            "baseline_ns": {
-                leg: float(v) for leg, v in self.baseline_ns.items()
-            },
-            "speedups": {
-                leg: self.speedup(leg)
-                for leg in self.legs
-                if GATED_POLICY in self.legs[leg]
-            },
-            "traffic": {
-                leg: {p: dict(t) for p, t in cells.items()}
-                for leg, cells in self.traffic.items()
-            },
-            "sdam": dict(self.sdam),
-            "ras": dict(self.ras),
-            "problems": list(self.problems),
-            "ok": self.ok,
-            "elapsed_seconds": self.elapsed_seconds,
+            leg: self.speedup(leg)
+            for leg in self.legs
+            if GATED_POLICY in self.legs[leg]
         }
-
-    def fingerprint(self) -> dict:
-        """:meth:`to_dict` with wall-clock provenance zeroed."""
-        data = self.to_dict()
-        data["elapsed_seconds"] = 0.0
-        return data
 
     def summary(self) -> str:
         """Multi-line human-readable summary."""

@@ -1,7 +1,7 @@
 """Tier traffic accounting: what the fast/slow split cost and saved.
 
-:class:`TierTraffic` is a ledger (:mod:`repro.ledger`, DESIGN §2 "Run
-ledgers"): every counter adds, so traffic from independent campaign
+:class:`TierTraffic` is a ledger (:mod:`repro.ledger`, DESIGN §2 "Records
+and ledgers"): every counter adds, so traffic from independent campaign
 legs or sequential runs folds together in any order.  It is
 deliberately *not* part of the frozen, cache-fingerprinted
 :class:`~repro.hbm.stats.RunStats`: tier

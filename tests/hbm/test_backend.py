@@ -1,4 +1,4 @@
-"""Tests for the pluggable memory-backend registry and protocol."""
+"""Tests for the memory-backend table and protocol."""
 
 import numpy as np
 import pytest
@@ -10,9 +10,7 @@ from repro.hbm import (
     create_backend,
     decode_trace,
     hbm2_config,
-    register_backend,
 )
-from repro.hbm import backend as backend_module
 from repro.hbm.device import HBMDevice
 from repro.hbm.fastmodel import WindowModel
 
@@ -29,36 +27,7 @@ def _trace(n: int = 4096, seed: int = 0) -> np.ndarray:
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert "fast" in available_backends()
-        assert "event" in available_backends()
-        assert "tiered" in available_backends()
-
-    def test_duplicate_registration_raises(self):
-        with pytest.raises(ConfigError, match="already registered"):
-            register_backend("fast", WindowModel)
-        # The registry entry is untouched by the failed attempt.
-        backend = create_backend("fast", CONFIG, max_inflight=8)
-        assert isinstance(backend, WindowModel)
-
-    def test_replace_opt_in_overwrites(self):
-        def stub_factory(config, **kwargs):
-            return WindowModel(config, **kwargs)
-
-        register_backend("replace-test", stub_factory)
-        try:
-            with pytest.raises(ConfigError, match="already registered"):
-                register_backend("replace-test", WindowModel)
-            register_backend("replace-test", WindowModel, replace=True)
-            backend = create_backend("replace-test", CONFIG, max_inflight=8)
-            assert isinstance(backend, WindowModel)
-        finally:
-            backend_module._REGISTRY.pop("replace-test", None)
-
-    def test_register_builtins_idempotent(self):
-        before = available_backends()
-        backend_module._register_builtins()
-        backend_module._register_builtins()
-        assert available_backends() == before
+        assert available_backends() == ("event", "fast", "tiered", "vector")
 
     def test_create_fast(self):
         backend = create_backend("fast", CONFIG, max_inflight=64)
@@ -75,35 +44,8 @@ class TestRegistry:
             create_backend("no-such-model", CONFIG)
 
     def test_empty_name_rejected(self):
-        with pytest.raises(ConfigError):
-            register_backend("", WindowModel)
-
-    def test_custom_backend_registration(self):
-        class CountingBackend:
-            """Statistics-only stub: counts requests, no timing."""
-
-            def __init__(self, config, **kwargs):
-                self.config = config
-                self.inner = WindowModel(config, **kwargs)
-
-            def simulate(self, ha):
-                return self.simulate_decoded(decode_trace(ha, self.config))
-
-            def simulate_decoded(self, decoded):
-                self.seen = len(decoded)
-                return self.inner.simulate_decoded(decoded)
-
-        register_backend("counting-test", CountingBackend)
-        try:
-            assert "counting-test" in available_backends()
-            backend = create_backend("counting-test", CONFIG, max_inflight=8)
-            assert isinstance(backend, MemoryBackend)
-            stats = backend.simulate(_trace(512))
-            assert backend.seen == 512
-            assert stats.requests == 512
-        finally:
-            backend_module._REGISTRY.pop("counting-test", None)
-        assert "counting-test" not in available_backends()
+        with pytest.raises(ConfigError, match="unknown memory backend"):
+            create_backend("", CONFIG)
 
 
 class TestOptionChecks:

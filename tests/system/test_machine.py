@@ -10,7 +10,14 @@ from repro.hbm.config import hbm2_config
 from repro.hbm.plancache import default_plan_cache
 from repro.ml.dlkmeans import AutoencoderConfig
 from repro.system.config import system_by_key
-from repro.system.machine import _LAST_STREAM, Machine, _hash_translator
+from repro.system import machine as machine_module
+from repro.system.machine import (
+    _LAST_STREAM,
+    _MIX_TRANSLATOR,
+    Machine,
+    _hash_translator,
+)
+from repro.system.stages import build_mix_profile
 from repro.workloads.synthetic import MixedStrideWorkload, StridedCopyWorkload
 
 FAST_DL = AutoencoderConfig(
@@ -218,6 +225,42 @@ def test_bs_hm_runs_share_one_translator_per_config():
         _hash_translator.cache_clear()
         _LAST_STREAM.clear()
         assert result.fingerprint() == machine.run(workload).fingerprint()
+
+
+def test_bs_bsm_runs_share_one_translator_per_mix(monkeypatch):
+    """BS+BSM's global mapping is a pure function of the suite mix and
+    the config, so the runs that share one mix select it once."""
+    workloads = [
+        StridedCopyWorkload(stride_lines=8, accesses_per_thread=1200),
+        MixedStrideWorkload(strides=(1, 16), accesses_per_stride=600),
+    ]
+    system = system_by_key("bs_bsm")
+    mix = build_mix_profile([Machine(system).profile(w) for w in workloads])
+    selections = []
+    select = machine_module.select_global_mapping
+    monkeypatch.setattr(
+        machine_module,
+        "select_global_mapping",
+        lambda *args: selections.append(args) or select(*args),
+    )
+    _MIX_TRANSLATOR.clear()
+    shared = [Machine(system).run(w, mix_profile=mix) for w in workloads]
+    assert len(selections) == 1
+    for workload, result in zip(workloads, shared):
+        _MIX_TRANSLATOR.clear()
+        _LAST_STREAM.clear()
+        fresh = Machine(system).run(workload, mix_profile=mix)
+        assert result.time_ns == fresh.time_ns
+        assert result.fingerprint() == fresh.fingerprint()
+    assert len(selections) == 3
+    # An equal mix that is another object, or another config, selects
+    # again.
+    other = build_mix_profile([Machine(system).profile(w) for w in workloads])
+    Machine(system).run(workloads[0], mix_profile=other)
+    Machine(system, hbm=hbm2_config(banks_per_channel=16)).run(
+        workloads[0], mix_profile=other
+    )
+    assert len(selections) == 5
 
 
 def test_identity_translator_shared_and_no_inversion_per_run(monkeypatch):
