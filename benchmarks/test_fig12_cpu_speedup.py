@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml import AutoencoderConfig
-from repro.system import run_suite, standard_systems
+from repro.system import Session, standard_systems
 from repro.system.reporting import format_table
 from repro.workloads import data_intensive_suite, parsec_suite, spec2006_suite
 
@@ -36,9 +36,9 @@ def suites():
 def run_fig12():
     systems = standard_systems()
     standard, data_intensive = suites()
-    kwargs = dict(dl_config=DL_CONFIG, **sweep_kwargs())
-    std_table = run_suite(standard, systems=systems, **kwargs)
-    di_table = run_suite(data_intensive, systems=systems, **kwargs)
+    session = Session(dl_config=DL_CONFIG, **sweep_kwargs())
+    std_table = session.sweep(standard, systems).raise_errors().table
+    di_table = session.sweep(data_intensive, systems).raise_errors().table
     return std_table, di_table
 
 

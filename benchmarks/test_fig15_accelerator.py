@@ -11,7 +11,7 @@ workloads on the accelerator engine and compare against the CPU run.
 from __future__ import annotations
 
 from repro.ml import AutoencoderConfig
-from repro.system import run_suite, standard_systems
+from repro.system import Session, standard_systems
 from repro.system.reporting import format_table
 from repro.workloads import data_intensive_suite
 
@@ -25,11 +25,11 @@ def run_fig15():
     if is_quick():
         workloads = workloads[:3]
     systems = standard_systems(cluster_counts=(32,))
-    accel = run_suite(
-        workloads, systems=systems, engine="accelerator", dl_config=DL_CONFIG
+    accel = Session(engine="accelerator", dl_config=DL_CONFIG).sweep(
+        workloads, systems
     )
-    cpu = run_suite(workloads, systems=systems, dl_config=DL_CONFIG)
-    return accel, cpu
+    cpu = Session(dl_config=DL_CONFIG).sweep(workloads, systems)
+    return accel.raise_errors().table, cpu.raise_errors().table
 
 
 def test_fig15_accelerator_speedups(benchmark, record):

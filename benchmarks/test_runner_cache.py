@@ -11,20 +11,20 @@ from __future__ import annotations
 import time
 
 from repro.api import QUICK_DL_CONFIG, evaluation_workloads
-from repro.system import ExperimentRunner, standard_systems
+from repro.system import Session, standard_systems
 from repro.system.reporting import format_table
 
 
 def run_cold_then_warm(tmp_path):
     workloads = evaluation_workloads(quick=True)
-    kwargs = dict(systems=standard_systems(), dl_config=QUICK_DL_CONFIG)
+    systems = standard_systems()
 
     start = time.perf_counter()
-    cold = ExperimentRunner(cache_dir=tmp_path).run_suite(workloads, **kwargs)
+    cold = Session(tmp_path, dl_config=QUICK_DL_CONFIG).sweep(workloads, systems)
     cold_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    warm = ExperimentRunner(cache_dir=tmp_path).run_suite(workloads, **kwargs)
+    warm = Session(tmp_path, dl_config=QUICK_DL_CONFIG).sweep(workloads, systems)
     warm_seconds = time.perf_counter() - start
 
     return (cold, cold_seconds), (warm, warm_seconds)

@@ -6,10 +6,11 @@ hardware models, the chunk-aware OS memory allocators, the access-
 pattern profiler, the K-Means / DL-assisted mapping selection, and a
 trace-driven HBM simulator to evaluate it all on.
 
-The curated convenience surface is re-exported here (and lives in
-:mod:`repro.api`); subsystem packages (``repro.core``, ``repro.hbm``,
-``repro.mem``, ``repro.cpu``, ``repro.profiling``, ``repro.ml``,
-``repro.workloads``, ``repro.system``) expose the full interfaces.
+This package is the curated surface: :class:`Session` runs cached
+sweeps, :class:`Machine` one run, and the campaigns their reports.
+Subsystem packages (``repro.core``, ``repro.hbm``, ``repro.mem``,
+``repro.cpu``, ``repro.profiling``, ``repro.ml``, ``repro.workloads``,
+``repro.system``) expose the full interfaces.
 
 ``import repro`` loads the run path, every module that
 :meth:`Machine.run` and :meth:`Machine.profile` can reach.  Names from
@@ -31,8 +32,6 @@ from repro.system import (
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "Session": ("repro.api", "Session"),
-        "default_cache_dir": ("repro.api", "default_cache_dir"),
         "evaluation_workloads": ("repro.api", "evaluation_workloads"),
         "mixed_stride_workload": ("repro.api", "mixed_stride_workload"),
         "strided_workload": ("repro.api", "strided_workload"),
@@ -45,8 +44,7 @@ __getattr__, __dir__ = lazy_exports(
         "DeviceFaultPlan": ("repro.ras.faults", "DeviceFaultPlan"),
         "DeviceFaultSpec": ("repro.ras.faults", "DeviceFaultSpec"),
         "SpeedupTable": ("repro.system.experiment", "SpeedupTable"),
-        "run_suite": ("repro.system.experiment", "run_suite"),
-        "ExperimentRunner": ("repro.system.runner", "ExperimentRunner"),
+        "Session": ("repro.system.runner", "Session"),
         "SuiteResult": ("repro.system.runner", "SuiteResult"),
     },
 )
@@ -59,7 +57,6 @@ __all__ = [
     "CampaignResult",
     "DeviceFaultPlan",
     "DeviceFaultSpec",
-    "ExperimentRunner",
     "Machine",
     "MappingSelection",
     "PlanCache",
@@ -72,11 +69,9 @@ __all__ = [
     "SuiteResult",
     "SystemConfig",
     "__version__",
-    "default_cache_dir",
     "default_plan_cache",
     "evaluation_workloads",
     "mixed_stride_workload",
-    "run_suite",
     "select_application_mapping",
     "standard_systems",
     "strided_workload",

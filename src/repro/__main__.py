@@ -44,11 +44,12 @@ import numpy as np
 
 def cmd_demo(_args) -> int:
     """Quickstart comparison on the mixed-stride copy."""
-    from repro import api
+    from repro.api import mixed_stride_workload
     from repro.system.reporting import format_table
+    from repro.system.runner import Session
 
-    workload = api.mixed_stride_workload()
-    session = api.Session(cache_dir=None)
+    workload = mixed_stride_workload()
+    session = Session()
     rows = []
     baseline = None
     for result in session.compare(
@@ -168,21 +169,29 @@ def _check_backend(name: str) -> None:
 
 
 def cmd_suite(args) -> int:
-    """Run a (quick) Fig. 12-style speedup sweep."""
-    from repro import api
+    """Run a (quick) Fig. 12-style speedup sweep.
+
+    The quick sweep trims the suites and uses a small DL configuration;
+    ``--full`` runs every workload with ``Machine``'s own DL default.
+    """
+    from repro import api, system
     from repro.errors import ConfigError
     from repro.system.reporting import format_table
+    from repro.system.runner import Session
 
-    session_kwargs: dict = {}
+    quick = not args.full
+    machine_kwargs: dict = {"dl_config": api.QUICK_DL_CONFIG} if quick else {}
     try:
         if args.backend:
             _check_backend(args.backend)
-            session_kwargs["backend"] = args.backend
-        session = api.Session(cache_dir=args.cache_dir, **session_kwargs)
+            machine_kwargs["backend"] = args.backend
+        session = Session(cache_dir=args.cache_dir, **machine_kwargs)
     except ConfigError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    suite = session.full_evaluation(quick=not args.full)
+    suite = session.sweep(
+        api.evaluation_workloads(quick=quick), system.standard_systems()
+    )
     if args.json:
         print(suite.to_json(indent=2))
     else:

@@ -256,13 +256,3 @@ class AdaptiveController:
             f"({self.traffic.failed_remaps} failed), "
             f"overhead {self.traffic.overhead_ns / 1e3:.1f} us"
         )
-
-    def to_dict(self) -> dict:
-        """JSON-friendly state snapshot (journal included)."""
-        return {
-            "windows_seen": self.windows_seen,
-            "mapping_id": self.mapping_id,
-            "remaps": self.traffic.remaps,
-            "traffic": self.traffic.to_dict(),
-            "journal": [dict(entry) for entry in self.journal],
-        }

@@ -198,17 +198,3 @@ class VariableActivity:
             majors.append(var)
             accumulated += refs
         return majors
-
-    def to_dict(self) -> dict:
-        """JSON-friendly snapshot of the decayed counters."""
-        return {
-            "windows_seen": self.windows_seen,
-            "references": {
-                str(var): float(refs)
-                for var, refs in sorted(self.references.items())
-            },
-            "footprint_pages": {
-                str(var): float(pages)
-                for var, pages in sorted(self.footprint_pages.items())
-            },
-        }

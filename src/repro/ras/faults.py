@@ -178,15 +178,6 @@ class DeviceFaultPlan:
         """Specs that have not fired yet."""
         return len(self.specs) - len(self._fired)
 
-    def to_dict(self) -> dict:
-        """JSON-serialisable form (fired-state excluded; plans re-arm)."""
-        return {"specs": [spec.to_dict() for spec in self.specs]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DeviceFaultPlan":
-        """Rebuild a plan written by :meth:`to_dict`."""
-        return cls(DeviceFaultSpec.from_dict(s) for s in data["specs"])
-
     # -- seeded generation --------------------------------------------------
     @classmethod
     def seeded(

@@ -12,11 +12,10 @@ __getattr__, __dir__ = lazy_exports(
         "SpeedupTable": ("repro.system.experiment", "SpeedupTable"),
         "core_sweep": ("repro.system.experiment", "core_sweep"),
         "frequency_sweep": ("repro.system.experiment", "frequency_sweep"),
-        "run_suite": ("repro.system.experiment", "run_suite"),
         "format_series": ("repro.system.reporting", "format_series"),
         "format_table": ("repro.system.reporting", "format_table"),
         "CellError": ("repro.system.runner", "CellError"),
-        "ExperimentRunner": ("repro.system.runner", "ExperimentRunner"),
+        "Session": ("repro.system.runner", "Session"),
         "StageMetrics": ("repro.system.runner", "StageMetrics"),
         "SuiteResult": ("repro.system.runner", "SuiteResult"),
         "StageStore": ("repro.system.tracefile", "StageStore"),
@@ -31,10 +30,10 @@ __all__ = [
     "CellError",
     "CorunMachine",
     "CorunResult",
-    "ExperimentRunner",
     "ExternalSummary",
     "Machine",
     "MachineResult",
+    "Session",
     "SpeedupTable",
     "StageMetrics",
     "StageStore",
@@ -48,7 +47,6 @@ __all__ = [
     "load_selection",
     "save_profile",
     "save_selection",
-    "run_suite",
     "standard_systems",
     "system_by_key",
 ]

@@ -1,9 +1,8 @@
-"""Experiment drivers: speedup sweeps over workloads x systems.
+"""Speedup tables and the Fig. 14 sensitivity sweeps.
 
-Implements the paper's evaluation methodology: profile with one input,
-evaluate with another (cross-validation), use the suite-wide mix profile
-for the global ``BS+BSM`` baseline, and report per-workload speedups
-over ``BS+DM`` plus geometric means (Figs. 12, 14, 15).
+A :class:`SpeedupTable` reports per-workload speedups over ``BS+DM``
+plus geometric means (Figs. 12, 14, 15); the sweeps that fill it run
+through :class:`repro.system.runner.Session`.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from repro.system.config import SystemConfig
 from repro.system.machine import MachineResult
 from repro.workloads.base import Workload
 
-__all__ = ["SpeedupTable", "run_suite", "frequency_sweep", "core_sweep"]
+__all__ = ["SpeedupTable", "frequency_sweep", "core_sweep"]
 
 
 @dataclass
@@ -78,34 +77,6 @@ class SpeedupTable(Record):
         return rows
 
 
-def run_suite(
-    workloads: list[Workload],
-    systems: list[SystemConfig] | None = None,
-    profile_seed: int = 0,
-    eval_seed: int = 1,
-    cache_dir: str | None = None,
-    **machine_kwargs,
-) -> SpeedupTable:
-    """Run every workload under every system; speedups vs ``BS+DM``.
-
-    A thin wrapper over :class:`repro.system.runner.ExperimentRunner`:
-    pass ``cache_dir`` to memoise stage outputs on disk.  Any failing
-    cell raises (use the runner directly for per-cell error capture
-    and the structured stage metrics).
-    """
-    from repro.system.runner import ExperimentRunner
-
-    runner = ExperimentRunner(cache_dir=cache_dir)
-    suite = runner.run_suite(
-        workloads,
-        systems=systems,
-        profile_seed=profile_seed,
-        eval_seed=eval_seed,
-        **machine_kwargs,
-    )
-    return suite.raise_errors().table
-
-
 def frequency_sweep(
     workloads: list[Workload],
     system: SystemConfig,
@@ -115,18 +86,20 @@ def frequency_sweep(
 ) -> dict[float, float]:
     """Fig. 14: geomean speedup as the HBM slows down.
 
-    ``cache_dir`` passes through to :func:`run_suite`, so the per-scale
-    sweeps share one stage cache.
+    ``machine_kwargs`` (``cache_dir`` included) go to one
+    :class:`~repro.system.runner.Session` per scale, so the per-scale
+    sweeps can share one on-disk stage cache.
     """
     from repro.hbm.config import hbm2_config
+    from repro.system.runner import Session
 
     out: dict[float, float] = {}
     for scale in scales:
         hbm = hbm2_config().scaled(scale)
-        table = run_suite(
-            workloads, systems=[baseline, system], hbm=hbm, **machine_kwargs
+        suite = Session(hbm=hbm, **machine_kwargs).sweep(
+            workloads, [baseline, system]
         )
-        out[scale] = table.geomean(system.label)
+        out[scale] = suite.raise_errors().table.geomean(system.label)
     return out
 
 
@@ -139,13 +112,16 @@ def core_sweep(
 ) -> dict[int, float]:
     """Fig. 14 companion: geomean speedup vs core count.
 
-    ``cache_dir`` passes through to :func:`run_suite`, so the per-count
-    sweeps share one stage cache.
+    ``machine_kwargs`` (``cache_dir`` included) go to one
+    :class:`~repro.system.runner.Session` per count, so the per-count
+    sweeps can share one on-disk stage cache.
     """
+    from repro.system.runner import Session
+
     out: dict[int, float] = {}
     for cores in core_counts:
-        table = run_suite(
-            workloads, systems=[baseline, system], cores=cores, **machine_kwargs
+        suite = Session(cores=cores, **machine_kwargs).sweep(
+            workloads, [baseline, system]
         )
-        out[cores] = table.geomean(system.label)
+        out[cores] = suite.raise_errors().table.geomean(system.label)
     return out

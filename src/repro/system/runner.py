@@ -1,9 +1,12 @@
-"""Cached experiment execution engine.
+"""Cached sweeps: the one way to run (workloads x systems).
 
-:class:`ExperimentRunner` runs a (workloads x systems) sweep as one
-workload-major loop over its cells, in-process.  A cell's result is a
-small chain of stages, each a call on a
-:class:`~repro.system.machine.Machine` built from the caller's keyword
+:class:`Session` runs a sweep as one workload-major loop over its
+cells, in-process; :meth:`Session.run` is the one-cell sweep and
+:meth:`Session.compare` a loop over it.  Every sweep follows the
+paper's method (§7.3): profile with one input, evaluate with another,
+and select ``BS+BSM``'s global mapping from the suite mix.  A cell's
+result is a small chain of stages, each a call on a
+:class:`~repro.system.machine.Machine` built from the session's keyword
 arguments:
 
 .. code-block:: text
@@ -11,7 +14,7 @@ arguments:
     workload ──> profile ──┬──> selection ──> run ──> result
                            └──> suite mix ─────┘
 
-Every stage output comes from one memoised lookup: the runner's
+Every stage output comes from one memoised lookup: the session's
 in-memory memo, then the on-disk
 :class:`~repro.system.tracefile.StageStore`, else it is computed and
 published to both.  A cell whose result is cached touches no other
@@ -41,9 +44,9 @@ from pathlib import Path
 
 from repro.core.keys import stable_hash
 from repro.errors import ConfigError
-from repro.ledger import SUM, Ledger, Record, key
+from repro.ledger import PROVENANCE, SUM, Ledger, Record, key
 from repro.profiling.profiler import WorkloadProfile
-from repro.system.config import SystemConfig, standard_systems
+from repro.system.config import SystemConfig, standard_systems, system_by_key
 from repro.system.experiment import SpeedupTable
 from repro.system.machine import Machine, MachineResult
 from repro.system.stages import build_mix_profile
@@ -52,7 +55,7 @@ from repro.workloads.base import Workload
 
 __all__ = [
     "CellError",
-    "ExperimentRunner",
+    "Session",
     "StageMetrics",
     "SuiteResult",
 ]
@@ -83,12 +86,19 @@ class CellError(Record):
 
 @dataclass
 class SuiteResult(Record):
-    """A sweep's results plus per-stage structured metrics."""
+    """A sweep's results plus per-stage structured metrics.
+
+    The metrics and wall time say how the sweep ran (cache hits and
+    misses, seconds), not what it computed, so a cold and a warm sweep
+    of the same cells have one :meth:`fingerprint`.
+    """
 
     table: SpeedupTable
     errors: list[CellError] = field(default_factory=list)
-    metrics: dict[str, StageMetrics] = field(default_factory=dict)
-    wall_seconds: float = 0.0
+    metrics: dict[str, StageMetrics] = field(
+        default_factory=dict, metadata=PROVENANCE
+    )
+    wall_seconds: float = field(default=0.0, metadata=PROVENANCE)
 
     @property
     def cache_hits(self) -> int:
@@ -167,6 +177,10 @@ def _stage_key(stage: str, args: dict, *parts, drop=()) -> str:
 # The engine
 # ---------------------------------------------------------------------------
 
+def _resolve(system: SystemConfig | str) -> SystemConfig:
+    return system if isinstance(system, SystemConfig) else system_by_key(system)
+
+
 def _describe(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
@@ -192,19 +206,35 @@ def _unless_failed(outcome):
     return outcome
 
 
-class ExperimentRunner:
-    """Caches and runs (workload x system) sweeps, in-process.
+class Session:
+    """Runs cached (workload x system) sweeps, in-process.
 
-    ``cache_dir`` persists stage outputs across runners and processes.
+    Parameters
+    ----------
+    cache_dir:
+        Directory that persists stage outputs across sessions and
+        processes; ``None`` (the default) keeps them in memory, for the
+        session's lifetime.
+    machine_kwargs:
+        ``Machine``'s keyword arguments (``hbm``, ``engine``,
+        ``backend``, ``backend_options``, ``dl_config``, ...), for every
+        cell; each one is part of every stage key.  A name ``Machine``
+        does not take, or a value it rejects, raises
+        :class:`~repro.errors.ConfigError` here.
     """
 
-    def __init__(self, cache_dir: str | None = None):
+    def __init__(self, cache_dir: str | None = None, **machine_kwargs):
+        Machine(**_machine_args(system_by_key("bs_dm"), machine_kwargs))
+        self.machine_kwargs = machine_kwargs
         self.cache_dir = str(cache_dir) if cache_dir else None
         self.store = StageStore(self.cache_dir) if self.cache_dir else None
-        # kind -> key -> stage output, for the runner's lifetime.
+        # kind -> key -> stage output, for the session's lifetime.
         self._memo: dict[str, dict] = {
             kind: {} for kind in ("profile", "selection", "result")
         }
+
+    def __repr__(self) -> str:
+        return f"Session(cache_dir={self.cache_dir!r})"
 
     # -- cached stage outputs ------------------------------------------------
     def _lookup(self, kind: str, key: str):
@@ -234,28 +264,29 @@ class ExperimentRunner:
         return value
 
     # -- the sweep -----------------------------------------------------------
-    def run_suite(
+    def sweep(
         self,
         workloads: list[Workload],
-        systems: list[SystemConfig] | None = None,
+        systems: list[SystemConfig | str] | None = None,
+        *,
         profile_seed: int = 0,
         eval_seed: int = 1,
-        **machine_kwargs,
+        backend: str | None = None,
     ) -> SuiteResult:
         """Run every workload under every system, cached.
 
-        ``machine_kwargs`` are ``Machine``'s keyword arguments; a bad
-        one raises :class:`~repro.errors.ConfigError` before any stage
-        runs.  Speedups are reported against the first system in
-        ``systems`` (``BS+DM`` in the standard set), matching
-        :func:`repro.system.experiment.run_suite`.
+        ``backend`` overrides the session's timing backend for this
+        call; a bad one raises :class:`~repro.errors.ConfigError` before
+        any stage runs.  Speedups are reported against the first system
+        in ``systems`` (``BS+DM`` in the standard set).  A stage that
+        raises becomes a :class:`CellError` on every cell that needs
+        it; :meth:`SuiteResult.raise_errors` turns those into an
+        exception.
         """
         sweep_start = time.perf_counter()
-        systems = systems or standard_systems()
+        systems = [_resolve(s) for s in systems or standard_systems()]
         if not workloads:
             raise ConfigError("no workloads given")
-        if not systems:
-            raise ConfigError("no systems given")
         names: set[str] = set()
         for workload in workloads:
             if workload.name in names:
@@ -264,8 +295,11 @@ class ExperimentRunner:
                     "the mix and the result table are keyed by workload name"
                 )
             names.add(workload.name)
+        machine_kwargs = dict(self.machine_kwargs)
+        if backend is not None:
+            machine_kwargs["backend"] = backend
         system_args = [_machine_args(s, machine_kwargs) for s in systems]
-        Machine(**system_args[0])  # checks every platform and backend option
+        Machine(**system_args[0])  # checks the per-call backend
         metrics = {stage: StageMetrics(stage) for stage in STAGES}
         profile_keys = {
             workload.name: _stage_key(
@@ -407,27 +441,28 @@ class ExperimentRunner:
             wall_seconds=time.perf_counter() - sweep_start,
         )
 
-    # -- single cells --------------------------------------------------------
-    def run_one(
+    def run(
         self,
         workload: Workload,
-        system: SystemConfig,
+        system: SystemConfig | str = "sdm_bsm",
+        *,
         profile_seed: int = 0,
         eval_seed: int = 1,
-        **machine_kwargs,
+        backend: str | None = None,
     ) -> MachineResult:
         """One (workload, system) cell, cached; raises on failure.
 
-        The one-cell case of :meth:`run_suite`: a ``BS+BSM`` cell's
-        suite mix is then the workload's own profile, exactly what
-        ``Machine.run`` uses without a suite context.
+        The one-cell :meth:`sweep`: a ``BS+BSM`` cell's suite mix is
+        then the workload's own profile, exactly what ``Machine.run``
+        uses without a suite context.
         """
-        suite = self.run_suite(
+        system = _resolve(system)
+        suite = self.sweep(
             [workload],
             [system],
             profile_seed=profile_seed,
             eval_seed=eval_seed,
-            **machine_kwargs,
+            backend=backend,
         )
         if suite.errors:
             error = suite.errors[0]
@@ -436,3 +471,30 @@ class ExperimentRunner:
                 f"{error.stage}: {error.message}"
             )
         return suite.table.results[workload.name][system.label]
+
+    def compare(
+        self,
+        workload: Workload,
+        systems: tuple[SystemConfig | str, ...] = (
+            "bs_dm",
+            "bs_hm",
+            "sdm_bsm",
+            "sdm_bsm_ml4",
+        ),
+        *,
+        profile_seed: int = 0,
+        eval_seed: int = 1,
+        backend: str | None = None,
+    ) -> dict[str, MachineResult]:
+        """One workload under several systems, keyed by the *caller's*
+        system key (so duplicate labels cannot collide)."""
+        return {
+            system if isinstance(system, str) else system.key: self.run(
+                workload,
+                system,
+                profile_seed=profile_seed,
+                eval_seed=eval_seed,
+                backend=backend,
+            )
+            for system in systems
+        }

@@ -1,4 +1,4 @@
-"""Closed-form timing laws of the event tier.
+"""Closed-form timing laws of the event tier (and one of the fast tier).
 
 Each law follows from the device DESIGN §3 describes and the timings
 :class:`~repro.hbm.config.HBMConfig` declares: a row miss holds its
@@ -24,6 +24,7 @@ import pytest
 
 from repro.hbm.config import HBMConfig, hbm2_config
 from repro.hbm.device import HBMDevice
+from repro.hbm.fastmodel import WindowModel
 
 CONFIGS = [
     hbm2_config(banks_per_channel=banks, t_row_miss_ns=t_miss).scaled(scale)
@@ -82,6 +83,31 @@ def test_one_row_costs_one_miss_then_bursts(config):
         assert stats.row_hits == n - 1, run
         assert stats.row_misses == 1, run
         assert stats.makespan_ns == t_miss + (n - 1) * t_burst, run
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=config_id)
+def test_fast_tier_reopens_one_row_at_every_batch(config):
+    """The ``fast`` tier on the stream of the law above: n requests to
+    one (channel, bank, row).  It decides row hits per batch of
+    ``reorder_window`` requests and closes the row at every batch
+    boundary, so each of the m = ⌈n / window⌉ batches opens it again:
+    m misses and ``m·t_miss + (n − m)·t_burst``, where the event tier
+    has one miss.  This pins the deviation (on ``hbm2_config()`` at
+    window 8, n = 80 costs 1,150 ns here and 835 ns on the event tier),
+    so a change to the batch rule shows."""
+    t_burst = config.effective_t_burst_ns
+    t_miss = config.effective_t_row_miss_ns
+    for inflight, window, n in RUNS:
+        ha = addresses(
+            config, 5, config.banks_per_channel - 1, 77, columns(config, n, n)
+        )
+        model = WindowModel(config, max_inflight=inflight, reorder_window=window)
+        stats = model.simulate(ha)
+        m = -(-n // window)
+        run = f"inflight={inflight} window={window} n={n}"
+        assert stats.requests == n, run
+        assert stats.row_misses == m, run
+        assert stats.makespan_ns == m * t_miss + (n - m) * t_burst, run
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=config_id)

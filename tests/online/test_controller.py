@@ -229,7 +229,7 @@ def test_recovers_after_transient_fault(hbm, geometry):
     assert controller.mapping_id != 0
 
 
-def test_to_dict_and_summary(hbm, geometry):
+def test_summary(hbm, geometry):
     workload = PhaseShiftWorkload(
         buffer_bytes=2 * 1024 * 1024,
         accesses_per_phase=WINDOW * 4,
@@ -238,8 +238,4 @@ def test_to_dict_and_summary(hbm, geometry):
     kernel, pa = build_stack(workload, geometry)
     controller = AdaptiveController(kernel, mapping_id=0, hbm=hbm)
     feed(controller, pa)
-    import json
-
-    snapshot = json.loads(json.dumps(controller.to_dict()))
-    assert snapshot["remaps"] == 0
-    assert "windows" in controller.summary()
+    assert "windows, 0 remaps" in controller.summary()

@@ -130,13 +130,3 @@ class TestVariableActivity:
             activity.update(
                 np.zeros(4, dtype=np.uint64), np.zeros(3, dtype=np.int64)
             )
-
-    def test_to_dict_round_trips_json(self):
-        import json
-
-        activity = VariableActivity()
-        activity.update(
-            np.arange(16, dtype=np.uint64) * np.uint64(64),
-            np.zeros(16, dtype=np.int64),
-        )
-        assert json.loads(json.dumps(activity.to_dict()))

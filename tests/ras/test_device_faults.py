@@ -86,12 +86,6 @@ class TestPlan:
         assert len(plan.pop_due(1000)) == 1
         assert plan.pending == 0
 
-    def test_dict_round_trip_rearms(self):
-        plan = DeviceFaultPlan(self.specs())
-        plan.pop_due(10_000)
-        rebuilt = DeviceFaultPlan.from_dict(plan.to_dict())
-        assert rebuilt.pending == 2
-
     def test_seeded_is_deterministic(self):
         config = small_ras_config()
         geometry = ChunkGeometry(total_bytes=config.total_bytes)

@@ -4,9 +4,10 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.system.config import system_by_key
-from repro.system.experiment import SpeedupTable, run_suite
+from repro.system.experiment import SpeedupTable
 from repro.system.machine import MachineResult
 from repro.system.reporting import format_series, format_table
+from repro.system.runner import Session
 from repro.workloads.synthetic import MixedStrideWorkload
 
 
@@ -67,12 +68,12 @@ class TestRunSuite:
     def test_small_suite(self):
         workloads = [MixedStrideWorkload(strides=(1, 16), accesses_per_stride=1500)]
         systems = [system_by_key("bs_dm"), system_by_key("bs_hm")]
-        table = run_suite(workloads, systems=systems)
+        table = Session().sweep(workloads, systems).raise_errors().table
         assert table.speedup(workloads[0].name, "BS+HM") > 1.0
 
     def test_no_workloads(self):
         with pytest.raises(ConfigError):
-            run_suite([], systems=[system_by_key("bs_dm")])
+            Session().sweep([], [system_by_key("bs_dm")])
 
 
 class TestReporting:

@@ -24,6 +24,7 @@ from repro.hbm.decode import decode_trace, decode_translated
 from repro.profiling.bfrv import bit_flip_rate_vector
 from repro.system import machine as machine_module
 from repro.system.config import standard_systems
+from repro.system.machine import Machine
 from tests.system.translate_oracle import (
     _make_reference_translate,
     _reference_decode,
@@ -171,9 +172,9 @@ class TestMachineEquivalence:
             strides=(1, 16), accesses_per_stride=2048
         )
         kwargs = {"dl_config": api.QUICK_DL_CONFIG}
-        fused = api.Machine(spec, **kwargs).run(workload)
+        fused = Machine(spec, **kwargs).run(workload)
         monkeypatch.setattr(
             machine_module, "decode_translated", _two_step_decode
         )
-        legacy = api.Machine(spec, **kwargs).run(workload)
+        legacy = Machine(spec, **kwargs).run(workload)
         assert fused.fingerprint() == legacy.fingerprint()

@@ -1,4 +1,4 @@
-"""Tests for the cached experiment engine.
+"""Tests for the cached sweep engine, :class:`Session`.
 
 The contract under test: cached and fresh execution of the same sweep
 are interchangeable — a warm cache serves every cell without
@@ -14,8 +14,8 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.system import (
-    ExperimentRunner,
     MachineResult,
+    Session,
     SuiteResult,
     system_by_key,
 )
@@ -53,18 +53,14 @@ class ExplodingWorkload(StridedCopyWorkload):
 class TestCaching:
     def test_warm_cache_serves_every_cell_bit_identically(self, tmp_path):
         workloads, systems = small_workloads(), small_systems()
-        first = ExperimentRunner(cache_dir=tmp_path).run_suite(
-            workloads, systems=systems
-        )
+        first = Session(tmp_path).sweep(workloads, systems)
         assert not first.errors
         assert first.metrics["evaluate"].cache_misses == len(workloads) * len(
             systems
         )
 
-        # A fresh runner on the same cache: zero recomputation.
-        second = ExperimentRunner(cache_dir=tmp_path).run_suite(
-            workloads, systems=systems
-        )
+        # A fresh session on the same cache: zero recomputation.
+        second = Session(tmp_path).sweep(workloads, systems)
         assert not second.errors
         assert second.cache_misses == 0
         assert second.metrics["evaluate"].cache_hits == len(workloads) * len(
@@ -75,9 +71,7 @@ class TestCaching:
 
     def test_edited_or_unsigned_result_is_recomputed(self, tmp_path):
         workloads, systems = small_workloads(), small_systems()
-        first = ExperimentRunner(cache_dir=tmp_path).run_suite(
-            workloads, systems=systems
-        )
+        first = Session(tmp_path).sweep(workloads, systems)
         edited, unsigned = sorted((tmp_path / "result").glob("*.json"))[:2]
         # One changed digit in a number: still valid JSON, wrong value.
         text = edited.read_text()
@@ -89,33 +83,39 @@ class TestCaching:
         assert json.loads(edited.read_text()) != json.loads(text)
         unsigned.with_name(unsigned.name + ".sha256").unlink()
 
-        second = ExperimentRunner(cache_dir=tmp_path).run_suite(
-            workloads, systems=systems
-        )
+        second = Session(tmp_path).sweep(workloads, systems)
         assert not second.errors
         assert second.metrics["evaluate"].cache_misses == 2
         assert second.table.fingerprint() == first.table.fingerprint()
         # Both entries were republished with valid sidecars.
-        third = ExperimentRunner(cache_dir=tmp_path).run_suite(
-            workloads, systems=systems
-        )
+        third = Session(tmp_path).sweep(workloads, systems)
         assert third.metrics["evaluate"].cache_misses == 0
         assert third.table.fingerprint() == first.table.fingerprint()
+
+    def test_cold_and_warm_sweeps_share_one_fingerprint(self, tmp_path):
+        # Hits, misses and seconds say how a sweep ran, not what it
+        # computed.
+        workloads, systems = small_workloads(), small_systems()
+        cold = Session(tmp_path).sweep(workloads, systems)
+        warm = Session(tmp_path).sweep(workloads, systems)
+        assert warm.cache_misses == 0 < cold.cache_misses
+        assert warm.to_dict()["metrics"] != cold.to_dict()["metrics"]
+        assert warm.fingerprint() == cold.fingerprint()
 
     def test_run_one_round_trips_through_the_disk_cache(self, tmp_path):
         workload = small_workloads()[0]
         system = system_by_key("sdm_bsm")
-        first = ExperimentRunner(cache_dir=tmp_path).run_one(workload, system)
-        second = ExperimentRunner(cache_dir=tmp_path).run_one(workload, system)
+        first = Session(tmp_path).run(workload, system)
+        second = Session(tmp_path).run(workload, system)
         assert second.to_dict() == first.to_dict()
 
     def test_memory_only_runner_keeps_a_fresh_selection(self):
         # The selection does not depend on the timing backend, so a
         # second sweep on another backend reuses the first one's.
         workload, system = small_workloads()[0], system_by_key("sdm_bsm")
-        runner = ExperimentRunner(cache_dir=None)
-        event = runner.run_suite([workload], [system], backend="event")
-        fast = runner.run_suite([workload], [system], backend="fast")
+        session = Session()
+        event = session.sweep([workload], [system], backend="event")
+        fast = session.sweep([workload], [system], backend="fast")
         assert not event.errors and not fast.errors
         assert event.metrics["selection"].cache_misses == 1
         selection = fast.metrics["selection"]
@@ -123,7 +123,7 @@ class TestCaching:
         # With the selection in hand, the profile is not even looked up.
         profile = fast.metrics["profile"]
         assert (profile.cache_hits, profile.cache_misses) == (0, 0)
-        cold = ExperimentRunner().run_suite(
+        cold = Session().sweep(
             [workload], [system], backend="fast"
         )
         assert fast.table.fingerprint() == cold.table.fingerprint()
@@ -131,16 +131,16 @@ class TestCaching:
     def test_different_seed_is_a_different_cell(self, tmp_path):
         workload = small_workloads()[0]
         system = system_by_key("bs_dm")
-        runner = ExperimentRunner(cache_dir=tmp_path)
-        a = runner.run_one(workload, system, eval_seed=1)
-        b = runner.run_one(workload, system, eval_seed=2)
+        session = Session(tmp_path)
+        a = session.run(workload, system, eval_seed=1)
+        b = session.run(workload, system, eval_seed=2)
         assert a.fingerprint() != b.fingerprint()
 
 
 class TestOrder:
     def test_results_arrive_in_workload_major_order(self):
         workloads, systems = small_workloads(), small_systems()
-        suite = ExperimentRunner().run_suite(workloads, systems=systems)
+        suite = Session().sweep(workloads, systems=systems)
         assert suite.table.workloads() == [w.name for w in workloads]
         assert suite.table.systems() == [s.label for s in systems]
 
@@ -150,7 +150,7 @@ class TestFailureIsolation:
         good = small_workloads()[0]
         bad = ExplodingWorkload(stride_lines=4, accesses_per_thread=600)
         systems = [system_by_key("bs_dm"), system_by_key("bs_hm")]
-        suite = ExperimentRunner().run_suite([good, bad], systems=systems)
+        suite = Session().sweep([good, bad], systems=systems)
         assert suite.table.workloads() == [good.name]
         assert len(suite.errors) == len(systems)
         for error in suite.errors:
@@ -163,7 +163,7 @@ class TestFailureIsolation:
     def test_failing_profile_fails_only_the_cells_that_need_it(self):
         good = small_workloads()[0]
         bad = ExplodingWorkload(stride_lines=4, accesses_per_thread=600)
-        suite = ExperimentRunner().run_suite(
+        suite = Session().sweep(
             [good, bad], systems=small_systems()
         )
         # SDAM cells need their own profile; every BS+BSM cell needs the
@@ -175,7 +175,7 @@ class TestFailureIsolation:
             ("exploding", "sdm_bsm", "profile"),
         ]
         assert all("boom" in error.message for error in suite.errors)
-        alone = ExperimentRunner().run_suite(
+        alone = Session().sweep(
             [good], systems=[system_by_key("bs_dm"), system_by_key("sdm_bsm")]
         )
         assert suite.table.fingerprint() == alone.table.fingerprint()
@@ -188,7 +188,7 @@ class TestFailureIsolation:
         long = MixedStrideWorkload((1, 16), accesses_per_stride=1200)
         assert short.name == long.name
         with pytest.raises(ConfigError, match=re.escape(repr(short.name))):
-            ExperimentRunner().run_suite(
+            Session().sweep(
                 [short, long],
                 [system_by_key("bs_dm"), system_by_key("sdm_bsm")],
             )
@@ -196,25 +196,23 @@ class TestFailureIsolation:
     def test_run_one_raises_on_failure(self):
         bad = ExplodingWorkload(stride_lines=4, accesses_per_thread=600)
         with pytest.raises(ConfigError, match="boom"):
-            ExperimentRunner().run_one(bad, system_by_key("bs_dm"))
+            Session().run(bad, system_by_key("bs_dm"))
 
     @pytest.mark.parametrize("key", ["bs_bsm", "sdm_bsm"])
     def test_run_one_names_a_failing_profile_stage(self, key):
-        from repro.api import Session
-
         bad = ExplodingWorkload(stride_lines=4, accesses_per_thread=600)
         expected = f"exploding on {key} failed in profile: RuntimeError: boom"
         with pytest.raises(ConfigError, match=expected):
-            ExperimentRunner().run_one(bad, system_by_key(key))
+            Session().run(bad, system_by_key(key))
         with pytest.raises(ConfigError, match=expected):
-            Session(cache_dir=None).run(bad, key)
+            Session().run(bad, key)
 
 
 class TestSerialization:
     def test_suite_result_round_trips_through_json(self):
         workloads = [small_workloads()[0]]
         systems = [system_by_key("bs_dm"), system_by_key("sdm_bsm")]
-        suite = ExperimentRunner().run_suite(workloads, systems=systems)
+        suite = Session().sweep(workloads, systems=systems)
         rebuilt = SuiteResult.from_dict(json.loads(suite.to_json()))
         assert rebuilt.to_dict() == suite.to_dict()
         assert rebuilt.table.geomean("SDM+BSM") == suite.table.geomean(
@@ -223,7 +221,7 @@ class TestSerialization:
 
     def test_machine_result_round_trips(self):
         workload = small_workloads()[0]
-        result = ExperimentRunner().run_one(workload, system_by_key("sdm_bsm"))
+        result = Session().run(workload, system_by_key("sdm_bsm"))
         rebuilt = MachineResult.from_dict(json.loads(result.to_json()))
         assert rebuilt.to_dict() == result.to_dict()
         assert rebuilt.selection.num_mappings == result.selection.num_mappings

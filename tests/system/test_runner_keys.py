@@ -5,24 +5,17 @@ The runner binds its keyword arguments against ``Machine``'s own
 signature, so an argument such as ``backend_options`` reaches every
 cell and every stage key without the runner listing it; and every key
 carries a digest of the package sources, so an entry written by other
-code is never read.  ``run_one`` is the one-cell ``run_suite``, so a
-lone ``BS+BSM`` cell must equal ``Machine.run``'s own-profile mix.
+code is never read.  ``Session.run`` is the one-cell ``Session.sweep``,
+so a lone ``BS+BSM`` cell must equal ``Machine.run``'s own-profile mix.
 """
 
 import numpy as np
 import pytest
 
 import repro.system.runner as runner
-from repro.api import Session
 from repro.errors import ConfigError
 from repro.hbm.config import hbm2_config
-from repro.system import (
-    ExperimentRunner,
-    Machine,
-    frequency_sweep,
-    run_suite,
-    system_by_key,
-)
+from repro.system import Machine, Session, frequency_sweep, system_by_key
 from repro.workloads import BFSWorkload, MixedStrideWorkload, spec2006_workload
 
 TIERED = dict(
@@ -49,28 +42,18 @@ def table_fingerprints(table):
 
 class TestBackendOptionsReachEveryCell:
     def test_session_run(self):
-        session = Session(cache_dir=None, **TIERED)
+        session = Session(**TIERED)
         for key in SYSTEMS:
             result = session.run(workload(), key)
             assert result.tier_traffic is not None
             assert result.fingerprint() == expected(key)
 
     def test_session_sweep(self):
-        suite = Session(cache_dir=None, **TIERED).sweep(
+        suite = Session(**TIERED).sweep(
             [workload()], list(SYSTEMS)
         )
         assert not suite.errors
         assert table_fingerprints(suite.table) == {
-            system_by_key(key).label: expected(key) for key in SYSTEMS
-        }
-
-    def test_run_suite(self):
-        table = run_suite(
-            [workload()],
-            systems=[system_by_key(key) for key in SYSTEMS],
-            **TIERED,
-        )
-        assert table_fingerprints(table) == {
             system_by_key(key).label: expected(key) for key in SYSTEMS
         }
 
@@ -93,14 +76,11 @@ class TestBackendOptionsReachEveryCell:
             assert out[scale] == float(np.exp(np.mean(np.log([speedup]))))
 
     def test_backend_options_key_the_result(self):
-        sweeps = ExperimentRunner()
-        small = sweeps.run_one(workload(), system_by_key("bs_dm"), **TIERED)
-        large = sweeps.run_one(
-            workload(),
-            system_by_key("bs_dm"),
+        small = Session(**TIERED).run(workload(), "bs_dm")
+        large = Session(
             backend="tiered",
             backend_options={"policy": "smart", "fast_pages": 4096},
-        )
+        ).run(workload(), "bs_dm")
         assert small.tier_traffic != large.tier_traffic
 
 
@@ -116,7 +96,7 @@ class TestBackendOptionsReachEveryCell:
 )
 def test_one_cell_suite_mix_is_the_own_profile(make, engine):
     bs_bsm = system_by_key("bs_bsm")
-    cell = ExperimentRunner().run_one(make(), bs_bsm, engine=engine)
+    cell = Session(engine=engine).run(make(), bs_bsm)
     own = Machine(bs_bsm, engine=engine).run(make())
     assert cell.fingerprint() == own.fingerprint()
 
@@ -138,11 +118,16 @@ class TestBadArgumentsFailBeforeProfiling:
             Machine, "profile", lambda self, *a, **k: profiled.append(a)
         )
         with pytest.raises(ConfigError):
-            run_suite(
-                [workload()],
-                systems=[system_by_key("bs_dm"), system_by_key("sdm_bsm")],
-                **machine_kwargs,
-            )
+            Session(**machine_kwargs).sweep([workload()], ["bs_dm", "sdm_bsm"])
+        assert profiled == []
+
+    def test_per_call_backend_is_checked_before_profiling(self, monkeypatch):
+        profiled = []
+        monkeypatch.setattr(
+            Machine, "profile", lambda self, *a, **k: profiled.append(a)
+        )
+        with pytest.raises(ConfigError, match="bogus"):
+            Session().sweep([workload()], ["sdm_bsm"], backend="bogus")
         assert profiled == []
 
 
@@ -156,18 +141,12 @@ class TestSourceDigest:
         self, tmp_path, monkeypatch
     ):
         systems = [system_by_key(key) for key in SYSTEMS]
-        cold = ExperimentRunner(cache_dir=tmp_path).run_suite(
-            [workload()], systems=systems
-        )
-        warm = ExperimentRunner(cache_dir=tmp_path).run_suite(
-            [workload()], systems=systems
-        )
+        cold = Session(tmp_path).sweep([workload()], systems)
+        warm = Session(tmp_path).sweep([workload()], systems)
         assert warm.cache_misses == 0
 
         monkeypatch.setattr(runner, "source_digest", lambda: "0" * 64)
-        other = ExperimentRunner(cache_dir=tmp_path).run_suite(
-            [workload()], systems=systems
-        )
+        other = Session(tmp_path).sweep([workload()], systems)
         assert other.cache_hits == 0
         assert other.metrics["evaluate"].cache_misses == len(systems)
         assert other.metrics["profile"].cache_misses == 1

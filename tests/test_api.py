@@ -1,7 +1,8 @@
-"""Tests for the convenience API surface (Session and re-exports)."""
+"""Tests for the curated surface (``repro``, Session, the helpers)."""
 
 import ast
 import importlib
+import json
 import pkgutil
 import subprocess
 import sys
@@ -11,8 +12,9 @@ import pytest
 
 import repro
 from repro import api
+from repro.__main__ import main
 from repro.errors import ConfigError
-from repro.system import MachineResult, SuiteResult, system_by_key
+from repro.system import MachineResult, Session, SuiteResult, system_by_key
 
 
 def tiny_workload():
@@ -21,23 +23,27 @@ def tiny_workload():
 
 class TestSession:
     def test_exported_from_top_level(self):
-        assert repro.Session is api.Session
+        assert repro.Session is Session
         assert "Session" in repro.__all__
+        assert "run_suite" not in repro.__all__
+        assert "ExperimentRunner" not in repro.__all__
 
-    def test_default_cache_dir_honours_env(self, monkeypatch, tmp_path):
+    def test_default_cache_is_memory_only(self, monkeypatch, tmp_path):
+        # No environment variable moves the cache; only ``cache_dir``.
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "stages"))
-        session = api.Session()
-        assert session.cache_dir == str(tmp_path / "stages")
+        session = Session()
+        assert session.cache_dir is None
+        assert session.store is None
 
     def test_none_disables_the_disk_cache(self):
-        session = api.Session(cache_dir=None)
+        session = Session(cache_dir=None)
         assert session.cache_dir is None
-        assert session.runner.store is None
+        assert session.store is None
 
     @pytest.mark.parametrize("name", ["workers", "bogus"])
     def test_unknown_machine_argument_fails_at_construction(self, name):
         with pytest.raises(ConfigError, match=name):
-            api.Session(cache_dir=None, **{name: 1})
+            Session(**{name: 1})
 
     @pytest.mark.parametrize(
         "kwargs, match",
@@ -52,10 +58,10 @@ class TestSession:
     )
     def test_bad_machine_value_fails_at_construction(self, kwargs, match):
         with pytest.raises(ConfigError, match=match):
-            api.Session(cache_dir=None, **kwargs)
+            Session(**kwargs)
 
     def test_run_persists_stages(self, tmp_path):
-        session = api.Session(cache_dir=tmp_path)
+        session = Session(cache_dir=tmp_path)
         result = session.run(tiny_workload(), "sdm_bsm")
         assert isinstance(result, MachineResult)
         assert result.system == "SDM+BSM"
@@ -63,14 +69,14 @@ class TestSession:
         assert list((tmp_path / "profile").iterdir())
 
     def test_compare_keys_by_callers_key(self):
-        session = api.Session(cache_dir=None)
+        session = Session()
         config = system_by_key("sdm_bsm_ml4")
         results = session.compare(tiny_workload(), systems=("bs_dm", config))
         assert set(results) == {"bs_dm", "sdm_bsm_ml4"}
         assert results["sdm_bsm_ml4"].time_ns < results["bs_dm"].time_ns
 
     def test_sweep_returns_suite_result(self):
-        session = api.Session(cache_dir=None)
+        session = Session()
         suite = session.sweep(
             [tiny_workload()], systems=["bs_dm", "sdm_bsm"]
         )
@@ -92,8 +98,6 @@ class TestOnlineExports:
             "select_application_mapping",
         ):
             assert name in repro.__all__
-            assert name in api.__all__
-            assert getattr(repro, name) is getattr(api, name)
         assert repro.AdaptiveController is AdaptiveController
         assert repro.run_adaptive_campaign is run_adaptive_campaign
 
@@ -104,6 +108,17 @@ class TestOnlineExports:
         assert core.select_application_mapping is select_application_mapping
         assert "MappingSelection" in core.__all__
 
+    def test_api_holds_only_the_workload_helpers(self):
+        assert sorted(api.__all__) == [
+            "QUICK_DL_CONFIG",
+            "evaluation_workloads",
+            "mixed_stride_workload",
+            "strided_workload",
+        ]
+        for name in ("evaluation_workloads", "mixed_stride_workload",
+                     "strided_workload"):
+            assert getattr(repro, name) is getattr(api, name)
+
     def test_all_names_resolve(self):
         for name in repro.__all__:
             assert getattr(repro, name) is not None
@@ -111,7 +126,7 @@ class TestOnlineExports:
             assert getattr(api, name) is not None
 
     def test_run_adaptive_campaign(self):
-        result = api.run_adaptive_campaign(seed=0, quick=True)
+        result = repro.run_adaptive_campaign(seed=0, quick=True)
         assert result.stationary_remaps == 0
         assert result.speedup > 1.0
 
@@ -127,9 +142,12 @@ class TestBuilders:
 
 
 class TestFullEvaluation:
-    def test_quick_sweep_produces_table(self):
-        session = api.Session(cache_dir=None)
-        table = session.full_evaluation(quick=True).raise_errors().table
+    """``repro suite``: the Fig. 12 sweep, all workloads x all systems."""
+
+    def test_quick_sweep_produces_table(self, capsys):
+        assert main(["suite", "--quick", "--json"]) == 0
+        suite = SuiteResult.from_dict(json.loads(capsys.readouterr().out))
+        table = suite.table
         assert len(table.workloads()) == 4
         assert "BS+DM" in table.systems()
         for system in table.systems():
@@ -140,11 +158,22 @@ class TestFullEvaluation:
             api, "evaluation_workloads", lambda *, quick=True: [tiny_workload()]
         )
         monkeypatch.setattr(
-            api, "standard_systems", lambda: [system_by_key("bs_dm")]
+            repro.system, "standard_systems", lambda: [system_by_key("bs_dm")]
         )
-        session = api.Session(cache_dir=None, cores=2)
-        assert not session.full_evaluation(quick=True).errors
-        assert session.machine_kwargs == {"cores": 2}
+        seen = []
+        sweep = Session.sweep
+
+        def recording_sweep(self, *args, **kwargs):
+            seen.append(dict(self.machine_kwargs))
+            return sweep(self, *args, **kwargs)
+
+        monkeypatch.setattr(Session, "sweep", recording_sweep)
+        assert main(["suite", "--quick"]) == 0
+        assert main(["suite", "--full", "--backend", "event"]) == 0
+        assert seen == [
+            {"dl_config": api.QUICK_DL_CONFIG},
+            {"backend": "event"},
+        ]
 
 
 #: The packages whose exports these checks cover: most load their
@@ -181,9 +210,12 @@ class TestLazyExports:
         for name in module.__all__:
             if name == "__version__":
                 continue
-            homes = _bindings(package, name)
+            value = getattr(module, name)
+            # An export under another name (``run_ras_campaign``) is
+            # found by the name it was defined under.
+            homes = _bindings(package, getattr(value, "__name__", name))
             assert len(homes) == 1, (package, name)
-            assert getattr(module, name) is next(iter(homes.values()))
+            assert value is next(iter(homes.values()))
 
     @pytest.mark.parametrize("package", LAZY_PACKAGES)
     def test_every_name_is_listed_by_dir(self, package):
@@ -209,7 +241,10 @@ class TestLazyExports:
             check=True,
             timeout=120,
         )
-        assert done.stdout.split() == ["repro.online.campaign", "repro.api"]
+        assert done.stdout.split() == [
+            "repro.online.campaign",
+            "repro.system.runner",
+        ]
 
 
 class TestVersion:

@@ -10,7 +10,7 @@ from repro.__main__ import main
 
 def _tiny_suite(monkeypatch):
     """Shrink the suite sweep so CLI tests stay fast."""
-    from repro import api
+    from repro import api, system
     from repro.system import system_by_key
 
     monkeypatch.setattr(
@@ -21,7 +21,7 @@ def _tiny_suite(monkeypatch):
         ],
     )
     monkeypatch.setattr(
-        api,
+        system,
         "standard_systems",
         lambda: [system_by_key("bs_dm"), system_by_key("sdm_bsm")],
     )

@@ -167,7 +167,7 @@ LEGACY_TIER_LOADED = {
     "overhead_ns": 1620.0,
 }
 
-#: The stage-cache entry ``ExperimentRunner(cache_dir=...).run_one`` wrote
+#: The stage-cache entry ``Session(cache_dir=...).run`` wrote
 #: for ``copy-stride4`` (stride 4, 256 accesses per thread) on SDM+BSM.
 CACHED_RESULT = {
     "workload": "copy-stride4",
