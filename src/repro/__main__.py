@@ -156,18 +156,6 @@ def cmd_audit(args) -> int:
     return 0 if report.ok else 1
 
 
-def _check_backend(name: str) -> None:
-    """Raise :class:`ConfigError` unless ``name`` is a memory backend."""
-    from repro.errors import ConfigError
-    from repro.hbm.backend import available_backends
-
-    if name not in available_backends():
-        raise ConfigError(
-            f"unknown memory backend {name!r}; "
-            f"available: {', '.join(available_backends())}"
-        )
-
-
 def cmd_suite(args) -> int:
     """Run a (quick) Fig. 12-style speedup sweep.
 
@@ -181,10 +169,9 @@ def cmd_suite(args) -> int:
 
     quick = not args.full
     machine_kwargs: dict = {"dl_config": api.QUICK_DL_CONFIG} if quick else {}
+    if args.backend:
+        machine_kwargs["backend"] = args.backend
     try:
-        if args.backend:
-            _check_backend(args.backend)
-            machine_kwargs["backend"] = args.backend
         session = Session(cache_dir=args.cache_dir, **machine_kwargs)
     except ConfigError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -348,8 +335,6 @@ def cmd_campaign(args) -> int:
 
     campaign = CAMPAIGNS[args.command]
     try:
-        if campaign.backend:
-            _check_backend(args.backend)
         result = campaign.run(args)
     except ConfigError as error:
         print(f"error: {error}", file=sys.stderr)

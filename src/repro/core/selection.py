@@ -66,7 +66,18 @@ def mapping_for_stride(
 
 @dataclass
 class MappingSelection:
-    """Chosen window permutations and the variable-to-cluster binding."""
+    """Chosen window permutations and the variable-to-cluster binding.
+
+    Clusters are numbered by the first appearance of their members in
+    ``variable_cluster``; clusters without members come last, in their
+    given order.  Every selector fills ``variable_cluster`` in the
+    profile's major order (most references first, ties by variable
+    id), so the numbering, which becomes the registration order and so
+    each mapping's chunk colour, depends only on which variables share
+    a mapping, never on the labels a clusterer happened to draw.
+    Construction renumbers any other labelling, consistently in
+    ``window_perms`` and ``variable_cluster``.
+    """
 
     method: str
     k: int
@@ -74,6 +85,20 @@ class MappingSelection:
     variable_cluster: dict[int, int]  # variable id -> cluster index
     elapsed_seconds: float
     details: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        order = list(dict.fromkeys(self.variable_cluster.values()))
+        seen = set(order)
+        order += [c for c in range(len(self.window_perms)) if c not in seen]
+        if order == list(range(len(order))):
+            return
+        number = {old: new for new, old in enumerate(order)}
+        self.variable_cluster = {
+            variable_id: number[cluster]
+            for variable_id, cluster in self.variable_cluster.items()
+        }
+        if self.window_perms:
+            self.window_perms = [self.window_perms[old] for old in order]
 
     def perm_for_variable(self, variable_id: int) -> np.ndarray | None:
         """The window permutation chosen for a variable, if any."""
@@ -155,6 +180,46 @@ def _cluster_mappings(
     return perms
 
 
+def _select_clusters(
+    method: str,
+    majors: list[VariableProfile],
+    k: int,
+    layout: AddressLayout,
+    geometry: ChunkGeometry,
+    start: float,
+    fit,
+) -> MappingSelection:
+    """Steps 2 and 3 for both clusterers, from the majors' flip rates.
+
+    With no more majors than clusters every major is a cluster of its
+    own, whatever a clusterer would learn, so ``fit(vectors, k)``,
+    which returns one label per major and the clusterer's details,
+    runs only when ``k`` is below the number of majors.
+    ``details["trained"]`` says whether it ran.
+    """
+    window = geometry.window_slice()
+    vectors = np.stack([m.window_flip_rates(window) for m in majors])
+    effective_k = min(k, len(majors))
+    if effective_k == len(majors):
+        labels = np.arange(effective_k)
+        details = {"trained": False}
+    else:
+        labels, details = fit(vectors, effective_k)
+        details["trained"] = True
+    perms = _cluster_mappings(vectors, labels, effective_k, layout, geometry)
+    variable_cluster = {
+        m.variable_id: int(label) for m, label in zip(majors, labels)
+    }
+    return MappingSelection(
+        method=method,
+        k=effective_k,
+        window_perms=perms,
+        variable_cluster=variable_cluster,
+        elapsed_seconds=time.perf_counter() - start,
+        details=details,
+    )
+
+
 def select_mappings_kmeans(
     profile: WorkloadProfile,
     k: int,
@@ -166,21 +231,16 @@ def select_mappings_kmeans(
     """Cluster major variables on BFRVs with K-Means (``SDM+BSM+ML``)."""
     start = time.perf_counter()
     majors = _majors_or_fail(profile, coverage)
-    window = geometry.window_slice()
-    vectors = np.stack([m.window_flip_rates(window) for m in majors])
-    effective_k = min(k, len(majors))
-    result = KMeans(effective_k, seed=seed).fit(vectors)
-    perms = _cluster_mappings(vectors, result.labels, effective_k, layout, geometry)
-    variable_cluster = {
-        m.variable_id: int(label) for m, label in zip(majors, result.labels)
-    }
-    return MappingSelection(
-        method="kmeans",
-        k=effective_k,
-        window_perms=perms,
-        variable_cluster=variable_cluster,
-        elapsed_seconds=time.perf_counter() - start,
-        details={"inertia": result.inertia, "iterations": result.iterations},
+
+    def fit(vectors: np.ndarray, clusters: int):
+        result = KMeans(clusters, seed=seed).fit(vectors)
+        return result.labels, {
+            "inertia": result.inertia,
+            "iterations": result.iterations,
+        }
+
+    return _select_clusters(
+        "kmeans", majors, k, layout, geometry, start, fit
     )
 
 
@@ -196,23 +256,19 @@ def select_mappings_dl(
     start = time.perf_counter()
     majors = _majors_or_fail(profile, coverage)
     window = geometry.window_slice()
-    delta_traces = [m.delta_trace() for m in majors]
-    effective_k = min(k, len(majors))
-    clusterer = DLAssistedKMeans(effective_k, config=config)
-    result = clusterer.fit(delta_traces, window=window)
-    vectors = np.stack([m.window_flip_rates(window) for m in majors])
-    perms = _cluster_mappings(vectors, result.labels, effective_k, layout, geometry)
-    variable_cluster = {
-        m.variable_id: int(label) for m, label in zip(majors, result.labels)
-    }
-    return MappingSelection(
-        method="dl-kmeans",
-        k=effective_k,
-        window_perms=perms,
-        variable_cluster=variable_cluster,
-        elapsed_seconds=time.perf_counter() - start,
-        details={
+
+    def fit(_vectors: np.ndarray, clusters: int):
+        delta_traces = [m.delta_trace() for m in majors]
+        result = DLAssistedKMeans(clusters, config=config).fit(
+            delta_traces, window=window
+        )
+        return result.labels, {
             "vocab_coverage": result.vocab_coverage,
-            "final_loss": result.loss_history[-1] if result.loss_history else None,
-        },
+            "final_loss": result.loss_history[-1]
+            if result.loss_history
+            else None,
+        }
+
+    return _select_clusters(
+        "dl-kmeans", majors, k, layout, geometry, start, fit
     )

@@ -52,7 +52,7 @@ from repro.cpu.accelerator import AcceleratorModel
 from repro.cpu.cpu import CPUModel, ExternalTraceResult
 from repro.cpu.trace import AccessTrace
 from repro.errors import ConfigError
-from repro.hbm.backend import available_backends, create_backend
+from repro.hbm.backend import create_backend
 from repro.hbm.config import HBMConfig, hbm2_config
 from repro.hbm.decode import decode_translated
 from repro.hbm.stats import RunStats
@@ -546,11 +546,6 @@ class Machine:
             self.compute_ns_per_access = ACCEL_COMPUTE_NS_PER_ACCESS
         else:
             raise ConfigError(f"unknown engine {engine!r}")
-        if backend not in available_backends():
-            raise ConfigError(
-                f"unknown memory model {backend!r}; "
-                f"available: {', '.join(available_backends())}"
-            )
         backend_options = dict(backend_options or {})
         if "max_inflight" in backend_options:
             raise ConfigError(
@@ -592,6 +587,9 @@ class Machine:
     ) -> dict[int, int]:
         """``add_addr_map`` each cluster's mapping, in cluster order.
 
+        :class:`MappingSelection` numbers clusters by their members'
+        major order, so the order, and with it each mapping's id and
+        chunk colour, does not depend on a clusterer's labels.
         Returns the mapping id of every variable the selection binds.
         """
         cluster_to_mapping = {

@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 PROFILE_FORMAT = 1
-SELECTION_FORMAT = 1
+SELECTION_FORMAT = 2  # 2: variables in binding order, not sorted by id
 
 
 def save_profile(path: str | Path, profile: WorkloadProfile) -> Path:
@@ -61,12 +61,10 @@ def save_profile(path: str | Path, profile: WorkloadProfile) -> Path:
 def save_selection(path: str | Path, selection: MappingSelection) -> Path:
     """Write a mapping selection (window perms + bindings) to disk."""
     path = Path(path)
-    variable_ids = np.asarray(
-        sorted(selection.variable_cluster), dtype=np.int64
-    )
+    # In binding order: the order numbers the clusters on load.
+    variable_ids = np.asarray(list(selection.variable_cluster), dtype=np.int64)
     clusters = np.asarray(
-        [selection.variable_cluster[int(v)] for v in variable_ids],
-        dtype=np.int64,
+        list(selection.variable_cluster.values()), dtype=np.int64
     )
     perms = (
         np.stack(selection.window_perms)

@@ -125,12 +125,20 @@ class TestDLSelection:
         assert same_a and same_b and cross
 
     def test_details_recorded(self):
-        profile = stride_profile([1, 16])
-        selection = select_mappings_dl(
+        profile = stride_profile([1, 1, 16, 16])
+        trained = select_mappings_dl(
             profile, 2, LAYOUT, GEO, config=FAST_DL, coverage=1.0
         )
-        assert selection.method == "dl-kmeans"
-        assert 0 <= selection.details["vocab_coverage"] <= 1
+        assert trained.method == "dl-kmeans"
+        assert trained.details["trained"] is True
+        assert 0 <= trained.details["vocab_coverage"] <= 1
+        # As many clusters as majors: each major is its own cluster,
+        # and nothing is fitted.
+        forced = select_mappings_dl(
+            profile, 4, LAYOUT, GEO, config=FAST_DL, coverage=1.0
+        )
+        assert forced.details == {"trained": False}
+        assert list(forced.variable_cluster.values()) == [0, 1, 2, 3]
 
 
 class TestProgrammerDirected:

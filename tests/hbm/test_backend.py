@@ -143,7 +143,7 @@ class TestMachineSelection:
         from repro.system import system_by_key
         from repro.system.machine import Machine
 
-        with pytest.raises(ConfigError, match="unknown memory model"):
+        with pytest.raises(ConfigError, match="unknown memory backend"):
             Machine(system_by_key("bs_dm"), backend="no-such-model")
 
     def test_machine_accepts_registered_backends(self):

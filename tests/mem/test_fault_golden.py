@@ -188,8 +188,8 @@ CASES = {
 
 GOLDEN = {
     "mcf-bs_dm": "f3eec2cda54cd24f",
-    "mcf-sdm_bsm_ml4": "05ac46481de6c158",
-    "hashjoin-sdm_bsm_ml4": "1e60cbeab618fe32",
+    "mcf-sdm_bsm_ml4": "4030e9a815a59e51",
+    "hashjoin-sdm_bsm_ml4": "8f349c88c2ce1708",
     "ras-retiring-hook": "0103c517ca604b60",
     "munmap-refault": "83ab5995d530d2c3",
 }

@@ -108,7 +108,7 @@ class TestEngines:
             Machine(system_by_key("bs_dm"), engine="gpu")
 
     def test_unknown_memory_model_message_names_it(self):
-        with pytest.raises(ConfigError, match="unknown memory model 'nope'"):
+        with pytest.raises(ConfigError, match="unknown memory backend 'nope'"):
             Machine(system_by_key("bs_dm"), backend="nope")
 
     def test_event_model_runs(self):
@@ -294,17 +294,11 @@ def test_identity_translator_shared_and_no_inversion_per_run(monkeypatch):
     assert inversions == []
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 13: a cluster's index becomes its mapping id, and "
-    "the mapping id sets its chunks' colour rotation",
-)
 def test_cluster_numbering_does_not_move_the_run():
     """Relabelling a selection's clusters, consistently in
     ``window_perms`` and ``variable_cluster``, keeps every variable's
     mapping, so the run must not change.  K-Means labels are only the
-    draw order of its seeds.  Today order (0, 2, 1) moves PageRank on
-    the accelerator from 16,410 to 19,770 ns."""
+    draw order of its seeds."""
     machine = Machine(system_by_key("sdm_bsm_ml32"), engine="accelerator")
     workload = PageRankWorkload()
     selection = machine.select(machine.profile(workload))

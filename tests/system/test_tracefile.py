@@ -4,9 +4,33 @@ import numpy as np
 
 from repro.system.machine import Machine
 from repro.system.config import system_by_key
-from repro.system.tracefile import load_profile, save_profile
-from repro.core.selection import select_mappings_kmeans
+from repro.system.tracefile import (
+    load_profile,
+    load_selection,
+    save_profile,
+    save_selection,
+)
+from repro.core.selection import MappingSelection, select_mappings_kmeans
 from repro.workloads import MixedStrideWorkload
+
+
+class TestSelectionRoundtrip:
+    def test_cluster_numbering_survives(self, tmp_path):
+        """A hotter variable with a higher id keeps cluster 0: the file
+        keeps the binding order that numbers the clusters."""
+        perms = [np.arange(15), np.arange(15)[::-1].copy()]
+        selection = MappingSelection(
+            method="kmeans",
+            k=2,
+            window_perms=perms,
+            variable_cluster={5: 0, 2: 1},
+            elapsed_seconds=0.0,
+        )
+        loaded = load_selection(save_selection(tmp_path / "s", selection))
+        assert list(loaded.variable_cluster.items()) == [(5, 0), (2, 1)]
+        assert [p.tolist() for p in loaded.window_perms] == [
+            p.tolist() for p in perms
+        ]
 
 
 class TestProfileRoundtrip:
