@@ -247,13 +247,26 @@ class SDAMController:
             if self._window_luts is not None:
                 start = self._window_luts.shape[0]
                 luts[:start] = self._window_luts
-            values = np.arange(1 << window_bits, dtype=np.uint64)
+            # A crossbar is GF(2)-linear, so the image of a window is
+            # the XOR of the images of its high and its low bits: each
+            # row is built from two half tables of 2^(bits/2) entries.
+            low_bits = (window_bits + 1) // 2
+            low_values = np.arange(1 << low_bits, dtype=np.uint64)
+            high_values = np.arange(
+                1 << (window_bits - low_bits), dtype=np.uint64
+            ) << np.uint64(low_bits)
             for index in range(start, live):
                 config = self._misprogrammed.get(index)
                 if config is None:
                     config = self.cmt.config_of(index)
                 operator = self.amu.window_operator(config)
-                luts[index] = operator.apply(values).astype(np.uint32)
+                low = operator.apply(low_values).astype(np.uint32)
+                high = operator.apply(high_values).astype(np.uint32)
+                np.bitwise_xor(
+                    high[:, None],
+                    low[None, :],
+                    out=luts[index].reshape(high.size, low.size),
+                )
             self._window_luts = luts
         return self._window_luts
 

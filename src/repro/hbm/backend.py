@@ -81,7 +81,7 @@ def create_backend(name: str, config: HBMConfig, **kwargs) -> MemoryBackend:
             f"available: {', '.join(available_backends())}"
         ) from None
     try:
-        inspect.signature(factory).bind(config, **kwargs)
+        _SIGNATURES[name].bind(config, **kwargs)
     except TypeError as exc:
         raise ConfigError(f"memory backend {name!r}: {exc}") from None
     try:
@@ -103,4 +103,10 @@ _BACKENDS: dict[str, Callable[..., MemoryBackend]] = {
     "event": HBMDevice,
     "vector": VectorModel,
     "tiered": _tiered_factory,
+}
+
+# Each factory's signature, computed once: every ``Machine`` builds its
+# backend through :func:`create_backend`.
+_SIGNATURES: dict[str, inspect.Signature] = {
+    name: inspect.signature(factory) for name, factory in _BACKENDS.items()
 }

@@ -227,13 +227,17 @@ def pointer_chase_addresses(
     if count <= 0:
         return np.zeros(0, dtype=np.uint64)
     lines = max(size // LINE, 2)
-    successor = rng.permutation(lines).astype(np.uint64)
-    path = np.empty(count, dtype=np.uint64)
-    node = np.uint64(0)
-    for step in range(count):
-        path[step] = node
-        node = successor[int(node)]
-    return np.uint64(base) + path * np.uint64(LINE)
+    # The permutation is the only draw.  The walk reads successors as
+    # Python ints through a memoryview and converts the path once: the
+    # chain is far shorter than the permutation, so copying or listing
+    # the whole permutation would cost more than the walk.
+    successor = memoryview(rng.permutation(lines))
+    path = []
+    node = 0
+    for _ in range(count):
+        path.append(node)
+        node = successor[node]
+    return np.uint64(base) + np.array(path, dtype=np.uint64) * np.uint64(LINE)
 
 
 def tagged_trace(

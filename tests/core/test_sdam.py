@@ -153,3 +153,60 @@ class TestShadowTable:
         controller.release_chunk(0)
         assert controller.cmt.diff(controller.shadow_cmt) == no_diff
         assert controller.shadow_cmt.mapping_index_of(0) == 0
+
+
+class TestWindowLut:
+    """Every crossbar truth-table row is the window operator applied to
+    every window value, however the rows were built."""
+
+    @staticmethod
+    def expected_row(controller, perm) -> np.ndarray:
+        window = np.arange(1 << controller.geometry.window_bits)
+        return controller.amu.window_operator(perm).apply(window)
+
+    def assert_rows(self, controller, perms) -> None:
+        lut = controller.window_lut()
+        assert lut.shape == (len(perms), 1 << controller.geometry.window_bits)
+        for index, perm in enumerate(perms):
+            np.testing.assert_array_equal(
+                lut[index], self.expected_row(controller, perm)
+            )
+
+    @pytest.mark.parametrize(
+        "geometry",
+        # Odd (15-bit) and even (14-bit) windows split unevenly/evenly.
+        [SMALL, ChunkGeometry(total_bytes=64 * MiB, chunk_bytes=1 * MiB)],
+        ids=["15-bit", "14-bit"],
+    )
+    def test_identity_and_random_permutations(self, geometry):
+        controller = SDAMController(geometry)
+        rng = np.random.default_rng(0)
+        perms = [np.arange(geometry.window_bits)]
+        for _ in range(50):
+            perm = rng.permutation(geometry.window_bits)
+            controller.register_mapping(perm)
+            perms.append(perm)
+        self.assert_rows(controller, perms)
+
+    def test_misprogrammed_and_reprogrammed_crossbar(self):
+        controller = SDAMController(SMALL)
+        good, wrong = rolled(3), rolled(5)
+        mapping_id = controller.register_mapping(good)
+        self.assert_rows(controller, [np.arange(SMALL.window_bits), good])
+        controller.misprogram_crossbar(mapping_id, wrong)
+        self.assert_rows(controller, [np.arange(SMALL.window_bits), wrong])
+        assert controller.reprogram_crossbar() == 1
+        self.assert_rows(controller, [np.arange(SMALL.window_bits), good])
+
+    def test_built_rows_keep_their_values_when_a_mapping_arrives(self):
+        controller = SDAMController(SMALL)
+        controller.register_mapping(rolled(1))
+        before = controller.window_lut()
+        kept = before.copy()
+        controller.register_mapping(rolled(2))
+        after = controller.window_lut()
+        np.testing.assert_array_equal(before, kept)
+        np.testing.assert_array_equal(after[:2], kept)
+        self.assert_rows(
+            controller, [np.arange(SMALL.window_bits), rolled(1), rolled(2)]
+        )

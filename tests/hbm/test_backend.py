@@ -63,10 +63,31 @@ class TestOptionChecks:
         ],
     )
     def test_unknown_option_raises_config_error(self, name, option, named):
-        with pytest.raises(
-            ConfigError, match=f"memory backend '{named}': .*'{option}'"
-        ):
-            create_backend(name, CONFIG, **{option: 8})
+        # The signature is bound once per factory: the second call must
+        # still check.
+        for _ in range(2):
+            with pytest.raises(
+                ConfigError, match=f"memory backend '{named}': .*'{option}'"
+            ):
+                create_backend(name, CONFIG, **{option: 8})
+
+    @pytest.mark.parametrize(
+        "name, bad, named",
+        [
+            ("fast", {"reorder_window": 0}, "fast"),
+            ("vector", {"block_accesses": 0}, "vector"),
+            ("event", {"max_inflight": 0}, "event"),
+            # Forwarded to the default delegate, like an unknown option.
+            ("tiered", {"reorder_window": 0}, "fast"),
+        ],
+    )
+    def test_bad_value_raises_config_error(self, name, bad, named):
+        (option,) = bad
+        for _ in range(2):
+            with pytest.raises(
+                ConfigError, match=f"memory backend '{named}': {option} must"
+            ):
+                create_backend(name, CONFIG, **bad)
 
     def test_tiered_forwards_unknown_options_to_the_delegate(self):
         """The tiered backend passes what it does not take on to its

@@ -112,7 +112,7 @@ class TestBadArgumentsFailBeforeProfiling:
         ],
         ids=["bad-value", "unknown-option", "tiered-value", "unknown-argument"],
     )
-    def test_run_suite_raises_config_error(self, monkeypatch, machine_kwargs):
+    def test_sweep_raises_config_error(self, monkeypatch, machine_kwargs):
         profiled = []
         monkeypatch.setattr(
             Machine, "profile", lambda self, *a, **k: profiled.append(a)

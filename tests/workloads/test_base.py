@@ -81,6 +81,33 @@ class TestPointerChase:
         assert (addresses >= 0x1000).all()
         assert (addresses < 0x1000 + 4096).all()
 
+    @pytest.mark.parametrize(
+        "size, count",
+        # 8 lines for 50 steps walks the cycle through line 0 many times.
+        [(8 * 64, 50), (4096, 64), (SIZE, 100), (64, 5)],
+    )
+    def test_walks_the_one_permutation_draw(self, size, count):
+        """The path is the walk from line 0 through a twin generator's
+        ``permutation(lines)``, and that permutation is the only draw."""
+        rng = np.random.default_rng(11)
+        twin = np.random.default_rng(11)
+        addresses = pointer_chase_addresses(0x1000, size, count, rng)
+        successor = twin.permutation(max(size // 64, 2))
+        expected, node = [], 0
+        for _ in range(count):
+            expected.append(0x1000 + 64 * node)
+            node = int(successor[node])
+        assert addresses.dtype == np.uint64
+        assert addresses.tolist() == expected
+        assert rng.integers(1 << 62) == twin.integers(1 << 62)
+
+    def test_empty_draws_nothing(self):
+        rng = np.random.default_rng(5)
+        twin = np.random.default_rng(5)
+        addresses = pointer_chase_addresses(0, SIZE, 0, rng)
+        assert addresses.dtype == np.uint64 and addresses.size == 0
+        assert rng.integers(1 << 62) == twin.integers(1 << 62)
+
 
 class TestTaggedTrace:
     def test_tags_and_writes(self):
