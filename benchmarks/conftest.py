@@ -3,8 +3,7 @@
 Every benchmark regenerates one of the paper's tables or figures and
 writes its output under ``benchmarks/results/`` (also echoed to stdout
 with ``pytest -s``).  Set ``REPRO_BENCH_QUICK=1`` to run reduced
-sweeps while iterating, and ``REPRO_BENCH_CACHE=dir`` to persist stage
-outputs (profiles, selections, results) between benchmark runs.
+sweeps while iterating.
 """
 
 from __future__ import annotations
@@ -19,15 +18,6 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 def is_quick() -> bool:
     return os.environ.get("REPRO_BENCH_QUICK", "") == "1"
-
-
-def sweep_kwargs() -> dict:
-    """Engine knobs for the sweep-driving benchmarks."""
-    kwargs: dict = {}
-    cache = os.environ.get("REPRO_BENCH_CACHE", "")
-    if cache:
-        kwargs["cache_dir"] = cache
-    return kwargs
 
 
 @pytest.fixture(scope="session")

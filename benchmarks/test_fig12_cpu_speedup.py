@@ -18,7 +18,7 @@ from repro.system import Session, standard_systems
 from repro.system.reporting import format_table
 from repro.workloads import data_intensive_suite, parsec_suite, spec2006_suite
 
-from conftest import is_quick, sweep_kwargs
+from conftest import is_quick
 
 # Laptop-scale DL config: same architecture, fewer steps.
 DL_CONFIG = AutoencoderConfig(pretrain_steps=60, joint_steps=30)
@@ -36,7 +36,7 @@ def suites():
 def run_fig12():
     systems = standard_systems()
     standard, data_intensive = suites()
-    session = Session(dl_config=DL_CONFIG, **sweep_kwargs())
+    session = Session(dl_config=DL_CONFIG)
     std_table = session.sweep(standard, systems).raise_errors().table
     di_table = session.sweep(data_intensive, systems).raise_errors().table
     return std_table, di_table

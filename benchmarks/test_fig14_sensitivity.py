@@ -13,7 +13,7 @@ from repro.system import core_sweep, frequency_sweep, system_by_key
 from repro.system.reporting import format_series
 from repro.workloads import parsec_workload, spec2006_workload
 
-from conftest import is_quick, sweep_kwargs
+from conftest import is_quick
 
 DL_CONFIG = AutoencoderConfig(pretrain_steps=60, joint_steps=30)
 
@@ -34,20 +34,19 @@ def workloads():
 def run_fig14():
     system = system_by_key("sdm_bsm_ml32")
     baseline = system_by_key("bs_dm")
-    kwargs = dict(dl_config=DL_CONFIG, **sweep_kwargs())
     freq = frequency_sweep(
         workloads(),
         system,
         baseline,
         scales=(1.0, 0.5, 0.25),
-        **kwargs,
+        dl_config=DL_CONFIG,
     )
     cores = core_sweep(
         workloads(),
         system,
         baseline,
         core_counts=(1, 2, 4),
-        **kwargs,
+        dl_config=DL_CONFIG,
     )
     return freq, cores
 

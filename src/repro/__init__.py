@@ -6,7 +6,7 @@ hardware models, the chunk-aware OS memory allocators, the access-
 pattern profiler, the K-Means / DL-assisted mapping selection, and a
 trace-driven HBM simulator to evaluate it all on.
 
-This package is the curated surface: :class:`Session` runs cached
+This package is the curated surface: :class:`Session` runs
 sweeps, :class:`Machine` one run, and the campaigns their reports.
 Subsystem packages (``repro.core``, ``repro.hbm``, ``repro.mem``,
 ``repro.cpu``, ``repro.profiling``, ``repro.ml``, ``repro.workloads``,

@@ -8,9 +8,9 @@ without writing any code:
 * ``hw``      — the AMU/CMT hardware-overhead report (Table 3);
 * ``audit``   — build an SDAM controller, register mappings, verify
   the Section 4 correctness properties;
-* ``suite``   — a quick Fig. 12-style sweep (pass ``--full`` for the
-  complete suites, ``--cache-dir`` to memoise stages on disk,
-  ``--json`` for machine-readable output);
+* ``suite``   — a quick Fig. 12-style sweep, every stage computed in
+  memory (pass ``--full`` for the complete suites, ``--json`` for
+  machine-readable output);
 * ``ras``     — seeded device-fault campaign: inject modeled hardware
   faults (stuck rows, dead banks/channels, CMT/AMU upsets), detect
   them, repair by software-defined remapping, and verify zero silent
@@ -172,7 +172,7 @@ def cmd_suite(args) -> int:
     if args.backend:
         machine_kwargs["backend"] = args.backend
     try:
-        session = Session(cache_dir=args.cache_dir, **machine_kwargs)
+        session = Session(**machine_kwargs)
     except ConfigError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -191,7 +191,6 @@ def cmd_suite(args) -> int:
         print(format_table(rows, title="speedup over BS+DM"))
         print(
             f"wall {suite.wall_seconds:.1f}s, "
-            f"cache {suite.cache_hits} hits / {suite.cache_misses} misses, "
             f"{suite.bytes_simulated / 1e6:.1f} MB simulated"
         )
     if suite.errors:
@@ -379,7 +378,8 @@ def main(argv: list[str] | None = None) -> int:
     audit.add_argument("--chunks", type=int, default=32)
     audit.add_argument("--seed", type=int, default=0)
     suite = sub.add_parser(
-        "suite", help="Fig. 12-style speedup sweep (serial, in-process)"
+        "suite",
+        help="Fig. 12-style speedup sweep (serial, in-process, in memory)",
     )
     scope = suite.add_mutually_exclusive_group()
     scope.add_argument(
@@ -387,9 +387,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     scope.add_argument(
         "--full", action="store_true", help="complete workload suites"
-    )
-    suite.add_argument(
-        "--cache-dir", default=None, help="persist stage outputs here"
     )
     suite.add_argument(
         "--json", action="store_true", help="emit the full suite result as JSON"

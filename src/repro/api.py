@@ -5,7 +5,7 @@ The curated surface is :mod:`repro` itself; sweeps run through
 
     from repro import Session, mixed_stride_workload
 
-    session = Session()                        # in-memory stage cache
+    session = Session()
     result = session.run(mixed_stride_workload(), "sdm_bsm_ml4")
     sweep = session.sweep(evaluation_workloads())
     sweep.table.geomean("SDM+BSM+ML(4)")

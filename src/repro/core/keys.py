@@ -1,12 +1,11 @@
-"""Stable content hashing for experiment-stage cache keys.
+"""Stable content hashing for campaign checkpoint keys and fingerprints.
 
-The experiment runner memoises stage outputs (traces, profiles,
-mapping selections, results) on disk, keyed by a content hash of
-everything that determines the stage's output: the workload spec, the
-system configuration, the device geometry and the seeds.  Keys must be
-stable across processes and Python releases, so hashing goes through a
-canonical JSON form rather than ``pickle`` or ``hash()`` (both of
-which vary between runs).
+A campaign checkpoint is keyed by a content hash of everything that
+determines the campaign: the workload spec, the system configuration,
+the device geometry and the seeds.  Keys must be stable across
+processes and Python releases, so hashing goes through a canonical JSON
+form rather than ``pickle`` or ``hash()`` (both of which vary between
+runs).
 
 ``canonical`` understands the value vocabulary the configuration
 objects are built from: scalars, strings, tuples/lists, dicts,
@@ -62,7 +61,7 @@ def canonical(value: Any) -> Any:
     if callable(spec_dict):
         return canonical(spec_dict())
     raise ConfigError(
-        f"cannot build a stable cache key from {type(value).__name__!r}"
+        f"cannot build a stable key from {type(value).__name__!r}"
     )
 
 

@@ -109,8 +109,14 @@ class MappingSelection:
 
     @property
     def num_mappings(self) -> int:
-        """Distinct mappings the selection produced."""
-        return len(self.window_perms)
+        """Distinct mappings the selection produced.
+
+        A selection rebuilt by ``MachineResult.from_dict`` has no
+        permutations, only their count in ``details["num_mappings"]``.
+        """
+        return len(self.window_perms) or int(
+            self.details.get("num_mappings", 0)
+        )
 
 
 def _perm_from_rates(

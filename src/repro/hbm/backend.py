@@ -69,9 +69,10 @@ def create_backend(name: str, config: HBMConfig, **kwargs) -> MemoryBackend:
     option the backend does not take raises
     :class:`~repro.errors.ConfigError` naming the backend and the
     option.  (A factory taking ``**options``, such as ``"tiered"``,
-    checks what it forwards through its own :func:`create_backend`.)
-    An option value the backend rejects (its
-    :class:`~repro.errors.SimulationError`) raises ``ConfigError`` too.
+    checks what it forwards through its own :func:`create_backend`, so
+    a delegate's error names both backends.)  An option value the
+    backend rejects (its :class:`~repro.errors.SimulationError` or
+    ``ConfigError``) raises ``ConfigError`` naming the backend too.
     """
     try:
         factory = _BACKENDS[name]
@@ -86,7 +87,7 @@ def create_backend(name: str, config: HBMConfig, **kwargs) -> MemoryBackend:
         raise ConfigError(f"memory backend {name!r}: {exc}") from None
     try:
         return factory(config, **kwargs)
-    except SimulationError as exc:
+    except (ConfigError, SimulationError) as exc:
         raise ConfigError(f"memory backend {name!r}: {exc}") from exc
 
 

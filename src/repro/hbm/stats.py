@@ -2,8 +2,8 @@
 
 Also home of :class:`DeviceHealth`, the RAS-side error bookkeeping.  It
 is deliberately a separate class from :class:`RunStats` — RunStats is
-frozen, cached and fingerprinted by the experiment engine, so growing
-it would invalidate every on-disk cache entry.
+frozen and fingerprinted by the experiment engine, so growing it would
+move every result fingerprint.
 """
 
 from __future__ import annotations

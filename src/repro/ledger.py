@@ -156,8 +156,7 @@ class Record:
         default and nested records by their own fingerprint.
 
         Two runs that computed the same thing are equal on it however
-        they were executed: timed, interrupted and resumed, or served
-        from a cache.
+        they were executed: timed, or interrupted and resumed.
         """
         return self._dump(True)
 

@@ -18,11 +18,6 @@ __getattr__, __dir__ = lazy_exports(
         "Session": ("repro.system.runner", "Session"),
         "StageMetrics": ("repro.system.runner", "StageMetrics"),
         "SuiteResult": ("repro.system.runner", "SuiteResult"),
-        "StageStore": ("repro.system.tracefile", "StageStore"),
-        "load_profile": ("repro.system.tracefile", "load_profile"),
-        "load_selection": ("repro.system.tracefile", "load_selection"),
-        "save_profile": ("repro.system.tracefile", "save_profile"),
-        "save_selection": ("repro.system.tracefile", "save_selection"),
     },
 )
 
@@ -36,17 +31,12 @@ __all__ = [
     "Session",
     "SpeedupTable",
     "StageMetrics",
-    "StageStore",
     "SuiteResult",
     "SystemConfig",
     "core_sweep",
     "format_series",
     "format_table",
     "frequency_sweep",
-    "load_profile",
-    "load_selection",
-    "save_profile",
-    "save_selection",
     "standard_systems",
     "system_by_key",
 ]

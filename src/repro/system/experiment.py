@@ -25,8 +25,7 @@ class SpeedupTable(Record):
     """Results of a workload x system sweep, keyed by labels.
 
     Its :meth:`fingerprint` holds each result's fingerprint, so two
-    sweeps of the same cells compare equal however they were executed
-    (serially, over a process pool, or from the stage cache).
+    sweeps of the same cells compare equal.
     """
 
     baseline_label: str
@@ -86,9 +85,8 @@ def frequency_sweep(
 ) -> dict[float, float]:
     """Fig. 14: geomean speedup as the HBM slows down.
 
-    ``machine_kwargs`` (``cache_dir`` included) go to one
-    :class:`~repro.system.runner.Session` per scale, so the per-scale
-    sweeps can share one on-disk stage cache.
+    ``machine_kwargs`` go to one :class:`~repro.system.runner.Session`
+    per scale.
     """
     from repro.hbm.config import hbm2_config
     from repro.system.runner import Session
@@ -112,9 +110,8 @@ def core_sweep(
 ) -> dict[int, float]:
     """Fig. 14 companion: geomean speedup vs core count.
 
-    ``machine_kwargs`` (``cache_dir`` included) go to one
-    :class:`~repro.system.runner.Session` per count, so the per-count
-    sweeps can share one on-disk stage cache.
+    ``machine_kwargs`` go to one :class:`~repro.system.runner.Session`
+    per count.
     """
     from repro.system.runner import Session
 

@@ -109,8 +109,9 @@ class MachineResult(Record):
     """Everything one pipeline run produced.
 
     Its :meth:`to_dict`, :meth:`from_dict` and :meth:`fingerprint` are
-    written out: they are the stage-cache and ``sim_digest`` format,
-    and they reduce the external stream and the selection by hand.
+    written out: they are the ``repro suite --json`` and ``sim_digest``
+    format, and they reduce the external stream and the selection by
+    hand.
     """
 
     workload: str
@@ -156,8 +157,7 @@ class MachineResult(Record):
         Bulk arrays (the external address trace, the selection's
         window permutations) are reduced to their statistics:
         everything speedup computation and reporting consume survives
-        the round trip, so cached and fresh results are
-        interchangeable.
+        the round trip.
         """
         external = self.external_summary()
         selection = None
@@ -165,8 +165,7 @@ class MachineResult(Record):
             selection = {
                 "method": self.selection.method,
                 "k": int(self.selection.k),
-                "num_mappings": len(self.selection.window_perms)
-                or int(self.selection.details.get("num_mappings", 0)),
+                "num_mappings": self.selection.num_mappings,
                 "variable_cluster": {
                     str(var): int(cluster)
                     for var, cluster in self.selection.variable_cluster.items()
@@ -189,8 +188,8 @@ class MachineResult(Record):
             "compute_ns": self.compute_ns,
             "profiling_seconds": self.profiling_seconds,
         }
-        # Only present for tiered runs: keeps the dict (and every cache
-        # entry and fingerprint) of the other tiers unchanged.
+        # Only present for tiered runs: keeps the dict (and every
+        # fingerprint) of the other tiers unchanged.
         if self.tier_traffic is not None:
             data["tier_traffic"] = self.tier_traffic.to_dict()
         return data
@@ -200,8 +199,7 @@ class MachineResult(Record):
 
         Two runs of the same cell are bit-identical on everything but
         the host's measured profiling time; this is the deterministic
-        content, for equivalence checks across serial, parallel and
-        cached execution.
+        content, for equivalence checks across runs.
         """
         data = self.to_dict()
         data["profiling_seconds"] = 0.0
@@ -280,9 +278,9 @@ class _LastStream:
     equal seed.  Anything else generates and filters again.  An
     attribute whose ``==`` raises (an ndarray) makes the run a miss.
 
-    The key is built from the attributes, not from
-    :meth:`~repro.workloads.base.Workload.spec_hash`, which would load
-    the stage-key modules on the run path.
+    The key is built from the attributes, not from a hash of
+    :meth:`~repro.workloads.base.Workload.spec_dict`, which would load
+    the content-keying module on the run path.
 
     The entry also keeps the physical-address trace of the latest
     non-SDAM run of its stream (:meth:`physical`), keyed on that
@@ -698,9 +696,9 @@ class Machine:
         ``mix_profile`` overrides the profile used by the global
         ``BS+BSM`` policy — the experiment driver passes the suite-wide
         mix, matching the paper's methodology.  ``profile`` and
-        ``selection`` inject precomputed stage outputs (the experiment
-        runner's cache); when given, the corresponding pipeline stage
-        is skipped.
+        ``selection`` inject precomputed stage outputs (the sweep's
+        shared profile and selection); when given, the corresponding
+        pipeline stage is skipped.
         """
         system = self.system
         profiling_seconds = 0.0

@@ -44,8 +44,7 @@ def stable_name_seed(name: str) -> int:
     ``hash(str)`` is randomised per interpreter (PYTHONHASHSEED), so
     trace generators must not derive RNG seeds from it: a worker
     process would generate a different "same" workload than its
-    parent, breaking both parallel/serial equivalence and the on-disk
-    stage cache.
+    parent, and a seeded run would not repeat across processes.
     """
     return zlib.crc32(name.encode()) & 0xFFFF
 
@@ -87,7 +86,7 @@ class Workload(ABC):
         evaluation runs use different seeds, Section 7.3).
         """
 
-    # -- cache keying --------------------------------------------------------
+    # -- content keying ------------------------------------------------------
     def spec_dict(self) -> dict:
         """A stable description of this instance for content hashing.
 
@@ -105,12 +104,6 @@ class Workload(ABC):
                 continue
             spec[key] = canonical(getattr(self, key))
         return spec
-
-    def spec_hash(self) -> str:
-        """Hex digest of :meth:`spec_dict` — the workload's cache key."""
-        from repro.core.keys import stable_hash
-
-        return stable_hash(self.spec_dict())
 
     # -- conveniences --------------------------------------------------------
     def variable_id(self, name: str) -> int:

@@ -99,6 +99,20 @@ class TestOptionChecks:
         )
         assert backend.delegate.block_accesses == 512
 
+    def test_factory_config_error_names_the_backend(self):
+        with pytest.raises(
+            ConfigError, match=r"^memory backend 'tiered': fast_pages must"
+        ):
+            create_backend("tiered", CONFIG, fast_pages=-1)
+
+    def test_delegate_error_names_both_backends(self):
+        with pytest.raises(
+            ConfigError,
+            match=r"^memory backend 'tiered': memory backend 'fast': "
+            r"reorder_window must",
+        ):
+            create_backend("tiered", CONFIG, reorder_window=0)
+
     def test_machine_backend_options_are_checked(self):
         from repro.system import system_by_key
         from repro.system.machine import Machine

@@ -1,12 +1,12 @@
-"""Tests for the cached sweep engine, :class:`Session`.
+"""Tests for the sweep engine, :class:`Session`.
 
-The contract under test: cached and fresh execution of the same sweep
-are interchangeable — a warm cache serves every cell without
-recomputation, a cache entry that fails its checksum is recomputed,
-and a failing stage degrades to recorded errors on the cells that need
-it instead of killing the sweep.
+The contract under test: a sweep computes each stage once, in memory,
+and keeps nothing after it returns, so two sweeps of the same cells
+are bit-identical; and a failing stage degrades to recorded errors on
+the cells that need it instead of killing the sweep.
 """
 
+import dataclasses
 import json
 import re
 
@@ -14,12 +14,17 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.system import (
+    Machine,
     MachineResult,
     Session,
     SuiteResult,
     system_by_key,
 )
-from repro.workloads import MixedStrideWorkload, StridedCopyWorkload
+from repro.workloads import (
+    MixedStrideWorkload,
+    StridedCopyWorkload,
+    spec2006_workload,
+)
 
 
 def small_workloads():
@@ -50,91 +55,71 @@ class ExplodingWorkload(StridedCopyWorkload):
         raise RuntimeError("boom")
 
 
-class TestCaching:
-    def test_warm_cache_serves_every_cell_bit_identically(self, tmp_path):
+class TestStageRuns:
+    def test_each_stage_runs_once_per_sweep(self):
         workloads, systems = small_workloads(), small_systems()
-        first = Session(tmp_path).sweep(workloads, systems)
-        assert not first.errors
-        assert first.metrics["evaluate"].cache_misses == len(workloads) * len(
-            systems
+        suite = Session().sweep(workloads, systems)
+        assert not suite.errors
+        # One profile per workload, shared by the mix and the SDAM
+        # selections; one mix; one selection per SDAM cell; every cell.
+        runs = {stage: m.runs for stage, m in suite.metrics.items()}
+        assert runs == {"profile": 2, "mix": 1, "selection": 2, "evaluate": 6}
+        assert suite.bytes_simulated == sum(
+            result.stats.bytes_moved
+            for row in suite.table.results.values()
+            for result in row.values()
         )
 
-        # A fresh session on the same cache: zero recomputation.
-        second = Session(tmp_path).sweep(workloads, systems)
-        assert not second.errors
-        assert second.cache_misses == 0
-        assert second.metrics["evaluate"].cache_hits == len(workloads) * len(
-            systems
-        )
-        assert second.bytes_simulated == 0
-        assert second.table.to_dict() == first.table.to_dict()
+    def test_unprofiled_systems_profile_nothing(self):
+        systems = [system_by_key("bs_dm"), system_by_key("bs_hm")]
+        suite = Session().sweep(small_workloads(), systems)
+        runs = {stage: m.runs for stage, m in suite.metrics.items()}
+        assert runs == {"profile": 0, "mix": 0, "selection": 0, "evaluate": 4}
 
-    def test_edited_or_unsigned_result_is_recomputed(self, tmp_path):
+    def test_two_sweeps_share_one_fingerprint(self):
+        # A session keeps nothing between sweeps: its second sweep
+        # recomputes every stage, and equals a fresh session's.
         workloads, systems = small_workloads(), small_systems()
-        first = Session(tmp_path).sweep(workloads, systems)
-        edited, unsigned = sorted((tmp_path / "result").glob("*.json"))[:2]
-        # One changed digit in a number: still valid JSON, wrong value.
-        text = edited.read_text()
-        digit = re.search(r": (\d)", text).start(1)
-        edited.write_text(
-            text[:digit] + str((int(text[digit]) + 1) % 10)
-            + text[digit + 1:]
-        )
-        assert json.loads(edited.read_text()) != json.loads(text)
-        unsigned.with_name(unsigned.name + ".sha256").unlink()
-
-        second = Session(tmp_path).sweep(workloads, systems)
-        assert not second.errors
-        assert second.metrics["evaluate"].cache_misses == 2
-        assert second.table.fingerprint() == first.table.fingerprint()
-        # Both entries were republished with valid sidecars.
-        third = Session(tmp_path).sweep(workloads, systems)
-        assert third.metrics["evaluate"].cache_misses == 0
-        assert third.table.fingerprint() == first.table.fingerprint()
-
-    def test_cold_and_warm_sweeps_share_one_fingerprint(self, tmp_path):
-        # Hits, misses and seconds say how a sweep ran, not what it
-        # computed.
-        workloads, systems = small_workloads(), small_systems()
-        cold = Session(tmp_path).sweep(workloads, systems)
-        warm = Session(tmp_path).sweep(workloads, systems)
-        assert warm.cache_misses == 0 < cold.cache_misses
-        assert warm.to_dict()["metrics"] != cold.to_dict()["metrics"]
-        assert warm.fingerprint() == cold.fingerprint()
-
-    def test_run_one_round_trips_through_the_disk_cache(self, tmp_path):
-        workload = small_workloads()[0]
-        system = system_by_key("sdm_bsm")
-        first = Session(tmp_path).run(workload, system)
-        second = Session(tmp_path).run(workload, system)
-        assert second.to_dict() == first.to_dict()
-
-    def test_memory_only_runner_keeps_a_fresh_selection(self):
-        # The selection does not depend on the timing backend, so a
-        # second sweep on another backend reuses the first one's.
-        workload, system = small_workloads()[0], system_by_key("sdm_bsm")
         session = Session()
-        event = session.sweep([workload], [system], backend="event")
-        fast = session.sweep([workload], [system], backend="fast")
-        assert not event.errors and not fast.errors
-        assert event.metrics["selection"].cache_misses == 1
-        selection = fast.metrics["selection"]
-        assert (selection.cache_hits, selection.cache_misses) == (1, 0)
-        # With the selection in hand, the profile is not even looked up.
-        profile = fast.metrics["profile"]
-        assert (profile.cache_hits, profile.cache_misses) == (0, 0)
-        cold = Session().sweep(
-            [workload], [system], backend="fast"
-        )
-        assert fast.table.fingerprint() == cold.table.fingerprint()
+        first = session.sweep(workloads, systems)
+        second = session.sweep(workloads, systems)
+        fresh = Session().sweep(workloads, systems)
+        for suite in (second, fresh):
+            assert {s: m.runs for s, m in suite.metrics.items()} == {
+                s: m.runs for s, m in first.metrics.items()
+            }
+            assert suite.fingerprint() == first.fingerprint()
+            assert suite.table.fingerprint() == first.table.fingerprint()
 
-    def test_different_seed_is_a_different_cell(self, tmp_path):
+    def test_different_seed_is_a_different_cell(self):
         workload = small_workloads()[0]
         system = system_by_key("bs_dm")
-        session = Session(tmp_path)
+        session = Session()
         a = session.run(workload, system, eval_seed=1)
         b = session.run(workload, system, eval_seed=2)
         assert a.fingerprint() != b.fingerprint()
+
+    def test_compare_profiles_the_workload_once(self, monkeypatch):
+        calls = []
+        profile = Machine.profile
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return profile(self, *args, **kwargs)
+
+        monkeypatch.setattr(Machine, "profile", counting)
+        results = Session().compare(small_workloads()[0])
+        assert len(results) == 4
+        assert len(calls) == 1
+
+    def test_run_keeps_the_live_selection(self):
+        # The table holds each cell's own result, not its to_dict()
+        # reduction, so the window permutations and the selector's
+        # details survive.
+        result = Session().run(spec2006_workload("gcc"), "sdm_bsm_ml4")
+        selection = result.selection
+        assert len(selection.window_perms) == selection.k == 4
+        assert selection.details["trained"] is True
 
 
 class TestOrder:
@@ -192,6 +177,13 @@ class TestFailureIsolation:
                 [short, long],
                 [system_by_key("bs_dm"), system_by_key("sdm_bsm")],
             )
+
+    def test_two_systems_with_one_label_are_rejected(self):
+        # The table's columns are keyed by label: a second system of
+        # the same label would silently replace the first.
+        twin = dataclasses.replace(system_by_key("bs_hm"), label="BS+DM")
+        with pytest.raises(ConfigError, match=re.escape("'BS+DM'")):
+            Session().sweep(small_workloads(), [system_by_key("bs_dm"), twin])
 
     def test_run_one_raises_on_failure(self):
         bad = ExplodingWorkload(stride_lines=4, accesses_per_thread=600)

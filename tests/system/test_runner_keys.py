@@ -1,18 +1,14 @@
-"""Every sweep entry forwards all of ``Machine``'s arguments, keys them,
-and keys the package source.
+"""Every sweep entry forwards all of ``Machine``'s arguments.
 
-The runner binds its keyword arguments against ``Machine``'s own
-signature, so an argument such as ``backend_options`` reaches every
-cell and every stage key without the runner listing it; and every key
-carries a digest of the package sources, so an entry written by other
-code is never read.  ``Session.run`` is the one-cell ``Session.sweep``,
+A session passes its keyword arguments to every cell's ``Machine``, so
+an argument such as ``backend_options`` reaches every cell without the
+runner listing it.  ``Session.run`` is the one-cell ``Session.sweep``,
 so a lone ``BS+BSM`` cell must equal ``Machine.run``'s own-profile mix.
 """
 
 import numpy as np
 import pytest
 
-import repro.system.runner as runner
 from repro.errors import ConfigError
 from repro.hbm.config import hbm2_config
 from repro.system import Machine, Session, frequency_sweep, system_by_key
@@ -120,34 +116,3 @@ class TestBadArgumentsFailBeforeProfiling:
         with pytest.raises(ConfigError):
             Session(**machine_kwargs).sweep([workload()], ["bs_dm", "sdm_bsm"])
         assert profiled == []
-
-    def test_per_call_backend_is_checked_before_profiling(self, monkeypatch):
-        profiled = []
-        monkeypatch.setattr(
-            Machine, "profile", lambda self, *a, **k: profiled.append(a)
-        )
-        with pytest.raises(ConfigError, match="bogus"):
-            Session().sweep([workload()], ["sdm_bsm"], backend="bogus")
-        assert profiled == []
-
-
-class TestSourceDigest:
-    def test_digest_is_one_sha256_per_process(self):
-        digest = runner.source_digest()
-        assert len(digest) == 64 and int(digest, 16) >= 0
-        assert runner.source_digest() is digest
-
-    def test_warm_cache_misses_when_the_digest_differs(
-        self, tmp_path, monkeypatch
-    ):
-        systems = [system_by_key(key) for key in SYSTEMS]
-        cold = Session(tmp_path).sweep([workload()], systems)
-        warm = Session(tmp_path).sweep([workload()], systems)
-        assert warm.cache_misses == 0
-
-        monkeypatch.setattr(runner, "source_digest", lambda: "0" * 64)
-        other = Session(tmp_path).sweep([workload()], systems)
-        assert other.cache_hits == 0
-        assert other.metrics["evaluate"].cache_misses == len(systems)
-        assert other.metrics["profile"].cache_misses == 1
-        assert other.table.fingerprint() == cold.table.fingerprint()

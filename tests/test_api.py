@@ -14,7 +14,7 @@ import repro
 from repro import api
 from repro.__main__ import main
 from repro.errors import ConfigError
-from repro.system import MachineResult, Session, SuiteResult, system_by_key
+from repro.system import Session, SuiteResult, system_by_key
 
 
 def tiny_workload():
@@ -27,18 +27,6 @@ class TestSession:
         assert "Session" in repro.__all__
         assert "run_suite" not in repro.__all__
         assert "ExperimentRunner" not in repro.__all__
-
-    def test_default_cache_is_memory_only(self, monkeypatch, tmp_path):
-        # No environment variable moves the cache; only ``cache_dir``.
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "stages"))
-        session = Session()
-        assert session.cache_dir is None
-        assert session.store is None
-
-    def test_none_disables_the_disk_cache(self):
-        session = Session(cache_dir=None)
-        assert session.cache_dir is None
-        assert session.store is None
 
     @pytest.mark.parametrize("name", ["workers", "bogus"])
     def test_unknown_machine_argument_fails_at_construction(self, name):
@@ -59,14 +47,6 @@ class TestSession:
     def test_bad_machine_value_fails_at_construction(self, kwargs, match):
         with pytest.raises(ConfigError, match=match):
             Session(**kwargs)
-
-    def test_run_persists_stages(self, tmp_path):
-        session = Session(cache_dir=tmp_path)
-        result = session.run(tiny_workload(), "sdm_bsm")
-        assert isinstance(result, MachineResult)
-        assert result.system == "SDM+BSM"
-        assert list((tmp_path / "result").iterdir())
-        assert list((tmp_path / "profile").iterdir())
 
     def test_compare_keys_by_callers_key(self):
         session = Session()

@@ -36,7 +36,6 @@ OFF_PATH = (
     "repro.system.reporting",
     "repro.system.runner",
     "repro.system.stages",
-    "repro.system.tracefile",
     "repro.tier.campaign",
     "repro.tier.swapper",
 )

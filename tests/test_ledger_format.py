@@ -116,15 +116,13 @@ POPULATED = {
         lambda: StageMetrics(
             "evaluate",
             wall_seconds=1.625,
-            cache_hits=3,
-            cache_misses=9,
+            runs=9,
             bytes_simulated=1572864,
         ),
         {
             "stage": "evaluate",
             "wall_seconds": 1.625,
-            "cache_hits": 3,
-            "cache_misses": 9,
+            "runs": 9,
             "bytes_simulated": 1572864,
         },
     ),
@@ -167,7 +165,7 @@ LEGACY_TIER_LOADED = {
     "overhead_ns": 1620.0,
 }
 
-#: The stage-cache entry ``Session(cache_dir=...).run`` wrote
+#: The ``to_dict`` form ``repro suite --json`` writes
 #: for ``copy-stride4`` (stride 4, 256 accesses per thread) on SDM+BSM.
 CACHED_RESULT = {
     "workload": "copy-stride4",

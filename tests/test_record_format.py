@@ -154,7 +154,7 @@ SAMPLES = {
     SuiteResult: lambda: SuiteResult(
         table=_table(),
         errors=[CellError("copy", "bs_hm", "profile", "boom")],
-        metrics={"evaluate": StageMetrics("evaluate", cache_hits=2)},
+        metrics={"evaluate": StageMetrics("evaluate", runs=2)},
         wall_seconds=3.5,
     ),
 }
