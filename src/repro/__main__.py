@@ -420,6 +420,11 @@ def main(argv: list[str] | None = None) -> int:
         for flag, text, options in campaign.flags:
             command.add_argument(flag, help=text, **options)
     args = parser.parse_args(argv)
+    # Every seeded subcommand feeds the seed to numpy's generators,
+    # which take only non-negative seeds.
+    if getattr(args, "seed", 0) < 0:
+        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return 2
     handlers = {
         "demo": cmd_demo,
         "stride": cmd_stride,

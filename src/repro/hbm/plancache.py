@@ -8,11 +8,12 @@ explicit cache that holds them: :class:`PlanCache` replaces the old
 module-level ``functools.lru_cache`` in :mod:`repro.hbm.decode` with an
 object that is
 
-* **explicit** — every :class:`~repro.system.machine.Machine` run
-  decodes through the process-wide :func:`default_plan_cache`, so
-  compile cost is paid once per distinct mapping, not once per run;
-  a caller that wants an isolated cache passes its own to
-  :func:`~repro.hbm.decode.plan_for`;
+* **explicit** — :func:`~repro.hbm.decode.plan_for` always serves
+  from the process-wide :func:`default_plan_cache`, so every
+  :class:`~repro.system.machine.Machine` run pays compile cost once per
+  distinct mapping, not once per run; an isolated :class:`PlanCache`
+  is a separate object a caller fills through its own
+  :meth:`PlanCache.get`;
 * **thread-safe** — lookups and builds are serialised under one lock
   (plans compile in microseconds, so building under the lock also
   guarantees a plan is never compiled twice, whichever thread asks);

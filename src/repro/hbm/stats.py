@@ -141,19 +141,17 @@ class DeviceHealth:
     errors across most banks of a channel look like a lost channel.
     """
 
-    def __init__(
-        self,
-        num_channels: int,
-        banks_per_channel: int,
-        row_threshold: int = 2,
-        bank_row_threshold: int = 4,
-        channel_bank_fraction: float = 0.5,
-    ):
+    #: Errors in one bank before its error rows count as stuck rows.
+    ROW_THRESHOLD = 2
+    #: Distinct error rows in one bank that make it a dead-bank suspect.
+    BANK_ROW_THRESHOLD = 4
+    #: Share of a channel's banks with errors that makes it a lost
+    #: channel (at least two banks).
+    CHANNEL_BANK_FRACTION = 0.5
+
+    def __init__(self, num_channels: int, banks_per_channel: int):
         self.num_channels = num_channels
         self.banks_per_channel = banks_per_channel
-        self.row_threshold = row_threshold
-        self.bank_row_threshold = bank_row_threshold
-        self.channel_bank_fraction = channel_bank_fraction
         self.error_counts = np.zeros(
             (num_channels, banks_per_channel), dtype=np.int64
         )
@@ -198,7 +196,7 @@ class DeviceHealth:
         for c in range(self.num_channels):
             bad_banks = int(np.count_nonzero(self.error_counts[c]))
             if bad_banks >= max(
-                2, int(self.banks_per_channel * self.channel_bank_fraction)
+                2, int(self.banks_per_channel * self.CHANNEL_BANK_FRACTION)
             ):
                 found.append({"kind": "channel", "channel": c})
                 channel_bad.add(c)
@@ -206,14 +204,14 @@ class DeviceHealth:
         for (c, b), rows in sorted(self.error_rows.items()):
             if c in channel_bad:
                 continue
-            if len(rows) >= self.bank_row_threshold:
+            if len(rows) >= self.BANK_ROW_THRESHOLD:
                 found.append({"kind": "bank", "channel": c, "bank": b})
                 bank_bad.add((c, b))
         for (c, b), rows in sorted(self.error_rows.items()):
             if c in channel_bad or (c, b) in bank_bad:
                 continue
             for row in sorted(rows):
-                if self.error_counts[c, b] >= self.row_threshold:
+                if self.error_counts[c, b] >= self.ROW_THRESHOLD:
                     found.append(
                         {"kind": "row", "channel": c, "bank": b, "row": row}
                     )

@@ -3,10 +3,10 @@
 Section 4: the OS "maintains pools of memory for each address mapping,
 and only reconfigures when memory is reclaimed or more memory with a
 specific mapping is requested".  Reconfiguring a *free* chunk is a pure
-CMT write; reconfiguring a chunk with live data additionally requires
-physically moving every allocated line from its old hardware location
-to the one the new mapping assigns — the cost this module models, so
-policies can decide when a remap amortises.
+CMT write (``PhysicalMemory.acquire_chunk``); reconfiguring a chunk with
+live data additionally requires physically moving every allocated line
+from its old hardware location to the one the new mapping assigns — the
+cost this module models, so policies can decide when a remap amortises.
 """
 
 from __future__ import annotations
@@ -43,22 +43,6 @@ class ChunkMigrator:
         self.kernel = kernel
         self.hbm = hbm or hbm2_config()
         self._model = WindowModel(self.hbm, max_inflight=64)
-
-    # -- free chunks: reconfiguration is a table write ---------------------
-    def remap_free_capacity(self, mapping_id: int, chunks: int = 1) -> int:
-        """Pull chunks from the global free list into a mapping's group.
-
-        Free chunks carry no data, so this is the cheap path the paper
-        prefers: acquire + one CMT write each.  Returns the number of
-        chunks acquired.
-        """
-        acquired = 0
-        for _ in range(chunks):
-            if self.kernel.physical.free_chunk_count == 0:
-                break
-            self.kernel.physical.acquire_chunk(mapping_id)
-            acquired += 1
-        return acquired
 
     # -- live chunks: data must move -----------------------------------------
     def _allocated_lines(self, chunk) -> np.ndarray:
@@ -142,24 +126,3 @@ class ChunkMigrator:
             lines_copied=int(pa_lines.size),
             cost_ns=float(cost),
         )
-
-    def migrate_group(
-        self, old_mapping_id: int, new_mapping_id: int
-    ) -> list[MigrationReport]:
-        """Move every chunk of one mapping group to another mapping."""
-        group = self.kernel.physical.group(old_mapping_id)
-        reports = []
-        for chunk in list(group.chunks):
-            reports.append(self.migrate_chunk(chunk.number, new_mapping_id))
-        return reports
-
-    def amortises_over(
-        self,
-        report: MigrationReport,
-        expected_accesses: int,
-        old_ns_per_access: float,
-        new_ns_per_access: float,
-    ) -> bool:
-        """Will the remap pay for itself over the expected accesses?"""
-        saving = expected_accesses * (old_ns_per_access - new_ns_per_access)
-        return saving > report.cost_ns

@@ -5,7 +5,8 @@ package closes the loop at runtime.  A streaming estimator
 (:class:`StreamingBFRV`) keeps decayed bit-flip statistics over the
 external trace, a :class:`PhaseDetector` flags when they diverge from
 the vector that justified the current mapping, a :class:`RemapPolicy`
-prices the switch against live-migration cost, and the
+prices the switch against live-migration cost with fixed constants
+(margin 1.2 over an 8-window horizon, 4-window cooldown), and the
 :class:`AdaptiveController` executes approved remaps through the
 existing CMT/AMU/migration machinery.  :func:`run_adaptive_campaign`
 is the seeded adaptive-vs-static experiment behind
@@ -13,7 +14,7 @@ is the seeded adaptive-vs-static experiment behind
 """
 
 from repro.lazy import lazy_exports
-from repro.online.stream import StreamingBFRV, VariableActivity
+from repro.online.stream import StreamingBFRV
 
 __getattr__, __dir__ = lazy_exports(
     __name__,
@@ -37,7 +38,6 @@ __all__ = [
     "RemapDecision",
     "RemapPolicy",
     "StreamingBFRV",
-    "VariableActivity",
     "bfrv_distance",
     "run_adaptive_campaign",
 ]

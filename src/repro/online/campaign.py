@@ -35,7 +35,7 @@ from repro.core.chunks import ChunkGeometry
 from repro.core.keys import stable_hash
 from repro.core.sdam import SDAMController
 from repro.errors import ConfigError
-from repro.hbm.config import HBMConfig, hbm2_config
+from repro.hbm.config import hbm2_config
 from repro.hbm.backend import create_backend
 from repro.ledger import OMIT, PROVENANCE, Record
 from repro.mem.kernel import Kernel
@@ -182,11 +182,7 @@ def _serve_static(
 def run_adaptive_campaign(
     seed: int = 0,
     quick: bool = False,
-    config: HBMConfig | None = None,
-    geometry: ChunkGeometry | None = None,
     window_accesses: int = 2048,
-    workload: Workload | None = None,
-    controller_kwargs: dict | None = None,
     backend: str = "fast",
     checkpoint_path=None,
     resume: bool = False,
@@ -198,8 +194,8 @@ def run_adaptive_campaign(
     ``quick`` shrinks the trace and the buffer (one chunk instead of
     two) for smoke runs; the experiment's structure is unchanged.
     ``backend`` selects the memory fidelity tier the windows (adaptive
-    and static alike) are scored through, and the default policy's
-    benefit probes with it.
+    and static alike) are scored through, and the policy's benefit
+    probes with it.  The device is :func:`~repro.hbm.config.hbm2_config`.
 
     With ``checkpoint_path`` the campaign persists its kernel,
     controller and service accumulators every ``checkpoint_every``
@@ -216,18 +212,17 @@ def run_adaptive_campaign(
             f"window_accesses must be >= 1, got {window_accesses}"
         )
     started = time.perf_counter()
-    hbm = config or hbm2_config()
-    geometry = geometry or ChunkGeometry(total_bytes=hbm.total_bytes)
-    if workload is None:
-        workload = (
-            PhaseShiftWorkload(
-                buffer_bytes=2 * 1024 * 1024, accesses_per_phase=49152
-            )
-            if quick
-            else PhaseShiftWorkload(
-                buffer_bytes=4 * 1024 * 1024, accesses_per_phase=98304
-            )
+    hbm = hbm2_config()
+    geometry = ChunkGeometry(total_bytes=hbm.total_bytes)
+    workload = (
+        PhaseShiftWorkload(
+            buffer_bytes=2 * 1024 * 1024, accesses_per_phase=49152
         )
+        if quick
+        else PhaseShiftWorkload(
+            buffer_bytes=4 * 1024 * 1024, accesses_per_phase=98304
+        )
+    )
     loop = CheckpointLoop(
         checkpoint_path,
         "adaptive",
@@ -240,15 +235,13 @@ def run_adaptive_campaign(
         every=checkpoint_every,
         stop_after=stop_after,
     )
-    controller_kwargs = dict(controller_kwargs or {})
-    controller_kwargs.setdefault("backend", backend)
 
     # -- adaptive machine ---------------------------------------------------
     def fresh() -> dict:
         model = create_backend(backend, hbm, max_inflight=64)
         kernel, pa = _build_stack(workload, geometry, seed)
         controller = AdaptiveController(
-            kernel, mapping_id=0, hbm=hbm, **controller_kwargs
+            kernel, mapping_id=0, hbm=hbm, backend=backend
         )
         return {
             "kernel": kernel,
@@ -297,15 +290,13 @@ def run_adaptive_campaign(
 
     # -- stationary control: the no-thrash guarantee ------------------------
     stationary = PhaseShiftWorkload(
-        buffer_bytes=workload.buffer_bytes
-        if isinstance(workload, PhaseShiftWorkload)
-        else 2 * 1024 * 1024,
+        buffer_bytes=workload.buffer_bytes,
         accesses_per_phase=window_accesses * 8,
         phases=("stream",),
     )
     stat_kernel, stat_pa = _build_stack(stationary, geometry, seed)
     stat_controller = AdaptiveController(
-        stat_kernel, mapping_id=0, hbm=hbm, **controller_kwargs
+        stat_kernel, mapping_id=0, hbm=hbm, backend=backend
     )
     for window in _windows(stat_pa, window_accesses):
         stat_controller.observe(window)

@@ -45,6 +45,13 @@ from repro.online.stream import StreamingBFRV
 
 __all__ = ["AdaptiveController"]
 
+#: Per-window decay of the streaming BFRV estimate.
+DECAY = 0.3
+#: BFRV distance from the reference that counts as a new phase.
+PHASE_THRESHOLD = 0.08
+#: Consecutive over-threshold windows before a phase event fires.
+PHASE_PERSISTENCE = 2
+
 
 class AdaptiveController:
     """Drives online mapping adaptation for one chunk group.
@@ -59,20 +66,16 @@ class AdaptiveController:
         to its new id.
     hbm:
         Device model used for migration costs and policy probes.
-    decay, threshold, persistence:
-        Estimator and detector tuning (see
-        :class:`~repro.online.stream.StreamingBFRV` and
-        :class:`~repro.online.phase.PhaseDetector`).
-    policy:
-        A :class:`~repro.online.policy.RemapPolicy`; built with
-        defaults when omitted.
-    backend:
-        Memory fidelity tier for the default policy's benefit probes
-        (ignored when an explicit ``policy`` is passed).
     on_copy:
         Optional ``(pa_lines, read_has, write_has)`` hook forwarded to
         every chunk migration — the RAS layer moves modeled device
         contents through it, and tests inject mid-copy faults.
+    backend:
+        Memory fidelity tier of the policy's benefit probes.
+
+    The estimator decays by :data:`DECAY` per window and the detector
+    fires at :data:`PHASE_THRESHOLD` held for :data:`PHASE_PERSISTENCE`
+    windows.
     """
 
     def __init__(
@@ -80,11 +83,6 @@ class AdaptiveController:
         kernel: Kernel,
         mapping_id: int = 0,
         hbm: HBMConfig | None = None,
-        decay: float = 0.3,
-        threshold: float = 0.08,
-        persistence: int = 2,
-        metric: str = "l1",
-        policy: RemapPolicy | None = None,
         on_copy=None,
         backend: str = "fast",
     ):
@@ -97,14 +95,12 @@ class AdaptiveController:
         self.mapping_id = mapping_id
         low, high = self.geometry.window_slice()
         self.estimator = StreamingBFRV(
-            num_bits=high - low, bit_offset=low, decay=decay
+            num_bits=high - low, bit_offset=low, decay=DECAY
         )
         self.detector = PhaseDetector(
-            threshold=threshold, persistence=persistence, metric=metric
+            threshold=PHASE_THRESHOLD, persistence=PHASE_PERSISTENCE
         )
-        self.policy = policy or RemapPolicy(
-            self.hbm, self.geometry, backend=backend
-        )
+        self.policy = RemapPolicy(self.hbm, self.geometry, backend=backend)
         self.migrator = ChunkMigrator(kernel, self.hbm)
         self.traffic = RemapTraffic()
         self.on_copy = on_copy

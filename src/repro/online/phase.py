@@ -25,29 +25,16 @@ from repro.errors import ProfilingError
 __all__ = ["PhaseEvent", "PhaseDetector", "bfrv_distance"]
 
 
-def bfrv_distance(a: np.ndarray, b: np.ndarray, metric: str = "l1") -> float:
-    """Distance between two flip-rate vectors.
+def bfrv_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Mean absolute per-bit difference of two flip-rate vectors.
 
-    ``l1`` is the mean absolute per-bit difference (scale-free in the
-    number of bits, bounded by 1).  ``cosine`` is ``1 - cos(a, b)`` —
-    shape-sensitive but magnitude-blind; two zero vectors are at
-    distance 0, a zero vector against a non-zero one at distance 1.
+    Scale-free in the number of bits and bounded by 1.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ProfilingError("flip-rate vectors have different shapes")
-    if metric == "l1":
-        return float(np.abs(a - b).mean())
-    if metric == "cosine":
-        norm_a = float(np.linalg.norm(a))
-        norm_b = float(np.linalg.norm(b))
-        if norm_a == 0.0 and norm_b == 0.0:
-            return 0.0
-        if norm_a == 0.0 or norm_b == 0.0:
-            return 1.0
-        return 1.0 - float(np.dot(a, b)) / (norm_a * norm_b)
-    raise ProfilingError(f"unknown BFRV distance metric {metric!r}")
+    return float(np.abs(a - b).mean())
 
 
 @dataclass(frozen=True)
@@ -57,7 +44,6 @@ class PhaseEvent:
     window: int  # detector window index at which the change fired
     distance: float  # distance from the reference when it fired
     streak: int  # consecutive over-threshold windows behind it
-    metric: str
 
 
 class PhaseDetector:
@@ -71,24 +57,21 @@ class PhaseDetector:
     persistence:
         Consecutive over-threshold windows required (the hysteresis
         against one-window noise).
-    metric:
-        ``"l1"`` (default) or ``"cosine"`` — see :func:`bfrv_distance`.
+
+    The distance is :func:`bfrv_distance`.
     """
 
     def __init__(
         self,
         threshold: float = 0.08,
         persistence: int = 2,
-        metric: str = "l1",
     ):
         if threshold <= 0:
             raise ProfilingError("threshold must be positive")
         if persistence < 1:
             raise ProfilingError("persistence must be >= 1")
-        bfrv_distance(np.zeros(1), np.zeros(1), metric)  # validate early
         self.threshold = threshold
         self.persistence = persistence
-        self.metric = metric
         self._reference: np.ndarray | None = None
         self._streak = 0
         self.windows_seen = 0
@@ -118,7 +101,7 @@ class PhaseDetector:
             self.set_reference(rates)
             self.last_distance = 0.0
             return None
-        self.last_distance = bfrv_distance(rates, self._reference, self.metric)
+        self.last_distance = bfrv_distance(rates, self._reference)
         if self.last_distance <= self.threshold:
             self._streak = 0
             return None
@@ -129,7 +112,6 @@ class PhaseDetector:
             window=self.windows_seen,
             distance=self.last_distance,
             streak=self._streak,
-            metric=self.metric,
         )
         self.events.append(event)
         self._streak = 0
@@ -138,6 +120,5 @@ class PhaseDetector:
     def __repr__(self) -> str:
         return (
             f"PhaseDetector(threshold={self.threshold}, "
-            f"persistence={self.persistence}, metric={self.metric!r}, "
-            f"events={len(self.events)})"
+            f"persistence={self.persistence}, events={len(self.events)})"
         )

@@ -10,7 +10,7 @@ permutation and only approves when the gain clearly amortises.
 The benefit estimate is *measured, not guessed*: the recent window's
 PA trace is replayed through the fast window model under both the
 current and the candidate full-width mappings, and the per-window
-makespan difference is projected over a configurable horizon.  The
+makespan difference is projected over a fixed horizon.  The
 migration estimate prices the copy as a balanced two-transfer-per-line
 stream plus fixed per-chunk CMT-write and per-remap AMU-reprogram
 costs.  Cooldown and per-chunk remap budgets guard against thrash even
@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.core.amu import AddressMappingUnit
 from repro.core.chunks import ChunkGeometry
-from repro.errors import ProfilingError
 from repro.hbm.config import HBMConfig
 from repro.hbm.backend import create_backend
 from repro.ledger import Record
@@ -36,6 +35,22 @@ __all__ = ["RemapDecision", "RemapPolicy", "CMT_WRITE_NS", "AMU_REPROGRAM_NS"]
 CMT_WRITE_NS = 10.0
 #: Modeled cost of rewriting the AMU crossbar configuration lanes.
 AMU_REPROGRAM_NS = 200.0
+
+#: Future windows the new phase is assumed to last; the per-window gain
+#: is projected over this horizon.
+HORIZON_WINDOWS = 8
+#: Safety factor: the projected gain must exceed this many times the
+#: migration cost to approve.
+BENEFIT_MARGIN = 1.2
+#: Minimum windows between approved remaps (thrash guard).
+COOLDOWN_WINDOWS = 4
+#: Lifetime migration budget per chunk; a group holding a chunk at the
+#: budget declines further remaps.
+MAX_REMAPS_PER_CHUNK = 8
+#: Cap on the replayed window length of a benefit probe.
+PROBE_ACCESSES = 4096
+#: In-flight request limit of the benefit probes' timing model.
+PROBE_MAX_INFLIGHT = 64
 
 
 @dataclass(frozen=True)
@@ -54,59 +69,31 @@ class RemapDecision(Record):
 class RemapPolicy:
     """Prices a candidate remap against its projected benefit.
 
-    Parameters
-    ----------
-    horizon_windows:
-        How many future windows the new phase is assumed to last; the
-        per-window gain is projected over this horizon.
-    benefit_margin:
-        Safety factor: the projected gain must exceed
-        ``benefit_margin * migration_cost`` to approve.
-    cooldown_windows:
-        Minimum windows between approved remaps (thrash guard).
-    max_remaps_per_chunk:
-        Lifetime migration budget per chunk; a group containing a chunk
-        over budget declines further remaps.
-    probe_accesses:
-        Cap on the replayed window length for the benefit probe.
-    backend:
-        Memory fidelity tier the benefit probes replay through (a
-        backend name; ``"fast"`` by default).
+    The horizon, margin, cooldown, per-chunk budget and probe length
+    are the module constants above.  ``backend`` is the memory fidelity
+    tier the benefit probes replay through (a backend name).
     """
 
     def __init__(
         self,
         hbm: HBMConfig,
         geometry: ChunkGeometry,
-        horizon_windows: int = 8,
-        benefit_margin: float = 1.2,
-        cooldown_windows: int = 4,
-        max_remaps_per_chunk: int = 8,
-        probe_accesses: int = 4096,
-        max_inflight: int = 64,
         backend: str = "fast",
     ):
-        if horizon_windows < 1:
-            raise ProfilingError("horizon_windows must be >= 1")
-        if cooldown_windows < 0:
-            raise ProfilingError("cooldown_windows must be >= 0")
         self.hbm = hbm
         self.geometry = geometry
-        self.horizon_windows = horizon_windows
-        self.benefit_margin = benefit_margin
-        self.cooldown_windows = cooldown_windows
-        self.max_remaps_per_chunk = max_remaps_per_chunk
-        self.probe_accesses = probe_accesses
         self.backend = backend
-        self._model = create_backend(backend, hbm, max_inflight=max_inflight)
+        self._model = create_backend(
+            backend, hbm, max_inflight=PROBE_MAX_INFLIGHT
+        )
         self._amu = AddressMappingUnit(geometry.window_bits)
 
     # -- pieces -------------------------------------------------------------
     def probe_window_ns(self, pa: np.ndarray, window_perm) -> float:
         """Simulated makespan of a PA window under one window mapping."""
         pa = np.asarray(pa, dtype=np.uint64)
-        if pa.size > self.probe_accesses:
-            pa = pa[-self.probe_accesses :]
+        if pa.size > PROBE_ACCESSES:
+            pa = pa[-PROBE_ACCESSES:]
         operator = self._amu.full_mapping(window_perm, self.geometry)
         return float(self._model.simulate(operator.apply(pa)).makespan_ns)
 
@@ -145,19 +132,19 @@ class RemapPolicy:
             return RemapDecision(False, "degenerate-profile")
         if np.array_equal(candidate, current):
             return RemapDecision(False, "same-mapping")
-        if windows_since_remap < self.cooldown_windows:
+        if windows_since_remap < COOLDOWN_WINDOWS:
             return RemapDecision(
                 False,
                 "cooldown",
                 details={
                     "windows_since_remap": windows_since_remap,
-                    "cooldown_windows": self.cooldown_windows,
+                    "cooldown_windows": COOLDOWN_WINDOWS,
                 },
             )
         over_budget = [
             chunk_no
             for chunk_no, count in (chunk_remap_counts or {}).items()
-            if count >= self.max_remaps_per_chunk
+            if count >= MAX_REMAPS_PER_CHUNK
         ]
         if over_budget:
             return RemapDecision(
@@ -166,16 +153,16 @@ class RemapPolicy:
         current_ns = self.probe_window_ns(window_pa, current)
         candidate_ns = self.probe_window_ns(window_pa, candidate)
         gain = current_ns - candidate_ns
-        projected = gain * self.horizon_windows
+        projected = gain * HORIZON_WINDOWS
         cost = self.migration_estimate_ns(live_lines, chunks)
         details = {
             "current_window_ns": current_ns,
             "candidate_window_ns": candidate_ns,
-            "horizon_windows": self.horizon_windows,
+            "horizon_windows": HORIZON_WINDOWS,
             "live_lines": live_lines,
             "chunks": chunks,
         }
-        if gain <= 0 or projected <= self.benefit_margin * cost:
+        if gain <= 0 or projected <= BENEFIT_MARGIN * cost:
             return RemapDecision(
                 False,
                 "insufficient-gain",

@@ -1,22 +1,17 @@
-"""Streaming access-pattern estimators for online mapping adaptation.
+"""Streaming bit-flip statistics for online mapping adaptation.
 
 The offline pipeline (Section 6.2) profiles a whole run, then selects
 mappings once.  The online controller instead watches the external
 memory trace *as it happens*, in windows, and needs the same bit-flip
-statistics incrementally:
-
-* :class:`StreamingBFRV` — an exponentially-decayed bit-flip-rate
-  vector.  Each window's XOR-delta flip counts fold into decayed
-  accumulators; with ``decay=1.0`` the accumulated counts over
-  concatenated windows are exactly the batch counts, so the streamed
-  rate is **bit-exact** with :func:`repro.profiling.bfrv.
-  bit_flip_rate_vector` on the full trace (tested property).  The
-  boundary pair between the last address of one window and the first
-  of the next is counted, which is what makes the equivalence hold for
-  any window split.
-* :class:`VariableActivity` — decayed per-variable reference counts and
-  page-granular footprints, the online analogue of the profiler's
-  major-variable statistics.
+statistics incrementally.  :class:`StreamingBFRV` is an
+exponentially-decayed bit-flip-rate vector: each window's XOR-delta
+flip counts fold into decayed accumulators; with ``decay=1.0`` the
+accumulated counts over concatenated windows are exactly the batch
+counts, so the streamed rate is **bit-exact** with
+:func:`repro.profiling.bfrv.bit_flip_rate_vector` on the full trace
+(tested property).  The boundary pair between the last address of one
+window and the first of the next is counted, which is what makes the
+equivalence hold for any window split.
 
 Degenerate windows (fewer than two addresses, or constant addresses)
 never raise — they are counted and flagged, matching the hardened
@@ -34,7 +29,7 @@ from repro.profiling.bfrv import (
     flip_counts,
 )
 
-__all__ = ["StreamingBFRV", "VariableActivity"]
+__all__ = ["StreamingBFRV"]
 
 
 class StreamingBFRV:
@@ -119,82 +114,8 @@ class StreamingBFRV:
         """Decayed number of consecutive pairs backing the estimate."""
         return self._pairs
 
-    def reset(self, carry_last: bool = True) -> None:
-        """Forget all statistics (optionally keeping the boundary address)."""
-        self._counts[:] = 0.0
-        self._pairs = 0.0
-        if not carry_last:
-            self._last = None
-
     def __repr__(self) -> str:
         return (
             f"StreamingBFRV(bits={self.num_bits}+{self.bit_offset}, "
             f"decay={self.decay}, windows={self.windows_seen})"
         )
-
-
-class VariableActivity:
-    """Decayed per-variable reference counts and page footprints.
-
-    The online stand-in for the profiler's major-variable analysis:
-    which variables dominate the recent external traffic, and how many
-    distinct pages each touched.  Footprints are per-window distinct
-    page counts folded with the same decay as references — an
-    inexpensive working-set proxy, not an exact union over time.
-    """
-
-    def __init__(self, page_bits: int = 12, decay: float = 0.5):
-        if not 0.0 < decay <= 1.0:
-            raise ProfilingError("decay must be in (0, 1]")
-        self.page_bits = page_bits
-        self.decay = decay
-        self.references: dict[int, float] = {}
-        self.footprint_pages: dict[int, float] = {}
-        self.windows_seen = 0
-
-    def update(self, addresses: np.ndarray, variable: np.ndarray) -> None:
-        """Fold one window's tagged accesses in (one pass per window)."""
-        addresses = np.asarray(addresses, dtype=np.uint64).ravel()
-        variable = np.asarray(variable, dtype=np.int64).ravel()
-        if addresses.size != variable.size:
-            raise ProfilingError("addresses and variable tags disagree")
-        self.windows_seen += 1
-        for table in (self.references, self.footprint_pages):
-            for key in table:
-                table[key] *= self.decay
-        if addresses.size == 0:
-            return
-        pages = addresses >> np.uint64(self.page_bits)
-        tags, refs = np.unique(variable, return_counts=True)
-        # One sort of the (tag, page) pairs: each tag's run of distinct
-        # pages is its footprint this window.
-        order = np.lexsort((pages, variable))
-        tag, page = variable[order], pages[order]
-        fresh = np.ones(tag.size, dtype=bool)
-        fresh[1:] = (tag[1:] != tag[:-1]) | (page[1:] != page[:-1])
-        distinct = np.bincount(
-            np.searchsorted(tags, tag[fresh]), minlength=tags.size
-        )
-        references, footprints = self.references, self.footprint_pages
-        for var, count, spread in zip(
-            tags.tolist(), refs.tolist(), distinct.tolist()
-        ):
-            references[var] = references.get(var, 0.0) + float(count)
-            footprints[var] = footprints.get(var, 0.0) + float(spread)
-
-    def majors(self, coverage: float = 0.8) -> list[int]:
-        """Variables covering ``coverage`` of decayed references."""
-        if not 0 < coverage <= 1:
-            raise ProfilingError("coverage must be in (0, 1]")
-        total = sum(self.references.values())
-        ranked = sorted(
-            self.references.items(), key=lambda item: (-item[1], item[0])
-        )
-        majors: list[int] = []
-        accumulated = 0.0
-        for var, refs in ranked:
-            if accumulated >= coverage * total:
-                break
-            majors.append(var)
-            accumulated += refs
-        return majors

@@ -1,10 +1,6 @@
 """Profiling substrate: variable attribution, BFRVs, major variables."""
 
-from repro.profiling.bfrv import (
-    bit_flip_rate_vector,
-    dominant_flip_bit,
-    window_flip_rates,
-)
+from repro.profiling.bfrv import bit_flip_rate_vector, window_flip_rates
 from repro.profiling.profiler import (
     VariableProfile,
     WorkloadProfile,
@@ -19,7 +15,6 @@ __all__ = [
     "VariableRegistry",
     "WorkloadProfile",
     "bit_flip_rate_vector",
-    "dominant_flip_bit",
     "profile_trace",
     "window_flip_rates",
 ]

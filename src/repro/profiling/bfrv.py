@@ -31,7 +31,6 @@ __all__ = [
     "bit_flip_rate_vector",
     "flip_counts",
     "window_flip_rates",
-    "dominant_flip_bit",
 ]
 
 #: ``flags["degenerate"]`` value for traces with fewer than two accesses.
@@ -112,9 +111,3 @@ def window_flip_rates(
     return bit_flip_rate_vector(
         addresses, num_bits=high - low, bit_offset=low, flags=flags
     )
-
-
-def dominant_flip_bit(addresses: np.ndarray, num_bits: int, bit_offset: int = 0) -> int:
-    """Absolute position of the hottest bit (Fig. 3b's peak)."""
-    rates = bit_flip_rate_vector(addresses, num_bits, bit_offset)
-    return bit_offset + int(np.argmax(rates))

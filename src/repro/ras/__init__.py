@@ -1,11 +1,13 @@
 """Device-level RAS: inject modeled-hardware faults, detect, repair.
 
 The ``device.*`` fault sites of :mod:`repro.ras.faults` name the
-modeled-hardware failures.  A seeded :class:`DeviceFaultPlan` injects
+modeled-hardware failures.  A :class:`DeviceFaultPlan`, drawn by the
+seeded campaign from the hardware the machine populated, injects
 stuck rows, dead banks, lost channels, CMT bit flips and AMU
-misprogramming into a live :class:`~repro.ras.campaign.RASMachine`; the :class:`RASController`
-detects them (ECC topology, CMT shadow compare, translation spot
-checks) and repairs by software-defined remapping — composing a
+misprogramming into a live :class:`~repro.ras.campaign.RASMachine`;
+the :class:`RASController` detects them (ECC topology with the fixed
+thresholds of :class:`~repro.hbm.stats.DeviceHealth`, CMT shadow
+compare, translation spot checks) and repairs by software-defined remapping — composing a
 replacement window permutation whose preimage of the faulty region is
 retirable, migrating live data onto it, and gracefully degrading to a
 reduced-channel mapping when a whole channel is lost.

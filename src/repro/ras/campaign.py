@@ -446,12 +446,12 @@ def _plan_from_state(machine, kinds, rng, first_trigger, spacing):
         by_bank.setdefault((c, b), set()).add(r)
     health = machine.health
     rich_rows = sorted(
-        key for key, n in by_row.items() if n >= health.row_threshold
+        key for key, n in by_row.items() if n >= health.ROW_THRESHOLD
     ) or sorted(by_row)
     rich_banks = sorted(
         key
         for key, rows in by_bank.items()
-        if len(rows) >= health.bank_row_threshold
+        if len(rows) >= health.BANK_ROW_THRESHOLD
     ) or sorted(by_bank)
     banks_per_channel: dict[int, int] = {}
     for c, _b in rich_banks:
@@ -460,7 +460,7 @@ def _plan_from_state(machine, kinds, rng, first_trigger, spacing):
         2,
         int(
             machine.config.banks_per_channel
-            * health.channel_bank_fraction
+            * health.CHANNEL_BANK_FRACTION
         ),
     )
     # Detection is guaranteed by the controller's device patrol scrub;
@@ -566,8 +566,6 @@ def run_campaign(
     seed: int = 0,
     kinds=ALL_KINDS,
     quick: bool = True,
-    config: HBMConfig | None = None,
-    geometry: ChunkGeometry | None = None,
     backend: str = "fast",
     checkpoint_path=None,
     resume: bool = False,
@@ -580,7 +578,8 @@ def run_campaign(
     per requested kind (staggered so each is detected before the next
     strikes), patrol-scrubs every batch, and finally compares the twins
     line by line over the surviving address space.  ``backend`` selects
-    the memory fidelity tier both twins charge their accesses against.
+    the memory fidelity tier both twins charge their accesses against;
+    the device is :func:`small_ras_config`.
 
     With ``checkpoint_path`` the campaign persists its twins and batch
     cursor every ``checkpoint_every`` batches, and ``resume=True``
@@ -592,8 +591,8 @@ def run_campaign(
     """
     from repro.system.checkpoint import CheckpointLoop
 
-    config = config or small_ras_config()
-    geometry = geometry or ChunkGeometry(total_bytes=config.total_bytes)
+    config = small_ras_config()
+    geometry = ChunkGeometry(total_bytes=config.total_bytes)
     loop = CheckpointLoop(
         checkpoint_path,
         "ras",

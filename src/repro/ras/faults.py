@@ -16,9 +16,7 @@ A *fault site* is a stable string naming one modeled-hardware failure:
     mapping index while the CMT SRAM stays correct — the failure a
     shadow compare cannot see and only translation spot checks catch.
 
-Site patterns are ``fnmatch`` globs, so ``device.hbm.*`` covers a
-family; :func:`matches_known_site` tells whether a pattern can ever
-fire.  A :class:`DeviceFaultSpec` pins one site to concrete coordinates
+A :class:`DeviceFaultSpec` pins one site to concrete coordinates
 (channel/bank/row, CMT word, mapping index) and an access-count trigger
 point.  A :class:`DeviceFaultPlan` is consumed by
 :class:`~repro.ras.campaign.RASMachine`, which injects each spec exactly
@@ -27,14 +25,9 @@ once when the machine's cumulative access counter passes the trigger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from fnmatch import fnmatch
+from dataclasses import dataclass
 
-import numpy as np
-
-from repro.core.chunks import ChunkGeometry
 from repro.errors import DeviceFaultError
-from repro.hbm.config import HBMConfig
 from repro.ledger import Record
 
 __all__ = [
@@ -46,7 +39,6 @@ __all__ = [
     "DEVICE_SITES",
     "DeviceFaultPlan",
     "DeviceFaultSpec",
-    "matches_known_site",
 ]
 
 DEVICE_HBM_ROW = "device.hbm.row"
@@ -66,11 +58,6 @@ DEVICE_SITES = (
 
 #: Sites describing physical (channel/bank/row) damage.
 PHYSICAL_SITES = (DEVICE_HBM_ROW, DEVICE_HBM_BANK, DEVICE_HBM_CHANNEL)
-
-
-def matches_known_site(pattern: str) -> bool:
-    """Whether a site pattern can ever match a real injection point."""
-    return any(fnmatch(site, pattern) for site in DEVICE_SITES)
 
 
 @dataclass(frozen=True)
@@ -149,9 +136,10 @@ class DeviceFaultSpec(Record):
 
 
 class DeviceFaultPlan:
-    """An ordered, seeded set of device faults with trigger bookkeeping.
+    """An ordered set of device faults with trigger bookkeeping.
 
-    The plan is pure data plus "has this spec fired yet" tracking; the
+    The RAS campaign builds it from the populated device state; the plan
+    is pure data plus "has this spec fired yet" tracking; the
     machine calls :meth:`pop_due` with its cumulative access count and
     injects whatever comes back.
     """
@@ -177,76 +165,3 @@ class DeviceFaultPlan:
     def pending(self) -> int:
         """Specs that have not fired yet."""
         return len(self.specs) - len(self._fired)
-
-    # -- seeded generation --------------------------------------------------
-    @classmethod
-    def seeded(
-        cls,
-        seed: int,
-        config: HBMConfig,
-        geometry: ChunkGeometry,
-        kinds=("row", "bank", "channel", "cmt"),
-        first_trigger: int = 2000,
-        spacing: int = 4000,
-        live_mappings: int = 2,
-    ) -> "DeviceFaultPlan":
-        """One concrete fault per requested kind, staggered in time.
-
-        ``kinds`` entries: ``row``, ``bank``, ``channel``, ``cmt``,
-        ``amu``.  Coordinates are drawn from a seeded generator, so the
-        same (seed, config) always yields the same campaign.
-        """
-        rng = np.random.default_rng(seed)
-        specs = []
-        trigger = first_trigger
-        for kind in kinds:
-            channel = int(rng.integers(0, config.num_channels))
-            bank = int(rng.integers(0, config.banks_per_channel))
-            if kind == "row":
-                spec = DeviceFaultSpec(
-                    site=DEVICE_HBM_ROW,
-                    trigger_access=trigger,
-                    channel=channel,
-                    bank=bank,
-                    row=int(rng.integers(0, config.rows_per_bank)),
-                )
-            elif kind == "bank":
-                spec = DeviceFaultSpec(
-                    site=DEVICE_HBM_BANK,
-                    trigger_access=trigger,
-                    channel=channel,
-                    bank=bank,
-                )
-            elif kind == "channel":
-                spec = DeviceFaultSpec(
-                    site=DEVICE_HBM_CHANNEL,
-                    trigger_access=trigger,
-                    channel=channel,
-                )
-            elif kind == "cmt":
-                spec = DeviceFaultSpec(
-                    site=DEVICE_CMT_FLIP,
-                    trigger_access=trigger,
-                    chunk_no=int(rng.integers(0, geometry.num_chunks)),
-                    bit=int(rng.integers(0, 8)),
-                )
-            elif kind == "amu":
-                spec = DeviceFaultSpec(
-                    site=DEVICE_AMU_MISPROGRAM,
-                    trigger_access=trigger,
-                    mapping_index=int(rng.integers(1, max(2, live_mappings))),
-                )
-            else:
-                raise DeviceFaultError(
-                    f"unknown fault kind {kind!r}; "
-                    "known: row, bank, channel, cmt, amu"
-                )
-            specs.append(spec)
-            trigger += spacing
-        return cls(specs)
-
-    def retargeted(self, index: int, **changes) -> "DeviceFaultPlan":
-        """A copy of the plan with one spec's fields replaced."""
-        specs = list(self.specs)
-        specs[index] = replace(specs[index], **changes)
-        return DeviceFaultPlan(specs)

@@ -39,6 +39,9 @@ __all__ = [
     "row_fault_chunk",
 ]
 
+#: Candidate permutations :func:`compose_repair` scores per search.
+REPAIR_ATTEMPTS = 48
+
 
 @dataclass(frozen=True)
 class FaultCube:
@@ -200,7 +203,7 @@ def preimage_pages(
     return sorted({int(o) >> page_low_bits for o in offsets})
 
 
-def _candidate_perms(geometry, cubes, rng, attempts):
+def _candidate_perms(geometry, cubes, rng):
     """Yield window permutations to score: structured first, then seeded.
 
     AMU semantics: ``perm[output_bit] = input_bit``.  The structured
@@ -219,14 +222,14 @@ def _candidate_perms(geometry, cubes, rng, attempts):
         for out, inp in zip(fixed_out, remaining):
             perm[out] = inp
         yield perm.copy()
-        for _ in range(max(0, attempts - 1) // max(1, len(cubes))):
+        for _ in range((REPAIR_ATTEMPTS - 1) // max(1, len(cubes))):
             shuffled = rng.permutation(remaining)
             for out, inp in zip(fixed_out, shuffled):
                 perm[out] = inp
             yield perm.copy()
     # Unstructured fallback: occasionally a plain random permutation
     # scores better when several cubes constrain each other.
-    for _ in range(attempts // 4):
+    for _ in range(REPAIR_ATTEMPTS // 4):
         yield rng.permutation(window_bits).astype(np.int64)
 
 
@@ -235,7 +238,6 @@ def compose_repair(
     cubes,
     rng,
     live_pages=frozenset(),
-    attempts: int = 48,
 ) -> tuple[np.ndarray, list[int]]:
     """Search for a window permutation that quarantines every cube.
 
@@ -252,7 +254,7 @@ def compose_repair(
     best_perm = None
     best_pages: list[int] = []
     best_score = None
-    for perm in _candidate_perms(geometry, cubes, rng, attempts):
+    for perm in _candidate_perms(geometry, cubes, rng):
         operator = BitOperator.from_permutation(perm)
         pages: set[int] = set()
         for cube in cubes:

@@ -39,7 +39,7 @@ __all__ = [
     "save_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 def save_checkpoint(

@@ -27,7 +27,7 @@ from repro.core.chunks import ChunkGeometry
 from repro.core.sdam import SDAMController
 from repro.cpu.trace import AccessTrace, interleave_traces
 from repro.errors import ConfigError
-from repro.hbm.config import HBMConfig, hbm2_config
+from repro.hbm.config import hbm2_config
 from repro.hbm.fastmodel import WindowModel
 from repro.hbm.stats import RunStats
 from repro.mem.kernel import Kernel
@@ -36,6 +36,9 @@ from repro.system.machine import Machine
 from repro.workloads.base import Workload
 
 __all__ = ["CorunResult", "CorunMachine"]
+
+#: Cores of each application's machine (the 4-core CPU engine).
+CORES = 4
 
 
 @dataclass(frozen=True)
@@ -54,15 +57,16 @@ class CorunResult:
 
 
 class CorunMachine:
-    """Several workloads, one memory system, one shared CMT."""
+    """Several workloads, one memory system, one shared CMT.
+
+    The memory system is :func:`~repro.hbm.config.hbm2_config` and each
+    application runs on :data:`CORES` cores.
+    """
 
     def __init__(
         self,
         use_sdam: bool = True,
         clusters_per_app: int = 4,
-        hbm: HBMConfig | None = None,
-        geometry: ChunkGeometry | None = None,
-        cores: int = 4,
         max_mappings: int = 256,
         seed: int = 0,
     ):
@@ -70,11 +74,8 @@ class CorunMachine:
             raise ConfigError("need at least one cluster per application")
         self.use_sdam = use_sdam
         self.clusters_per_app = clusters_per_app
-        self.hbm = hbm or hbm2_config()
-        self.geometry = geometry or ChunkGeometry(
-            total_bytes=self.hbm.total_bytes
-        )
-        self.cores = cores
+        self.hbm = hbm2_config()
+        self.geometry = ChunkGeometry(total_bytes=self.hbm.total_bytes)
         self.max_mappings = max_mappings
         self.seed = seed
 
@@ -96,7 +97,7 @@ class CorunMachine:
             system,
             hbm=self.hbm,
             geometry=self.geometry,
-            cores=self.cores,
+            cores=CORES,
             seed=self.seed + app_index,
         )
 

@@ -4,8 +4,11 @@ The package behind the ``"tiered"`` entry in the memory-backend
 table: page-granular placement between a fast HBM tier (timing
 delegated to the fast/vector backends) and a latency/bandwidth-modeled
 slow tier, with pluggable swap policies driven by the online BFRV and
-activity signals, SDAM-aware chunk swaps (mapping reprogramming with
-rollback), and RAS-retired pages pinned to the slow tier.
+activity signals, and RAS-retired pages pinned to the slow tier.  The
+campaign (:func:`run_tier_campaign`, behind ``python -m repro tier``)
+also remaps a live chunk mid-swap through
+:meth:`~repro.mem.migration.ChunkMigrator.migrate_chunk` and checks the
+CMT rolls back on a mid-copy fault.
 """
 
 from repro.lazy import lazy_exports
@@ -27,13 +30,11 @@ __getattr__, __dir__ = lazy_exports(
     {
         "TierCampaignResult": ("repro.tier.campaign", "TierCampaignResult"),
         "run_tier_campaign": ("repro.tier.campaign", "run_tier_campaign"),
-        "SDAMAwareSwapper": ("repro.tier.swapper", "SDAMAwareSwapper"),
     },
 )
 
 __all__ = [
     "FastSwap",
-    "SDAMAwareSwapper",
     "SlowSwap",
     "SlowTierConfig",
     "SmartSwap",

@@ -12,9 +12,9 @@ one tier, the fast tier is within capacity, pinned pages are slow.
 
 Two side legs exercise the subsystem's integration points:
 
-* **sdam** — an :class:`~repro.tier.swapper.SDAMAwareSwapper` remaps a
-  live chunk's mapping mid-swap, first with an injected mid-copy fault
-  (the CMT must roll back), then cleanly;
+* **sdam** — :meth:`~repro.mem.migration.ChunkMigrator.migrate_chunk`
+  remaps a live chunk's mapping mid-swap, first with an injected
+  mid-copy fault (the CMT must roll back), then cleanly;
 * **ras** — retired pages reported by
   :class:`~repro.mem.physical.PhysicalMemory` are pinned to the slow
   tier: fast capacity is unchanged and the pages are never promoted.
@@ -38,15 +38,17 @@ from repro.hbm.config import HBMConfig, hbm2_config
 from repro.ledger import PROVENANCE, Record
 from repro.mem.kernel import Kernel
 from repro.mem.malloc import MappingAwareAllocator
+from repro.mem.migration import ChunkMigrator
 from repro.tier.backend import TieredBackend
 from repro.tier.policies import available_policies
-from repro.tier.swapper import SDAMAwareSwapper
 from repro.workloads.synthetic import TieredPressureWorkload
 
 __all__ = ["TierCampaignResult", "run_tier_campaign"]
 
 #: Policy evaluated against the all-slow baseline for the speed gate.
 GATED_POLICY = "smart"
+#: Accesses per swap wave in every leg.
+WAVE_ACCESSES = 2048
 
 
 @dataclass
@@ -169,7 +171,8 @@ def _sdam_leg(problems: list[str]) -> dict:
     kernel = Kernel(geometry, sdam=SDAMController(geometry))
     space = kernel.spawn()
     malloc = MappingAwareAllocator(kernel, space)
-    swapper = SDAMAwareSwapper(kernel)
+    migrator = ChunkMigrator(kernel)
+    cmt = kernel.sdam.cmt
     new_mapping = malloc.add_addr_map(
         np.roll(np.arange(geometry.window_bits), 2)
     )
@@ -179,28 +182,31 @@ def _sdam_leg(problems: list[str]) -> dict:
     )
     space.translate_trace(touch)
     chunk_no = geometry.chunk_number(space.translate(va))
-    old_index = swapper.mapping_index_of(chunk_no)
+    old_index = cmt.mapping_index_of(chunk_no)
 
     def exploding_copy(_pa_lines, _reads, _writes):
         raise SimulationError("injected mid-copy device fault")
 
+    remaps = rollbacks = 0
     try:
-        swapper.swap_chunk(chunk_no, new_mapping, on_copy=exploding_copy)
+        migrator.migrate_chunk(chunk_no, new_mapping, on_copy=exploding_copy)
+        remaps += 1
         problems.append("sdam: injected mid-copy fault did not propagate")
     except SimulationError:
-        pass
-    rollback_ok = swapper.mapping_index_of(chunk_no) == old_index
+        rollbacks += 1
+    rollback_ok = cmt.mapping_index_of(chunk_no) == old_index
     if not rollback_ok:
         problems.append(
             "sdam: CMT not rolled back after mid-copy fault "
             f"(expected mapping {old_index})"
         )
-    report = swapper.swap_chunk(chunk_no, new_mapping)
-    if swapper.mapping_index_of(chunk_no) != new_mapping:
+    report = migrator.migrate_chunk(chunk_no, new_mapping)
+    remaps += 1
+    if cmt.mapping_index_of(chunk_no) != new_mapping:
         problems.append("sdam: clean swap did not adopt the new mapping")
     return {
-        "remaps": swapper.traffic.sdam_remaps,
-        "rollbacks": swapper.traffic.sdam_rollbacks,
+        "remaps": remaps,
+        "rollbacks": rollbacks,
         "rollback_ok": rollback_ok,
         "lines_copied": int(report.lines_copied),
         "cost_ns": float(report.cost_ns),
@@ -267,8 +273,6 @@ def run_tier_campaign(
     seed: int = 0,
     quick: bool = True,
     policy: str | None = None,
-    config: HBMConfig | None = None,
-    wave_accesses: int = 2048,
 ) -> TierCampaignResult:
     """Run the seeded tiered-memory campaign.
 
@@ -276,10 +280,13 @@ def run_tier_campaign(
     structure (both workload legs, the sdam and ras side legs, the
     per-wave invariant checks, the SmartSwap-vs-all-slow gate) is
     unchanged.  ``policy`` restricts the evaluated policies to one name
-    (the all-slow baseline always runs).
+    (the all-slow baseline always runs).  The device is
+    :func:`~repro.hbm.config.hbm2_config` and every leg swaps in waves of
+    :data:`WAVE_ACCESSES` accesses.
     """
     started = time.perf_counter()
-    hbm = config or hbm2_config()
+    hbm = hbm2_config()
+    wave_accesses = WAVE_ACCESSES
     if policy is not None and policy not in available_policies():
         raise ConfigError(
             f"unknown swap policy {policy!r}; "

@@ -38,8 +38,6 @@ class TierTraffic(Ledger):
     trans_misses: int = field(default=0, metadata=SUM)
     trans_ns: float = field(default=0.0, metadata=SUM)
     slow_busy_ns: float = field(default=0.0, metadata=SUM)
-    sdam_remaps: int = field(default=0, metadata=SUM)
-    sdam_rollbacks: int = field(default=0, metadata=SUM)
 
     @property
     def accesses(self) -> int:

@@ -5,7 +5,12 @@ import pytest
 
 from repro.core.chunks import ChunkGeometry, MiB
 from repro.core.sdam import SDAMController
-from repro.errors import AllocationError, CMTError, DeviceFaultError
+from repro.errors import (
+    AllocationError,
+    CMTError,
+    DeviceFaultError,
+    OutOfMemoryError,
+)
 from repro.mem.kernel import Kernel
 from repro.mem.malloc import MappingAwareAllocator
 from repro.mem.migration import ChunkMigrator
@@ -26,19 +31,25 @@ def rolled(shift: int) -> np.ndarray:
 
 
 class TestFreeCapacity:
+    """A free chunk carries no data: moving it into a mapping's group is
+    an acquire plus one CMT write, with nothing to copy."""
+
     def test_remap_free_chunks_is_cheap(self):
-        kernel, _space, malloc, migrator = setup_machine()
+        kernel, _space, malloc, _migrator = setup_machine()
         mapping_id = malloc.add_addr_map(rolled(1))
-        acquired = migrator.remap_free_capacity(mapping_id, chunks=3)
-        assert acquired == 3
+        chunks = [kernel.physical.acquire_chunk(mapping_id) for _ in range(3)]
         assert kernel.physical.live_groups()[mapping_id] == 3
+        for chunk in chunks:
+            assert kernel.sdam.cmt.mapping_index_of(chunk.number) == mapping_id
 
     def test_stops_at_exhaustion(self):
-        kernel, _space, malloc, migrator = setup_machine()
+        kernel, _space, malloc, _migrator = setup_machine()
         mapping_id = malloc.add_addr_map(rolled(1))
-        acquired = migrator.remap_free_capacity(mapping_id, chunks=1000)
-        assert acquired == SMALL.num_chunks
+        for _ in range(SMALL.num_chunks):
+            kernel.physical.acquire_chunk(mapping_id)
         assert kernel.physical.free_chunk_count == 0
+        with pytest.raises(OutOfMemoryError):
+            kernel.physical.acquire_chunk(mapping_id)
 
 
 class TestLiveMigration:
@@ -92,11 +103,15 @@ class TestLiveMigration:
         assert kernel.physical.mapping_of_chunk(chunk_no) == new_mapping
 
     def test_migrate_group(self):
+        """Moving every chunk of a group empties it into the target."""
         kernel, space, malloc, migrator = setup_machine()
         source = malloc.add_addr_map(rolled(1))
         target = malloc.add_addr_map(rolled(5))
         self.populate(kernel, space, malloc, mapping_id=source)
-        reports = migrator.migrate_group(source, target)
+        reports = [
+            migrator.migrate_chunk(chunk.number, target)
+            for chunk in list(kernel.physical.group(source).chunks)
+        ]
         assert reports
         assert all(r.new_mapping == target for r in reports)
         assert kernel.physical.live_groups().get(source) is None
@@ -179,8 +194,7 @@ class TestErrorPaths:
         kernel, _space, malloc, migrator = setup_machine()
         source = malloc.add_addr_map(rolled(1))
         target = malloc.add_addr_map(rolled(2))
-        migrator.remap_free_capacity(source, chunks=1)
-        chunk = next(iter(kernel.physical.group(source).chunks))
+        chunk = kernel.physical.acquire_chunk(source)
         copies = []
         report = migrator.migrate_chunk(
             chunk.number, target, on_copy=lambda *a: copies.append(a)
@@ -202,20 +216,6 @@ class TestErrorPaths:
 
 
 class TestPolicy:
-    def test_amortisation(self):
-        _kernel, _space, malloc, migrator = setup_machine()
-        from repro.mem.migration import MigrationReport
-
-        report = MigrationReport(0, 0, 1, 1000, cost_ns=10_000.0)
-        assert migrator.amortises_over(
-            report, expected_accesses=10_000,
-            old_ns_per_access=45, new_ns_per_access=15,
-        )
-        assert not migrator.amortises_over(
-            report, expected_accesses=100,
-            old_ns_per_access=45, new_ns_per_access=44,
-        )
-
     def test_requires_sdam(self):
         kernel = Kernel(SMALL, sdam=None)
         with pytest.raises(CMTError):

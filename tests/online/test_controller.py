@@ -11,6 +11,7 @@ from repro.hbm.config import hbm2_config
 from repro.mem.kernel import Kernel
 from repro.mem.malloc import MappingAwareAllocator
 from repro.online.controller import AdaptiveController
+from repro.online.policy import COOLDOWN_WINDOWS
 from repro.workloads.synthetic import PhaseShiftWorkload
 
 WINDOW = 2048
@@ -115,7 +116,6 @@ def test_cooldown_rate_limits_remaps(hbm, geometry):
     remap_windows = [
         e["window"] for e in controller.journal if e["kind"] == "remap"
     ]
-    cooldown = controller.policy.cooldown_windows
     for entry in controller.journal:
         if entry["kind"] != "remap":
             continue
@@ -124,7 +124,7 @@ def test_cooldown_rate_limits_remaps(hbm, geometry):
                 other["kind"] == "remap"
                 and other["window"] > entry["window"]
             ):
-                assert other["window"] - entry["window"] >= cooldown
+                assert other["window"] - entry["window"] >= COOLDOWN_WINDOWS
     assert remap_windows  # the scenario did remap at least once
 
 

@@ -6,7 +6,15 @@ import pytest
 from repro.core.bitshuffle import select_window_permutation
 from repro.core.chunks import ChunkGeometry
 from repro.hbm.config import hbm2_config
-from repro.online.policy import AMU_REPROGRAM_NS, CMT_WRITE_NS, RemapPolicy
+from repro.online.policy import (
+    AMU_REPROGRAM_NS,
+    BENEFIT_MARGIN,
+    CMT_WRITE_NS,
+    COOLDOWN_WINDOWS,
+    MAX_REMAPS_PER_CHUNK,
+    PROBE_ACCESSES,
+    RemapPolicy,
+)
 from repro.profiling.bfrv import window_flip_rates
 
 
@@ -72,7 +80,7 @@ class TestVerdicts:
             collapsing_trace(geometry),
             candidate,
             perm,
-            windows_since_remap=policy.cooldown_windows - 1,
+            windows_since_remap=COOLDOWN_WINDOWS - 1,
             live_lines=1024,
             chunks=1,
         )
@@ -88,7 +96,7 @@ class TestVerdicts:
             windows_since_remap=100,
             live_lines=1024,
             chunks=2,
-            chunk_remap_counts={7: policy.max_remaps_per_chunk},
+            chunk_remap_counts={7: MAX_REMAPS_PER_CHUNK},
         )
         assert decision.reason == "chunk-budget"
         assert decision.details["chunks"] == [7]
@@ -131,7 +139,7 @@ class TestVerdicts:
         assert decision.gain_ns_per_window > 0
         assert (
             decision.projected_gain_ns
-            > policy.benefit_margin * decision.migration_cost_ns
+            > BENEFIT_MARGIN * decision.migration_cost_ns
         )
 
 
@@ -153,10 +161,10 @@ class TestPricing:
         )
 
     def test_probe_caps_replayed_window(self, policy, geometry):
-        long_pa = collapsing_trace(geometry, count=policy.probe_accesses * 4)
+        long_pa = collapsing_trace(geometry, count=PROBE_ACCESSES * 4)
         capped = policy.probe_window_ns(long_pa, identity(geometry))
         tail = policy.probe_window_ns(
-            long_pa[-policy.probe_accesses :], identity(geometry)
+            long_pa[-PROBE_ACCESSES :], identity(geometry)
         )
         assert capped == pytest.approx(tail)
 

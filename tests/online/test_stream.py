@@ -1,4 +1,4 @@
-"""Tests for the streaming BFRV estimator and variable activity."""
+"""Tests for the streaming BFRV estimator."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProfilingError
-from repro.online.stream import StreamingBFRV, VariableActivity
+from repro.online.stream import StreamingBFRV
 from repro.profiling.bfrv import (
     DEGENERATE_CONSTANT,
     DEGENERATE_SHORT,
@@ -72,13 +72,6 @@ class TestStreamingBFRV:
         batch = bit_flip_rate_vector(np.concatenate([constant, varying]), 12)
         np.testing.assert_array_equal(estimator.rates, batch)
 
-    def test_reset(self):
-        estimator = StreamingBFRV(num_bits=8)
-        estimator.update(stride_addresses(1, 64))
-        estimator.reset()
-        assert estimator.pairs_weight == 0.0
-        assert (estimator.rates == 0).all()
-
     def test_invalid_params(self):
         with pytest.raises(ProfilingError):
             StreamingBFRV(num_bits=0)
@@ -107,26 +100,3 @@ def test_streaming_decay_one_is_bitexact_with_batch(seed, splits):
     batch = bit_flip_rate_vector(addresses, 21, bit_offset=3)
     np.testing.assert_array_equal(estimator.rates, batch)
 
-
-class TestVariableActivity:
-    def test_majors_by_decayed_references(self):
-        activity = VariableActivity(decay=1.0)
-        addresses = np.arange(100, dtype=np.uint64) * np.uint64(64)
-        activity.update(addresses, np.repeat([0, 1], 50))
-        activity.update(addresses[:20], np.full(20, 0))
-        majors = activity.majors(coverage=0.55)
-        assert majors[0] == 0
-        assert activity.references[0] == 70.0
-
-    def test_footprint_counts_distinct_pages(self):
-        activity = VariableActivity(page_bits=12, decay=1.0)
-        addresses = np.array([0, 64, 4096, 8192], dtype=np.uint64)
-        activity.update(addresses, np.zeros(4, dtype=np.int64))
-        assert activity.footprint_pages[0] == 3.0
-
-    def test_mismatched_tags_rejected(self):
-        activity = VariableActivity()
-        with pytest.raises(ProfilingError):
-            activity.update(
-                np.zeros(4, dtype=np.uint64), np.zeros(3, dtype=np.int64)
-            )

@@ -26,7 +26,7 @@ GOLDEN = {
     ),
     "tier": (
         lambda: run_tier_campaign(seed=0, quick=True),
-        "0730e9935bdaaa546643f89ea24cd154fc1e79fe579e1e7aea47f72568881cff",
+        "15956ec8331217eeb76dbcb7376bcbf75858348907a1a632d326ce91e43f58d0",
     ),
 }
 

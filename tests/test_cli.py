@@ -224,6 +224,10 @@ USAGE_ERRORS = {
     "audit-negative-chunks": ["audit", "--chunks", "-1"],
     "stride-zero-accesses": ["stride", "--accesses", "0"],
     "stride-negative-accesses": ["stride", "--accesses", "-4"],
+    "audit-negative-seed": ["audit", "--seed", "-1"],
+    "ras-negative-seed": ["ras", "--seed", "-1"],
+    "adapt-negative-seed": ["adapt", "--seed", "-1"],
+    "tier-negative-seed": ["tier", "--seed", "-1"],
 }
 
 

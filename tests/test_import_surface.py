@@ -37,7 +37,6 @@ OFF_PATH = (
     "repro.system.runner",
     "repro.system.stages",
     "repro.tier.campaign",
-    "repro.tier.swapper",
 )
 
 #: Standard-library machinery only the off-path modules use.

@@ -88,8 +88,6 @@ POPULATED = {
             trans_misses=24,
             trans_ns=312.25,
             slow_busy_ns=9876.5,
-            sdam_remaps=2,
-            sdam_rollbacks=1,
         ),
         {
             "fast_accesses": 900,
@@ -105,8 +103,6 @@ POPULATED = {
             "trans_misses": 24,
             "trans_ns": 312.25,
             "slow_busy_ns": 9876.5,
-            "sdam_remaps": 2,
-            "sdam_rollbacks": 1,
             "fast_fraction": 0.87890625,
             "overhead_ns": 2512.75,
         },
@@ -128,8 +124,8 @@ POPULATED = {
     ),
 }
 
-#: Tier traffic written before ``retired_pins``, ``slow_busy_ns`` and the
-#: ``sdam_*`` counters existed, and what it loads as.
+#: Tier traffic written before ``retired_pins`` and ``slow_busy_ns``
+#: existed, and what it loads as.
 LEGACY_TIER = {
     "fast_accesses": 700,
     "slow_accesses": 300,
@@ -159,8 +155,6 @@ LEGACY_TIER_LOADED = {
     "trans_misses": 10,
     "trans_ns": 120.0,
     "slow_busy_ns": 0.0,
-    "sdam_remaps": 0,
-    "sdam_rollbacks": 0,
     "fast_fraction": 0.7,
     "overhead_ns": 1620.0,
 }
@@ -224,6 +218,14 @@ def test_from_dict_reproduces_the_pinned_dict(name):
 
 def test_legacy_tier_traffic_fills_missing_counters_with_zero():
     loaded = TierTraffic.from_dict(LEGACY_TIER)
+    assert _text(loaded.to_dict()) == _text(LEGACY_TIER_LOADED)
+
+
+def test_retired_sdam_counters_are_ignored_on_load():
+    """Tier traffic written while it still carried ``sdam_remaps`` and
+    ``sdam_rollbacks`` loads without them."""
+    written = dict(LEGACY_TIER_LOADED, sdam_remaps=0, sdam_rollbacks=0)
+    loaded = TierTraffic.from_dict(written)
     assert _text(loaded.to_dict()) == _text(LEGACY_TIER_LOADED)
 
 

@@ -257,7 +257,19 @@ PINNED = {
     ),
     "tier": (
         lambda: run_tier_campaign(seed=0, quick=True),
-        "0730e9935bdaaa546643f89ea24cd154fc1e79fe579e1e7aea47f72568881cff",
+        "15956ec8331217eeb76dbcb7376bcbf75858348907a1a632d326ce91e43f58d0",
+    ),
+    "ras_full": (
+        lambda: run_campaign(seed=7, quick=False),
+        "b9e19d9a0da7c5cf7172ac6ca921da4932d5d9ad577724efc65631e534e44721",
+    ),
+    "adapt_full": (
+        lambda: run_adaptive_campaign(seed=0, quick=False),
+        "dc3a9d830df707d975de7383273b92ca717869c2afe2e8c2c5599602ac42cf47",
+    ),
+    "tier_full": (
+        lambda: run_tier_campaign(seed=0, quick=False),
+        "7298a61abe90fdadec08751a01c14d20ad9a12f9900d289f1127e610c5e239a0",
     ),
 }
 

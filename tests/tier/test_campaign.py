@@ -1,15 +1,9 @@
 """The tiered-memory campaign: gates, invariants, side legs."""
 
-import numpy as np
 import pytest
 
-from repro.core.chunks import ChunkGeometry, MiB
-from repro.core.sdam import SDAMController
-from repro.errors import ConfigError, SimulationError
-from repro.mem.kernel import Kernel
-from repro.mem.malloc import MappingAwareAllocator
+from repro.errors import ConfigError
 from repro.tier.campaign import run_tier_campaign
-from repro.tier.swapper import SDAMAwareSwapper
 
 
 @pytest.fixture(scope="module")
@@ -66,45 +60,3 @@ class TestCampaign:
         with pytest.raises(ConfigError, match="unknown swap policy"):
             run_tier_campaign(policy="telepathic")
 
-
-class TestSwapper:
-    def _stack(self):
-        geometry = ChunkGeometry(total_bytes=32 * MiB)
-        kernel = Kernel(geometry, sdam=SDAMController(geometry))
-        space = kernel.spawn()
-        malloc = MappingAwareAllocator(kernel, space)
-        swapper = SDAMAwareSwapper(kernel)
-        mapping = malloc.add_addr_map(
-            np.roll(np.arange(geometry.window_bits), 3)
-        )
-        va = malloc.malloc(1 * MiB, mapping_id=0, tag="data")
-        touch = np.arange(
-            va, va + 1 * MiB, geometry.page_bytes, dtype=np.uint64
-        )
-        space.translate_trace(touch)
-        chunk_no = geometry.chunk_number(space.translate(va))
-        return swapper, chunk_no, mapping
-
-    def test_clean_swap_accounts_traffic(self):
-        swapper, chunk_no, mapping = self._stack()
-        report = swapper.swap_chunk(chunk_no, mapping)
-        assert swapper.mapping_index_of(chunk_no) == mapping
-        assert swapper.traffic.sdam_remaps == 1
-        assert swapper.traffic.sdam_rollbacks == 0
-        assert swapper.traffic.swap_bytes == (
-            2 * report.lines_copied * swapper.migrator.hbm.line_bytes
-        )
-        assert swapper.traffic.swap_ns == report.cost_ns
-
-    def test_mid_copy_fault_rolls_back_cmt(self):
-        swapper, chunk_no, mapping = self._stack()
-        before = swapper.mapping_index_of(chunk_no)
-
-        def exploding(_lines, _reads, _writes):
-            raise SimulationError("device fault mid-copy")
-
-        with pytest.raises(SimulationError):
-            swapper.swap_chunk(chunk_no, mapping, on_copy=exploding)
-        assert swapper.mapping_index_of(chunk_no) == before
-        assert swapper.traffic.sdam_rollbacks == 1
-        assert swapper.traffic.sdam_remaps == 0

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro.hbm import hbm2_config
 from repro.hbm.decode import decode_trace
-from repro.online.stream import VariableActivity
 from repro.tier.backend import TieredBackend
 
 from tests.tier import tier_oracle
@@ -176,43 +175,3 @@ def test_demotion_never_picks_a_page_promoted_this_wave():
         assert results[0] == results[1]
     assert sides[1].placement.fast == {0, 1, 3, 5}
 
-
-windows = st.lists(
-    st.tuples(
-        st.integers(0, 2**16),  # seed
-        st.integers(0, 600),  # accesses (0 = empty window)
-        st.integers(1, 12),  # distinct tags
-        st.integers(1, 40),  # pages per tag
-    ),
-    min_size=1,
-    max_size=6,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(decay=st.sampled_from([1.0, 0.3, 0.5]), page_bits=st.sampled_from([6, 12]),
-       windows=windows)
-def test_variable_activity_matches_oracle(decay, page_bits, windows):
-    """Real variable tags: -1, many pages per tag, empty windows."""
-    ours = VariableActivity(page_bits=page_bits, decay=decay)
-    theirs = tier_oracle.VariableActivity(page_bits=page_bits, decay=decay)
-    for seed, count, tags, pages_per_tag in windows:
-        rng = np.random.default_rng(seed)
-        pool = np.array([-1, 0, 3, 7, 2**40, -(2**33), 11, 12, 99, 5, 1, 2])
-        variable = rng.choice(pool[:tags], count)
-        pages = rng.integers(0, pages_per_tag, count) + (
-            rng.integers(0, 2**40, count) if seed % 3 == 0 else 0
-        )
-        addresses = (
-            (pages.astype(np.uint64) << np.uint64(page_bits))
-            | rng.integers(0, 1 << page_bits, count).astype(np.uint64)
-        )
-        for activity in (ours, theirs):
-            activity.update(addresses, variable)
-        assert ours.windows_seen == theirs.windows_seen
-        assert repr(list(ours.references.items())) == repr(
-            list(theirs.references.items())
-        )
-        assert repr(list(ours.footprint_pages.items())) == repr(
-            list(theirs.footprint_pages.items())
-        )

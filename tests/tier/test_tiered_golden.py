@@ -102,33 +102,33 @@ def run(name: str, **options) -> str:
 
 
 GOLDEN = {
-    ("fast", "scan", "fast"): "478d90a72b4c497b",
-    ("fast", "scan", "vector"): "29856856fe1d6f70",
-    ("fast", "skewed", "fast"): "53b0ffc49b37ad3f",
-    ("fast", "skewed", "vector"): "296b8220cffa6b92",
-    ("fast", "uniform", "fast"): "d0379fd5b077768f",
-    ("fast", "uniform", "vector"): "7d1a174f4c03cd70",
-    ("slow", "scan", "fast"): "d174b20eb7aab8da",
-    ("slow", "scan", "vector"): "0ccb99ca554a05a2",
-    ("slow", "skewed", "fast"): "63712bbaa5d5eba8",
-    ("slow", "skewed", "vector"): "2180422b90f1d5ad",
-    ("slow", "uniform", "fast"): "91433c66a643f643",
-    ("slow", "uniform", "vector"): "8f1b57f5578ee172",
-    ("smart", "scan", "fast"): "920aad0d5beb9471",
-    ("smart", "scan", "vector"): "807e861787dbe996",
-    ("smart", "skewed", "fast"): "eefc8f395ed7847d",
-    ("smart", "skewed", "vector"): "c92a1b85a867eeba",
-    ("smart", "uniform", "fast"): "91433c66a643f643",
-    ("smart", "uniform", "vector"): "8f1b57f5578ee172",
-    ("ragged-wave", "fast"): "4b09fbfd87151099",
-    ("ragged-wave", "smart"): "9bbcf0b3a54aa94c",
-    "no-budget": "63712bbaa5d5eba8",
-    "no-trans-cache": "9b40ad09c13969b9",
-    "no-fast-tier": "6a3e789284db441f",
-    "retired": "89e589b36fbbce55",
-    "second-call": ("eefc8f395ed7847d", "353a5b50dda0e46e"),
-    ("pressure", 0.9): "e24647fb47770d43",
-    ("pressure", 0.0): "216c5489e19d5136",
+    ("fast", "scan", "fast"): "0d0540bea431eb73",
+    ("fast", "scan", "vector"): "00ef66e5b8d6d93c",
+    ("fast", "skewed", "fast"): "accb802578d866a8",
+    ("fast", "skewed", "vector"): "431f38b3e540ea6b",
+    ("fast", "uniform", "fast"): "4394b6096a504ee2",
+    ("fast", "uniform", "vector"): "52affc5801b5eeb0",
+    ("slow", "scan", "fast"): "28c980c3fb7477a8",
+    ("slow", "scan", "vector"): "6aff7178b49c3b74",
+    ("slow", "skewed", "fast"): "58193ab7644d6df5",
+    ("slow", "skewed", "vector"): "4e5ec4217605d4fe",
+    ("slow", "uniform", "fast"): "f2e8f822e3c8b28f",
+    ("slow", "uniform", "vector"): "4c53aa0670193bb5",
+    ("smart", "scan", "fast"): "8a8c9a7ba35cf4f0",
+    ("smart", "scan", "vector"): "875fb11feadc30d6",
+    ("smart", "skewed", "fast"): "e0b634b5b0382c0f",
+    ("smart", "skewed", "vector"): "d98f89ed057260dd",
+    ("smart", "uniform", "fast"): "f2e8f822e3c8b28f",
+    ("smart", "uniform", "vector"): "4c53aa0670193bb5",
+    ("ragged-wave", "fast"): "1a169005b5d7202a",
+    ("ragged-wave", "smart"): "5b2ffb6e02ffebac",
+    "no-budget": "58193ab7644d6df5",
+    "no-trans-cache": "654a2644f9c6a711",
+    "no-fast-tier": "542c1a7611d6c1a0",
+    "retired": "efa23bf09cc23cd0",
+    "second-call": ("e0b634b5b0382c0f", "8cafc9ea0266a498"),
+    ("pressure", 0.9): "848bc81578760311",
+    ("pressure", 0.0): "b747d4a70cfa1bb6",
 }
 
 

@@ -2,8 +2,8 @@
 
 The tiered backend once kept each page's decayed heat and last touch in
 dicts: ``SwapPolicy.observe`` folded every wave into a
-:class:`~repro.online.stream.VariableActivity` keyed by page id (which
-decays every key in a Python loop), the backend admitted the wave's
+:class:`VariableActivity` keyed by page id (which decays every key in a
+Python loop), the backend admitted the wave's
 pages one ``TierPlacement.admit`` call at a time and rebuilt the slow
 set for ``np.isin``, and both rankings sorted Python tuples with a dict
 lookup per page.  The package now keeps that state in page-indexed
@@ -14,11 +14,11 @@ package, as the oracle the array path must match bit for bit
 The oracle stands alone: its policies and backend subclass nothing in
 :mod:`repro.tier`, so a change to the package cannot change the oracle
 under it.  It shares only what the array path leaves as it was:
-:class:`~repro.tier.placement.TierPlacement`, the online estimators, the
+:class:`~repro.tier.placement.TierPlacement`, the streaming BFRV, the
 configs, the stats ledgers and the delegate backends.
-
-:class:`VariableActivity` below is an older oracle, for the online
-estimator itself: one ``np.unique`` and one mask per distinct tag.
+:class:`VariableActivity` is the decayed per-tag counter the package
+once exported from ``repro.online.stream``, kept here verbatim (without
+its unused ``majors``).
 """
 
 from __future__ import annotations
@@ -35,18 +35,33 @@ from repro.hbm.decode import (
     forced_miss_mask,
 )
 from repro.hbm.stats import RunStats
-from repro.online import stream
 from repro.online.stream import StreamingBFRV
 from repro.tier.config import TierConfig
 from repro.tier.placement import TierPlacement
 from repro.tier.stats import TierTraffic
 
 
-class VariableActivity(stream.VariableActivity):
-    """One ``np.unique`` and one mask per distinct tag."""
+class VariableActivity:
+    """Decayed per-variable reference counts and page footprints.
+
+    The online stand-in for the profiler's major-variable analysis:
+    which variables dominate the recent external traffic, and how many
+    distinct pages each touched.  Footprints are per-window distinct
+    page counts folded with the same decay as references — an
+    inexpensive working-set proxy, not an exact union over time.
+    """
+
+    def __init__(self, page_bits: int = 12, decay: float = 0.5):
+        if not 0.0 < decay <= 1.0:
+            raise ProfilingError("decay must be in (0, 1]")
+        self.page_bits = page_bits
+        self.decay = decay
+        self.references: dict[int, float] = {}
+        self.footprint_pages: dict[int, float] = {}
+        self.windows_seen = 0
 
     def update(self, addresses: np.ndarray, variable: np.ndarray) -> None:
-        """Fold one window's tagged accesses in."""
+        """Fold one window's tagged accesses in (one pass per window)."""
         addresses = np.asarray(addresses, dtype=np.uint64).ravel()
         variable = np.asarray(variable, dtype=np.int64).ravel()
         if addresses.size != variable.size:
@@ -58,15 +73,22 @@ class VariableActivity(stream.VariableActivity):
         if addresses.size == 0:
             return
         pages = addresses >> np.uint64(self.page_bits)
-        for var in np.unique(variable):
-            mask = variable == var
-            var = int(var)
-            self.references[var] = self.references.get(var, 0.0) + float(
-                mask.sum()
-            )
-            self.footprint_pages[var] = self.footprint_pages.get(
-                var, 0.0
-            ) + float(np.unique(pages[mask]).size)
+        tags, refs = np.unique(variable, return_counts=True)
+        # One sort of the (tag, page) pairs: each tag's run of distinct
+        # pages is its footprint this window.
+        order = np.lexsort((pages, variable))
+        tag, page = variable[order], pages[order]
+        fresh = np.ones(tag.size, dtype=bool)
+        fresh[1:] = (tag[1:] != tag[:-1]) | (page[1:] != page[:-1])
+        distinct = np.bincount(
+            np.searchsorted(tags, tag[fresh]), minlength=tags.size
+        )
+        references, footprints = self.references, self.footprint_pages
+        for var, count, spread in zip(
+            tags.tolist(), refs.tolist(), distinct.tolist()
+        ):
+            references[var] = references.get(var, 0.0) + float(count)
+            footprints[var] = footprints.get(var, 0.0) + float(spread)
 
 
 class SwapPolicy:
@@ -77,7 +99,7 @@ class SwapPolicy:
     def __init__(self, config: TierConfig, line_bits: int = 6):
         self.config = config
         self.line_bits = line_bits
-        self.activity = stream.VariableActivity(
+        self.activity = VariableActivity(
             page_bits=config.page_bits, decay=0.5
         )
         self.bfrv = StreamingBFRV(
