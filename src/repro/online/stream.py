@@ -109,11 +109,6 @@ class StreamingBFRV:
             return np.zeros(self.num_bits)
         return self._counts / self._pairs
 
-    @property
-    def pairs_weight(self) -> float:
-        """Decayed number of consecutive pairs backing the estimate."""
-        return self._pairs
-
     def __repr__(self) -> str:
         return (
             f"StreamingBFRV(bits={self.num_bits}+{self.bit_offset}, "

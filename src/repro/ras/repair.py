@@ -34,7 +34,6 @@ __all__ = [
     "compose_repair",
     "cube_for",
     "cube_offsets",
-    "fold_cube",
     "preimage_pages",
     "row_fault_chunk",
 ]
@@ -160,29 +159,6 @@ def cube_for(
         fixed = _fix_field(config, geometry, "channel", channel)
         return FaultCube(fixed=tuple(sorted(fixed)), label=f"channel {channel}")
     raise DeviceFaultError(f"unknown physical fault kind {kind!r}")
-
-
-def fold_cube(
-    config: HBMConfig, geometry: ChunkGeometry, dead_channel: int
-) -> FaultCube:
-    """The degradation cube: the top channel bit pinned to the dead side.
-
-    A permutation cannot synthesise constants, so a lost channel cannot
-    be excised exactly — instead the machine folds away the half of the
-    device sharing the dead channel's top channel bit.  Retiring this
-    cube's preimage guarantees no allocatable address selects the dead
-    channel (it over-retires 15 healthy channels' worth of addresses;
-    that is the graceful-degradation capacity cost).
-    """
-    pairs = _window_bits_of_field(config, geometry, "channel")
-    if not pairs:
-        raise DeviceFaultError("channel field lies outside the window")
-    top_window_bit, top_field_bit = pairs[-1]
-    side = (int(dead_channel) >> top_field_bit) & 1
-    return FaultCube(
-        fixed=((top_window_bit, side),),
-        label=f"fold ch-top={side} (dead ch{dead_channel})",
-    )
 
 
 def cube_offsets(

@@ -216,21 +216,24 @@ def record_addresses(
 def pointer_chase_addresses(
     base: int, size: int, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """A dependent chain through a random permutation of the lines."""
+    """A dependent chain through a random permutation of the lines.
+
+    The chain starts at line 0 and follows the permutation, so it walks
+    the cycle through line 0 over and over.  Under a uniform random
+    permutation of ``n`` lines that cycle's length is uniform on
+    ``1..n``, and given its length ``L`` the lines after line 0 are an
+    ordered sample of ``L - 1`` distinct other lines.  So the chain is
+    drawn directly: ``L``, then the first ``min(L, count) - 1`` of those
+    lines, repeated to ``count`` steps.  Work and memory are O(count),
+    not O(lines).
+    """
     if count <= 0:
         return np.zeros(0, dtype=np.uint64)
-    lines = max(size // LINE, 2)
-    # The permutation is the only draw.  The walk reads successors as
-    # Python ints through a memoryview and converts the path once: the
-    # chain is far shorter than the permutation, so copying or listing
-    # the whole permutation would cost more than the walk.
-    successor = memoryview(rng.permutation(lines))
-    path = []
-    node = 0
-    for _ in range(count):
-        path.append(node)
-        node = successor[node]
-    return np.uint64(base) + np.array(path, dtype=np.uint64) * np.uint64(LINE)
+    lines = max(size // LINE, 1)
+    cycle = int(rng.integers(1, lines + 1))
+    others = rng.choice(lines - 1, size=min(cycle, count) - 1, replace=False) + 1
+    path = np.resize(np.concatenate(([0], others)).astype(np.uint64), count)
+    return np.uint64(base) + path * np.uint64(LINE)
 
 
 def tagged_trace(

@@ -74,7 +74,7 @@ CASES = {
 
 GOLDEN = {
     "perlbench-cpu4": (56985, "9359e1ab94c2f8af", 166, 14847),
-    "mcf-cpu2": (45679, "929ec44256880441", 46, 9851),
+    "mcf-cpu2": (44877, "3495ca14d2d7d649", 44, 8426),
     "bfs-accel": (34897, "84d591654caf6bba", 22610, 0),
     "hashjoin-accel": (64752, "122afeff14385a50", 3625, 0),
     "pagerank-accel": (38242, "624ed245c1d8e491", 15750, 0),

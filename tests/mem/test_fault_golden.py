@@ -187,8 +187,8 @@ CASES = {
 }
 
 GOLDEN = {
-    "mcf-bs_dm": "f3eec2cda54cd24f",
-    "mcf-sdm_bsm_ml4": "4030e9a815a59e51",
+    "mcf-bs_dm": "93640523e99a8b4b",
+    "mcf-sdm_bsm_ml4": "62af71e7f0b2043f",
     "hashjoin-sdm_bsm_ml4": "8f349c88c2ce1708",
     "ras-retiring-hook": "0103c517ca604b60",
     "munmap-refault": "83ab5995d530d2c3",

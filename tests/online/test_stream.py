@@ -59,8 +59,6 @@ class TestStreamingBFRV:
         estimator = StreamingBFRV(num_bits=8, decay=1.0)
         estimator.update(np.full(10, 0x40, dtype=np.uint64))
         assert estimator.last_degenerate == DEGENERATE_CONSTANT
-        # Pairs still accumulate (batch-denominator parity).
-        assert estimator.pairs_weight == 9.0
         assert (estimator.rates == 0).all()
 
     def test_constant_then_varying_matches_batch(self):

@@ -11,8 +11,6 @@ from repro.ras.repair import (
     FaultCube,
     compose_repair,
     cube_for,
-    cube_offsets,
-    fold_cube,
     preimage_pages,
     row_fault_chunk,
 )
@@ -67,14 +65,6 @@ class TestCubeGeometry:
         assert sizes["row"] == 1  # row bits sit above the page bits
         assert sizes["channel"] == pages_per_chunk  # every page reaches it
         assert 1 < sizes["bank"] <= pages_per_chunk
-
-    def test_fold_cube_halves_the_window(self):
-        cube = fold_cube(CONFIG, GEOMETRY, dead_channel=5)
-        identity = BitOperator.from_permutation(
-            np.arange(GEOMETRY.window_bits)
-        )
-        offsets = cube_offsets(identity, cube, GEOMETRY.window_bits)
-        assert offsets.size == (1 << GEOMETRY.window_bits) // 2
 
 
 class TestComposeRepair:

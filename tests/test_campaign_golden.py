@@ -22,7 +22,7 @@ GOLDEN = {
     ),
     "adapt": (
         lambda: run_adaptive_campaign(seed=0, quick=True),
-        "f859170197a96b060c4867ef03e1ffb7dddbf517e8b4ed50155409788428393d",
+        "1403341c1771982eae1e90564ec1e832865879d14821ad7090b7024849d9ad78",
     ),
     "tier": (
         lambda: run_tier_campaign(seed=0, quick=True),

@@ -253,7 +253,7 @@ PINNED = {
     ),
     "adapt": (
         lambda: run_adaptive_campaign(seed=0, quick=True),
-        "6b74025a3ceac4d873a49074ac8c7d1eacb0abd2d21b561abf203aa4f4b91400",
+        "dbbad0acd9f5976b737b7175a76037e5adcace5f5a957bf603763598129779ad",
     ),
     "tier": (
         lambda: run_tier_campaign(seed=0, quick=True),
@@ -265,7 +265,7 @@ PINNED = {
     ),
     "adapt_full": (
         lambda: run_adaptive_campaign(seed=0, quick=False),
-        "dc3a9d830df707d975de7383273b92ca717869c2afe2e8c2c5599602ac42cf47",
+        "bffb7d767c1e7654de248fc7b151f30971f8891c29c7c4c43a8176a2bd103716",
     ),
     "tier_full": (
         lambda: run_tier_campaign(seed=0, quick=False),

@@ -1,10 +1,13 @@
 """Tests for the workload pattern helpers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.errors import SimulationError
 from repro.workloads.base import (
+    LINE,
     VariableSpec,
     gather_addresses,
     hotspot_addresses,
@@ -15,6 +18,28 @@ from repro.workloads.base import (
 )
 
 SIZE = 1 << 20
+
+
+def permutation_walk(
+    base: int, size: int, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """The pointer chase as it was drawn before the orbit draw: a walk
+    from line 0 through one permutation of every line, kept verbatim as
+    the distribution oracle."""
+    if count <= 0:
+        return np.zeros(0, dtype=np.uint64)
+    lines = max(size // LINE, 2)
+    # The permutation is the only draw.  The walk reads successors as
+    # Python ints through a memoryview and converts the path once: the
+    # chain is far shorter than the permutation, so copying or listing
+    # the whole permutation would cost more than the walk.
+    successor = memoryview(rng.permutation(lines))
+    path = []
+    node = 0
+    for _ in range(count):
+        path.append(node)
+        node = successor[node]
+    return np.uint64(base) + np.array(path, dtype=np.uint64) * np.uint64(LINE)
 
 
 class TestVariableSpec:
@@ -86,20 +111,63 @@ class TestPointerChase:
         # 8 lines for 50 steps walks the cycle through line 0 many times.
         [(8 * 64, 50), (4096, 64), (SIZE, 100), (64, 5)],
     )
-    def test_walks_the_one_permutation_draw(self, size, count):
-        """The path is the walk from line 0 through a twin generator's
-        ``permutation(lines)``, and that permutation is the only draw."""
+    def test_draws_the_orbit_of_line_zero(self, size, count):
+        """The path is line 0's cycle as a twin generator draws it: its
+        length with ``integers``, then the other lines with ``choice``,
+        repeated to ``count`` steps; nothing else is drawn."""
         rng = np.random.default_rng(11)
         twin = np.random.default_rng(11)
         addresses = pointer_chase_addresses(0x1000, size, count, rng)
-        successor = twin.permutation(max(size // 64, 2))
-        expected, node = [], 0
-        for _ in range(count):
-            expected.append(0x1000 + 64 * node)
-            node = int(successor[node])
+        lines = max(size // 64, 1)
+        cycle = int(twin.integers(1, lines + 1))
+        others = twin.choice(lines - 1, size=min(cycle, count) - 1, replace=False)
+        orbit = [0] + [int(line) + 1 for line in others]
+        expected = [0x1000 + 64 * orbit[step % len(orbit)] for step in range(count)]
         assert addresses.dtype == np.uint64
         assert addresses.tolist() == expected
         assert rng.integers(1 << 62) == twin.integers(1 << 62)
+        if cycle < count:
+            # The cycle closed: the walk is back at line 0 and repeats.
+            assert addresses[cycle] == 0x1000
+            assert addresses[cycle:].tolist() == expected[: count - cycle]
+
+    def test_one_line_variable_stays_inside(self):
+        rng = np.random.default_rng(11)
+        assert pointer_chase_addresses(0x1000, 64, 5, rng).tolist() == [0x1000] * 5
+
+    def test_matches_the_permutation_walk_in_distribution(self):
+        """Over 3,000 seeds on a 6-line buffer, the orbit draw and the
+        permutation walk it replaced both give each cycle length (1..6)
+        and each first successor of line 0 (0..5) a frequency within
+        0.03 of 1/6 (about five standard deviations)."""
+        lines, steps, seeds = 6, 8, range(3000)
+
+        def frequencies(walk):
+            cycle_lengths = np.zeros(lines)
+            successors = np.zeros(lines)
+            for seed in seeds:
+                path = walk(0, lines * 64, steps, np.random.default_rng(seed)) // 64
+                # ``steps`` > ``lines``: every cycle closes inside the path.
+                cycle_lengths[path[1:].tolist().index(0)] += 1
+                successors[path[1]] += 1
+            return cycle_lengths / len(seeds), successors / len(seeds)
+
+        for walk in (pointer_chase_addresses, permutation_walk):
+            for observed in frequencies(walk):
+                assert np.abs(observed - 1 / lines).max() < 0.03, walk.__name__
+
+    def test_memory_is_bounded_by_the_steps(self):
+        """1,000 steps over a 256 MiB buffer (4,194,304 lines) allocate
+        far less than one 32 MiB permutation of its lines."""
+        rng = np.random.default_rng(17)
+        tracemalloc.start()
+        try:
+            addresses = pointer_chase_addresses(0, 256 << 20, 1000, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert addresses.size == 1000
+        assert peak < 1 << 20
 
     def test_empty_draws_nothing(self):
         rng = np.random.default_rng(5)
