@@ -126,10 +126,9 @@ class TestPointerChase:
         assert addresses.dtype == np.uint64
         assert addresses.tolist() == expected
         assert rng.integers(1 << 62) == twin.integers(1 << 62)
-        if cycle < count:
-            # The cycle closed: the walk is back at line 0 and repeats.
-            assert addresses[cycle] == 0x1000
-            assert addresses[cycle:].tolist() == expected[: count - cycle]
+        if size == 8 * 64:
+            # The cycle closes inside the path, so the pin covers a repeat.
+            assert cycle < count and addresses[cycle] == 0x1000
 
     def test_one_line_variable_stays_inside(self):
         rng = np.random.default_rng(11)
